@@ -52,7 +52,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-step progress")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file after the search")
 	noMetrics := flag.Bool("no-metrics", false, "disable the observability layer (skips the end-of-run summary)")
-	ckptDir := flag.String("checkpoint-dir", "", "write full-state search snapshots to this directory (dlrm)")
+	ckptDir := flag.String("checkpoint-dir", "", "write full-state search snapshots to this directory (dlrm, nlp)")
 	ckptEvery := flag.Int("checkpoint-every", 25, "snapshot every N search steps (with -checkpoint-dir)")
 	ckptRetain := flag.Int("checkpoint-retain", 3, "keep only the newest N snapshots (0 keeps all)")
 	resume := flag.Bool("resume", false, "resume from the newest valid snapshot in -checkpoint-dir")
@@ -109,9 +109,8 @@ func main() {
 	if *resume && *ckptDir == "" {
 		fatalf("-resume requires -checkpoint-dir")
 	}
-	if ckpt.enabled() && *domain != "dlrm" {
-		fmt.Fprintf(os.Stderr, "warning: checkpointing is only wired into the dlrm domain; ignoring for %s\n", *domain)
-		ckpt = checkpointing{}
+	if ckpt.enabled() && *domain != "dlrm" && *domain != "nlp" {
+		fatalf("-checkpoint-dir and -resume are only wired into the weight-sharing domains (dlrm, nlp); the %s domain runs the analytic REINFORCE search", *domain)
 	}
 
 	dist := distributed{rpcTimeout: *rpcTimeout, resultOut: *resultOut, failShard: *failShard}
@@ -135,7 +134,7 @@ func main() {
 	case "cnn", "vit":
 		runVision(*domain, chip, kind, *latency, *steps, *shards, *seed, *verbose)
 	case "nlp":
-		runNLP(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy)
+		runNLP(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy, ckpt)
 	default:
 		fatalf("unknown domain %q (want dlrm, cnn, vit, or nlp)", *domain)
 	}
@@ -188,7 +187,7 @@ func writeMetricsSnapshot(reg *metrics.Registry, path string) error {
 // runNLP searches the pure transformer space with a live weight-sharing
 // super-network on synthetic sequence traffic.
 func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
-	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string) {
+	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string, ckpt checkpointing) {
 
 	vs := space.NewTransformerSpace(space.SmallViTConfig())
 	perf := func(a space.Assignment) []float64 {
@@ -212,8 +211,13 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 		Controller: controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
 		Seed:       seed,
 		Metrics:    searchMetrics,
+
+		CheckpointDir:    ckpt.dir,
+		CheckpointEvery:  ckpt.every,
+		CheckpointRetain: ckpt.retain,
+		Resume:           ckpt.resume,
 	}
-	strat, err := buildStrategy(strategy, vs.Space, steps, shards)
+	strat, err := core.StrategyByName(strategy, vs.Space, steps, shards)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -226,6 +230,9 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 	res, err := s.Search(cfg)
 	if err != nil {
 		fatalf("search failed: %v", err)
+	}
+	if res.ResumedFrom > 0 {
+		fmt.Printf("resumed from checkpoint at step %d\n", res.ResumedFrom)
 	}
 	fmt.Printf("\nfinal architecture: %s\n", vs.Space.Describe(res.Best))
 	fmt.Printf("quality %.4f | step time %.0fµs (target %.0fµs)\n",
@@ -252,33 +259,6 @@ type distributed struct {
 	failShard  string
 }
 
-// buildStrategy maps a -strategy flag value to a core.Strategy for the
-// given space, or nil for the default REINFORCE controller. The halving
-// budget is the run's fault-free evaluation count: one per policy shard
-// (every shard except the sandwich shard) per real step.
-func buildStrategy(name string, sp *space.Space, steps, shards int) (core.Strategy, error) {
-	switch name {
-	case "reinforce":
-		return nil, nil
-	case "random":
-		return core.NewRandomSearch(sp), nil
-	case "evolution":
-		return core.NewEvolution(sp, core.EvolutionOpts{}), nil
-	case "halving":
-		policy := shards
-		if shards > 1 {
-			policy = shards - 1
-		}
-		sh, err := core.NewSuccessiveHalving(sp, core.HalvingOpts{Budget: steps * policy})
-		if err != nil {
-			return nil, fmt.Errorf("-strategy halving: %v", err)
-		}
-		return sh, nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q (want reinforce, random, evolution, or halving)", name)
-	}
-}
-
 func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string, ckpt checkpointing, dist distributed) {
 
@@ -300,7 +280,7 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 		Seed:       seed,
 		Metrics:    searchMetrics,
 	}
-	strat, err := buildStrategy(strategy, space.NewDLRMSpace(model).Space, steps, shards)
+	strat, err := core.StrategyByName(strategy, space.NewDLRMSpace(model).Space, steps, shards)
 	if err != nil {
 		fatalf("%v", err)
 	}

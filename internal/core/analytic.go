@@ -46,7 +46,7 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 	rng := tensor.NewRNG(cfg.Seed)
 	ctrl := controller.New(s.Space, cfg.Controller)
 	ctrl.Metrics = cfg.Metrics
-	sm := NewSearchMetrics(cfg.Metrics)
+	sm := newSearchMetrics(cfg.Metrics)
 	res := &AnalyticResult{}
 
 	assignments := make([]space.Assignment, cfg.Shards)

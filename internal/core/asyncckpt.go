@@ -22,7 +22,7 @@ import (
 // state and resume semantics are identical to synchronous checkpointing.
 type asyncCheckpointer struct {
 	mgr     *checkpoint.Manager
-	sm      SearchMetrics
+	sm      searchMetrics
 	ch      chan *checkpoint.Snapshot
 	wg      sync.WaitGroup
 	pending atomic.Int64
@@ -30,7 +30,7 @@ type asyncCheckpointer struct {
 
 // newAsyncCheckpointer starts the persister goroutine. Returns nil when
 // mgr is nil (checkpointing disabled) — all methods are nil-safe no-ops.
-func newAsyncCheckpointer(mgr *checkpoint.Manager, sm SearchMetrics) *asyncCheckpointer {
+func newAsyncCheckpointer(mgr *checkpoint.Manager, sm searchMetrics) *asyncCheckpointer {
 	if mgr == nil {
 		return nil
 	}

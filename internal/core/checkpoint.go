@@ -7,11 +7,26 @@ import (
 
 	"h2onas/internal/checkpoint"
 	"h2onas/internal/nn"
-	"h2onas/internal/supernet"
+	"h2onas/internal/space"
 	"h2onas/internal/tensor"
 )
 
-// fingerprintFor derives the identity string stored in snapshots. Two
+// searchState is everything a step's outcome depends on besides the
+// traffic stream's position: what a snapshot captures and a restore
+// overwrites. The weights are the master super-network's Params(), so
+// checkpointing is the same code for every search space.
+type searchState struct {
+	cfg        *Config
+	space      *space.Space
+	membership string // the transport's fleet identity
+	rng        *tensor.RNG
+	strat      Strategy
+	params     []*nn.Param
+	opt        *nn.Adam
+	out        *Outcome
+}
+
+// fingerprint derives the identity string stored in snapshots. Two
 // runs with the same fingerprint walk the same trajectory, so resuming
 // across a fingerprint mismatch would silently diverge and is refused.
 // Steps is deliberately excluded: resuming a finished run with a larger
@@ -23,21 +38,18 @@ import (
 // carry their own serialized state, so resuming a snapshot under a
 // different strategy (or the same strategy differently configured, which
 // changes its Name) is refused the same way.
-func fingerprintFor(cfg *Config, s *Searcher, strategy, membership string) string {
+//
+// The space's name and decision list are part of it, so a snapshot
+// written by one search space is refused by every other.
+func (st *searchState) fingerprint() string {
 	h := fnv.New64a()
-	for _, d := range s.DS.Space.Decisions {
+	for _, d := range st.space.Decisions {
 		fmt.Fprintf(h, "%s:%d|", d.Name, d.Arity())
 	}
-	fp := fmt.Sprintf("core.Search/v3 space=%s/%d/%016x shards=%d batch=%d warmup=%d seed=%d sandwich=%t strategy=%s transport=%s",
-		s.DS.Space.Name, len(s.DS.Space.Decisions), h.Sum64(),
-		cfg.Shards, cfg.BatchSize, cfg.WarmupSteps, cfg.Seed, !cfg.DisableSandwich, strategy, membership)
-	// Appended only when enabled so every pre-existing fingerprint (and
-	// snapshot) stays valid; a float32-mode snapshot can only resume in
-	// float32 mode and vice versa.
-	if cfg.Float32Activations {
-		fp += " acts=f32"
-	}
-	return fp
+	cfg := st.cfg
+	return fmt.Sprintf("core.Search/v3 space=%s/%d/%016x shards=%d batch=%d warmup=%d seed=%d sandwich=%t strategy=%s transport=%s",
+		st.space.Name, len(st.space.Decisions), h.Sum64(),
+		cfg.Shards, cfg.BatchSize, cfg.WarmupSteps, cfg.Seed, !cfg.DisableSandwich, st.strat.Name(), st.membership)
 }
 
 // snapshot captures the complete search state after nextStep-1 completed
@@ -45,13 +57,10 @@ func fingerprintFor(cfg *Config, s *Searcher, strategy, membership string) strin
 // restored run is bit-identical to the uninterrupted one. The strategy
 // serializes itself into an opaque StrategyState blob, tagged with its
 // Name so resume can refuse a cross-strategy restore before decoding.
-func (s *Searcher) snapshot(cfg *Config, membership string, nextStep int, batchesConsumed int64,
-	rng *tensor.RNG, strat Strategy, master *supernet.Supernet,
-	opt *nn.Adam, hist []StepInfo) *checkpoint.Snapshot {
-
-	ad := opt.State(master.Params())
-	history := make([]checkpoint.StepRecord, len(hist))
-	for i, h := range hist {
+func (st *searchState) snapshot(nextStep int, batchesConsumed int64) *checkpoint.Snapshot {
+	ad := st.opt.State(st.params)
+	history := make([]checkpoint.StepRecord, len(st.out.History))
+	for i, h := range st.out.History {
 		history[i] = checkpoint.StepRecord{
 			Step:       int64(h.Step),
 			MeanReward: h.MeanReward,
@@ -63,11 +72,11 @@ func (s *Searcher) snapshot(cfg *Config, membership string, nextStep int, batche
 	return &checkpoint.Snapshot{
 		Step:            int64(nextStep),
 		BatchesConsumed: batchesConsumed,
-		Fingerprint:     fingerprintFor(cfg, s, strat.Name(), membership),
-		RNG:             rng.State(),
-		Strategy:        strat.Name(),
-		StrategyState:   strat.StateBytes(),
-		Weights:         master.WeightsState(),
+		Fingerprint:     st.fingerprint(),
+		RNG:             st.rng.State(),
+		Strategy:        st.strat.Name(),
+		StrategyState:   st.strat.StateBytes(),
+		Weights:         nn.WeightsState(st.params),
 		AdamT:           ad.T,
 		AdamM:           ad.M,
 		AdamV:           ad.V,
@@ -81,25 +90,28 @@ func (s *Searcher) snapshot(cfg *Config, membership string, nextStep int, batche
 // mutating the live state — while encoding and the file write happen off
 // the step loop. A failed write is logged and counted by the persister
 // but never kills the search.
-func (s *Searcher) maybeCheckpoint(cfg *Config, membership string, ck *asyncCheckpointer,
-	step int, batchesConsumed int64, rng *tensor.RNG, strat Strategy,
-	master *supernet.Supernet, opt *nn.Adam, hist []StepInfo) {
-
-	if ck == nil || cfg.CheckpointEvery <= 0 || (step+1)%cfg.CheckpointEvery != 0 {
+func (st *searchState) maybeCheckpoint(ck *asyncCheckpointer, step int, batchesConsumed int64) {
+	if ck == nil || st.cfg.CheckpointEvery <= 0 || (step+1)%st.cfg.CheckpointEvery != 0 {
 		return
 	}
-	ck.enqueue(s.snapshot(cfg, membership, step+1, batchesConsumed, rng, strat, master, opt, hist))
+	ck.enqueue(st.snapshot(step+1, batchesConsumed))
+}
+
+// streamCursor is the batch-type-independent part of a Source: what
+// restore needs to reposition the traffic stream.
+type streamCursor interface {
+	ExamplesServed() int64
+	Skip(nBatches int64, batchSize int)
 }
 
 // maybeRestore applies cfg.ResumeSnapshot (or, under cfg.Resume, the
 // newest valid snapshot in the checkpoint directory) to the freshly
 // constructed search state. It returns the step index to continue from
 // and the number of batches the checkpointed run had consumed; (0, 0)
-// means a fresh start.
-func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.Manager,
-	rng *tensor.RNG, strat Strategy, master *supernet.Supernet,
-	opt *nn.Adam, res *Result) (startStep int, consumedBase int64, err error) {
-
+// means a fresh start. The stream must be unused: it is fast-forwarded to
+// the checkpoint's position.
+func (st *searchState) maybeRestore(mgr *checkpoint.Manager, stream streamCursor) (startStep int, consumedBase int64, err error) {
+	cfg, strat := st.cfg, st.strat
 	snap := cfg.ResumeSnapshot
 	if snap == nil && cfg.Resume {
 		if mgr == nil {
@@ -124,7 +136,7 @@ func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.
 	if snap.Strategy != strat.Name() {
 		return 0, 0, fmt.Errorf("core: checkpoint was written by strategy %q; this run uses %q — strategies carry incompatible state, pick the matching one or start fresh", snap.Strategy, strat.Name())
 	}
-	if want := fingerprintFor(cfg, s, strat.Name(), membership); snap.Fingerprint != want {
+	if want := st.fingerprint(); snap.Fingerprint != want {
 		return 0, 0, fmt.Errorf("core: checkpoint fingerprint %q does not match this run (%q) — it was written by a different configuration", snap.Fingerprint, want)
 	}
 	if snap.Step < 0 || snap.Step > int64(cfg.WarmupSteps+cfg.Steps) {
@@ -133,7 +145,7 @@ func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.
 	if snap.BatchesConsumed < 0 {
 		return 0, 0, fmt.Errorf("core: checkpoint has negative consumed-batch count %d", snap.BatchesConsumed)
 	}
-	if s.Stream.ExamplesServed() != 0 {
+	if stream.ExamplesServed() != 0 {
 		return 0, 0, fmt.Errorf("core: resume requires an unused traffic stream (it is fast-forwarded to the checkpoint's position)")
 	}
 
@@ -143,17 +155,17 @@ func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.
 	if err := strat.RestoreState(snap.StrategyState); err != nil {
 		return 0, 0, fmt.Errorf("core: restoring %s strategy state: %w", snap.Strategy, err)
 	}
-	if err := master.LoadWeights(snap.Weights); err != nil {
+	if err := nn.LoadWeights(st.params, snap.Weights); err != nil {
 		return 0, 0, fmt.Errorf("core: restoring super-network weights: %w", err)
 	}
-	if err := opt.LoadState(master.Params(), nn.AdamState{T: snap.AdamT, M: snap.AdamM, V: snap.AdamV}); err != nil {
+	if err := st.opt.LoadState(st.params, nn.AdamState{T: snap.AdamT, M: snap.AdamM, V: snap.AdamV}); err != nil {
 		return 0, 0, fmt.Errorf("core: restoring optimizer state: %w", err)
 	}
-	rng.SetState(snap.RNG)
-	s.Stream.Skip(snap.BatchesConsumed, cfg.BatchSize)
-	res.History = make([]StepInfo, len(snap.History))
+	st.rng.SetState(snap.RNG)
+	stream.Skip(snap.BatchesConsumed, cfg.BatchSize)
+	st.out.History = make([]StepInfo, len(snap.History))
 	for i, h := range snap.History {
-		res.History[i] = StepInfo{
+		st.out.History[i] = StepInfo{
 			Step:       int(h.Step),
 			MeanReward: h.MeanReward,
 			MeanQ:      h.MeanQ,
@@ -161,6 +173,6 @@ func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.
 			Confidence: h.Confidence,
 		}
 	}
-	res.ResumedFrom = snap.Step
+	st.out.ResumedFrom = snap.Step
 	return int(snap.Step), snap.BatchesConsumed, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"h2onas/internal/metrics"
 	"h2onas/internal/reward"
+	"h2onas/internal/space"
 )
 
 func faultConfig() Config {
@@ -47,7 +48,7 @@ func TestTransientShardFaultIsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	requireSameBest(t, golden, faulty)
+	requireSameBest(t, golden.Best, faulty.Best)
 	requireSameHistory(t, golden.History, faulty.History)
 	if d := math.Abs(golden.FinalQuality - faulty.FinalQuality); d > 1e-9 {
 		t.Fatalf("FinalQuality drifted by %g after a retried fault", d)
@@ -70,9 +71,15 @@ func TestTransientShardFaultIsInvisible(t *testing.T) {
 // whole run: every step retries it, drops it, and completes on the
 // survivors.
 func TestPermanentShardFailureDegradesGracefully(t *testing.T) {
+	sp := space.NewDLRMSpace(space.SmallDLRMConfig()).Space
+	HarnessPermanentShardFailure(t, DLRMSearch, sp, faultConfig())
+}
+
+// HarnessPermanentShardFailure is the body of the degrade-to-survivors
+// contract; cfg is a 3-shard run over the space sp.
+func HarnessPermanentShardFailure(t *testing.T, search SearchFunc, sp *space.Space, cfg Config) {
 	clk := &testClock{now: time.Unix(1754400000, 0)}
 	reg := metrics.New()
-	cfg := faultConfig()
 	cfg.Clock = clk
 	cfg.Metrics = reg
 	cfg.ShardFault = func(step, shard, attempt int) error {
@@ -81,13 +88,15 @@ func TestPermanentShardFailureDegradesGracefully(t *testing.T) {
 		}
 		return nil
 	}
-	s, _ := testSearcher(t, reward.ReLU, 1.0, 13)
-	res, err := s.Search(cfg)
+	res, err := search(t, 13, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DS.Space.Validate(res.Best); err != nil {
+	if err := sp.Validate(res.Best); err != nil {
 		t.Fatalf("Best invalid after degradation: %v", err)
+	}
+	if got := fmt.Sprint(res.ShardFirstDrop); got != "[-1 0 -1]" {
+		t.Fatalf("ShardFirstDrop = %s, want shard 1 alone dropped, from step 0", got)
 	}
 	if len(res.History) != cfg.Steps {
 		t.Fatalf("history length %d, want %d", len(res.History), cfg.Steps)

@@ -2,13 +2,13 @@ package core
 
 import "h2onas/internal/metrics"
 
-// SearchMetrics bundles the search-loop instruments, resolved once per
+// searchMetrics bundles the search-loop instruments, resolved once per
 // run so the step loop never does a name lookup. All fields are nil-safe
 // no-ops when resolved from the nop registry, so callers use them
 // unconditionally. The same instrument names are shared by every search
 // flavour (core.Searcher, core.AnalyticSearcher, vitnet.Searcher) so
 // dashboards and snapshot diffs are uniform across domains.
-type SearchMetrics struct {
+type searchMetrics struct {
 	// Per-phase timing histograms (seconds).
 	StepTime    *metrics.Histogram // one full search step
 	ShardTime   *metrics.Histogram // one shard's forward/backward work
@@ -58,9 +58,9 @@ type SearchMetrics struct {
 	ResumedAt          *metrics.Gauge
 }
 
-// NewSearchMetrics resolves the search instruments from r (nil/nop safe).
-func NewSearchMetrics(r *metrics.Registry) SearchMetrics {
-	return SearchMetrics{
+// newSearchMetrics resolves the search instruments from r (nil/nop safe).
+func newSearchMetrics(r *metrics.Registry) searchMetrics {
+	return searchMetrics{
 		StepTime:    r.Histogram("search_step_seconds"),
 		ShardTime:   r.Histogram("search_shard_step_seconds"),
 		SampleTime:  r.Histogram("search_phase_sample_seconds"),
@@ -95,7 +95,7 @@ func NewSearchMetrics(r *metrics.Registry) SearchMetrics {
 }
 
 // RecordStep publishes one step's trend telemetry.
-func (m SearchMetrics) RecordStep(info StepInfo) {
+func (m searchMetrics) RecordStep(info StepInfo) {
 	m.Steps.Inc()
 	m.Reward.Set(info.MeanReward)
 	m.Quality.Set(info.MeanQ)

@@ -31,7 +31,7 @@ func TestMemoizedPerfHitsAndMisses(t *testing.T) {
 		calls++
 		return []float64{float64(a[0])}
 	}
-	mp := NewMemoizedPerf(fn, 8, reg)
+	mp := newMemoizedPerf(fn, 8, reg)
 	a := space.Assignment{3, 1}
 	b := space.Assignment{4, 1}
 
@@ -64,7 +64,7 @@ func TestMemoizedPerfEvictsLRU(t *testing.T) {
 		calls[a[0]]++
 		return []float64{float64(a[0])}
 	}
-	mp := NewMemoizedPerf(fn, 2, nil)
+	mp := newMemoizedPerf(fn, 2, nil)
 	mp.Eval(space.Assignment{0}) // cache: {0}
 	mp.Eval(space.Assignment{1}) // cache: {1,0}
 	mp.Eval(space.Assignment{0}) // touch 0 → {0,1}
@@ -83,17 +83,17 @@ func TestMemoizedPerfEvictsLRU(t *testing.T) {
 }
 
 func TestMemoizedPerfDisabled(t *testing.T) {
-	if mp := NewMemoizedPerf(func(space.Assignment) []float64 { return nil }, -1, nil); mp != nil {
+	if mp := newMemoizedPerf(func(space.Assignment) []float64 { return nil }, -1, nil); mp != nil {
 		t.Fatal("negative capacity should disable memoization (nil)")
 	}
-	var mp *MemoizedPerf
-	if mp.Func() != nil || mp.Len() != 0 {
-		t.Fatal("nil MemoizedPerf should be inert")
+	var mp *memoizedPerf
+	if mp.Eval(space.Assignment{0}) != nil || mp.Len() != 0 {
+		t.Fatal("nil memoizedPerf should be inert")
 	}
 }
 
 func TestCandidateRingUnbounded(t *testing.T) {
-	r := NewCandidateRing(0)
+	r := newCandidateRing(0)
 	for i := 0; i < 10; i++ {
 		r.Add(Candidate{Step: i})
 	}
@@ -109,7 +109,7 @@ func TestCandidateRingUnbounded(t *testing.T) {
 }
 
 func TestCandidateRingBounded(t *testing.T) {
-	r := NewCandidateRing(3)
+	r := newCandidateRing(3)
 	for i := 0; i < 8; i++ {
 		r.Add(Candidate{Step: i})
 	}

@@ -15,7 +15,7 @@ import (
 // the per-step performance-model evaluations late in a search.
 const DefaultPerfCacheSize = 4096
 
-// MemoizedPerf wraps a PerfFunc with an assignment-keyed LRU cache. The
+// memoizedPerf wraps a PerfFunc with an assignment-keyed LRU cache. The
 // search loop evaluates T(α) for every sampled candidate every step; as
 // the policy sharpens, the same assignments recur and the (deterministic)
 // performance model or analytic cost function is pure, so its results can
@@ -26,8 +26,8 @@ const DefaultPerfCacheSize = 4096
 // the result as read-only (the search loop only reads it, and so must any
 // user-provided reward function).
 //
-// MemoizedPerf is safe for concurrent use.
-type MemoizedPerf struct {
+// memoizedPerf is safe for concurrent use.
+type memoizedPerf struct {
 	fn  PerfFunc
 	cap int
 
@@ -44,18 +44,18 @@ type perfEntry struct {
 	perf []float64
 }
 
-// NewMemoizedPerf wraps fn in an LRU of the given capacity (0 means
+// newMemoizedPerf wraps fn in an LRU of the given capacity (0 means
 // DefaultPerfCacheSize; negative returns nil, meaning "don't memoize" —
-// a nil *MemoizedPerf is valid and calls through without caching).
+// a nil *memoizedPerf is valid and calls through without caching).
 // Metrics are resolved from r (nil-safe).
-func NewMemoizedPerf(fn PerfFunc, capacity int, r *metrics.Registry) *MemoizedPerf {
+func newMemoizedPerf(fn PerfFunc, capacity int, r *metrics.Registry) *memoizedPerf {
 	if capacity < 0 {
 		return nil
 	}
 	if capacity == 0 {
 		capacity = DefaultPerfCacheSize
 	}
-	return &MemoizedPerf{
+	return &memoizedPerf{
 		fn:     fn,
 		cap:    capacity,
 		items:  make(map[string]*list.Element, capacity),
@@ -78,7 +78,7 @@ func perfKey(a space.Assignment) string {
 
 // Eval returns fn(a), memoized. The returned slice is shared with the
 // cache: read-only.
-func (m *MemoizedPerf) Eval(a space.Assignment) []float64 {
+func (m *memoizedPerf) Eval(a space.Assignment) []float64 {
 	if m == nil {
 		return nil
 	}
@@ -117,19 +117,8 @@ func (m *MemoizedPerf) Eval(a space.Assignment) []float64 {
 	return perf
 }
 
-// Func adapts the memoized cache back to a plain PerfFunc. A nil receiver
-// returns nil, so callers can fall back to the raw function:
-//
-//	if mp := NewMemoizedPerf(fn, size, reg); mp != nil { fn = mp.Func() }
-func (m *MemoizedPerf) Func() PerfFunc {
-	if m == nil {
-		return nil
-	}
-	return m.Eval
-}
-
 // Len reports the number of cached assignments.
-func (m *MemoizedPerf) Len() int {
+func (m *memoizedPerf) Len() int {
 	if m == nil {
 		return 0
 	}

@@ -8,6 +8,7 @@ import (
 
 	"h2onas/internal/checkpoint"
 	"h2onas/internal/reward"
+	"h2onas/internal/space"
 )
 
 type testClock struct {
@@ -46,17 +47,35 @@ func requireSameHistory(t *testing.T, golden, resumed []StepInfo) {
 	}
 }
 
-func requireSameBest(t *testing.T, golden, resumed *Result) {
+func requireSameBest(t *testing.T, golden, resumed space.Assignment) {
 	t.Helper()
-	if len(golden.Best) != len(resumed.Best) {
-		t.Fatalf("Best length %d, golden %d", len(resumed.Best), len(golden.Best))
+	if len(golden) != len(resumed) {
+		t.Fatalf("Best length %d, golden %d", len(resumed), len(golden))
 	}
-	for i := range golden.Best {
-		if golden.Best[i] != resumed.Best[i] {
+	for i := range golden {
+		if golden[i] != resumed[i] {
 			t.Fatalf("Best[%d] = %d, golden %d (full: %v vs %v)",
-				i, resumed.Best[i], golden.Best[i], resumed.Best, golden.Best)
+				i, resumed[i], golden[i], resumed, golden)
 		}
 	}
+}
+
+// SearchFunc runs a fresh searcher of one search space, its traffic
+// seeded with seed, under cfg. The engine-contract harnesses (resume,
+// Stop, shard faults, core budgets) are written against it, so every
+// space the step engine serves is held to them by one more call: the
+// DLRM cases are the tests in this package, the transformer cases live
+// in vit_test.go (package core_test, which may import vitnet).
+type SearchFunc func(t *testing.T, seed uint64, cfg Config) (*Outcome, error)
+
+// DLRMSearch is the DLRM SearchFunc.
+func DLRMSearch(t *testing.T, seed uint64, cfg Config) (*Outcome, error) {
+	s, _ := testSearcher(t, reward.ReLU, 1.0, seed)
+	res, err := s.Search(cfg)
+	if res == nil {
+		return nil, err
+	}
+	return &res.Outcome, err
 }
 
 // TestResumeFromEverySnapshotReproducesRun is the crash-at-every-step
@@ -67,9 +86,13 @@ func requireSameBest(t *testing.T, golden, resumed *Result) {
 // snapshots are swept.
 func TestResumeFromEverySnapshotReproducesRun(t *testing.T) {
 	fs := checkpoint.NewMemFS()
-	cfg := ckptConfig(fs)
-	s, _ := testSearcher(t, reward.ReLU, 1.0, 21)
-	golden, err := s.Search(cfg)
+	HarnessResumeFromEverySnapshot(t, DLRMSearch, ckptConfig(fs), fs)
+}
+
+// HarnessResumeFromEverySnapshot is the body of the crash-at-every-step
+// sweep; cfg must checkpoint every step into fs.
+func HarnessResumeFromEverySnapshot(t *testing.T, search SearchFunc, cfg Config, fs *checkpoint.MemFS) {
+	golden, err := search(t, 21, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +120,14 @@ func TestResumeFromEverySnapshotReproducesRun(t *testing.T) {
 		rcfg.CheckpointDir = "" // resumed runs do not re-checkpoint
 		rcfg.CheckpointEvery = 0
 		rcfg.ResumeSnapshot = snap
-		rs, _ := testSearcher(t, reward.ReLU, 1.0, 21)
-		resumed, err := rs.Search(rcfg)
+		resumed, err := search(t, 21, rcfg)
 		if err != nil {
 			t.Fatalf("resume from step %d: %v", k, err)
 		}
 		if resumed.ResumedFrom != k {
 			t.Fatalf("ResumedFrom = %d, want %d", resumed.ResumedFrom, k)
 		}
-		requireSameBest(t, golden, resumed)
+		requireSameBest(t, golden.Best, resumed.Best)
 		if k < total {
 			// A run resumed mid-way replays the exact trajectory; the
 			// final-quality eval races with producer prefetch only when the
@@ -146,7 +168,7 @@ func TestResumeLatestFromDir(t *testing.T) {
 	if want := int64(cfg.WarmupSteps + cfg.Steps); resumed.ResumedFrom != want {
 		t.Fatalf("ResumedFrom = %d, want %d", resumed.ResumedFrom, want)
 	}
-	requireSameBest(t, golden, resumed)
+	requireSameBest(t, golden.Best, resumed.Best)
 	requireSameHistory(t, golden.History, resumed.History)
 }
 
@@ -180,7 +202,7 @@ func TestResumeSkipsCorruptNewestSnapshot(t *testing.T) {
 	if want := int64(cfg.WarmupSteps + cfg.Steps - 1); resumed.ResumedFrom != want {
 		t.Fatalf("ResumedFrom = %d, want fallback to %d", resumed.ResumedFrom, want)
 	}
-	requireSameBest(t, golden, resumed)
+	requireSameBest(t, golden.Best, resumed.Best)
 	requireSameHistory(t, golden.History, resumed.History)
 }
 

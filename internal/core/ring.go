@@ -1,6 +1,6 @@
 package core
 
-// CandidateRing accumulates evaluated candidates with an optional upper
+// candidateRing accumulates evaluated candidates with an optional upper
 // bound. With max <= 0 it grows without bound (every candidate is kept,
 // matching the historical Result.Candidates behaviour); with max > 0 it
 // is a ring buffer that retains only the newest max candidates, so
@@ -9,21 +9,21 @@ package core
 //
 // The same type serves the DLRM and ViT search loops; it is not
 // goroutine-safe (candidates are appended on the coordinator only).
-type CandidateRing struct {
+type candidateRing struct {
 	max     int
 	buf     []Candidate
 	start   int   // index of the oldest element when wrapped
 	dropped int64 // candidates overwritten by newer ones
 }
 
-// NewCandidateRing returns a ring bounded to max candidates (max <= 0
+// newCandidateRing returns a ring bounded to max candidates (max <= 0
 // means unbounded).
-func NewCandidateRing(max int) *CandidateRing {
-	return &CandidateRing{max: max}
+func newCandidateRing(max int) *candidateRing {
+	return &candidateRing{max: max}
 }
 
 // Add appends c, evicting the oldest candidate when the bound is reached.
-func (r *CandidateRing) Add(c Candidate) {
+func (r *candidateRing) Add(c Candidate) {
 	if r.max <= 0 {
 		r.buf = append(r.buf, c)
 		return
@@ -38,16 +38,16 @@ func (r *CandidateRing) Add(c Candidate) {
 }
 
 // Len reports how many candidates are currently retained.
-func (r *CandidateRing) Len() int { return len(r.buf) }
+func (r *candidateRing) Len() int { return len(r.buf) }
 
 // Dropped reports how many candidates were evicted to honour the bound.
-func (r *CandidateRing) Dropped() int64 { return r.dropped }
+func (r *candidateRing) Dropped() int64 { return r.dropped }
 
 // Items returns the retained candidates in arrival order (oldest first).
 // The returned slice is freshly allocated when the ring has wrapped and
 // is otherwise the ring's backing storage; callers must not Add afterwards
 // if they keep the slice.
-func (r *CandidateRing) Items() []Candidate {
+func (r *candidateRing) Items() []Candidate {
 	if r.start == 0 {
 		return r.buf
 	}

@@ -22,16 +22,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log"
 	"time"
 
 	"h2onas/internal/checkpoint"
 	"h2onas/internal/controller"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/metrics"
-	"h2onas/internal/nn"
 	"h2onas/internal/reward"
-	"h2onas/internal/sched"
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
 	"h2onas/internal/tensor"
@@ -53,15 +50,15 @@ type Config struct {
 	// Shards is the number of parallel accelerator shards. Each samples
 	// its own candidate per step.
 	Shards int
-	// Workers is the search's total core budget, partitioned across the
-	// shard workers by sched.New(Workers, Shards): each replica's layer
-	// passes are bounded to its per-shard share, while the spine and the
-	// master's final evaluation — which run in coordinator-exclusive
-	// phases — use the full budget. 0 (the default) uses GOMAXPROCS at
-	// Search time. The budget is a performance knob only: trajectories
-	// are bit-identical for any Workers value, so it is deliberately NOT
-	// part of the checkpoint fingerprint — a run may be resumed under a
-	// different core budget.
+	// Workers is the search's total core budget, partitioned by
+	// sched.New(Workers, Shards): at most Workers shards run at once, each
+	// replica's layer passes are bounded to its per-shard share, while the
+	// spine and the master's final evaluation — which run in
+	// coordinator-exclusive phases — use the full budget. 0 (the default)
+	// uses GOMAXPROCS at Search time. The budget is a performance knob
+	// only: trajectories are bit-identical for any Workers value, so it is
+	// deliberately NOT part of the checkpoint fingerprint — a run may be
+	// resumed under a different core budget.
 	Workers int
 	// Steps is the number of search steps.
 	Steps int
@@ -90,18 +87,6 @@ type Config struct {
 	// bias toward the thinnest candidates; the ablation bench measures
 	// its effect.
 	DisableSandwich bool
-	// Float32Activations stores replica forward activations (MLP
-	// outputs, low-rank hiddens, concat, pooled embeddings) as float32,
-	// halving their footprint and memory traffic. Arithmetic, master
-	// weights, gradients and optimizer state stay float64; logits stay
-	// float64. The mode is bit-deterministic but rounds each stored
-	// activation once, so it follows its own golden trajectory (the
-	// fingerprint records it — a checkpoint cannot silently resume in
-	// the other mode). Not yet supported with a remote Transport: the
-	// remote worker protocol has no activation-mode negotiation, so
-	// validate rejects the combination rather than let coordinator and
-	// workers silently disagree.
-	Float32Activations bool
 	// Progress, when non-nil, receives per-step telemetry.
 	Progress func(StepInfo)
 	// Metrics, when non-nil, receives counters, gauges and per-phase
@@ -170,11 +155,12 @@ type Config struct {
 	Clock checkpoint.Clock
 
 	// Transport overrides where the per-shard forward/backward work
-	// executes. nil (the default) runs the historical in-process worker
-	// pool, driven by the ShardFault/ShardRetries/ShardBackoff knobs
-	// above. A non-nil transport (e.g. shardrpc's coordinator transport)
-	// is Bound by Search but closed by its owner; its own fault policy
-	// replaces the Shard* knobs.
+	// executes. nil (the default) runs the in-process worker pool, driven
+	// by the ShardFault/ShardRetries/ShardBackoff knobs above. A non-nil
+	// transport (e.g. shardrpc's coordinator transport) is Bound by Search
+	// but closed by its owner; its own fault policy replaces the Shard*
+	// knobs. Transports are typed to the DLRM super-network:
+	// vitnet.Searcher rejects a non-nil one.
 	Transport ShardTransport
 }
 
@@ -210,14 +196,14 @@ type Candidate struct {
 	Reward     float64
 }
 
-// Result is the outcome of a search.
-type Result struct {
+// Outcome is the space-independent outcome of a search: everything the
+// step engine produces. Each space's Result embeds it next to the
+// decoded architecture.
+type Outcome struct {
 	// Best is the final architecture chosen by the strategy: the most
 	// probable value of every decision in π for REINFORCE, the
 	// best-reward candidate for the baseline strategies.
 	Best space.Assignment
-	// BestArch is Best decoded.
-	BestArch space.DLRMArch
 	// BestPerf is Perf evaluated on Best.
 	BestPerf []float64
 	// FinalQuality is the shared-weight quality of Best on fresh data.
@@ -242,6 +228,13 @@ type Result struct {
 	ShardFirstDrop []int
 }
 
+// Result is the outcome of a DLRM search.
+type Result struct {
+	Outcome
+	// BestArch is Best decoded.
+	BestArch space.DLRMArch
+}
+
 // Searcher couples a DLRM search space with its reward, performance
 // evaluation and traffic source.
 type Searcher struct {
@@ -251,402 +244,57 @@ type Searcher struct {
 	Stream *datapipe.Stream
 }
 
-// validate checks the searcher and config.
-func (s *Searcher) validate(cfg *Config) error {
+func (s *Searcher) validate() error {
 	if s.DS == nil || s.Reward == nil || s.Perf == nil || s.Stream == nil {
 		return fmt.Errorf("core: Searcher requires DS, Reward, Perf and Stream")
 	}
+	return nil
+}
+
+// validate checks the run's sizes and fills the WeightLR default.
+func (cfg *Config) validate() error {
 	if cfg.Shards <= 0 || cfg.Steps <= 0 || cfg.BatchSize <= 0 {
 		return fmt.Errorf("core: non-positive shards/steps/batch in %+v", *cfg)
 	}
 	if cfg.WeightLR <= 0 {
 		cfg.WeightLR = DefaultConfig().WeightLR
 	}
-	if cfg.Float32Activations && cfg.Transport != nil {
-		return fmt.Errorf("core: Float32Activations is not supported with a custom Transport (remote workers have no activation-mode negotiation)")
-	}
 	return nil
 }
 
-// Search runs the unified single-step massively parallel algorithm.
-//
-// When checkpointing is configured the complete search state — policy
-// logits, reward baseline, shared weights, optimizer moments, RNG stream
-// and step counter — is snapshotted atomically every CheckpointEvery
-// steps, and a run restored from any snapshot (Resume/ResumeSnapshot)
-// reproduces the uninterrupted run's final architecture and reward
-// trajectory bit-for-bit. Shards that fail (via the ShardFault seam) are
-// retried with bounded exponential backoff and, if they keep failing,
-// dropped from that step's cross-shard reduce so the step degrades to
-// the surviving shards instead of killing the search.
-//
-// Shard execution goes through a ShardTransport (Config.Transport): by
-// default the in-process worker pool, or a fleet of remote workers over
-// TCP. Because sampling and batch draws stay on the coordinator and the
-// spine's reduce is fixed-order, the trajectory is bit-identical across
-// transports for the same seed and per-step surviving shard set.
+// Search runs the unified single-step massively parallel algorithm (see
+// Engine.Search) over the DLRM space. Shard execution goes through
+// Config.Transport when set — a fleet of remote workers over TCP, bound
+// here and closed by its owner — and the in-process pool otherwise.
 func (s *Searcher) Search(cfg Config) (*Result, error) {
-	if err := s.validate(&cfg); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	rng := tensor.NewRNG(cfg.Seed)
-	master := supernet.New(s.DS, rng.Split())
-	master.SetFloat32Activations(cfg.Float32Activations)
-	replicas := make([]*supernet.Supernet, cfg.Shards)
-	for i := range replicas {
-		replicas[i] = master.Replicate(rng.Split())
-		replicas[i].SetFloat32Activations(cfg.Float32Activations)
+	eng := Engine[*datapipe.Batch, *supernet.Supernet]{
+		Space: s.DS.Space, Reward: s.Reward, Perf: s.Perf, Stream: s.Stream,
+		Build: func(rng *tensor.RNG, shards int) (*supernet.Supernet, []*supernet.Supernet) {
+			master := supernet.New(s.DS, rng.Split())
+			replicas := make([]*supernet.Supernet, shards)
+			for i := range replicas {
+				replicas[i] = master.Replicate(rng.Split())
+			}
+			return master, replicas
+		},
 	}
-	// Partition the core budget so shard-level and kernel-level
-	// parallelism stop fighting: each replica's intra-layer fan-out is
-	// bounded to its per-shard share (historically every layer assumed it
-	// owned the whole machine), while the master — which only computes in
-	// coordinator-exclusive phases (final eval) — and the spine get the
-	// full budget. Purely a performance decision; bits never depend on it.
-	budget := sched.New(cfg.Workers, cfg.Shards)
-	master.SetWorkers(budget.Total())
-	for i := range replicas {
-		replicas[i].SetWorkers(budget.PerShard())
-	}
-	strat := StrategyFor(&cfg, s.DS.Space)
-	opt := nn.NewAdam(cfg.WeightLR)
-	spine := nn.NewSpine(master.Params(), opt, 10)
-	spine.SetWorkers(budget.Total())
-	sm := NewSearchMetrics(cfg.Metrics)
-
-	// The transport seam: where the per-shard forward/backward executes.
-	// Search owns (and closes) the default in-process transport; a caller-
-	// provided one is only Bound here and closed by its owner.
-	transport := cfg.Transport
-	if transport == nil {
-		inproc := newInprocTransport(&cfg, sm)
-		transport = inproc
-		defer inproc.Close()
-	}
-	if err := transport.Bind(ShardBinding{Master: master, Replicas: replicas, Metrics: cfg.Metrics}); err != nil {
-		return nil, fmt.Errorf("core: binding shard transport: %w", err)
-	}
-	membership := transport.Membership()
-	wantSync := transport.WantsWeightSync()
-	spine.SetRecordTouched(wantSync)
-
-	var mgr *checkpoint.Manager
-	if cfg.CheckpointDir != "" {
-		mgr = &checkpoint.Manager{
-			Dir:     cfg.CheckpointDir,
-			FS:      cfg.CheckpointFS,
-			Clock:   cfg.Clock,
-			Retain:  cfg.CheckpointRetain,
-			Metrics: cfg.Metrics,
+	if t := cfg.Transport; t != nil {
+		eng.remote = func(master *supernet.Supernet, replicas []*supernet.Supernet) (shardRunner[*datapipe.Batch], error) {
+			return t, t.Bind(ShardBinding{Master: master, Replicas: replicas, Metrics: cfg.Metrics})
 		}
 	}
-
-	res := &Result{ShardFirstDrop: make([]int, cfg.Shards)}
-	for i := range res.ShardFirstDrop {
-		res.ShardFirstDrop[i] = -1
-	}
-	// Restore must precede pipeline construction: the producer starts
-	// prefetching from the stream immediately, so the stream has to be
-	// fast-forwarded to the checkpoint's consumed-batch frontier first.
-	startStep, consumedBase, err := s.maybeRestore(&cfg, membership, mgr, rng, strat, master, opt, res)
-	if err != nil {
+	out, err := eng.Search(cfg)
+	if out == nil {
 		return nil, err
 	}
-	sm.ResumedAt.Set(float64(startStep))
-
-	pipe := datapipe.NewPipelineWithMetrics(s.Stream, cfg.BatchSize, cfg.Shards*2, cfg.Metrics)
-	defer pipe.Close()
-
-	// Batch synthesis is overlapped one step ahead: a prefetch worker
-	// drains the pipeline into one of two buffers while the shards compute
-	// on the other, so synthesis cost hides behind the fan-out instead of
-	// serializing in front of it. Determinism is untouched — the worker is
-	// the pipeline's only consumer during the step loop, so batch order is
-	// exactly the serial order, and the coordinator's RNG is never touched
-	// off the coordinator goroutine.
-	//
-	// `consumed` is the committed consumed-batch frontier for checkpoints:
-	// it counts only batches handed to a step that will run, never the
-	// prefetched-but-unclaimed buffer. A snapshot therefore fast-forwards
-	// a resumed stream to exactly the frontier the uninterrupted run had,
-	// and the batches sitting in a dropped prefetch are re-synthesized —
-	// bit-identically, since synthesis is a pure function of the frontier.
-	consumed := consumedBase
-	totalSteps := cfg.WarmupSteps + cfg.Steps
-	fetchReq := make(chan []*datapipe.Batch, 1)
-	fetchDone := make(chan []*datapipe.Batch, 1)
-	go func() {
-		for buf := range fetchReq {
-			for i := range buf {
-				buf[i] = pipe.Next()
-			}
-			fetchDone <- buf
-		}
-	}()
-	// Registered after pipe.Close's defer, so it runs first: the request
-	// channel closes, then the pipeline closes, unblocking a prefetch
-	// worker mid-Next (it reads nil and parks on the closed range).
-	defer close(fetchReq)
-	nextBuf := make([]*datapipe.Batch, cfg.Shards)
-	if startStep < totalSteps {
-		// Never prefetch past the last step: the 16 FinalQuality batches
-		// are drawn directly after the loop, and a buffered-but-unused
-		// prefetch would shift them.
-		fetchReq <- make([]*datapipe.Batch, cfg.Shards)
+	res := &Result{Outcome: *out}
+	if err == nil {
+		res.BestArch = s.DS.Decode(res.Best)
 	}
-
-	// Each replica gets its own arena so a steady-state step performs no
-	// matrix allocations: intermediates are recycled at the top of every
-	// Forward. One arena per shard because arenas are single-goroutine.
-	// Drained on exit so the pooled buffers return to the global pools.
-	arenas := make([]*tensor.Arena, cfg.Shards)
-	for i := range replicas {
-		arenas[i] = tensor.NewArena()
-		replicas[i].SetArena(arenas[i])
-	}
-	defer func() {
-		for i, a := range arenas {
-			replicas[i].SetArena(nil)
-			a.Release()
-			a.Drain()
-		}
-	}()
-
-	// Perf is pure, so memoize it for the duration of the run. perfFn is
-	// what the step loop and the final Best evaluation call.
-	perfFn := s.Perf
-	if mp := NewMemoizedPerf(s.Perf, cfg.PerfCacheSize, cfg.Metrics); mp != nil {
-		perfFn = mp.Eval
-	}
-
-	// Checkpoint encoding + I/O runs on a persister goroutine; Close is
-	// deferred so every snapshot captured by the loop is durable before
-	// Search returns.
-	ckpt := newAsyncCheckpointer(mgr, sm)
-	defer ckpt.Close()
-
-	cands := NewCandidateRing(cfg.MaxCandidates)
-
-	assignments := make([]space.Assignment, cfg.Shards)
-	qualities := make([]float64, cfg.Shards)
-	var batches []*datapipe.Batch
-	outcomes := make([]ShardOutcome, cfg.Shards)
-	alive := make([]bool, cfg.Shards)
-	// liveParams collects the surviving replicas' param lists for the
-	// cross-shard reduce; preallocated once so the steady-state step stays
-	// allocation-flat on the coordinator too.
-	liveParams := make([][]*nn.Param, 0, cfg.Shards)
-
-	// Stage-3 spine worker: the cross-shard gradient reduce and fused
-	// clip+Adam weight step run here, overlapped with the coordinator's
-	// stage 2 (perf eval, reward, REINFORCE update) — the two stages touch
-	// disjoint state (master weights + optimizer vs. policy, perf cache
-	// and reward bookkeeping). The coordinator's send on spineWork
-	// happens-before the worker's read of liveParams; the worker's send on
-	// spineDone happens-before the coordinator's next read of the master
-	// weights (the checkpoint, the next fan-out, and the final eval all
-	// sit after the join).
-	spineWork := make(chan struct{}, 1)
-	spineDone := make(chan struct{}, 1)
-	var spineNorm float64
-	go func() {
-		for range spineWork {
-			weightsSpan := sm.WeightsTime.Start()
-			spine.Reduce(liveParams)
-			spineNorm = spine.ClipStep()
-			weightsSpan.End()
-			spineDone <- struct{}{}
-		}
-	}()
-	defer close(spineWork)
-
-	maxA := MaxAssignment(s.DS.Space)
-	for step := startStep; step < totalSteps; step++ {
-		select {
-		case <-cfg.Stop:
-			// Cooperative cancellation at a step boundary: every piece of
-			// state is settled (the previous step's spine join already
-			// happened), so the snapshot taken here resumes bit-identically.
-			// The in-flight prefetch is simply dropped — `consumed` does
-			// not include it, so a resume re-synthesizes those batches.
-			// The deferred ckpt.Close drains the persister, making the
-			// snapshot durable before Search returns.
-			sm.StepsStopped.Inc()
-			if mgr != nil {
-				ckpt.enqueue(s.snapshot(&cfg, membership, step, consumed, rng, strat, master, opt, res.History))
-			}
-			return res, ErrStopped
-		default:
-		}
-		warmup := step < cfg.WarmupSteps
-		stepSpan := sm.StepTime.Start()
-		if warmup {
-			sm.WarmupSteps.Inc()
-			sm.WarmupRemaining.Set(float64(cfg.WarmupSteps - step))
-		} else {
-			sm.WarmupRemaining.Set(0)
-		}
-		sampleSpan := sm.SampleTime.Start()
-		// Sampling and batch draw happen on the coordinator so runs are
-		// reproducible; the heavy forward/backward fans out per shard.
-		for i := 0; i < cfg.Shards; i++ {
-			sandwich := !cfg.DisableSandwich && i == 0 && cfg.Shards > 1
-			if warmup && !cfg.DisableSandwich && i%2 == 0 {
-				sandwich = true
-			}
-			if sandwich {
-				// Sandwich training: one shard (and half the warmup
-				// shards) always trains the maximal sub-network so every
-				// shared weight keeps receiving gradient. Without it the
-				// always-shared upper-left corner of each weight matrix
-				// is the best-trained region and the one-shot quality
-				// signal develops a strong bias toward the thinnest
-				// candidates.
-				assignments[i] = maxA
-			} else {
-				assignments[i] = strat.Sample(rng, warmup)
-			}
-		}
-		// Claim the prefetched batches for this step and immediately kick
-		// off synthesis for the next one, reusing the buffer the previous
-		// step just finished with. The claim commits the batches: from
-		// here the step runs to completion (Stop is only honored at the
-		// step boundary above), so the frontier advances now.
-		batches = <-fetchDone
-		consumed += int64(cfg.Shards)
-		if step+1 < totalSteps {
-			fetchReq <- nextBuf
-		}
-		nextBuf = batches
-		sampleSpan.End()
-
-		fanoutSpan := sm.FanoutTime.Start()
-		for i := range outcomes {
-			outcomes[i] = ShardOutcome{}
-		}
-		transport.RunStep(step, assignments, batches, outcomes)
-		fanoutSpan.End()
-		for i, out := range outcomes {
-			alive[i] = out.Alive
-			qualities[i] = out.Quality
-			if !out.Alive && res.ShardFirstDrop[i] < 0 {
-				res.ShardFirstDrop[i] = step
-				log.Printf("core: shard %d first dropped at step %d", i, step)
-			}
-		}
-
-		// Collect the shards that completed the step; dropped shards
-		// never ran Backward, so their replica gradients are still zero
-		// and excluding them keeps the surviving shards' gradient average
-		// unbiased.
-		liveParams = liveParams[:0]
-		for i, ok := range alive {
-			if ok {
-				liveParams = append(liveParams, replicas[i].Params())
-			}
-		}
-		if len(liveParams) == 0 {
-			// Every shard failed: nothing to learn from this step.
-			// Degrade by skipping the updates rather than killing the run.
-			sm.StepsSkipped.Inc()
-			stepSpan.End()
-			s.maybeCheckpoint(&cfg, membership, ckpt, step, consumed, rng, strat, master, opt, res.History)
-			continue
-		}
-
-		// Stage 3 (cross-shard) starts first, on the spine worker: reduce
-		// the surviving replicas' gradients and step W while the
-		// coordinator runs stage 2 below on disjoint state. The join is
-		// after stage 2, before anything reads the master weights again.
-		spineWork <- struct{}{}
-
-		// Stage 2: cross-shard policy update from (Q, T) → R. The
-		// sandwich shard trains weights only; its fixed candidate would
-		// bias REINFORCE, so it is excluded from the update.
-		var stepRewards []float64
-		if !warmup {
-			policySpan := sm.PolicyTime.Start()
-			first := 0
-			if !cfg.DisableSandwich && cfg.Shards > 1 {
-				first = 1
-			}
-			var policySamples []space.Assignment
-			var rewards []float64
-			for i := first; i < cfg.Shards; i++ {
-				if !alive[i] {
-					continue
-				}
-				perf := perfFn(assignments[i])
-				rw := s.Reward.Eval(qualities[i], perf)
-				policySamples = append(policySamples, assignments[i])
-				rewards = append(rewards, rw)
-				cands.Add(Candidate{
-					Step:       step - cfg.WarmupSteps,
-					Assignment: append(space.Assignment(nil), assignments[i]...),
-					Quality:    qualities[i],
-					Perf:       perf,
-					Reward:     rw,
-				})
-			}
-			strat.Update(policySamples, rewards)
-			sm.Candidates.Add(int64(len(policySamples)))
-			stepRewards = rewards
-			policySpan.End()
-		}
-
-		// Join stage 3: from here on the master weights, the optimizer
-		// moments and the pre-clip gradient norm are settled.
-		<-spineDone
-		sm.GradNorm.Observe(spineNorm)
-		if wantSync {
-			// Publish the step's weight change to remote shards. The spine
-			// recorded exactly which params (and rows) ClipStep touched, so
-			// the transport can ship a delta instead of the full state.
-			if err := transport.PushWeights(spine.Touched()); err != nil {
-				return nil, fmt.Errorf("core: publishing step %d weight update: %w", step, err)
-			}
-		}
-
-		if !warmup {
-			info := StepInfo{
-				Step:       step - cfg.WarmupSteps,
-				MeanReward: meanOf(stepRewards),
-				MeanQ:      meanAlive(qualities, alive),
-				Entropy:    strat.Entropy(),
-				Confidence: strat.Confidence(),
-			}
-			res.History = append(res.History, info)
-			sm.RecordStep(info)
-			if cfg.Progress != nil {
-				cfg.Progress(info)
-			}
-		}
-		stepSpan.End()
-
-		s.maybeCheckpoint(&cfg, membership, ckpt, step, consumed, rng, strat, master, opt, res.History)
-	}
-
-	res.Best = strat.Best()
-	res.BestArch = s.DS.Decode(res.Best)
-	res.BestPerf = perfFn(res.Best)
-	res.Candidates = cands.Items()
-	// Final quality on 16 large fresh batches: forward-only, so the extra
-	// examples are cheap and cut evaluation noise. They are drawn through
-	// the pipeline, not the stream directly: the pipeline's producer is the
-	// stream's only client, so the data each batch sees is a deterministic
-	// function of the consumed-batch count — independent of how far ahead
-	// the producer happens to have prefetched — which keeps FinalQuality
-	// bit-reproducible across resumed runs.
-	var finalQ float64
-	for j := 0; j < 16; j++ {
-		final := pipe.Next()
-		final.UseForArch()
-		finalQ += master.Quality(res.Best, final)
-	}
-	res.FinalQuality = finalQ / 16
-	res.ExamplesSeen = s.Stream.ExamplesServed()
-	sm.Examples.Add(res.ExamplesSeen)
-	return res, nil
+	return res, err
 }
 
 const ln2 = 0.6931471805599453

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"h2onas/internal/reward"
 )
 
 // TestSearchBitIdenticalAcrossGOMAXPROCS runs the same search under
@@ -22,14 +20,20 @@ import (
 // layer fan-outs and the spine are all performance knobs that never move
 // a bit.
 func TestSearchBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	run := func(procs, workers int) *Result {
+	cfg := fastConfig(11)
+	cfg.Steps, cfg.WarmupSteps = 20, 5
+	HarnessBitIdenticalAcrossGOMAXPROCS(t, DLRMSearch, cfg)
+}
+
+// HarnessBitIdenticalAcrossGOMAXPROCS is the body of the sweep; cfg is a
+// 4-shard run.
+func HarnessBitIdenticalAcrossGOMAXPROCS(t *testing.T, search SearchFunc, cfg Config) {
+	run := func(procs, workers int) *Outcome {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		s, _ := testSearcher(t, reward.ReLU, 1.0, 11)
-		cfg := fastConfig(11)
-		cfg.Steps, cfg.WarmupSteps = 20, 5
+		cfg := cfg
 		cfg.Workers = workers
-		res, err := s.Search(cfg)
+		res, err := search(t, 11, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +42,7 @@ func TestSearchBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	// The reference: one proc, explicit serial budget.
 	serial := run(1, 1)
 
-	// fastConfig runs 4 shards, so the sweep covers budget < shards
+	// cfg runs 4 shards, so the sweep covers budget < shards
 	// (3/4: some shards share, PerShard=1), the GOMAXPROCS default (0),
 	// uneven budget > shards (5/4), and a budget far beyond the machine
 	// (16/4: PerShard=4 on every shard regardless of cores).
@@ -57,7 +61,7 @@ func TestSearchBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func assertSameTrajectory(t *testing.T, serial, got *Result) {
+func assertSameTrajectory(t *testing.T, serial, got *Outcome) {
 	t.Helper()
 	if len(serial.Best) != len(got.Best) {
 		t.Fatalf("Best lengths differ: %d vs %d", len(serial.Best), len(got.Best))

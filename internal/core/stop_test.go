@@ -14,14 +14,18 @@ import (
 // snapshot before returning, and a fresh searcher resumed from that
 // snapshot finishes the run with the uninterrupted run's trajectory.
 func TestStopFlushesCheckpointAndResumesBitIdentically(t *testing.T) {
-	seed := uint64(77)
 	base := ckptConfig(checkpoint.NewMemFS())
 	base.CheckpointDir = ""
 	base.CheckpointFS = nil
 	base.CheckpointEvery = 0
+	HarnessStopFlushesAndResumes(t, DLRMSearch, base)
+}
 
-	gs, _ := testSearcher(t, reward.ReLU, 1.0, seed)
-	golden, err := gs.Search(base)
+// HarnessStopFlushesAndResumes is the body of the Stop contract; base is
+// a run configuration with checkpointing off.
+func HarnessStopFlushesAndResumes(t *testing.T, search SearchFunc, base Config) {
+	seed := uint64(77)
+	golden, err := search(t, seed, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +45,7 @@ func TestStopFlushesCheckpointAndResumesBitIdentically(t *testing.T) {
 			once.Do(func() { close(stop) })
 		}
 	}
-	ss, _ := testSearcher(t, reward.ReLU, 1.0, seed)
-	partial, err := ss.Search(cfg)
+	partial, err := search(t, seed, cfg)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped search returned %v, want ErrStopped", err)
 	}
@@ -68,15 +71,14 @@ func TestStopFlushesCheckpointAndResumesBitIdentically(t *testing.T) {
 	rcfg.CheckpointDir = cfg.CheckpointDir
 	rcfg.CheckpointFS = fs
 	rcfg.Resume = true
-	rs, _ := testSearcher(t, reward.ReLU, 1.0, seed)
-	resumed, err := rs.Search(rcfg)
+	resumed, err := search(t, seed, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.ResumedFrom != steps[0] {
 		t.Fatalf("ResumedFrom = %d, want %d", resumed.ResumedFrom, steps[0])
 	}
-	requireSameBest(t, golden, resumed)
+	requireSameBest(t, golden.Best, resumed.Best)
 	requireSameHistory(t, golden.History, resumed.History)
 	if golden.FinalQuality != resumed.FinalQuality {
 		t.Fatalf("FinalQuality %v != golden %v", resumed.FinalQuality, golden.FinalQuality)

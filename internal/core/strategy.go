@@ -60,10 +60,10 @@ type Strategy interface {
 // the search loop propagates its registry through it.
 type strategyMetrics interface{ SetMetrics(*metrics.Registry) }
 
-// StrategyFor resolves the run's strategy: cfg.Strategy when set, else
+// strategyFor resolves the run's strategy: cfg.Strategy when set, else
 // the default REINFORCE controller built from cfg.Controller. The run's
 // metrics registry is propagated either way.
-func StrategyFor(cfg *Config, sp *space.Space) Strategy {
+func strategyFor(cfg *Config, sp *space.Space) Strategy {
 	strat := cfg.Strategy
 	if strat == nil {
 		strat = NewReinforce(sp, cfg.Controller)
@@ -72,6 +72,34 @@ func StrategyFor(cfg *Config, sp *space.Space) Strategy {
 		sm.SetMetrics(cfg.Metrics)
 	}
 	return strat
+}
+
+// StrategyByName maps a strategy name — the CLI's -strategy flag, a job
+// spec's "strategy" field — to a fresh Strategy over sp, or nil for
+// "reinforce" (the default controller, built from Config.Controller). The
+// halving budget is the run's fault-free evaluation count: one per policy
+// shard (every shard except the sandwich shard) per step.
+func StrategyByName(name string, sp *space.Space, steps, shards int) (Strategy, error) {
+	switch name {
+	case "reinforce":
+		return nil, nil
+	case "random":
+		return NewRandomSearch(sp), nil
+	case "evolution":
+		return NewEvolution(sp, EvolutionOpts{}), nil
+	case "halving":
+		policy := shards
+		if shards > 1 {
+			policy = shards - 1
+		}
+		sh, err := NewSuccessiveHalving(sp, HalvingOpts{Budget: steps * policy})
+		if err != nil {
+			return nil, fmt.Errorf("halving strategy: %w", err)
+		}
+		return sh, nil
+	default:
+		return nil, fmt.Errorf("unknown strategy %q (want reinforce, random, evolution, or halving)", name)
+	}
 }
 
 // Reinforce adapts the RL controller (REINFORCE policy gradient with an

@@ -30,10 +30,10 @@ type ShardOutcome struct {
 type ShardBinding struct {
 	// Master is the coordinator's super-network: the source of truth for
 	// shared weights. Remote transports read it to synchronize workers;
-	// the in-process transport shares its storage through the replicas.
+	// the in-process pool shares its storage through the replicas.
 	Master *supernet.Supernet
 	// Replicas are the per-shard gradient sinks, one per shard, in shard
-	// order. The in-process transport runs Forward/Backward on them
+	// order. The in-process pool runs Forward/Backward on them
 	// directly; a remote transport copies collected gradients into them
 	// so the spine reduce consumes identical state either way.
 	Replicas []*supernet.Supernet
@@ -56,6 +56,10 @@ type ShardBinding struct {
 // spine's fixed-order reduce then makes the trajectory a pure function of
 // (seed, config, per-step surviving shard set).
 //
+// ShardTransport is typed to the DLRM super-network and batch, so a
+// caller-provided transport serves core.Searcher only; every search
+// space shares the in-process pool behind the same step engine.
+//
 // A transport degrades rather than fails: a straggling or dead shard is
 // reported !Alive for the step and the coordinator reduces over the
 // survivors, consistent with Config.ShardFault semantics.
@@ -72,7 +76,7 @@ type ShardTransport interface {
 	// for the duration of the call only.
 	RunStep(step int, assignments []space.Assignment, batches []*datapipe.Batch, outcomes []ShardOutcome)
 	// WantsWeightSync reports whether the transport needs PushWeights
-	// after each weight update. The in-process transport shares weight
+	// after each weight update. The in-process pool shares weight
 	// storage and returns false, which also keeps the spine from
 	// recording touched params.
 	WantsWeightSync() bool
@@ -86,142 +90,144 @@ type ShardTransport interface {
 	// resuming a run under a different transport or a silently changed
 	// worker set is refused. Valid after Bind.
 	Membership() string
-	// Close releases the transport's resources. Search closes only the
-	// transports it creates itself (Config.Transport == nil); a provided
-	// transport is closed by its owner.
+	// Close releases the transport's resources. Search never calls it: a
+	// provided transport is closed by its owner.
 	Close() error
 }
 
-// inprocOptions carries the Config knobs the in-process transport honors.
-type inprocOptions struct {
+// shardRunner is the part of a ShardTransport the step engine calls,
+// generic over the batch type so the same loop drives every search
+// space. ShardTransport satisfies it for *datapipe.Batch; shardPool
+// implements it for any space.
+type shardRunner[B any] interface {
+	RunStep(step int, assignments []space.Assignment, batches []B, outcomes []ShardOutcome)
+	WantsWeightSync() bool
+	PushWeights(touched []nn.ParamTouch) error
+	Membership() string
+}
+
+// shardPool is the in-process execution mode behind the seam: a fixed set
+// of long-lived worker goroutines — one per shard, capped at the core
+// budget, since more CPU-bound workers than cores would only time-slice —
+// that take a step's shards off one queue in shard order, so the sandwich
+// shard (shard 0, the maximal sub-network and the step's longest job)
+// starts first. Replicas share weight storage with the master, so there
+// is no weight synchronization at all. The coordinator's send on work
+// happens-before the worker's read of that step's assignment/batch, and
+// the worker's send on stepDone happens-before the coordinator's read of
+// outcomes — the same memory-ordering guarantees a per-step WaitGroup
+// would provide.
+type shardPool[B Batch, N Network[B]] struct {
+	// The Config knobs the pool honors.
 	fault   func(step, shard, attempt int) error
 	retries int
 	backoff time.Duration
 	clock   checkpoint.Clock
-}
+	sm      searchMetrics
 
-// inprocTransport is the historical execution mode behind the seam: one
-// long-lived worker goroutine per shard, fed step numbers over single-slot
-// channels. Replicas share weight storage with the master, so there is no
-// weight synchronization at all. Spawning cfg.Shards goroutines per step
-// would cost a stack setup and scheduler churn every step; instead each
-// shard keeps one worker for the whole run. The coordinator's send on
-// work[i] happens-before the worker's read of that step's
-// assignment/batch, and the worker's send on stepDone happens-before the
-// coordinator's read of outcomes — the same memory-ordering guarantees a
-// per-step WaitGroup would provide.
-type inprocTransport struct {
-	opts inprocOptions
-	sm   SearchMetrics
-
-	replicas []*supernet.Supernet
-	work     []chan int
+	replicas []N
+	work     chan int // shard indices of the step in flight
 	stepDone chan struct{}
-	closed   bool
 
 	// Per-step dispatch state: published before the work sends, read by
 	// the workers, settled before RunStep returns.
+	step        int
 	assignments []space.Assignment
-	batches     []*datapipe.Batch
+	batches     []B
 	outcomes    []ShardOutcome
 }
 
-// newInprocTransport builds the default transport from the search config.
-func newInprocTransport(cfg *Config, sm SearchMetrics) *inprocTransport {
-	o := inprocOptions{
-		fault:   cfg.ShardFault,
-		retries: cfg.ShardRetries,
-		backoff: cfg.ShardBackoff,
-		clock:   cfg.Clock,
+// newShardPool starts workers goroutines to run the replicas' steps under
+// cfg's fault policy. Close stops them.
+func newShardPool[B Batch, N Network[B]](cfg *Config, sm searchMetrics, replicas []N, workers int) *shardPool[B, N] {
+	p := &shardPool[B, N]{
+		fault:    cfg.ShardFault,
+		retries:  cfg.ShardRetries,
+		backoff:  cfg.ShardBackoff,
+		clock:    cfg.Clock,
+		sm:       sm,
+		replicas: replicas,
+		work:     make(chan int, len(replicas)),
+		stepDone: make(chan struct{}, len(replicas)),
 	}
-	if o.retries == 0 {
-		o.retries = 2
+	if p.retries == 0 {
+		p.retries = 2
 	}
-	if o.backoff <= 0 {
-		o.backoff = time.Millisecond
+	if p.backoff <= 0 {
+		p.backoff = time.Millisecond
 	}
-	if o.clock == nil {
-		o.clock = checkpoint.RealClock()
+	if p.clock == nil {
+		p.clock = checkpoint.RealClock()
 	}
-	return &inprocTransport{opts: o, sm: sm}
+	for range workers {
+		go p.worker()
+	}
+	return p
 }
 
-func (t *inprocTransport) Bind(b ShardBinding) error {
-	t.replicas = b.Replicas
-	t.work = make([]chan int, len(b.Replicas))
-	t.stepDone = make(chan struct{}, len(b.Replicas))
-	for i := range t.work {
-		t.work[i] = make(chan int, 1)
-		go t.worker(i)
-	}
-	return nil
-}
-
-// worker is shard i's long-lived execution loop: retry the shard-fault
-// seam with bounded exponential backoff, then run stage 1 (forward,
-// quality) and stage 3's per-shard half (backward) on the shard's replica.
-func (t *inprocTransport) worker(i int) {
-	for step := range t.work[i] {
-		shardSpan := t.sm.ShardTime.Start()
+// worker is one long-lived execution loop. For each shard i it takes off
+// the queue: retry the shard-fault seam with bounded exponential backoff,
+// then run stage 1 (forward, quality) and stage 3's per-shard half
+// (backward) on the shard's replica.
+func (p *shardPool[B, N]) worker() {
+	for i := range p.work {
+		step := p.step
+		shardSpan := p.sm.ShardTime.Start()
 		var out ShardOutcome
 		for attempt := 0; ; attempt++ {
-			if t.opts.fault != nil {
-				if err := t.opts.fault(step, i, attempt); err != nil {
-					t.sm.ShardFailures.Inc()
-					if attempt >= t.opts.retries {
+			if p.fault != nil {
+				if err := p.fault(step, i, attempt); err != nil {
+					p.sm.ShardFailures.Inc()
+					if attempt >= p.retries {
 						// Permanent for this step: drop the shard from the
 						// cross-shard reduce.
-						t.sm.ShardsDropped.Inc()
+						p.sm.ShardsDropped.Inc()
 						break
 					}
-					t.sm.ShardRetries.Inc()
-					t.opts.clock.Sleep(t.opts.backoff << attempt)
+					p.sm.ShardRetries.Inc()
+					p.clock.Sleep(p.backoff << attempt)
 					continue
 				}
 			}
-			b := t.batches[i]
+			b := p.batches[i]
 			// Stage 1: fresh data is consumed by architecture learning
 			// first…
 			b.UseForArch()
-			loss, dout := t.replicas[i].Loss(t.assignments[i], b)
+			loss, dout := p.replicas[i].Loss(p.assignments[i], b)
 			out.Quality = QualityFromLoss(loss)
 			// Stage 3: …and only then by weight training, on the same
 			// batch and candidate.
 			b.UseForWeights()
-			t.replicas[i].Backward(dout)
+			p.replicas[i].Backward(dout)
 			out.Alive = true
 			break
 		}
-		t.outcomes[i] = out
+		p.outcomes[i] = out
 		shardSpan.End()
-		t.stepDone <- struct{}{}
+		p.stepDone <- struct{}{}
 	}
 }
 
-func (t *inprocTransport) RunStep(step int, assignments []space.Assignment, batches []*datapipe.Batch, outcomes []ShardOutcome) {
-	t.assignments, t.batches, t.outcomes = assignments, batches, outcomes
-	for i := range t.work {
-		t.work[i] <- step
+func (p *shardPool[B, N]) RunStep(step int, assignments []space.Assignment, batches []B, outcomes []ShardOutcome) {
+	p.step, p.assignments, p.batches, p.outcomes = step, assignments, batches, outcomes
+	for i := range p.replicas {
+		p.work <- i
 	}
-	for range t.work {
-		<-t.stepDone
+	for range p.replicas {
+		<-p.stepDone
 	}
-	t.assignments, t.batches, t.outcomes = nil, nil, nil
+	p.assignments, p.batches, p.outcomes = nil, nil, nil
 }
 
-func (t *inprocTransport) WantsWeightSync() bool { return false }
+func (p *shardPool[B, N]) WantsWeightSync() bool { return false }
 
 // PushWeights is a no-op: replicas share the master's weight storage.
-func (t *inprocTransport) PushWeights([]nn.ParamTouch) error { return nil }
+func (p *shardPool[B, N]) PushWeights([]nn.ParamTouch) error { return nil }
 
-func (t *inprocTransport) Membership() string { return "inproc" }
+func (p *shardPool[B, N]) Membership() string { return "inproc" }
 
-func (t *inprocTransport) Close() error {
-	if !t.closed {
-		t.closed = true
-		for _, w := range t.work {
-			close(w)
-		}
-	}
-	return nil
+// Close stops the workers. The engine calls it once, after the last
+// RunStep returned.
+func (p *shardPool[B, N]) Close() {
+	close(p.work)
 }

@@ -17,6 +17,9 @@ import (
 // fails before any step runs, so RunStep must never be reached.
 type stubTransport struct{ membership string }
 
+// StubTransport exposes the stub to the external test package.
+func StubTransport(membership string) ShardTransport { return &stubTransport{membership} }
+
 func (s *stubTransport) Bind(ShardBinding) error { return nil }
 func (s *stubTransport) RunStep(int, []space.Assignment, []*datapipe.Batch, []ShardOutcome) {
 	panic("stubTransport: RunStep reached")
@@ -51,22 +54,6 @@ func TestResumeRefusesChangedFleet(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "different configuration") {
 		t.Fatalf("error %q is not the descriptive mismatch message", err)
-	}
-}
-
-// TestFloat32RejectsCustomTransport: the float32 activation mode has no
-// remote negotiation, so pairing it with a custom Transport must fail at
-// validation instead of letting the coordinator and workers silently run
-// different numerics.
-func TestFloat32RejectsCustomTransport(t *testing.T) {
-	s, _ := testSearcher(t, reward.ReLU, 1.0, 34)
-	cfg := Config{Shards: 2, Steps: 2, BatchSize: 8, Seed: 34}
-	cfg.Float32Activations = true
-	cfg.Transport = &stubTransport{membership: "tcp[10.0.0.1:7070]"}
-	if _, err := s.Search(cfg); err == nil {
-		t.Fatal("Search accepted Float32Activations with a custom Transport")
-	} else if !strings.Contains(err.Error(), "Float32Activations") {
-		t.Fatalf("error %q does not name the rejected knob", err)
 	}
 }
 
@@ -117,5 +104,5 @@ func TestResumeAcceptsSameMembership(t *testing.T) {
 	if resumed.ResumedFrom == 0 {
 		t.Fatal("run did not resume from the checkpoint")
 	}
-	requireSameBest(t, golden, resumed)
+	requireSameBest(t, golden.Best, resumed.Best)
 }

@@ -20,7 +20,10 @@ import (
 //
 // valStream must be a second stream (different seed) over the same task.
 func (s *Searcher) TuNASSearch(cfg Config, valStream *datapipe.Stream) (*Result, error) {
-	if err := s.validate(&cfg); err != nil {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rng := tensor.NewRNG(cfg.Seed)

@@ -13,11 +13,14 @@ import (
 // are handed out exactly once, and Close drains everything — matching the
 // privacy constraint that production traffic only ever exists in volatile
 // memory.
-type Pipeline struct {
-	stream    *Stream
+//
+// A Pipeline is generic over its stream: the CTR Stream and the sequence
+// SeqStream feed the same stage.
+type Pipeline[B any] struct {
+	stream    BatchSource[B]
 	batchSize int
 
-	ch       chan *Batch
+	ch       chan B
 	done     chan struct{}
 	closed   sync.Once
 	wg       sync.WaitGroup
@@ -31,23 +34,29 @@ type Pipeline struct {
 	consumedCtr *metrics.Counter
 }
 
+// BatchSource is the stream side of a Pipeline: anything that synthesizes
+// a fresh batch of n examples per call.
+type BatchSource[B any] interface {
+	NextBatch(n int) B
+}
+
 // NewPipeline starts producing batches of batchSize into a buffer holding
 // up to depth batches.
-func NewPipeline(stream *Stream, batchSize, depth int) *Pipeline {
+func NewPipeline[B any](stream BatchSource[B], batchSize, depth int) *Pipeline[B] {
 	return NewPipelineWithMetrics(stream, batchSize, depth, nil)
 }
 
 // NewPipelineWithMetrics is NewPipeline with observability: batch
 // production latency, consumer wait time, buffer occupancy and batch
 // counters are recorded into r. A nil (nop) registry costs nothing.
-func NewPipelineWithMetrics(stream *Stream, batchSize, depth int, r *metrics.Registry) *Pipeline {
+func NewPipelineWithMetrics[B any](stream BatchSource[B], batchSize, depth int, r *metrics.Registry) *Pipeline[B] {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &Pipeline{
+	p := &Pipeline[B]{
 		stream:    stream,
 		batchSize: batchSize,
-		ch:        make(chan *Batch, depth),
+		ch:        make(chan B, depth),
 		done:      make(chan struct{}),
 
 		produceTime: r.Histogram("datapipe_produce_seconds"),
@@ -61,7 +70,7 @@ func NewPipelineWithMetrics(stream *Stream, batchSize, depth int, r *metrics.Reg
 	return p
 }
 
-func (p *Pipeline) produce() {
+func (p *Pipeline[B]) produce() {
 	defer p.wg.Done()
 	for {
 		span := p.produceTime.Start()
@@ -78,8 +87,8 @@ func (p *Pipeline) produce() {
 }
 
 // Next returns the next fresh batch, blocking until one is buffered.
-// It returns nil after Close.
-func (p *Pipeline) Next() *Batch {
+// It returns the zero B (nil for the pointer batch types) after Close.
+func (p *Pipeline[B]) Next() B {
 	span := p.waitTime.Start()
 	select {
 	case b := <-p.ch:
@@ -97,16 +106,17 @@ func (p *Pipeline) Next() *Batch {
 			p.consumedCtr.Inc()
 			return b
 		default:
-			return nil
+			var none B
+			return none
 		}
 	}
 }
 
 // BatchesConsumed returns how many batches Next has handed out.
-func (p *Pipeline) BatchesConsumed() int64 { return atomic.LoadInt64(&p.consumed) }
+func (p *Pipeline[B]) BatchesConsumed() int64 { return atomic.LoadInt64(&p.consumed) }
 
 // Close stops the producer and releases buffered data.
-func (p *Pipeline) Close() {
+func (p *Pipeline[B]) Close() {
 	p.closed.Do(func() {
 		close(p.done)
 	})

@@ -140,6 +140,23 @@ func (s *SeqStream) NextBatch(n int) *SeqBatch {
 	return b
 }
 
+// Skip advances the stream past nBatches batches of batchSize sequences
+// without generating them — the SeqStream twin of Stream.Skip, with the
+// same contract: NextBatch draws exactly one value (the Split) from the
+// parent generator, so a skipped stream produces the batches the
+// original would have produced next.
+func (s *SeqStream) Skip(nBatches int64, batchSize int) {
+	if nBatches < 0 || batchSize <= 0 {
+		panic(fmt.Sprintf("datapipe: Skip(%d, %d) with negative batches or non-positive size", nBatches, batchSize))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := int64(0); i < nBatches; i++ {
+		s.rng.Uint64()
+	}
+	atomic.AddInt64(&s.served, nBatches*int64(batchSize))
+}
+
 // unaryEffect is the ground-truth per-token effect: a dominant
 // position-independent part (learnable by token embeddings alone) plus a
 // small position modulation (needs token/position mixing).

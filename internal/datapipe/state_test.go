@@ -32,6 +32,21 @@ func TestStreamSkipMatchesNextBatch(t *testing.T) {
 		if !batchesEqual(walked.NextBatch(16), skipped.NextBatch(16)) {
 			t.Fatalf("batch %d differs between walked and skipped streams", k)
 		}
+
+		// The sequence stream's Skip has the same contract.
+		seqWalked := NewSeqStream(DefaultSeqConfig(), 11)
+		for i := int64(0); i < k; i++ {
+			seqWalked.NextBatch(16)
+		}
+		seqSkipped := NewSeqStream(DefaultSeqConfig(), 11)
+		seqSkipped.Skip(k, 16)
+		if w, s := seqWalked.ExamplesServed(), seqSkipped.ExamplesServed(); w != s {
+			t.Fatalf("after %d sequence batches: walked served %d, skipped served %d", k, w, s)
+		}
+		if w, s := seqWalked.NextBatch(16), seqSkipped.NextBatch(16); !reflect.DeepEqual(w.Tokens, s.Tokens) ||
+			!reflect.DeepEqual(w.Labels.Data, s.Labels.Data) {
+			t.Fatalf("sequence batch %d differs between walked and skipped streams", k)
+		}
 	}
 }
 

@@ -173,9 +173,9 @@ func (sp Spec) build() (*core.Searcher, *space.DLRMSpace, core.Config, error) {
 		// candidate pool so memory stays flat across the fleet.
 		MaxCandidates: 512,
 	}
-	cfg.Strategy, err = buildStrategy(sp.Strategy, ds.Space, sp.Steps, sp.Shards)
+	cfg.Strategy, err = core.StrategyByName(sp.Strategy, ds.Space, sp.Steps, sp.Shards)
 	if err != nil {
-		return nil, nil, core.Config{}, err
+		return nil, nil, core.Config{}, fmt.Errorf("jobs: %w", err)
 	}
 
 	s := &core.Searcher{
@@ -189,30 +189,4 @@ func (sp Spec) build() (*core.Searcher, *space.DLRMSpace, core.Config, error) {
 		}, sp.Seed),
 	}
 	return s, ds, cfg, nil
-}
-
-// buildStrategy maps a strategy name to a fresh core.Strategy (nil for
-// the default REINFORCE controller). The halving budget is the run's
-// fault-free evaluation count: one per policy shard per step.
-func buildStrategy(name string, sp *space.Space, steps, shards int) (core.Strategy, error) {
-	switch name {
-	case "reinforce":
-		return nil, nil
-	case "random":
-		return core.NewRandomSearch(sp), nil
-	case "evolution":
-		return core.NewEvolution(sp, core.EvolutionOpts{}), nil
-	case "halving":
-		policy := shards
-		if shards > 1 {
-			policy = shards - 1
-		}
-		sh, err := core.NewSuccessiveHalving(sp, core.HalvingOpts{Budget: steps * policy})
-		if err != nil {
-			return nil, fmt.Errorf("jobs: halving strategy: %w", err)
-		}
-		return sh, nil
-	default:
-		return nil, fmt.Errorf("jobs: unknown strategy %q", name)
-	}
 }

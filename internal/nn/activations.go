@@ -142,8 +142,7 @@ type ActivationLayer struct {
 	// Release); nil falls back to heap allocation.
 	Arena *tensor.Arena
 
-	input   *tensor.Matrix   // cached for Backward
-	input32 *tensor.Matrix32 // cached for Backward32 (float32 activation mode)
+	input *tensor.Matrix // cached for Backward
 }
 
 // NewActivationLayer returns a layer applying act elementwise.

@@ -190,14 +190,11 @@ type MaskedDense struct {
 
 	// Workers bounds the parallelism of the forward and backward passes
 	// under the owning search's core budget (see internal/sched). 0 or 1
-	// — the default — keeps the historical serial loops. Float32 mode
-	// (Forward32/Backward32) stays serial: it runs on shard replicas,
-	// whose per-shard budget share is the narrow one.
+	// — the default — keeps the historical serial loops.
 	Workers int
 
 	activeIn, activeOut int
 	input               *tensor.Matrix
-	input32             *tensor.Matrix32 // float32 activation mode (Forward32)
 
 	// Hoisted parallel-dispatch state: the closures are built once and
 	// read their operands from these fields, so steady-state parallel
@@ -343,14 +340,11 @@ type LowRankDense struct {
 
 	// Workers bounds the parallelism of the forward and backward passes
 	// under the owning search's core budget (see internal/sched). 0 or 1
-	// — the default — keeps the historical serial loops. Float32 mode
-	// (Forward32/Backward32) stays serial: it runs on shard replicas,
-	// whose per-shard budget share is the narrow one.
+	// — the default — keeps the historical serial loops.
 	Workers int
 
 	activeIn, activeOut, activeRank int
 	input, hidden                   *tensor.Matrix
-	input32, hidden32               *tensor.Matrix32 // float32 activation mode (Forward32)
 	reluInput                       bool
 
 	// Hoisted parallel-dispatch state (see MaskedDense): closures built

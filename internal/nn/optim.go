@@ -171,6 +171,36 @@ func (o *Adam) LoadState(params []*Param, st AdamState) error {
 	return nil
 }
 
+// WeightsState returns a copy of every parameter's values in params
+// order — the super-network payload of a search checkpoint.
+func WeightsState(params []*Param) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = append([]float64(nil), p.Value.Data...)
+	}
+	return out
+}
+
+// LoadWeights copies values exported by WeightsState into params. The
+// copy is in place, so replicas sharing storage with these parameters
+// see the restored values too. Mismatched shapes are rejected before
+// anything is applied.
+func LoadWeights(params []*Param, w [][]float64) error {
+	if len(w) != len(params) {
+		return fmt.Errorf("nn: checkpoint has %d parameter tensors, super-network has %d", len(w), len(params))
+	}
+	for i, p := range params {
+		if len(w[i]) != len(p.Value.Data) {
+			return fmt.Errorf("nn: parameter %d (%s) has %d values in the checkpoint, super-network has %d",
+				i, p.Name, len(w[i]), len(p.Value.Data))
+		}
+	}
+	for i, p := range params {
+		copy(p.Value.Data, w[i])
+	}
+	return nil
+}
+
 // allZero reports whether every value in v is zero, early-exiting on the
 // first nonzero (for gradients that were actually written, that is almost
 // always the first element).

@@ -1,18 +1,18 @@
 // Package sched partitions the machine's core budget between the two
-// levels of parallelism in a search step: the shard fan-out (one worker
-// goroutine per simulated accelerator shard) and the kernel-level
-// parallelism inside each shard's forward/backward pass (row-sharded
-// matmuls on the shared tensor worker pool).
+// levels of parallelism in a search step: the shard fan-out (worker
+// goroutines running the simulated accelerator shards) and the
+// kernel-level parallelism inside each shard's forward/backward pass
+// (row-sharded matmuls on the shared tensor worker pool).
 //
 // Before this layer existed the two levels fought: the shard workers and
 // the GOMAXPROCS-sized kernel pool each assumed they owned the machine,
 // so a step either oversubscribed (Shards × GOMAXPROCS-way kernels) or
 // left cores idle (Shards < cores with every per-shard kernel below the
 // static parallel threshold running serial). A Budget makes the split
-// explicit: the shard fan-out gets the whole budget across its workers,
-// each shard's kernels get Total/Shards, and coordinator-exclusive
-// phases (the spine's reduce/clip/step, the final evaluation) get the
-// whole budget because nothing else is running.
+// explicit: the shard fan-out runs on at most Total workers, each shard's
+// kernels get Total/Shards, and coordinator-exclusive phases (the spine's
+// reduce/clip/step, the final evaluation) get the whole budget because
+// nothing else is running.
 //
 // The budget is a performance knob only. Every dispatch it feeds is
 // bit-deterministic for any worker count — parallelism is only ever
@@ -49,6 +49,11 @@ func (b Budget) Total() int { return b.total }
 
 // Shards returns the shard count the budget was partitioned for.
 func (b Budget) Shards() int { return b.shards }
+
+// Workers returns how many shards run at once: one worker per shard, but
+// never more workers than cores. A step's shards are CPU-bound, so extra
+// workers would only time-slice the same cores.
+func (b Budget) Workers() int { return min(b.shards, b.total) }
 
 // PerShard returns the kernel-parallelism bound for one shard worker
 // when all shards run concurrently: ⌊total/shards⌋, never below 1. With

@@ -7,22 +7,22 @@ import (
 
 func TestBudgetPartition(t *testing.T) {
 	cases := []struct {
-		total, shards      int
-		wantTotal, wantPer int
+		total, shards                   int
+		wantTotal, wantWorkers, wantPer int
 	}{
-		{8, 8, 8, 1},
-		{8, 4, 8, 2},
-		{4, 8, 4, 1},   // oversubscribed: shard fan-out is the parallelism
-		{16, 3, 16, 5}, // uneven split floors
-		{1, 8, 1, 1},
-		{3, 4, 3, 1},
-		{5, 4, 5, 1},
+		{8, 8, 8, 8, 1},
+		{8, 4, 8, 4, 2},
+		{4, 8, 4, 4, 1},   // oversubscribed: shards queue on 4 workers, kernels run serially
+		{16, 3, 16, 3, 5}, // uneven split floors
+		{1, 8, 1, 1, 1},
+		{3, 4, 3, 3, 1},
+		{5, 4, 5, 4, 1},
 	}
 	for _, c := range cases {
 		b := New(c.total, c.shards)
-		if b.Total() != c.wantTotal || b.PerShard() != c.wantPer {
-			t.Errorf("New(%d,%d): Total=%d PerShard=%d, want %d/%d",
-				c.total, c.shards, b.Total(), b.PerShard(), c.wantTotal, c.wantPer)
+		if b.Total() != c.wantTotal || b.Workers() != c.wantWorkers || b.PerShard() != c.wantPer {
+			t.Errorf("New(%d,%d): Total=%d Workers=%d PerShard=%d, want %d/%d/%d",
+				c.total, c.shards, b.Total(), b.Workers(), b.PerShard(), c.wantTotal, c.wantWorkers, c.wantPer)
 		}
 		if b.Shards() != c.shards {
 			t.Errorf("New(%d,%d).Shards() = %d", c.total, c.shards, b.Shards())

@@ -288,7 +288,7 @@ func (s *workerSession) applyWeights(req *execReq) error {
 		}
 		return nil
 	case weightsFull:
-		if err := s.net.LoadWeights(req.Full); err != nil {
+		if err := nn.LoadWeights(s.net.Params(), req.Full); err != nil {
 			return err
 		}
 		s.version = req.ToVersion

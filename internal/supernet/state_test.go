@@ -3,12 +3,13 @@ package supernet
 import (
 	"testing"
 
+	"h2onas/internal/nn"
 	"h2onas/internal/tensor"
 )
 
 func TestWeightsStateLoadWeightsRoundTrip(t *testing.T) {
 	_, sn, _ := newSmall(t, 1)
-	saved := sn.WeightsState()
+	saved := nn.WeightsState(sn.Params())
 
 	// Scribble over every parameter, then restore.
 	for _, p := range sn.Params() {
@@ -16,7 +17,7 @@ func TestWeightsStateLoadWeightsRoundTrip(t *testing.T) {
 			p.Value.Data[i] = -7
 		}
 	}
-	if err := sn.LoadWeights(saved); err != nil {
+	if err := nn.LoadWeights(sn.Params(), saved); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range sn.Params() {
@@ -35,13 +36,13 @@ func TestLoadWeightsPropagatesToReplicas(t *testing.T) {
 	_, sn, _ := newSmall(t, 2)
 	rng := tensor.NewRNG(3)
 	replica := sn.Replicate(rng)
-	saved := sn.WeightsState()
+	saved := nn.WeightsState(sn.Params())
 	for i := range saved {
 		for j := range saved[i] {
 			saved[i][j] = float64(i) + float64(j)/1000
 		}
 	}
-	if err := sn.LoadWeights(saved); err != nil {
+	if err := nn.LoadWeights(sn.Params(), saved); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range replica.Params() {
@@ -55,19 +56,19 @@ func TestLoadWeightsPropagatesToReplicas(t *testing.T) {
 
 func TestLoadWeightsRejectsShapeMismatchAtomically(t *testing.T) {
 	_, sn, _ := newSmall(t, 4)
-	before := sn.WeightsState()
+	before := nn.WeightsState(sn.Params())
 
-	if err := sn.LoadWeights(before[:len(before)-1]); err == nil {
+	if err := nn.LoadWeights(sn.Params(), before[:len(before)-1]); err == nil {
 		t.Fatal("wrong parameter count accepted")
 	}
-	bad := sn.WeightsState()
+	bad := nn.WeightsState(sn.Params())
 	bad[len(bad)-1] = append(bad[len(bad)-1], 0) // one extra value in the last tensor
-	if err := sn.LoadWeights(bad); err == nil {
+	if err := nn.LoadWeights(sn.Params(), bad); err == nil {
 		t.Fatal("wrong parameter length accepted")
 	}
 	// Rejected loads must leave the network untouched — even when only a
 	// late parameter mismatches.
-	after := sn.WeightsState()
+	after := nn.WeightsState(sn.Params())
 	for i := range before {
 		for j := range before[i] {
 			if before[i][j] != after[i][j] {

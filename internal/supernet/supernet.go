@@ -69,10 +69,6 @@ type Supernet struct {
 	// vocabIdx[t] is the decision index of emb<t>_vocab, resolved once.
 	vocabIdx []int
 
-	// f32 switches Forward/Backward to float32 activation storage; see
-	// supernet32.go.
-	f32 bool
-
 	// acts is the pool of reusable activation layers; lastActs is the
 	// per-pass view of the ones actually used, consumed by Backward.
 	acts []*nn.ActivationLayer
@@ -261,36 +257,6 @@ func (s *Supernet) Options() Options { return s.opts }
 // ConcatWidth returns the fixed concatenated-feature width.
 func (s *Supernet) ConcatWidth() int { return s.concatWidth }
 
-// WeightsState returns a copy of every shared parameter's values in
-// Params() order — the super-network payload of a search checkpoint.
-func (s *Supernet) WeightsState() [][]float64 {
-	out := make([][]float64, len(s.params))
-	for i, p := range s.params {
-		out[i] = append([]float64(nil), p.Value.Data...)
-	}
-	return out
-}
-
-// LoadWeights copies values exported by WeightsState into the shared
-// parameters. The copy is in place, so replicas sharing storage with this
-// super-network see the restored values too. Mismatched shapes are
-// rejected before anything is applied.
-func (s *Supernet) LoadWeights(w [][]float64) error {
-	if len(w) != len(s.params) {
-		return fmt.Errorf("supernet: checkpoint has %d parameter tensors, super-network has %d", len(w), len(s.params))
-	}
-	for i, p := range s.params {
-		if len(w[i]) != len(p.Value.Data) {
-			return fmt.Errorf("supernet: parameter %d (%s) has %d values in the checkpoint, super-network has %d",
-				i, p.Name, len(w[i]), len(p.Value.Data))
-		}
-	}
-	for i, p := range s.params {
-		copy(p.Value.Data, w[i])
-	}
-	return nil
-}
-
 // Replicate returns a view of the super-network that shares every
 // parameter *value* with s but accumulates gradients separately — one
 // replica per accelerator shard, with a cross-shard gradient reduction
@@ -309,29 +275,11 @@ func (s *Supernet) Replicate(rng *tensor.RNG) *Supernet {
 	return r
 }
 
-// ReduceGrads sums the replicas' gradients into master's (averaging by
-// replica count), then clears the replicas' gradients. It is the
-// cross-shard gradient update of the parallel search step, delegating to
-// the shared nn.ReduceParamGrads reference (Dirty-aware: untouched
-// embedding tables and depth-sweep slots — most of a step's parameter
-// bytes — are skipped). The search loop itself uses nn.Spine, the
-// parallel bit-identical equivalent, over the same param lists.
-func ReduceGrads(master *Supernet, replicas []*Supernet) {
-	rp := make([][]*nn.Param, len(replicas))
-	for i, r := range replicas {
-		rp[i] = r.params
-	}
-	nn.ReduceParamGrads(master.params, rp, nil)
-}
-
 // Forward runs the sub-network selected by the assignment over the batch
 // and returns logits (batch×1). The layers cache activations; call
 // Backward with the loss gradient to accumulate parameter gradients for
 // the same candidate.
 func (s *Supernet) Forward(a space.Assignment, batch *datapipe.Batch) *tensor.Matrix {
-	if s.f32 {
-		return s.forward32(a, batch)
-	}
 	// Recycle the previous pass's intermediates (no-op without an arena).
 	// Anything the caller still holds from the last pass becomes invalid
 	// here — see SetArena.
@@ -412,10 +360,6 @@ func (s *Supernet) activate(x *tensor.Matrix) *tensor.Matrix {
 func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 	if s.lastBatch == nil {
 		panic("supernet: Backward before Forward")
-	}
-	if s.f32 {
-		s.backward32(dLogits)
-		return
 	}
 	a, ar, cfg := s.lastAssignment, s.lastArch, s.DS.Config
 	actIdx := len(s.lastActs) - 1

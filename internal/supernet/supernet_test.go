@@ -236,10 +236,10 @@ func TestReduceGradsAverages(t *testing.T) {
 	}
 	// Same batch and candidate → identical grads; the average equals each.
 	want := r1.Params()[len(r1.Params())-1].Grad.Clone()
-	ReduceGrads(sn, []*Supernet{r1, r2})
+	nn.ReduceParamGrads(sn.Params(), [][]*nn.Param{r1.Params(), r2.Params()}, nil)
 	got := sn.Params()[len(sn.Params())-1].Grad
 	if !tensor.Equal(got, want, 1e-9) {
-		t.Fatal("ReduceGrads must average replica gradients")
+		t.Fatal("ReduceParamGrads must average replica gradients")
 	}
 	// Replicas are cleared for the next step.
 	if tensor.MaxAbs(r1.Params()[0].Grad) != 0 {

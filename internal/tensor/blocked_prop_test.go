@@ -116,21 +116,21 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 		}
 
 		out := New(s.m, s.n)
-		MatMulInto(a, b, out)
+		MatMulIntoN(a, b, out, 0)
 		requireBitEqual(t, "MatMulInto", out, naiveMatMul(a, b))
 
 		// a is k×m for the transA form: aᵀ·b is m×n.
 		at := New(s.k, s.m)
 		fillRand(at, rng, 0.2)
 		outTA := New(s.m, s.n)
-		MatMulTransAInto(at, b, outTA)
+		MatMulTransAIntoN(at, b, outTA, 0)
 		requireBitEqual(t, "MatMulTransAInto", outTA, naiveMatMulTransA(at, b))
 
 		// b is n×k for the transB form: a·bᵀ is m×n.
 		bt := New(s.n, s.k)
 		fillRand(bt, rng, 0.05)
 		outTB := New(s.m, s.n)
-		MatMulTransBInto(a, bt, outTB)
+		MatMulTransBIntoN(a, bt, outTB, 0)
 		requireBitEqual(t, "MatMulTransBInto", outTB, naiveMatMulTransB(a, bt))
 	}
 }

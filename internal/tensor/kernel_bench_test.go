@@ -71,7 +71,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 			b.SetBytes(int64(8 * (s.m*s.k + s.k*s.n + s.m*s.n))) // compulsory traffic: read A+B, write C
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInto(x, w, out)
+				MatMulIntoN(x, w, out, 0)
 			}
 		})
 	}
@@ -88,7 +88,7 @@ func BenchmarkMatMulTransAInto(b *testing.B) {
 			out := New(s.k, s.n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulTransAInto(x, g, out)
+				MatMulTransAIntoN(x, g, out, 0)
 			}
 		})
 	}
@@ -105,7 +105,7 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 			out := New(s.m, s.k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulTransBInto(g, w, out)
+				MatMulTransBIntoN(g, w, out, 0)
 			}
 		})
 	}
@@ -133,18 +133,5 @@ func BenchmarkAxpy(b *testing.B) {
 				Axpy(dst, 0.0001, src)
 			}
 		})
-	}
-}
-
-func BenchmarkMatVec(b *testing.B) {
-	rng := NewRNG(3)
-	a := RandN(256, 256, 1, rng)
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = rng.Norm()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MatVec(a, x)
 	}
 }

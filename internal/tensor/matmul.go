@@ -44,28 +44,23 @@ const (
 // re-derives them from the hardware model; its test pins the agreement.
 func MatMulBlockShape() (kc, jc int) { return blockK, blockJ }
 
-// MatMul returns a·b for an (n×k) a and (k×m) b. It is MatMulInto with a
-// freshly allocated output.
+// MatMul returns a·b for an (n×k) a and (k×m) b. It is MatMulIntoN with a
+// freshly allocated output and the shared pool's full width.
 func MatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
-	MatMulInto(a, b, out)
+	MatMulIntoN(a, b, out, 0)
 	return out
 }
 
-// MatMulInto computes a·b into out, which must be a.Rows×b.Cols; prior
+// MatMulIntoN computes a·b into out, which must be a.Rows×b.Cols; prior
 // contents of out are overwritten. out must not alias a or b.
 //
 // The kernel iterates in i-k-j order so the inner loop walks both the
 // output row and the b row contiguously, shards output rows across the
 // persistent worker pool for large products, and switches to a
 // cache-blocked sweep (bit-identical; see blockK) when b outgrows L2.
-// The fan-out uses the shared pool's full width; MatMulIntoN takes an
-// explicit workers budget.
-func MatMulInto(a, b, out *Matrix) { MatMulIntoN(a, b, out, 0) }
-
-// MatMulIntoN is MatMulInto under an explicit workers budget: at most
-// workers pool workers are used for the row fan-out (<= 0 means the
-// shared pool's width). Results are bit-identical for every budget —
+// At most workers pool workers are used for the row fan-out (<= 0 means
+// the shared pool's width). Results are bit-identical for every budget —
 // output rows are computed independently, so chunk boundaries cannot
 // change any bit.
 func MatMulIntoN(a, b, out *Matrix, workers int) {
@@ -137,21 +132,18 @@ func matmulRowsBlocked(a, b, out *Matrix, lo, hi int) {
 }
 
 // MatMulTransA returns aᵀ·b for a (k×n) a and (k×m) b. It is
-// MatMulTransAInto with a freshly allocated output.
+// MatMulTransAIntoN with a freshly allocated output.
 func MatMulTransA(a, b *Matrix) *Matrix {
 	out := New(a.Cols, b.Cols)
-	MatMulTransAInto(a, b, out)
+	MatMulTransAIntoN(a, b, out, 0)
 	return out
 }
 
-// MatMulTransAInto computes aᵀ·b into out (a.Cols×b.Cols) without
+// MatMulTransAIntoN computes aᵀ·b into out (a.Cols×b.Cols) without
 // materializing the transpose; prior contents of out are overwritten.
 // It is the weight-gradient kernel: dW = Xᵀ·dY. out must not alias a
-// or b.
-func MatMulTransAInto(a, b, out *Matrix) { MatMulTransAIntoN(a, b, out, 0) }
-
-// MatMulTransAIntoN is MatMulTransAInto under an explicit workers budget
-// (<= 0 means the shared pool's width); bit-identical for every budget.
+// or b. workers bounds the fan-out (<= 0 means the shared pool's width);
+// results are bit-identical for every budget.
 func MatMulTransAIntoN(a, b, out *Matrix, workers int) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA outer dim mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -227,21 +219,18 @@ func transAColsBlocked(a, b, out *Matrix, lo, hi int) {
 }
 
 // MatMulTransB returns a·bᵀ for an (n×k) a and (m×k) b. It is
-// MatMulTransBInto with a freshly allocated output.
+// MatMulTransBIntoN with a freshly allocated output.
 func MatMulTransB(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Rows)
-	MatMulTransBInto(a, b, out)
+	MatMulTransBIntoN(a, b, out, 0)
 	return out
 }
 
-// MatMulTransBInto computes a·bᵀ into out (a.Rows×b.Rows) without
+// MatMulTransBIntoN computes a·bᵀ into out (a.Rows×b.Rows) without
 // materializing the transpose; prior contents of out are overwritten.
 // It is the input-gradient kernel: dX = dY·Wᵀ. out must not alias a
-// or b.
-func MatMulTransBInto(a, b, out *Matrix) { MatMulTransBIntoN(a, b, out, 0) }
-
-// MatMulTransBIntoN is MatMulTransBInto under an explicit workers budget
-// (<= 0 means the shared pool's width); bit-identical for every budget.
+// or b. workers bounds the fan-out (<= 0 means the shared pool's width);
+// results are bit-identical for every budget.
 func MatMulTransBIntoN(a, b, out *Matrix, workers int) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dim mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -282,26 +271,5 @@ func transBRows(a, b, out *Matrix, lo, hi int) {
 		for j := 0; j < b.Rows; j++ {
 			orow[j] = dotUnrolled(arow, b.Row(j))
 		}
-	}
-}
-
-// MatVec returns a·x for an (n×k) a and length-k x.
-func MatVec(a *Matrix, x []float64) []float64 {
-	out := make([]float64, a.Rows)
-	MatVecInto(a, x, out)
-	return out
-}
-
-// MatVecInto computes a·x into out, which must have length a.Rows;
-// prior contents are overwritten.
-func MatVecInto(a *Matrix, x, out []float64) {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("tensor: MatVec dim mismatch %dx%d · %d", a.Rows, a.Cols, len(x)))
-	}
-	if len(out) != a.Rows {
-		panic(fmt.Sprintf("tensor: MatVecInto output length %d != %d", len(out), a.Rows))
-	}
-	for i := 0; i < a.Rows; i++ {
-		out[i] = dotUnrolled(a.Row(i), x)
 	}
 }

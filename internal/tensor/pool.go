@@ -56,12 +56,6 @@ var bucketPool [numBuckets]sync.Pool
 type Arena struct {
 	free [numBuckets][]*Matrix
 	out  []*Matrix
-
-	// float32 twins of free/out, used by the float32 activation mode
-	// (Get32/GetNoZero32 in matrix32.go). Unused arenas pay only the
-	// struct space.
-	free32 [numBuckets][]*Matrix32
-	out32  []*Matrix32
 }
 
 // NewArena returns an empty arena.
@@ -122,12 +116,6 @@ func (a *Arena) Release() {
 		a.out[i] = nil
 	}
 	a.out = a.out[:0]
-	for i, m := range a.out32 {
-		m.Data = m.Data[:cap(m.Data)]
-		a.free32[bucketFor(cap(m.Data))] = append(a.free32[bucketFor(cap(m.Data))], m)
-		a.out32[i] = nil
-	}
-	a.out32 = a.out32[:0]
 }
 
 // Drain releases outstanding matrices and hands the arena's free lists
@@ -145,13 +133,6 @@ func (a *Arena) Drain() {
 		}
 		a.free[b] = a.free[b][:0]
 	}
-	for b := range a.free32 {
-		for i, m := range a.free32[b] {
-			bucketPool32[b].Put(m)
-			a.free32[b][i] = nil
-		}
-		a.free32[b] = a.free32[b][:0]
-	}
 }
 
 // Live returns the number of matrices handed out since the last Release
@@ -160,7 +141,7 @@ func (a *Arena) Live() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.out) + len(a.out32)
+	return len(a.out)
 }
 
 // ---------------------------------------------------------------------------

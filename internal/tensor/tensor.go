@@ -127,35 +127,6 @@ func AddInPlace(a, b *Matrix) *Matrix {
 	return a
 }
 
-// Sub returns a-b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	sameShape("Sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Mul returns the elementwise (Hadamard) product a⊙b.
-func Mul(a, b *Matrix) *Matrix {
-	sameShape("Mul", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·a.
-func Scale(a *Matrix, s float64) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element of a by s and returns a.
 func ScaleInPlace(a *Matrix, s float64) *Matrix {
 	for i := range a.Data {
@@ -202,14 +173,6 @@ func Sum(a *Matrix) float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements (0 for empty matrices).
-func Mean(a *Matrix) float64 {
-	if len(a.Data) == 0 {
-		return 0
-	}
-	return Sum(a) / float64(len(a.Data))
-}
-
 // MaxAbs returns the largest absolute element value (0 for empty matrices).
 func MaxAbs(a *Matrix) float64 {
 	var m float64
@@ -219,28 +182,6 @@ func MaxAbs(a *Matrix) float64 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Frobenius norm of a.
-func Norm2(a *Matrix) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// RowSums returns a column vector (n×1 matrix) of per-row sums.
-func RowSums(a *Matrix) *Matrix {
-	out := New(a.Rows, 1)
-	for i := 0; i < a.Rows; i++ {
-		var s float64
-		for _, v := range a.Row(i) {
-			s += v
-		}
-		out.Data[i] = s
-	}
-	return out
 }
 
 // ColSums returns a row vector (1×m matrix) of per-column sums.

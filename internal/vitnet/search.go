@@ -5,17 +5,15 @@ import (
 
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
-	"h2onas/internal/nn"
 	"h2onas/internal/reward"
-	"h2onas/internal/sched"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
 )
 
 // Searcher runs the unified single-step parallel search over the pure
-// transformer space with a live super-network — the same three-stage step
-// as core.Searcher (sample α → quality on fresh data → cross-shard π and W
-// updates), against sequence traffic.
+// transformer space with a live super-network — core's step engine
+// against sequence traffic, so checkpoint/Resume, Stop, the shard-fault
+// policy and the prefetch pipeline behave exactly as for core.Searcher.
 type Searcher struct {
 	VS     *space.ViTSpace
 	Reward *reward.Function
@@ -25,228 +23,39 @@ type Searcher struct {
 
 // Result is the outcome of a transformer search.
 type Result struct {
-	Best         space.Assignment
-	BestArch     space.ViTArch
-	BestPerf     []float64
-	FinalQuality float64
-	History      []core.StepInfo
-	Candidates   []core.Candidate
-	ExamplesSeen int64
+	core.Outcome
+	// BestArch is Best decoded.
+	BestArch space.ViTArch
 }
 
-// Search runs the search. The sandwich shard and α-before-W ordering
-// behave exactly as in core.Searcher.
+// Search runs the search. Shards execute in-process only: a non-nil
+// cfg.Transport (typed to the DLRM super-network) is rejected.
 func (s *Searcher) Search(cfg core.Config) (*Result, error) {
 	if s.VS == nil || s.Reward == nil || s.Perf == nil || s.Stream == nil {
 		return nil, fmt.Errorf("vitnet: Searcher requires VS, Reward, Perf and Stream")
 	}
-	if cfg.Shards <= 0 || cfg.Steps <= 0 || cfg.BatchSize <= 0 {
-		return nil, fmt.Errorf("vitnet: non-positive shards/steps/batch in %+v", cfg)
+	if cfg.Transport != nil {
+		return nil, fmt.Errorf("vitnet: Config.Transport is not supported: remote shard transports serve the DLRM super-network only")
 	}
-	if cfg.WeightLR <= 0 {
-		cfg.WeightLR = 0.003
-	}
-	rng := tensor.NewRNG(cfg.Seed)
-	seqCfg := s.Stream.Config()
-	master := New(s.VS, seqCfg.Vocab, seqCfg.SeqLen, rng.Split())
-	replicas := make([]*Supernet, cfg.Shards)
-	for i := range replicas {
-		replicas[i] = master.Replicate(rng.Split())
-	}
-	// Same core-budget partition as core.Searcher: replicas get a
-	// per-shard share, the master (final eval) and the spine get the full
-	// budget. Performance-only — any split is bit-identical.
-	budget := sched.New(cfg.Workers, cfg.Shards)
-	master.SetWorkers(budget.Total())
-	for i := range replicas {
-		replicas[i].SetWorkers(budget.PerShard())
-	}
-	strat := core.StrategyFor(&cfg, s.VS.Space)
-	opt := nn.NewAdam(cfg.WeightLR)
-	spine := nn.NewSpine(master.Params(), opt, 10)
-	spine.SetWorkers(budget.Total())
-	sm := core.NewSearchMetrics(cfg.Metrics)
-
-	res := &Result{}
-	assignments := make([]space.Assignment, cfg.Shards)
-	qualities := make([]float64, cfg.Shards)
-	batches := make([]*datapipe.SeqBatch, cfg.Shards)
-	maxA := core.MaxAssignment(s.VS.Space)
-
-	// Per-replica arenas: steady-state steps recycle all intermediates
-	// instead of allocating them. Drained on exit.
-	arenas := make([]*tensor.Arena, cfg.Shards)
-	for i := range replicas {
-		arenas[i] = tensor.NewArena()
-		replicas[i].SetArena(arenas[i])
-	}
-	defer func() {
-		for i, a := range arenas {
-			replicas[i].SetArena(nil)
-			a.Release()
-			a.Drain()
-		}
-	}()
-
-	// Perf is pure; memoize it (see core.MemoizedPerf).
-	perfFn := s.Perf
-	if mp := core.NewMemoizedPerf(s.Perf, cfg.PerfCacheSize, cfg.Metrics); mp != nil {
-		perfFn = mp.Eval
-	}
-	cands := core.NewCandidateRing(cfg.MaxCandidates)
-
-	// Long-lived shard workers, one per shard for the whole run (see
-	// core.Searcher.Search for the memory-ordering argument).
-	work := make([]chan int, cfg.Shards)
-	stepDone := make(chan struct{}, cfg.Shards)
-	for i := range work {
-		work[i] = make(chan int, 1)
-		go func(i int) {
-			for range work[i] {
-				shardSpan := sm.ShardTime.Start()
-				b := batches[i]
-				b.UseForArch()
-				loss, dout := replicas[i].Loss(assignments[i], b)
-				qualities[i] = 1 - loss/ln2
-				b.UseForWeights()
-				replicas[i].Backward(dout)
-				shardSpan.End()
-				stepDone <- struct{}{}
+	eng := core.Engine[*datapipe.SeqBatch, *Supernet]{
+		Space: s.VS.Space, Reward: s.Reward, Perf: s.Perf, Stream: s.Stream,
+		Build: func(rng *tensor.RNG, shards int) (*Supernet, []*Supernet) {
+			seqCfg := s.Stream.Config()
+			master := New(s.VS, seqCfg.Vocab, seqCfg.SeqLen, rng.Split())
+			replicas := make([]*Supernet, shards)
+			for i := range replicas {
+				replicas[i] = master.Replicate(rng.Split())
 			}
-		}(i)
+			return master, replicas
+		},
 	}
-	defer func() {
-		for _, w := range work {
-			close(w)
-		}
-	}()
-
-	// Stage-3 spine worker: cross-shard reduce + fused clip+Adam step,
-	// overlapped with the coordinator's stage-2 policy update (disjoint
-	// state; see core.Searcher.Search). Every replica participates every
-	// step — there is no fault seam here — so the param lists are built
-	// once.
-	replicaParams := make([][]*nn.Param, len(replicas))
-	for i, r := range replicas {
-		replicaParams[i] = r.Params()
+	out, err := eng.Search(cfg)
+	if out == nil {
+		return nil, err
 	}
-	spineWork := make(chan struct{}, 1)
-	spineDone := make(chan struct{}, 1)
-	var spineNorm float64
-	go func() {
-		for range spineWork {
-			weightsSpan := sm.WeightsTime.Start()
-			spine.Reduce(replicaParams)
-			spineNorm = spine.ClipStep()
-			weightsSpan.End()
-			spineDone <- struct{}{}
-		}
-	}()
-	defer close(spineWork)
-
-	for step := 0; step < cfg.WarmupSteps+cfg.Steps; step++ {
-		warmup := step < cfg.WarmupSteps
-		stepSpan := sm.StepTime.Start()
-		if warmup {
-			sm.WarmupSteps.Inc()
-			sm.WarmupRemaining.Set(float64(cfg.WarmupSteps - step))
-		} else {
-			sm.WarmupRemaining.Set(0)
-		}
-		sampleSpan := sm.SampleTime.Start()
-		for i := 0; i < cfg.Shards; i++ {
-			sandwich := !cfg.DisableSandwich && i == 0 && cfg.Shards > 1
-			if warmup && !cfg.DisableSandwich && i%2 == 0 {
-				sandwich = true
-			}
-			if sandwich {
-				assignments[i] = maxA
-			} else {
-				assignments[i] = strat.Sample(rng, warmup)
-			}
-			batches[i] = s.Stream.NextBatch(cfg.BatchSize)
-		}
-		sampleSpan.End()
-
-		fanoutSpan := sm.FanoutTime.Start()
-		for i := 0; i < cfg.Shards; i++ {
-			work[i] <- step
-		}
-		for n := 0; n < cfg.Shards; n++ {
-			<-stepDone
-		}
-		fanoutSpan.End()
-
-		// Stage 3 starts on the spine worker before stage 2 runs here.
-		spineWork <- struct{}{}
-
-		if !warmup {
-			policySpan := sm.PolicyTime.Start()
-			first := 0
-			if !cfg.DisableSandwich && cfg.Shards > 1 {
-				first = 1
-			}
-			var policySamples []space.Assignment
-			var rewards []float64
-			for i := first; i < cfg.Shards; i++ {
-				perf := perfFn(assignments[i])
-				rw := s.Reward.Eval(qualities[i], perf)
-				policySamples = append(policySamples, assignments[i])
-				rewards = append(rewards, rw)
-				cands.Add(core.Candidate{
-					Step:       step - cfg.WarmupSteps,
-					Assignment: append(space.Assignment(nil), assignments[i]...),
-					Quality:    qualities[i],
-					Perf:       perf,
-					Reward:     rw,
-				})
-			}
-			strat.Update(policySamples, rewards)
-			sm.Candidates.Add(int64(len(policySamples)))
-			policySpan.End()
-			res.History = append(res.History, core.StepInfo{
-				Step:       step - cfg.WarmupSteps,
-				MeanReward: meanReward(rewards),
-				MeanQ:      meanFloat(qualities),
-				Entropy:    strat.Entropy(),
-				Confidence: strat.Confidence(),
-			})
-			sm.RecordStep(res.History[len(res.History)-1])
-			if cfg.Progress != nil {
-				cfg.Progress(res.History[len(res.History)-1])
-			}
-		}
-
-		// Join stage 3: master weights, optimizer moments and the
-		// pre-clip gradient norm are settled after this receive.
-		<-spineDone
-		sm.GradNorm.Observe(spineNorm)
-		stepSpan.End()
+	res := &Result{Outcome: *out}
+	if err == nil {
+		res.BestArch = s.VS.Decode(res.Best)
 	}
-
-	res.Best = strat.Best()
-	res.BestArch = s.VS.Decode(res.Best)
-	res.BestPerf = perfFn(res.Best)
-	res.Candidates = cands.Items()
-	final := s.Stream.NextBatch(cfg.BatchSize * 16)
-	final.UseForArch()
-	res.FinalQuality = master.Quality(res.Best, final)
-	res.ExamplesSeen = s.Stream.ExamplesServed()
-	sm.Examples.Add(res.ExamplesSeen)
-	return res, nil
-}
-
-const ln2 = 0.6931471805599453
-
-func meanReward(v []float64) float64 { return meanFloat(v) }
-
-func meanFloat(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
+	return res, err
 }
