@@ -138,16 +138,18 @@ func TestServingAnalysisThroughPublicAPI(t *testing.T) {
 func TestMultiTrialThroughPublicAPI(t *testing.T) {
 	sp := h2onas.NewCNNSpace(h2onas.DefaultCNNConfig())
 	rw, _ := h2onas.NewReward(h2onas.ReLUReward, h2onas.Objective{Name: "t", Target: 1, Beta: -1})
-	eval := &h2onas.AnalyticEvaluator{
+	s := &h2onas.AnalyticSearcher{
+		Space:   sp.Space,
 		Quality: func(a h2onas.Assignment) float64 { return -float64(a[0]) },
 		Perf:    func(h2onas.Assignment) []float64 { return []float64{0.5} },
 		Reward:  rw,
 	}
-	rnd, err := h2onas.RandomSearch(sp.Space, eval, 50, 1)
+	rnd, err := s.Search(h2onas.SearchConfig{Shards: 1, Steps: 50, Seed: 1, Strategy: h2onas.NewRandomSearch(sp.Space)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evo, err := h2onas.EvolutionSearch(sp.Space, eval, h2onas.EvolutionConfig{Trials: 50, Seed: 1})
+	evo, err := s.Search(h2onas.SearchConfig{Shards: 1, Steps: 50, Seed: 1,
+		Strategy: h2onas.NewEvolution(sp.Space, h2onas.EvolutionOpts{})})
 	if err != nil {
 		t.Fatal(err)
 	}

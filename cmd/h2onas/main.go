@@ -8,8 +8,9 @@
 //	h2onas -domain vit  -steps 200 -shards 8 -chip tpuv4
 //
 // The DLRM domain runs the full one-shot weight-sharing search against
-// synthetic production traffic; the cnn/vit domains run the analytic RL
-// search with the calibrated accuracy model.
+// synthetic production traffic; the cnn/vit domains run the analytic
+// search with the calibrated accuracy model. -strategy picks the search
+// rule in every domain.
 package main
 
 import (
@@ -44,7 +45,7 @@ func main() {
 	batch := flag.Int("batch", 64, "per-shard batch size (dlrm)")
 	warmup := flag.Int("warmup", 40, "weight warmup steps (dlrm)")
 	rewardKind := flag.String("reward", "relu", "reward function: relu or absolute")
-	strategy := flag.String("strategy", "reinforce", "search strategy: reinforce, random, evolution, or halving (dlrm/nlp)")
+	strategy := flag.String("strategy", "reinforce", "search strategy: reinforce, random, evolution, or halving")
 	latency := flag.Float64("latency", 1.0, "step-time target as a fraction of baseline")
 	chipName := flag.String("chip", "tpuv4", "target chip: tpuv4, tpuv4i, v100")
 	chipFile := flag.String("chip-file", "", "load a custom chip configuration (JSON, see hwsim.SaveChip) instead of -chip")
@@ -110,7 +111,7 @@ func main() {
 		fatalf("-resume requires -checkpoint-dir")
 	}
 	if ckpt.enabled() && *domain != "dlrm" && *domain != "nlp" {
-		fatalf("-checkpoint-dir and -resume are only wired into the weight-sharing domains (dlrm, nlp); the %s domain runs the analytic REINFORCE search", *domain)
+		fatalf("-checkpoint-dir and -resume are only wired into the weight-sharing domains (dlrm, nlp); the %s domain runs the analytic search, which has no weights to snapshot", *domain)
 	}
 
 	dist := distributed{rpcTimeout: *rpcTimeout, resultOut: *resultOut, failShard: *failShard}
@@ -124,15 +125,11 @@ func main() {
 		fatalf("-fail-shard reproduces a degraded run in-process; it cannot be combined with -workers")
 	}
 
-	if *strategy != "reinforce" && *domain != "dlrm" && *domain != "nlp" {
-		fatalf("-strategy is only wired into the weight-sharing domains (dlrm, nlp); the %s domain runs the analytic REINFORCE search", *domain)
-	}
-
 	switch *domain {
 	case "dlrm":
 		runDLRM(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy, ckpt, dist)
 	case "cnn", "vit":
-		runVision(*domain, chip, kind, *latency, *steps, *shards, *seed, *verbose)
+		runVision(*domain, chip, kind, *latency, *steps, *shards, *seed, *verbose, *strategy)
 	case "nlp":
 		runNLP(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy, ckpt)
 	default:
@@ -217,7 +214,7 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 		CheckpointRetain: ckpt.retain,
 		Resume:           ckpt.resume,
 	}
-	strat, err := core.StrategyByName(strategy, vs.Space, steps, shards)
+	strat, err := core.StrategyByName(strategy, vs.Space, steps*max(1, shards-1))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -280,7 +277,7 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 		Seed:       seed,
 		Metrics:    searchMetrics,
 	}
-	strat, err := core.StrategyByName(strategy, space.NewDLRMSpace(model).Space, steps, shards)
+	strat, err := core.StrategyByName(strategy, space.NewDLRMSpace(model).Space, steps*max(1, shards-1))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -376,7 +373,7 @@ func writeResult(res *h2onas.SearchResult, path string) error {
 }
 
 func runVision(domain string, chip h2onas.Chip, kind reward.Kind, latency float64,
-	steps, shards int, seed uint64, verbose bool) {
+	steps, shards int, seed uint64, verbose bool, strategy string) {
 
 	var sp *space.Space
 	var simulate func(space.Assignment) hwsim.Result
@@ -440,11 +437,17 @@ func runVision(domain string, chip h2onas.Chip, kind reward.Kind, latency float6
 		Seed:       seed,
 		Metrics:    searchMetrics,
 	}
+	// Every analytic evaluation reaches the strategy: no sandwich shard.
+	strat, err := core.StrategyByName(strategy, sp, steps*shards)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	cfg.Strategy = strat
 	if verbose {
 		cfg.Progress = progress
 	}
-	fmt.Printf("searching %s space (log10 size %.1f) on %s, %d shards × %d steps\n",
-		domain, sp.Log10Size(), chip.Name, shards, steps)
+	fmt.Printf("searching %s space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy\n",
+		domain, sp.Log10Size(), chip.Name, shards, steps, strategy)
 	res, err := s.Search(cfg)
 	if err != nil {
 		fatalf("search failed: %v", err)

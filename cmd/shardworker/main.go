@@ -1,13 +1,12 @@
 // Command shardworker runs one remote shard executor for the distributed
-// search: it listens for a coordinator (or dials out to one), builds the
-// super-network the coordinator describes in its handshake, and then
+// search: it listens for a coordinator (h2onas -workers dials in), builds
+// the super-network the coordinator describes in its handshake, and then
 // executes shard steps — weight sync in, loss and gradient bits out —
 // until it is stopped.
 //
 // Usage:
 //
-//	shardworker -listen :7070              # serve coordinators that dial in
-//	shardworker -coordinator host:7070     # dial out to a listening coordinator
+//	shardworker -listen :7070
 //
 // On SIGTERM or SIGINT the worker drains gracefully: it stops accepting
 // connections, lets any in-flight step finish and flush its response, and
@@ -24,19 +23,16 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"h2onas/internal/shardrpc"
 )
 
 func main() {
 	listen := flag.String("listen", "", "address to serve coordinators on, e.g. :7070")
-	coordinator := flag.String("coordinator", "", "coordinator address to dial out to (instead of -listen)")
-	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "connection timeout for -coordinator")
 	flag.Parse()
 
-	if (*listen == "") == (*coordinator == "") {
-		fmt.Fprintln(os.Stderr, "exactly one of -listen or -coordinator is required")
+	if *listen == "" {
+		fmt.Fprintln(os.Stderr, "-listen is required")
 		os.Exit(2)
 	}
 
@@ -48,13 +44,6 @@ func main() {
 		log.Printf("shardworker: %v — draining", s)
 		w.Drain()
 	}()
-
-	if *coordinator != "" {
-		if err := w.DialAndServe(*coordinator, *dialTimeout); err != nil {
-			log.Fatalf("shardworker: %v", err)
-		}
-		return
-	}
 
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {

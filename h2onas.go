@@ -122,7 +122,7 @@ type (
 	StepInfo = core.StepInfo
 	// Searcher couples a space, reward, objectives and traffic.
 	Searcher = core.Searcher
-	// AnalyticSearcher runs the RL loop over analytic evaluators.
+	// AnalyticSearcher runs the search loop over analytic evaluators.
 	AnalyticSearcher = core.AnalyticSearcher
 	// DLRMObjectives produces (train step time, serving bytes) objectives.
 	DLRMObjectives = core.DLRMObjectives

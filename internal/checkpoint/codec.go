@@ -2,30 +2,22 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
+
+	"h2onas/internal/wire"
 )
 
-// Wire format (little-endian):
-//
-//	magic   [8]byte  "H2ONASCK"
-//	version uint32   format version (currently 2)
-//	length  uint64   payload byte count
-//	crc32   uint32   IEEE CRC of the payload
-//	payload [length]byte
-//
-// The payload is a fixed field sequence (see encodePayload/decodePayload,
-// which must mirror each other exactly). Version 2 appends the strategy
-// name and opaque strategy-state blob after the v1 fields; version 1
-// files decode with those fields empty. The header checksum means a
-// truncated write, a torn page, or a flipped bit is detected before any
-// state is trusted; the decoder additionally bounds every declared length
-// against the bytes actually present, so hostile or garbage input can
-// never drive large allocations or panics.
+// A snapshot file is one internal/wire frame — magic "H2ONASCK", format
+// version, payload length, CRC32, payload — with no extra header fields
+// (24 header bytes). The payload is a fixed field sequence in the wire
+// codec (see encodePayload/decodePayload, which must mirror each other
+// exactly). Version 2 appends the strategy name and opaque
+// strategy-state blob after the v1 fields; version 1 files decode with
+// those fields empty. The envelope detects a truncated write, a torn
+// page or a flipped bit before any state is trusted, and the decoder
+// bounds every declared length against the bytes actually present, so
+// hostile or garbage input can never drive large allocations or panics.
 
 const (
 	magic = "H2ONASCK"
@@ -36,47 +28,30 @@ const (
 	headerLen = 8 + 4 + 8 + 4
 
 	// maxPayload rejects absurd declared payload sizes outright (1 GiB —
-	// far above any real snapshot, far below anything allocable by
-	// accident from a 24-byte header).
+	// far above any real snapshot).
 	maxPayload = 1 << 30
 )
 
-// Decode error values. Manager treats any decode error as "this snapshot
-// is unusable, fall back to an older one"; the distinctions exist for
-// logging and tests.
+var format = wire.Format{Magic: magic, Version: Version, MaxPayload: maxPayload}
+
+// Decode error values (the envelope's). Manager treats any decode error
+// as "this snapshot is unusable, fall back to an older one"; the
+// distinctions exist for logging and tests.
 var (
-	ErrBadMagic  = errors.New("checkpoint: not a checkpoint file (bad magic)")
-	ErrTruncated = errors.New("checkpoint: truncated file")
-	ErrChecksum  = errors.New("checkpoint: payload checksum mismatch")
+	ErrBadMagic  = wire.ErrBadMagic
+	ErrTruncated = wire.ErrTruncated
+	ErrChecksum  = wire.ErrChecksum
 )
 
 // FutureVersionError reports a snapshot written by a newer build.
-type FutureVersionError struct{ Version uint32 }
+type FutureVersionError = wire.VersionError
 
-func (e *FutureVersionError) Error() string {
-	return fmt.Sprintf("checkpoint: file version %d is newer than the newest supported version %d — written by a newer build", e.Version, Version)
-}
-
-// Encode writes the snapshot in the versioned, checksummed wire format.
-func Encode(w io.Writer, s *Snapshot) error {
-	payload := encodePayload(s)
-	var hdr [headerLen]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// EncodeBytes returns the snapshot's wire encoding.
+// EncodeBytes returns the snapshot in the versioned, checksummed wire
+// format.
 func EncodeBytes(s *Snapshot) []byte {
 	var buf bytes.Buffer
 	// bytes.Buffer writes cannot fail.
-	_ = Encode(&buf, s)
+	_ = wire.WriteFrame(&buf, format, nil, encodePayload(s))
 	return buf.Bytes()
 }
 
@@ -84,33 +59,9 @@ func EncodeBytes(s *Snapshot) []byte {
 // checksum. It returns an error — never panics, never silently loads
 // garbage — on any malformed, truncated or corrupted input.
 func Decode(r io.Reader) (*Snapshot, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
-	}
-	if string(hdr[:8]) != magic {
-		return nil, ErrBadMagic
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:12])
-	if version > Version {
-		return nil, &FutureVersionError{Version: version}
-	}
-	if version == 0 {
-		return nil, fmt.Errorf("checkpoint: invalid file version 0")
-	}
-	length := binary.LittleEndian.Uint64(hdr[12:20])
-	if length > maxPayload {
-		return nil, fmt.Errorf("checkpoint: implausible payload size %d", length)
-	}
-	payload := make([]byte, int(length))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
-	}
-	if extra, err := io.CopyN(io.Discard, r, 1); extra != 0 || err != io.EOF {
-		return nil, fmt.Errorf("checkpoint: trailing bytes after payload")
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[20:24]) {
-		return nil, ErrChecksum
+	version, payload, err := wire.ReadFileFrame(r, format)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return decodePayload(payload, version)
 }
@@ -118,224 +69,71 @@ func Decode(r io.Reader) (*Snapshot, error) {
 // encodePayload serializes the snapshot fields. decodePayload reads the
 // identical sequence.
 func encodePayload(s *Snapshot) []byte {
-	var e payloadEncoder
-	e.u64(uint64(s.Step))
-	e.u64(uint64(s.BatchesConsumed))
-	e.u64(uint64(s.CreatedAtUnix))
-	e.u64(s.RNG)
-	e.str(s.Fingerprint)
-	e.f64(s.Baseline)
-	e.boolean(s.BaselineSet)
-	e.u64(uint64(s.CtrlSteps))
-	e.u64(uint64(s.AdamT))
-	e.mat(s.PolicyLogits)
-	e.mat(s.Weights)
-	e.mat(s.AdamM)
-	e.mat(s.AdamV)
-	e.u32(uint32(len(s.History)))
+	var e wire.Enc
+	e.U64(uint64(s.Step))
+	e.U64(uint64(s.BatchesConsumed))
+	e.U64(uint64(s.CreatedAtUnix))
+	e.U64(s.RNG)
+	e.Str(s.Fingerprint)
+	e.F64(s.Baseline)
+	e.Bool(s.BaselineSet)
+	e.U64(uint64(s.CtrlSteps))
+	e.U64(uint64(s.AdamT))
+	e.Mat(s.PolicyLogits)
+	e.Mat(s.Weights)
+	e.Mat(s.AdamM)
+	e.Mat(s.AdamV)
+	e.U32(uint32(len(s.History)))
 	for _, h := range s.History {
-		e.u64(uint64(h.Step))
-		e.f64(h.MeanReward)
-		e.f64(h.MeanQ)
-		e.f64(h.Entropy)
-		e.f64(h.Confidence)
+		e.U64(uint64(h.Step))
+		e.F64(h.MeanReward)
+		e.F64(h.MeanQ)
+		e.F64(h.Entropy)
+		e.F64(h.Confidence)
 	}
 	// v2 fields follow the complete v1 sequence, so a v1 payload is a
 	// prefix of a v2 one and the decoder can branch on the file version.
-	e.str(s.Strategy)
-	e.bytes(s.StrategyState)
-	return e.buf
+	e.Str(s.Strategy)
+	e.Bytes(s.StrategyState)
+	return e.Buf
 }
 
 func decodePayload(payload []byte, version uint32) (*Snapshot, error) {
-	d := &payloadDecoder{buf: payload}
+	d := wire.NewDec(payload)
 	s := &Snapshot{}
-	s.Step = int64(d.u64())
-	s.BatchesConsumed = int64(d.u64())
-	s.CreatedAtUnix = int64(d.u64())
-	s.RNG = d.u64()
-	s.Fingerprint = d.str()
-	s.Baseline = d.f64()
-	s.BaselineSet = d.boolean()
-	s.CtrlSteps = int64(d.u64())
-	s.AdamT = int64(d.u64())
-	s.PolicyLogits = d.mat()
-	s.Weights = d.mat()
-	s.AdamM = d.mat()
-	s.AdamV = d.mat()
-	n := int(d.u32())
+	s.Step = int64(d.U64())
+	s.BatchesConsumed = int64(d.U64())
+	s.CreatedAtUnix = int64(d.U64())
+	s.RNG = d.U64()
+	s.Fingerprint = d.Str()
+	s.Baseline = d.F64()
+	s.BaselineSet = d.Bool()
+	s.CtrlSteps = int64(d.U64())
+	s.AdamT = int64(d.U64())
+	s.PolicyLogits = d.Mat()
+	s.Weights = d.Mat()
+	s.AdamM = d.Mat()
+	s.AdamV = d.Mat()
+	n := int(d.U32())
 	// Each history record is 40 bytes; cap the count by what is present.
-	if d.err == nil && n > d.remaining()/40 {
-		d.fail("history count %d exceeds remaining payload", n)
-	}
-	if d.err == nil {
+	if d.Count(n, 40, "history") {
 		s.History = make([]StepRecord, n)
 		for i := range s.History {
 			s.History[i] = StepRecord{
-				Step:       int64(d.u64()),
-				MeanReward: d.f64(),
-				MeanQ:      d.f64(),
-				Entropy:    d.f64(),
-				Confidence: d.f64(),
+				Step:       int64(d.U64()),
+				MeanReward: d.F64(),
+				MeanQ:      d.F64(),
+				Entropy:    d.F64(),
+				Confidence: d.F64(),
 			}
 		}
 	}
 	if version >= 2 {
-		s.Strategy = d.str()
-		s.StrategyState = d.bytes()
+		s.Strategy = d.Str()
+		s.StrategyState = d.Bytes()
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("checkpoint: corrupt payload: %w", d.err)
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("checkpoint: corrupt payload: %d unread bytes", len(d.buf)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("checkpoint: corrupt payload: %w", err)
 	}
 	return s, nil
-}
-
-type payloadEncoder struct{ buf []byte }
-
-func (e *payloadEncoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *payloadEncoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *payloadEncoder) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *payloadEncoder) boolean(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.buf = append(e.buf, b)
-}
-func (e *payloadEncoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *payloadEncoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *payloadEncoder) vec(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-func (e *payloadEncoder) mat(m [][]float64) {
-	e.u32(uint32(len(m)))
-	for _, row := range m {
-		e.vec(row)
-	}
-}
-
-// payloadDecoder reads the payload with sticky errors and hard bounds:
-// every declared length is checked against the bytes remaining before
-// anything is allocated, so corrupt input cannot cause panics or
-// unbounded allocation.
-type payloadDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *payloadDecoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *payloadDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *payloadDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > d.remaining() {
-		d.fail("need %d bytes, %d remain", n, d.remaining())
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *payloadDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *payloadDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *payloadDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *payloadDecoder) boolean() bool {
-	b := d.take(1)
-	if b == nil {
-		return false
-	}
-	if b[0] > 1 {
-		d.fail("invalid boolean byte %d", b[0])
-		return false
-	}
-	return b[0] == 1
-}
-
-func (d *payloadDecoder) str() string {
-	n := int(d.u32())
-	b := d.take(n)
-	return string(b)
-}
-
-func (d *payloadDecoder) bytes() []byte {
-	n := int(d.u32())
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (d *payloadDecoder) vec() []float64 {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if n > d.remaining()/8 {
-		d.fail("vector length %d exceeds remaining payload", n)
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
-}
-
-func (d *payloadDecoder) mat() [][]float64 {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	// Each row needs at least its 4-byte length prefix.
-	if n > d.remaining()/4 {
-		d.fail("matrix row count %d exceeds remaining payload", n)
-		return nil
-	}
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = d.vec()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return m
 }

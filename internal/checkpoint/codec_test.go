@@ -8,6 +8,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"h2onas/internal/wire"
 )
 
 // sampleSnapshot builds a representative snapshot with every field
@@ -156,19 +158,19 @@ func TestDecodeRejectsImplausibleLength(t *testing.T) {
 func TestDecodeRejectsOversizedInnerLengths(t *testing.T) {
 	// A payload that declares a huge vector inside a small payload must
 	// fail on the bounds check, not allocate.
-	var e payloadEncoder
-	e.u64(1) // step
-	e.u64(0) // batches
-	e.u64(0) // created
-	e.u64(0) // rng
-	e.str("fp")
-	e.f64(0)
-	e.boolean(false)
-	e.u64(0)          // ctrl steps
-	e.u64(0)          // adam t
-	e.u32(1)          // one policy row...
-	e.u32(0xffffffff) // ...claiming 4 billion logits
-	payload := e.buf
+	var e wire.Enc
+	e.U64(1) // step
+	e.U64(0) // batches
+	e.U64(0) // created
+	e.U64(0) // rng
+	e.Str("fp")
+	e.F64(0)
+	e.Bool(false)
+	e.U64(0)          // ctrl steps
+	e.U64(0)          // adam t
+	e.U32(1)          // one policy row...
+	e.U32(0xffffffff) // ...claiming 4 billion logits
+	payload := e.Buf
 	var buf bytes.Buffer
 	var hdr [headerLen]byte
 	copy(hdr[:8], magic)

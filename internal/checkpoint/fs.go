@@ -44,6 +44,37 @@ type FS interface {
 	ReadDir(dir string) ([]string, error)
 }
 
+// WriteFileAtomic is the one durable-write protocol of the repository
+// (snapshots, the jobs journal, job artifacts): write data to a temporary
+// sibling of path, fsync, close, and rename it into place. A crash at any
+// point leaves either the old file or the new one under path, never a
+// torn one — plus at most a temporary file, whose suffix keeps it
+// invisible to every reader's name parser.
+func WriteFileAtomic(fs FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("creating %s: %w", tmp, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// Best-effort cleanup; a leftover is ignored either way.
+		_ = fs.Remove(tmp)
+		return fmt.Errorf("writing %s: %w", tmp, err)
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		_ = fs.Remove(tmp)
+		return fmt.Errorf("publishing %s: %w", path, err)
+	}
+	return nil
+}
+
 // Clock abstracts time for snapshot stamps and retry backoff sleeps.
 type Clock interface {
 	Now() time.Time

@@ -17,10 +17,10 @@ var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 
 // Manager persists and recovers snapshots in a directory.
 //
-// Save is atomic with respect to crashes: the snapshot is written to a
-// temporary file, fsynced, and renamed into place, so a reader never
-// observes a half-written snapshot under a final name — the worst a crash
-// can leave behind is a stale .tmp file that recovery ignores.
+// Save is atomic with respect to crashes (see WriteFileAtomic): a reader
+// never observes a half-written snapshot under a final name — the worst
+// a crash can leave behind is a stale temporary file that recovery
+// ignores.
 // LoadLatest walks snapshots newest-first and skips (with a logged
 // warning) any that fail validation, so a corrupted newest snapshot
 // degrades to the previous one instead of killing the run.
@@ -104,39 +104,14 @@ func (m *Manager) Save(s *Snapshot) (string, error) {
 	s.CreatedAtUnix = m.clock().Now().Unix()
 	data := EncodeBytes(s)
 	final := filepath.Join(m.Dir, SnapshotName(s.Step))
-	tmp := final + ".tmp"
-	if err := m.writeFileSync(tmp, data); err != nil {
-		// Best-effort cleanup; the .tmp suffix keeps a leftover invisible
-		// to recovery either way.
-		_ = fs.Remove(tmp)
+	if err := WriteFileAtomic(fs, final, data); err != nil {
 		m.Metrics.Counter("checkpoint_save_failures_total").Inc()
-		return "", fmt.Errorf("checkpoint: writing %s: %w", tmp, err)
-	}
-	if err := fs.Rename(tmp, final); err != nil {
-		_ = fs.Remove(tmp)
-		m.Metrics.Counter("checkpoint_save_failures_total").Inc()
-		return "", fmt.Errorf("checkpoint: publishing %s: %w", final, err)
+		return "", fmt.Errorf("checkpoint: %w", err)
 	}
 	m.Metrics.Counter("checkpoint_saves_total").Inc()
 	m.Metrics.Gauge("checkpoint_bytes").Set(float64(len(data)))
 	m.prune()
 	return final, nil
-}
-
-func (m *Manager) writeFileSync(name string, data []byte) error {
-	f, err := m.fs().Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // List returns the steps of all snapshots present, ascending. A missing

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"h2onas/internal/controller"
 	"h2onas/internal/reward"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
@@ -12,12 +11,16 @@ import (
 // QualityFunc returns the quality objective Q(α) of a candidate.
 type QualityFunc func(space.Assignment) float64
 
-// AnalyticSearcher runs the RL search loop over analytic quality and
+// AnalyticSearcher runs the search loop over analytic quality and
 // performance evaluators — no super-network training. This is how the
 // vision and production experiments Pareto-optimize models whose quality
 // comes from the calibrated accuracy model rather than live training (the
 // zero-touch production loop of Section 7.3 applied to the Figure 10
-// population).
+// population). The sample/update rule is Config.Strategy, exactly as in
+// the weight-sharing engine: REINFORCE by default, and the multi-trial
+// baselines of Section 2.1 (random search, regularized evolution) are
+// the same loop at Shards: 1 with Steps trials — affordable here because
+// a trial is an analytic evaluation, not a training run.
 type AnalyticSearcher struct {
 	Space   *space.Space
 	Reward  *reward.Function
@@ -34,8 +37,8 @@ type AnalyticResult struct {
 	Candidates  []Candidate
 }
 
-// Search runs Steps×Shards candidate evaluations with cross-shard
-// REINFORCE updates and returns the most probable architecture.
+// Search runs Steps×Shards candidate evaluations, feeding each step's
+// Shards evaluations back to the strategy, and returns its choice.
 func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 	if s.Space == nil || s.Reward == nil || s.Quality == nil || s.Perf == nil {
 		return nil, fmt.Errorf("core: AnalyticSearcher requires Space, Reward, Quality and Perf")
@@ -44,8 +47,7 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 		return nil, fmt.Errorf("core: non-positive shards/steps in %+v", cfg)
 	}
 	rng := tensor.NewRNG(cfg.Seed)
-	ctrl := controller.New(s.Space, cfg.Controller)
-	ctrl.Metrics = cfg.Metrics
+	strat := strategyFor(&cfg, s.Space)
 	sm := newSearchMetrics(cfg.Metrics)
 	res := &AnalyticResult{}
 
@@ -56,7 +58,7 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 		var sumR, sumQ float64
 		evalSpan := sm.FanoutTime.Start()
 		for i := 0; i < cfg.Shards; i++ {
-			a := ctrl.Policy.Sample(rng)
+			a := strat.Sample(rng, false)
 			q := s.Quality(a)
 			perf := s.Perf(a)
 			r := s.Reward.Eval(q, perf)
@@ -71,14 +73,14 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 		evalSpan.End()
 		sm.Candidates.Add(int64(cfg.Shards))
 		policySpan := sm.PolicyTime.Start()
-		ctrl.Update(assignments, rewards)
+		strat.Update(assignments, rewards)
 		policySpan.End()
 		info := StepInfo{
 			Step:       step,
 			MeanReward: sumR / float64(cfg.Shards),
 			MeanQ:      sumQ / float64(cfg.Shards),
-			Entropy:    ctrl.Policy.Entropy(),
-			Confidence: ctrl.Policy.Confidence(),
+			Entropy:    strat.Entropy(),
+			Confidence: strat.Confidence(),
 		}
 		res.History = append(res.History, info)
 		sm.RecordStep(info)
@@ -87,7 +89,7 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 		}
 		stepSpan.End()
 	}
-	res.Best = ctrl.Policy.MostProbable()
+	res.Best = strat.Best()
 	res.BestQuality = s.Quality(res.Best)
 	res.BestPerf = s.Perf(res.Best)
 	return res, nil

@@ -8,10 +8,11 @@ import (
 	"h2onas/internal/tensor"
 )
 
-// quadraticEvaluator has a unique known optimum: quality peaks when every
+// quadraticSearcher has a unique known optimum: quality peaks when every
 // decision picks its middle option; perf is constant (no penalty).
-func quadraticEvaluator(sp *space.Space) *AnalyticEvaluator {
-	return &AnalyticEvaluator{
+func quadraticSearcher(sp *space.Space) *AnalyticSearcher {
+	return &AnalyticSearcher{
+		Space: sp,
 		Quality: func(a space.Assignment) float64 {
 			var q float64
 			for i, d := range sp.Decisions {
@@ -35,13 +36,19 @@ func multiTrialSpace() *space.Space {
 	)
 }
 
-func TestRandomSearchFindsGoodCandidate(t *testing.T) {
-	sp := multiTrialSpace()
-	eval := quadraticEvaluator(sp)
-	res, err := RandomSearch(sp, eval, 400, 1)
+// multiTrial is a multi-trial run: one evaluation per step.
+func multiTrial(t *testing.T, s *AnalyticSearcher, strat Strategy, trials int, seed uint64) *AnalyticResult {
+	t.Helper()
+	res, err := s.Search(Config{Shards: 1, Steps: trials, Seed: seed, Strategy: strat})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestRandomSearchFindsGoodCandidate(t *testing.T) {
+	sp := multiTrialSpace()
+	res := multiTrial(t, quadraticSearcher(sp), NewRandomSearch(sp), 400, 1)
 	if len(res.Candidates) != 400 {
 		t.Fatalf("candidates %d", len(res.Candidates))
 	}
@@ -63,18 +70,12 @@ func TestEvolutionBeatsRandomAtEqualBudget(t *testing.T) {
 		space.NewDecision("g", 0, 1, 2, 3, 4, 5, 6),
 		space.NewDecision("h", 0, 1, 2, 3, 4, 5, 6),
 	)
-	eval := quadraticEvaluator(sp)
+	s := quadraticSearcher(sp)
 	const trials = 300
 	var evoWins int
 	for seed := uint64(1); seed <= 5; seed++ {
-		rnd, err := RandomSearch(sp, eval, trials, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		evo, err := EvolutionSearch(sp, eval, EvolutionConfig{Trials: trials, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rnd := multiTrial(t, s, NewRandomSearch(sp), trials, seed)
+		evo := multiTrial(t, s, NewEvolution(sp, EvolutionOpts{}), trials, seed)
 		if evo.BestQuality > rnd.BestQuality {
 			evoWins++
 		}
@@ -88,30 +89,44 @@ func TestEvolutionBeatsRandomAtEqualBudget(t *testing.T) {
 
 func TestEvolutionPopulationIsFIFO(t *testing.T) {
 	sp := multiTrialSpace()
-	eval := quadraticEvaluator(sp)
-	res, err := EvolutionSearch(sp, eval, EvolutionConfig{Population: 8, Sample: 4, Trials: 60, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	evo := NewEvolution(sp, EvolutionOpts{Population: 8, Tournament: 4})
+	res := multiTrial(t, quadraticSearcher(sp), evo, 60, 3)
 	if len(res.Candidates) != 60 {
 		t.Fatalf("candidates %d, want 60 (population + children)", len(res.Candidates))
 	}
 	if err := sp.Validate(res.Best); err != nil {
 		t.Fatal(err)
 	}
+	// Aging: the live population is exactly the 8 newest evaluations,
+	// oldest first — every earlier individual retired, champion or not.
+	pop := evo.Population()
+	if len(pop) != 8 {
+		t.Fatalf("live population %d, want 8", len(pop))
+	}
+	for i, a := range pop {
+		if !assignmentsEqual(a, res.Candidates[52+i].Assignment) {
+			t.Fatalf("population[%d] = %v, want trial %d's %v", i, a, 52+i, res.Candidates[52+i].Assignment)
+		}
+	}
 }
 
-func TestEvolutionValidates(t *testing.T) {
+func TestAnalyticSearchValidates(t *testing.T) {
 	sp := multiTrialSpace()
-	eval := quadraticEvaluator(sp)
-	if _, err := EvolutionSearch(sp, eval, EvolutionConfig{Population: 50, Trials: 10, Seed: 1}); err == nil {
-		t.Fatal("trials < population must error")
-	}
-	if _, err := EvolutionSearch(sp, &AnalyticEvaluator{}, EvolutionConfig{Trials: 100}); err == nil {
+	s := quadraticSearcher(sp)
+	if _, err := (&AnalyticSearcher{Space: sp}).Search(Config{Shards: 1, Steps: 100, Strategy: NewEvolution(sp, EvolutionOpts{})}); err == nil {
 		t.Fatal("incomplete evaluator must error")
 	}
-	if _, err := RandomSearch(sp, eval, 0, 1); err == nil {
+	if _, err := s.Search(Config{Shards: 1, Steps: 0, Strategy: NewRandomSearch(sp)}); err == nil {
 		t.Fatal("zero trials must error")
+	}
+	// Fewer trials than the population is no longer an error: the
+	// population never fills, so every trial is a uniform draw.
+	res := multiTrial(t, s, NewEvolution(sp, EvolutionOpts{Population: 50}), 10, 1)
+	rnd := multiTrial(t, s, NewRandomSearch(sp), 10, 1)
+	for i := range res.Candidates {
+		if !assignmentsEqual(res.Candidates[i].Assignment, rnd.Candidates[i].Assignment) {
+			t.Fatalf("trial %d of an unfilled population is not the uniform draw", i)
+		}
 	}
 }
 
@@ -121,13 +136,7 @@ func TestMutateChangesAtLeastOneDecision(t *testing.T) {
 	a := space.Assignment{2, 2, 2, 2}
 	for i := 0; i < 50; i++ {
 		child := mutate(sp, a, 0.01, rng) // tiny rate still forces ≥1 change
-		same := true
-		for j := range a {
-			if child[j] != a[j] {
-				same = false
-			}
-		}
-		if same {
+		if assignmentsEqual(child, a) {
 			t.Fatal("mutation produced an identical child")
 		}
 		if err := sp.Validate(child); err != nil {
@@ -143,20 +152,16 @@ func TestMutateChangesAtLeastOneDecision(t *testing.T) {
 }
 
 func TestRLBeatsRandomOnStructuredLandscape(t *testing.T) {
-	// The analytic RL searcher should also beat random search at equal
+	// The default REINFORCE rule should also beat random search at equal
 	// evaluation budget on a smooth landscape — the taxonomy's claim that
 	// learned search outperforms undirected sampling.
 	sp := multiTrialSpace()
-	eval := quadraticEvaluator(sp)
-	rl := &AnalyticSearcher{Space: sp, Reward: eval.Reward, Quality: eval.Quality, Perf: eval.Perf}
-	res, err := rl.Search(Config{Shards: 4, Steps: 100, Seed: 2})
+	s := quadraticSearcher(sp)
+	res, err := s.Search(Config{Shards: 4, Steps: 100, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := RandomSearch(sp, eval, 400, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rnd := multiTrial(t, s, NewRandomSearch(sp), 400, 2)
 	if res.BestQuality < rnd.BestQuality-0.5 {
 		t.Fatalf("RL (%v) should be competitive with random (%v) at equal budget",
 			res.BestQuality, rnd.BestQuality)

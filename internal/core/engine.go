@@ -185,10 +185,7 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 
 	// Perf is pure, so memoize it for the duration of the run. perfFn is
 	// what the step loop and the final Best evaluation call.
-	perfFn := e.Perf
-	if mp := newMemoizedPerf(e.Perf, cfg.PerfCacheSize, cfg.Metrics); mp != nil {
-		perfFn = mp.Eval
-	}
+	perfFn := newMemoizedPerf(e.Perf, perfCacheSize, cfg.Metrics).Eval
 
 	// Checkpoint encoding + I/O runs on a persister goroutine; Close is
 	// deferred so every snapshot captured by the loop is durable before

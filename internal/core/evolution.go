@@ -5,6 +5,7 @@ import (
 
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
+	"h2onas/internal/wire"
 )
 
 // EvolutionOpts configures the regularized-evolution strategy.
@@ -142,37 +143,34 @@ func (e *Evolution) Confidence() float64 {
 }
 
 func (e *Evolution) StateBytes() []byte {
-	var enc stateEnc
-	enc.u32(uint32(len(e.pop)))
+	var enc wire.Enc
+	enc.U32(uint32(len(e.pop)))
 	for _, c := range e.pop {
-		enc.assignment(c.a)
-		enc.f64(c.reward)
+		encodeAssignment(&enc, c.a)
+		enc.F64(c.reward)
 	}
-	enc.assignment(e.best)
-	enc.f64(e.bestRw)
-	enc.boolean(e.bestSet)
-	enc.u64(uint64(e.evals))
-	return enc.buf
+	encodeAssignment(&enc, e.best)
+	enc.F64(e.bestRw)
+	enc.Bool(e.bestSet)
+	enc.U64(uint64(e.evals))
+	return enc.Buf
 }
 
 func (e *Evolution) RestoreState(data []byte) error {
-	d := stateDec{buf: data}
-	n := int(d.u32())
-	if d.err == nil && n > d.remaining()/12 { // ≥ 4 (len) + 8 (reward) bytes each
-		d.fail("population count %d exceeds remaining payload", n)
-	}
+	d := wire.NewDec(data)
+	n := int(d.U32())
 	var pop []scored
-	if d.err == nil {
+	if d.Count(n, 12, "population") { // ≥ 4 (len) + 8 (reward) bytes each
 		pop = make([]scored, n)
 		for i := range pop {
-			pop[i] = scored{a: d.assignment(), reward: d.f64()}
+			pop[i] = scored{a: decodeAssignment(d), reward: d.F64()}
 		}
 	}
-	best := d.assignment()
-	bestRw := d.f64()
-	bestSet := d.boolean()
-	evals := int64(d.u64())
-	if err := d.finish(); err != nil {
+	best := decodeAssignment(d)
+	bestRw := d.F64()
+	bestSet := d.Bool()
+	evals := int64(d.U64())
+	if err := d.Finish(); err != nil {
 		return fmt.Errorf("evolution state: %w", err)
 	}
 	if n > e.opts.Population {
@@ -191,4 +189,39 @@ func (e *Evolution) RestoreState(data []byte) error {
 	}
 	e.pop, e.best, e.bestRw, e.bestSet, e.evals = pop, best, bestRw, bestSet, evals
 	return nil
+}
+
+// mutate flips each decision to a uniformly random other option with the
+// given probability, guaranteeing at least one mutation.
+func mutate(sp *space.Space, a space.Assignment, rate float64, rng *tensor.RNG) space.Assignment {
+	out := append(space.Assignment(nil), a...)
+	mutated := false
+	for i, d := range sp.Decisions {
+		if d.Arity() < 2 {
+			continue
+		}
+		if rng.Float64() < rate {
+			out[i] = otherOption(d.Arity(), out[i], rng)
+			mutated = true
+		}
+	}
+	if !mutated {
+		for {
+			i := rng.Intn(len(sp.Decisions))
+			if sp.Decisions[i].Arity() < 2 {
+				continue
+			}
+			out[i] = otherOption(sp.Decisions[i].Arity(), out[i], rng)
+			break
+		}
+	}
+	return out
+}
+
+func otherOption(arity, current int, rng *tensor.RNG) int {
+	v := rng.Intn(arity - 1)
+	if v >= current {
+		v++
+	}
+	return v
 }

@@ -7,6 +7,7 @@ import (
 
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
+	"h2onas/internal/wire"
 )
 
 // HalvingOpts configures the successive-halving strategy.
@@ -268,38 +269,35 @@ func (h *SuccessiveHalving) liveAssignments() []space.Assignment {
 }
 
 func (h *SuccessiveHalving) StateBytes() []byte {
-	var e stateEnc
-	e.boolean(h.seeded)
-	e.u32(uint32(h.rung))
-	e.u32(uint32(h.rungEvals))
-	e.u32(uint32(h.next))
-	e.u32(uint32(len(h.cohort)))
+	var e wire.Enc
+	e.Bool(h.seeded)
+	e.U32(uint32(h.rung))
+	e.U32(uint32(h.rungEvals))
+	e.U32(uint32(h.next))
+	e.U32(uint32(len(h.cohort)))
 	for i := range h.cohort {
-		e.assignment(h.cohort[i].a)
-		e.f64(h.cohort[i].sum)
-		e.u64(uint64(h.cohort[i].n))
+		encodeAssignment(&e, h.cohort[i].a)
+		e.F64(h.cohort[i].sum)
+		e.U64(uint64(h.cohort[i].n))
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (h *SuccessiveHalving) RestoreState(data []byte) error {
-	d := stateDec{buf: data}
-	seeded := d.boolean()
-	rung := int(d.u32())
-	rungEvals := int(d.u32())
-	next := int(d.u32())
-	n := int(d.u32())
-	if d.err == nil && n > d.remaining()/20 { // ≥ 4 (len) + 8 (sum) + 8 (n) bytes each
-		d.fail("cohort count %d exceeds remaining payload", n)
-	}
+	d := wire.NewDec(data)
+	seeded := d.Bool()
+	rung := int(d.U32())
+	rungEvals := int(d.U32())
+	next := int(d.U32())
+	n := int(d.U32())
 	var cohort []shCand
-	if d.err == nil {
+	if d.Count(n, 20, "cohort") { // ≥ 4 (len) + 8 (sum) + 8 (n) bytes each
 		cohort = make([]shCand, n)
 		for i := range cohort {
-			cohort[i] = shCand{a: d.assignment(), sum: d.f64(), n: int64(d.u64())}
+			cohort[i] = shCand{a: decodeAssignment(d), sum: d.F64(), n: int64(d.U64())}
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return fmt.Errorf("halving state: %w", err)
 	}
 	if rung < 0 || rung > len(h.rungs) {

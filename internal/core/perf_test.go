@@ -82,16 +82,6 @@ func TestMemoizedPerfEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestMemoizedPerfDisabled(t *testing.T) {
-	if mp := newMemoizedPerf(func(space.Assignment) []float64 { return nil }, -1, nil); mp != nil {
-		t.Fatal("negative capacity should disable memoization (nil)")
-	}
-	var mp *memoizedPerf
-	if mp.Eval(space.Assignment{0}) != nil || mp.Len() != 0 {
-		t.Fatal("nil memoizedPerf should be inert")
-	}
-}
-
 func TestCandidateRingUnbounded(t *testing.T) {
 	r := newCandidateRing(0)
 	for i := 0; i < 10; i++ {

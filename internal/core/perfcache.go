@@ -9,11 +9,11 @@ import (
 	"h2onas/internal/space"
 )
 
-// DefaultPerfCacheSize is the LRU capacity used when Config.PerfCacheSize
-// is zero. The policy resamples the same high-probability candidates more
-// and more often as it converges, so even a modest cache absorbs most of
-// the per-step performance-model evaluations late in a search.
-const DefaultPerfCacheSize = 4096
+// perfCacheSize is the LRU capacity of a search's memoized PerfFunc. The
+// policy resamples the same high-probability candidates more and more
+// often as it converges, so even a modest cache absorbs most of the
+// per-step performance-model evaluations late in a search.
+const perfCacheSize = 4096
 
 // memoizedPerf wraps a PerfFunc with an assignment-keyed LRU cache. The
 // search loop evaluates T(α) for every sampled candidate every step; as
@@ -44,17 +44,9 @@ type perfEntry struct {
 	perf []float64
 }
 
-// newMemoizedPerf wraps fn in an LRU of the given capacity (0 means
-// DefaultPerfCacheSize; negative returns nil, meaning "don't memoize" —
-// a nil *memoizedPerf is valid and calls through without caching).
-// Metrics are resolved from r (nil-safe).
+// newMemoizedPerf wraps fn in an LRU of the given capacity. Metrics are
+// resolved from r (nil-safe).
 func newMemoizedPerf(fn PerfFunc, capacity int, r *metrics.Registry) *memoizedPerf {
-	if capacity < 0 {
-		return nil
-	}
-	if capacity == 0 {
-		capacity = DefaultPerfCacheSize
-	}
 	return &memoizedPerf{
 		fn:     fn,
 		cap:    capacity,
@@ -79,9 +71,6 @@ func perfKey(a space.Assignment) string {
 // Eval returns fn(a), memoized. The returned slice is shared with the
 // cache: read-only.
 func (m *memoizedPerf) Eval(a space.Assignment) []float64 {
-	if m == nil {
-		return nil
-	}
 	key := perfKey(a)
 	m.mu.Lock()
 	if el, ok := m.items[key]; ok {
@@ -119,9 +108,6 @@ func (m *memoizedPerf) Eval(a space.Assignment) []float64 {
 
 // Len reports the number of cached assignments.
 func (m *memoizedPerf) Len() int {
-	if m == nil {
-		return 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.order.Len()

@@ -5,6 +5,7 @@ import (
 
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
+	"h2onas/internal/wire"
 )
 
 // Random is random search with weight sharing (Li & Talwalkar,
@@ -74,23 +75,23 @@ func (r *Random) Entropy() float64    { return r.entropy }
 func (r *Random) Confidence() float64 { return r.confid }
 
 func (r *Random) StateBytes() []byte {
-	var e stateEnc
-	e.assignment(r.best)
-	e.f64(r.bestRw)
-	e.boolean(r.bestSet)
-	e.u64(uint64(r.evals))
-	e.assignment(r.fallback)
-	return e.buf
+	var e wire.Enc
+	encodeAssignment(&e, r.best)
+	e.F64(r.bestRw)
+	e.Bool(r.bestSet)
+	e.U64(uint64(r.evals))
+	encodeAssignment(&e, r.fallback)
+	return e.Buf
 }
 
 func (r *Random) RestoreState(data []byte) error {
-	d := stateDec{buf: data}
-	best := d.assignment()
-	bestRw := d.f64()
-	bestSet := d.boolean()
-	evals := int64(d.u64())
-	fallback := d.assignment()
-	if err := d.finish(); err != nil {
+	d := wire.NewDec(data)
+	best := decodeAssignment(d)
+	bestRw := d.F64()
+	bestSet := d.Bool()
+	evals := int64(d.U64())
+	fallback := decodeAssignment(d)
+	if err := d.Finish(); err != nil {
 		return fmt.Errorf("random state: %w", err)
 	}
 	if err := validateAssignment(r.sp, best); err != nil {

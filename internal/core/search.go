@@ -22,7 +22,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"h2onas/internal/checkpoint"
 	"h2onas/internal/controller"
@@ -95,12 +94,6 @@ type Config struct {
 	// keeps the hot path free of observability overhead.
 	Metrics *metrics.Registry
 
-	// PerfCacheSize bounds the assignment-keyed LRU that memoizes Perf
-	// during the search (the performance model is pure, and a converging
-	// policy resamples the same candidates). 0 uses DefaultPerfCacheSize;
-	// negative disables memoization entirely. Cache effectiveness is
-	// exported as perf_cache_hits_total / perf_cache_misses_total.
-	PerfCacheSize int
 	// MaxCandidates bounds Result.Candidates: when > 0 only the newest
 	// MaxCandidates evaluated candidates are retained (oldest evicted
 	// first); 0 keeps every candidate, the historical behaviour. Long
@@ -148,15 +141,12 @@ type Config struct {
 	// step before being dropped from that step's cross-shard reduce.
 	// 0 means the default (2); negative disables retries.
 	ShardRetries int
-	// ShardBackoff is the base wait between shard retries, doubling per
-	// attempt. 0 means the default (1ms).
-	ShardBackoff time.Duration
 	// Clock injects time for retry backoff; nil uses the real clock.
 	Clock checkpoint.Clock
 
 	// Transport overrides where the per-shard forward/backward work
 	// executes. nil (the default) runs the in-process worker pool, driven
-	// by the ShardFault/ShardRetries/ShardBackoff knobs above. A non-nil
+	// by the ShardFault/ShardRetries knobs above. A non-nil
 	// transport (e.g. shardrpc's coordinator transport) is Bound by Search
 	// but closed by its owner; its own fault policy replaces the Shard*
 	// knobs. Transports are typed to the DLRM super-network:

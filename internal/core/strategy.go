@@ -8,6 +8,7 @@ import (
 	"h2onas/internal/metrics"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
+	"h2onas/internal/wire"
 )
 
 // Strategy is the sample/update core of a search run — the plugin seam
@@ -76,10 +77,12 @@ func strategyFor(cfg *Config, sp *space.Space) Strategy {
 
 // StrategyByName maps a strategy name — the CLI's -strategy flag, a job
 // spec's "strategy" field — to a fresh Strategy over sp, or nil for
-// "reinforce" (the default controller, built from Config.Controller). The
-// halving budget is the run's fault-free evaluation count: one per policy
-// shard (every shard except the sandwich shard) per step.
-func StrategyByName(name string, sp *space.Space, steps, shards int) (Strategy, error) {
+// "reinforce" (the default controller, built from Config.Controller).
+// evals is the run's fault-free count of evaluations reaching Update —
+// per step, one per policy shard (every shard except the sandwich shard)
+// in the weight-sharing engine, one per shard in the analytic loop — and
+// is the budget successive halving plans its rungs over.
+func StrategyByName(name string, sp *space.Space, evals int) (Strategy, error) {
 	switch name {
 	case "reinforce":
 		return nil, nil
@@ -88,11 +91,7 @@ func StrategyByName(name string, sp *space.Space, steps, shards int) (Strategy, 
 	case "evolution":
 		return NewEvolution(sp, EvolutionOpts{}), nil
 	case "halving":
-		policy := shards
-		if shards > 1 {
-			policy = shards - 1
-		}
-		sh, err := NewSuccessiveHalving(sp, HalvingOpts{Budget: steps * policy})
+		sh, err := NewSuccessiveHalving(sp, HalvingOpts{Budget: evals})
 		if err != nil {
 			return nil, fmt.Errorf("halving strategy: %w", err)
 		}
@@ -139,21 +138,21 @@ func (r *Reinforce) Confidence() float64    { return r.Ctrl.Policy.Confidence() 
 // state (EMA baseline, update count).
 func (r *Reinforce) StateBytes() []byte {
 	cs := r.Ctrl.State()
-	var e stateEnc
-	e.mat(r.Ctrl.Policy.Logits)
-	e.f64(cs.Baseline)
-	e.boolean(cs.BaselineSet)
-	e.u64(uint64(cs.Steps))
-	return e.buf
+	var e wire.Enc
+	e.Mat(r.Ctrl.Policy.Logits)
+	e.F64(cs.Baseline)
+	e.Bool(cs.BaselineSet)
+	e.U64(uint64(cs.Steps))
+	return e.Buf
 }
 
 func (r *Reinforce) RestoreState(data []byte) error {
-	d := stateDec{buf: data}
-	logits := d.mat()
-	baseline := d.f64()
-	baselineSet := d.boolean()
-	steps := int64(d.u64())
-	if err := d.finish(); err != nil {
+	d := wire.NewDec(data)
+	logits := d.Mat()
+	baseline := d.F64()
+	baselineSet := d.Bool()
+	steps := int64(d.U64())
+	if err := d.Finish(); err != nil {
 		return fmt.Errorf("reinforce state: %w", err)
 	}
 	if len(logits) != len(r.Ctrl.Policy.Logits) {

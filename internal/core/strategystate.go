@@ -1,178 +1,40 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"h2onas/internal/space"
+	"h2onas/internal/wire"
 )
 
-// Strategy state blobs use the checkpoint codec's conventions —
-// little-endian fixed-width fields, length-prefixed sequences, a sticky
-// bounds-checked decoder — so a corrupted or truncated blob produces an
-// error, never a panic or garbage state. The blob travels inside the
-// (checksummed, versioned) snapshot payload, so it carries no header of
-// its own.
+// Strategy state blobs are field sequences in the internal/wire codec. A
+// blob travels inside the (checksummed, versioned) snapshot payload, so
+// it carries no header of its own. These are the candidate helpers the
+// strategies share.
 
-type stateEnc struct{ buf []byte }
-
-func (e *stateEnc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *stateEnc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *stateEnc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *stateEnc) boolean(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.buf = append(e.buf, b)
-}
-func (e *stateEnc) vec(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-func (e *stateEnc) mat(m [][]float64) {
-	e.u32(uint32(len(m)))
-	for _, row := range m {
-		e.vec(row)
-	}
-}
-
-// assignment encodes a candidate as a length-prefixed int sequence; nil
-// (no candidate yet) is distinguished from the empty assignment.
-func (e *stateEnc) assignment(a space.Assignment) {
+// encodeAssignment writes a candidate as a length-prefixed int sequence;
+// nil (no candidate yet) is distinguished from the empty assignment.
+func encodeAssignment(e *wire.Enc, a space.Assignment) {
 	if a == nil {
-		e.u32(math.MaxUint32)
+		e.U32(math.MaxUint32)
 		return
 	}
-	e.u32(uint32(len(a)))
-	for _, v := range a {
-		e.u32(uint32(v))
-	}
+	e.Ints(a)
 }
 
-type stateDec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *stateDec) remaining() int { return len(d.buf) - d.off }
-
-func (d *stateDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *stateDec) take(n int) []byte {
-	if d.err != nil {
+func decodeAssignment(d *wire.Dec) space.Assignment {
+	n := d.U32()
+	if d.Err() != nil || n == math.MaxUint32 {
 		return nil
 	}
-	if n < 0 || n > d.remaining() {
-		d.fail("need %d bytes, %d remain", n, d.remaining())
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *stateDec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *stateDec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *stateDec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *stateDec) boolean() bool {
-	b := d.take(1)
-	if b == nil {
-		return false
-	}
-	if b[0] > 1 {
-		d.fail("invalid boolean byte %d", b[0])
-		return false
-	}
-	return b[0] == 1
-}
-
-func (d *stateDec) vec() []float64 {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if n > d.remaining()/8 {
-		d.fail("vector length %d exceeds remaining payload", n)
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
-}
-
-func (d *stateDec) mat() [][]float64 {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if n > d.remaining()/4 {
-		d.fail("matrix row count %d exceeds remaining payload", n)
-		return nil
-	}
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = d.vec()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return m
-}
-
-func (d *stateDec) assignment() space.Assignment {
-	n := d.u32()
-	if d.err != nil || n == math.MaxUint32 {
-		return nil
-	}
-	if int(n) > d.remaining()/4 {
-		d.fail("assignment length %d exceeds remaining payload", n)
+	if !d.Count(int(n), 4, "assignment") {
 		return nil
 	}
 	a := make(space.Assignment, int(n))
 	for i := range a {
-		a[i] = int(d.u32())
+		a[i] = int(d.U32())
 	}
 	return a
-}
-
-// finish reports the first decode error, or an error if unread bytes
-// remain — every state blob must be consumed exactly.
-func (d *stateDec) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%d unread trailing bytes", len(d.buf)-d.off)
-	}
-	return nil
 }
 
 // validateAssignment checks a decoded candidate against the space.

@@ -106,6 +106,10 @@ type shardRunner[B any] interface {
 	Membership() string
 }
 
+// shardBackoff is the base wait between in-process shard retries,
+// doubling per attempt.
+const shardBackoff = time.Millisecond
+
 // shardPool is the in-process execution mode behind the seam: a fixed set
 // of long-lived worker goroutines — one per shard, capped at the core
 // budget, since more CPU-bound workers than cores would only time-slice —
@@ -121,7 +125,6 @@ type shardPool[B Batch, N Network[B]] struct {
 	// The Config knobs the pool honors.
 	fault   func(step, shard, attempt int) error
 	retries int
-	backoff time.Duration
 	clock   checkpoint.Clock
 	sm      searchMetrics
 
@@ -143,7 +146,6 @@ func newShardPool[B Batch, N Network[B]](cfg *Config, sm searchMetrics, replicas
 	p := &shardPool[B, N]{
 		fault:    cfg.ShardFault,
 		retries:  cfg.ShardRetries,
-		backoff:  cfg.ShardBackoff,
 		clock:    cfg.Clock,
 		sm:       sm,
 		replicas: replicas,
@@ -152,9 +154,6 @@ func newShardPool[B Batch, N Network[B]](cfg *Config, sm searchMetrics, replicas
 	}
 	if p.retries == 0 {
 		p.retries = 2
-	}
-	if p.backoff <= 0 {
-		p.backoff = time.Millisecond
 	}
 	if p.clock == nil {
 		p.clock = checkpoint.RealClock()
@@ -185,7 +184,7 @@ func (p *shardPool[B, N]) worker() {
 						break
 					}
 					p.sm.ShardRetries.Inc()
-					p.clock.Sleep(p.backoff << attempt)
+					p.clock.Sleep(shardBackoff << attempt)
 					continue
 				}
 			}

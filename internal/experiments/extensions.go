@@ -228,45 +228,45 @@ func ExtSearchAlgorithms(sc Scale) *Report {
 	// conflict: the interesting regime for comparing search algorithms.
 	rw := reward.MustNew(reward.ReLU,
 		reward.Objective{Name: "train_step_time", Target: baseTime * 0.5, Beta: -3})
-	eval := &core.AnalyticEvaluator{
+	s := &core.AnalyticSearcher{
+		Space:   cs.Space,
+		Reward:  rw,
 		Quality: func(a space.Assignment) float64 { return accuracy(a) - baseAcc },
 		Perf:    func(a space.Assignment) []float64 { return []float64{simulate(a).StepTime} },
-		Reward:  rw,
 	}
 	budget := sc.SearchSteps * sc.SearchShards
-
-	record := func(name string, bestQ float64, perf []float64) {
-		r.AddRow(name,
-			fmt.Sprintf("%.3f", rw.Eval(bestQ, perf)),
-			fmt.Sprintf("%.2f", bestQ+baseAcc),
-			fmt.Sprintf("%.1f", perf[0]*1e3),
-			fmt.Sprintf("%v", rw.MeetsTargets(perf)))
-		r.Metrics[name+"_reward"] = rw.Eval(bestQ, perf)
+	// One loop, three rules: REINFORCE updates across SearchShards
+	// evaluations per step; the multi-trial rules evaluate one candidate
+	// per step for the same total budget.
+	multiTrial := func(strat core.Strategy) core.Config {
+		return core.Config{Shards: 1, Steps: budget, Seed: sc.Seed, Strategy: strat}
+	}
+	battery := []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"reinforce", core.Config{
+			Shards: sc.SearchShards, Steps: sc.SearchSteps, Seed: sc.Seed,
+			Controller: controller.Config{LearningRate: 0.15, BaselineMomentum: 0.9, EntropyWeight: 2e-3},
+		}},
+		{"random", multiTrial(core.NewRandomSearch(cs.Space))},
+		{"evolution", multiTrial(core.NewEvolution(cs.Space, core.EvolutionOpts{}))},
+	}
+	for _, b := range battery {
+		res, err := s.Search(b.cfg)
+		if err != nil {
+			panic(fmt.Sprintf("ext-algos: %s: %v", b.name, err))
+		}
+		reward := rw.Eval(res.BestQuality, res.BestPerf)
+		r.AddRow(b.name,
+			fmt.Sprintf("%.3f", reward),
+			fmt.Sprintf("%.2f", res.BestQuality+baseAcc),
+			fmt.Sprintf("%.1f", res.BestPerf[0]*1e3),
+			fmt.Sprintf("%v", rw.MeetsTargets(res.BestPerf)))
+		r.Metrics[b.name+"_reward"] = reward
 	}
 
-	rl := &core.AnalyticSearcher{Space: cs.Space, Reward: rw, Quality: eval.Quality, Perf: eval.Perf}
-	rlRes, err := rl.Search(core.Config{
-		Shards: sc.SearchShards, Steps: sc.SearchSteps, Seed: sc.Seed,
-		Controller: controller.Config{LearningRate: 0.15, BaselineMomentum: 0.9, EntropyWeight: 2e-3},
-	})
-	if err != nil {
-		panic(err)
-	}
-	record("reinforce", rlRes.BestQuality, rlRes.BestPerf)
-
-	rndRes, err := core.RandomSearch(cs.Space, eval, budget, sc.Seed)
-	if err != nil {
-		panic(err)
-	}
-	record("random", rndRes.BestQuality, rndRes.BestPerf)
-
-	evoRes, err := core.EvolutionSearch(cs.Space, eval, core.EvolutionConfig{Trials: budget, Seed: sc.Seed})
-	if err != nil {
-		panic(err)
-	}
-	record("evolution", evoRes.BestQuality, evoRes.BestPerf)
-
-	r.AddNote("equal budget: %d evaluations each; at small multi-trial budgets evolution's local search excels, while REINFORCE needs more samples — its strength is integrating with one-shot weight sharing (where evolution cannot follow, §2.1)", budget)
+	r.AddNote("equal budget: %d evaluations each, all three through the same analytic loop; at small multi-trial budgets evolution's local search excels, while REINFORCE needs more samples — its strength is integrating with one-shot weight sharing (where evolution cannot follow, §2.1)", budget)
 	return r
 }
 

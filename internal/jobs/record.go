@@ -2,11 +2,11 @@ package jobs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"h2onas/internal/wire"
 )
 
 // State is a job's position in the lifecycle
@@ -85,26 +85,13 @@ func (r *Record) clone() Record {
 	return c
 }
 
-// Journal wire format (little-endian), mirroring the checkpoint codec's
-// discipline at record granularity:
-//
-//	magic   [8]byte  "H2OJOBRC"
-//	version uint32   format version (currently 1)
-//	length  uint64   payload byte count
-//	crc32   uint32   IEEE CRC of the payload
-//	payload [length]byte (the Record as JSON)
-//
-// The checksum means a truncated or torn journal write is detected and
-// skipped during replay before any state is trusted.
-const (
-	recordMagic   = "H2OJOBRC"
-	recordVersion = 1
-	recordHdrLen  = 8 + 4 + 8 + 4
-
-	// maxRecordPayload rejects absurd declared sizes outright: a record
-	// is a few KB of JSON, never megabytes.
-	maxRecordPayload = 16 << 20
-)
+// A journal record file is one internal/wire frame — magic "H2OJOBRC",
+// version, payload length, CRC32 (24 header bytes) — whose payload is the
+// Record as JSON. The checksum means a truncated or torn journal write
+// is detected and skipped during replay before any state is trusted; a
+// record is a few KB of JSON, so a declared size in the megabytes is
+// rejected outright.
+var recordFormat = wire.Format{Magic: "H2OJOBRC", Version: 1, MaxPayload: 16 << 20}
 
 // encodeRecord returns the record's journal wire encoding.
 func encodeRecord(r *Record) ([]byte, error) {
@@ -113,13 +100,8 @@ func encodeRecord(r *Record) ([]byte, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	var hdr [recordHdrLen]byte
-	copy(hdr[:8], recordMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], recordVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(payload))
-	buf.Write(hdr[:])
-	buf.Write(payload)
+	// bytes.Buffer writes cannot fail.
+	_ = wire.WriteFrame(&buf, recordFormat, nil, payload)
 	return buf.Bytes(), nil
 }
 
@@ -127,29 +109,9 @@ func encodeRecord(r *Record) ([]byte, error) {
 // length and checksum. Any malformed input is an error the replay loop
 // skips — never a panic, never silently-loaded garbage.
 func decodeRecord(rd io.Reader) (*Record, error) {
-	var hdr [recordHdrLen]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return nil, fmt.Errorf("jobs: truncated record header: %w", err)
-	}
-	if string(hdr[:8]) != recordMagic {
-		return nil, fmt.Errorf("jobs: not a job record (bad magic)")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != recordVersion {
-		return nil, fmt.Errorf("jobs: unsupported record version %d", v)
-	}
-	length := binary.LittleEndian.Uint64(hdr[12:20])
-	if length > maxRecordPayload {
-		return nil, fmt.Errorf("jobs: implausible record size %d", length)
-	}
-	payload := make([]byte, int(length))
-	if _, err := io.ReadFull(rd, payload); err != nil {
-		return nil, fmt.Errorf("jobs: truncated record payload: %w", err)
-	}
-	if extra, err := io.CopyN(io.Discard, rd, 1); extra != 0 || err != io.EOF {
-		return nil, fmt.Errorf("jobs: trailing bytes after record")
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[20:24]) {
-		return nil, fmt.Errorf("jobs: record checksum mismatch")
+	_, payload, err := wire.ReadFileFrame(rd, recordFormat)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: unusable record: %w", err)
 	}
 	var r Record
 	if err := json.Unmarshal(payload, &r); err != nil {

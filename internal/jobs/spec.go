@@ -173,7 +173,7 @@ func (sp Spec) build() (*core.Searcher, *space.DLRMSpace, core.Config, error) {
 		// candidate pool so memory stays flat across the fleet.
 		MaxCandidates: 512,
 	}
-	cfg.Strategy, err = core.StrategyByName(sp.Strategy, ds.Space, sp.Steps, sp.Shards)
+	cfg.Strategy, err = core.StrategyByName(sp.Strategy, ds.Space, sp.Steps*max(1, sp.Shards-1))
 	if err != nil {
 		return nil, nil, core.Config{}, fmt.Errorf("jobs: %w", err)
 	}

@@ -22,10 +22,10 @@ import (
 //	<root>/ckpt/<id>/                the job's search snapshots (core.Search)
 //	<root>/artifacts/<id>/<name>     result files served by the HTTP API
 //
-// Every journal write is atomic (temp + sync + rename) and checksummed;
-// replay keeps the newest decodable sequence per job and counts the rest
-// as corrupt-skipped, so a crash mid-write costs one record, never the
-// job.
+// Every journal write is atomic (checkpoint.WriteFileAtomic) and
+// checksummed; replay keeps the newest decodable sequence per job and
+// counts the rest as corrupt-skipped, so a crash mid-write costs one
+// record, never the job.
 type Store struct {
 	root    string
 	fs      checkpoint.FS
@@ -217,7 +217,7 @@ func (st *Store) Put(rec Record) error {
 		return fmt.Errorf("jobs: creating %s: %w", dir, err)
 	}
 	final := filepath.Join(dir, journalName(rec.ID, rec.Seq))
-	if err := st.writeFileSync(final, data); err != nil {
+	if err := checkpoint.WriteFileAtomic(st.fs, final, data); err != nil {
 		return fmt.Errorf("jobs: journaling %s: %w", rec.ID, err)
 	}
 	stored := rec.clone()
@@ -229,36 +229,6 @@ func (st *Store) Put(rec Record) error {
 		if err := st.fs.Remove(old); err != nil {
 			st.logf("jobs: pruning %s: %v", old, err)
 		}
-	}
-	return nil
-}
-
-// writeFileSync runs the atomic write protocol: temp file, write, sync,
-// close, rename. A crash at any point leaves either the old record set or
-// the new one, plus at most an ignorable .tmp file.
-func (st *Store) writeFileSync(final string, data []byte) error {
-	tmp := final + ".tmp"
-	f, err := st.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		_ = st.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = st.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = st.fs.Remove(tmp)
-		return err
-	}
-	if err := st.fs.Rename(tmp, final); err != nil {
-		_ = st.fs.Remove(tmp)
-		return err
 	}
 	return nil
 }
@@ -303,7 +273,7 @@ func (st *Store) WriteArtifact(id, name string, data []byte) error {
 	if err := st.fs.MkdirAll(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("jobs: creating artifact dir for %s: %w", id, err)
 	}
-	if err := st.writeFileSync(path, data); err != nil {
+	if err := checkpoint.WriteFileAtomic(st.fs, path, data); err != nil {
 		return fmt.Errorf("jobs: writing artifact %s/%s: %w", id, name, err)
 	}
 	return nil

@@ -61,31 +61,6 @@ func (MSE) Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	return total / n, grad
 }
 
-// SoftmaxCE is softmax cross-entropy over rows, with one-hot targets.
-type SoftmaxCE struct{}
-
-// Eval implements Loss. Each row of target must be a probability
-// distribution (typically one-hot).
-func (SoftmaxCE) Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	checkSame("SoftmaxCE", output, target)
-	n := float64(output.Rows)
-	grad := tensor.New(output.Rows, output.Cols)
-	var total float64
-	for i := 0; i < output.Rows; i++ {
-		logits := output.Row(i)
-		probs := Softmax(logits)
-		trow := target.Row(i)
-		grow := grad.Row(i)
-		for j, p := range probs {
-			if trow[j] > 0 {
-				total += -trow[j] * math.Log(math.Max(p, 1e-300))
-			}
-			grow[j] = (p - trow[j]) / n
-		}
-	}
-	return total / n, grad
-}
-
 // Softmax returns the softmax of logits, numerically stabilized.
 func Softmax(logits []float64) []float64 {
 	out := make([]float64, len(logits))
@@ -114,14 +89,6 @@ func SoftmaxInto(logits, out []float64) {
 	for i := range out {
 		out[i] /= sum
 	}
-}
-
-// LogLoss returns the binary log loss of a probability p against label y,
-// clamped away from 0 and 1. It is the per-example quality metric the DLRM
-// search reports.
-func LogLoss(p, y float64) float64 {
-	p = math.Min(math.Max(p, 1e-12), 1-1e-12)
-	return -(y*math.Log(p) + (1-y)*math.Log(1-p))
 }
 
 func checkSame(op string, a, b *tensor.Matrix) {

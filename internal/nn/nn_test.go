@@ -139,76 +139,32 @@ func TestEmbeddingWidthMasking(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesOnLinearRegression(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	model := NewSequential(NewDense(3, 1, rng))
-	opt := NewSGD(0.1)
-	// Target: y = 2x0 − x1 + 0.5x2 + 1.
-	target := []float64{2, -1, 0.5}
-	var finalLoss float64
-	for step := 0; step < 500; step++ {
-		x := tensor.RandN(16, 3, 1, rng)
-		y := tensor.New(16, 1)
-		for i := 0; i < 16; i++ {
+func TestAdamFitsTinyScaleTargets(t *testing.T) {
+	// Targets of scale 0.01 — hard for a fixed-step optimizer, routine for
+	// Adam's per-parameter normalization.
+	rng := tensor.NewRNG(10)
+	model := NewSequential(NewDense(2, 8, rng), NewActivationLayer(Tanh), NewDense(8, 1, rng))
+	opt := NewAdam(0.01)
+	var first, loss float64
+	for step := 0; step < 200; step++ {
+		x := tensor.RandN(32, 2, 1, rng)
+		y := tensor.New(32, 1)
+		for i := 0; i < 32; i++ {
 			row := x.Row(i)
-			y.Data[i] = 1
-			for j, w := range target {
-				y.Data[i] += w * row[j]
-			}
+			y.Data[i] = math.Sin(row[0]) * row[1] * 0.01
 		}
 		out := model.Forward(x)
-		l, dout := MSE{}.Eval(out, y)
-		finalLoss = l
+		var dout *tensor.Matrix
+		loss, dout = MSE{}.Eval(out, y)
+		if step == 0 {
+			first = loss
+		}
 		ZeroGrads(model.Params())
 		model.Backward(dout)
 		opt.Step(model.Params())
 	}
-	if finalLoss > 1e-4 {
-		t.Fatalf("SGD failed to fit linear regression, final loss %v", finalLoss)
-	}
-}
-
-func TestAdamConvergesFasterThanSGDOnIllConditioned(t *testing.T) {
-	train := func(opt Optimizer, seed uint64) float64 {
-		rng := tensor.NewRNG(seed)
-		model := NewSequential(NewDense(2, 8, rng), NewActivationLayer(Tanh), NewDense(8, 1, rng))
-		var loss float64
-		for step := 0; step < 200; step++ {
-			x := tensor.RandN(32, 2, 1, rng)
-			y := tensor.New(32, 1)
-			for i := 0; i < 32; i++ {
-				row := x.Row(i)
-				y.Data[i] = math.Sin(row[0]) * row[1] * 0.01 // tiny scale: hard for plain SGD
-			}
-			out := model.Forward(x)
-			var dout *tensor.Matrix
-			loss, dout = MSE{}.Eval(out, y)
-			ZeroGrads(model.Params())
-			model.Backward(dout)
-			opt.Step(model.Params())
-		}
-		return loss
-	}
-	adamLoss := train(NewAdam(0.01), 10)
-	sgdLoss := train(NewSGD(0.01), 10)
-	if adamLoss > sgdLoss*2 {
-		t.Fatalf("Adam (%v) should not be much worse than SGD (%v) here", adamLoss, sgdLoss)
-	}
-}
-
-func TestMomentumAcceleratesSGD(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	d := NewDense(1, 1, rng)
-	d.W.Value.Data[0] = 5
-	opt := &SGD{LR: 0.05, Momentum: 0.9}
-	// Minimize w² by gradient descent: grad = 2w.
-	for i := 0; i < 100; i++ {
-		ZeroGrads(d.Params())
-		d.W.Grad.Data[0] = 2 * d.W.Value.Data[0]
-		opt.Step(d.Params())
-	}
-	if math.Abs(d.W.Value.Data[0]) > 0.05 {
-		t.Fatalf("momentum SGD failed to reach minimum, w = %v", d.W.Value.Data[0])
+	if loss > first/100 {
+		t.Fatalf("Adam reduced the loss only from %v to %v in 200 steps", first, loss)
 	}
 }
 
@@ -266,7 +222,7 @@ func TestBCEWithLogitsMatchesDirectFormula(t *testing.T) {
 	out := tensor.NewFromData(2, 1, []float64{0.7, -1.3})
 	y := tensor.NewFromData(2, 1, []float64{1, 0})
 	l, _ := BCEWithLogits{}.Eval(out, y)
-	direct := (LogLoss(sigmoid(0.7), 1) + LogLoss(sigmoid(-1.3), 0)) / 2
+	direct := -(math.Log(sigmoid(0.7)) + math.Log(1-sigmoid(-1.3))) / 2
 	if math.Abs(l-direct) > 1e-9 {
 		t.Fatalf("BCE = %v, direct = %v", l, direct)
 	}
@@ -283,29 +239,6 @@ func TestBCEWithLogitsStableAtExtremes(t *testing.T) {
 		if math.IsNaN(g) {
 			t.Fatal("BCE grad NaN at extreme logits")
 		}
-	}
-}
-
-func TestSoftmaxCEGradCheck(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	model := NewSequential(NewDense(4, 3, rng))
-	x := tensor.RandN(5, 4, 1, rng)
-	y := tensor.New(5, 3)
-	for i := 0; i < 5; i++ {
-		y.Set(i, rng.Intn(3), 1)
-	}
-	checkGrads(t, model, SoftmaxCE{}, x, y, 1e-5)
-}
-
-func TestLogLossClamps(t *testing.T) {
-	if v := LogLoss(0, 1); math.IsInf(v, 0) || math.IsNaN(v) {
-		t.Fatalf("LogLoss(0,1) = %v, must be finite", v)
-	}
-	if v := LogLoss(1, 0); math.IsInf(v, 0) || math.IsNaN(v) {
-		t.Fatalf("LogLoss(1,0) = %v, must be finite", v)
-	}
-	if v := LogLoss(0.5, 1); math.Abs(v-math.Ln2) > 1e-12 {
-		t.Fatalf("LogLoss(0.5,1) = %v, want ln 2", v)
 	}
 }
 

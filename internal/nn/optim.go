@@ -7,50 +7,6 @@ import (
 	"h2onas/internal/tensor"
 )
 
-// Optimizer applies one update step to a set of parameters from their
-// accumulated gradients, then expects the caller to zero the gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum and
-// L2 weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step applies v ← μv + g, p ← p − lr·v (plain p ← p − lr·g when μ = 0).
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		g := p.Grad
-		if o.WeightDecay != 0 {
-			tensor.AXPY(g, o.WeightDecay, p.Value)
-		}
-		if o.Momentum != 0 {
-			if o.velocity == nil {
-				o.velocity = make(map[*Param]*tensor.Matrix)
-			}
-			v := o.velocity[p]
-			if v == nil {
-				v = tensor.New(g.Rows, g.Cols)
-				o.velocity[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = o.Momentum*v.Data[i] + g.Data[i]
-			}
-			g = v
-		}
-		tensor.AXPY(p.Value, -o.LR, g)
-	}
-}
-
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

@@ -329,47 +329,6 @@ func TestDialFailsFastWhenWorkerAbsent(t *testing.T) {
 	}
 }
 
-// TestListenModeServesDialOutWorkers covers the inverted topology: the
-// coordinator listens, workers dial out.
-func TestListenModeServesDialOutWorkers(t *testing.T) {
-	golden, err := testSearcher(t, 17).Search(testConfig(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr, err := Listen("127.0.0.1:0", Options{Seed: 17, AcceptTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	var workers []*Worker
-	for i := 0; i < 3; i++ {
-		w := NewWorker()
-		workers = append(workers, w)
-		go func() {
-			if err := w.DialAndServe(tr.Addr(), 5*time.Second); err != nil {
-				t.Errorf("dial-out worker: %v", err)
-			}
-		}()
-	}
-	defer func() {
-		for _, w := range workers {
-			w.Drain()
-		}
-	}()
-	cfg := testConfig(17)
-	cfg.Transport = tr
-	remote, err := testSearcher(t, 17).Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameBest(t, golden, remote)
-	requireSameHistory(t, golden.History, remote.History)
-	if golden.FinalQuality != remote.FinalQuality {
-		t.Fatal("FinalQuality drifted in listen mode")
-	}
-}
-
 // TestHandshakeRejectsMismatchedModel: a worker that builds a different
 // model than the coordinator must be refused at bind time, before any
 // step runs.

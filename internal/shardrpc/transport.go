@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,15 +44,12 @@ type Options struct {
 	Clock measure.Clock
 	// Seed seeds the retry-backoff jitter.
 	Seed uint64
-	// AcceptTimeout bounds how long Bind waits for dial-out workers to
-	// connect in Listen mode (default 30s).
-	AcceptTimeout time.Duration
 }
 
 // rpcWorker is the coordinator's view of one remote shard worker.
 type rpcWorker struct {
 	shard int
-	addr  string // empty for inbound (Listen-mode) connections
+	addr  string
 	conn  net.Conn
 	br    *measure.Breaker
 	// acked is the weight version the worker last confirmed holding;
@@ -74,17 +70,14 @@ type rpcWorker struct {
 // Failures degrade the step, not the run: a call that times out or hits a
 // dead connection is retried with jittered backoff, a worker that keeps
 // failing trips its circuit breaker and is skipped (reported !Alive)
-// until the cooldown expires, and dial-mode workers are redialed with a
-// fresh handshake — which resets their acked version and triggers a full
-// weight sync.
+// until the cooldown expires, and a worker whose connection broke is
+// redialed with a fresh handshake — which resets its acked version and
+// triggers a full weight sync.
 type Transport struct {
-	opts  Options
 	pol   measure.Policy
 	clock measure.Clock
 
 	workers []*rpcWorker
-	lis     net.Listener // Listen mode only
-	lisAddr string
 
 	master   *supernet.Supernet
 	replicas []*supernet.Supernet
@@ -119,23 +112,6 @@ type instruments struct {
 	breakers   *metrics.Gauge
 }
 
-func newTransport(opts Options) *Transport {
-	pol := opts.Policy.Defaulted(RPCDefaults())
-	clock := opts.Clock
-	if clock == nil {
-		clock = measure.RealClock()
-	}
-	if opts.AcceptTimeout <= 0 {
-		opts.AcceptTimeout = 30 * time.Second
-	}
-	return &Transport{
-		opts:    opts,
-		pol:     pol,
-		clock:   clock,
-		backoff: measure.NewBackoff(pol.BackoffBase, pol.BackoffMax, opts.Seed),
-	}
-}
-
 // Dial returns a transport that connects out to one listening worker per
 // shard; addrs[i] serves shard i, and len(addrs) must equal the run's
 // shard count. Connections and handshakes happen at Bind, and broken
@@ -145,7 +121,16 @@ func Dial(addrs []string, opts Options) (*Transport, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("shardrpc: no worker addresses")
 	}
-	t := newTransport(opts)
+	pol := opts.Policy.Defaulted(RPCDefaults())
+	clock := opts.Clock
+	if clock == nil {
+		clock = measure.RealClock()
+	}
+	t := &Transport{
+		pol:     pol,
+		clock:   clock,
+		backoff: measure.NewBackoff(pol.BackoffBase, pol.BackoffMax, opts.Seed),
+	}
 	for i, a := range addrs {
 		if a == "" {
 			return nil, fmt.Errorf("shardrpc: empty address for shard %d", i)
@@ -160,42 +145,12 @@ func Dial(addrs []string, opts Options) (*Transport, error) {
 	return t, nil
 }
 
-// Listen returns a transport that accepts dial-out workers on addr; Bind
-// waits for one connection per shard and assigns shard indexes in a
-// deterministic order (sorted by remote address). A worker lost in this
-// mode cannot be redialed and stays dropped for the rest of the run.
-func Listen(addr string, opts Options) (*Transport, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("shardrpc: listening on %s: %w", addr, err)
-	}
-	t := newTransport(opts)
-	t.lis = lis
-	t.lisAddr = addr
-	return t, nil
-}
-
-// Addr reports the transport's own listen address (Listen mode only) —
-// useful when addr was ":0".
-func (t *Transport) Addr() string {
-	if t.lis == nil {
-		return ""
-	}
-	return t.lis.Addr().String()
-}
-
 func (t *Transport) Bind(b core.ShardBinding) error {
 	t.master = b.Master
 	t.replicas = b.Replicas
 	t.params = b.Master.Params()
 	t.bindInstruments(b.Metrics)
-	shards := len(b.Replicas)
-	if t.lis != nil {
-		if err := t.acceptFleet(shards); err != nil {
-			return err
-		}
-		t.membership = fmt.Sprintf("tcp-listen[%s/%d]", t.lisAddr, shards)
-	} else if len(t.workers) != shards {
+	if shards := len(b.Replicas); len(t.workers) != shards {
 		return fmt.Errorf("shardrpc: %d worker addresses for %d shards", len(t.workers), shards)
 	}
 	for _, w := range t.workers {
@@ -222,47 +177,11 @@ func (t *Transport) bindInstruments(r *metrics.Registry) {
 	}
 }
 
-// acceptFleet collects one inbound connection per shard. Shard identity
-// must not depend on connection timing, so connections are sorted by
-// remote address before shard indexes are assigned.
-func (t *Transport) acceptFleet(shards int) error {
-	deadline := time.Now().Add(t.opts.AcceptTimeout)
-	conns := make([]net.Conn, 0, shards)
-	for len(conns) < shards {
-		if d, ok := t.lis.(*net.TCPListener); ok {
-			d.SetDeadline(deadline)
-		}
-		conn, err := t.lis.Accept()
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return fmt.Errorf("shardrpc: waiting for %d workers, have %d: %w", shards, len(conns), err)
-		}
-		conns = append(conns, conn)
-	}
-	sort.Slice(conns, func(i, j int) bool {
-		return conns[i].RemoteAddr().String() < conns[j].RemoteAddr().String()
-	})
-	t.workers = make([]*rpcWorker, shards)
-	for i, c := range conns {
-		t.workers[i] = &rpcWorker{
-			shard: i,
-			conn:  c,
-			br:    measure.NewBreaker(t.pol.BreakerThreshold, t.pol.BreakerCooldown, t.clock),
-		}
-	}
-	return nil
-}
-
 // connect establishes (or re-establishes) a worker's connection and runs
 // the hello handshake. On success the worker's acked version is reset, so
 // its next exec carries a full weight sync.
 func (t *Transport) connect(w *rpcWorker) error {
 	if w.conn == nil {
-		if w.addr == "" {
-			return errors.New("inbound connection lost; listen-mode workers cannot be redialed")
-		}
 		conn, err := net.DialTimeout("tcp", w.addr, t.pol.Timeout)
 		if err != nil {
 			return err
@@ -362,7 +281,7 @@ func (t *Transport) buildDelta() []tensorPatch {
 }
 
 // runShard drives one shard through the step: retry with jittered backoff
-// under the policy, redial dead dial-mode connections, and on exhaustion
+// under the policy, redial dead connections, and on exhaustion
 // leave the outcome !Alive — the shard is dropped from this step's reduce.
 func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *datapipe.Batch, delta []tensorPatch, out *core.ShardOutcome) {
 	if !w.br.Allow() {
@@ -551,9 +470,6 @@ func (t *Transport) Close() error {
 	t.closed = true
 	for _, w := range t.workers {
 		t.dropConn(w)
-	}
-	if t.lis != nil {
-		t.lis.Close()
 	}
 	return nil
 }

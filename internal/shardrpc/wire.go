@@ -13,44 +13,35 @@
 package shardrpc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
+	"h2onas/internal/wire"
 )
 
-// Wire format (little-endian), one frame per message:
-//
-//	magic   [8]byte  "H2ONASRP"
-//	version uint32   protocol version (currently 1)
-//	type    uint8    frame type
-//	reqID   uint64   request identifier, echoed by responses
-//	length  uint64   payload byte count
-//	crc32   uint32   IEEE CRC of the payload
-//	payload [length]byte
-//
-// Same shape and discipline as the checkpoint codec: the checksum
-// rejects torn or corrupted frames before anything is trusted, and the
-// payload decoder bounds every declared length against the bytes
-// present, so garbage input can never drive large allocations or panics.
+// One message is one internal/wire frame — magic "H2ONASRP", protocol
+// version, then this protocol's two extra header fields (frame type
+// uint8, request id uint64, echoed by responses), payload length and
+// CRC32: 33 header bytes. The checksum rejects torn or corrupted frames
+// before anything is trusted, and the payloads are field sequences in the
+// wire codec, whose decoder bounds every declared count against the bytes
+// present — garbage input can never drive large allocations or panics.
 
 const (
-	magic = "H2ONASRP"
 	// Version is the current protocol version. A peer speaking a newer
 	// version is rejected at the handshake.
 	Version = 1
 
-	headerLen = 8 + 4 + 1 + 8 + 8 + 4
-
-	// maxPayload rejects absurd declared frame sizes (1 GiB — far above
-	// any real exec frame at laptop scale).
-	maxPayload = 1 << 30
+	frameExtra = 1 + 8 // type, request id
+	headerLen  = 8 + 4 + frameExtra + 8 + 4
 )
+
+// frameFormat caps a frame at 1 GiB — far above any real exec frame at
+// laptop scale.
+var frameFormat = wire.Format{Magic: "H2ONASRP", Version: Version, Extra: frameExtra, MaxPayload: 1 << 30}
 
 // Frame types.
 const (
@@ -68,54 +59,27 @@ const (
 	weightsDelta = 2 // only the params/rows the last step touched
 )
 
-var (
-	errBadMagic = errors.New("shardrpc: bad frame magic")
-	errChecksum = errors.New("shardrpc: frame checksum mismatch")
-)
-
 // writeFrame sends one frame. The payload is framed with type, request
 // id, length and checksum; the caller owns deadlines on w.
 func writeFrame(w io.Writer, typ byte, reqID uint64, payload []byte) error {
-	var hdr [headerLen]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	hdr[12] = typ
-	binary.LittleEndian.PutUint64(hdr[13:21], reqID)
-	binary.LittleEndian.PutUint64(hdr[21:29], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[29:33], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	extra := wire.Enc{Buf: make([]byte, 0, frameExtra)}
+	extra.U8(typ)
+	extra.U64(reqID)
+	return wire.WriteFrame(w, frameFormat, extra.Buf, payload)
 }
 
 // readFrame reads and validates one frame. The caller owns deadlines.
 func readFrame(r io.Reader) (typ byte, reqID uint64, payload []byte, err error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	_, extra, payload, err := wire.ReadFrame(r, frameFormat)
+	if err != nil {
+		var ve *wire.VersionError
+		if errors.As(err, &ve) {
+			err = fmt.Errorf("shardrpc: protocol version %d, this build speaks %d", ve.Version, Version)
+		}
 		return 0, 0, nil, err
 	}
-	if string(hdr[:8]) != magic {
-		return 0, 0, nil, errBadMagic
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != Version {
-		return 0, 0, nil, fmt.Errorf("shardrpc: protocol version %d, this build speaks %d", v, Version)
-	}
-	typ = hdr[12]
-	reqID = binary.LittleEndian.Uint64(hdr[13:21])
-	length := binary.LittleEndian.Uint64(hdr[21:29])
-	if length > maxPayload {
-		return 0, 0, nil, fmt.Errorf("shardrpc: implausible frame payload size %d", length)
-	}
-	payload = make([]byte, int(length))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[29:33]) {
-		return 0, 0, nil, errChecksum
-	}
-	return typ, reqID, payload, nil
+	d := wire.NewDec(extra)
+	return d.U8(), d.U64(), payload, nil
 }
 
 // hello is the coordinator's handshake: everything a worker needs to
@@ -172,350 +136,193 @@ type execResult struct {
 }
 
 func encodeHello(h *hello) []byte {
-	var e enc
-	e.u32(h.Shard)
+	var e wire.Enc
+	e.U32(h.Shard)
 	c := h.Space
-	e.str(c.Name)
-	e.u32(uint32(c.NumTables))
-	e.u32(uint32(c.BaseEmbWidth))
-	e.u32(uint32(c.EmbWidthStep))
-	e.u32(uint32(c.BaseVocab))
-	e.u32(uint32(c.BagSize))
-	e.u32(uint32(c.NumDense))
-	e.ints(c.BottomWidths)
-	e.ints(c.TopWidths)
-	e.u32(uint32(c.MLPWidthStep))
-	e.u32(uint32(c.Batch))
-	e.u32(uint32(c.Chips))
-	e.u32(uint32(c.DType))
-	e.u32(uint32(h.Options.VocabSharing))
-	return e.buf
+	e.Str(c.Name)
+	e.U32(uint32(c.NumTables))
+	e.U32(uint32(c.BaseEmbWidth))
+	e.U32(uint32(c.EmbWidthStep))
+	e.U32(uint32(c.BaseVocab))
+	e.U32(uint32(c.BagSize))
+	e.U32(uint32(c.NumDense))
+	e.Ints(c.BottomWidths)
+	e.Ints(c.TopWidths)
+	e.U32(uint32(c.MLPWidthStep))
+	e.U32(uint32(c.Batch))
+	e.U32(uint32(c.Chips))
+	e.U32(uint32(c.DType))
+	e.U32(uint32(h.Options.VocabSharing))
+	return e.Buf
 }
 
 func decodeHello(payload []byte) (*hello, error) {
-	d := &dec{buf: payload}
+	d := wire.NewDec(payload)
 	h := &hello{}
-	h.Shard = d.u32()
-	h.Space.Name = d.str()
-	h.Space.NumTables = int(d.u32())
-	h.Space.BaseEmbWidth = int(d.u32())
-	h.Space.EmbWidthStep = int(d.u32())
-	h.Space.BaseVocab = int(d.u32())
-	h.Space.BagSize = int(d.u32())
-	h.Space.NumDense = int(d.u32())
-	h.Space.BottomWidths = d.ints()
-	h.Space.TopWidths = d.ints()
-	h.Space.MLPWidthStep = int(d.u32())
-	h.Space.Batch = int(d.u32())
-	h.Space.Chips = int(d.u32())
-	h.Space.DType = int(d.u32())
-	h.Options.VocabSharing = supernet.VocabSharing(d.u32())
-	return h, d.finish("hello")
+	h.Shard = d.U32()
+	h.Space.Name = d.Str()
+	h.Space.NumTables = int(d.U32())
+	h.Space.BaseEmbWidth = int(d.U32())
+	h.Space.EmbWidthStep = int(d.U32())
+	h.Space.BaseVocab = int(d.U32())
+	h.Space.BagSize = int(d.U32())
+	h.Space.NumDense = int(d.U32())
+	h.Space.BottomWidths = d.Ints()
+	h.Space.TopWidths = d.Ints()
+	h.Space.MLPWidthStep = int(d.U32())
+	h.Space.Batch = int(d.U32())
+	h.Space.Chips = int(d.U32())
+	h.Space.DType = int(d.U32())
+	h.Options.VocabSharing = supernet.VocabSharing(d.U32())
+	return h, finish(d, "hello")
 }
 
 func encodeHelloAck(a *helloAck) []byte {
-	var e enc
-	e.u32(a.NumParams)
-	return e.buf
+	var e wire.Enc
+	e.U32(a.NumParams)
+	return e.Buf
 }
 
 func decodeHelloAck(payload []byte) (*helloAck, error) {
-	d := &dec{buf: payload}
-	a := &helloAck{NumParams: d.u32()}
-	return a, d.finish("hello ack")
+	d := wire.NewDec(payload)
+	a := &helloAck{NumParams: d.U32()}
+	return a, finish(d, "hello ack")
 }
 
 func encodeExec(r *execReq) []byte {
-	var e enc
-	e.u64(r.Step)
-	e.u32(uint32(len(r.Assignment)))
-	for _, v := range r.Assignment {
-		e.u32(uint32(v))
-	}
-	e.buf = append(e.buf, r.WeightsMode)
-	e.u64(r.FromVersion)
-	e.u64(r.ToVersion)
+	var e wire.Enc
+	e.U64(r.Step)
+	e.Ints(r.Assignment)
+	e.U8(r.WeightsMode)
+	e.U64(r.FromVersion)
+	e.U64(r.ToVersion)
 	switch r.WeightsMode {
 	case weightsFull:
-		e.u32(uint32(len(r.Full)))
-		for _, t := range r.Full {
-			e.f64s(t)
-		}
+		e.Mat(r.Full)
 	case weightsDelta:
-		e.patches(r.Delta)
+		encodePatches(&e, r.Delta)
 	}
-	e.u32(uint32(r.NumExamples))
-	e.u32(uint32(r.NumDense))
-	e.f64s(r.Dense)
-	e.f64s(r.Labels)
-	e.u32(uint32(len(r.Sparse)))
+	e.U32(uint32(r.NumExamples))
+	e.U32(uint32(r.NumDense))
+	e.F64s(r.Dense)
+	e.F64s(r.Labels)
+	e.U32(uint32(len(r.Sparse)))
 	for _, table := range r.Sparse {
-		e.u32(uint32(len(table)))
+		e.U32(uint32(len(table)))
 		for _, bag := range table {
-			e.ints(bag)
+			e.Ints(bag)
 		}
 	}
-	return e.buf
+	return e.Buf
 }
 
 func decodeExec(payload []byte) (*execReq, error) {
-	d := &dec{buf: payload}
+	d := wire.NewDec(payload)
 	r := &execReq{}
-	r.Step = d.u64()
-	n := int(d.u32())
-	if d.checkCount(n, 4, "assignment") {
-		r.Assignment = make(space.Assignment, n)
-		for i := range r.Assignment {
-			r.Assignment[i] = int(d.u32())
-		}
-	}
-	r.WeightsMode = d.u8()
-	r.FromVersion = d.u64()
-	r.ToVersion = d.u64()
+	r.Step = d.U64()
+	r.Assignment = d.Ints()
+	r.WeightsMode = d.U8()
+	r.FromVersion = d.U64()
+	r.ToVersion = d.U64()
 	switch r.WeightsMode {
 	case weightsNone:
 	case weightsFull:
-		n := int(d.u32())
-		if d.checkCount(n, 4, "weight tensors") {
-			r.Full = make([][]float64, n)
-			for i := range r.Full {
-				r.Full[i] = d.f64s()
-			}
-		}
+		r.Full = d.Mat()
 	case weightsDelta:
-		r.Delta = d.patches()
+		r.Delta = decodePatches(d)
 	default:
-		d.fail("unknown weights mode %d", r.WeightsMode)
+		d.Failf("unknown weights mode %d", r.WeightsMode)
 	}
-	r.NumExamples = int(d.u32())
-	r.NumDense = int(d.u32())
-	r.Dense = d.f64s()
-	r.Labels = d.f64s()
-	nt := int(d.u32())
-	if d.checkCount(nt, 4, "sparse tables") {
+	r.NumExamples = int(d.U32())
+	r.NumDense = int(d.U32())
+	r.Dense = d.F64s()
+	r.Labels = d.F64s()
+	nt := int(d.U32())
+	if d.Count(nt, 4, "sparse tables") {
 		r.Sparse = make([][][]int, nt)
 		for t := range r.Sparse {
-			ne := int(d.u32())
-			if !d.checkCount(ne, 4, "sparse examples") {
+			ne := int(d.U32())
+			if !d.Count(ne, 4, "sparse examples") {
 				break
 			}
 			r.Sparse[t] = make([][]int, ne)
 			for i := range r.Sparse[t] {
-				r.Sparse[t][i] = d.ints()
+				r.Sparse[t][i] = d.Ints()
 			}
 		}
 	}
-	return r, d.finish("exec")
+	return r, finish(d, "exec")
 }
 
 func encodeExecResult(r *execResult) []byte {
-	var e enc
-	e.u64(r.Step)
-	e.u64(r.Version)
-	e.f64(r.Loss)
-	e.patches(r.Grads)
-	return e.buf
+	var e wire.Enc
+	e.U64(r.Step)
+	e.U64(r.Version)
+	e.F64(r.Loss)
+	encodePatches(&e, r.Grads)
+	return e.Buf
 }
 
 func decodeExecResult(payload []byte) (*execResult, error) {
-	d := &dec{buf: payload}
+	d := wire.NewDec(payload)
 	r := &execResult{}
-	r.Step = d.u64()
-	r.Version = d.u64()
-	r.Loss = d.f64()
-	r.Grads = d.patches()
-	return r, d.finish("exec result")
+	r.Step = d.U64()
+	r.Version = d.U64()
+	r.Loss = d.F64()
+	r.Grads = decodePatches(d)
+	return r, finish(d, "exec result")
 }
 
 func encodeError(msg string) []byte {
-	var e enc
-	e.str(msg)
-	return e.buf
+	var e wire.Enc
+	e.Str(msg)
+	return e.Buf
 }
 
 func decodeError(payload []byte) (string, error) {
-	d := &dec{buf: payload}
-	msg := d.str()
-	return msg, d.finish("error")
+	d := wire.NewDec(payload)
+	msg := d.Str()
+	return msg, finish(d, "error")
 }
 
-// enc appends little-endian primitives to a buffer; mirror of dec.
-type enc struct{ buf []byte }
-
-func (e *enc) u8(v byte)    { e.buf = append(e.buf, v) }
-func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *enc) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-func (e *enc) ints(v []int) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u32(uint32(x))
-	}
-}
-func (e *enc) i32s(v []int32) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u32(uint32(x))
-	}
-}
-func (e *enc) patches(ps []tensorPatch) {
-	e.u32(uint32(len(ps)))
+// encodePatches writes a patch list: per patch the param index, a kind
+// byte (0 dense, 1 rows) with the row list for kind 1, and the values.
+func encodePatches(e *wire.Enc, ps []tensorPatch) {
+	e.U32(uint32(len(ps)))
 	for _, p := range ps {
-		e.u32(uint32(p.Param))
+		e.U32(uint32(p.Param))
 		if p.Rows == nil {
-			e.u8(0)
+			e.U8(0)
 		} else {
-			e.u8(1)
-			e.i32s(p.Rows)
+			e.U8(1)
+			e.I32s(p.Rows)
 		}
-		e.f64s(p.Values)
+		e.F64s(p.Values)
 	}
 }
 
-// dec reads the payload with sticky errors and hard bounds, exactly the
-// checkpoint decoder's discipline: every declared count is validated
-// against the remaining bytes before allocation.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) remaining() int { return len(d.buf) - d.off }
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-// checkCount reports whether n items of at least perItem bytes each can
-// still be present, failing the decode otherwise.
-func (d *dec) checkCount(n, perItem int, what string) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 || n > d.remaining()/perItem {
-		d.fail("%s count %d exceeds remaining payload", what, n)
-		return false
-	}
-	return true
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > d.remaining() {
-		d.fail("need %d bytes, %d remain", n, d.remaining())
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *dec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) str() string {
-	n := int(d.u32())
-	return string(d.take(n))
-}
-
-func (d *dec) f64s() []float64 {
-	n := int(d.u32())
-	if !d.checkCount(n, 8, "vector") {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
-}
-
-func (d *dec) ints() []int {
-	n := int(d.u32())
-	if !d.checkCount(n, 4, "int vector") {
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(d.u32())
-	}
-	return v
-}
-
-func (d *dec) i32s() []int32 {
-	n := int(d.u32())
-	if !d.checkCount(n, 4, "row vector") {
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(d.u32())
-	}
-	return v
-}
-
-func (d *dec) patches() []tensorPatch {
-	n := int(d.u32())
-	if !d.checkCount(n, 6, "patch") {
+func decodePatches(d *wire.Dec) []tensorPatch {
+	n := int(d.U32())
+	if !d.Count(n, 6, "patch") {
 		return nil
 	}
 	ps := make([]tensorPatch, n)
 	for i := range ps {
-		ps[i].Param = int(d.u32())
-		switch d.u8() {
+		ps[i].Param = int(d.U32())
+		switch d.U8() {
 		case 0:
 		case 1:
-			ps[i].Rows = d.i32s()
-			if ps[i].Rows == nil && d.err == nil {
+			ps[i].Rows = d.I32s()
+			if ps[i].Rows == nil && d.Err() == nil {
 				// A rows-kind patch with zero rows keeps a non-nil marker
 				// so the decoder round-trips the dense/rows distinction.
 				ps[i].Rows = []int32{}
 			}
 		default:
-			d.fail("invalid patch kind")
+			d.Failf("invalid patch kind")
 		}
-		ps[i].Values = d.f64s()
-		if d.err != nil {
+		ps[i].Values = d.F64s()
+		if d.Err() != nil {
 			return nil
 		}
 	}
@@ -523,12 +330,9 @@ func (d *dec) patches() []tensorPatch {
 }
 
 // finish validates that the payload was consumed exactly.
-func (d *dec) finish(what string) error {
-	if d.err != nil {
-		return fmt.Errorf("shardrpc: corrupt %s payload: %w", what, d.err)
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("shardrpc: corrupt %s payload: %d unread bytes", what, len(d.buf)-d.off)
+func finish(d *wire.Dec, what string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("shardrpc: corrupt %s payload: %w", what, err)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
+	"h2onas/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -52,7 +53,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		b := frame()
 		b[0] ^= 0xFF
-		if _, _, _, err := readFrame(bytes.NewReader(b)); !errors.Is(err, errBadMagic) {
+		if _, _, _, err := readFrame(bytes.NewReader(b)); !errors.Is(err, wire.ErrBadMagic) {
 			t.Fatalf("err = %v, want bad magic", err)
 		}
 	})
@@ -67,7 +68,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	t.Run("flipped payload bit", func(t *testing.T) {
 		b := frame()
 		b[headerLen+2] ^= 0x01
-		if _, _, _, err := readFrame(bytes.NewReader(b)); !errors.Is(err, errChecksum) {
+		if _, _, _, err := readFrame(bytes.NewReader(b)); !errors.Is(err, wire.ErrChecksum) {
 			t.Fatalf("err = %v, want checksum mismatch", err)
 		}
 	})

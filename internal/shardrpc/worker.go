@@ -71,20 +71,6 @@ func (w *Worker) Serve(lis net.Listener) error {
 	}
 }
 
-// DialAndServe connects out to a listening coordinator and serves that
-// single session until the coordinator closes it or the worker drains.
-func (w *Worker) DialAndServe(coordinator string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", coordinator, timeout)
-	if err != nil {
-		return fmt.Errorf("shardrpc: dialing coordinator %s: %w", coordinator, err)
-	}
-	w.track(conn)
-	w.wg.Add(1)
-	defer w.wg.Done()
-	w.session(conn)
-	return nil
-}
-
 // Drain stops accepting work: the listener closes, idle connections are
 // unblocked, and in-flight requests run to completion (their responses
 // are written before the connection closes). Safe to call more than once.
@@ -147,7 +133,7 @@ func (w *Worker) session(conn net.Conn) {
 	for {
 		typ, reqID, payload, err := readFrame(conn)
 		if err != nil {
-			if err != io.EOF && !w.isDraining() {
+			if !errors.Is(err, io.EOF) && !w.isDraining() {
 				log.Printf("shardrpc: worker session with %s ended: %v", conn.RemoteAddr(), err)
 			}
 			return

@@ -67,19 +67,21 @@ func SearchTransformer(model ViTConfig, traffic SeqConfig, chip Chip,
 	return s.Search(opts)
 }
 
-// Multi-trial baselines (the Section 2.1 taxonomy).
+// Search rules (the Section 2.1 taxonomy). SearchConfig.Strategy selects
+// one for any searcher; nil is REINFORCE. The multi-trial baselines are
+// an AnalyticSearcher run at Shards: 1 with Steps trials.
 type (
-	// AnalyticEvaluator scores candidates without training.
-	AnalyticEvaluator = core.AnalyticEvaluator
-	// EvolutionConfig controls regularized evolution.
-	EvolutionConfig = core.EvolutionConfig
+	// Strategy is the sample/update rule of a search.
+	Strategy = core.Strategy
+	// EvolutionOpts configures regularized evolution.
+	EvolutionOpts = core.EvolutionOpts
 )
 
 var (
-	// RandomSearch evaluates uniform-random candidates.
-	RandomSearch = core.RandomSearch
-	// EvolutionSearch runs regularized (aging) evolution.
-	EvolutionSearch = core.EvolutionSearch
+	// NewRandomSearch returns the uniform-random search rule.
+	NewRandomSearch = core.NewRandomSearch
+	// NewEvolution returns regularized (aging) evolution.
+	NewEvolution = core.NewEvolution
 )
 
 // LoadPerfModel reads a performance model saved with PerfModel.Save —
