@@ -29,7 +29,6 @@ import (
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
-	"h2onas/internal/measure"
 	"h2onas/internal/metrics"
 	"h2onas/internal/quality"
 	"h2onas/internal/reward"
@@ -284,7 +283,7 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 	opts.Strategy = strat
 	if len(dist.workers) > 0 {
 		tr, err := shardrpc.Dial(dist.workers, shardrpc.Options{
-			Policy: measure.Policy{Timeout: dist.rpcTimeout},
+			Policy: shardrpc.Policy{Timeout: dist.rpcTimeout},
 			Seed:   seed,
 		})
 		if err != nil {

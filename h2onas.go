@@ -30,7 +30,6 @@ import (
 	"h2onas/internal/datapipe"
 	"h2onas/internal/experiments"
 	"h2onas/internal/hwsim"
-	"h2onas/internal/measure"
 	"h2onas/internal/perfmodel"
 	"h2onas/internal/reward"
 	"h2onas/internal/space"
@@ -197,30 +196,6 @@ var (
 	SimulatorSamples = core.SimulatorSamples
 	// MeasuredSamples labels random candidates with measured times.
 	MeasuredSamples = core.MeasuredSamples
-)
-
-// Measurement farm (resilient hardware-measurement collection: retries
-// with jittered backoff, P95-hedged dispatch, per-device circuit
-// breakers, median-of-K outlier rejection).
-type (
-	// MeasureFarm is a fault-tolerant pool of measurement devices.
-	MeasureFarm = measure.Farm
-	// MeasureFarmConfig tunes the farm's resilience machinery.
-	MeasureFarmConfig = measure.Config
-	// MeasureDevice is one measurement worker in the farm.
-	MeasureDevice = measure.Device
-	// DeviceFaultProfile describes a simulated device's failure modes.
-	DeviceFaultProfile = measure.FaultProfile
-)
-
-var (
-	// NewMeasureFarm builds a farm over a device pool.
-	NewMeasureFarm = measure.NewFarm
-	// NewSimDevice builds a simulated measurement device with a fault seam.
-	NewSimDevice = measure.NewSimDevice
-	// FarmMeasuredSamples collects the fine-tuning corpus through a farm,
-	// tolerating a degraded fleet (K-of-N delivery).
-	FarmMeasuredSamples = core.FarmMeasuredSamples
 )
 
 // Experiments: regeneration of the paper's tables and figures.

@@ -36,8 +36,8 @@ func benchmarkSearcher(seed uint64) *Searcher {
 // at the default configuration (8 shards, batch 64) over the small DLRM
 // space: one benchmark iteration is one full search step, including
 // sampling, the shard fan-out, the cross-shard policy and weight updates,
-// and reward/perf evaluation. This is the headline number BENCH_search.json
-// tracks.
+// and reward/perf evaluation. A micro-benchmark for work in progress: the
+// committed numbers are benchmark/'s dlrm_search workload.
 func BenchmarkSearchStep(b *testing.B) {
 	s := benchmarkSearcher(7)
 	cfg := DefaultConfig() // 8 shards, batch 64

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
-
+	"h2onas/internal/arch"
 	"h2onas/internal/hwsim"
-	"h2onas/internal/measure"
 	"h2onas/internal/perfmodel"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
@@ -49,33 +47,32 @@ func (o *DLRMObjectives) BaselinePerf() []float64 {
 // them with simulated training/serving performance — the pre-training
 // corpus of the two-phase performance model (Section 6.2.2).
 func SimulatorSamples(ds *space.DLRMSpace, chip hwsim.Chip, n int, seed uint64) []perfmodel.Sample {
-	rng := tensor.NewRNG(seed)
-	out := make([]perfmodel.Sample, n)
-	for i := range out {
-		a := randomAssignment(ds.Space, rng)
-		g := ds.Graph(ds.Decode(a))
-		train := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips})
-		serve := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Inference})
-		out[i] = perfmodel.Sample{
-			Features:  ds.Space.Features(a),
-			TrainTime: train.StepTime,
-			ServeTime: serve.StepTime,
-		}
-	}
-	return out
+	return labeledSamples(ds, n, seed, func(g *arch.Graph, opts hwsim.Options, _ uint64) hwsim.Result {
+		return hwsim.Simulate(g, chip, opts)
+	})
 }
 
 // MeasuredSamples draws n random candidates and labels them with
 // *measured* performance (the simulator warped by the systematic silicon
 // gap) — the O(20) fine-tuning corpus.
 func MeasuredSamples(ds *space.DLRMSpace, chip hwsim.Chip, n int, seed uint64) []perfmodel.Sample {
+	return labeledSamples(ds, n, seed, func(g *arch.Graph, opts hwsim.Options, noise uint64) hwsim.Result {
+		return hwsim.Measure(g, chip, opts, noise)
+	})
+}
+
+// labeledSamples draws n random candidates (one randomAssignment per
+// candidate off a single stream seeded with seed) and labels each with
+// run's training and serving step times; run also receives the
+// per-candidate measurement-noise seed.
+func labeledSamples(ds *space.DLRMSpace, n int, seed uint64, run func(g *arch.Graph, opts hwsim.Options, noise uint64) hwsim.Result) []perfmodel.Sample {
 	rng := tensor.NewRNG(seed)
 	out := make([]perfmodel.Sample, n)
 	for i := range out {
 		a := randomAssignment(ds.Space, rng)
 		g := ds.Graph(ds.Decode(a))
-		train := hwsim.Measure(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}, seed+uint64(i))
-		serve := hwsim.Measure(g, chip, hwsim.Options{Mode: hwsim.Inference}, seed+uint64(i)+1<<32)
+		train := run(g, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}, seed+uint64(i))
+		serve := run(g, hwsim.Options{Mode: hwsim.Inference}, seed+uint64(i)+1<<32)
 		out[i] = perfmodel.Sample{
 			Features:  ds.Space.Features(a),
 			TrainTime: train.StepTime,
@@ -83,47 +80,6 @@ func MeasuredSamples(ds *space.DLRMSpace, chip hwsim.Chip, n int, seed uint64) [
 		}
 	}
 	return out
-}
-
-// FarmMeasuredSamples collects the fine-tuning corpus through the
-// resilient measurement farm instead of calling hwsim.Measure directly:
-// each of the n candidates is measured (training and serving) with the
-// farm's retry/hedge/median machinery, candidates whose measurements
-// fail outright are skipped, and the collection succeeds as long as at
-// least minOK samples survive — so a degraded fleet (flaky or dead
-// devices) yields a usable, if smaller and noisier, fine-tuning set
-// instead of a hung or failed run.
-func FarmMeasuredSamples(ds *space.DLRMSpace, chip hwsim.Chip, farm *measure.Farm, n, minOK int, seed uint64) ([]perfmodel.Sample, error) {
-	if minOK <= 0 {
-		minOK = 1
-	}
-	rng := tensor.NewRNG(seed)
-	out := make([]perfmodel.Sample, 0, n)
-	var lastErr error
-	for i := 0; i < n; i++ {
-		a := randomAssignment(ds.Space, rng)
-		g := ds.Graph(ds.Decode(a))
-		train, err := farm.Measure(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}, seed+uint64(i))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		serve, err := farm.Measure(g, chip, hwsim.Options{Mode: hwsim.Inference}, seed+uint64(i)+1<<32)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		out = append(out, perfmodel.Sample{
-			Features:  ds.Space.Features(a),
-			TrainTime: train.StepTime,
-			ServeTime: serve.StepTime,
-		})
-	}
-	if len(out) < minOK {
-		return nil, fmt.Errorf("core: measurement farm delivered %d/%d samples, need at least %d: %w",
-			len(out), n, minOK, lastErr)
-	}
-	return out, nil
 }
 
 func randomAssignment(sp *space.Space, rng *tensor.RNG) space.Assignment {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,13 +12,20 @@ import (
 	"h2onas/internal/space"
 )
 
+// testClock never advances and records the sleeps asked of it; shard
+// workers back off concurrently, so recording is locked.
 type testClock struct {
 	now    time.Time
+	mu     sync.Mutex
 	sleeps []time.Duration
 }
 
-func (c *testClock) Now() time.Time        { return c.now }
-func (c *testClock) Sleep(d time.Duration) { c.sleeps = append(c.sleeps, d) }
+func (c *testClock) Now() time.Time { return c.now }
+func (c *testClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.sleeps = append(c.sleeps, d)
+	c.mu.Unlock()
+}
 
 // ckptConfig is a deliberately tiny run — every step checkpointed into an
 // in-memory filesystem — sized so the crash-at-every-step sweep stays

@@ -295,18 +295,12 @@ const ln2 = 0.6931471805599453
 func QualityFromLoss(loss float64) float64 { return 1 - loss/ln2 }
 
 // MaxAssignment selects the largest option of every decision (widest,
-// deepest, fullest-rank candidate) — a direct argmax over each decision's
-// values. The sandwich shard trains this maximal sub-network every step.
+// deepest, fullest-rank candidate). The sandwich shard trains this maximal
+// sub-network every step.
 func MaxAssignment(sp *space.Space) space.Assignment {
 	a := make(space.Assignment, len(sp.Decisions))
-	for i, d := range sp.Decisions {
-		best := 0
-		for j := 1; j < len(d.Values); j++ {
-			if d.Values[j] > d.Values[best] {
-				best = j
-			}
-		}
-		a[i] = best
+	for i := range sp.Decisions {
+		a[i], _ = sp.Decisions[i].Max()
 	}
 	return a
 }

@@ -6,12 +6,6 @@ import (
 	"h2onas/internal/arch"
 )
 
-// Measurer is the hardware-measurement seam: any function with Measure's
-// signature. The measurement farm (internal/measure) dispatches through
-// it, so the built-in Measure, a real-device RPC client, and the fault-
-// injecting fakes in tests are interchangeable.
-type Measurer func(g *arch.Graph, chip Chip, opts Options, seed uint64) Result
-
 // Measure simulates *measuring* the graph on real hardware rather than
 // predicting it: the simulator's estimate is warped by the chip's
 // systematic silicon gap (compiler scheduling, DMA contention, runtime

@@ -71,15 +71,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// decodeSpec reads a submitted spec: one JSON object whose unknown fields
+// are rejected; an empty body is the all-defaults spec.
+func decodeSpec(r io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil && err != io.EOF {
+		return Spec{}, err
+	}
+	return spec, nil
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant, ok := tenantOf(w, r)
 	if !ok {
 		return
 	}
-	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil && err != io.EOF {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBody))
+	if err != nil {
 		httpserve.Error(w, r, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}

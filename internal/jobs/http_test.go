@@ -121,6 +121,9 @@ func TestJobAPIBadRequests(t *testing.T) {
 		{"unknown field", "alice", `{"stepz":3}`},
 		{"unknown strategy", "alice", `{"strategy":"quantum"}`},
 		{"over-cap shards", "alice", `{"shards":512}`},
+		// Both used to be admitted and fail the job when it started.
+		{"halving budget below its rung plan", "alice", `{"strategy":"halving","steps":4,"shards":4}`},
+		{"latency target that underflows the reward target", "alice", `{"latency_target":5e-324}`},
 		{"bad tenant", "Alice Smith", `{}`},
 	}
 	for _, tc := range cases {

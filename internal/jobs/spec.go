@@ -13,6 +13,7 @@ package jobs
 
 import (
 	"fmt"
+	"sync"
 
 	"h2onas/internal/controller"
 	"h2onas/internal/core"
@@ -30,6 +31,9 @@ const (
 	MaxShards = 16
 	MaxBatch  = 256
 	MaxWarmup = 500
+
+	minLatencyTarget = 1e-6
+	maxLatencyTarget = 1e6
 )
 
 // Spec is the search specification a tenant submits. The zero value of
@@ -103,11 +107,6 @@ func (sp Spec) Validate() error {
 	if sp.Space != "dlrm-small" {
 		return fmt.Errorf("jobs: unknown space %q (want dlrm-small)", sp.Space)
 	}
-	switch sp.Strategy {
-	case "reinforce", "random", "evolution", "halving":
-	default:
-		return fmt.Errorf("jobs: unknown strategy %q (want reinforce, random, evolution, or halving)", sp.Strategy)
-	}
 	switch sp.Reward {
 	case "relu", "absolute":
 	default:
@@ -116,8 +115,10 @@ func (sp Spec) Validate() error {
 	if _, ok := hwsim.ChipByName(sp.Chip); !ok {
 		return fmt.Errorf("jobs: unknown chip %q (want tpuv4, tpuv4i, or v100)", sp.Chip)
 	}
-	if sp.LatencyTarget <= 0 {
-		return fmt.Errorf("jobs: latency_target must be positive, got %g", sp.LatencyTarget)
+	// The bounds keep the reward's absolute target (baseline × this) a
+	// positive finite number, which reward.New requires.
+	if !(sp.LatencyTarget >= minLatencyTarget && sp.LatencyTarget <= maxLatencyTarget) {
+		return fmt.Errorf("jobs: latency_target %g outside %g..%g", sp.LatencyTarget, minLatencyTarget, maxLatencyTarget)
 	}
 	if sp.Steps < 1 || sp.Steps > MaxSteps {
 		return fmt.Errorf("jobs: steps %d outside 1..%d", sp.Steps, MaxSteps)
@@ -131,7 +132,29 @@ func (sp Spec) Validate() error {
 	if sp.Warmup < 0 || sp.Warmup > MaxWarmup {
 		return fmt.Errorf("jobs: warmup %d outside 0..%d", sp.Warmup, MaxWarmup)
 	}
-	return nil
+	// Resolve the strategy exactly as build will, so an unknown name or a
+	// budget the rule cannot run on (successive halving needs one
+	// evaluation per survivor per rung) is refused at admission instead of
+	// failing the job when it starts.
+	_, err := sp.strategy(admissionSpace())
+	return err
+}
+
+// admissionSpace is the decision space Validate resolves strategies over,
+// built once: a strategy only reads it, and Validate discards the strategy.
+var admissionSpace = sync.OnceValue(func() *space.Space {
+	return space.NewDLRMSpace(space.SmallDLRMConfig()).Space
+})
+
+// strategy builds the spec's search rule over the space; the budget is the
+// run's fault-free count of evaluations reaching Update (one per policy
+// shard per step).
+func (sp Spec) strategy(s *space.Space) (core.Strategy, error) {
+	strat, err := core.StrategyByName(sp.Strategy, s, sp.Steps*max(1, sp.Shards-1))
+	if err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
+	}
+	return strat, nil
 }
 
 // build constructs a fresh searcher and config for one run of the spec.
@@ -173,9 +196,8 @@ func (sp Spec) build() (*core.Searcher, *space.DLRMSpace, core.Config, error) {
 		// candidate pool so memory stays flat across the fleet.
 		MaxCandidates: 512,
 	}
-	cfg.Strategy, err = core.StrategyByName(sp.Strategy, ds.Space, sp.Steps*max(1, sp.Shards-1))
-	if err != nil {
-		return nil, nil, core.Config{}, fmt.Errorf("jobs: %w", err)
+	if cfg.Strategy, err = sp.strategy(ds.Space); err != nil {
+		return nil, nil, core.Config{}, err
 	}
 
 	s := &core.Searcher{

@@ -33,6 +33,8 @@ type Embedding struct {
 	activeVocab int
 	lastIndices [][]int
 
+	// fwdOut is the output of the pass in flight and fwdFn forwardRows as
+	// parallelRows bound it, so a parallel Forward allocates no closure.
 	fwdOut *tensor.Matrix
 	fwdFn  func(lo, hi int)
 }
@@ -82,22 +84,12 @@ func (e *Embedding) Forward(indices [][]int) *tensor.Matrix {
 	for _, bag := range indices {
 		lookups += len(bag)
 	}
-	if w := layerWorkers(lookups*e.activeWidth, e.Workers); w > 1 {
-		// Batch rows are the parallel axis: each pooled output row is
-		// written by exactly one worker, reading the shared table, with
-		// the bag accumulated in the serial order — bit-identical for any
-		// fan-out.
-		if e.fwdFn == nil {
-			e.fwdFn = func(lo, hi int) { e.forwardRows(lo, hi) }
-		}
-		e.fwdOut = out
-		tensor.ParallelFor(len(indices), w, e.fwdFn)
-		e.fwdOut = nil
-	} else {
-		e.fwdOut = out
-		e.forwardRows(0, len(indices))
-		e.fwdOut = nil
-	}
+	// Batch rows are the parallel axis: each pooled output row is written
+	// by exactly one worker, reading the shared table, with the bag
+	// accumulated in the serial order — bit-identical for any fan-out.
+	e.fwdOut = out
+	parallelRows(e, (*Embedding).forwardRows, &e.fwdFn, len(indices), lookups*e.activeWidth, e.Workers)
+	e.fwdOut = nil
 	return out
 }
 

@@ -101,18 +101,28 @@ func (p *Param) ZeroGrad() {
 	p.Dirty = false
 }
 
-// layerWorkers returns the fan-out for a layer loop of work multiply-adds
-// under the layer's workers budget: 1 — the historical serial path — when
-// the budget is absent or 1, otherwise the grain-scaled worker count
-// (tensor.WorkersFor), so small shapes stay serial even under a large
-// budget. The budget is a performance knob only: every parallel layer
-// path partitions disjoint output state and preserves the serial
-// per-element accumulation order, so the worker count never changes bits.
-func layerWorkers(work, budget int) int {
-	if budget <= 1 {
-		return 1
+// parallelRows runs the layer loop loop(recv, lo, hi) over [0, n) under a
+// layer's workers budget: inline — the historical serial path — when the
+// budget is absent or 1 or the work multiply-adds are too few to pay for
+// dispatch (tensor.WorkersFor's grain), otherwise as chunks on the shared
+// kernel pool. The pool needs a func value; *bound caches loop bound to
+// recv the first time a layer fans out, so a steady-state pass allocates
+// nothing and a layer that never fans out (every replica but the sandwich
+// shard's, on a host with fewer cores than shards) never pays for one.
+// The budget is a performance knob only: every layer loop dispatched here
+// partitions disjoint output state and preserves the serial per-element
+// accumulation order, so the worker count never changes bits.
+func parallelRows[T any](recv *T, loop func(*T, int, int), bound *func(lo, hi int), n, work, budget int) {
+	if budget > 1 {
+		if w := tensor.WorkersFor(work, budget); w > 1 {
+			if *bound == nil {
+				*bound = func(lo, hi int) { loop(recv, lo, hi) }
+			}
+			tensor.ParallelFor(n, w, *bound)
+			return
+		}
 	}
-	return tensor.WorkersFor(work, budget)
+	loop(recv, 0, n)
 }
 
 // Layer is one differentiable stage. Forward caches what Backward needs;
@@ -174,11 +184,153 @@ func (l *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // Params returns the weight and bias parameters.
 func (l *Dense) Params() []*Param { return []*Param{l.W, l.B} }
 
+// affine is the masked affine stage y = x·W[:in,:out] (+ b[:out]) that
+// every weight-sharing dense layer is made of: MaskedDense is one stage,
+// LowRankDense is two (U without a bias, then V with one). Inactive
+// rows/columns of W neither contribute to the forward pass nor receive
+// gradient, exactly as if they were masked to zero.
+type affine struct {
+	w, b      *Param // b nil: no bias term
+	in, out   int    // active sub-matrix
+	reluInput bool   // see LowRankDense.SetReLUInput
+
+	// Operands of the pass in flight. The row loops read them from here so
+	// fwdFn/bwdFn — the loops bound to this stage by parallelRows — need no
+	// per-pass closure. The stage must not be copied once it has run: the
+	// bound funcs hold its address.
+	x, y, grad, dx *tensor.Matrix
+	fwdFn, bwdFn   func(lo, hi int)
+}
+
+// init binds the stage to its parameters with the full matrix active.
+func (a *affine) init(w, b *Param) {
+	a.w, a.b = w, b
+	a.in, a.out = w.Value.Rows, w.Value.Cols
+}
+
+// setActive selects the sub-matrix used by subsequent passes.
+func (a *affine) setActive(in, out int) {
+	if in <= 0 || in > a.w.Value.Rows || out <= 0 || out > a.w.Value.Cols {
+		panic(fmt.Sprintf("nn: %s: active size %dx%d outside 1..%dx1..%d", a.w.Name, in, out, a.w.Value.Rows, a.w.Value.Cols))
+	}
+	a.in, a.out = in, out
+}
+
+// forward returns y (batch×out, drawn from arena) for x (batch×in) and
+// caches x for backward.
+func (a *affine) forward(x *tensor.Matrix, arena *tensor.Arena, workers int) *tensor.Matrix {
+	if x.Cols != a.in {
+		panic(fmt.Sprintf("nn: %s: input width %d != active in %d", a.w.Name, x.Cols, a.in))
+	}
+	y := arena.GetNoZero(x.Rows, a.out)
+	a.x, a.y = x, y
+	parallelRows(a, (*affine).forwardRows, &a.fwdFn, x.Rows, x.Rows*a.in*a.out, workers)
+	a.y = nil
+	return y
+}
+
+// forwardRows computes output rows [lo, hi). Batch rows are the parallel
+// axis: each output row is written by exactly one worker and accumulates
+// its k contributions in ascending order, with the zero-input skip decided
+// per (i,k), so any row partition is bit-identical to the serial pass.
+// The loop is batch-row-outer: at super-network sizes W fits in cache
+// either way, and keeping the output row hot measured equal to W-row-outer
+// blocking on dense inputs and 3–12 % faster on ReLU-sparse ones, across
+// the ViT and DLRM layer shapes.
+func (a *affine) forwardRows(lo, hi int) {
+	xd, xcols := a.x.Data, a.x.Cols
+	yd, n := a.y.Data, a.out
+	wd, wcols := a.w.Value.Data, a.w.Value.Cols
+	for i := lo; i < hi; i++ {
+		y := yd[i*n : (i+1)*n]
+		if a.b != nil {
+			copy(y, a.b.Value.Data)
+		} else {
+			clear(y)
+		}
+		for k, xv := range xd[i*xcols : i*xcols+a.in] {
+			if xv != 0 {
+				tensor.Axpy(y, xv, wd[k*wcols:k*wcols+n])
+			}
+		}
+	}
+}
+
+// backward accumulates dW and db for the active sub-matrix only and
+// returns dX (batch×in, drawn from arena). The parallel axis is W rows,
+// not batch rows: every batch row accumulates into the same W.Grad rows,
+// so a batch partition would race, while a worker owning W rows [lo, hi)
+// touches only those gradient rows and the matching dX columns. MarkRow
+// mutates shared dedup state, so a row-tracked W has its rows marked in a
+// serial ascending pre-pass; the bias sum stays a serial pass too.
+func (a *affine) backward(grad *tensor.Matrix, arena *tensor.Arena, workers int) *tensor.Matrix {
+	if a.x == nil {
+		panic(fmt.Sprintf("nn: %s: Backward before Forward", a.w.Name))
+	}
+	if grad.Cols != a.out {
+		panic(fmt.Sprintf("nn: %s: grad width %d != active out %d", a.w.Name, grad.Cols, a.out))
+	}
+	if a.w.RowSparse {
+		for k := 0; k < a.in; k++ {
+			a.w.MarkRow(k)
+		}
+	}
+	rows := a.x.Rows
+	dx := arena.GetNoZero(rows, a.in)
+	a.grad, a.dx = grad, dx
+	parallelRows(a, (*affine).backwardRows, &a.bwdFn, a.in, rows*a.in*a.out, workers)
+	a.grad, a.dx = nil, nil
+	a.w.Dirty = true
+	if a.b != nil {
+		bg := a.b.Grad.Data[:a.out]
+		for i := 0; i < rows; i++ {
+			tensor.Axpy(bg, 1, grad.Row(i))
+		}
+		a.b.Dirty = true
+	}
+	return dx
+}
+
+// backwardRows runs the fused dW accumulate + dX dot for W rows [lo, hi)
+// across the whole batch. W-row-outer, batch-row-inner keeps each
+// value/gradient row pair cache-hot across the batch and streams it
+// exactly once; W.Grad row k takes its batch contributions in ascending
+// batch order and dX column k gets one write per batch row, so bits do
+// not depend on the partition. The inner kernel is tensor.FusedAxpyDot,
+// whose accumulation order is the fixed reference order on every backend.
+func (a *affine) backwardRows(lo, hi int) {
+	xd, xcols := a.x.Data, a.x.Cols
+	gd, gcols := a.grad.Data, a.grad.Cols
+	dxd, dxcols := a.dx.Data, a.dx.Cols
+	wd, gwd, wcols := a.w.Value.Data, a.w.Grad.Data, a.w.Value.Cols
+	n, rows := a.out, a.x.Rows
+	for k := lo; k < hi; k++ {
+		w, gw := wd[k*wcols:k*wcols+n], gwd[k*wcols:k*wcols+n]
+		for i := 0; i < rows; i++ {
+			g := gd[i*gcols : i*gcols+n]
+			switch xv := xd[i*xcols+k]; {
+			case xv != 0:
+				dxd[i*dxcols+k] = tensor.FusedAxpyDot(g, w, gw, xv)
+			case a.reluInput:
+				// The upstream ReLU mask discards dX here and the dW
+				// contribution is exactly zero: the pair is dead work.
+				dxd[i*dxcols+k] = 0
+			default:
+				// Inputs often arrive through ReLU, so exact zeros are
+				// common. dW += g·0 adds exactly zero; only the dot for dX
+				// remains, and skipping the gradient row halves the
+				// traffic. tensor.Dot uses the same accumulator pattern as
+				// the fused kernel's dot chain, so dX is bit-identical.
+				dxd[i*dxcols+k] = tensor.Dot(g, w)
+			}
+		}
+	}
+}
+
 // MaskedDense is the fine-grained weight-sharing dense layer of the DLRM
 // super-network (Figure 3 ③): a single maxIn×maxOut weight matrix from
 // which any activeIn×activeOut upper-left sub-matrix can be selected per
-// search step. Inactive rows/columns neither contribute to the forward
-// pass nor receive gradient, exactly as if they were masked to zero.
+// search step.
 type MaskedDense struct {
 	W *Param // maxIn×maxOut
 	B *Param // 1×maxOut
@@ -193,131 +345,37 @@ type MaskedDense struct {
 	// — the default — keeps the historical serial loops.
 	Workers int
 
-	activeIn, activeOut int
-	input               *tensor.Matrix
-
-	// Hoisted parallel-dispatch state: the closures are built once and
-	// read their operands from these fields, so steady-state parallel
-	// passes allocate nothing.
-	fwdOut       *tensor.Matrix
-	fwdFn        func(lo, hi int)
-	bwGrad, bwDx *tensor.Matrix
-	bwFn         func(lo, hi int)
+	stage affine
 }
 
 // NewMaskedDense returns a super-network dense layer sized for the largest
 // candidate. Both active sizes start at the maximum.
 func NewMaskedDense(maxIn, maxOut int, rng *tensor.RNG) *MaskedDense {
-	return &MaskedDense{
-		W:         NewParam(fmt.Sprintf("masked_w_%dx%d", maxIn, maxOut), tensor.GlorotUniform(maxIn, maxOut, rng)),
-		B:         NewParam(fmt.Sprintf("masked_b_%d", maxOut), tensor.New(1, maxOut)),
-		activeIn:  maxIn,
-		activeOut: maxOut,
+	l := &MaskedDense{
+		W: NewParam(fmt.Sprintf("masked_w_%dx%d", maxIn, maxOut), tensor.GlorotUniform(maxIn, maxOut, rng)),
+		B: NewParam(fmt.Sprintf("masked_b_%d", maxOut), tensor.New(1, maxOut)),
 	}
+	l.stage.init(l.W, l.B)
+	return l
 }
 
 // SetActive selects the sub-matrix used by subsequent Forward/Backward
 // calls. It panics if the requested size exceeds the allocated maximum.
-func (l *MaskedDense) SetActive(in, out int) {
-	if in <= 0 || in > l.W.Value.Rows || out <= 0 || out > l.W.Value.Cols {
-		panic(fmt.Sprintf("nn: MaskedDense.SetActive(%d,%d) outside 1..%dx1..%d", in, out, l.W.Value.Rows, l.W.Value.Cols))
-	}
-	l.activeIn, l.activeOut = in, out
-}
+func (l *MaskedDense) SetActive(in, out int) { l.stage.setActive(in, out) }
 
 // Active returns the currently selected (in, out) sub-matrix size.
-func (l *MaskedDense) Active() (in, out int) { return l.activeIn, l.activeOut }
+func (l *MaskedDense) Active() (in, out int) { return l.stage.in, l.stage.out }
 
 // Forward computes y = x·W[0:in,0:out] + b[0:out]. x must be batch×activeIn;
 // the output is batch×activeOut.
 func (l *MaskedDense) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != l.activeIn {
-		panic(fmt.Sprintf("nn: MaskedDense input width %d != active in %d", x.Cols, l.activeIn))
-	}
-	l.input = x
-	out := l.Arena.GetNoZero(x.Rows, l.activeOut)
-	if w := layerWorkers(x.Rows*l.activeIn*l.activeOut, l.Workers); w > 1 {
-		if l.fwdFn == nil {
-			l.fwdFn = func(lo, hi int) { l.forwardRows(l.input, l.fwdOut, lo, hi) }
-		}
-		l.fwdOut = out
-		tensor.ParallelFor(x.Rows, w, l.fwdFn)
-		l.fwdOut = nil
-	} else {
-		l.forwardRows(x, out, 0, x.Rows)
-	}
-	return out
-}
-
-// forwardRows computes output rows [lo, hi). Batch rows are the parallel
-// axis: each output row is written by exactly one worker and accumulates
-// its k contributions in the same ascending order as the serial loop, so
-// any row partition is bit-identical to the serial pass.
-func (l *MaskedDense) forwardRows(x, out *tensor.Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		xrow := x.Row(i)
-		orow := out.Row(i)
-		copy(orow, l.B.Value.Data[:l.activeOut])
-		for k := 0; k < l.activeIn; k++ {
-			xv := xrow[k]
-			if xv == 0 {
-				continue
-			}
-			tensor.Axpy(orow, xv, l.W.Value.Row(k))
-		}
-	}
+	return l.stage.forward(x, l.Arena, l.Workers)
 }
 
 // Backward accumulates gradients for the active sub-matrix only and
-// returns dX (batch×activeIn). The parallel axis is W rows, not batch
-// rows: every batch row accumulates into the same W.Grad rows, so a
-// batch partition would race, while worker k' owning W rows [lo, hi)
-// touches only those gradient rows and the matching dX columns — and
-// each W.Grad row still receives its batch contributions in ascending
-// batch order, the serial order. The bias sum stays a serial pass.
+// returns dX (batch×activeIn).
 func (l *MaskedDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if l.input == nil {
-		panic("nn: MaskedDense.Backward before Forward")
-	}
-	if grad.Cols != l.activeOut {
-		panic(fmt.Sprintf("nn: MaskedDense grad width %d != active out %d", grad.Cols, l.activeOut))
-	}
-	x := l.input
-	dx := l.Arena.GetNoZero(x.Rows, l.activeIn)
-	if w := layerWorkers(x.Rows*l.activeIn*l.activeOut, l.Workers); w > 1 {
-		if l.bwFn == nil {
-			l.bwFn = func(lo, hi int) { l.backwardWRows(l.bwGrad, l.bwDx, lo, hi) }
-		}
-		l.bwGrad, l.bwDx = grad, dx
-		tensor.ParallelFor(l.activeIn, w, l.bwFn)
-		l.bwGrad, l.bwDx = nil, nil
-	} else {
-		l.backwardWRows(grad, dx, 0, l.activeIn)
-	}
-	gd, gcols := grad.Data, grad.Cols
-	nOut := l.activeOut
-	bg := l.B.Grad.Data[:nOut]
-	for i := 0; i < x.Rows; i++ {
-		tensor.Axpy(bg, 1, gd[i*gcols:i*gcols+nOut])
-	}
-	l.W.Dirty, l.B.Dirty = true, true
-	return dx
-}
-
-// backwardWRows runs the fused dW accumulate + dX dot for W rows
-// [lo, hi) across the whole batch: for each owned k, W.Grad.Row(k) takes
-// its batch contributions in ascending batch order and dX column k gets
-// one write per batch row — the same per-element order and writes as the
-// historical batch-outer loop, just transposed, so bits never move.
-func (l *MaskedDense) backwardWRows(grad, dx *tensor.Matrix, lo, hi int) {
-	x := l.input
-	for k := lo; k < hi; k++ {
-		w := l.W.Value.Row(k)
-		gw := l.W.Grad.Row(k)
-		for i := 0; i < x.Rows; i++ {
-			dx.Row(i)[k] = tensor.FusedAxpyDot(grad.Row(i), w, gw, x.Row(i)[k])
-		}
-	}
+	return l.stage.backward(grad, l.Arena, l.Workers)
 }
 
 // Params returns the full super-network weight and bias parameters.
@@ -343,16 +401,7 @@ type LowRankDense struct {
 	// — the default — keeps the historical serial loops.
 	Workers int
 
-	activeIn, activeOut, activeRank int
-	input, hidden                   *tensor.Matrix
-	reluInput                       bool
-
-	// Hoisted parallel-dispatch state (see MaskedDense): closures built
-	// once, operands published through fields, zero steady-state allocs.
-	fwdOut                *tensor.Matrix
-	fwdHiddenFn, fwdOutFn func(lo, hi int)
-	bwGrad, bwDh, bwDx    *tensor.Matrix
-	bwVFn, bwUFn          func(lo, hi int)
+	u, v affine // h = x·U, then y = h·V + b
 }
 
 // SetReLUInput declares that the layer's input is the direct output of a
@@ -362,7 +411,7 @@ type LowRankDense struct {
 // write zero there without computing the dot product. Only set this when
 // the consumer of dX really is that ReLU's backward — with the flag off,
 // Backward computes every dX element.
-func (l *LowRankDense) SetReLUInput(on bool) { l.reluInput = on }
+func (l *LowRankDense) SetReLUInput(on bool) { l.u.reluInput = on }
 
 // NewLowRankDense returns a super-network low-rank layer sized for the
 // largest candidate in every dimension.
@@ -376,12 +425,9 @@ func (l *LowRankDense) SetReLUInput(on bool) { l.reluInput = on }
 func NewLowRankDense(maxIn, maxOut, maxRank int, rng *tensor.RNG) *LowRankDense {
 	vStd := math.Sqrt(float64(maxIn+maxRank) / (float64(maxIn+maxOut) * float64(maxRank)))
 	l := &LowRankDense{
-		U:          NewParam(fmt.Sprintf("lowrank_u_%dx%d", maxIn, maxRank), tensor.GlorotUniform(maxIn, maxRank, rng)),
-		V:          NewParam(fmt.Sprintf("lowrank_v_%dx%d", maxRank, maxOut), tensor.RandN(maxRank, maxOut, vStd, rng)),
-		B:          NewParam(fmt.Sprintf("lowrank_b_%d", maxOut), tensor.New(1, maxOut)),
-		activeIn:   maxIn,
-		activeOut:  maxOut,
-		activeRank: maxRank,
+		U: NewParam(fmt.Sprintf("lowrank_u_%dx%d", maxIn, maxRank), tensor.GlorotUniform(maxIn, maxRank, rng)),
+		V: NewParam(fmt.Sprintf("lowrank_v_%dx%d", maxRank, maxOut), tensor.RandN(maxRank, maxOut, vStd, rng)),
+		B: NewParam(fmt.Sprintf("lowrank_b_%d", maxOut), tensor.New(1, maxOut)),
 	}
 	// A step writes gradient only into the active sub-block: U rows
 	// [0,activeIn) and V rows [0,activeRank). Row tracking lets the
@@ -389,228 +435,28 @@ func NewLowRankDense(maxIn, maxOut, maxRank int, rng *tensor.RNG) *LowRankDense 
 	// of the factor's maximum extent.
 	l.U.EnableRowTracking()
 	l.V.EnableRowTracking()
+	l.u.init(l.U, nil)
+	l.v.init(l.V, l.B)
 	return l
 }
 
 // SetActive selects the active input width, output width and rank.
 func (l *LowRankDense) SetActive(in, out, rank int) {
-	if in <= 0 || in > l.U.Value.Rows || rank <= 0 || rank > l.U.Value.Cols || out <= 0 || out > l.V.Value.Cols {
-		panic(fmt.Sprintf("nn: LowRankDense.SetActive(%d,%d,%d) out of range", in, out, rank))
-	}
-	l.activeIn, l.activeOut, l.activeRank = in, out, rank
+	l.u.setActive(in, rank)
+	l.v.setActive(rank, out)
 }
 
 // Active returns the currently selected (in, out, rank).
-func (l *LowRankDense) Active() (in, out, rank int) {
-	return l.activeIn, l.activeOut, l.activeRank
-}
+func (l *LowRankDense) Active() (in, out, rank int) { return l.u.in, l.v.out, l.u.out }
 
 // Forward computes the two-stage product over the active sub-factors.
 func (l *LowRankDense) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != l.activeIn {
-		panic(fmt.Sprintf("nn: LowRankDense input width %d != active in %d", x.Cols, l.activeIn))
-	}
-	l.input = x
-	h := l.Arena.Get(x.Rows, l.activeRank)
-	l.hidden = h
-	// Both products are blocked factor-row-outer, batch-row-inner so each
-	// factor row stays cache-hot across the batch instead of the whole
-	// factor being re-streamed per example (see Backward). Each output
-	// element still accumulates its k contributions in ascending order,
-	// and the zero-input skip is decided per (i,k) either way, so the
-	// result is bit-identical to the batch-outer form. Batch rows are the
-	// parallel axis: a worker owns a contiguous row range and runs the
-	// same k-outer blocking over it, so every output element keeps the
-	// serial accumulation order under any fan-out.
-	rows := x.Rows
-	if w := layerWorkers(rows*l.activeIn*l.activeRank, l.Workers); w > 1 {
-		if l.fwdHiddenFn == nil {
-			l.fwdHiddenFn = func(lo, hi int) { l.forwardHiddenRows(lo, hi) }
-		}
-		tensor.ParallelFor(rows, w, l.fwdHiddenFn)
-	} else {
-		l.forwardHiddenRows(0, rows)
-	}
-	out := l.Arena.GetNoZero(x.Rows, l.activeOut)
-	l.fwdOut = out
-	if w := layerWorkers(rows*l.activeRank*l.activeOut, l.Workers); w > 1 {
-		if l.fwdOutFn == nil {
-			l.fwdOutFn = func(lo, hi int) { l.forwardOutRows(lo, hi) }
-		}
-		tensor.ParallelFor(rows, w, l.fwdOutFn)
-	} else {
-		l.forwardOutRows(0, rows)
-	}
-	l.fwdOut = nil
-	return out
-}
-
-// forwardHiddenRows computes hidden rows [lo, hi) of the first factor
-// product h = x·U over the active sub-factors.
-func (l *LowRankDense) forwardHiddenRows(lo, hi int) {
-	x, h := l.input, l.hidden
-	uv, ucols := l.U.Value.Data, l.U.Value.Cols
-	xd, xcols := x.Data, x.Cols
-	hd, hcols := h.Data, h.Cols
-	nRank := l.activeRank
-	for k := 0; k < l.activeIn; k++ {
-		w := uv[k*ucols : k*ucols+nRank]
-		for i := lo; i < hi; i++ {
-			xv := xd[i*xcols+k]
-			if xv == 0 {
-				continue
-			}
-			tensor.Axpy(hd[i*hcols:i*hcols+nRank], xv, w)
-		}
-	}
-}
-
-// forwardOutRows computes output rows [lo, hi) of the second factor
-// product out = h·V + b.
-func (l *LowRankDense) forwardOutRows(lo, hi int) {
-	h, out := l.hidden, l.fwdOut
-	hd, hcols := h.Data, h.Cols
-	od, ocols := out.Data, out.Cols
-	nOut, nRank := l.activeOut, l.activeRank
-	vv, vcols := l.V.Value.Data, l.V.Value.Cols
-	bias := l.B.Value.Data[:nOut]
-	for i := lo; i < hi; i++ {
-		copy(od[i*ocols:i*ocols+nOut], bias)
-	}
-	for k := 0; k < nRank; k++ {
-		w := vv[k*vcols : k*vcols+nOut]
-		for i := lo; i < hi; i++ {
-			hv := hd[i*hcols+k]
-			if hv == 0 {
-				continue
-			}
-			tensor.Axpy(od[i*ocols:i*ocols+nOut], hv, w)
-		}
-	}
+	return l.v.forward(l.u.forward(x, l.Arena, l.Workers), l.Arena, l.Workers)
 }
 
 // Backward accumulates gradients for the active sub-factors and returns dX.
 func (l *LowRankDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if l.input == nil || l.hidden == nil {
-		panic("nn: LowRankDense.Backward before Forward")
-	}
-	if grad.Cols != l.activeOut {
-		panic(fmt.Sprintf("nn: LowRankDense grad width %d != active out %d", grad.Cols, l.activeOut))
-	}
-	x := l.input
-	rows := x.Rows
-	dh := l.Arena.GetNoZero(rows, l.activeRank)
-	// Both passes below are blocked factor-row-outer, batch-row-inner: the
-	// old batch-outer order re-streamed both factor matrices (value and
-	// gradient) from memory once per example, which made the backward pass
-	// bandwidth-bound. With the factor row outermost, each value/gradient
-	// row pair stays cache-hot across the whole batch and is streamed
-	// exactly once. The inner kernel is tensor.FusedAxpyDot (the fused
-	// dW-row update + dX dot), whose accumulation order is the fixed
-	// reference order — and which the h2ofast build vectorizes — so
-	// results are bit-identical to the unblocked form on every backend.
-	//
-	// Factor rows are also the parallel axis: worker k-range [lo, hi)
-	// owns gradient rows [lo, hi) of the factor and the matching dh/dx
-	// columns, all disjoint, and each gradient row still takes its batch
-	// contributions in ascending batch order. MarkRow mutates shared
-	// dedup state, so rows are marked in a serial pre-pass — the same
-	// ascending order the serial loop marks them in.
-	for k := 0; k < l.activeRank; k++ {
-		l.V.MarkRow(k)
-	}
-	l.bwGrad, l.bwDh = grad, dh
-	if w := layerWorkers(rows*l.activeRank*l.activeOut, l.Workers); w > 1 {
-		if l.bwVFn == nil {
-			l.bwVFn = func(lo, hi int) { l.backVRows(lo, hi) }
-		}
-		tensor.ParallelFor(l.activeRank, w, l.bwVFn)
-	} else {
-		l.backVRows(0, l.activeRank)
-	}
-	gd, gcols := grad.Data, grad.Cols
-	nOut := l.activeOut
-	for i := 0; i < rows; i++ {
-		tensor.Axpy(l.B.Grad.Data[:nOut], 1, gd[i*gcols:i*gcols+nOut])
-	}
-	dx := l.Arena.GetNoZero(rows, l.activeIn)
-	l.bwDx = dx
-	for k := 0; k < l.activeIn; k++ {
-		l.U.MarkRow(k)
-	}
-	if w := layerWorkers(rows*l.activeIn*l.activeRank, l.Workers); w > 1 {
-		if l.bwUFn == nil {
-			l.bwUFn = func(lo, hi int) { l.backURows(lo, hi) }
-		}
-		tensor.ParallelFor(l.activeIn, w, l.bwUFn)
-	} else {
-		l.backURows(0, l.activeIn)
-	}
-	l.bwGrad, l.bwDh, l.bwDx = nil, nil, nil
-	l.U.Dirty, l.V.Dirty, l.B.Dirty = true, true, true
-	return dx
-}
-
-// backVRows runs the V-factor stage for factor rows [lo, hi): dV rows,
-// and the matching dh columns, across the whole batch.
-func (l *LowRankDense) backVRows(lo, hi int) {
-	grad, h, dh := l.bwGrad, l.hidden, l.bwDh
-	vv, vg := l.V.Value.Data, l.V.Grad.Data
-	gd, hd, dhd := grad.Data, h.Data, dh.Data
-	gcols, hcols, dhcols := grad.Cols, h.Cols, dh.Cols
-	vcols := l.V.Value.Cols
-	nOut := l.activeOut
-	rows := grad.Rows
-	for k := lo; k < hi; k++ {
-		base := k * vcols
-		w := vv[base : base+nOut]
-		gw := vg[base : base+nOut]
-		for i := 0; i < rows; i++ {
-			grow := gd[i*gcols : i*gcols+nOut]
-			hv := hd[i*hcols+k]
-			dhd[i*dhcols+k] = tensor.FusedAxpyDot(grow, w, gw, hv)
-		}
-	}
-}
-
-// backURows runs the U-factor stage for factor rows [lo, hi): dU rows,
-// and the matching dx columns, across the whole batch.
-func (l *LowRankDense) backURows(lo, hi int) {
-	x, dh, dx := l.input, l.bwDh, l.bwDx
-	uv, ug := l.U.Value.Data, l.U.Grad.Data
-	xd, dhd, dxd := x.Data, dh.Data, dx.Data
-	xcols, dhcols, dxcols := x.Cols, dh.Cols, dx.Cols
-	ucols := l.U.Value.Cols
-	nRank := l.activeRank
-	reluIn := l.reluInput
-	rows := x.Rows
-	for k := lo; k < hi; k++ {
-		base := k * ucols
-		w := uv[base : base+nRank]
-		gw := ug[base : base+nRank]
-		for i := 0; i < rows; i++ {
-			xv := xd[i*xcols+k]
-			if xv == 0 && reluIn {
-				// The upstream ReLU mask discards dX here (see
-				// SetReLUInput) and the dU contribution is exactly zero,
-				// so the whole column-row pair is dead work.
-				dxd[i*dxcols+k] = 0
-				continue
-			}
-			dhrow := dhd[i*dhcols : i*dhcols+nRank]
-			if xv == 0 {
-				// Inputs arrive through ReLU, so exact zeros are common.
-				// dU += dh·x adds exactly zero for this column; only the
-				// dot product for dx remains, and skipping the gradient
-				// row halves the traffic. tensor.Dot uses the same
-				// accumulator pattern as the fused kernel's dot chain, so
-				// dx is bit-identical.
-				dxd[i*dxcols+k] = tensor.Dot(dhrow, w)
-				continue
-			}
-			dxd[i*dxcols+k] = tensor.FusedAxpyDot(dhrow, w, gw, xv)
-		}
-	}
+	return l.u.backward(l.v.backward(grad, l.Arena, l.Workers), l.Arena, l.Workers)
 }
 
 // Params returns both factors and the bias.

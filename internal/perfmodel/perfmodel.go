@@ -117,11 +117,11 @@ func (m *Model) Pretrain(samples []Sample, cfg TrainConfig) error {
 // normalization (the measurement distribution is tiny and shifted — that
 // shift is exactly what the network must learn).
 //
-// The measured set may be smaller than planned when it came from a
-// degraded measurement farm: FineTune accepts any non-empty set, clamps
-// the batch size down to the set when needed, and reports the count via
-// the perfmodel_finetune_samples gauge so operators can see that the
-// model was tuned on thin (noisier) data.
+// The measured set may be smaller than planned (hardware runs fail):
+// FineTune accepts any non-empty set, clamps the batch size down to the
+// set when needed, and reports the count via the
+// perfmodel_finetune_samples gauge so operators can see that the model
+// was tuned on thin (noisier) data.
 func (m *Model) FineTune(samples []Sample, cfg TrainConfig) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("perfmodel: no fine-tuning samples")

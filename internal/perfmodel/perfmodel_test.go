@@ -168,7 +168,7 @@ func TestNewValidates(t *testing.T) {
 }
 
 func TestFineTuneDegradedSampleSet(t *testing.T) {
-	// A degraded measurement farm can deliver fewer samples than the
+	// A measurement campaign can deliver fewer samples than the
 	// configured batch size; FineTune must clamp rather than reject, and
 	// must report the thin set through its gauge.
 	m := smallModel(8)

@@ -1,19 +1,15 @@
-package measure
+package shardrpc
 
 import (
 	"sync"
 	"time"
 
+	"h2onas/internal/checkpoint"
 	"h2onas/internal/tensor"
 )
 
-// Policy bundles the retry/timeout/breaker knobs shared by every
-// fault-tolerant call site in the system. The zero value defers every
-// knob to the call site's own defaults via Defaulted: the device farm
-// operates at simulated-hardware scale (seconds-long measurements, long
-// cooldowns), while a shard RPC over loopback completes in microseconds
-// to milliseconds — a single hard-coded default set cannot serve both,
-// so each user names its shape explicitly.
+// Policy bundles the retry/timeout/breaker knobs of a shard RPC. The zero
+// value defers every knob to RPCDefaults via Defaulted.
 type Policy struct {
 	// Timeout is the per-call completion budget; a call running past it
 	// counts as a transient failure.
@@ -32,8 +28,7 @@ type Policy struct {
 }
 
 // Defaulted fills every unset (zero or negative) field of p from def and
-// returns the result. Call sites pass their own shape — FarmDefaults for
-// device measurements, shardrpc's defaults for search RPCs.
+// returns the result.
 func (p Policy) Defaulted(def Policy) Policy {
 	if p.Timeout <= 0 {
 		p.Timeout = def.Timeout
@@ -56,20 +51,6 @@ func (p Policy) Defaulted(def Policy) Policy {
 	return p
 }
 
-// FarmDefaults is the device-farm call shape: measurements are
-// seconds-long simulated hardware runs, so budgets and cooldowns are
-// generous.
-func FarmDefaults() Policy {
-	return Policy{
-		Timeout:          2 * time.Second,
-		MaxAttempts:      4,
-		BackoffBase:      10 * time.Millisecond,
-		BackoffMax:       time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  5 * time.Second,
-	}
-}
-
 // BreakerState is a breaker's position, exported as a gauge by callers.
 type BreakerState int
 
@@ -79,15 +60,15 @@ const (
 	BreakerDead                       // permanently failed
 )
 
-// Breaker is a consecutive-failure circuit breaker for one target (a
-// device, a remote worker). Threshold consecutive failures open it for
-// the cooldown; an expired cooldown leaves it half-open — eligible
-// again, re-opened immediately by the next failure — and a permanent
-// failure kills it for good. Safe for concurrent use.
+// Breaker is a consecutive-failure circuit breaker for one remote worker.
+// Threshold consecutive failures open it for the cooldown; an expired
+// cooldown leaves it half-open — eligible again, re-opened immediately by
+// the next failure — and a permanent failure kills it for good. Safe for
+// concurrent use.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
-	clock     Clock
+	clock     checkpoint.Clock
 
 	mu          sync.Mutex
 	consecutive int
@@ -96,9 +77,9 @@ type Breaker struct {
 }
 
 // NewBreaker builds a breaker; nil clock uses the wall clock.
-func NewBreaker(threshold int, cooldown time.Duration, clock Clock) *Breaker {
+func NewBreaker(threshold int, cooldown time.Duration, clock checkpoint.Clock) *Breaker {
 	if clock == nil {
-		clock = RealClock()
+		clock = checkpoint.RealClock()
 	}
 	return &Breaker{threshold: threshold, cooldown: cooldown, clock: clock}
 }

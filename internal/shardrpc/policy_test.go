@@ -1,4 +1,4 @@
-package measure
+package shardrpc
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ func (c *policyClock) Now() time.Time      { return c.now }
 func (c *policyClock) Sleep(time.Duration) {}
 
 func TestPolicyDefaulted(t *testing.T) {
-	def := FarmDefaults()
+	def := RPCDefaults()
 
 	got := Policy{}.Defaulted(def)
 	if got != def {

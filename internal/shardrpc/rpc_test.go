@@ -12,7 +12,6 @@ import (
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
-	"h2onas/internal/measure"
 	"h2onas/internal/metrics"
 	"h2onas/internal/reward"
 	"h2onas/internal/space"
@@ -317,7 +316,7 @@ func TestDialFailsFastWhenWorkerAbsent(t *testing.T) {
 	}
 	addr := lis.Addr().String()
 	lis.Close() // nothing listens here now
-	tr, err := Dial([]string{addr, addr, addr}, Options{Policy: measure.Policy{Timeout: time.Second}})
+	tr, err := Dial([]string{addr, addr, addr}, Options{Policy: Policy{Timeout: time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,22 +10,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"h2onas/internal/checkpoint"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
-	"h2onas/internal/measure"
 	"h2onas/internal/metrics"
 	"h2onas/internal/nn"
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
 )
 
-// RPCDefaults is the retry/breaker policy tuned for shard RPCs rather
-// than device-farm measurements: shard steps are short and the
-// coordinator blocks on the slowest shard, so timeouts are tight, retries
-// few, and a flaky worker is parked quickly (and probed again after a
-// cooldown) instead of stalling every step.
-func RPCDefaults() measure.Policy {
-	return measure.Policy{
+// RPCDefaults is the retry/breaker policy of shard RPCs: shard steps are
+// short and the coordinator blocks on the slowest shard, so timeouts are
+// tight, retries few, and a flaky worker is parked quickly (and probed
+// again after a cooldown) instead of stalling every step.
+func RPCDefaults() Policy {
+	return Policy{
 		Timeout:          10 * time.Second,
 		MaxAttempts:      2,
 		BackoffBase:      2 * time.Millisecond,
@@ -39,9 +38,9 @@ func RPCDefaults() measure.Policy {
 type Options struct {
 	// Policy is the per-call retry/timeout/breaker policy; zero fields
 	// take RPCDefaults.
-	Policy measure.Policy
+	Policy Policy
 	// Clock drives breaker cooldowns and backoff sleeps; nil is wall time.
-	Clock measure.Clock
+	Clock checkpoint.Clock
 	// Seed seeds the retry-backoff jitter.
 	Seed uint64
 }
@@ -51,7 +50,7 @@ type rpcWorker struct {
 	shard int
 	addr  string
 	conn  net.Conn
-	br    *measure.Breaker
+	br    *Breaker
 	// acked is the weight version the worker last confirmed holding;
 	// 0 after (re)connect, forcing a full sync.
 	acked uint64
@@ -74,8 +73,8 @@ type rpcWorker struct {
 // redialed with a fresh handshake — which resets its acked version and
 // triggers a full weight sync.
 type Transport struct {
-	pol   measure.Policy
-	clock measure.Clock
+	pol   Policy
+	clock checkpoint.Clock
 
 	workers []*rpcWorker
 
@@ -83,7 +82,7 @@ type Transport struct {
 	replicas []*supernet.Supernet
 	params   []*nn.Param
 
-	backoff *measure.Backoff
+	backoff *Backoff
 	reqID   atomic.Uint64
 
 	// version is the master's current weight version; deltaTouched (valid
@@ -124,12 +123,12 @@ func Dial(addrs []string, opts Options) (*Transport, error) {
 	pol := opts.Policy.Defaulted(RPCDefaults())
 	clock := opts.Clock
 	if clock == nil {
-		clock = measure.RealClock()
+		clock = checkpoint.RealClock()
 	}
 	t := &Transport{
 		pol:     pol,
 		clock:   clock,
-		backoff: measure.NewBackoff(pol.BackoffBase, pol.BackoffMax, opts.Seed),
+		backoff: NewBackoff(pol.BackoffBase, pol.BackoffMax, opts.Seed),
 	}
 	for i, a := range addrs {
 		if a == "" {
@@ -138,7 +137,7 @@ func Dial(addrs []string, opts Options) (*Transport, error) {
 		t.workers = append(t.workers, &rpcWorker{
 			shard: i,
 			addr:  a,
-			br:    measure.NewBreaker(t.pol.BreakerThreshold, t.pol.BreakerCooldown, t.clock),
+			br:    NewBreaker(t.pol.BreakerThreshold, t.pol.BreakerCooldown, t.clock),
 		})
 	}
 	t.membership = "tcp[" + strings.Join(addrs, ",") + "]"
@@ -248,7 +247,7 @@ func (t *Transport) RunStep(step int, assignments []space.Assignment, batches []
 	wg.Wait()
 	open := 0
 	for _, w := range t.workers {
-		if w.br.State() != measure.BreakerClosed {
+		if w.br.State() != BreakerClosed {
 			open++
 		}
 	}

@@ -27,6 +27,18 @@ type Decision struct {
 // Arity returns the number of options.
 func (d *Decision) Arity() int { return len(d.Values) }
 
+// Max returns the index and value of the decision's largest option (the
+// first on ties) — the option the maximal sub-network selects, and the
+// extent a weight-sharing super-network must allocate for it.
+func (d *Decision) Max() (index int, value float64) {
+	for j, v := range d.Values {
+		if v > d.Values[index] {
+			index = j
+		}
+	}
+	return index, d.Values[index]
+}
+
 // NewDecision builds a decision from numeric options, deriving labels.
 func NewDecision(name string, values ...float64) Decision {
 	labels := make([]string, len(values))

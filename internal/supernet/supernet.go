@@ -115,21 +115,17 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 	cfg := ds.Config
 	s := &Supernet{DS: ds, opts: opts}
 
-	s.maxEmbWidth = maxOption(ds.Space, "emb0_width")
+	sp := ds.Space
+	_, w0 := sp.Decisions[sp.Lookup("emb0_width")].Max()
+	s.maxEmbWidth = int(w0)
 	for t := 0; t < cfg.NumTables; t++ {
-		widthDec := fmt.Sprintf("emb%d_width", t)
-		if w := maxOption(ds.Space, widthDec); w != s.maxEmbWidth {
+		if _, w := sp.Decisions[sp.Lookup(fmt.Sprintf("emb%d_width", t))].Max(); int(w) != s.maxEmbWidth {
 			panic("supernet: per-table max widths must agree")
 		}
-		vocabDec := ds.Space.Decisions[ds.Space.Lookup(fmt.Sprintf("emb%d_vocab", t))]
+		vocabDec := &sp.Decisions[sp.Lookup(fmt.Sprintf("emb%d_vocab", t))]
 		if opts.VocabSharing == FineVocab {
-			maxVocab := 0
-			for _, v := range vocabDec.Values {
-				if int(v) > maxVocab {
-					maxVocab = int(v)
-				}
-			}
-			s.tables = append(s.tables, []*nn.Embedding{nn.NewEmbedding(maxVocab, s.maxEmbWidth, rng.Split())})
+			_, maxVocab := vocabDec.Max()
+			s.tables = append(s.tables, []*nn.Embedding{nn.NewEmbedding(int(maxVocab), s.maxEmbWidth, rng.Split())})
 			continue
 		}
 		row := make([]*nn.Embedding, len(vocabDec.Values))
@@ -143,7 +139,8 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 		slots := make([]*mlpSlot, n)
 		in := firstIn
 		for i := 0; i < n; i++ {
-			out := maxOption(ds.Space, fmt.Sprintf("%s%d_width", prefix, i))
+			_, w := sp.Decisions[sp.Lookup(fmt.Sprintf("%s%d_width", prefix, i))].Max()
+			out := int(w)
 			maxRank := min(in, out)
 			slots[i] = &mlpSlot{
 				low:    nn.NewLowRankDense(in, out, maxRank, rng.Split()),
@@ -368,7 +365,7 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 	for i := len(ar.TopWidths) - 1; i >= 0; i-- {
 		grad = s.lastActs[actIdx].Backward(grad)
 		actIdx--
-		grad = s.backSlot(s.top[i], ar.TopWidths[i], ar.TopRanks[i], grad)
+		grad = s.top[i].low.Backward(grad)
 	}
 
 	// Scatter the concat gradient to the embeddings and the bottom MLP.
@@ -394,14 +391,8 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 	for i := len(ar.BottomWidths) - 1; i >= 0; i-- {
 		grad = s.lastActs[actIdx].Backward(grad)
 		actIdx--
-		grad = s.backSlot(s.bottom[i], ar.BottomWidths[i], ar.BottomRanks[i], grad)
+		grad = s.bottom[i].low.Backward(grad)
 	}
-}
-
-func (s *Supernet) backSlot(slot *mlpSlot, w, rank int, grad *tensor.Matrix) *tensor.Matrix {
-	_ = w
-	_ = rank
-	return slot.low.Backward(grad)
 }
 
 // tableFor returns the embedding table serving table t under the
@@ -437,23 +428,4 @@ func (s *Supernet) Loss(a space.Assignment, batch *datapipe.Batch) (float64, *te
 func (s *Supernet) Quality(a space.Assignment, batch *datapipe.Batch) float64 {
 	loss, _ := s.Loss(a, batch)
 	return 1 - loss/math.Ln2
-}
-
-// maxOption returns the largest numeric option of the named decision.
-func maxOption(sp *space.Space, name string) int {
-	d := sp.Decisions[sp.Lookup(name)]
-	best := d.Values[0]
-	for _, v := range d.Values {
-		if v > best {
-			best = v
-		}
-	}
-	return int(best)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -29,8 +29,8 @@ type HostCaches struct {
 // multiply-add peak (2 FLOPs/cycle — the reference kernels are scalar and
 // the accumulation chains serialize FMA-width tricks away), HBMBandwidth
 // is the per-core DRAM streaming bandwidth, and CMEM stands in for L2.
-// The numbers are the Intel Xeon (Skylake-SP, 2.10 GHz) the benchmarks
-// in BENCH_search.json were recorded on.
+// The numbers are the Intel Xeon (Skylake-SP, 2.10 GHz) reference host
+// that benchmark/reference.json is stamped with.
 func HostChip() hwsim.Chip {
 	return hwsim.Chip{
 		Name:          "xeon-2.1GHz-core",

@@ -83,7 +83,8 @@ func New(vs *space.ViTSpace, vocab, seqLen int, rng *tensor.RNG) *Supernet {
 		panic("vitnet: super-network supports the pure transformer space")
 	}
 	cfg := vs.Config
-	maxHidden := maxOption(vs.Space, "tfm0_hidden")
+	_, mh := vs.Space.Decisions[vs.Space.Lookup("tfm0_hidden")].Max()
+	maxHidden := int(mh)
 	s := &Supernet{
 		VS:        vs,
 		vocab:     vocab,
@@ -98,7 +99,7 @@ func New(vs *space.ViTSpace, vocab, seqLen int, rng *tensor.RNG) *Supernet {
 	s.pos = nn.NewParam("pos_embedding", tensor.RandN(seqLen, maxHidden, 0.02, rng.Split()))
 
 	for b := range cfg.Blocks {
-		if mh := maxOption(vs.Space, fmt.Sprintf("tfm%d_hidden", b)); mh != maxHidden {
+		if _, mh := vs.Space.Decisions[vs.Space.Lookup(fmt.Sprintf("tfm%d_hidden", b))].Max(); int(mh) != maxHidden {
 			panic("vitnet: per-block max hidden sizes must agree")
 		}
 		maxLayers := cfg.Blocks[b].Layers + 3
@@ -332,10 +333,9 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 	n := s.lastBatch.Size()
 
 	dPooled := s.head.Backward(dLogits)
-	h := dPooled.Cols
 	seq := s.headSeq
 	// Un-pool the mean over sequence.
-	grad := s.arena.GetNoZero(n*seq, h)
+	grad := s.arena.GetNoZero(n*seq, dPooled.Cols)
 	inv := 1 / float64(seq)
 	for i := 0; i < n; i++ {
 		prow := dPooled.Row(i)
@@ -353,7 +353,7 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 		if blkArch.SeqPool && tapeIdx >= 0 {
 			pc := s.tape[tapeIdx]
 			tapeIdx--
-			grad, seq = s.unpool(grad, pc)
+			grad = s.unpool(grad, pc)
 		}
 		blk := s.blocks[b]
 		layers := blkArch.Layers
@@ -365,10 +365,8 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 		}
 		if b > 0 && ar.TFMBlocks[b-1].Hidden != blkArch.Hidden {
 			grad = s.trans[b-1].Backward(grad)
-			h = ar.TFMBlocks[b-1].Hidden
 		}
 	}
-	_ = h
 
 	// Positional embedding gradient plus token-table scatter.
 	hAct := grad.Cols
@@ -398,7 +396,7 @@ func (s *Supernet) backLayer(slot *layerSlot, grad *tensor.Matrix) *tensor.Matri
 }
 
 // unpool inverts the adjacent-pair average.
-func (s *Supernet) unpool(grad *tensor.Matrix, pc poolCache) (*tensor.Matrix, int) {
+func (s *Supernet) unpool(grad *tensor.Matrix, pc poolCache) *tensor.Matrix {
 	// Zeroed: with an odd input sequence the dropped trailing position
 	// receives no gradient, and that zero must be explicit.
 	out := s.arena.Get(pc.batch*pc.inSeq, pc.width)
@@ -413,7 +411,7 @@ func (s *Supernet) unpool(grad *tensor.Matrix, pc poolCache) (*tensor.Matrix, in
 			}
 		}
 	}
-	return out, pc.inSeq
+	return out
 }
 
 // Loss runs Forward and returns the BCE loss and logits gradient. With
@@ -458,15 +456,4 @@ func rankFor(frac float64, h int) int {
 		r = h
 	}
 	return r
-}
-
-func maxOption(sp *space.Space, name string) int {
-	d := sp.Decisions[sp.Lookup(name)]
-	best := d.Values[0]
-	for _, v := range d.Values {
-		if v > best {
-			best = v
-		}
-	}
-	return int(best)
 }
