@@ -34,7 +34,6 @@ import (
 	"h2onas/internal/reward"
 	"h2onas/internal/shardrpc"
 	"h2onas/internal/space"
-	"h2onas/internal/vitnet"
 )
 
 func main() {
@@ -64,6 +63,14 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
+
+	// Every domain's step-time target is baseline × -latency, and a
+	// reward target must be positive (NaN fails the comparison too).
+	if !(*latency > 0) {
+		fmt.Fprintf(os.Stderr, "-latency %v: the step-time target must be a positive fraction of baseline\n", *latency)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	coreBudget = *cores
 	if *cpuProfile != "" {
@@ -185,22 +192,9 @@ func writeMetricsSnapshot(reg *metrics.Registry, path string) error {
 func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string, ckpt checkpointing) {
 
-	vs := space.NewTransformerSpace(space.SmallViTConfig())
-	perf := func(a space.Assignment) []float64 {
-		g := vs.Graph(vs.Decode(a))
-		r := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: 8})
-		return []float64{r.StepTime}
-	}
-	base := perf(vs.BaselineAssignment())
-	rw := reward.MustNew(kind,
-		reward.Objective{Name: "train_step_time", Target: base[0] * latency, Beta: -2})
-	s := &vitnet.Searcher{
-		VS:     vs,
-		Reward: rw,
-		Perf:   perf,
-		Stream: datapipe.NewSeqStream(datapipe.DefaultSeqConfig(), seed),
-	}
-	cfg := core.Config{
+	model := space.SmallViTConfig()
+	vs := space.NewTransformerSpace(model)
+	cfg := h2onas.SearchConfig{
 		Shards: shards, Steps: steps, BatchSize: batch, WarmupSteps: warmup,
 		Workers:    coreBudget,
 		WeightLR:   0.003,
@@ -221,9 +215,9 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 	if verbose {
 		cfg.Progress = progress
 	}
-	fmt.Printf("searching transformer space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy\n",
-		vs.Space.Log10Size(), chip.Name, shards, steps, strategy)
-	res, err := s.Search(cfg)
+	fmt.Printf("searching transformer space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy, %s reward, latency target %.2fx baseline\n",
+		vs.Space.Log10Size(), chip.Name, shards, steps, strategy, kind, latency)
+	res, err := h2onas.SearchTransformer(model, datapipe.DefaultSeqConfig(), chip, kind, latency, cfg)
 	if err != nil {
 		fatalf("search failed: %v", err)
 	}
@@ -231,8 +225,7 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 		fmt.Printf("resumed from checkpoint at step %d\n", res.ResumedFrom)
 	}
 	fmt.Printf("\nfinal architecture: %s\n", vs.Space.Describe(res.Best))
-	fmt.Printf("quality %.4f | step time %.0fµs (target %.0fµs)\n",
-		res.FinalQuality, res.BestPerf[0]*1e6, base[0]*latency*1e6)
+	fmt.Printf("quality %.4f | step time %.0fµs\n", res.FinalQuality, res.BestPerf[0]*1e6)
 }
 
 // checkpointing carries the -checkpoint-*/-resume flags into the search
@@ -283,8 +276,8 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 	opts.Strategy = strat
 	if len(dist.workers) > 0 {
 		tr, err := shardrpc.Dial(dist.workers, shardrpc.Options{
-			Policy: shardrpc.Policy{Timeout: dist.rpcTimeout},
-			Seed:   seed,
+			Timeout: dist.rpcTimeout,
+			Seed:    seed,
 		})
 		if err != nil {
 			fatalf("distributed search: %v", err)
@@ -416,9 +409,12 @@ func runVision(domain string, chip h2onas.Chip, kind reward.Kind, latency float6
 	base := make(space.Assignment, len(sp.Decisions)) // arbitrary reference
 	baseRes := simulate(base)
 	baseAcc := accuracy(base)
-	rw := reward.MustNew(kind,
+	rw, err := reward.New(kind,
 		reward.Objective{Name: "train_step_time", Target: baseRes.StepTime * latency, Beta: -3},
 	)
+	if err != nil {
+		fatalf("search failed: %v", err)
+	}
 	s := &core.AnalyticSearcher{
 		Space:  sp,
 		Reward: rw,

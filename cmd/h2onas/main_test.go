@@ -1,0 +1,55 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the tests exec this binary as the h2onas command: with
+// H2ONAS_TEST_EXEC set the process runs main() on its arguments instead
+// of the test suite, so os.Exit paths and panics are observable.
+func TestMain(m *testing.M) {
+	if os.Getenv("H2ONAS_TEST_EXEC") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func execMain(t *testing.T, args ...string) (exit int, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "H2ONAS_TEST_EXEC=1")
+	var buf bytes.Buffer
+	cmd.Stderr = &buf
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("exec h2onas %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), buf.String()
+}
+
+// TestLatencyFlagRejectedAsUsageError: a non-positive or NaN -latency is
+// outside input, so every domain must answer it with the usage error —
+// the cnn, vit and nlp domains used to die in reward.MustNew's panic.
+func TestLatencyFlagRejectedAsUsageError(t *testing.T) {
+	for _, domain := range []string{"dlrm", "cnn", "vit", "nlp"} {
+		for _, latency := range []string{"0", "-0.5", "NaN"} {
+			exit, stderr := execMain(t, "-domain", domain, "-latency", latency, "-steps", "1", "-shards", "2")
+			if exit != 2 {
+				t.Errorf("-domain %s -latency %s: exit %d, want 2\n%s", domain, latency, exit, stderr)
+			}
+			if !strings.HasPrefix(stderr, "-latency "+latency+":") || !strings.Contains(stderr, "Usage of") {
+				t.Errorf("-domain %s -latency %s: stderr is not the usage error:\n%s", domain, latency, stderr)
+			}
+			if strings.Contains(stderr, "panic:") || strings.Contains(stderr, "goroutine 1 [") {
+				t.Errorf("-domain %s -latency %s: died with a goroutine trace:\n%s", domain, latency, stderr)
+			}
+		}
+	}
+}

@@ -46,8 +46,8 @@ type Source[B any] interface {
 // (transformer) are thin adapters that fill one in; everything else —
 // sandwich sampling, the strategy's sample/update, the prefetched batch
 // draw, the shard fan-out with its retry/drop policy, the overlapped
-// spine stage, memoized perf, candidates, telemetry, checkpoint/Resume/
-// Stop and the final evaluation — is this one loop for every space.
+// spine stage, candidates, telemetry, checkpoint/Resume/Stop and the
+// final evaluation — is this one loop for every space.
 type Engine[B Batch, N Network[B]] struct {
 	Space  *space.Space
 	Reward *reward.Function
@@ -182,10 +182,6 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 			a.Drain()
 		}()
 	}
-
-	// Perf is pure, so memoize it for the duration of the run. perfFn is
-	// what the step loop and the final Best evaluation call.
-	perfFn := newMemoizedPerf(e.Perf, perfCacheSize, cfg.Metrics).Eval
 
 	// Checkpoint encoding + I/O runs on a persister goroutine; Close is
 	// deferred so every snapshot captured by the loop is durable before
@@ -322,7 +318,7 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 				if !alive[i] {
 					continue
 				}
-				perf := perfFn(assignments[i])
+				perf := e.Perf(assignments[i])
 				rw := e.Reward.Eval(qualities[i], perf)
 				policySamples = append(policySamples, assignments[i])
 				rewards = append(rewards, rw)
@@ -372,7 +368,7 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	}
 
 	out.Best = strat.Best()
-	out.BestPerf = perfFn(out.Best)
+	out.BestPerf = e.Perf(out.Best)
 	out.Candidates = cands.Items()
 	// Final quality on 16 fresh batches: forward-only, so the extra
 	// examples are cheap and cut evaluation noise. They are drawn through

@@ -24,64 +24,6 @@ func sameAssignment(a, b space.Assignment) bool {
 	return true
 }
 
-func TestMemoizedPerfHitsAndMisses(t *testing.T) {
-	reg := metrics.New()
-	calls := 0
-	fn := func(a space.Assignment) []float64 {
-		calls++
-		return []float64{float64(a[0])}
-	}
-	mp := newMemoizedPerf(fn, 8, reg)
-	a := space.Assignment{3, 1}
-	b := space.Assignment{4, 1}
-
-	first := mp.Eval(a)
-	if calls != 1 || first[0] != 3 {
-		t.Fatalf("first eval: calls=%d perf=%v", calls, first)
-	}
-	second := mp.Eval(a)
-	if calls != 1 {
-		t.Fatalf("cached eval recomputed: calls=%d", calls)
-	}
-	if &first[0] != &second[0] {
-		t.Fatal("cached eval returned a different slice than the stored one")
-	}
-	mp.Eval(b)
-	if calls != 2 {
-		t.Fatalf("distinct assignment not computed: calls=%d", calls)
-	}
-	if h := reg.Counter("perf_cache_hits_total").Value(); h != 1 {
-		t.Fatalf("hits = %d, want 1", h)
-	}
-	if m := reg.Counter("perf_cache_misses_total").Value(); m != 2 {
-		t.Fatalf("misses = %d, want 2", m)
-	}
-}
-
-func TestMemoizedPerfEvictsLRU(t *testing.T) {
-	calls := map[int]int{}
-	fn := func(a space.Assignment) []float64 {
-		calls[a[0]]++
-		return []float64{float64(a[0])}
-	}
-	mp := newMemoizedPerf(fn, 2, nil)
-	mp.Eval(space.Assignment{0}) // cache: {0}
-	mp.Eval(space.Assignment{1}) // cache: {1,0}
-	mp.Eval(space.Assignment{0}) // touch 0 → {0,1}
-	mp.Eval(space.Assignment{2}) // evicts 1 → {2,0}
-	if mp.Len() != 2 {
-		t.Fatalf("cache len = %d, want 2", mp.Len())
-	}
-	mp.Eval(space.Assignment{0}) // still cached
-	mp.Eval(space.Assignment{1}) // evicted → recompute
-	if calls[0] != 1 {
-		t.Fatalf("assignment 0 computed %d times, want 1 (LRU touch lost)", calls[0])
-	}
-	if calls[1] != 2 {
-		t.Fatalf("assignment 1 computed %d times, want 2 (eviction)", calls[1])
-	}
-}
-
 func TestCandidateRingUnbounded(t *testing.T) {
 	r := newCandidateRing(0)
 	for i := 0; i < 10; i++ {
@@ -192,7 +134,7 @@ func TestAsyncCheckpointFailureDoesNotAbortSearch(t *testing.T) {
 }
 
 // TestConcurrentSearchesRace runs independent searches (worker pools,
-// memoized perf, async checkpointers) concurrently. Its value is under
+// async checkpointers) concurrently. Its value is under
 // `go test -race`: it fails there if any of the per-search machinery
 // leaks state across goroutines.
 func TestConcurrentSearchesRace(t *testing.T) {

@@ -56,7 +56,7 @@ type Function struct {
 // beta signs (betas act as penalties regardless of the sign passed in).
 func New(kind Kind, objectives ...Objective) (*Function, error) {
 	for i, o := range objectives {
-		if o.Target <= 0 {
+		if !(o.Target > 0) { // also rejects NaN
 			return nil, fmt.Errorf("reward: objective %q has non-positive target %v", o.Name, o.Target)
 		}
 		if o.Beta == 0 {

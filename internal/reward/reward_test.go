@@ -101,6 +101,9 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(ReLU, Objective{Name: "x", Target: 0, Beta: -1}); err == nil {
 		t.Fatal("zero target must be rejected")
 	}
+	if _, err := New(ReLU, Objective{Name: "x", Target: math.NaN(), Beta: -1}); err == nil {
+		t.Fatal("NaN target must be rejected")
+	}
 	if _, err := New(ReLU, Objective{Name: "x", Target: 1, Beta: 0}); err == nil {
 		t.Fatal("zero beta must be rejected")
 	}

@@ -8,48 +8,27 @@ import (
 	"h2onas/internal/tensor"
 )
 
-// Policy bundles the retry/timeout/breaker knobs of a shard RPC. The zero
-// value defers every knob to RPCDefaults via Defaulted.
-type Policy struct {
-	// Timeout is the per-call completion budget; a call running past it
-	// counts as a transient failure.
-	Timeout time.Duration
-	// MaxAttempts bounds the retry loop per logical operation (the first
-	// try plus MaxAttempts-1 retries).
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
+// The retry/breaker policy of shard RPCs: shard steps are short and the
+// coordinator blocks on the slowest shard, so retries are few and a flaky
+// worker is parked quickly (and probed again after a cooldown) instead of
+// stalling every step.
+const (
+	// defaultTimeout is the per-call completion budget when
+	// Options.Timeout is unset; a call running past it counts as a
+	// transient failure.
+	defaultTimeout = 10 * time.Second
+	// maxAttempts bounds the retry loop per logical operation (the first
+	// try plus maxAttempts-1 retries).
+	maxAttempts = 2
+	// backoffBase and backoffMax shape the jittered exponential backoff
 	// between retries.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerThreshold consecutive failures open a target's circuit
-	// breaker for BreakerCooldown. Permanent errors open it forever.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-}
-
-// Defaulted fills every unset (zero or negative) field of p from def and
-// returns the result.
-func (p Policy) Defaulted(def Policy) Policy {
-	if p.Timeout <= 0 {
-		p.Timeout = def.Timeout
-	}
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = def.BackoffBase
-	}
-	if p.BackoffMax <= 0 {
-		p.BackoffMax = def.BackoffMax
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = def.BreakerThreshold
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = def.BreakerCooldown
-	}
-	return p
-}
+	backoffBase = 2 * time.Millisecond
+	backoffMax  = 100 * time.Millisecond
+	// breakerThreshold consecutive failures open a worker's circuit
+	// breaker for breakerCooldown.
+	breakerThreshold = 2
+	breakerCooldown  = 2 * time.Second
+)
 
 // BreakerState is a breaker's position, exported as a gauge by callers.
 type BreakerState int
@@ -57,14 +36,12 @@ type BreakerState int
 const (
 	BreakerClosed BreakerState = iota // target usable
 	BreakerOpen                       // cooling down after repeated failures
-	BreakerDead                       // permanently failed
 )
 
 // Breaker is a consecutive-failure circuit breaker for one remote worker.
 // Threshold consecutive failures open it for the cooldown; an expired
 // cooldown leaves it half-open — eligible again, re-opened immediately by
-// the next failure — and a permanent failure kills it for good. Safe for
-// concurrent use.
+// the next failure. Safe for concurrent use.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -73,7 +50,6 @@ type Breaker struct {
 	mu          sync.Mutex
 	consecutive int
 	openUntil   time.Time
-	dead        bool
 }
 
 // NewBreaker builds a breaker; nil clock uses the wall clock.
@@ -88,7 +64,7 @@ func NewBreaker(threshold int, cooldown time.Duration, clock checkpoint.Clock) *
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return !b.dead && !b.openUntil.After(b.clock.Now())
+	return !b.openUntil.After(b.clock.Now())
 }
 
 // Success records a successful call, closing the breaker.
@@ -98,44 +74,26 @@ func (b *Breaker) Success() {
 	b.mu.Unlock()
 }
 
-// Failure records a failed call. A permanent failure marks the target
-// dead (died true, exactly once); otherwise, once the consecutive count
-// reaches the threshold, every further failure (re-)opens the breaker
-// for the cooldown and reports opened. The caller owns the metrics.
-func (b *Breaker) Failure(permanent bool) (opened, died bool) {
+// Failure records a failed call. Once the consecutive count reaches the
+// threshold, every further failure (re-)opens the breaker for the
+// cooldown and reports opened.
+func (b *Breaker) Failure() (opened bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecutive++
-	if permanent && !b.dead {
-		b.dead = true
-		return false, true
-	}
 	if b.consecutive >= b.threshold {
 		b.openUntil = b.clock.Now().Add(b.cooldown)
-		return true, false
+		return true
 	}
-	return false, false
-}
-
-// Dead reports whether the target failed permanently.
-func (b *Breaker) Dead() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dead
+	return false
 }
 
 // State returns the breaker's current position.
 func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch {
-	case b.dead:
-		return BreakerDead
-	case b.openUntil.After(b.clock.Now()):
-		return BreakerOpen
-	default:
+	if b.Allow() {
 		return BreakerClosed
 	}
+	return BreakerOpen
 }
 
 // Backoff produces jittered exponential retry delays: attempt n waits a

@@ -10,28 +10,19 @@ type policyClock struct{ now time.Time }
 func (c *policyClock) Now() time.Time      { return c.now }
 func (c *policyClock) Sleep(time.Duration) {}
 
-func TestPolicyDefaulted(t *testing.T) {
-	def := RPCDefaults()
-
-	got := Policy{}.Defaulted(def)
-	if got != def {
-		t.Fatalf("zero policy defaulted to %+v, want %+v", got, def)
-	}
-
-	// Set fields survive; unset fields fill in.
-	partial := Policy{Timeout: time.Minute, BreakerThreshold: 9}
-	got = partial.Defaulted(def)
-	if got.Timeout != time.Minute || got.BreakerThreshold != 9 {
-		t.Fatalf("set fields overwritten: %+v", got)
-	}
-	if got.MaxAttempts != def.MaxAttempts || got.BackoffBase != def.BackoffBase ||
-		got.BackoffMax != def.BackoffMax || got.BreakerCooldown != def.BreakerCooldown {
-		t.Fatalf("unset fields not defaulted: %+v", got)
-	}
-
-	// Negative values count as unset.
-	if got := (Policy{Timeout: -1}).Defaulted(def); got.Timeout != def.Timeout {
-		t.Fatalf("negative timeout kept: %v", got.Timeout)
+func TestDialDefaultsTimeout(t *testing.T) {
+	for _, tc := range []struct{ set, want time.Duration }{
+		{0, defaultTimeout},
+		{-1, defaultTimeout}, // negative counts as unset
+		{time.Minute, time.Minute},
+	} {
+		tr, err := Dial([]string{"127.0.0.1:1"}, Options{Timeout: tc.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.timeout != tc.want {
+			t.Fatalf("Options.Timeout %v dialed with timeout %v, want %v", tc.set, tr.timeout, tc.want)
+		}
 	}
 }
 
@@ -43,17 +34,15 @@ func TestBreakerOpensAtThresholdAndCoolsDown(t *testing.T) {
 		t.Fatal("fresh breaker not closed")
 	}
 	for i := 0; i < 2; i++ {
-		opened, died := br.Failure(false)
-		if opened || died {
-			t.Fatalf("failure %d below threshold opened=%v died=%v", i+1, opened, died)
+		if br.Failure() {
+			t.Fatalf("failure %d below threshold opened the breaker", i+1)
 		}
 		if !br.Allow() {
 			t.Fatalf("breaker open after %d failures, threshold is 3", i+1)
 		}
 	}
-	opened, died := br.Failure(false)
-	if !opened || died {
-		t.Fatalf("threshold failure: opened=%v died=%v, want open", opened, died)
+	if !br.Failure() {
+		t.Fatal("threshold failure did not open the breaker")
 	}
 	if br.Allow() || br.State() != BreakerOpen {
 		t.Fatal("breaker not open after threshold")
@@ -61,7 +50,7 @@ func TestBreakerOpensAtThresholdAndCoolsDown(t *testing.T) {
 
 	// Every further failure re-opens (extends) the cooldown.
 	clk.now = clk.now.Add(5 * time.Second)
-	if opened, _ := br.Failure(false); !opened {
+	if !br.Failure() {
 		t.Fatal("past-threshold failure did not re-open")
 	}
 	clk.now = clk.now.Add(6 * time.Second) // 11s after first open, 6s after re-open
@@ -76,7 +65,7 @@ func TestBreakerOpensAtThresholdAndCoolsDown(t *testing.T) {
 	}
 	// A success fully closes: the next failure starts counting from zero.
 	br.Success()
-	if opened, _ := br.Failure(false); opened {
+	if br.Failure() {
 		t.Fatal("first failure after success re-opened; consecutive count not reset")
 	}
 }
@@ -84,42 +73,19 @@ func TestBreakerOpensAtThresholdAndCoolsDown(t *testing.T) {
 func TestBreakerHalfOpenReopensImmediately(t *testing.T) {
 	clk := &policyClock{now: time.Unix(1754400000, 0)}
 	br := NewBreaker(2, time.Second, clk)
-	br.Failure(false)
-	br.Failure(false) // opens
+	br.Failure()
+	br.Failure() // opens
 	clk.now = clk.now.Add(2 * time.Second)
 	if !br.Allow() {
 		t.Fatal("not half-open after cooldown")
 	}
 	// Without an intervening success the consecutive count persists, so
 	// one probe failure re-opens immediately.
-	if opened, _ := br.Failure(false); !opened {
+	if !br.Failure() {
 		t.Fatal("half-open probe failure did not re-open")
 	}
 	if br.Allow() {
 		t.Fatal("breaker allowed right after probe failure")
-	}
-}
-
-func TestBreakerPermanentFailureIsTerminal(t *testing.T) {
-	clk := &policyClock{now: time.Unix(1754400000, 0)}
-	br := NewBreaker(3, time.Second, clk)
-	opened, died := br.Failure(true)
-	if opened || !died {
-		t.Fatalf("permanent failure: opened=%v died=%v, want died", opened, died)
-	}
-	if _, died := br.Failure(true); died {
-		t.Fatal("second permanent failure reported died again; must report exactly once")
-	}
-	if br.Allow() || !br.Dead() || br.State() != BreakerDead {
-		t.Fatal("dead breaker still usable")
-	}
-	clk.now = clk.now.Add(time.Hour)
-	if br.Allow() {
-		t.Fatal("dead breaker revived by the clock")
-	}
-	br.Success()
-	if br.Allow() {
-		t.Fatal("dead breaker revived by a success")
 	}
 }
 

@@ -316,7 +316,7 @@ func TestDialFailsFastWhenWorkerAbsent(t *testing.T) {
 	}
 	addr := lis.Addr().String()
 	lis.Close() // nothing listens here now
-	tr, err := Dial([]string{addr, addr, addr}, Options{Policy: Policy{Timeout: time.Second}})
+	tr, err := Dial([]string{addr, addr, addr}, Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,26 +19,12 @@ import (
 	"h2onas/internal/supernet"
 )
 
-// RPCDefaults is the retry/breaker policy of shard RPCs: shard steps are
-// short and the coordinator blocks on the slowest shard, so timeouts are
-// tight, retries few, and a flaky worker is parked quickly (and probed
-// again after a cooldown) instead of stalling every step.
-func RPCDefaults() Policy {
-	return Policy{
-		Timeout:          10 * time.Second,
-		MaxAttempts:      2,
-		BackoffBase:      2 * time.Millisecond,
-		BackoffMax:       100 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  2 * time.Second,
-	}
-}
-
 // Options configures the coordinator side of the TCP transport.
 type Options struct {
-	// Policy is the per-call retry/timeout/breaker policy; zero fields
-	// take RPCDefaults.
-	Policy Policy
+	// Timeout is the per-call completion budget (dial, handshake, one
+	// exec round trip); zero or negative takes the 10 s default. Retries
+	// and the circuit breaker are fixed (see policy.go).
+	Timeout time.Duration
 	// Clock drives breaker cooldowns and backoff sleeps; nil is wall time.
 	Clock checkpoint.Clock
 	// Seed seeds the retry-backoff jitter.
@@ -73,8 +59,8 @@ type rpcWorker struct {
 // redialed with a fresh handshake — which resets its acked version and
 // triggers a full weight sync.
 type Transport struct {
-	pol   Policy
-	clock checkpoint.Clock
+	timeout time.Duration
+	clock   checkpoint.Clock
 
 	workers []*rpcWorker
 
@@ -120,15 +106,18 @@ func Dial(addrs []string, opts Options) (*Transport, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("shardrpc: no worker addresses")
 	}
-	pol := opts.Policy.Defaulted(RPCDefaults())
+	timeout := opts.Timeout
+	if timeout <= 0 {
+		timeout = defaultTimeout
+	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = checkpoint.RealClock()
 	}
 	t := &Transport{
-		pol:     pol,
+		timeout: timeout,
 		clock:   clock,
-		backoff: NewBackoff(pol.BackoffBase, pol.BackoffMax, opts.Seed),
+		backoff: NewBackoff(backoffBase, backoffMax, opts.Seed),
 	}
 	for i, a := range addrs {
 		if a == "" {
@@ -137,7 +126,7 @@ func Dial(addrs []string, opts Options) (*Transport, error) {
 		t.workers = append(t.workers, &rpcWorker{
 			shard: i,
 			addr:  a,
-			br:    NewBreaker(t.pol.BreakerThreshold, t.pol.BreakerCooldown, t.clock),
+			br:    NewBreaker(breakerThreshold, breakerCooldown, t.clock),
 		})
 	}
 	t.membership = "tcp[" + strings.Join(addrs, ",") + "]"
@@ -181,14 +170,14 @@ func (t *Transport) bindInstruments(r *metrics.Registry) {
 // its next exec carries a full weight sync.
 func (t *Transport) connect(w *rpcWorker) error {
 	if w.conn == nil {
-		conn, err := net.DialTimeout("tcp", w.addr, t.pol.Timeout)
+		conn, err := net.DialTimeout("tcp", w.addr, t.timeout)
 		if err != nil {
 			return err
 		}
 		w.conn = conn
 	}
 	id := t.reqID.Add(1)
-	w.conn.SetDeadline(time.Now().Add(t.pol.Timeout))
+	w.conn.SetDeadline(time.Now().Add(t.timeout))
 	h := &hello{Shard: uint32(w.shard), Space: t.master.DS.Config, Options: t.master.Options()}
 	if err := writeFrame(w.conn, frameHello, id, encodeHello(h)); err != nil {
 		t.dropConn(w)
@@ -280,14 +269,14 @@ func (t *Transport) buildDelta() []tensorPatch {
 }
 
 // runShard drives one shard through the step: retry with jittered backoff
-// under the policy, redial dead connections, and on exhaustion
+// up to maxAttempts, redial dead connections, and on exhaustion
 // leave the outcome !Alive — the shard is dropped from this step's reduce.
 func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *datapipe.Batch, delta []tensorPatch, out *core.ShardOutcome) {
 	if !w.br.Allow() {
 		t.ins.dropped.Inc()
 		return
 	}
-	for attempt := 0; attempt < t.pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			t.ins.retries.Inc()
 			t.clock.Sleep(t.backoff.Delay(attempt - 1))
@@ -296,7 +285,7 @@ func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *data
 			t.ins.redials.Inc()
 			if err := t.connect(w); err != nil {
 				t.ins.failures.Inc()
-				w.br.Failure(false)
+				w.br.Failure()
 				continue
 			}
 		}
@@ -304,7 +293,7 @@ func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *data
 		if err != nil {
 			log.Printf("shardrpc: shard %d step %d attempt %d: %v", w.shard, step, attempt, err)
 			t.ins.failures.Inc()
-			w.br.Failure(false)
+			w.br.Failure()
 			if fatal {
 				t.dropConn(w)
 			}
@@ -314,7 +303,7 @@ func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *data
 			// The reduce would consume a half-applied gradient; treat the
 			// step as lost for this shard and force a resync.
 			t.ins.failures.Inc()
-			w.br.Failure(false)
+			w.br.Failure()
 			t.dropConn(w)
 			continue
 		}
@@ -361,7 +350,7 @@ func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe
 	}
 	payload := encodeExec(req)
 	id := t.reqID.Add(1)
-	w.conn.SetDeadline(time.Now().Add(t.pol.Timeout))
+	w.conn.SetDeadline(time.Now().Add(t.timeout))
 	span := t.ins.roundtrip.Start()
 	defer span.End()
 	if err := writeFrame(w.conn, frameExec, id, payload); err != nil {

@@ -113,25 +113,29 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 
 // BenchmarkAxpy measures the innermost kernel alone, at the row widths
 // the masked/low-rank layers stream through it (DLRM MLP widths and
-// ViT hidden widths). This is the kernel the h2ofast build tag
-// vectorizes; compare the two backends with
-//
-//	go test ./internal/tensor -bench Axpy
-//	go test -tags h2ofast ./internal/tensor -bench Axpy
+// ViT hidden widths). This is the kernel the AVX2 backend vectorizes, so
+// each width runs twice in the same binary: the active backend (Axpy)
+// and the scalar reference it must match bit for bit (axpyGeneric).
 func BenchmarkAxpy(b *testing.B) {
+	kernels := []struct {
+		name string
+		fn   func(dst []float64, s float64, src []float64)
+	}{{KernelBackend(), Axpy}, {"reference", axpyGeneric}}
 	for _, n := range []int{64, 160, 768, 3072} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			rng := NewRNG(4)
-			dst := make([]float64, n)
-			src := make([]float64, n)
-			for i := range src {
-				src[i] = rng.Norm()
-			}
-			b.SetBytes(int64(8 * 3 * n)) // read dst+src, write dst
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Axpy(dst, 0.0001, src)
-			}
-		})
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("n%d/%s", n, k.name), func(b *testing.B) {
+				rng := NewRNG(4)
+				dst := make([]float64, n)
+				src := make([]float64, n)
+				for i := range src {
+					src[i] = rng.Norm()
+				}
+				b.SetBytes(int64(8 * 3 * n)) // read dst+src, write dst
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.fn(dst, 0.0001, src)
+				}
+			})
+		}
 	}
 }

@@ -1,12 +1,12 @@
-//go:build h2ofast
+//go:build amd64 && !race
 
 package tensor
 
-// h2ofast backend, amd64: the inner kernels run as hand-written AVX2
-// assembly (kernels_h2ofast_amd64.s). The vectorization is bit-exact, not
-// merely tolerance-close: it vectorizes only across independent output
-// elements and never uses FMA, so every element receives exactly the
-// reference sequence of round(mul)/round(add) operations documented in
+// amd64 backend: on a CPU with AVX2 the inner kernels run as hand-written
+// assembly (kernels_amd64.s). The vectorization is bit-exact, not merely
+// tolerance-close: it vectorizes only across independent output elements
+// and never uses FMA, so every element receives exactly the reference
+// sequence of round(mul)/round(add) operations documented in
 // kernels_generic.go. Concretely:
 //
 //   - axpy: a 4-lane VMULPD+VADDPD per group of four elements performs,
@@ -21,15 +21,16 @@ package tensor
 //
 // Because the backend is bit-exact, the cross-check test asserts exact
 // equality (tolerance zero), and the golden trajectories replay
-// identically under -tags h2ofast; CI's kernels-accel leg proves both.
+// identically on either path; CI replays them on both (tier-1 here, the
+// race job on the scalar loops).
 //
 // CPUs without AVX2 (or an OS that doesn't enable YMM state) fall back to
 // the generic loops at runtime, as do vectors shorter than the dispatch
-// threshold, where call overhead would exceed the vector win.
+// threshold, where call overhead would exceed the vector win. Race builds
+// exclude this file (see kernels_noasm.go).
 
 // useAVX2 gates the assembly kernels on runtime CPU support: AVX2 plus
-// OS-enabled YMM state (OSXSAVE + XCR0). GOAMD64=v3 guarantees this at
-// process start, but the tag must also be safe on a plain build.
+// OS-enabled YMM state (OSXSAVE + XCR0).
 var useAVX2 = cpuSupportsAVX2()
 
 // avxMinLen is the vector length below which dispatch stays on the
@@ -121,10 +122,11 @@ func fusedAxpyDot(g, w, gw []float64, x float64) float64 {
 	return ((s0 + sums[1]) + sums[2]) + sums[3]
 }
 
-// KernelBackend names the inner-kernel backend compiled into this binary.
+// KernelBackend names the inner-kernel backend this process runs: "avx2"
+// when the CPU supports it, "scalar" (the reference loops) otherwise.
 func KernelBackend() string {
 	if useAVX2 {
-		return "h2ofast-avx2"
+		return "avx2"
 	}
-	return "h2ofast-generic"
+	return "scalar"
 }

@@ -1,10 +1,10 @@
 package tensor
 
 // The scalar reference kernels. These define the numeric contract of the
-// whole system: every backend — the default build, the h2ofast build, the
-// parallel matmul shards — must produce results bit-identical to these
-// loops, because the committed golden trajectories, checkpoint resume and
-// multi-node determinism all pin the exact rounding sequence.
+// whole system: every backend — the AVX2 assembly, the pass-through
+// build, the parallel matmul shards — must produce results bit-identical
+// to these loops, because the committed golden trajectories, checkpoint
+// resume and multi-node determinism all pin the exact rounding sequence.
 //
 // The contract, per kernel:
 //
@@ -19,8 +19,8 @@ package tensor
 //     gw[j] += g[j]·x. The two chains are independent per element, so a
 //     backend may reorder between them but not within either.
 //
-// The generic bodies live here untagged so every build (including
-// h2ofast, which falls back below its vector-length threshold or on CPUs
+// The generic bodies live here unconstrained so every build (including
+// amd64, which falls back below its vector-length threshold or on CPUs
 // without AVX2) links the same reference code.
 
 // axpyGeneric computes dst[j] += s*src[j], 4 elements per iteration.
