@@ -14,14 +14,11 @@ import (
 
 func TestSearchDLRMThroughPublicAPI(t *testing.T) {
 	model := h2onas.SmallDLRMConfig()
-	traffic := h2onas.TrafficConfig{
-		NumTables: model.NumTables,
-		Vocab:     model.BaseVocab,
-		NumDense:  model.NumDense,
+	traffic := h2onas.DLRMTraffic(model)
+	if traffic.NumTables != model.NumTables || traffic.Vocab != model.BaseVocab || traffic.NumDense != model.NumDense {
+		t.Fatalf("DLRMTraffic = %+v, not shaped like the model", traffic)
 	}
-	opts := h2onas.SearchConfig{
-		Shards: 2, Steps: 15, BatchSize: 16, WarmupSteps: 4, Seed: 1,
-	}
+	opts := h2onas.OneShotSearchConfig(2, 15, 16, 4, 1)
 	res, err := h2onas.SearchDLRM(model, traffic, h2onas.TPUv4(), h2onas.ReLUReward, 1.0, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ import (
 
 	"h2onas/internal/controller"
 	"h2onas/internal/core"
-	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
 	"h2onas/internal/metrics"
 	"h2onas/internal/quality"
@@ -67,9 +66,7 @@ func main() {
 	// Every domain's step-time target is baseline × -latency, and a
 	// reward target must be positive (NaN fails the comparison too).
 	if !(*latency > 0) {
-		fmt.Fprintf(os.Stderr, "-latency %v: the step-time target must be a positive fraction of baseline\n", *latency)
-		flag.Usage()
-		os.Exit(2)
+		usagef("-latency %v: the step-time target must be a positive fraction of baseline", *latency)
 	}
 
 	coreBudget = *cores
@@ -99,17 +96,13 @@ func main() {
 	hwsim.SetMetrics(reg)
 	searchMetrics = reg
 
-	chip, err := resolveChip(*chipName, *chipFile)
+	chip, err := hwsim.ResolveChip(*chipName, *chipFile)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	kind := reward.ReLU
-	switch *rewardKind {
-	case "relu":
-	case "absolute", "abs":
-		kind = reward.Absolute
-	default:
-		fatalf("unknown reward %q (want relu or absolute)", *rewardKind)
+	kind, err := reward.KindByName(*rewardKind)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	ckpt := checkpointing{dir: *ckptDir, every: *ckptEvery, retain: *ckptRetain, resume: *resume}
@@ -194,19 +187,13 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 
 	model := space.SmallViTConfig()
 	vs := space.NewTransformerSpace(model)
-	cfg := h2onas.SearchConfig{
-		Shards: shards, Steps: steps, BatchSize: batch, WarmupSteps: warmup,
-		Workers:    coreBudget,
-		WeightLR:   0.003,
-		Controller: controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-		Seed:       seed,
-		Metrics:    searchMetrics,
-
-		CheckpointDir:    ckpt.dir,
-		CheckpointEvery:  ckpt.every,
-		CheckpointRetain: ckpt.retain,
-		Resume:           ckpt.resume,
-	}
+	cfg := h2onas.OneShotSearchConfig(shards, steps, batch, warmup, seed)
+	cfg.Workers = coreBudget
+	cfg.Metrics = searchMetrics
+	cfg.CheckpointDir = ckpt.dir
+	cfg.CheckpointEvery = ckpt.every
+	cfg.CheckpointRetain = ckpt.retain
+	cfg.Resume = ckpt.resume
 	strat, err := core.StrategyByName(strategy, vs.Space, steps*max(1, shards-1))
 	if err != nil {
 		fatalf("%v", err)
@@ -217,7 +204,7 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 	}
 	fmt.Printf("searching transformer space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy, %s reward, latency target %.2fx baseline\n",
 		vs.Space.Log10Size(), chip.Name, shards, steps, strategy, kind, latency)
-	res, err := h2onas.SearchTransformer(model, datapipe.DefaultSeqConfig(), chip, kind, latency, cfg)
+	res, err := h2onas.SearchTransformer(model, h2onas.DefaultSeqConfig(), chip, kind, latency, cfg)
 	if err != nil {
 		fatalf("search failed: %v", err)
 	}
@@ -256,20 +243,13 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 		shards = len(dist.workers)
 	}
 	model := space.SmallDLRMConfig()
-	traffic := h2onas.TrafficConfig{
-		NumTables: model.NumTables,
-		Vocab:     model.BaseVocab,
-		NumDense:  model.NumDense,
-	}
-	opts := h2onas.SearchConfig{
-		Shards: shards, Steps: steps, BatchSize: batch, WarmupSteps: warmup,
-		Workers:    coreBudget,
-		WeightLR:   0.003,
-		Controller: controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-		Seed:       seed,
-		Metrics:    searchMetrics,
-	}
-	strat, err := core.StrategyByName(strategy, space.NewDLRMSpace(model).Space, steps*max(1, shards-1))
+	// The banner, the strategy and the final report read the space;
+	// SearchDLRM builds the searcher's own from the same model.
+	sp := space.NewDLRMSpace(model).Space
+	opts := h2onas.OneShotSearchConfig(shards, steps, batch, warmup, seed)
+	opts.Workers = coreBudget
+	opts.Metrics = searchMetrics
+	strat, err := core.StrategyByName(strategy, sp, steps*max(1, shards-1))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -290,6 +270,11 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 		if err != nil {
 			fatalf("parsing -fail-shard: %v", err)
 		}
+		for shard := range fails {
+			if shard >= shards {
+				usagef("-fail-shard %d: the run has shards 0..%d, so the fault would never fire", shard, shards-1)
+			}
+		}
 		opts.ShardFault = func(step, shard, attempt int) error {
 			if from, ok := fails[shard]; ok && step >= from {
 				return fmt.Errorf("injected failure: shard %d down from step %d", shard, from)
@@ -307,16 +292,15 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 		opts.Progress = progress
 	}
 	fmt.Printf("searching DLRM space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy, %s reward, latency target %.2fx baseline\n",
-		space.NewDLRMSpace(model).Space.Log10Size(), chip.Name, shards, steps, strategy, kind, latency)
-	res, err := h2onas.SearchDLRM(model, traffic, chip, kind, latency, opts)
+		sp.Log10Size(), chip.Name, shards, steps, strategy, kind, latency)
+	res, err := h2onas.SearchDLRM(model, h2onas.DLRMTraffic(model), chip, kind, latency, opts)
 	if err != nil {
 		fatalf("search failed: %v", err)
 	}
-	ds := space.NewDLRMSpace(model)
 	if res.ResumedFrom > 0 {
 		fmt.Printf("resumed from checkpoint at step %d\n", res.ResumedFrom)
 	}
-	fmt.Printf("\nfinal architecture: %s\n", ds.Space.Describe(res.Best))
+	fmt.Printf("\nfinal architecture: %s\n", sp.Describe(res.Best))
 	fmt.Printf("quality %.4f | train step %.0fµs | serving %.2fMB | examples consumed %d\n",
 		res.FinalQuality, res.BestPerf[0]*1e6, res.BestPerf[1]/1e6, res.ExamplesSeen)
 	if dist.resultOut != "" {
@@ -459,21 +443,12 @@ func progress(info core.StepInfo) {
 	}
 }
 
-// resolveChip loads a custom chip file when given, else a built-in chip.
-func resolveChip(name, file string) (hwsim.Chip, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return hwsim.Chip{}, err
-		}
-		defer f.Close()
-		return hwsim.LoadChip(f)
-	}
-	chip, ok := hwsim.ChipByName(name)
-	if !ok {
-		return hwsim.Chip{}, fmt.Errorf("unknown chip %q", name)
-	}
-	return chip, nil
+// usagef reports a flag value no run can honour the way flag itself
+// does: message plus usage, exit code 2.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

@@ -53,3 +53,29 @@ func TestLatencyFlagRejectedAsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeWarmupRejected: -warmup -1 used to run one step fewer than
+// asked, and -warmup -5 with -steps 3 ran none and exited 0 printing an
+// untrained "final architecture". Both weight-sharing domains refuse it.
+func TestNegativeWarmupRejected(t *testing.T) {
+	for _, domain := range []string{"dlrm", "nlp"} {
+		for _, warmup := range []string{"-1", "-5"} {
+			exit, stderr := execMain(t, "-domain", domain, "-steps", "3", "-shards", "2", "-warmup", warmup)
+			if exit != 1 || !strings.Contains(stderr, "negative WarmupSteps "+warmup) {
+				t.Errorf("-domain %s -warmup %s: exit %d, want 1 naming the negative warm-up\n%s", domain, warmup, exit, stderr)
+			}
+		}
+	}
+}
+
+// TestFailShardOutsideRunRejected: a -fail-shard index the run does not
+// have used to inject nothing, silently; it is a usage error.
+func TestFailShardOutsideRunRejected(t *testing.T) {
+	exit, stderr := execMain(t, "-domain", "dlrm", "-steps", "1", "-shards", "2", "-warmup", "0", "-fail-shard", "9:0")
+	if exit != 2 || !strings.HasPrefix(stderr, "-fail-shard 9:") || !strings.Contains(stderr, "Usage of") {
+		t.Errorf("-fail-shard 9:0 on 2 shards: exit %d, want the usage error\n%s", exit, stderr)
+	}
+	if exit, stderr := execMain(t, "-domain", "dlrm", "-steps", "2", "-shards", "2", "-warmup", "0", "-batch", "8", "-fail-shard", "1:1"); exit != 0 {
+		t.Errorf("-fail-shard 1:1 on 2 shards: exit %d, want 0\n%s", exit, stderr)
+	}
+}

@@ -15,13 +15,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
 	"h2onas/internal/arch"
 	"h2onas/internal/hwsim"
 	"h2onas/internal/models"
-	"h2onas/internal/space"
 )
 
 func main() {
@@ -34,34 +32,20 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("coatnet-0 … coatnet-5, coatnet-h0 … coatnet-h5")
-		fmt.Println("efficientnet-b0 … efficientnet-b7, efficientnet-hb0 … efficientnet-hb7")
-		fmt.Println("dlrm, dlrm-h")
+		for _, line := range models.Names() {
+			fmt.Println(line)
+		}
 		return
 	}
-	var chip hwsim.Chip
-	if *chipFile != "" {
-		f, err := os.Open(*chipFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		loaded, err := hwsim.LoadChip(f)
-		f.Close()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		chip = loaded
-	} else {
-		var ok bool
-		chip, ok = hwsim.ChipByName(*chipName)
-		if !ok {
-			fatalf("unknown chip %q", *chipName)
-		}
-	}
-	g, err := buildModel(*model)
+	chip, err := hwsim.ResolveChip(*chipName, *chipFile)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	build, err := models.Lookup(*model)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	g := build(0) // the zoo's reference shape, not a serving batch
 	inspect(g, chip, *trace)
 	if *dot != "" {
 		f, err := os.Create(*dot)
@@ -74,44 +58,6 @@ func main() {
 		}
 		fmt.Printf("\nwrote %s (render with: dot -Tsvg %s > model.svg)\n", *dot, *dot)
 	}
-}
-
-// buildModel resolves a model name to its graph.
-func buildModel(name string) (*arch.Graph, error) {
-	lower := strings.ToLower(name)
-	switch {
-	case strings.HasPrefix(lower, "coatnet-h"):
-		var i int
-		if _, err := fmt.Sscanf(lower, "coatnet-h%d", &i); err != nil {
-			return nil, fmt.Errorf("bad CoAtNet variant %q", name)
-		}
-		return models.CoAtNetH(i).Graph(), nil
-	case strings.HasPrefix(lower, "coatnet-"):
-		var i int
-		if _, err := fmt.Sscanf(lower, "coatnet-%d", &i); err != nil {
-			return nil, fmt.Errorf("bad CoAtNet variant %q", name)
-		}
-		return models.CoAtNet(i).Graph(), nil
-	case strings.HasPrefix(lower, "efficientnet-hb"):
-		var i int
-		if _, err := fmt.Sscanf(lower, "efficientnet-hb%d", &i); err != nil {
-			return nil, fmt.Errorf("bad EfficientNet variant %q", name)
-		}
-		return models.EfficientNetH(i).Graph(), nil
-	case strings.HasPrefix(lower, "efficientnet-b"):
-		var i int
-		if _, err := fmt.Sscanf(lower, "efficientnet-b%d", &i); err != nil {
-			return nil, fmt.Errorf("bad EfficientNet variant %q", name)
-		}
-		return models.EfficientNetX(i).Graph(), nil
-	case lower == "dlrm":
-		ds := space.NewDLRMSpace(models.ProductionShapeDLRMConfig())
-		return ds.Graph(models.BaselineDLRM(ds)), nil
-	case lower == "dlrm-h":
-		ds := space.NewDLRMSpace(models.ProductionShapeDLRMConfig())
-		return ds.Graph(models.DLRMH(ds)), nil
-	}
-	return nil, fmt.Errorf("unknown model %q (try -list)", name)
 }
 
 func inspect(g *arch.Graph, chip hwsim.Chip, trace bool) {

@@ -48,13 +48,11 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"h2onas/internal/arch"
 	"h2onas/internal/httpserve"
 	"h2onas/internal/hwsim"
 	"h2onas/internal/jobs"
 	"h2onas/internal/metrics"
 	"h2onas/internal/models"
-	"h2onas/internal/space"
 )
 
 // maxSimulateBatch bounds /simulate's batch parameter: graph size (and
@@ -151,7 +149,7 @@ func main() {
 		return
 	}
 
-	build, err := builderFor(*model)
+	build, err := models.Lookup(*model)
 	if err != nil {
 		usageError("%v", err)
 	}
@@ -227,7 +225,7 @@ func newMux(reg *metrics.Registry, defaultChip hwsim.Chip, svc *jobs.Service, wi
 			httpserve.Error(w, r, http.StatusBadRequest, "missing model parameter")
 			return
 		}
-		build, err := builderFor(modelName)
+		build, err := models.Lookup(modelName)
 		if err != nil {
 			httpserve.Error(w, r, http.StatusBadRequest, err.Error())
 			return
@@ -267,76 +265,6 @@ func newMux(reg *metrics.Registry, defaultChip hwsim.Chip, svc *jobs.Service, wi
 // newServer wraps the service routes in the hardening stack.
 func newServer(addr string, reg *metrics.Registry, defaultChip hwsim.Chip, svc *jobs.Service, cfg httpserve.Config, withPprof bool) *httpserve.Server {
 	return httpserve.New(addr, newMux(reg, defaultChip, svc, withPprof), cfg)
-}
-
-// builderFor resolves a model name to a batch-parametric graph builder.
-// Variant names must match exactly: "efficientnet-b5" resolves,
-// "efficientnet-b5xyz" (trailing garbage) and "efficientnet-b9" (no such
-// variant) are rejected with a clear error.
-func builderFor(name string) (hwsim.GraphBuilder, error) {
-	lower := strings.ToLower(name)
-	switch {
-	case strings.HasPrefix(lower, "efficientnet-hb"):
-		i, err := variantIndex(name, lower, "efficientnet-hb", 7)
-		if err != nil {
-			return nil, err
-		}
-		spec := models.EfficientNetH(i)
-		return spec.ServingGraph, nil
-	case strings.HasPrefix(lower, "efficientnet-b"):
-		i, err := variantIndex(name, lower, "efficientnet-b", 7)
-		if err != nil {
-			return nil, err
-		}
-		spec := models.EfficientNetX(i)
-		return spec.ServingGraph, nil
-	case strings.HasPrefix(lower, "coatnet-"):
-		h := strings.HasPrefix(lower, "coatnet-h")
-		prefix := "coatnet-"
-		if h {
-			prefix = "coatnet-h"
-		}
-		i, err := variantIndex(name, lower, prefix, models.CoAtNetFamilySize()-1)
-		if err != nil {
-			return nil, err
-		}
-		return func(batch int) *arch.Graph {
-			spec := models.CoAtNet(i)
-			if h {
-				spec = models.CoAtNetH(i)
-			}
-			spec.Batch = batch
-			return spec.Graph()
-		}, nil
-	case lower == "dlrm" || lower == "dlrm-h":
-		return func(batch int) *arch.Graph {
-			cfg := models.ProductionShapeDLRMConfig()
-			cfg.Batch = batch
-			cfg.Chips = 1 // serving is single-chip (Table 2)
-			ds := space.NewDLRMSpace(cfg)
-			if lower == "dlrm-h" {
-				return ds.Graph(models.DLRMH(ds))
-			}
-			return ds.Graph(models.BaselineDLRM(ds))
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown model %q", name)
-}
-
-// variantIndex parses the variant number that must make up the entire
-// remainder of the name after prefix. Round-tripping through Itoa
-// rejects trailing garbage, signs, and leading zeros ("b5xyz", "b+5",
-// "b05"); the range check rejects variants the family doesn't have.
-func variantIndex(name, lower, prefix string, max int) (int, error) {
-	suffix := strings.TrimPrefix(lower, prefix)
-	i, err := strconv.Atoi(suffix)
-	if err != nil || strconv.Itoa(i) != suffix {
-		return 0, fmt.Errorf("bad variant %q: %q is not a variant number", name, suffix)
-	}
-	if i < 0 || i > max {
-		return 0, fmt.Errorf("bad variant %q: variant %d outside 0..%d", name, i, max)
-	}
-	return i, nil
 }
 
 // usageError reports a flag/argument problem the way flag itself does:

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"h2onas/internal/hwsim"
 	"h2onas/internal/jobs"
 	"h2onas/internal/metrics"
+	"h2onas/internal/models"
 )
 
 func testHandler(t *testing.T) (http.Handler, *metrics.Registry) {
@@ -106,25 +109,36 @@ func TestSimulateBadRequests(t *testing.T) {
 	}
 }
 
+// TestBuilderForExactVariants runs the model-name table of
+// internal/models' TestLookup and cmd/inspect's exec test through the
+// /simulate handler: the three surfaces resolve names with the one
+// models.Lookup, so none of them may accept, or die on, what another
+// refuses.
 func TestBuilderForExactVariants(t *testing.T) {
+	h, _ := testHandler(t)
 	valid := []string{
 		"efficientnet-b0", "efficientnet-b7", "EfficientNet-B5",
-		"efficientnet-hb5", "coatnet-0", "coatnet-h3", "dlrm", "DLRM-H",
+		"efficientnet-hb5", "efficientnet-hb7", "coatnet-0", "coatnet-5",
+		"coatnet-h3", "dlrm", "DLRM-H",
 	}
 	for _, name := range valid {
-		if _, err := builderFor(name); err != nil {
-			t.Errorf("builderFor(%q) = %v, want ok", name, err)
+		if rec := get(h, "/simulate?model="+url.QueryEscape(name)); rec.Code != http.StatusOK {
+			t.Errorf("model %q: code %d, want 200 (body %s)", name, rec.Code, rec.Body.String())
 		}
 	}
 	invalid := []string{
 		"efficientnet-b5xyz", "efficientnet-b9", "efficientnet-b-1",
 		"efficientnet-b05", "efficientnet-b", "efficientnet-hb8",
-		"coatnet-", "coatnet-6", "coatnet-h9", "coatnet-2x",
-		"dlrmx", "resnet", "",
+		"coatnet-", "coatnet-6", "coatnet-9", "coatnet--1", "coatnet-h9",
+		"coatnet-2x", "dlrmx", "dlrm-x", "resnet",
 	}
 	for _, name := range invalid {
-		if _, err := builderFor(name); err == nil {
-			t.Errorf("builderFor(%q) succeeded, want error", name)
+		rec := get(h, "/simulate?model="+url.QueryEscape(name))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("model %q: code %d, want 400 (body %s)", name, rec.Code, rec.Body.String())
+		}
+		if _, err := models.Lookup(name); err == nil || !strings.Contains(rec.Body.String(), strconv.Quote(err.Error())) {
+			t.Errorf("model %q: body %s does not carry models.Lookup's error %v", name, rec.Body.String(), err)
 		}
 	}
 }

@@ -12,28 +12,15 @@ import (
 	"log"
 
 	"h2onas"
-
-	"h2onas/internal/controller"
 )
 
 func main() {
 	model := h2onas.SmallDLRMConfig()
-	traffic := h2onas.TrafficConfig{
-		NumTables: model.NumTables,
-		Vocab:     model.BaseVocab,
-		NumDense:  model.NumDense,
-	}
+	traffic := h2onas.DLRMTraffic(model)
 	chip := h2onas.TPUv4()
 
-	opts := h2onas.SearchConfig{
-		Shards:      4,
-		Steps:       150,
-		BatchSize:   64,
-		WarmupSteps: 20,
-		WeightLR:    0.003,
-		Controller:  controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-		Seed:        7,
-	}
+	// 4 shards × 150 steps of batch 64 after 20 warm-up steps, seed 7.
+	opts := h2onas.OneShotSearchConfig(4, 150, 64, 20, 7)
 
 	// Demand a model 15% faster than the baseline at neutral memory.
 	const latencyTarget = 0.85

@@ -14,8 +14,6 @@ import (
 	"strings"
 
 	"h2onas"
-
-	"h2onas/internal/hwsim"
 )
 
 // futureTPU is a hypothetical chip an architect might be evaluating:
@@ -37,7 +35,7 @@ const futureTPU = `{
 }`
 
 func main() {
-	chip, err := hwsim.LoadChip(strings.NewReader(futureTPU))
+	chip, err := h2onas.LoadChip(strings.NewReader(futureTPU))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,9 +55,7 @@ func main() {
 	// binding the model architecture to hardware that does not exist yet.
 	fmt.Printf("\nsearching a DLRM for %s (15%% faster than its baseline there)...\n", chip.Name)
 	model := h2onas.SmallDLRMConfig()
-	traffic := h2onas.TrafficConfig{
-		NumTables: model.NumTables, Vocab: model.BaseVocab, NumDense: model.NumDense,
-	}
+	traffic := h2onas.DLRMTraffic(model)
 	opts := h2onas.DefaultSearchConfig()
 	opts.Steps, opts.Shards, opts.WarmupSteps = 100, 4, 16
 	res, err := h2onas.SearchDLRM(model, traffic, chip, h2onas.ReLUReward, 0.85, opts)

@@ -15,49 +15,24 @@ import (
 	"fmt"
 	"log"
 
-	"h2onas/internal/controller"
-	"h2onas/internal/core"
-	"h2onas/internal/datapipe"
-	"h2onas/internal/hwsim"
-	"h2onas/internal/reward"
-	"h2onas/internal/space"
-	"h2onas/internal/vitnet"
+	"h2onas"
 )
 
 func main() {
-	vs := space.NewTransformerSpace(space.SmallViTConfig())
+	model := h2onas.SmallViTConfig()
+	vs := h2onas.NewTransformerSpace(model)
 	fmt.Printf("transformer search space: %d decisions, O(10^%.1f) candidates\n",
 		len(vs.Space.Decisions), vs.Space.Log10Size())
+	fmt.Println("demanding a model no slower than the baseline on TPUv4")
 
-	chip := hwsim.TPUv4()
-	perf := func(a space.Assignment) []float64 {
-		g := vs.Graph(vs.Decode(a))
-		r := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: 8})
-		return []float64{r.StepTime}
+	// 4 shards × 120 steps of batch 32 after 20 warm-up steps, seed 42.
+	opts := h2onas.OneShotSearchConfig(4, 120, 32, 20, 42)
+	opts.Progress = func(info h2onas.StepInfo) {
+		if info.Step%30 == 0 {
+			fmt.Printf("  step %3d: quality %+.3f, entropy %.1f\n", info.Step, info.MeanQ, info.Entropy)
+		}
 	}
-	baseline := perf(vs.BaselineAssignment())
-	fmt.Printf("baseline step time: %.0fµs; demanding a model no slower\n", baseline[0]*1e6)
-
-	rw := reward.MustNew(reward.ReLU,
-		reward.Objective{Name: "train_step_time", Target: baseline[0], Beta: -2})
-
-	s := &vitnet.Searcher{
-		VS:     vs,
-		Reward: rw,
-		Perf:   perf,
-		Stream: datapipe.NewSeqStream(datapipe.DefaultSeqConfig(), 42),
-	}
-	res, err := s.Search(core.Config{
-		Shards: 4, Steps: 120, BatchSize: 32, WarmupSteps: 20,
-		WeightLR:   0.003,
-		Controller: controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-		Seed:       42,
-		Progress: func(info core.StepInfo) {
-			if info.Step%30 == 0 {
-				fmt.Printf("  step %3d: quality %+.3f, entropy %.1f\n", info.Step, info.MeanQ, info.Entropy)
-			}
-		},
-	})
+	res, err := h2onas.SearchTransformer(model, h2onas.DefaultSeqConfig(), h2onas.TPUv4(), h2onas.ReLUReward, 1.0, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,6 +41,6 @@ func main() {
 	fmt.Println("\nfound transformer:")
 	fmt.Printf("  hidden %d, %d layers, activation %s, FFN rank fraction %.1f, seq pooling %v\n",
 		blk.Hidden, blk.Layers, blk.Act, blk.LowRank, blk.SeqPool)
-	fmt.Printf("  quality %.4f | step time %.0fµs (target %.0fµs) | traffic %d examples\n",
-		res.FinalQuality, res.BestPerf[0]*1e6, baseline[0]*1e6, res.ExamplesSeen)
+	fmt.Printf("  quality %.4f | step time %.0fµs | traffic %d examples\n",
+		res.FinalQuality, res.BestPerf[0]*1e6, res.ExamplesSeen)
 }

@@ -20,11 +20,7 @@ func main() {
 	// Synthetic production traffic: sparse features carry memorization
 	// signal, dense features carry non-linear generalization signal.
 	// Every example is used exactly once (the in-memory pipeline).
-	traffic := h2onas.TrafficConfig{
-		NumTables: model.NumTables,
-		Vocab:     model.BaseVocab,
-		NumDense:  model.NumDense,
-	}
+	traffic := h2onas.DLRMTraffic(model)
 
 	// Search for a model at least as fast as the baseline on TPUv4,
 	// using the paper's single-sided ReLU reward.

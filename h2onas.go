@@ -14,18 +14,21 @@
 // entry points mirror how the system is used:
 //
 //   - SearchDLRM runs the headline algorithm: a one-shot weight-sharing
-//     search over a DLRM search space against live (synthetic) traffic.
-//   - SearchAnalytic runs the same RL loop over analytic quality and
+//     search over a DLRM search space against live (synthetic) traffic;
+//     SearchTransformer is its twin over the pure transformer space.
+//   - AnalyticSearcher runs the same loop over analytic quality and
 //     performance evaluators (the vision/production flow).
 //   - RunExperiment regenerates any table or figure from the paper's
 //     evaluation.
+//
+// The façade carries exactly the names examples/, cmd/ and api_test.go
+// use (surface_test.go enforces it); everything else lives in internal/.
 //
 // See README.md for a walkthrough and DESIGN.md for the system inventory.
 package h2onas
 
 import (
 	"h2onas/internal/arch"
-	"h2onas/internal/checkpoint"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/experiments"
@@ -39,20 +42,8 @@ import (
 type (
 	// DLRMConfig describes a baseline DLRM and anchors its search space.
 	DLRMConfig = space.DLRMConfig
-	// DLRMSpace couples a DLRM baseline with its Table 5 search space.
-	DLRMSpace = space.DLRMSpace
-	// DLRMArch is a decoded DLRM architecture candidate.
-	DLRMArch = space.DLRMArch
-	// CNNConfig describes a baseline convolutional model.
-	CNNConfig = space.CNNConfig
-	// CNNSpace couples a CNN baseline with its Table 5 search space.
-	CNNSpace = space.CNNSpace
 	// ViTConfig describes a baseline (hybrid) vision transformer.
 	ViTConfig = space.ViTConfig
-	// ViTSpace couples a ViT baseline with its search space.
-	ViTSpace = space.ViTSpace
-	// Space is an ordered set of categorical decisions.
-	Space = space.Space
 	// Assignment selects one option per decision.
 	Assignment = space.Assignment
 )
@@ -65,18 +56,10 @@ var (
 	NewCNNSpace = space.NewCNNSpace
 	// NewTransformerSpace builds the pure transformer space of Table 5.
 	NewTransformerSpace = space.NewTransformerSpace
-	// NewHybridViTSpace builds the hybrid conv+transformer space.
-	NewHybridViTSpace = space.NewHybridViTSpace
-	// DefaultDLRMConfig is a production-shaped laptop-scale DLRM baseline.
-	DefaultDLRMConfig = space.DefaultDLRMConfig
 	// SmallDLRMConfig is the quickly-searchable DLRM baseline.
 	SmallDLRMConfig = space.SmallDLRMConfig
-	// ProductionDLRMConfig is the O(10^282)-space production shape.
-	ProductionDLRMConfig = space.ProductionDLRMConfig
 	// DefaultCNNConfig is an EfficientNet-shaped CNN baseline.
 	DefaultCNNConfig = space.DefaultCNNConfig
-	// DefaultViTConfig is a CoAtNet-shaped hybrid baseline.
-	DefaultViTConfig = space.DefaultViTConfig
 )
 
 // Rewards (Section 6.1).
@@ -85,8 +68,6 @@ type (
 	RewardKind = reward.Kind
 	// Objective is one performance objective with target and weight.
 	Objective = reward.Objective
-	// Reward is a configured multi-objective reward function.
-	Reward = reward.Function
 )
 
 const (
@@ -101,15 +82,17 @@ var NewReward = reward.New
 
 // Traffic (Section 4.1's in-memory pipeline over synthetic production
 // traffic).
-type (
-	// TrafficConfig parameterizes the synthetic CTR generator.
-	TrafficConfig = datapipe.CTRConfig
-	// TrafficStream is an endless use-once example stream.
-	TrafficStream = datapipe.Stream
-)
 
-// NewTrafficStream returns a seeded synthetic traffic stream.
-var NewTrafficStream = datapipe.NewStream
+// TrafficConfig parameterizes the synthetic CTR generator.
+type TrafficConfig = datapipe.CTRConfig
+
+var (
+	// NewTrafficStream returns a seeded synthetic traffic stream.
+	NewTrafficStream = datapipe.NewStream
+	// DLRMTraffic returns traffic shaped like the model: its tables,
+	// baseline vocabulary and dense features.
+	DLRMTraffic = core.DLRMTraffic
+)
 
 // Search (Section 4's unified single-step parallel algorithm).
 type (
@@ -119,31 +102,19 @@ type (
 	SearchResult = core.Result
 	// StepInfo is per-step search telemetry.
 	StepInfo = core.StepInfo
-	// Searcher couples a space, reward, objectives and traffic.
-	Searcher = core.Searcher
 	// AnalyticSearcher runs the search loop over analytic evaluators.
 	AnalyticSearcher = core.AnalyticSearcher
-	// DLRMObjectives produces (train step time, serving bytes) objectives.
-	DLRMObjectives = core.DLRMObjectives
 )
 
-// DefaultSearchConfig returns search hyperparameters suited to the small
-// DLRM configuration.
-var DefaultSearchConfig = core.DefaultConfig
-
-// Checkpointing (fault-tolerant search: periodic full-state snapshots
-// with bit-deterministic resume — set SearchConfig.CheckpointDir /
-// CheckpointEvery / Resume).
-type (
-	// CheckpointSnapshot is one complete search state.
-	CheckpointSnapshot = checkpoint.Snapshot
-	// CheckpointManager saves, lists and loads snapshot files.
-	CheckpointManager = checkpoint.Manager
+var (
+	// DefaultSearchConfig returns search hyperparameters suited to the
+	// small DLRM configuration.
+	DefaultSearchConfig = core.DefaultConfig
+	// OneShotSearchConfig returns a run of the given shards, steps, batch
+	// size, warm-up steps and seed with the hyper-parameters the CLI, the
+	// job service and the experiments launch weight-sharing searches with.
+	OneShotSearchConfig = core.OneShotConfig
 )
-
-// ErrNoCheckpoint is returned by CheckpointManager.LoadLatest when the
-// directory holds no loadable snapshot.
-var ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
 
 // Hardware simulation (Section 6.2.3).
 type (
@@ -151,8 +122,6 @@ type (
 	Chip = hwsim.Chip
 	// SimOptions configures a simulation.
 	SimOptions = hwsim.Options
-	// SimResult is a simulated step cost with power/energy.
-	SimResult = hwsim.Result
 	// Graph is the architecture IR the simulator executes.
 	Graph = arch.Graph
 )
@@ -163,31 +132,20 @@ var (
 	TPUv4 = hwsim.TPUv4
 	// TPUv4i models the TPU v4i inference chip.
 	TPUv4i = hwsim.TPUv4i
-	// GPUV100 models an NVIDIA V100.
-	GPUV100 = hwsim.GPUV100
 	// Simulate walks a graph on a chip and returns its step cost.
 	Simulate = hwsim.Simulate
 	// Measure is Simulate warped by the systematic silicon gap.
 	Measure = hwsim.Measure
 )
 
-// Simulation modes.
-const (
-	// Inference simulates a forward pass.
-	Inference = hwsim.Inference
-	// Training simulates forward+backward+gradient sync.
-	Training = hwsim.Training
-)
+// Training simulates forward+backward+gradient sync (the zero SimOptions
+// mode is inference).
+const Training = hwsim.Training
 
 // Performance model (Section 6.2).
-type (
-	// PerfModel is the dual-head MLP performance predictor.
-	PerfModel = perfmodel.Model
-	// PerfSample is one (architecture, performance) observation.
-	PerfSample = perfmodel.Sample
-	// PerfTrainConfig controls either training phase.
-	PerfTrainConfig = perfmodel.TrainConfig
-)
+
+// PerfTrainConfig controls either training phase of the performance model.
+type PerfTrainConfig = perfmodel.TrainConfig
 
 var (
 	// NewPerfModel builds an untrained performance model.
@@ -206,41 +164,25 @@ type (
 	ExperimentScale = experiments.Scale
 )
 
-var (
-	// QuickScale is the reduced budget used by benches.
-	QuickScale = experiments.Quick
-	// FullScale is the default budget of cmd/experiments.
-	FullScale = experiments.Full
-	// SmokeScale is the minimal budget used by tests.
-	SmokeScale = experiments.Smoke
-)
+// SmokeScale is the minimal budget used by tests; cmd/experiments -scale
+// selects the larger ones.
+var SmokeScale = experiments.Smoke
 
 // SearchDLRM runs the headline flow end to end: it builds the search space
-// for the model, opens an in-memory traffic pipeline, constructs the
+// for the model, opens an in-memory traffic pipeline, and runs the unified
+// single-step parallel search that core.NewDLRMSearcher assembles —
 // simulator-backed objectives (training step time as primary, serving
-// memory as secondary) with targets relative to the baseline architecture,
-// and runs the unified single-step parallel search.
+// memory as secondary) with targets relative to the baseline architecture.
 //
 // latencyTargetFactor scales the step-time target relative to the baseline
 // (e.g. 0.85 demands a 15 % faster model); kind selects the reward.
 func SearchDLRM(model DLRMConfig, traffic TrafficConfig, chip Chip,
 	kind RewardKind, latencyTargetFactor float64, opts SearchConfig) (*SearchResult, error) {
 
-	ds := space.NewDLRMSpace(model)
-	obj := &core.DLRMObjectives{DS: ds, Chip: chip}
-	base := obj.BaselinePerf()
-	rw, err := reward.New(kind,
-		reward.Objective{Name: "train_step_time", Target: base[0] * latencyTargetFactor, Beta: -2},
-		reward.Objective{Name: "serving_memory", Target: base[1], Beta: -1},
-	)
+	s, err := core.NewDLRMSearcher(space.NewDLRMSpace(model), chip, kind, latencyTargetFactor,
+		datapipe.NewStream(traffic, opts.Seed))
 	if err != nil {
 		return nil, err
-	}
-	s := &core.Searcher{
-		DS:     ds,
-		Reward: rw,
-		Perf:   obj.Perf,
-		Stream: datapipe.NewStream(traffic, opts.Seed),
 	}
 	return s.Search(opts)
 }
@@ -252,9 +194,4 @@ func RunExperiment(id string, scale ExperimentScale) (*Report, error) {
 		return nil, err
 	}
 	return r.Run(scale), nil
-}
-
-// RunAllExperiments regenerates every table and figure in paper order.
-func RunAllExperiments(scale ExperimentScale) []*Report {
-	return experiments.RunAll(scale)
 }

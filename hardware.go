@@ -3,12 +3,11 @@ package h2onas
 import (
 	"io"
 
-	"h2onas/internal/arch"
 	"h2onas/internal/hwsim"
 )
 
 // Hardware extras: custom chip definitions (the "late binding" workflow of
-// the paper's conclusion), memory-capacity checks, scaling curves, and
+// the paper's conclusion), the memory-capacity check, and
 // serving-under-load analysis.
 
 // LoadChip reads a chip configuration from datasheet-unit JSON (see
@@ -19,36 +18,14 @@ func LoadChip(r io.Reader) (Chip, error) { return hwsim.LoadChip(r) }
 // SaveChip writes a chip configuration as JSON.
 func SaveChip(w io.Writer, c Chip) error { return hwsim.SaveChip(w, c) }
 
-// Memory-capacity analysis (the launch constraint of Section 6.1).
-type (
-	// MemoryFootprint is a model's accelerator-memory requirement.
-	MemoryFootprint = hwsim.MemoryFootprint
-	// ScalingPoint is one point of a data-parallel scaling curve.
-	ScalingPoint = hwsim.ScalingPoint
-	// LoadPoint is serving behaviour at one offered query rate.
-	LoadPoint = hwsim.LoadPoint
-	// GraphBuilder constructs a model graph at a given batch size.
-	GraphBuilder = hwsim.GraphBuilder
-)
-
 var (
-	// Footprint computes a graph's memory footprint.
-	Footprint = hwsim.Footprint
-	// FitsMemory reports whether a graph fits the chip's HBM.
+	// FitsMemory reports whether a graph fits the chip's HBM (the launch
+	// constraint of Section 6.1).
 	FitsMemory = hwsim.FitsMemory
-	// ScalingCurve simulates data-parallel strong scaling.
-	ScalingCurve = hwsim.ScalingCurve
-	// ServeUnderLoad evaluates a batch configuration at a query rate.
-	ServeUnderLoad = hwsim.ServeUnderLoad
 	// MaxQPSUnderP99 finds the highest sustainable rate within a P99
 	// target — the paper's serving objective in full.
 	MaxQPSUnderP99 = hwsim.MaxQPSUnderP99
-	// Roofline places a graph on a chip's roofline (Figure 4b).
-	Roofline = hwsim.Roofline
 )
 
 // WriteDot renders a graph in Graphviz DOT format.
 func WriteDot(w io.Writer, g *Graph) error { return g.WriteDot(w) }
-
-// Ensure arch is referenced (Graph alias lives in h2onas.go).
-var _ = arch.MXU

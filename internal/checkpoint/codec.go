@@ -34,17 +34,10 @@ const (
 
 var format = wire.Format{Magic: magic, Version: Version, MaxPayload: maxPayload}
 
-// Decode error values (the envelope's). Manager treats any decode error
-// as "this snapshot is unusable, fall back to an older one"; the
-// distinctions exist for logging and tests.
-var (
-	ErrBadMagic  = wire.ErrBadMagic
-	ErrTruncated = wire.ErrTruncated
-	ErrChecksum  = wire.ErrChecksum
-)
-
-// FutureVersionError reports a snapshot written by a newer build.
-type FutureVersionError = wire.VersionError
+// Decode errors are the envelope's (wire.ErrBadMagic, wire.ErrTruncated,
+// wire.ErrChecksum, *wire.VersionError for a snapshot written by a newer
+// build). Manager treats any of them as "this snapshot is unusable, fall
+// back to an older one".
 
 // EncodeBytes returns the snapshot in the versioned, checksummed wire
 // format.

@@ -97,7 +97,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestDecodeRejectsBadMagic(t *testing.T) {
 	data := EncodeBytes(sampleSnapshot())
 	data[0] ^= 0xff
-	if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrBadMagic) {
+	if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, wire.ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
@@ -105,10 +105,10 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 func TestDecodeRejectsFutureVersion(t *testing.T) {
 	data := EncodeBytes(sampleSnapshot())
 	binary.LittleEndian.PutUint32(data[8:12], Version+1)
-	var fv *FutureVersionError
+	var fv *wire.VersionError
 	_, err := Decode(bytes.NewReader(data))
 	if !errors.As(err, &fv) {
-		t.Fatalf("err = %v, want FutureVersionError", err)
+		t.Fatalf("err = %v, want *wire.VersionError", err)
 	}
 	if fv.Version != Version+1 {
 		t.Fatalf("reported version %d, want %d", fv.Version, Version+1)

@@ -81,7 +81,7 @@ func (e *Evolution) Name() string {
 // their evaluations never reach Update.
 func (e *Evolution) Sample(rng *tensor.RNG, warmup bool) space.Assignment {
 	if warmup || len(e.pop) < e.opts.Population {
-		return randomAssignment(e.sp, rng)
+		return RandomAssignment(e.sp, rng)
 	}
 	parent := e.pop[rng.Intn(len(e.pop))]
 	for s := 1; s < e.opts.Tournament; s++ {

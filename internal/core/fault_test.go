@@ -158,30 +158,3 @@ func TestAllShardsFailingOneStepSkipsIt(t *testing.T) {
 		t.Fatalf("Best invalid: %v", err)
 	}
 }
-
-// TestShardRetriesDisabled checks the negative setting: a single failure
-// with retries disabled drops the shard immediately, no sleeps.
-func TestShardRetriesDisabled(t *testing.T) {
-	clk := &testClock{now: time.Unix(1754400000, 0)}
-	reg := metrics.New()
-	cfg := faultConfig()
-	cfg.Clock = clk
-	cfg.Metrics = reg
-	cfg.ShardRetries = -1
-	cfg.ShardFault = func(step, shard, attempt int) error {
-		if step == 3 && shard == 0 && attempt == 0 {
-			return errors.New("one failure, no second chances")
-		}
-		return nil
-	}
-	s, _ := testSearcher(t, reward.ReLU, 1.0, 15)
-	if _, err := s.Search(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(clk.sleeps) != 0 {
-		t.Fatalf("recorded %d sleeps with retries disabled", len(clk.sleeps))
-	}
-	if got := reg.Counter("search_shards_dropped_total").Value(); got != 1 {
-		t.Fatalf("dropped counter = %d, want 1", got)
-	}
-}

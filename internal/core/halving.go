@@ -133,9 +133,6 @@ func (h *SuccessiveHalving) Name() string {
 	return fmt.Sprintf("halving/c%d/e%d/b%d", h.opts.Cohort, h.opts.Eta, h.opts.Budget)
 }
 
-// Rungs returns a copy of the evaluation plan.
-func (h *SuccessiveHalving) Rungs() []Rung { return append([]Rung(nil), h.rungs...) }
-
 // done reports whether the rung plan is fully spent.
 func (h *SuccessiveHalving) done() bool { return h.rung >= len(h.rungs) }
 
@@ -146,12 +143,12 @@ func (h *SuccessiveHalving) done() bool { return h.rung >= len(h.rungs) }
 // else. Once the plan is spent, Sample exploits the incumbent.
 func (h *SuccessiveHalving) Sample(rng *tensor.RNG, warmup bool) space.Assignment {
 	if warmup {
-		return randomAssignment(h.sp, rng)
+		return RandomAssignment(h.sp, rng)
 	}
 	if !h.seeded {
 		h.cohort = make([]shCand, h.opts.Cohort)
 		for i := range h.cohort {
-			h.cohort[i] = shCand{a: randomAssignment(h.sp, rng)}
+			h.cohort[i] = shCand{a: RandomAssignment(h.sp, rng)}
 		}
 		h.seeded = true
 	}

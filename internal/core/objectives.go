@@ -61,7 +61,7 @@ func MeasuredSamples(ds *space.DLRMSpace, chip hwsim.Chip, n int, seed uint64) [
 	})
 }
 
-// labeledSamples draws n random candidates (one randomAssignment per
+// labeledSamples draws n random candidates (one RandomAssignment per
 // candidate off a single stream seeded with seed) and labels each with
 // run's training and serving step times; run also receives the
 // per-candidate measurement-noise seed.
@@ -69,7 +69,7 @@ func labeledSamples(ds *space.DLRMSpace, n int, seed uint64, run func(g *arch.Gr
 	rng := tensor.NewRNG(seed)
 	out := make([]perfmodel.Sample, n)
 	for i := range out {
-		a := randomAssignment(ds.Space, rng)
+		a := RandomAssignment(ds.Space, rng)
 		g := ds.Graph(ds.Decode(a))
 		train := run(g, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}, seed+uint64(i))
 		serve := run(g, hwsim.Options{Mode: hwsim.Inference}, seed+uint64(i)+1<<32)
@@ -82,7 +82,9 @@ func labeledSamples(ds *space.DLRMSpace, n int, seed uint64, run func(g *arch.Gr
 	return out
 }
 
-func randomAssignment(sp *space.Space, rng *tensor.RNG) space.Assignment {
+// RandomAssignment draws every decision of the space uniformly, in
+// decision order.
+func RandomAssignment(sp *space.Space, rng *tensor.RNG) space.Assignment {
 	a := make(space.Assignment, len(sp.Decisions))
 	for i, d := range sp.Decisions {
 		a[i] = rng.Intn(d.Arity())

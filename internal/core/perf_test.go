@@ -29,8 +29,8 @@ func TestCandidateRingUnbounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Add(Candidate{Step: i})
 	}
-	if r.Len() != 10 || r.Dropped() != 0 {
-		t.Fatalf("len=%d dropped=%d, want 10/0", r.Len(), r.Dropped())
+	if r.Len() != 10 || r.dropped != 0 {
+		t.Fatalf("len=%d dropped=%d, want 10/0", r.Len(), r.dropped)
 	}
 	items := r.Items()
 	for i, c := range items {
@@ -48,8 +48,8 @@ func TestCandidateRingBounded(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("len = %d, want 3", r.Len())
 	}
-	if r.Dropped() != 5 {
-		t.Fatalf("dropped = %d, want 5", r.Dropped())
+	if r.dropped != 5 {
+		t.Fatalf("dropped = %d, want 5", r.dropped)
 	}
 	items := r.Items()
 	want := []int{5, 6, 7} // newest three, oldest first

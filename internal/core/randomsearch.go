@@ -36,7 +36,7 @@ func NewRandomSearch(sp *space.Space) *Random {
 func (r *Random) Name() string { return "random" }
 
 func (r *Random) Sample(rng *tensor.RNG, warmup bool) space.Assignment {
-	a := randomAssignment(r.sp, rng)
+	a := RandomAssignment(r.sp, rng)
 	if r.fallback == nil {
 		r.fallback = copyAssignment(a)
 	}

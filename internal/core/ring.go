@@ -40,9 +40,6 @@ func (r *candidateRing) Add(c Candidate) {
 // Len reports how many candidates are currently retained.
 func (r *candidateRing) Len() int { return len(r.buf) }
 
-// Dropped reports how many candidates were evicted to honour the bound.
-func (r *candidateRing) Dropped() int64 { return r.dropped }
-
 // Items returns the retained candidates in arrival order (oldest first).
 // The returned slice is freshly allocated when the ring has wrapped and
 // is otherwise the ring's backing storage; callers must not Add afterwards

@@ -135,22 +135,19 @@ type Config struct {
 	// ShardFault, when non-nil, is consulted before each shard attempt
 	// (stage 1/3 of the step); a non-nil error simulates that shard
 	// failing transiently. It is the fault-injection seam for tests and
-	// the hook future RPC-backed shards report through.
+	// the hook future RPC-backed shards report through. A failing shard
+	// is retried twice within the step, then dropped from that step's
+	// cross-shard reduce.
 	ShardFault func(step, shard, attempt int) error
-	// ShardRetries is how many times a failed shard is retried within a
-	// step before being dropped from that step's cross-shard reduce.
-	// 0 means the default (2); negative disables retries.
-	ShardRetries int
 	// Clock injects time for retry backoff; nil uses the real clock.
 	Clock checkpoint.Clock
 
 	// Transport overrides where the per-shard forward/backward work
 	// executes. nil (the default) runs the in-process worker pool, driven
-	// by the ShardFault/ShardRetries knobs above. A non-nil
-	// transport (e.g. shardrpc's coordinator transport) is Bound by Search
-	// but closed by its owner; its own fault policy replaces the Shard*
-	// knobs. Transports are typed to the DLRM super-network:
-	// vitnet.Searcher rejects a non-nil one.
+	// by the ShardFault seam above. A non-nil transport (e.g. shardrpc's
+	// coordinator transport) is Bound by Search but closed by its owner;
+	// its own fault policy replaces ShardFault. Transports are typed to
+	// the DLRM super-network: vitnet.Searcher rejects a non-nil one.
 	Transport ShardTransport
 }
 
@@ -245,6 +242,11 @@ func (s *Searcher) validate() error {
 func (cfg *Config) validate() error {
 	if cfg.Shards <= 0 || cfg.Steps <= 0 || cfg.BatchSize <= 0 {
 		return fmt.Errorf("core: non-positive shards/steps/batch in %+v", *cfg)
+	}
+	// Warm-up steps are added to Steps: a negative count would silently
+	// shorten the search.
+	if cfg.WarmupSteps < 0 {
+		return fmt.Errorf("core: negative WarmupSteps %d", cfg.WarmupSteps)
 	}
 	if cfg.WeightLR <= 0 {
 		cfg.WeightLR = DefaultConfig().WeightLR

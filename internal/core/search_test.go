@@ -150,8 +150,27 @@ func TestTightLatencyTargetYieldsFasterModel(t *testing.T) {
 
 func TestSearchValidatesConfig(t *testing.T) {
 	s, _ := testSearcher(t, reward.ReLU, 1.0, 6)
-	if _, err := s.Search(Config{}); err == nil {
-		t.Fatal("zero config must be rejected")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero config", func(c *Config) { *c = Config{} }},
+		{"no shards", func(c *Config) { c.Shards = 0 }},
+		{"no steps", func(c *Config) { c.Steps = 0 }},
+		{"negative batch", func(c *Config) { c.BatchSize = -1 }},
+		// Used to run Steps−1 steps, or none at all and "succeed".
+		{"negative warmup", func(c *Config) { c.WarmupSteps = -1 }},
+		{"warmup cancels every step", func(c *Config) { c.WarmupSteps = -c.Steps }},
+	} {
+		cfg := fastConfig(6)
+		tc.edit(&cfg)
+		if _, err := s.Search(cfg); err == nil {
+			t.Errorf("%s: Search accepted it", tc.name)
+		}
+		val := datapipe.NewStream(s.Stream.Config(), 1006)
+		if _, err := s.TuNASSearch(cfg, val); err == nil {
+			t.Errorf("%s: TuNASSearch accepted it", tc.name)
+		}
 	}
 	bad := &Searcher{}
 	if _, err := bad.Search(fastConfig(1)); err == nil {

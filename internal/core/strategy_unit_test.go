@@ -144,7 +144,7 @@ func TestHalvingPromotionKeepsBestByMean(t *testing.T) {
 	// Credit rewards making candidate 2 best, then 0; 1 and 3 get culled.
 	rewards := []float64{0.4, 0.1, 0.9, 0.2}
 	sh.Update(round, rewards)
-	if got := sh.Rungs(); got[1].Survivors != 2 {
+	if got := sh.rungs; got[1].Survivors != 2 {
 		t.Fatalf("rung plan %v, want 2 survivors at rung 1", got)
 	}
 	if best := sh.Best(); !assignmentsEqual(best, round[2]) {

@@ -106,9 +106,13 @@ type shardRunner[B any] interface {
 	Membership() string
 }
 
-// shardBackoff is the base wait between in-process shard retries,
-// doubling per attempt.
-const shardBackoff = time.Millisecond
+// A failed in-process shard is retried shardRetries times within a step,
+// waiting shardBackoff doubled per attempt, before it is dropped from
+// that step's cross-shard reduce.
+const (
+	shardRetries = 2
+	shardBackoff = time.Millisecond
+)
 
 // shardPool is the in-process execution mode behind the seam: a fixed set
 // of long-lived worker goroutines — one per shard, capped at the core
@@ -123,10 +127,9 @@ const shardBackoff = time.Millisecond
 // would provide.
 type shardPool[B Batch, N Network[B]] struct {
 	// The Config knobs the pool honors.
-	fault   func(step, shard, attempt int) error
-	retries int
-	clock   checkpoint.Clock
-	sm      searchMetrics
+	fault func(step, shard, attempt int) error
+	clock checkpoint.Clock
+	sm    searchMetrics
 
 	replicas []N
 	work     chan int // shard indices of the step in flight
@@ -145,15 +148,11 @@ type shardPool[B Batch, N Network[B]] struct {
 func newShardPool[B Batch, N Network[B]](cfg *Config, sm searchMetrics, replicas []N, workers int) *shardPool[B, N] {
 	p := &shardPool[B, N]{
 		fault:    cfg.ShardFault,
-		retries:  cfg.ShardRetries,
 		clock:    cfg.Clock,
 		sm:       sm,
 		replicas: replicas,
 		work:     make(chan int, len(replicas)),
 		stepDone: make(chan struct{}, len(replicas)),
-	}
-	if p.retries == 0 {
-		p.retries = 2
 	}
 	if p.clock == nil {
 		p.clock = checkpoint.RealClock()
@@ -177,7 +176,7 @@ func (p *shardPool[B, N]) worker() {
 			if p.fault != nil {
 				if err := p.fault(step, i, attempt); err != nil {
 					p.sm.ShardFailures.Inc()
-					if attempt >= p.retries {
+					if attempt >= shardRetries {
 						// Permanent for this step: drop the shard from the
 						// cross-shard reduce.
 						p.sm.ShardsDropped.Inc()

@@ -52,12 +52,6 @@ type CTRConfig struct {
 	DriftPeriod int64
 }
 
-// DefaultCTRConfig matches the small DLRM search configuration used by
-// tests and examples.
-func DefaultCTRConfig() CTRConfig {
-	return CTRConfig{NumTables: 8, Vocab: 500, NumDense: 8, BagSize: 1}
-}
-
 func (c CTRConfig) withDefaults() CTRConfig {
 	if c.SignalDecay == 0 {
 		c.SignalDecay = 0.75
@@ -113,9 +107,6 @@ func (b *Batch) UseForWeights() {
 	}
 }
 
-// Phase returns 0 (fresh), 1 (arch-learned) or 2 (weights-trained).
-func (b *Batch) Phase() int { return int(atomic.LoadInt32(&b.phase)) }
-
 // Stream generates an endless, never-repeating sequence of synthetic CTR
 // examples. Latent per-id effects are hash-derived, so the generator needs
 // O(1) memory regardless of vocabulary size and two streams with the same
@@ -124,10 +115,9 @@ type Stream struct {
 	cfg  CTRConfig
 	seed uint64
 
-	mu      sync.Mutex
-	rng     *tensor.RNG
-	served  int64
-	batches int64
+	mu     sync.Mutex
+	rng    *tensor.RNG
+	served int64
 }
 
 // NewStream returns a stream with the given seed.
@@ -189,39 +179,7 @@ func (s *Stream) NextBatch(n int) *Batch {
 		}
 	}
 	atomic.AddInt64(&s.served, int64(n))
-	atomic.AddInt64(&s.batches, 1)
 	return b
-}
-
-// StreamState is the portable generator state of a Stream: restoring it
-// (or fast-forwarding a fresh stream with Skip) repositions the generator
-// so the sequence of future batches is exactly what the original stream
-// would have produced.
-type StreamState struct {
-	RNG     uint64 `json:"rng"`
-	Served  int64  `json:"served"`
-	Batches int64  `json:"batches"`
-}
-
-// State captures the stream's current generator state.
-func (s *Stream) State() StreamState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StreamState{
-		RNG:     s.rng.State(),
-		Served:  atomic.LoadInt64(&s.served),
-		Batches: atomic.LoadInt64(&s.batches),
-	}
-}
-
-// Restore overwrites the stream's generator state with one captured by
-// State on a stream with the same config and seed.
-func (s *Stream) Restore(st StreamState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rng.SetState(st.RNG)
-	atomic.StoreInt64(&s.served, st.Served)
-	atomic.StoreInt64(&s.batches, st.Batches)
 }
 
 // Skip advances the stream past nBatches batches of batchSize examples
@@ -242,7 +200,6 @@ func (s *Stream) Skip(nBatches int64, batchSize int) {
 		s.rng.Uint64()
 	}
 	atomic.AddInt64(&s.served, nBatches*int64(batchSize))
-	atomic.AddInt64(&s.batches, nBatches)
 }
 
 // latentEffect is the stationary ground-truth per-id effect of table t: a
@@ -286,9 +243,6 @@ func (s *Stream) denseSignal(x []float64) float64 {
 	}
 	return v * s.cfg.DenseScale
 }
-
-// LatentEffect exposes the ground truth for tests and oracle baselines.
-func (s *Stream) LatentEffect(table, id int) float64 { return s.latentEffect(table, id) }
 
 func sigmoid(x float64) float64 {
 	if x >= 0 {

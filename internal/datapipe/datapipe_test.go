@@ -8,8 +8,13 @@ import (
 	"h2onas/internal/tensor"
 )
 
+// smallCTRConfig is traffic shaped like the small DLRM search space.
+func smallCTRConfig() CTRConfig {
+	return CTRConfig{NumTables: 8, Vocab: 500, NumDense: 8, BagSize: 1}
+}
+
 func TestStreamBatchShapes(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 1)
+	s := NewStream(smallCTRConfig(), 1)
 	b := s.NextBatch(32)
 	if b.Size() != 32 {
 		t.Fatalf("Size = %d", b.Size())
@@ -40,7 +45,7 @@ func TestStreamBatchShapes(t *testing.T) {
 }
 
 func TestStreamLabelsBalancedEnough(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 2)
+	s := NewStream(smallCTRConfig(), 2)
 	b := s.NextBatch(4000)
 	var pos float64
 	for _, y := range b.Labels.Data {
@@ -53,7 +58,7 @@ func TestStreamLabelsBalancedEnough(t *testing.T) {
 }
 
 func TestStreamNeverRepeats(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 3)
+	s := NewStream(smallCTRConfig(), 3)
 	a := s.NextBatch(16)
 	b := s.NextBatch(16)
 	if tensor.Equal(a.Dense, b.Dense, 1e-15) {
@@ -65,19 +70,19 @@ func TestStreamNeverRepeats(t *testing.T) {
 }
 
 func TestStreamDeterministicAcrossInstances(t *testing.T) {
-	a := NewStream(DefaultCTRConfig(), 7).NextBatch(8)
-	b := NewStream(DefaultCTRConfig(), 7).NextBatch(8)
+	a := NewStream(smallCTRConfig(), 7).NextBatch(8)
+	b := NewStream(smallCTRConfig(), 7).NextBatch(8)
 	if !tensor.Equal(a.Dense, b.Dense, 0) || !tensor.Equal(a.Labels, b.Labels, 0) {
 		t.Fatal("same seed must reproduce the same traffic")
 	}
 }
 
 func TestLatentEffectDecaysAcrossTables(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 4)
+	s := NewStream(smallCTRConfig(), 4)
 	meanAbs := func(table int) float64 {
 		var sum float64
 		for id := 0; id < 400; id++ {
-			sum += math.Abs(s.LatentEffect(table, id))
+			sum += math.Abs(s.latentEffect(table, id))
 		}
 		return sum / 400
 	}
@@ -88,11 +93,11 @@ func TestLatentEffectDecaysAcrossTables(t *testing.T) {
 }
 
 func TestLatentEffectDeterministicPerID(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 5)
-	if s.LatentEffect(2, 42) != s.LatentEffect(2, 42) {
+	s := NewStream(smallCTRConfig(), 5)
+	if s.latentEffect(2, 42) != s.latentEffect(2, 42) {
 		t.Fatal("latent effect must be a pure function of (table, id)")
 	}
-	if s.LatentEffect(2, 42) == s.LatentEffect(2, 43) {
+	if s.latentEffect(2, 42) == s.latentEffect(2, 43) {
 		t.Fatal("different ids should have different effects")
 	}
 }
@@ -100,12 +105,12 @@ func TestLatentEffectDeterministicPerID(t *testing.T) {
 func TestLabelsCorrelateWithGroundTruth(t *testing.T) {
 	// Labels must actually follow the latent structure: examples whose
 	// table-0 id has a strongly positive effect should click more often.
-	cfg := DefaultCTRConfig()
+	cfg := smallCTRConfig()
 	s := NewStream(cfg, 6)
 	b := s.NextBatch(8000)
 	var hiSum, hiN, loSum, loN float64
 	for i := 0; i < b.Size(); i++ {
-		eff := s.LatentEffect(0, b.Sparse[0][i][0])
+		eff := s.latentEffect(0, b.Sparse[0][i][0])
 		if eff > 0.8 {
 			hiSum += b.Labels.Data[i]
 			hiN++
@@ -123,23 +128,23 @@ func TestLabelsCorrelateWithGroundTruth(t *testing.T) {
 }
 
 func TestBatchPhaseOrdering(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 8)
+	s := NewStream(smallCTRConfig(), 8)
 	b := s.NextBatch(4)
-	if b.Phase() != 0 {
+	if b.phase != 0 {
 		t.Fatal("fresh batch must be phase 0")
 	}
 	b.UseForArch()
-	if b.Phase() != 1 {
+	if b.phase != 1 {
 		t.Fatal("after arch use phase must be 1")
 	}
 	b.UseForWeights()
-	if b.Phase() != 2 {
+	if b.phase != 2 {
 		t.Fatal("after weight use phase must be 2")
 	}
 }
 
 func TestWeightsBeforeArchPanics(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 9)
+	s := NewStream(smallCTRConfig(), 9)
 	b := s.NextBatch(4)
 	defer func() {
 		if recover() == nil {
@@ -150,7 +155,7 @@ func TestWeightsBeforeArchPanics(t *testing.T) {
 }
 
 func TestArchAfterWeightsPanics(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 10)
+	s := NewStream(smallCTRConfig(), 10)
 	b := s.NextBatch(4)
 	b.UseForArch()
 	b.UseForWeights()
@@ -163,7 +168,7 @@ func TestArchAfterWeightsPanics(t *testing.T) {
 }
 
 func TestPipelineDeliversFreshBatches(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 11)
+	s := NewStream(smallCTRConfig(), 11)
 	p := NewPipeline(s, 16, 4)
 	defer p.Close()
 	seen := map[*Batch]bool{}
@@ -186,7 +191,7 @@ func TestPipelineDeliversFreshBatches(t *testing.T) {
 }
 
 func TestPipelineConcurrentConsumers(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 12)
+	s := NewStream(smallCTRConfig(), 12)
 	p := NewPipeline(s, 8, 8)
 	defer p.Close()
 	var wg sync.WaitGroup
@@ -214,7 +219,7 @@ func TestPipelineConcurrentConsumers(t *testing.T) {
 }
 
 func TestPipelineCloseStopsProducer(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 13)
+	s := NewStream(smallCTRConfig(), 13)
 	p := NewPipeline(s, 8, 2)
 	_ = p.Next()
 	p.Close()
@@ -229,7 +234,7 @@ func TestPipelineCloseStopsProducer(t *testing.T) {
 }
 
 func TestDriftRotatesLatentEffects(t *testing.T) {
-	cfg := DefaultCTRConfig()
+	cfg := smallCTRConfig()
 	cfg.DriftPeriod = 1000
 	s := NewStream(cfg, 42)
 	// Same id, far-apart example indices: effects must differ under drift.
@@ -248,17 +253,17 @@ func TestDriftRotatesLatentEffects(t *testing.T) {
 }
 
 func TestNoDriftIsStationary(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 42)
+	s := NewStream(smallCTRConfig(), 42)
 	if s.effectAt(0, 7, 0) != s.effectAt(0, 7, 1_000_000) {
 		t.Fatal("without drift, effects must be stationary")
 	}
-	if s.effectAt(0, 7, 0) != s.LatentEffect(0, 7) {
+	if s.effectAt(0, 7, 0) != s.latentEffect(0, 7) {
 		t.Fatal("stationary effect must match the exposed ground truth")
 	}
 }
 
 func TestDriftPreservesDeterminism(t *testing.T) {
-	cfg := DefaultCTRConfig()
+	cfg := smallCTRConfig()
 	cfg.DriftPeriod = 500
 	a := NewStream(cfg, 9).NextBatch(32)
 	b := NewStream(cfg, 9).NextBatch(32)

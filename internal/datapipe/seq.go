@@ -171,9 +171,3 @@ func (s *SeqStream) unaryEffect(tok, pos int) float64 {
 func (s *SeqStream) pairEffect(a, b int) float64 {
 	return gaussFromHash(hash3(s.seed, 0x200+uint64(a), uint64(b)+1)) * s.cfg.PairScale
 }
-
-// UnaryEffect exposes the ground truth for tests.
-func (s *SeqStream) UnaryEffect(tok, pos int) float64 { return s.unaryEffect(tok, pos) }
-
-// PairEffect exposes the ground truth for tests.
-func (s *SeqStream) PairEffect(a, b int) float64 { return s.pairEffect(a, b) }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"h2onas/internal/controller"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
@@ -34,26 +33,16 @@ func AblationRegistry() []Runner {
 // share: neutral targets on step time and memory.
 func ablationSearcher(seed uint64) *core.Searcher {
 	cfg := space.SmallDLRMConfig()
-	ds := space.NewDLRMSpace(cfg)
-	obj := &core.DLRMObjectives{DS: ds, Chip: hwsim.TPUv4()}
-	base := obj.BaselinePerf()
-	rw := reward.MustNew(reward.ReLU,
-		reward.Objective{Name: "train_step_time", Target: base[0], Beta: -2},
-		reward.Objective{Name: "serving_memory", Target: base[1], Beta: -1},
-	)
-	stream := datapipe.NewStream(datapipe.CTRConfig{
-		NumTables: cfg.NumTables, Vocab: cfg.BaseVocab, NumDense: cfg.NumDense,
-	}, seed)
-	return &core.Searcher{DS: ds, Reward: rw, Perf: obj.Perf, Stream: stream}
+	s, err := core.NewDLRMSearcher(space.NewDLRMSpace(cfg), hwsim.TPUv4(), reward.ReLU, 1,
+		datapipe.NewStream(core.DLRMTraffic(cfg), seed))
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 func ablationConfig(sc Scale, seed uint64) core.Config {
-	return core.Config{
-		Shards: sc.SearchShards, Steps: sc.SearchSteps, BatchSize: sc.SearchBatch * 2,
-		WarmupSteps: sc.WarmupSteps, WeightLR: 0.003,
-		Controller: controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-		Seed:       seed,
-	}
+	return core.OneShotConfig(sc.SearchShards, sc.SearchSteps, sc.SearchBatch*2, sc.WarmupSteps, seed)
 }
 
 // AblUnifiedVsTuNAS compares the paper's unified single-step parallel
@@ -133,43 +122,34 @@ func AblVocabSharing(sc Scale) *Report {
 func trainRandomSupernet(opts supernet.Options, steps int) float64 {
 	cfg := space.SmallDLRMConfig()
 	ds := space.NewDLRMSpace(cfg)
-	stream := datapipe.NewStream(datapipe.CTRConfig{
-		NumTables: cfg.NumTables, Vocab: cfg.BaseVocab, NumDense: cfg.NumDense,
-	}, 7)
+	stream := datapipe.NewStream(core.DLRMTraffic(cfg), 7)
 	sn := supernet.NewWithOptions(ds, tensor.NewRNG(7), opts)
 	opt := nn.NewAdam(0.003)
 	rng := tensor.NewRNG(8)
-	baseline := ds.BaselineAssignment()
-	maxA := make(space.Assignment, len(ds.Space.Decisions))
-	for i, d := range ds.Space.Decisions {
-		best := 0
-		for j, v := range d.Values {
-			if v > d.Values[best] {
-				best = j
-			}
-		}
-		maxA[i] = best
-	}
+	maxA := core.MaxAssignment(ds.Space)
 	for step := 0; step < steps; step++ {
 		batch := stream.NextBatch(128)
-		a := make(space.Assignment, len(ds.Space.Decisions))
-		for i, d := range ds.Space.Decisions {
-			a[i] = rng.Intn(d.Arity())
-		}
+		a := core.RandomAssignment(ds.Space, rng)
 		if step%4 == 0 {
 			a = maxA
 		}
-		batch.UseForArch()
-		batch.UseForWeights()
-		nn.ZeroGrads(sn.Params())
-		_, dout := sn.Loss(a, batch)
-		sn.Backward(dout)
-		nn.ClipGradNorm(sn.Params(), 10)
-		opt.Step(sn.Params())
+		trainStep(sn, opt, a, batch)
 	}
 	eval := stream.NextBatch(4096)
 	eval.UseForArch()
-	return sn.Quality(baseline, eval)
+	return sn.Quality(ds.BaselineAssignment(), eval)
+}
+
+// trainStep is one weight update of the super-network on a fixed
+// architecture: the use-once batch protocol, then the clipped Adam step.
+func trainStep(sn *supernet.Supernet, opt *nn.Adam, a space.Assignment, b *datapipe.Batch) {
+	b.UseForArch()
+	b.UseForWeights()
+	nn.ZeroGrads(sn.Params())
+	_, dout := sn.Loss(a, b)
+	sn.Backward(dout)
+	nn.ClipGradNorm(sn.Params(), 10)
+	opt.Step(sn.Params())
 }
 
 // AblFusion measures the simulator's compiler op-fusion pass on CoAtNet-5.

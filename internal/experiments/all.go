@@ -39,12 +39,3 @@ func Lookup(id string) (Runner, error) {
 	}
 	return Runner{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }
-
-// RunAll executes every experiment at the given scale.
-func RunAll(sc Scale) []*Report {
-	var out []*Report
-	for _, r := range Registry() {
-		out = append(out, r.Run(sc))
-	}
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"h2onas/internal/controller"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
@@ -32,8 +31,7 @@ func Fig5RewardAblation(sc Scale) *Report {
 
 	cfgSpace := space.SmallDLRMConfig()
 	ds := space.NewDLRMSpace(cfgSpace)
-	obj := &core.DLRMObjectives{DS: ds, Chip: hwsim.TPUv4()}
-	base := obj.BaselinePerf()
+	chip := hwsim.TPUv4()
 
 	// The reward contrast needs supernets trained well enough for quality
 	// differences to dominate evaluation noise: double the step/batch
@@ -42,19 +40,14 @@ func Fig5RewardAblation(sc Scale) *Report {
 
 	collect := func(kind reward.Kind) (finals, tails []pareto.Point, sizes []float64) {
 		for ti, factor := range fig5Targets {
-			rw := reward.MustNew(kind,
-				reward.Objective{Name: "train_step_time", Target: base[0] * factor, Beta: -2},
-				reward.Objective{Name: "serving_memory", Target: base[1], Beta: -1},
-			)
-			stream := datapipe.NewStream(datapipe.CTRConfig{
-				NumTables: cfgSpace.NumTables, Vocab: cfgSpace.BaseVocab, NumDense: cfgSpace.NumDense,
-			}, sc.Seed+uint64(ti))
-			s := &core.Searcher{DS: ds, Reward: rw, Perf: obj.Perf, Stream: stream}
-			res, err := s.Search(core.Config{
-				Shards: sc.SearchShards, Steps: steps, BatchSize: batch,
-				WarmupSteps: sc.WarmupSteps, WeightLR: 0.003, Seed: sc.Seed + uint64(ti)*7,
-				Controller: controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-			})
+			// Traffic and search are seeded apart, so the stream is built
+			// here and not from the run's seed.
+			stream := datapipe.NewStream(core.DLRMTraffic(cfgSpace), sc.Seed+uint64(ti))
+			s, err := core.NewDLRMSearcher(ds, chip, kind, factor, stream)
+			if err != nil {
+				panic(err)
+			}
+			res, err := s.Search(core.OneShotConfig(sc.SearchShards, steps, batch, sc.WarmupSteps, sc.Seed+uint64(ti)*7))
 			if err != nil {
 				panic(err)
 			}
@@ -74,7 +67,7 @@ func Fig5RewardAblation(sc Scale) *Report {
 				fmt.Sprintf("%.0f", res.BestPerf[0]*1e6),
 				fmt.Sprintf("%.4f", res.FinalQuality),
 				fmt.Sprintf("%.2f", res.BestPerf[1]/1e6),
-				fmt.Sprintf("%v", rw.MeetsTargets(res.BestPerf)))
+				fmt.Sprintf("%v", s.Reward.MeetsTargets(res.BestPerf)))
 		}
 		return finals, tails, sizes
 	}

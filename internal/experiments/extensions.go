@@ -47,10 +47,8 @@ func ExtDriftStudy(sc Scale) *Report {
 	trainSteps := sc.SearchSteps * 5             // per drift epoch
 	driftPeriod := int64(trainSteps * batchSize) // one epoch per training budget
 
-	ctr := datapipe.CTRConfig{
-		NumTables: cfg.NumTables, Vocab: cfg.BaseVocab, NumDense: cfg.NumDense,
-		DriftPeriod: driftPeriod,
-	}
+	ctr := core.DLRMTraffic(cfg)
+	ctr.DriftPeriod = driftPeriod
 	a := ds.BaselineAssignment()
 
 	// Two identical models on two identical drifting streams; one stops
@@ -62,16 +60,6 @@ func ExtDriftStudy(sc Scale) *Report {
 	optFrozen := nn.NewAdam(0.003)
 	optCont := nn.NewAdam(0.003)
 
-	trainOne := func(sn *supernet.Supernet, opt *nn.Adam, stream *datapipe.Stream) {
-		b := stream.NextBatch(batchSize)
-		b.UseForArch()
-		b.UseForWeights()
-		nn.ZeroGrads(sn.Params())
-		_, dout := sn.Loss(a, b)
-		sn.Backward(dout)
-		nn.ClipGradNorm(sn.Params(), 10)
-		opt.Step(sn.Params())
-	}
 	evalQ := func(sn *supernet.Supernet, stream *datapipe.Stream) float64 {
 		b := stream.NextBatch(2048)
 		b.UseForArch()
@@ -82,13 +70,13 @@ func ExtDriftStudy(sc Scale) *Report {
 	for epoch := 0; epoch < 4; epoch++ {
 		for step := 0; step < trainSteps; step++ {
 			if epoch == 0 {
-				trainOne(frozen, optFrozen, frozenStream)
+				trainStep(frozen, optFrozen, a, frozenStream.NextBatch(batchSize))
 			} else {
 				// The frozen model still consumes (discards) its stream so
 				// both models evaluate at the same drift phase.
 				frozenStream.NextBatch(batchSize)
 			}
-			trainOne(cont, optCont, contStream)
+			trainStep(cont, optCont, a, contStream.NextBatch(batchSize))
 		}
 		// Burn the evaluation batches on both streams symmetrically.
 		fq := evalQ(frozen, frozenStream)

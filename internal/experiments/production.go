@@ -145,17 +145,11 @@ func optimizeDLRM(m models.ProductionModel, sc Scale) (perfGain, qualGain, energ
 	// Production traffic: informativeness decays steeply across sparse
 	// features, so the tail tables carry almost pure noise — the waste a
 	// zero-touch search reclaims without losing quality.
-	ctr := datapipe.CTRConfig{
-		NumTables: m.DLRM.NumTables, Vocab: m.DLRM.BaseVocab, NumDense: m.DLRM.NumDense,
-		SignalDecay: 0.5,
-	}
+	ctr := core.DLRMTraffic(*m.DLRM)
+	ctr.SignalDecay = 0.5
 	s := &core.Searcher{DS: ds, Reward: rw, Perf: obj.Perf,
 		Stream: datapipe.NewStream(ctr, m.Seed)}
-	res, err := s.Search(core.Config{
-		Shards: sc.SearchShards, Steps: sc.SearchSteps * 2, BatchSize: sc.SearchBatch * 2,
-		WarmupSteps: sc.WarmupSteps, WeightLR: 0.003, Seed: m.Seed,
-		Controller: controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-	})
+	res, err := s.Search(core.OneShotConfig(sc.SearchShards, sc.SearchSteps*2, sc.SearchBatch*2, sc.WarmupSteps, m.Seed))
 	if err != nil {
 		panic(err)
 	}
@@ -221,14 +215,7 @@ func trainFixedDLRM(ds *space.DLRMSpace, ctr datapipe.CTRConfig, a space.Assignm
 	sn := supernet.New(ds, tensor.NewRNG(seed))
 	opt := nn.NewAdam(0.003)
 	for i := 0; i < steps; i++ {
-		b := stream.NextBatch(batch)
-		b.UseForArch()
-		b.UseForWeights()
-		nn.ZeroGrads(sn.Params())
-		_, dout := sn.Loss(a, b)
-		sn.Backward(dout)
-		nn.ClipGradNorm(sn.Params(), 10)
-		opt.Step(sn.Params())
+		trainStep(sn, opt, a, stream.NextBatch(batch))
 	}
 	eval := stream.NextBatch(4096)
 	eval.UseForArch()

@@ -128,9 +128,6 @@ func NewHealth() *Health { return &Health{} }
 // SetReady flips the readiness state.
 func (h *Health) SetReady(ready bool) { h.ready.Store(ready) }
 
-// Ready reports the current readiness state.
-func (h *Health) Ready() bool { return h.ready.Load() }
-
 // LivenessHandler always answers 200: the process is up.
 func (h *Health) LivenessHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

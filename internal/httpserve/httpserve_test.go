@@ -329,7 +329,7 @@ func TestRunGracefulDrain(t *testing.T) {
 	// Readiness flips false before the drain completes; the in-flight
 	// request still finishes once released.
 	deadline = time.Now().Add(5 * time.Second)
-	for srv.Health().Ready() {
+	for srv.health.ready.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("still ready after shutdown began")
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Chip configurations are data, not code: the paper's conclusion argues
@@ -97,6 +98,24 @@ func LoadChip(r io.Reader) (Chip, error) {
 		return Chip{}, err
 	}
 	return c, nil
+}
+
+// ResolveChip is the -chip/-chip-file resolution of the CLIs: the custom
+// chip configuration in file when one is named, else the built-in chip.
+func ResolveChip(name, file string) (Chip, error) {
+	if file != "" {
+		f, err := os.Open(file)
+		if err != nil {
+			return Chip{}, err
+		}
+		defer f.Close()
+		return LoadChip(f)
+	}
+	chip, ok := ChipByName(name)
+	if !ok {
+		return Chip{}, fmt.Errorf("unknown chip %q", name)
+	}
+	return chip, nil
 }
 
 // Validate checks that the chip configuration is physically plausible.

@@ -1,12 +1,20 @@
 package hwsim
 
-import "math"
+import (
+	"math"
+
+	"h2onas/internal/arch"
+)
 
 // Serving-under-load model. The paper's serving objective is "serving
 // throughput under P99 target latency over O(n) serving accelerators":
 // what matters in production is not the unloaded batch latency but the
 // tail under a given query rate, where queueing inflates latency as the
 // chip approaches saturation.
+
+// GraphBuilder constructs the model graph at a given per-chip batch size.
+// The serving and scaling analyses re-invoke it across batch sizes.
+type GraphBuilder func(batch int) *arch.Graph
 
 // LoadPoint is the serving behaviour at one offered load.
 type LoadPoint struct {

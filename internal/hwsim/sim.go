@@ -101,14 +101,6 @@ func (r Result) MemoryBandwidth() float64 {
 	return (r.HBMBytes + r.CMEMBytes) / r.StepTime
 }
 
-// HBMBandwidthUsed is achieved HBM bytes/StepTime.
-func (r Result) HBMBandwidthUsed() float64 {
-	if r.StepTime <= 0 {
-		return 0
-	}
-	return r.HBMBytes / r.StepTime
-}
-
 // CMEMBandwidthUsed is achieved CMEM bytes/StepTime.
 func (r Result) CMEMBandwidthUsed() float64 {
 	if r.StepTime <= 0 {

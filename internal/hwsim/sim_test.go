@@ -234,27 +234,6 @@ func TestMeasureAppliesSystematicGap(t *testing.T) {
 	}
 }
 
-func TestServingThroughputMonotoneTarget(t *testing.T) {
-	build := func(batch int) *arch.Graph {
-		g := &arch.Graph{Name: "serve", Batch: batch, DTypeBytes: 2}
-		g.Add(arch.DenseOp("fc1", batch, 2048, 2048, 2))
-		g.Add(arch.DenseOp("fc2", batch, 2048, 2048, 2))
-		return g
-	}
-	chip := TPUv4i()
-	tight := ServingThroughput(build, chip, 200e-6)
-	loose := ServingThroughput(build, chip, 10e-3)
-	if loose.Throughput < tight.Throughput {
-		t.Fatalf("looser latency target cannot reduce throughput: %v vs %v", loose.Throughput, tight.Throughput)
-	}
-	if loose.Batch < tight.Batch {
-		t.Fatal("looser target must allow at least as large a batch")
-	}
-	if tight.P99Latency < tight.MeanLatency {
-		t.Fatal("P99 must be at least the mean latency")
-	}
-}
-
 func TestTrainingThroughput(t *testing.T) {
 	g := denseGraph(128, 1024, 1024)
 	tp := TrainingThroughput(g, TPUv4(), 1)

@@ -36,7 +36,7 @@ func (s *Service) runJob(rec Record, rj *runningJob) (crashed bool) {
 		return false
 	}
 
-	searcher, ds, cfg, err := rec.Spec.build()
+	searcher, cfg, err := rec.Spec.build()
 	if err != nil {
 		s.finish(rec, StateFailed, err.Error())
 		return false
@@ -86,6 +86,7 @@ func (s *Service) runJob(rec Record, rj *runningJob) (crashed bool) {
 	// re-runs the tail of the search and finds the artifacts already
 	// present (WriteArtifact skips existing files), so completion is
 	// idempotent and the served bytes never change once written.
+	ds := searcher.DS
 	data, err := resultJSON(ds, res)
 	if err != nil {
 		s.finish(rec, StateFailed, fmt.Sprintf("encoding result: %v", err))

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 
-	"h2onas/internal/controller"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
@@ -46,7 +45,7 @@ type Spec struct {
 	Space string `json:"space,omitempty"`
 	// Strategy is reinforce (default), random, evolution, or halving.
 	Strategy string `json:"strategy,omitempty"`
-	// Reward is relu (default) or absolute.
+	// Reward is relu (default) or absolute (see reward.KindByName).
 	Reward string `json:"reward,omitempty"`
 	// Chip is the target accelerator: tpuv4 (default), tpuv4i, or v100.
 	Chip string `json:"chip,omitempty"`
@@ -107,10 +106,8 @@ func (sp Spec) Validate() error {
 	if sp.Space != "dlrm-small" {
 		return fmt.Errorf("jobs: unknown space %q (want dlrm-small)", sp.Space)
 	}
-	switch sp.Reward {
-	case "relu", "absolute":
-	default:
-		return fmt.Errorf("jobs: unknown reward %q (want relu or absolute)", sp.Reward)
+	if _, err := reward.KindByName(sp.Reward); err != nil {
+		return fmt.Errorf("jobs: %w", err)
 	}
 	if _, ok := hwsim.ChipByName(sp.Chip); !ok {
 		return fmt.Errorf("jobs: unknown chip %q (want tpuv4, tpuv4i, or v100)", sp.Chip)
@@ -162,53 +159,30 @@ func (sp Spec) strategy(s *space.Space) (core.Strategy, error) {
 // input is derived from the spec, a rebuilt searcher resumed from a
 // snapshot continues the original trajectory bit-for-bit (the same
 // property cmd/h2onas relies on for -resume).
-func (sp Spec) build() (*core.Searcher, *space.DLRMSpace, core.Config, error) {
+func (sp Spec) build() (*core.Searcher, core.Config, error) {
 	chip, ok := hwsim.ChipByName(sp.Chip)
 	if !ok {
-		return nil, nil, core.Config{}, fmt.Errorf("jobs: unknown chip %q", sp.Chip)
+		return nil, core.Config{}, fmt.Errorf("jobs: unknown chip %q", sp.Chip)
 	}
-	kind := reward.ReLU
-	if sp.Reward == "absolute" {
-		kind = reward.Absolute
+	kind, err := reward.KindByName(sp.Reward)
+	if err != nil {
+		return nil, core.Config{}, fmt.Errorf("jobs: %w", err)
 	}
 
 	model := space.SmallDLRMConfig()
 	ds := space.NewDLRMSpace(model)
-	obj := &core.DLRMObjectives{DS: ds, Chip: chip}
-	base := obj.BaselinePerf()
-	rw, err := reward.New(kind,
-		reward.Objective{Name: "train_step_time", Target: base[0] * sp.LatencyTarget, Beta: -2},
-		reward.Objective{Name: "serving_memory", Target: base[1], Beta: -1},
-	)
+	s, err := core.NewDLRMSearcher(ds, chip, kind, sp.LatencyTarget,
+		datapipe.NewStream(core.DLRMTraffic(model), sp.Seed))
 	if err != nil {
-		return nil, nil, core.Config{}, err
+		return nil, core.Config{}, err
 	}
 
-	cfg := core.Config{
-		Shards:      sp.Shards,
-		Steps:       sp.Steps,
-		BatchSize:   sp.Batch,
-		WarmupSteps: sp.Warmup,
-		WeightLR:    0.003,
-		Controller:  controller.Config{LearningRate: 0.2, BaselineMomentum: 0.9, EntropyWeight: 1e-4},
-		Seed:        sp.Seed,
-		// Long queues of jobs share one process: bound each result's
-		// candidate pool so memory stays flat across the fleet.
-		MaxCandidates: 512,
-	}
+	cfg := core.OneShotConfig(sp.Shards, sp.Steps, sp.Batch, sp.Warmup, sp.Seed)
+	// Long queues of jobs share one process: bound each result's
+	// candidate pool so memory stays flat across the fleet.
+	cfg.MaxCandidates = 512
 	if cfg.Strategy, err = sp.strategy(ds.Space); err != nil {
-		return nil, nil, core.Config{}, err
+		return nil, core.Config{}, err
 	}
-
-	s := &core.Searcher{
-		DS:     ds,
-		Reward: rw,
-		Perf:   obj.Perf,
-		Stream: datapipe.NewStream(datapipe.CTRConfig{
-			NumTables: model.NumTables,
-			Vocab:     model.BaseVocab,
-			NumDense:  model.NumDense,
-		}, sp.Seed),
-	}
-	return s, ds, cfg, nil
+	return s, cfg, nil
 }

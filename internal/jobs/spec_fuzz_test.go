@@ -49,7 +49,7 @@ func FuzzSpecJSON(f *testing.F) {
 		if norm.Steps > 64 {
 			return
 		}
-		if _, _, _, err := norm.build(); err != nil {
+		if _, _, err := norm.build(); err != nil {
 			t.Fatalf("spec %+v passes Validate but does not build: %v", norm, err)
 		}
 	})

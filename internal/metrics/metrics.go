@@ -118,11 +118,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Span starts a span timer recording into the named histogram (seconds).
-// Prefer resolving the histogram once and calling its Start method on hot
-// paths; Span is the convenience form for one-shot timings.
-func (r *Registry) Span(name string) Span { return r.Histogram(name).Start() }
-
 // sortedNames returns the keys of m in sorted order.
 func sortedNames[T any](m map[string]T) []string {
 	names := make([]string, 0, len(m))

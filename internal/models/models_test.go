@@ -190,10 +190,6 @@ func TestDLRMHQualityGain(t *testing.T) {
 	// a small positive quality delta (paper: +0.02 %).
 	ds := space.NewDLRMSpace(ProductionShapeDLRMConfig())
 	base, opt := BaselineDLRM(ds), DLRMH(ds)
-	embRatio := embParams(opt) / embParams(base)
-	mlpRatio := mlpWidthSum(opt) / mlpWidthSum(base)
-	gain := quality.CTRQualityGain(embRatio*mlpRatio/embRatio, 1) // structure check only
-	_ = gain
 	// The H variant widens the informative tables.
 	if opt.EmbWidths[0] <= base.EmbWidths[0] {
 		t.Error("DLRM-H must widen head-table embeddings")
@@ -244,20 +240,37 @@ func TestProductionFleetShape(t *testing.T) {
 	}
 }
 
-func embParams(ar space.DLRMArch) float64 {
-	var s float64
-	for i, w := range ar.EmbWidths {
-		if w > 0 {
-			s += float64(w) * float64(ar.EmbVocabs[i])
+// TestLookup is the model-name table cmd/inspect and cmd/serve's
+// /simulate run too: exact variant names resolve, everything else is an
+// error — never a constructor's panic.
+func TestLookup(t *testing.T) {
+	for _, name := range []string{
+		"coatnet-0", "coatnet-5", "coatnet-h3", "efficientnet-b0", "EfficientNet-B5",
+		"efficientnet-hb7", "dlrm", "dlrm-h", "DLRM-H",
+	} {
+		build, err := Lookup(name)
+		if err != nil {
+			t.Errorf("Lookup(%q) = %v, want ok", name, err)
+			continue
+		}
+		// Batch 0 is the zoo's reference shape; a positive batch is honoured.
+		if g := build(0); g.Batch <= 0 || len(g.Ops) == 0 {
+			t.Errorf("Lookup(%q)(0): degenerate graph (batch %d, %d ops)", name, g.Batch, len(g.Ops))
+		}
+		if g := build(3); g.Batch != 3 {
+			t.Errorf("Lookup(%q)(3): graph batch %d", name, g.Batch)
 		}
 	}
-	return s
-}
-
-func mlpWidthSum(ar space.DLRMArch) float64 {
-	var s float64
-	for _, w := range ar.TopWidths {
-		s += float64(w)
+	for _, name := range []string{
+		"coatnet-9", "coatnet--1", "coatnet-6", "coatnet-", "coatnet-2x", "coatnet-h9",
+		"efficientnet-b5xyz", "efficientnet-b05", "efficientnet-b9", "efficientnet-b-1",
+		"efficientnet-b", "efficientnet-hb8", "dlrm-x", "dlrmx", "resnet", "",
+	} {
+		if _, err := Lookup(name); err == nil {
+			t.Errorf("Lookup(%q) succeeded, want error", name)
+		}
 	}
-	return s
+	if got := Names(); len(got) != len(families)+1 {
+		t.Errorf("Names() = %q, want one line per family plus the DLRMs", got)
+	}
 }

@@ -72,9 +72,6 @@ func (e *Embedding) SetActiveVocab(v int) {
 	e.activeVocab = v
 }
 
-// Active returns the current (width, vocab) selection.
-func (e *Embedding) Active() (width, vocab int) { return e.activeWidth, e.activeVocab }
-
 // Forward mean-pools the active-width vectors of each example's index bag,
 // producing a batch×activeWidth matrix. Empty bags produce zero vectors.
 func (e *Embedding) Forward(indices [][]int) *tensor.Matrix {

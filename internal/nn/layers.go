@@ -363,9 +363,6 @@ func NewMaskedDense(maxIn, maxOut int, rng *tensor.RNG) *MaskedDense {
 // calls. It panics if the requested size exceeds the allocated maximum.
 func (l *MaskedDense) SetActive(in, out int) { l.stage.setActive(in, out) }
 
-// Active returns the currently selected (in, out) sub-matrix size.
-func (l *MaskedDense) Active() (in, out int) { return l.stage.in, l.stage.out }
-
 // Forward computes y = x·W[0:in,0:out] + b[0:out]. x must be batch×activeIn;
 // the output is batch×activeOut.
 func (l *MaskedDense) Forward(x *tensor.Matrix) *tensor.Matrix {
@@ -445,9 +442,6 @@ func (l *LowRankDense) SetActive(in, out, rank int) {
 	l.u.setActive(in, rank)
 	l.v.setActive(rank, out)
 }
-
-// Active returns the currently selected (in, out, rank).
-func (l *LowRankDense) Active() (in, out, rank int) { return l.u.in, l.v.out, l.u.out }
 
 // Forward computes the two-stage product over the active sub-factors.
 func (l *LowRankDense) Forward(x *tensor.Matrix) *tensor.Matrix {

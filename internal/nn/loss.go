@@ -7,21 +7,17 @@ import (
 	"h2onas/internal/tensor"
 )
 
-// Loss computes a scalar training objective and the gradient of that
-// objective with respect to the model output. Both are returned by a single
-// call because every loss needs the forward quantities to compute the
-// gradient anyway.
-type Loss interface {
-	// Eval returns (mean loss over the batch, dLoss/dOutput).
-	Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix)
-}
+// A loss computes a scalar training objective and the gradient of that
+// objective with respect to the model output: Eval returns (mean loss over
+// the batch, dLoss/dOutput) from a single call because every loss needs
+// the forward quantities to compute the gradient anyway.
 
 // BCEWithLogits is binary cross-entropy on raw logits (batch×1), the DLRM
 // click-through objective. It folds the sigmoid into the loss for numerical
 // stability: loss = max(z,0) − z·y + log(1+e^−|z|).
 type BCEWithLogits struct{}
 
-// Eval implements Loss. Targets must be in {0,1} (soft labels in [0,1] are
+// Eval returns the loss and its gradient. Targets must be in {0,1} (soft labels in [0,1] are
 // also accepted).
 func (BCEWithLogits) Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	grad := tensor.New(output.Rows, output.Cols)
@@ -47,7 +43,7 @@ func (BCEWithLogits) EvalInto(output, target, grad *tensor.Matrix) float64 {
 // MSE is mean squared error, used to train the performance model.
 type MSE struct{}
 
-// Eval implements Loss: loss = mean((out−target)²), grad = 2(out−target)/n.
+// Eval returns loss = mean((out−target)²), grad = 2(out−target)/n.
 func (MSE) Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	checkSame("MSE", output, target)
 	n := float64(len(output.Data))

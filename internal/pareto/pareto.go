@@ -1,7 +1,6 @@
 // Package pareto provides the Pareto-front tooling the evaluation uses:
-// dominance and front extraction over (quality, cost) points, the
-// bucketized comparisons of Figure 5b/5c, and hypervolume as a scalar
-// front-quality metric. Convention throughout: quality is maximized, cost
+// dominance and front extraction over (quality, cost) points and the
+// bucketized comparisons of Figure 5b/5c. Convention throughout: quality is maximized, cost
 // (step time, latency, memory) is minimized.
 package pareto
 
@@ -111,24 +110,4 @@ func bucketize(points []Point, n int, axes func(Point) (key, val float64)) []Buc
 		})
 	}
 	return out
-}
-
-// Hypervolume returns the area dominated by the front relative to a
-// reference point (refQuality below every point's quality, refCost above
-// every point's cost). Larger is a better front.
-func Hypervolume(points []Point, refQuality, refCost float64) float64 {
-	front := Front(points)
-	var hv float64
-	prevCost := refCost
-	// Walk from highest cost (front is ascending cost; iterate reversed so
-	// each slab spans [cost_i, prevCost) at that point's quality).
-	for i := len(front) - 1; i >= 0; i-- {
-		p := front[i]
-		if p.Cost >= prevCost || p.Quality <= refQuality {
-			continue
-		}
-		hv += (prevCost - p.Cost) * (p.Quality - refQuality)
-		prevCost = p.Cost
-	}
-	return hv
 }

@@ -136,37 +136,3 @@ func TestBucketCountsSumToPoints(t *testing.T) {
 		t.Fatalf("bucket counts sum to %d, want 100", total)
 	}
 }
-
-func TestHypervolumeKnownValue(t *testing.T) {
-	// Single point (q=1, c=1) vs ref (q=0, c=2): rectangle 1×1.
-	hv := Hypervolume([]Point{{Quality: 1, Cost: 1}}, 0, 2)
-	if math.Abs(hv-1) > 1e-12 {
-		t.Fatalf("hv = %v, want 1", hv)
-	}
-	// Two-point staircase.
-	hv = Hypervolume([]Point{
-		{Quality: 1, Cost: 1},
-		{Quality: 2, Cost: 1.5},
-	}, 0, 2)
-	want := (2.0-1.5)*2 + (1.5-1.0)*1
-	if math.Abs(hv-want) > 1e-12 {
-		t.Fatalf("hv = %v, want %v", hv, want)
-	}
-}
-
-func TestHypervolumeMonotoneProperty(t *testing.T) {
-	// Adding a point can never shrink the hypervolume.
-	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed)
-		var points []Point
-		for i := 0; i < 10; i++ {
-			points = append(points, Point{Quality: rng.Float64(), Cost: rng.Float64() + 0.01})
-		}
-		base := Hypervolume(points, 0, 1.5)
-		more := append(points, Point{Quality: rng.Float64(), Cost: rng.Float64() + 0.01})
-		return Hypervolume(more, 0, 1.5) >= base-1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -35,11 +35,6 @@ type TrainConfig struct {
 	Seed      uint64
 }
 
-// DefaultPretrainConfig returns the pre-training hyperparameters.
-func DefaultPretrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 40, BatchSize: 256, LR: 1e-3, Seed: 1}
-}
-
 // DefaultFineTuneConfig returns the fine-tuning hyperparameters: many
 // passes over the tiny measured set at a low learning rate.
 func DefaultFineTuneConfig() TrainConfig {

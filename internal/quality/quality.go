@@ -129,17 +129,3 @@ func Accuracy(tr Traits, ds Dataset) float64 {
 	}
 	return acc
 }
-
-// CTRQualityGain converts a DLRM architecture's rebalancing of
-// memorization (embedding capacity) and generalization (MLP capacity)
-// into a quality delta in percentage points, relative to a baseline.
-// Gains saturate logarithmically — the regime where an extensively
-// optimized production model yields +0.02 % (Section 7.1.2).
-func CTRQualityGain(embParamRatio, mlpParamRatio float64) float64 {
-	if embParamRatio <= 0 || mlpParamRatio <= 0 {
-		return math.Inf(-1)
-	}
-	// Memorization gains from embedding capacity, generalization losses
-	// from MLP shrinkage, both logarithmic with small coefficients.
-	return 0.06*math.Log(embParamRatio) + 0.04*math.Log(mlpParamRatio)
-}

@@ -122,21 +122,3 @@ func TestActivationOrdering(t *testing.T) {
 		t.Fatal("activation bonus ordering violated")
 	}
 }
-
-func TestCTRQualityGain(t *testing.T) {
-	if CTRQualityGain(1, 1) != 0 {
-		t.Fatal("no rebalancing → no gain")
-	}
-	// More embedding capacity at equal MLP: positive, small.
-	g := CTRQualityGain(1.4, 1)
-	if g <= 0 || g > 0.1 {
-		t.Fatalf("embedding gain = %v, want small positive", g)
-	}
-	// Shrinking both hurts.
-	if CTRQualityGain(0.7, 0.7) >= 0 {
-		t.Fatal("shrinking both sides must reduce quality")
-	}
-	if !math.IsInf(CTRQualityGain(0, 1), -1) {
-		t.Fatal("degenerate ratio must be -inf")
-	}
-}

@@ -46,6 +46,18 @@ func (k Kind) String() string {
 	return "relu"
 }
 
+// KindByName resolves a reward name as flags and job specs spell it:
+// "relu", or "absolute" (short form "abs").
+func KindByName(name string) (Kind, error) {
+	switch name {
+	case "relu":
+		return ReLU, nil
+	case "absolute", "abs":
+		return Absolute, nil
+	}
+	return 0, fmt.Errorf("unknown reward %q (want relu or absolute)", name)
+}
+
 // Function is a configured multi-objective reward.
 type Function struct {
 	Kind       Kind
@@ -101,12 +113,6 @@ func (f *Function) Eval(quality float64, perf []float64) float64 {
 	return r
 }
 
-// Penalty returns only the performance-penalty part of the reward
-// (Eval minus quality), useful for reporting.
-func (f *Function) Penalty(perf []float64) float64 {
-	return f.Eval(0, perf)
-}
-
 // MeetsTargets reports whether every objective is at or below target.
 func (f *Function) MeetsTargets(perf []float64) bool {
 	if len(perf) != len(f.Objectives) {
@@ -120,9 +126,8 @@ func (f *Function) MeetsTargets(perf []float64) bool {
 	return true
 }
 
-// WithTargets returns a copy of the function with objective targets
-// rescaled by factor (used for the Figure 5 sweep of latency targets
-// 0.75×–1.5× of the baseline).
+// WithTargets returns a copy of the function with the named objective's
+// target replaced.
 func (f *Function) WithTargets(name string, target float64) *Function {
 	out := &Function{Kind: f.Kind, Objectives: append([]Objective(nil), f.Objectives...)}
 	for i := range out.Objectives {

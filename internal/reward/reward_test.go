@@ -171,7 +171,8 @@ func TestRewardMonotoneInPerformanceProperty(t *testing.T) {
 func TestPenaltyIsEvalMinusQuality(t *testing.T) {
 	f := MustNew(ReLU, Objective{Name: "lat", Target: 1.0, Beta: -2})
 	perf := []float64{1.4}
-	if math.Abs(f.Penalty(perf)-(f.Eval(0.9, perf)-0.9)) > 1e-12 {
-		t.Fatal("Penalty must equal Eval minus quality")
+	// The reward is quality plus a penalty that does not depend on it.
+	if penalty := f.Eval(0, perf); penalty >= 0 || math.Abs(penalty-(f.Eval(0.9, perf)-0.9)) > 1e-12 {
+		t.Fatalf("penalty %v must be negative and equal Eval minus quality", penalty)
 	}
 }

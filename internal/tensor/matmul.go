@@ -44,14 +44,6 @@ const (
 // re-derives them from the hardware model; its test pins the agreement.
 func MatMulBlockShape() (kc, jc int) { return blockK, blockJ }
 
-// MatMul returns a·b for an (n×k) a and (k×m) b. It is MatMulIntoN with a
-// freshly allocated output and the shared pool's full width.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulIntoN(a, b, out, 0)
-	return out
-}
-
 // MatMulIntoN computes a·b into out, which must be a.Rows×b.Cols; prior
 // contents of out are overwritten. out must not alias a or b.
 //
@@ -131,14 +123,6 @@ func matmulRowsBlocked(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulTransA returns aᵀ·b for a (k×n) a and (k×m) b. It is
-// MatMulTransAIntoN with a freshly allocated output.
-func MatMulTransA(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
-	MatMulTransAIntoN(a, b, out, 0)
-	return out
-}
-
 // MatMulTransAIntoN computes aᵀ·b into out (a.Cols×b.Cols) without
 // materializing the transpose; prior contents of out are overwritten.
 // It is the weight-gradient kernel: dW = Xᵀ·dY. out must not alias a
@@ -216,14 +200,6 @@ func transAColsBlocked(a, b, out *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MatMulTransB returns a·bᵀ for an (n×k) a and (m×k) b. It is
-// MatMulTransBIntoN with a freshly allocated output.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	MatMulTransBIntoN(a, b, out, 0)
-	return out
 }
 
 // MatMulTransBIntoN computes a·bᵀ into out (a.Rows×b.Rows) without

@@ -135,15 +135,6 @@ func (a *Arena) Drain() {
 	}
 }
 
-// Live returns the number of matrices handed out since the last Release
-// (0 for nil arenas). Test hook.
-func (a *Arena) Live() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.out)
-}
-
 // ---------------------------------------------------------------------------
 // Persistent kernel worker pool.
 //
@@ -330,11 +321,6 @@ func sharedPool() *kernelPool {
 	}
 	return p
 }
-
-// KernelPoolWorkers reports the worker count of the shared kernel pool
-// the next dispatch will use. It follows GOMAXPROCS: calling it after a
-// GOMAXPROCS change reflects (and triggers) the resize.
-func KernelPoolWorkers() int { return sharedPool().workers }
 
 // parallelGrain is the number of multiply-add (or equivalent fused)
 // operations one worker should own before fanning out to another: below

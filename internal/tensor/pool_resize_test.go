@@ -18,18 +18,18 @@ func TestSharedPoolTracksGOMAXPROCS(t *testing.T) {
 	runtime.GOMAXPROCS(2)
 	// Force first use at width 2.
 	ParallelFor(16, 0, func(lo, hi int) {})
-	if got := KernelPoolWorkers(); got != 2 {
+	if got := sharedPool().workers; got != 2 {
 		t.Fatalf("pool width after first use at GOMAXPROCS=2: %d", got)
 	}
 
 	// The historical bug: this change was never observed.
 	runtime.GOMAXPROCS(4)
-	if got := KernelPoolWorkers(); got != 4 {
+	if got := sharedPool().workers; got != 4 {
 		t.Fatalf("pool width after GOMAXPROCS 2→4: %d, want 4", got)
 	}
 	// Shrinking must track too.
 	runtime.GOMAXPROCS(1)
-	if got := KernelPoolWorkers(); got != 1 {
+	if got := sharedPool().workers; got != 1 {
 		t.Fatalf("pool width after GOMAXPROCS 4→1: %d, want 1", got)
 	}
 	runtime.GOMAXPROCS(3)

@@ -69,9 +69,6 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
-// Shape returns (rows, cols).
-func (m *Matrix) Shape() (int, int) { return m.Rows, m.Cols }
-
 // String renders small matrices fully and large ones as a shape summary.
 func (m *Matrix) String() string {
 	if m.Rows*m.Cols > 64 {
@@ -141,36 +138,6 @@ func AXPY(a *Matrix, s float64, b *Matrix) {
 	for i := range a.Data {
 		a.Data[i] += s * b.Data[i]
 	}
-}
-
-// Apply returns f applied elementwise to a.
-func Apply(a *Matrix, f func(float64) float64) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = f(a.Data[i])
-	}
-	return out
-}
-
-// Transpose returns aᵀ.
-func Transpose(a *Matrix) *Matrix {
-	out := New(a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			out.Data[j*a.Rows+i] = v
-		}
-	}
-	return out
-}
-
-// Sum returns the sum of all elements.
-func Sum(a *Matrix) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += v
-	}
-	return s
 }
 
 // MaxAbs returns the largest absolute element value (0 for empty matrices).

@@ -6,17 +6,7 @@ import (
 )
 
 // Model zoo (Section 7.1): the open-sourced CoAtNet-H and EfficientNet-H
-// families with their baselines, the Figure 8 DLRM pair, and the Figure 10
-// production population.
-type (
-	// CoAtNetSpec is one CoAtNet-style hybrid model.
-	CoAtNetSpec = models.CoAtNetSpec
-	// ENetSpec is one EfficientNet-style convolutional model.
-	ENetSpec = models.ENetSpec
-	// ProductionModel is one entry of the production fleet.
-	ProductionModel = models.ProductionModel
-)
-
+// families with their baselines.
 var (
 	// CoAtNet returns baseline variant i (0–5).
 	CoAtNet = models.CoAtNet
@@ -26,29 +16,13 @@ var (
 	EfficientNetX = models.EfficientNetX
 	// EfficientNetH returns the H₂O-NAS-optimized variant i.
 	EfficientNetH = models.EfficientNetH
-	// BaselineDLRM returns the Figure 8 baseline architecture.
-	BaselineDLRM = models.BaselineDLRM
-	// DLRMH returns the Figure 8 optimized architecture.
-	DLRMH = models.DLRMH
-	// ProductionShapeDLRMConfig is the Figure 8 baseline configuration.
-	ProductionShapeDLRMConfig = models.ProductionShapeDLRMConfig
-	// ProductionFleet returns the Figure 10 model population.
-	ProductionFleet = models.ProductionFleet
 )
 
-// Accuracy model (the calibrated substitute for ImageNet/JFT training).
-type (
-	// VisionTraits are the accuracy model's inputs.
-	VisionTraits = quality.Traits
-	// Dataset identifies the pre-training corpus.
-	Dataset = quality.Dataset
-)
-
+// Accuracy model (the calibrated substitute for ImageNet/JFT training):
+// the pre-training corpus regimes and the top-1 estimate.
 const (
 	// ImageNet1K is the small-data regime.
 	ImageNet1K = quality.ImageNet1K
-	// ImageNet21K is the medium-data regime.
-	ImageNet21K = quality.ImageNet21K
 	// JFT300M is the large-data regime.
 	JFT300M = quality.JFT300M
 )
