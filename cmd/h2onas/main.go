@@ -7,21 +7,19 @@
 //	h2onas -domain cnn  -steps 200 -shards 8 -chip tpuv4
 //	h2onas -domain vit  -steps 200 -shards 8 -chip tpuv4
 //
-// The DLRM domain runs the full one-shot weight-sharing search against
-// synthetic production traffic; the cnn/vit domains run the analytic
-// search with the calibrated accuracy model. -strategy picks the search
-// rule in every domain.
+// The dlrm and nlp domains run the full one-shot weight-sharing search
+// against synthetic traffic (checkpoints, -fail-shard and -result-out
+// included); the cnn/vit domains run the analytic search with the
+// calibrated accuracy model. -strategy picks the search rule everywhere.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"h2onas"
 
@@ -35,32 +33,36 @@ import (
 	"h2onas/internal/space"
 )
 
+// The flags every domain's search is configured from.
+var (
+	domain     = flag.String("domain", "dlrm", "search domain: dlrm, cnn, vit, or nlp")
+	steps      = flag.Int("steps", 300, "search steps")
+	shards     = flag.Int("shards", 8, "parallel accelerator shards")
+	batch      = flag.Int("batch", 64, "per-shard batch size (dlrm, nlp)")
+	warmup     = flag.Int("warmup", 40, "weight warmup steps (dlrm, nlp)")
+	rewardKind = flag.String("reward", "relu", "reward function: relu or absolute")
+	strategy   = flag.String("strategy", "reinforce", "search strategy: reinforce, random, evolution, or halving")
+	latency    = flag.Float64("latency", 1.0, "step-time target as a fraction of baseline")
+	chipName   = flag.String("chip", "tpuv4", "target chip: tpuv4, tpuv4i, v100")
+	chipFile   = flag.String("chip-file", "", "load a custom chip configuration (JSON, see hwsim.SaveChip) instead of -chip")
+	seed       = flag.Uint64("seed", 1, "random seed")
+	verbose    = flag.Bool("v", false, "print per-step progress")
+	metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file after the search")
+	noMetrics  = flag.Bool("no-metrics", false, "disable the observability layer (skips the end-of-run summary)")
+	ckptDir    = flag.String("checkpoint-dir", "", "write full-state search snapshots to this directory")
+	ckptEvery  = flag.Int("checkpoint-every", 25, "snapshot every N search steps (with -checkpoint-dir)")
+	ckptRetain = flag.Int("checkpoint-retain", 3, "keep only the newest N snapshots (0 keeps all)")
+	resume     = flag.Bool("resume", false, "resume from the newest valid snapshot in -checkpoint-dir")
+	workers    = flag.String("workers", "", "comma-separated shardworker addresses; runs the search over TCP with one remote worker per shard (overrides -shards)")
+	rpcTimeout = flag.Duration("rpc-timeout", 0, "per-call deadline for remote shard RPCs (with -workers; 0 uses the default)")
+	resultOut  = flag.String("result-out", "", "write the deterministic search result as JSON to this file")
+	failShard  = flag.String("fail-shard", "", "fail shards in-process for reproduction, as shard:step[,shard:step...] — shard s fails every step ≥ step")
+	cores      = flag.Int("cores", 0, "total core budget partitioned across shard workers and kernels; performance-only, never moves a bit (0 = GOMAXPROCS)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+)
+
 func main() {
-	domain := flag.String("domain", "dlrm", "search domain: dlrm, cnn, vit, or nlp")
-	steps := flag.Int("steps", 300, "search steps")
-	shards := flag.Int("shards", 8, "parallel accelerator shards")
-	batch := flag.Int("batch", 64, "per-shard batch size (dlrm)")
-	warmup := flag.Int("warmup", 40, "weight warmup steps (dlrm)")
-	rewardKind := flag.String("reward", "relu", "reward function: relu or absolute")
-	strategy := flag.String("strategy", "reinforce", "search strategy: reinforce, random, evolution, or halving")
-	latency := flag.Float64("latency", 1.0, "step-time target as a fraction of baseline")
-	chipName := flag.String("chip", "tpuv4", "target chip: tpuv4, tpuv4i, v100")
-	chipFile := flag.String("chip-file", "", "load a custom chip configuration (JSON, see hwsim.SaveChip) instead of -chip")
-	seed := flag.Uint64("seed", 1, "random seed")
-	verbose := flag.Bool("v", false, "print per-step progress")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file after the search")
-	noMetrics := flag.Bool("no-metrics", false, "disable the observability layer (skips the end-of-run summary)")
-	ckptDir := flag.String("checkpoint-dir", "", "write full-state search snapshots to this directory (dlrm, nlp)")
-	ckptEvery := flag.Int("checkpoint-every", 25, "snapshot every N search steps (with -checkpoint-dir)")
-	ckptRetain := flag.Int("checkpoint-retain", 3, "keep only the newest N snapshots (0 keeps all)")
-	resume := flag.Bool("resume", false, "resume from the newest valid snapshot in -checkpoint-dir")
-	workers := flag.String("workers", "", "comma-separated shardworker addresses; runs the search over TCP with one remote worker per shard (dlrm; overrides -shards)")
-	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-call deadline for remote shard RPCs (with -workers; 0 uses the default)")
-	resultOut := flag.String("result-out", "", "write the search result as JSON to this file (dlrm)")
-	failShard := flag.String("fail-shard", "", "fail shards in-process for reproduction, as shard:step[,shard:step...] — shard s fails every step ≥ step (dlrm)")
-	cores := flag.Int("cores", 0, "total core budget partitioned across shard workers and kernels; performance-only, never moves a bit (0 = GOMAXPROCS)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
 	// Every domain's step-time target is baseline × -latency, and a
@@ -68,8 +70,10 @@ func main() {
 	if !(*latency > 0) {
 		usagef("-latency %v: the step-time target must be a positive fraction of baseline", *latency)
 	}
+	if *workers != "" && *failShard != "" {
+		fatalf("-fail-shard reproduces a degraded run in-process; it cannot be combined with -workers")
+	}
 
-	coreBudget = *cores
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -94,7 +98,6 @@ func main() {
 		reg = metrics.Nop()
 	}
 	hwsim.SetMetrics(reg)
-	searchMetrics = reg
 
 	chip, err := hwsim.ResolveChip(*chipName, *chipFile)
 	if err != nil {
@@ -105,32 +108,11 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	ckpt := checkpointing{dir: *ckptDir, every: *ckptEvery, retain: *ckptRetain, resume: *resume}
-	if *resume && *ckptDir == "" {
-		fatalf("-resume requires -checkpoint-dir")
-	}
-	if ckpt.enabled() && *domain != "dlrm" && *domain != "nlp" {
-		fatalf("-checkpoint-dir and -resume are only wired into the weight-sharing domains (dlrm, nlp); the %s domain runs the analytic search, which has no weights to snapshot", *domain)
-	}
-
-	dist := distributed{rpcTimeout: *rpcTimeout, resultOut: *resultOut, failShard: *failShard}
-	if *workers != "" {
-		dist.workers = strings.Split(*workers, ",")
-	}
-	if (len(dist.workers) > 0 || dist.resultOut != "" || dist.failShard != "") && *domain != "dlrm" {
-		fatalf("-workers, -result-out and -fail-shard are only wired into the dlrm domain")
-	}
-	if len(dist.workers) > 0 && dist.failShard != "" {
-		fatalf("-fail-shard reproduces a degraded run in-process; it cannot be combined with -workers")
-	}
-
 	switch *domain {
-	case "dlrm":
-		runDLRM(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy, ckpt, dist)
+	case "dlrm", "nlp":
+		runOneShot(chip, kind, reg)
 	case "cnn", "vit":
-		runVision(*domain, chip, kind, *latency, *steps, *shards, *seed, *verbose, *strategy)
-	case "nlp":
-		runNLP(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy, ckpt)
+		runVision(chip, kind, reg)
 	default:
 		fatalf("unknown domain %q (want dlrm, cnn, vit, or nlp)", *domain)
 	}
@@ -145,13 +127,6 @@ func main() {
 		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
 	}
 }
-
-// searchMetrics is the run-wide registry handed to every search config.
-var searchMetrics *metrics.Registry
-
-// coreBudget is the -cores flag: the total core budget the search
-// partitions across shard workers and kernel fan-outs (0 = GOMAXPROCS).
-var coreBudget int
 
 // writeHeapProfile persists a post-GC heap profile for -memprofile.
 func writeHeapProfile(path string) {
@@ -180,134 +155,125 @@ func writeMetricsSnapshot(reg *metrics.Registry, path string) error {
 	return f.Close()
 }
 
-// runNLP searches the pure transformer space with a live weight-sharing
-// super-network on synthetic sequence traffic.
-func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
-	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string, ckpt checkpointing) {
-
-	model := space.SmallViTConfig()
-	vs := space.NewTransformerSpace(model)
-	cfg := h2onas.OneShotSearchConfig(shards, steps, batch, warmup, seed)
-	cfg.Workers = coreBudget
-	cfg.Metrics = searchMetrics
-	cfg.CheckpointDir = ckpt.dir
-	cfg.CheckpointEvery = ckpt.every
-	cfg.CheckpointRetain = ckpt.retain
-	cfg.Resume = ckpt.resume
-	strat, err := core.StrategyByName(strategy, vs.Space, steps*max(1, shards-1))
+// configure fills the flag-driven part of a search config, the same for
+// every domain: the core budget, the registry, the strategy (over sp, with
+// the number of evaluations that reach it), checkpointing, the remote
+// fleet or the in-process shard faults, and progress. What a domain's
+// searcher cannot honour, its Search refuses. A dialled cfg.Transport is
+// the caller's to close.
+func configure(cfg *core.Config, sp *space.Space, evaluations int, reg *metrics.Registry) {
+	cfg.Workers = *cores
+	cfg.Metrics = reg
+	strat, err := core.StrategyByName(*strategy, sp, evaluations)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	cfg.Strategy = strat
-	if verbose {
-		cfg.Progress = progress
-	}
-	fmt.Printf("searching transformer space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy, %s reward, latency target %.2fx baseline\n",
-		vs.Space.Log10Size(), chip.Name, shards, steps, strategy, kind, latency)
-	res, err := h2onas.SearchTransformer(model, h2onas.DefaultSeqConfig(), chip, kind, latency, cfg)
-	if err != nil {
-		fatalf("search failed: %v", err)
-	}
-	if res.ResumedFrom > 0 {
-		fmt.Printf("resumed from checkpoint at step %d\n", res.ResumedFrom)
-	}
-	fmt.Printf("\nfinal architecture: %s\n", vs.Space.Describe(res.Best))
-	fmt.Printf("quality %.4f | step time %.0fµs\n", res.FinalQuality, res.BestPerf[0]*1e6)
-}
-
-// checkpointing carries the -checkpoint-*/-resume flags into the search
-// config.
-type checkpointing struct {
-	dir    string
-	every  int
-	retain int
-	resume bool
-}
-
-func (c checkpointing) enabled() bool { return c.dir != "" }
-
-// distributed carries the -workers/-rpc-timeout/-result-out/-fail-shard
-// flags into the search config.
-type distributed struct {
-	workers    []string
-	rpcTimeout time.Duration
-	resultOut  string
-	failShard  string
-}
-
-func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
-	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string, ckpt checkpointing, dist distributed) {
-
-	if len(dist.workers) > 0 {
-		// One remote worker per shard: the fleet defines the shard count.
-		shards = len(dist.workers)
-	}
-	model := space.SmallDLRMConfig()
-	// The banner, the strategy and the final report read the space;
-	// SearchDLRM builds the searcher's own from the same model.
-	sp := space.NewDLRMSpace(model).Space
-	opts := h2onas.OneShotSearchConfig(shards, steps, batch, warmup, seed)
-	opts.Workers = coreBudget
-	opts.Metrics = searchMetrics
-	strat, err := core.StrategyByName(strategy, sp, steps*max(1, shards-1))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	opts.Strategy = strat
-	if len(dist.workers) > 0 {
-		tr, err := shardrpc.Dial(dist.workers, shardrpc.Options{
-			Timeout: dist.rpcTimeout,
-			Seed:    seed,
-		})
-		if err != nil {
-			fatalf("distributed search: %v", err)
-		}
-		defer tr.Close()
-		opts.Transport = tr
-	}
-	if dist.failShard != "" {
-		fails, err := parseFailShards(dist.failShard)
+	cfg.CheckpointDir = *ckptDir
+	cfg.CheckpointEvery = *ckptEvery
+	cfg.CheckpointRetain = *ckptRetain
+	cfg.Resume = *resume
+	if *failShard != "" {
+		fails, err := parseFailShards(*failShard)
 		if err != nil {
 			fatalf("parsing -fail-shard: %v", err)
 		}
 		for shard := range fails {
-			if shard >= shards {
-				usagef("-fail-shard %d: the run has shards 0..%d, so the fault would never fire", shard, shards-1)
+			if shard >= cfg.Shards {
+				usagef("-fail-shard %d: the run has shards 0..%d, so the fault would never fire", shard, cfg.Shards-1)
 			}
 		}
-		opts.ShardFault = func(step, shard, attempt int) error {
+		cfg.ShardFault = func(step, shard, attempt int) error {
 			if from, ok := fails[shard]; ok && step >= from {
 				return fmt.Errorf("injected failure: shard %d down from step %d", shard, from)
 			}
 			return nil
 		}
 	}
-	if ckpt.enabled() {
-		opts.CheckpointDir = ckpt.dir
-		opts.CheckpointEvery = ckpt.every
-		opts.CheckpointRetain = ckpt.retain
-		opts.Resume = ckpt.resume
+	if *verbose {
+		cfg.Progress = progress
 	}
-	if verbose {
-		opts.Progress = progress
+	if *workers != "" {
+		tr, err := shardrpc.Dial(strings.Split(*workers, ","), shardrpc.Options{Timeout: *rpcTimeout, Seed: *seed})
+		if err != nil {
+			fatalf("distributed search: %v", err)
+		}
+		cfg.Transport = tr
 	}
-	fmt.Printf("searching DLRM space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy, %s reward, latency target %.2fx baseline\n",
-		sp.Log10Size(), chip.Name, shards, steps, strategy, kind, latency)
-	res, err := h2onas.SearchDLRM(model, h2onas.DLRMTraffic(model), chip, kind, latency, opts)
+}
+
+// runOneShot runs a weight-sharing search against synthetic traffic: the
+// DLRM super-network (dlrm) or the pure transformer one (nlp). The domains
+// share one config and differ only in the search called and the report
+// line printed.
+func runOneShot(chip h2onas.Chip, kind reward.Kind, reg *metrics.Registry) {
+	nShards := *shards
+	if *workers != "" {
+		// One remote worker per shard: the fleet defines the shard count.
+		nShards = strings.Count(*workers, ",") + 1
+	}
+	// The banner, the strategy and the report read the space; the façade
+	// search builds the searcher's own from the same model.
+	var (
+		label  string
+		sp     *space.Space
+		search func(core.Config) (*core.Outcome, error)
+		report func(*core.Outcome)
+	)
+	if *domain == "dlrm" {
+		model := space.SmallDLRMConfig()
+		label, sp = "DLRM", space.NewDLRMSpace(model).Space
+		search = func(cfg core.Config) (*core.Outcome, error) {
+			res, err := h2onas.SearchDLRM(model, h2onas.DLRMTraffic(model), chip, kind, *latency, cfg)
+			if res == nil {
+				return nil, err
+			}
+			return &res.Outcome, err
+		}
+		report = func(out *core.Outcome) {
+			fmt.Printf("quality %.4f | train step %.0fµs | serving %.2fMB | examples consumed %d\n",
+				out.FinalQuality, out.BestPerf[0]*1e6, out.BestPerf[1]/1e6, out.ExamplesSeen)
+		}
+	} else {
+		model := space.SmallViTConfig()
+		label, sp = "transformer", space.NewTransformerSpace(model).Space
+		search = func(cfg core.Config) (*core.Outcome, error) {
+			res, err := h2onas.SearchTransformer(model, h2onas.DefaultSeqConfig(), chip, kind, *latency, cfg)
+			if res == nil {
+				return nil, err
+			}
+			return &res.Outcome, err
+		}
+		report = func(out *core.Outcome) {
+			fmt.Printf("quality %.4f | step time %.0fµs\n", out.FinalQuality, out.BestPerf[0]*1e6)
+		}
+	}
+	cfg := h2onas.OneShotSearchConfig(nShards, *steps, *batch, *warmup, *seed)
+	// The sandwich shard's maximal candidate never reaches the strategy.
+	configure(&cfg, sp, *steps*max(1, nShards-1), reg)
+	if cfg.Transport != nil {
+		defer cfg.Transport.Close()
+	}
+	fmt.Printf("searching %s space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy, %s reward, latency target %.2fx baseline\n",
+		label, sp.Log10Size(), chip.Name, nShards, *steps, *strategy, kind, *latency)
+	out, err := search(cfg)
 	if err != nil {
 		fatalf("search failed: %v", err)
 	}
-	if res.ResumedFrom > 0 {
-		fmt.Printf("resumed from checkpoint at step %d\n", res.ResumedFrom)
+	if out.ResumedFrom > 0 {
+		fmt.Printf("resumed from checkpoint at step %d\n", out.ResumedFrom)
 	}
-	fmt.Printf("\nfinal architecture: %s\n", sp.Describe(res.Best))
-	fmt.Printf("quality %.4f | train step %.0fµs | serving %.2fMB | examples consumed %d\n",
-		res.FinalQuality, res.BestPerf[0]*1e6, res.BestPerf[1]/1e6, res.ExamplesSeen)
-	if dist.resultOut != "" {
-		if err := writeResult(res, dist.resultOut); err != nil {
+	fmt.Printf("\nfinal architecture: %s\n", sp.Describe(out.Best))
+	report(out)
+	if *resultOut != "" {
+		data, err := out.ResultDocument(sp)
+		if err == nil {
+			err = os.WriteFile(*resultOut, data, 0o644)
+		}
+		if err != nil {
 			fatalf("writing result: %v", err)
 		}
-		fmt.Printf("result written to %s\n", dist.resultOut)
+		fmt.Printf("result written to %s\n", *resultOut)
 	}
 }
 
@@ -328,73 +294,47 @@ func parseFailShards(s string) (map[int]int, error) {
 	return fails, nil
 }
 
-// writeResult persists the deterministic slice of the search result: the
-// trajectory and outcome, but not wall-clock-dependent counters
-// (ExamplesSeen varies with prefetch timing), so two runs that followed
-// the same trajectory serialize byte-identically.
-func writeResult(res *h2onas.SearchResult, path string) error {
-	out := struct {
-		Best           space.Assignment `json:"best"`
-		BestPerf       []float64        `json:"best_perf"`
-		FinalQuality   float64          `json:"final_quality"`
-		ResumedFrom    int64            `json:"resumed_from"`
-		ShardFirstDrop []int            `json:"shard_first_drop"`
-		History        []core.StepInfo  `json:"history"`
-	}{res.Best, res.BestPerf, res.FinalQuality, res.ResumedFrom, res.ShardFirstDrop, res.History}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
+func runVision(chip h2onas.Chip, kind reward.Kind, reg *metrics.Registry) {
+	if *resultOut != "" {
+		fatalf("-result-out: the %s domain runs the analytic search, which produces no result document", *domain)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func runVision(domain string, chip h2onas.Chip, kind reward.Kind, latency float64,
-	steps, shards int, seed uint64, verbose bool, strategy string) {
-
+	// Each vision space decodes a candidate into the graph the simulator
+	// walks and the traits the calibrated accuracy model reads.
 	var sp *space.Space
-	var simulate func(space.Assignment) hwsim.Result
-	var accuracy func(space.Assignment) float64
-
-	if domain == "cnn" {
+	var decode func(space.Assignment) (*h2onas.Graph, quality.Traits)
+	dataset := quality.ImageNet1K
+	if *domain == "cnn" {
 		cs := space.NewCNNSpace(space.DefaultCNNConfig())
 		sp = cs.Space
-		simulate = func(a space.Assignment) hwsim.Result {
-			return hwsim.Simulate(cs.Graph(cs.Decode(a)), chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
-		}
-		accuracy = func(a space.Assignment) float64 {
+		decode = func(a space.Assignment) (*h2onas.Graph, quality.Traits) {
 			ar := cs.Decode(a)
 			g := cs.Graph(ar)
-			return quality.Accuracy(quality.Traits{
-				Params: g.Params, FLOPs: g.TotalFLOPs(),
-				Resolution: ar.Resolution, BaseResolution: 224,
-			}, quality.ImageNet1K)
+			return g, quality.Traits{Params: g.Params, FLOPs: g.TotalFLOPs(), Resolution: ar.Resolution, BaseResolution: 224}
 		}
 	} else {
 		vs := space.NewHybridViTSpace(space.DefaultViTConfig())
-		sp = vs.Space
-		simulate = func(a space.Assignment) hwsim.Result {
-			return hwsim.Simulate(vs.Graph(vs.Decode(a)), chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
-		}
-		accuracy = func(a space.Assignment) float64 {
+		sp, dataset = vs.Space, quality.ImageNet21K
+		decode = func(a space.Assignment) (*h2onas.Graph, quality.Traits) {
 			ar := vs.Decode(a)
 			g := vs.Graph(ar)
-			act := "gelu"
-			if len(ar.TFMBlocks) > 0 {
-				act = ar.TFMBlocks[0].Act
-			}
-			return quality.Accuracy(quality.Traits{
-				Params: g.Params, FLOPs: g.TotalFLOPs(),
-				Resolution: ar.Resolution, BaseResolution: 224,
-				Activation: act,
-			}, quality.ImageNet21K)
+			return g, quality.Traits{Params: g.Params, FLOPs: g.TotalFLOPs(), Resolution: ar.Resolution, BaseResolution: 224,
+				Activation: ar.TFMBlocks[0].Act}
 		}
+	}
+	simulate := func(a space.Assignment) hwsim.Result {
+		g, _ := decode(a)
+		return hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
+	}
+	accuracy := func(a space.Assignment) float64 {
+		_, traits := decode(a)
+		return quality.Accuracy(traits, dataset)
 	}
 
 	base := make(space.Assignment, len(sp.Decisions)) // arbitrary reference
 	baseRes := simulate(base)
 	baseAcc := accuracy(base)
 	rw, err := reward.New(kind,
-		reward.Objective{Name: "train_step_time", Target: baseRes.StepTime * latency, Beta: -3},
+		reward.Objective{Name: "train_step_time", Target: baseRes.StepTime * *latency, Beta: -3},
 	)
 	if err != nil {
 		fatalf("search failed: %v", err)
@@ -410,23 +350,17 @@ func runVision(domain string, chip h2onas.Chip, kind reward.Kind, latency float6
 		},
 	}
 	cfg := h2onas.SearchConfig{
-		Shards: shards, Steps: steps,
-		Workers:    coreBudget,
+		Shards: *shards, Steps: *steps,
 		Controller: controller.Config{LearningRate: 0.1, BaselineMomentum: 0.9, EntropyWeight: 2e-3},
-		Seed:       seed,
-		Metrics:    searchMetrics,
+		Seed:       *seed,
 	}
 	// Every analytic evaluation reaches the strategy: no sandwich shard.
-	strat, err := core.StrategyByName(strategy, sp, steps*shards)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cfg.Strategy = strat
-	if verbose {
-		cfg.Progress = progress
+	configure(&cfg, sp, *steps**shards, reg)
+	if cfg.Transport != nil {
+		defer cfg.Transport.Close()
 	}
 	fmt.Printf("searching %s space (log10 size %.1f) on %s, %d shards × %d steps, %s strategy\n",
-		domain, sp.Log10Size(), chip.Name, shards, steps, strategy)
+		*domain, sp.Log10Size(), chip.Name, *shards, *steps, *strategy)
 	res, err := s.Search(cfg)
 	if err != nil {
 		fatalf("search failed: %v", err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -77,5 +78,44 @@ func TestFailShardOutsideRunRejected(t *testing.T) {
 	}
 	if exit, stderr := execMain(t, "-domain", "dlrm", "-steps", "2", "-shards", "2", "-warmup", "0", "-batch", "8", "-fail-shard", "1:1"); exit != 0 {
 		t.Errorf("-fail-shard 1:1 on 2 shards: exit %d, want 0\n%s", exit, stderr)
+	}
+}
+
+// TestResumedResultDocumentEqualsUninterrupted: -result-out is the
+// deterministic slice of the result, so a run resumed from a mid-run
+// snapshot must write the bytes the uninterrupted run wrote (the file
+// used to carry resumed_from and differ).
+func TestResumedResultDocumentEqualsUninterrupted(t *testing.T) {
+	dir := t.TempDir()
+	a, b, ckpt := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json"), filepath.Join(dir, "ckpt")
+	run := []string{"-domain", "dlrm", "-steps", "6", "-warmup", "2", "-shards", "2", "-batch", "8", "-no-metrics",
+		"-checkpoint-dir", ckpt, "-checkpoint-every", "3"}
+	if exit, stderr := execMain(t, append(run, "-result-out", a)...); exit != 0 {
+		t.Fatalf("checkpointing run: exit %d\n%s", exit, stderr)
+	}
+	// The newest snapshot is step 6 of 8: the second run replays the tail.
+	exit, stderr := execMain(t, append(run, "-resume", "-result-out", b)...)
+	if exit != 0 || !strings.Contains(stderr, "resuming from") {
+		t.Fatalf("resumed run: exit %d, want 0 and a resume notice\n%s", exit, stderr)
+	}
+	docA, errA := os.ReadFile(a)
+	docB, errB := os.ReadFile(b)
+	if errA != nil || errB != nil || !bytes.Equal(docA, docB) {
+		t.Fatalf("resumed -result-out differs from the uninterrupted run's (%v, %v):\n%s\nvs\n%s", errA, errB, docA, docB)
+	}
+}
+
+// TestSecondSpaceThroughTheOneShotPath: the flags the shared engine serves
+// work for -domain nlp as for dlrm, and what the transformer search lacks
+// is refused by vitnet itself, as an error line.
+func TestSecondSpaceThroughTheOneShotPath(t *testing.T) {
+	doc := filepath.Join(t.TempDir(), "f.json")
+	exit, stderr := execMain(t, "-domain", "nlp", "-steps", "2", "-warmup", "0", "-shards", "2", "-batch", "8", "-fail-shard", "1:1", "-result-out", doc)
+	if data, err := os.ReadFile(doc); exit != 0 || err != nil || !bytes.Contains(data, []byte(`"shard_first_drop"`)) {
+		t.Errorf("-domain nlp -fail-shard 1:1 -result-out: exit %d, document %v\n%s", exit, err, stderr)
+	}
+	exit, stderr = execMain(t, "-domain", "nlp", "-steps", "2", "-workers", "127.0.0.1:1")
+	if exit != 1 || !strings.Contains(stderr, "vitnet: Config.Transport is not supported") || strings.Contains(stderr, "goroutine 1 [") {
+		t.Errorf("-domain nlp -workers: exit %d, want 1 with vitnet's refusal and no trace\n%s", exit, stderr)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	netpprof "net/http/pprof"
@@ -155,27 +156,7 @@ func main() {
 	}
 
 	fmt.Printf("%s on %s, P99 target %v\n\n", *model, chip.Name, *p99)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "batch\tservice (ms)\tidle P99 (ms)\tcapacity (QPS)\tmax QPS @ target")
-	for batch := 1; batch <= 64; batch *= 4 {
-		g := build(batch)
-		r := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Inference})
-		capacity := float64(batch) / r.StepTime
-		idle := hwsim.ServeUnderLoad(build, chip, batch, capacity*0.01)
-		// Bisect the max rate at this batch.
-		lo, hi := 0.0, capacity*0.999
-		for i := 0; i < 40; i++ {
-			mid := (lo + hi) / 2
-			if hwsim.ServeUnderLoad(build, chip, batch, mid).P99Latency <= p99.Seconds() {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.0f\t%.0f\n",
-			batch, r.StepTime*1e3, idle.P99Latency*1e3, capacity, lo)
-	}
-	tw.Flush()
+	capacityTable(os.Stdout, build, chip, *p99)
 
 	bestQPS, bestBatch := hwsim.MaxQPSUnderP99(build, chip, p99.Seconds())
 	if bestQPS == 0 {
@@ -184,6 +165,23 @@ func main() {
 	}
 	fmt.Printf("\nbest configuration: batch %d sustaining %.0f QPS within the %v P99 target\n",
 		bestBatch, bestQPS, *p99)
+}
+
+// capacityTable prints, for a sample of batch sizes, the unloaded service
+// time and tail, the capacity, and the max rate within the P99 target —
+// the per-batch search MaxQPSUnderP99 maximizes over.
+func capacityTable(w io.Writer, build hwsim.GraphBuilder, chip hwsim.Chip, p99 time.Duration) {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "batch\tservice (ms)\tidle P99 (ms)\tcapacity (QPS)\tmax QPS @ target")
+	for batch := 1; batch <= 64; batch *= 4 {
+		r := hwsim.Simulate(build(batch), chip, hwsim.Options{Mode: hwsim.Inference})
+		capacity := float64(batch) / r.StepTime
+		idle := hwsim.ServeUnderLoad(build, chip, batch, capacity*0.01)
+		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.0f\t%.0f\n",
+			batch, r.StepTime*1e3, idle.P99Latency*1e3, capacity,
+			hwsim.MaxQPSAtBatch(build, chip, batch, p99.Seconds()))
+	}
+	tw.Flush()
 }
 
 // newMux builds the service routes. Health endpoints are not here: the

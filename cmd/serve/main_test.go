@@ -368,3 +368,28 @@ func TestPprofMountIsOptIn(t *testing.T) {
 		t.Fatalf("/debug/pprof/ with -pprof = %d, want 200", rec.Code)
 	}
 }
+
+// TestCapacityTableBestRowIsMaxQPSUnderP99: the table's rows and the
+// "best configuration" line come from one per-batch search, so on a
+// model whose best batch is a table row the two must print the same
+// rate (they used to be two copies of the bisection).
+func TestCapacityTableBestRowIsMaxQPSUnderP99(t *testing.T) {
+	build, err := models.Lookup("efficientnet-b5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip, target := hwsim.TPUv4i(), 10*time.Millisecond
+	var out strings.Builder
+	capacityTable(&out, build, chip, target)
+	bestRow, bestBatch := 0.0, ""
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		cols := strings.Fields(line)
+		if qps, _ := strconv.ParseFloat(cols[len(cols)-1], 64); qps > bestRow {
+			bestRow, bestBatch = qps, cols[0]
+		}
+	}
+	qps, batch := hwsim.MaxQPSUnderP99(build, chip, target.Seconds())
+	if got, want := fmt.Sprintf("%.0f@%s", bestRow, bestBatch), fmt.Sprintf("%.0f@%d", qps, batch); got != want || qps == 0 {
+		t.Fatalf("table's best row %s, MaxQPSUnderP99 %s\n%s", got, want, out.String())
+	}
+}

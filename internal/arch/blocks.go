@@ -1,6 +1,9 @@
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ActCost returns the approximate VPU FLOPs per element of an activation
 // function, used to cost the searchable activations from Table 5.
@@ -80,6 +83,33 @@ func (s MBConvSpec) Ops() []*Op {
 // OutShape returns the block's output (h, w, channels).
 func (s MBConvSpec) OutShape() (h, w, c int) {
 	return outDim(s.H, s.Stride), outDim(s.W, s.Stride), s.Out
+}
+
+// AddMBConvStage appends a stage of depth MBConv layers to g and counts
+// their parameters into g.Params. Layer 0 is first as given (its In, H, W
+// and Stride); later layers run at stride 1 on first.Out channels. Layer l
+// is named "<first.Name>/l<l>". With residual false the skip-connection
+// adds are left out (the CNN space's searchable skip removal). It returns
+// the stage's output extent and channel depth.
+func (g *Graph) AddMBConvStage(first MBConvSpec, depth int, residual bool) (h, channels int) {
+	h, channels = first.H, first.In
+	for layer := 0; layer < depth; layer++ {
+		ls := first
+		ls.Name = first.Name + "/l" + strconv.Itoa(layer)
+		ls.In, ls.H, ls.W = channels, h, h
+		if layer > 0 {
+			ls.Stride = 1
+		}
+		for _, op := range ls.Ops() {
+			if !residual && op.Name == ls.Name+"/residual" {
+				continue
+			}
+			g.Add(op)
+			g.Params += op.ParamBytes / float64(ls.DType)
+		}
+		h, _, channels = ls.OutShape()
+	}
+	return h, channels
 }
 
 // TransformerSpec describes one transformer block from the ViT search
@@ -172,11 +202,4 @@ func (s MBConvSpec) String() string {
 		kind = "F-MBConv"
 	}
 	return fmt.Sprintf("%s(k%d,s%d,e%d,%d→%d,%s)", kind, s.Kernel, s.Stride, s.Expansion, s.In, s.Out, s.Act)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

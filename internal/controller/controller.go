@@ -61,18 +61,6 @@ func (p *Policy) MostProbable() space.Assignment {
 	return a
 }
 
-// LogProb returns log π(a).
-func (p *Policy) LogProb(a space.Assignment) float64 {
-	if err := p.Space.Validate(a); err != nil {
-		panic(fmt.Sprintf("controller: %v", err))
-	}
-	var sum float64
-	for d := range p.Logits {
-		sum += math.Log(math.Max(p.Probs(d)[a[d]], 1e-300))
-	}
-	return sum
-}
-
 // Entropy returns the policy entropy in nats (the sum over independent
 // decisions). It starts at Σ log(arity) for the uniform policy and shrinks
 // toward 0 as the search converges.

@@ -54,15 +54,6 @@ func TestMostProbable(t *testing.T) {
 	}
 }
 
-func TestLogProbSumsDecisions(t *testing.T) {
-	p := NewPolicy(twoDecisionSpace())
-	got := p.LogProb(space.Assignment{0, 0})
-	want := math.Log(1.0/3) + math.Log(0.5)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("LogProb = %v, want %v", got, want)
-	}
-}
-
 func TestUpdateMovesTowardRewardedOption(t *testing.T) {
 	s := twoDecisionSpace()
 	c := New(s, Config{LearningRate: 0.2, BaselineMomentum: 0.9})

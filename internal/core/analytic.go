@@ -46,6 +46,9 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 	if cfg.Shards <= 0 || cfg.Steps <= 0 {
 		return nil, fmt.Errorf("core: non-positive shards/steps in %+v", cfg)
 	}
+	if cfg.CheckpointDir != "" || cfg.Resume || cfg.Transport != nil || cfg.ShardFault != nil {
+		return nil, fmt.Errorf("core: the analytic search trains no weights and places no shards, so CheckpointDir, Resume, Transport and ShardFault are not supported")
+	}
 	rng := tensor.NewRNG(cfg.Seed)
 	strat := strategyFor(&cfg, s.Space)
 	sm := newSearchMetrics(cfg.Metrics)

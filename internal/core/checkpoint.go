@@ -104,34 +104,28 @@ type streamCursor interface {
 	Skip(nBatches int64, batchSize int)
 }
 
-// maybeRestore applies cfg.ResumeSnapshot (or, under cfg.Resume, the
-// newest valid snapshot in the checkpoint directory) to the freshly
-// constructed search state. It returns the step index to continue from
-// and the number of batches the checkpointed run had consumed; (0, 0)
-// means a fresh start. The stream must be unused: it is fast-forwarded to
-// the checkpoint's position.
+// maybeRestore applies, under cfg.Resume, the newest valid snapshot in
+// the checkpoint directory to the freshly constructed search state. It
+// returns the step index to continue from and the number of batches the
+// checkpointed run had consumed; (0, 0) means a fresh start. The stream
+// must be unused: it is fast-forwarded to the checkpoint's position.
 func (st *searchState) maybeRestore(mgr *checkpoint.Manager, stream streamCursor) (startStep int, consumedBase int64, err error) {
 	cfg, strat := st.cfg, st.strat
-	snap := cfg.ResumeSnapshot
-	if snap == nil && cfg.Resume {
-		if mgr == nil {
-			return 0, 0, fmt.Errorf("core: Resume requires CheckpointDir")
-		}
-		loaded, path, err := mgr.LoadLatest()
-		switch {
-		case err == checkpoint.ErrNoCheckpoint:
-			log.Printf("core: no valid checkpoint in %s; starting fresh", cfg.CheckpointDir)
-			return 0, 0, nil
-		case err != nil:
-			return 0, 0, err
-		default:
-			log.Printf("core: resuming from %s (step %d)", path, loaded.Step)
-			snap = loaded
-		}
-	}
-	if snap == nil {
+	if !cfg.Resume {
 		return 0, 0, nil
 	}
+	if mgr == nil {
+		return 0, 0, fmt.Errorf("core: Resume requires CheckpointDir")
+	}
+	snap, path, err := mgr.LoadLatest()
+	if err == checkpoint.ErrNoCheckpoint {
+		log.Printf("core: no valid checkpoint in %s; starting fresh", cfg.CheckpointDir)
+		return 0, 0, nil
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	log.Printf("core: resuming from %s (step %d)", path, snap.Step)
 
 	if snap.Strategy != strat.Name() {
 		return 0, 0, fmt.Errorf("core: checkpoint was written by strategy %q; this run uses %q — strategies carry incompatible state, pick the matching one or start fresh", snap.Strategy, strat.Name())

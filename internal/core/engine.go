@@ -68,9 +68,9 @@ type Engine[B Batch, N Network[B]] struct {
 // When checkpointing is configured the complete search state — strategy
 // state, shared weights, optimizer moments, RNG stream, stream position
 // and step counter — is snapshotted atomically every CheckpointEvery
-// steps, and a run restored from any snapshot (Resume/ResumeSnapshot)
-// reproduces the uninterrupted run's final architecture and reward
-// trajectory bit-for-bit. Shards that fail (via the ShardFault seam) are
+// steps, and a run restored from any snapshot (Resume) reproduces the
+// uninterrupted run's final architecture and reward trajectory
+// bit-for-bit. Shards that fail (via the ShardFault seam) are
 // retried with bounded exponential backoff and, if they keep failing,
 // dropped from that step's cross-shard reduce so the step degrades to
 // the surviving shards instead of killing the search.

@@ -11,37 +11,23 @@ import (
 // DLRMObjectives produces the performance objectives of a DLRM search, in
 // the order the experiments use them: primary = training step time
 // (DLRM is training-cost dominated, Table 2), secondary = serving memory
-// bytes (the analytic model-size head of Section 6.2.1).
-//
-// When Model is non-nil, step time comes from the ML-driven performance
-// model at search-step latency; otherwise the simulator is invoked
-// directly (accurate but orders of magnitude slower — the trade-off the
-// performance model exists to break).
+// bytes (the analytic model-size head of Section 6.2.1). Step time comes
+// from the simulator, invoked directly.
 type DLRMObjectives struct {
-	DS    *space.DLRMSpace
-	Chip  hwsim.Chip
-	Model *perfmodel.Model
+	DS   *space.DLRMSpace
+	Chip hwsim.Chip
 }
 
 // Perf implements PerfFunc.
 func (o *DLRMObjectives) Perf(a space.Assignment) []float64 {
 	ar := o.DS.Decode(a)
-	size := o.DS.ServingBytes(ar)
-	if o.Model != nil {
-		trainTime, _ := o.Model.Predict(o.DS.Space.Features(a))
-		return []float64{trainTime, size}
-	}
-	r := hwsim.Simulate(o.DS.Graph(ar), o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
-	return []float64{r.StepTime, size}
-}
-
-// BaselinePerf evaluates the baseline architecture with the simulator
-// (never the model): the reference point search targets are set against.
-func (o *DLRMObjectives) BaselinePerf() []float64 {
-	ar := o.DS.Decode(o.DS.BaselineAssignment())
 	r := hwsim.Simulate(o.DS.Graph(ar), o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
 	return []float64{r.StepTime, o.DS.ServingBytes(ar)}
 }
+
+// BaselinePerf evaluates the baseline architecture: the reference point
+// search targets are set against.
+func (o *DLRMObjectives) BaselinePerf() []float64 { return o.Perf(o.DS.BaselineAssignment()) }
 
 // SimulatorSamples draws n random candidates from the space and labels
 // them with simulated training/serving performance — the pre-training

@@ -124,11 +124,7 @@ func HarnessResumeFromEverySnapshot(t *testing.T, search SearchFunc, cfg Config,
 		if err != nil {
 			t.Fatalf("loading snapshot %d: %v", k, err)
 		}
-		rcfg := cfg
-		rcfg.CheckpointDir = "" // resumed runs do not re-checkpoint
-		rcfg.CheckpointEvery = 0
-		rcfg.ResumeSnapshot = snap
-		resumed, err := search(t, 21, rcfg)
+		resumed, err := search(t, 21, resumeOnlyFrom(t, cfg, snap))
 		if err != nil {
 			t.Fatalf("resume from step %d: %v", k, err)
 		}
@@ -153,6 +149,21 @@ func HarnessResumeFromEverySnapshot(t *testing.T, search SearchFunc, cfg Config,
 			}
 		}
 	}
+}
+
+// resumeOnlyFrom returns cfg set to resume from exactly snap: the snapshot
+// is saved alone into a fresh in-memory directory, and the resumed run
+// does not re-checkpoint.
+func resumeOnlyFrom(t *testing.T, cfg Config, snap *checkpoint.Snapshot) Config {
+	t.Helper()
+	fs := checkpoint.NewMemFS()
+	if _, err := (&checkpoint.Manager{Dir: "resume", FS: fs}).Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointDir, cfg.CheckpointFS = "resume", fs
+	cfg.CheckpointEvery = 0
+	cfg.Resume = true
+	return cfg
 }
 
 // TestResumeLatestFromDir exercises the Resume flag end to end: the

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -120,9 +121,6 @@ type Config struct {
 	// reproduces the uninterrupted run's architecture and reward
 	// trajectory exactly.
 	Resume bool
-	// ResumeSnapshot restores this exact snapshot instead of scanning
-	// CheckpointDir (takes precedence over Resume).
-	ResumeSnapshot *checkpoint.Snapshot
 
 	// Stop, when non-nil, requests cooperative cancellation: the search
 	// checks it between steps and, once it is closed (or receives),
@@ -213,6 +211,31 @@ type Outcome struct {
 	// every step. A degraded multi-node run can be reproduced in-process
 	// by failing the same shards from the same steps on.
 	ShardFirstDrop []int
+}
+
+// ResultDocument serializes the deterministic slice of the outcome: the
+// trajectory and the chosen architecture (described over sp, the space
+// that was searched), excluding everything interruption-dependent —
+// ResumedFrom (names the resume point), ExamplesSeen (varies with
+// prefetch timing) and the candidate pool (not part of snapshots, so a
+// resumed run's pool starts at the snapshot). Two runs that followed the
+// same trajectory — including one interrupted and resumed any number of
+// times — serialize byte-identically. It is the one encoder behind
+// h2onas -result-out and the job service's result.json.
+func (o *Outcome) ResultDocument(sp *space.Space) ([]byte, error) {
+	out := struct {
+		Best           space.Assignment `json:"best"`
+		BestArch       string           `json:"best_arch"`
+		BestPerf       []float64        `json:"best_perf"`
+		FinalQuality   float64          `json:"final_quality"`
+		ShardFirstDrop []int            `json:"shard_first_drop"`
+		History        []StepInfo       `json:"history"`
+	}{o.Best, sp.Describe(o.Best), o.BestPerf, o.FinalQuality, o.ShardFirstDrop, o.History}
+	data, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // Result is the outcome of a DLRM search.

@@ -73,10 +73,7 @@ func TestResumeEveryStrategyFromEverySnapshot(t *testing.T) {
 				if err != nil {
 					t.Fatalf("loading snapshot %d: %v", k, err)
 				}
-				rcfg := cfg
-				rcfg.CheckpointDir = ""
-				rcfg.CheckpointEvery = 0
-				rcfg.ResumeSnapshot = snap
+				rcfg := resumeOnlyFrom(t, cfg, snap)
 				rs, _ := testSearcher(t, reward.ReLU, 1.0, 21)
 				rcfg.Strategy = mk(rs.DS.Space)
 				resumed, err := rs.Search(rcfg)

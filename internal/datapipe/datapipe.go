@@ -32,16 +32,10 @@ type CTRConfig struct {
 	BagSize   int // ids per example per feature
 
 	// SignalDecay controls how informative successive tables are: table t
-	// has latent-effect scale SignalScale·SignalDecay^t, so early tables
+	// has latent-effect scale signalScale·SignalDecay^t, so early tables
 	// matter and late tables are mostly noise (the structure that lets
 	// the search shrink or drop uninformative tables). 0 means 0.75.
 	SignalDecay float64
-	// SignalScale is the latent-effect magnitude of table 0. 0 means 1.2.
-	SignalScale float64
-	// DenseScale is the magnitude of the dense nonlinear signal. 0 means 1.
-	DenseScale float64
-	// NoiseStd is label noise on the logit. 0 means 0.25.
-	NoiseStd float64
 
 	// DriftPeriod makes the traffic non-stationary: every DriftPeriod
 	// examples, the latent per-id effects rotate toward a fresh table
@@ -52,18 +46,16 @@ type CTRConfig struct {
 	DriftPeriod int64
 }
 
+// The generator's fixed magnitudes: the latent-effect scale of table 0
+// and the label noise on the logit (the dense signal has unit scale).
+const (
+	signalScale = 1.2
+	noiseStd    = 0.25
+)
+
 func (c CTRConfig) withDefaults() CTRConfig {
 	if c.SignalDecay == 0 {
 		c.SignalDecay = 0.75
-	}
-	if c.SignalScale == 0 {
-		c.SignalScale = 1.2
-	}
-	if c.DenseScale == 0 {
-		c.DenseScale = 1
-	}
-	if c.NoiseStd == 0 {
-		c.NoiseStd = 0.25
 	}
 	if c.BagSize == 0 {
 		c.BagSize = 1
@@ -71,29 +63,22 @@ func (c CTRConfig) withDefaults() CTRConfig {
 	return c
 }
 
-// Batch is one batch of training examples. Phase tracking enforces the
-// α-before-W invariant: UseForArch must be called before UseForWeights.
-type Batch struct {
-	Dense  *tensor.Matrix // batch×NumDense
-	Sparse [][][]int      // [table][example][bag ids]
-	Labels *tensor.Matrix // batch×1, {0,1}
-
+// phaseGuard enforces the α-before-W invariant on the batch that embeds
+// it: UseForArch must be called before UseForWeights.
+type phaseGuard struct {
 	phase int32 // 0 fresh, 1 arch-learned, 2 weights-trained
 }
-
-// Size returns the number of examples.
-func (b *Batch) Size() int { return b.Dense.Rows }
 
 // UseForArch marks the batch as consumed by architecture learning
 // (reward evaluation). It panics if weights were already trained on it —
 // that would be the information leak the pipeline exists to prevent.
-func (b *Batch) UseForArch() {
+func (g *phaseGuard) UseForArch() {
 	for {
-		p := atomic.LoadInt32(&b.phase)
+		p := atomic.LoadInt32(&g.phase)
 		if p >= 2 {
 			panic("datapipe: batch used for architecture learning after weight training (α must precede W)")
 		}
-		if atomic.CompareAndSwapInt32(&b.phase, p, 1) {
+		if atomic.CompareAndSwapInt32(&g.phase, p, 1) {
 			return
 		}
 	}
@@ -101,11 +86,65 @@ func (b *Batch) UseForArch() {
 
 // UseForWeights marks the batch as consumed by weight training. It panics
 // unless UseForArch happened first, enforcing the single-step ordering.
-func (b *Batch) UseForWeights() {
-	if !atomic.CompareAndSwapInt32(&b.phase, 1, 2) {
+func (g *phaseGuard) UseForWeights() {
+	if !atomic.CompareAndSwapInt32(&g.phase, 1, 2) {
 		panic("datapipe: batch must be used for architecture learning before weight training")
 	}
 }
+
+// cursor is the position of the stream that embeds it: the parent
+// generator every batch splits its own generator from, and the count of
+// examples handed out.
+type cursor struct {
+	mu     sync.Mutex
+	rng    *tensor.RNG
+	served int64
+}
+
+// split draws the generator of the next batch of n examples — the one
+// value a batch takes from the parent, which is what lets Skip stand in
+// for a whole batch.
+func (c *cursor) split(n int) *tensor.RNG {
+	if n <= 0 {
+		panic("datapipe: NextBatch with non-positive size")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rng.Split()
+}
+
+// ExamplesServed returns how many examples have been generated.
+func (c *cursor) ExamplesServed() int64 { return atomic.LoadInt64(&c.served) }
+
+// Skip advances the stream past nBatches batches of batchSize examples
+// each without generating them. It has exactly the effect on the
+// generator state that nBatches NextBatch(batchSize) calls would have, at
+// O(1) cost per batch — the fast-forward primitive checkpoint resume uses
+// to reposition a fresh stream at a run's consumed-batch frontier.
+func (c *cursor) Skip(nBatches int64, batchSize int) {
+	if nBatches < 0 || batchSize <= 0 {
+		panic(fmt.Sprintf("datapipe: Skip(%d, %d) with negative batches or non-positive size", nBatches, batchSize))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := int64(0); i < nBatches; i++ {
+		c.rng.Uint64()
+	}
+	atomic.AddInt64(&c.served, nBatches*int64(batchSize))
+}
+
+// Batch is one batch of training examples, guarded so it is used for
+// learning α before it trains W.
+type Batch struct {
+	Dense  *tensor.Matrix // batch×NumDense
+	Sparse [][][]int      // [table][example][bag ids]
+	Labels *tensor.Matrix // batch×1, {0,1}
+
+	phaseGuard
+}
+
+// Size returns the number of examples.
+func (b *Batch) Size() int { return b.Dense.Rows }
 
 // Stream generates an endless, never-repeating sequence of synthetic CTR
 // examples. Latent per-id effects are hash-derived, so the generator needs
@@ -114,10 +153,7 @@ func (b *Batch) UseForWeights() {
 type Stream struct {
 	cfg  CTRConfig
 	seed uint64
-
-	mu     sync.Mutex
-	rng    *tensor.RNG
-	served int64
+	cursor
 }
 
 // NewStream returns a stream with the given seed.
@@ -126,24 +162,16 @@ func NewStream(cfg CTRConfig, seed uint64) *Stream {
 	if cfg.NumTables <= 0 || cfg.Vocab <= 0 || cfg.NumDense < 0 {
 		panic(fmt.Sprintf("datapipe: invalid config %+v", cfg))
 	}
-	return &Stream{cfg: cfg, seed: seed, rng: tensor.NewRNG(seed)}
+	return &Stream{cfg: cfg, seed: seed, cursor: cursor{rng: tensor.NewRNG(seed)}}
 }
 
 // Config returns the stream's generator configuration.
 func (s *Stream) Config() CTRConfig { return s.cfg }
 
-// ExamplesServed returns how many examples have been generated.
-func (s *Stream) ExamplesServed() int64 { return atomic.LoadInt64(&s.served) }
-
 // NextBatch generates n fresh examples. Every call produces new examples;
 // nothing is ever replayed (the use-once property of production traffic).
 func (s *Stream) NextBatch(n int) *Batch {
-	if n <= 0 {
-		panic("datapipe: NextBatch with non-positive size")
-	}
-	s.mu.Lock()
-	rng := s.rng.Split()
-	s.mu.Unlock()
+	rng := s.split(n)
 
 	cfg := s.cfg
 	b := &Batch{
@@ -173,33 +201,13 @@ func (s *Stream) NextBatch(n int) *Batch {
 			b.Sparse[t][i] = bag
 			logit += eff / float64(cfg.BagSize)
 		}
-		logit += rng.Norm() * cfg.NoiseStd
+		logit += rng.Norm() * noiseStd
 		if rng.Float64() < sigmoid(logit) {
 			b.Labels.Data[i] = 1
 		}
 	}
 	atomic.AddInt64(&s.served, int64(n))
 	return b
-}
-
-// Skip advances the stream past nBatches batches of batchSize examples
-// each without generating them. It has exactly the effect on the
-// generator state that nBatches NextBatch(batchSize) calls would have, at
-// O(1) cost per batch — the fast-forward primitive checkpoint resume uses
-// to reposition a fresh stream at a run's consumed-batch frontier.
-func (s *Stream) Skip(nBatches int64, batchSize int) {
-	if nBatches < 0 || batchSize <= 0 {
-		panic(fmt.Sprintf("datapipe: Skip(%d, %d) with negative batches or non-positive size", nBatches, batchSize))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// NextBatch consumes exactly one value from the parent generator (the
-	// Split that seeds the per-batch stream); everything else it draws
-	// comes from the discarded child.
-	for i := int64(0); i < nBatches; i++ {
-		s.rng.Uint64()
-	}
-	atomic.AddInt64(&s.served, nBatches*int64(batchSize))
 }
 
 // latentEffect is the stationary ground-truth per-id effect of table t: a
@@ -210,7 +218,7 @@ func (s *Stream) latentEffect(table, id int) float64 {
 
 // epochEffect is the latent effect during drift epoch e.
 func (s *Stream) epochEffect(table, id int, epoch int64) float64 {
-	scale := s.cfg.SignalScale * math.Pow(s.cfg.SignalDecay, float64(table))
+	scale := signalScale * math.Pow(s.cfg.SignalDecay, float64(table))
 	h := hash3(s.seed+uint64(epoch)*0x51_7c_c1_b7_27_22_0a95, uint64(table)+1, uint64(id)+1)
 	return gaussFromHash(h) * scale
 }
@@ -241,7 +249,7 @@ func (s *Stream) denseSignal(x []float64) float64 {
 	if len(x) > 0 {
 		v += 0.6 * math.Sin(2*x[0]+x[len(x)-1])
 	}
-	return v * s.cfg.DenseScale
+	return v
 }
 
 func sigmoid(x float64) float64 {

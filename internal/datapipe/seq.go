@@ -3,7 +3,6 @@ package datapipe
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"h2onas/internal/tensor"
@@ -24,100 +23,54 @@ import (
 type SeqConfig struct {
 	SeqLen int
 	Vocab  int
-
-	// UnaryScale weights the per-token effects. 0 means 0.8.
-	UnaryScale float64
-	// PairScale weights the long-range interaction. 0 means 1.2.
-	PairScale float64
-	// NoiseStd is logit noise. 0 means 0.25.
-	NoiseStd float64
 }
+
+// The sequence task's fixed magnitudes: the weight of the per-token
+// effects, the weight of the long-range interaction, and the logit noise.
+const (
+	unaryScale  = 1.6
+	pairScale   = 0.7
+	seqNoiseStd = 0.2
+)
 
 // DefaultSeqConfig matches the small transformer search configuration.
 func DefaultSeqConfig() SeqConfig {
 	return SeqConfig{SeqLen: 8, Vocab: 64}
 }
 
-func (c SeqConfig) withDefaults() SeqConfig {
-	if c.UnaryScale == 0 {
-		c.UnaryScale = 1.6
-	}
-	if c.PairScale == 0 {
-		c.PairScale = 0.7
-	}
-	if c.NoiseStd == 0 {
-		c.NoiseStd = 0.2
-	}
-	return c
-}
-
-// SeqBatch is one batch of token sequences with binary labels. Phase
-// tracking enforces the same α-before-W ordering as Batch.
+// SeqBatch is one batch of token sequences with binary labels, under the
+// same α-before-W guard as Batch.
 type SeqBatch struct {
 	Tokens [][]int        // [example][position]
 	Labels *tensor.Matrix // batch×1
 
-	phase int32
+	phaseGuard
 }
 
 // Size returns the number of examples.
 func (b *SeqBatch) Size() int { return len(b.Tokens) }
 
-// UseForArch marks consumption by architecture learning; it panics after
-// weight training (the information leak the pipeline prevents).
-func (b *SeqBatch) UseForArch() {
-	for {
-		p := atomic.LoadInt32(&b.phase)
-		if p >= 2 {
-			panic("datapipe: sequence batch used for architecture learning after weight training")
-		}
-		if atomic.CompareAndSwapInt32(&b.phase, p, 1) {
-			return
-		}
-	}
-}
-
-// UseForWeights marks consumption by weight training; UseForArch must
-// precede it.
-func (b *SeqBatch) UseForWeights() {
-	if !atomic.CompareAndSwapInt32(&b.phase, 1, 2) {
-		panic("datapipe: sequence batch must be used for architecture learning before weight training")
-	}
-}
-
 // SeqStream generates endless, never-repeating synthetic sequence traffic.
 type SeqStream struct {
 	cfg  SeqConfig
 	seed uint64
-
-	mu     sync.Mutex
-	rng    *tensor.RNG
-	served int64
+	cursor
 }
 
 // NewSeqStream returns a stream with the given seed.
 func NewSeqStream(cfg SeqConfig, seed uint64) *SeqStream {
-	cfg = cfg.withDefaults()
 	if cfg.SeqLen <= 0 || cfg.Vocab <= 1 {
 		panic(fmt.Sprintf("datapipe: invalid sequence config %+v", cfg))
 	}
-	return &SeqStream{cfg: cfg, seed: seed, rng: tensor.NewRNG(seed)}
+	return &SeqStream{cfg: cfg, seed: seed, cursor: cursor{rng: tensor.NewRNG(seed)}}
 }
 
 // Config returns the generator configuration.
 func (s *SeqStream) Config() SeqConfig { return s.cfg }
 
-// ExamplesServed returns how many examples have been generated.
-func (s *SeqStream) ExamplesServed() int64 { return atomic.LoadInt64(&s.served) }
-
 // NextBatch generates n fresh sequences.
 func (s *SeqStream) NextBatch(n int) *SeqBatch {
-	if n <= 0 {
-		panic("datapipe: NextBatch with non-positive size")
-	}
-	s.mu.Lock()
-	rng := s.rng.Split()
-	s.mu.Unlock()
+	rng := s.split(n)
 
 	cfg := s.cfg
 	b := &SeqBatch{Tokens: make([][]int, n), Labels: tensor.New(n, 1)}
@@ -130,7 +83,7 @@ func (s *SeqStream) NextBatch(n int) *SeqBatch {
 			logit += s.unaryEffect(tok, t)
 		}
 		logit += s.pairEffect(toks[0], toks[cfg.SeqLen-1])
-		logit += rng.Norm() * cfg.NoiseStd
+		logit += rng.Norm() * seqNoiseStd
 		b.Tokens[i] = toks
 		if rng.Float64() < sigmoid(logit) {
 			b.Labels.Data[i] = 1
@@ -140,34 +93,17 @@ func (s *SeqStream) NextBatch(n int) *SeqBatch {
 	return b
 }
 
-// Skip advances the stream past nBatches batches of batchSize sequences
-// without generating them — the SeqStream twin of Stream.Skip, with the
-// same contract: NextBatch draws exactly one value (the Split) from the
-// parent generator, so a skipped stream produces the batches the
-// original would have produced next.
-func (s *SeqStream) Skip(nBatches int64, batchSize int) {
-	if nBatches < 0 || batchSize <= 0 {
-		panic(fmt.Sprintf("datapipe: Skip(%d, %d) with negative batches or non-positive size", nBatches, batchSize))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := int64(0); i < nBatches; i++ {
-		s.rng.Uint64()
-	}
-	atomic.AddInt64(&s.served, nBatches*int64(batchSize))
-}
-
 // unaryEffect is the ground-truth per-token effect: a dominant
 // position-independent part (learnable by token embeddings alone) plus a
 // small position modulation (needs token/position mixing).
 func (s *SeqStream) unaryEffect(tok, pos int) float64 {
 	base := gaussFromHash(hash3(s.seed, 0x100, uint64(tok)+1))
 	mod := gaussFromHash(hash3(s.seed, 0x110+uint64(pos), uint64(tok)+1))
-	return (base + 0.3*mod) * s.cfg.UnaryScale / math.Sqrt(float64(s.cfg.SeqLen))
+	return (base + 0.3*mod) * unaryScale / math.Sqrt(float64(s.cfg.SeqLen))
 }
 
 // pairEffect is the ground-truth long-range interaction between the first
 // and last tokens.
 func (s *SeqStream) pairEffect(a, b int) float64 {
-	return gaussFromHash(hash3(s.seed, 0x200+uint64(a), uint64(b)+1)) * s.cfg.PairScale
+	return gaussFromHash(hash3(s.seed, 0x200+uint64(a), uint64(b)+1)) * pairScale
 }

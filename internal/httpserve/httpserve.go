@@ -45,17 +45,6 @@ type Config struct {
 	// whose deadline expires while queued is shed — and is visible to
 	// handlers via r.Context().
 	RequestTimeout time.Duration
-	// RetryAfter is the hint written in the Retry-After header of shed
-	// responses, rounded up to whole seconds (default 1s).
-	RetryAfter time.Duration
-
-	// ReadTimeout, WriteTimeout and IdleTimeout configure the
-	// underlying http.Server (defaults 10s / 30s / 120s) so a slow or
-	// stalled client cannot hold a connection open forever.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
-
 	// DrainTimeout bounds graceful shutdown: after readiness flips
 	// false, in-flight requests get this long to complete before the
 	// server gives up (default 15s).
@@ -91,18 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 10 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 120 * time.Second
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
@@ -184,11 +161,12 @@ func New(addr string, handler http.Handler, cfg Config) *Server {
 		health:  health,
 		handler: wrapped,
 		srv: &http.Server{
-			Addr:         addr,
-			Handler:      wrapped,
-			ReadTimeout:  cfg.ReadTimeout,
-			WriteTimeout: cfg.WriteTimeout,
-			IdleTimeout:  cfg.IdleTimeout,
+			Addr:    addr,
+			Handler: wrapped,
+			// A slow or stalled client cannot hold a connection open forever.
+			ReadTimeout:  10 * time.Second,
+			WriteTimeout: 30 * time.Second,
+			IdleTimeout:  120 * time.Second,
 		},
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime/debug"
 	"sync/atomic"
@@ -231,16 +230,15 @@ func (l *limiter) acquire(ctx context.Context, ins *instruments) (release func()
 }
 
 // withAdmission enforces the in-flight cap. Shed responses carry 503
-// with a Retry-After hint so well-behaved clients back off instead of
-// retry-storming.
+// with a one-second Retry-After hint so well-behaved clients back off
+// instead of retry-storming.
 func withAdmission(next http.Handler, cfg Config, ins *instruments) http.Handler {
 	lim := newLimiter(cfg.MaxInFlight, cfg.MaxQueue)
-	retryAfter := fmt.Sprintf("%d", int(math.Ceil(cfg.RetryAfter.Seconds())))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		release, ok := lim.acquire(r.Context(), ins)
 		if !ok {
 			ins.shed.Inc()
-			w.Header().Set("Retry-After", retryAfter)
+			w.Header().Set("Retry-After", "1")
 			Error(w, r, http.StatusServiceUnavailable, "server overloaded, retry later")
 			return
 		}

@@ -55,30 +55,39 @@ func ServeUnderLoad(build GraphBuilder, chip Chip, batch int, qps float64) LoadP
 	return p
 }
 
+// MaxQPSAtBatch bisects the highest query rate one batch size sustains
+// with its P99 latency within the target. Zero means even an unloaded
+// batch (service plus batching delay) misses the target.
+func MaxQPSAtBatch(build GraphBuilder, chip Chip, batch int, targetP99 float64) float64 {
+	r := Simulate(build(batch), chip, Options{Mode: Inference})
+	if r.StepTime*1.5 > targetP99 {
+		return 0
+	}
+	capacity := float64(batch) / r.StepTime
+	lo, hi := 0.0, capacity*0.999
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if ServeUnderLoad(build, chip, batch, mid).P99Latency <= targetP99 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // MaxQPSUnderP99 finds the highest sustainable query rate whose P99
 // latency stays within the target, searching over power-of-two batch
 // sizes and bisecting the load for each. It returns the best (QPS, batch)
 // found; a zero QPS means even an unloaded batch-1 misses the target.
 func MaxQPSUnderP99(build GraphBuilder, chip Chip, targetP99 float64) (bestQPS float64, bestBatch int) {
 	for batch := 1; batch <= 1024; batch *= 2 {
-		g := build(batch)
-		r := Simulate(g, chip, Options{Mode: Inference})
-		// Unloaded floor: service + batching delay.
-		if r.StepTime*1.5 > targetP99 {
+		qps := MaxQPSAtBatch(build, chip, batch, targetP99)
+		if qps == 0 {
 			break // larger batches are strictly slower
 		}
-		capacity := float64(batch) / r.StepTime
-		lo, hi := 0.0, capacity*0.999
-		for i := 0; i < 40; i++ {
-			mid := (lo + hi) / 2
-			if ServeUnderLoad(build, chip, batch, mid).P99Latency <= targetP99 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		if lo > bestQPS {
-			bestQPS, bestBatch = lo, batch
+		if qps > bestQPS {
+			bestQPS, bestBatch = qps, batch
 		}
 	}
 	return bestQPS, bestBatch

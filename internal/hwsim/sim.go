@@ -27,10 +27,6 @@ type Options struct {
 	// DisableFusion turns off the compiler op-fusion pass, exposing every
 	// elementwise op's HBM round-trip (useful for ablation).
 	DisableFusion bool
-	// CMEMActFraction is the fraction of CMEM the compiler budgets for
-	// activation staging (the rest holds weights/buffers). 0 means the
-	// default of 0.35.
-	CMEMActFraction float64
 	// Trace records per-op timing when true.
 	Trace bool
 }
@@ -38,6 +34,10 @@ type Options struct {
 // backwardFactor scales forward compute/traffic to forward+backward:
 // backward recomputes one gradient w.r.t. inputs and one w.r.t. weights.
 const backwardFactor = 3.0
+
+// cmemActFraction is the fraction of CMEM the compiler budgets for
+// activation staging (the rest holds weights/buffers).
+const cmemActFraction = 0.35
 
 // allReduceOverlap is the fraction of gradient all-reduce hidden under
 // backward compute by the compiler's overlapping scheduler.
@@ -144,11 +144,7 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	if !opts.DisableFusion {
 		ops = fuse(ops)
 	}
-	actBudget := opts.CMEMActFraction
-	if actBudget == 0 {
-		actBudget = 0.35
-	}
-	cmemAct := chip.CMEMCapacity * actBudget
+	cmemAct := chip.CMEMCapacity * cmemActFraction
 
 	trainMul := 1.0
 	if opts.Mode == Training {

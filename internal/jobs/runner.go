@@ -2,13 +2,11 @@ package jobs
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 
 	"h2onas/internal/core"
 	"h2onas/internal/pareto"
-	"h2onas/internal/space"
 )
 
 // maxFrontPoints caps the Pareto front stored on a done record: the front
@@ -44,7 +42,7 @@ func (s *Service) runJob(rec Record, rj *runningJob) (crashed bool) {
 	cfg.CheckpointDir = s.store.CheckpointDir(rec.ID)
 	cfg.CheckpointFS = s.opts.FS
 	cfg.CheckpointEvery = s.opts.CheckpointEvery
-	cfg.CheckpointRetain = s.opts.CheckpointRetain
+	cfg.CheckpointRetain = retain
 	cfg.Resume = true
 	cfg.Stop = rj.stop
 	cfg.Metrics = s.opts.Metrics
@@ -87,7 +85,7 @@ func (s *Service) runJob(rec Record, rj *runningJob) (crashed bool) {
 	// present (WriteArtifact skips existing files), so completion is
 	// idempotent and the served bytes never change once written.
 	ds := searcher.DS
-	data, err := resultJSON(ds, res)
+	data, err := res.ResultDocument(ds.Space)
 	if err != nil {
 		s.finish(rec, StateFailed, fmt.Sprintf("encoding result: %v", err))
 		return false
@@ -127,29 +125,6 @@ func (s *Service) finish(rec Record, state State, errMsg string) {
 	case StateCancelled:
 		s.ins.cancelled.Inc()
 	}
-}
-
-// resultJSON serializes the deterministic slice of the search result: the
-// trajectory and outcome, excluding everything interruption-dependent —
-// ResumedFrom (names the resume point), ExamplesSeen (varies with
-// prefetch timing) and the candidate pool (not part of snapshots, so a
-// resumed run's pool starts at the snapshot). Two runs that followed the
-// same trajectory — including one interrupted and resumed any number of
-// times — serialize byte-identically.
-func resultJSON(ds *space.DLRMSpace, res *core.Result) ([]byte, error) {
-	out := struct {
-		Best           space.Assignment `json:"best"`
-		BestArch       string           `json:"best_arch"`
-		BestPerf       []float64        `json:"best_perf"`
-		FinalQuality   float64          `json:"final_quality"`
-		ShardFirstDrop []int            `json:"shard_first_drop"`
-		History        []core.StepInfo  `json:"history"`
-	}{res.Best, ds.Space.Describe(res.Best), res.BestPerf, res.FinalQuality, res.ShardFirstDrop, res.History}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // frontOf extracts the quality/step-time Pareto front of the evaluated

@@ -36,12 +36,9 @@ type Options struct {
 	// MaxQueue bounds the total queued jobs across tenants (default 64).
 	MaxQueue int
 
-	// CheckpointEvery / CheckpointRetain configure each job's periodic
-	// search snapshots (defaults 25 / 3). JournalRetain is the per-job
-	// journal window (default 3).
-	CheckpointEvery  int
-	CheckpointRetain int
-	JournalRetain    int
+	// CheckpointEvery is the step interval of each job's periodic search
+	// snapshots (default 25).
+	CheckpointEvery int
 
 	// FS and Clock inject the filesystem and time (nil = real ones).
 	FS    checkpoint.FS
@@ -64,12 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 25
-	}
-	if o.CheckpointRetain <= 0 {
-		o.CheckpointRetain = 3
-	}
-	if o.JournalRetain <= 0 {
-		o.JournalRetain = 3
 	}
 	if o.Clock == nil {
 		o.Clock = checkpoint.RealClock()
@@ -241,7 +232,6 @@ func Open(root string, opts Options) (*Service, error) {
 	store, err := OpenStore(root, StoreOptions{
 		FS:      opts.FS,
 		Clock:   opts.Clock,
-		Retain:  opts.JournalRetain,
 		Metrics: opts.Metrics,
 		Logf:    opts.Logf,
 	})

@@ -30,7 +30,6 @@ type Store struct {
 	root    string
 	fs      checkpoint.FS
 	clock   checkpoint.Clock
-	retain  int
 	logf    func(format string, args ...any)
 	corrupt *metrics.Counter
 
@@ -39,12 +38,15 @@ type Store struct {
 	nextID int
 }
 
+// retain is how many snapshots and how many journal records the service
+// keeps per job: the newest one plus two fallbacks for corruption.
+const retain = 3
+
 // StoreOptions configures OpenStore. Zero values mean: real filesystem,
-// wall clock, keep 3 journal records per job, no metrics, standard log.
+// wall clock, no metrics, standard log.
 type StoreOptions struct {
 	FS      checkpoint.FS
 	Clock   checkpoint.Clock
-	Retain  int
 	Metrics *metrics.Registry
 	Logf    func(format string, args ...any)
 }
@@ -59,7 +61,6 @@ func OpenStore(root string, opts StoreOptions) (*Store, error) {
 		root:    root,
 		fs:      opts.FS,
 		clock:   opts.Clock,
-		retain:  opts.Retain,
 		logf:    opts.Logf,
 		corrupt: opts.Metrics.Counter("jobs_journal_corrupt_skipped_total"),
 		recs:    make(map[string]*Record),
@@ -69,9 +70,6 @@ func OpenStore(root string, opts StoreOptions) (*Store, error) {
 	}
 	if st.clock == nil {
 		st.clock = checkpoint.RealClock()
-	}
-	if st.retain == 0 {
-		st.retain = 3
 	}
 	if st.logf == nil {
 		st.logf = func(string, ...any) {}
@@ -224,8 +222,8 @@ func (st *Store) Put(rec Record) error {
 	st.recs[rec.ID] = &stored
 	// Sequences are contiguous per job, so pruning exactly the record
 	// that fell out of the window keeps the newest retain records.
-	if st.retain > 0 && rec.Seq > uint64(st.retain) {
-		old := filepath.Join(dir, journalName(rec.ID, rec.Seq-uint64(st.retain)))
+	if rec.Seq > retain {
+		old := filepath.Join(dir, journalName(rec.ID, rec.Seq-retain))
 		if err := st.fs.Remove(old); err != nil {
 			st.logf("jobs: pruning %s: %v", old, err)
 		}

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"h2onas/internal/checkpoint"
@@ -87,7 +88,7 @@ func TestStoreReplaySkipsCorruptNewestRecord(t *testing.T) {
 
 func TestStoreJournalRetention(t *testing.T) {
 	fs := checkpoint.NewMemFS()
-	st, err := OpenStore("root", StoreOptions{FS: fs, Retain: 2, Logf: t.Logf})
+	st, err := OpenStore("root", StoreOptions{FS: fs, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +102,8 @@ func TestStoreJournalRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{journalName(id, 4), journalName(id, 5)}
-	if len(names) != len(want) || names[0] != want[0] || names[1] != want[1] {
+	want := []string{journalName(id, 3), journalName(id, 4), journalName(id, 5)}
+	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("journal holds %v, want %v", names, want)
 	}
 }

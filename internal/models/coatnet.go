@@ -68,7 +68,6 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 	const dt = 2 // bf16
 	b := s.Batch
 	g := &arch.Graph{Name: s.Name, Batch: b, DTypeBytes: dt}
-	var params float64
 
 	res := s.Resolution
 	// Stem ("S0"): stride-2 conv pair at /2, so the stage resolutions run
@@ -76,28 +75,16 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 	g.Add(arch.ConvOp(s.Name+"/stem0", b, res, res, 3, s.Widths[0], 3, 2, dt))
 	h := (res + 1) / 2
 	g.Add(arch.ConvOp(s.Name+"/stem1", b, h, h, s.Widths[0], s.Widths[0], 3, 1, dt))
-	params += float64(3*3*3*s.Widths[0] + 3*3*s.Widths[0]*s.Widths[0] + 2*s.Widths[0])
+	g.Params += float64(3*3*3*s.Widths[0] + 3*3*s.Widths[0]*s.Widths[0] + 2*s.Widths[0])
 
 	in := s.Widths[0]
 	// S1, S2: MBConv stages, each downsampling once.
 	for stage := 0; stage < 2; stage++ {
-		width := s.Widths[1+stage]
-		for layer := 0; layer < s.ConvDepths[stage]; layer++ {
-			spec := arch.MBConvSpec{
-				Name: fmt.Sprintf("%s/s%d/l%d", s.Name, stage+1, layer),
-				In:   in, Out: width, Kernel: 3, Expansion: 4,
-				Stride: 1, Act: "gelu", H: h, W: h, Batch: b, DType: dt,
-			}
-			if layer == 0 {
-				spec.Stride = 2
-			}
-			for _, op := range spec.Ops() {
-				g.Add(op)
-				params += op.ParamBytes / dt
-			}
-			hh, _, cc := spec.OutShape()
-			h, in = hh, cc
-		}
+		h, in = g.AddMBConvStage(arch.MBConvSpec{
+			Name: fmt.Sprintf("%s/s%d", s.Name, stage+1),
+			In:   in, Out: s.Widths[1+stage], Kernel: 3, Expansion: 4,
+			Stride: 2, Act: "gelu", H: h, W: h, Batch: b, DType: dt,
+		}, s.ConvDepths[stage], true)
 	}
 
 	// S3, S4: transformer stages; S3 runs at /16, S4 at /32.
@@ -105,7 +92,7 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 		width := s.Widths[3+stage]
 		// Downsampling projection between stages.
 		g.Add(arch.ConvOp(fmt.Sprintf("%s/s%d/downsample", s.Name, stage+3), b, h, h, in, width, 2, 2, dt))
-		params += float64(2*2*in*width + width)
+		g.Params += float64(2*2*in*width + width)
 		h = (h + 1) / 2
 		in = width
 		seq := h * h
@@ -121,13 +108,12 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 		}
 		for _, op := range blk.Ops() {
 			g.Add(op)
-			params += op.ParamBytes / dt * op.Repeat()
+			g.Params += op.ParamBytes / dt * op.Repeat()
 		}
 	}
 	g.Add(arch.PoolOp(s.Name+"/pool", b*h*h*in, b*in, dt))
 	g.Add(arch.DenseOp(s.Name+"/classifier", b, in, 1000, dt))
-	params += float64(in*1000 + 1000)
-	g.Params = params
+	g.Params += float64(in*1000 + 1000)
 	return g
 }
 

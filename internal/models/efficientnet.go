@@ -5,29 +5,16 @@ import (
 	"math"
 
 	"h2onas/internal/arch"
+	"h2onas/internal/space"
 )
 
-// ENetStage is one EfficientNet stage before compound scaling.
-type ENetStage struct {
-	Width, Depth, Stride, Kernel, Expansion int
-	Fused                                   bool
-	SERatio                                 float64
-}
-
 // enetBaseStages is the B0 backbone with the EfficientNet-X hardware
-// specializations: fused MBConv in the early (shallow, wide-spatial)
-// stages where fusion's higher operational intensity wins, unfused MBConv
-// deeper where channel depth makes depthwise factorization cheaper —
-// exactly the Figure 4 trade-off.
-var enetBaseStages = []ENetStage{
-	{Width: 16, Depth: 1, Stride: 1, Kernel: 3, Expansion: 1, SERatio: 0.25},
-	{Width: 24, Depth: 2, Stride: 2, Kernel: 3, Expansion: 6, SERatio: 0.25, Fused: true},
-	{Width: 40, Depth: 2, Stride: 2, Kernel: 5, Expansion: 6, SERatio: 0.25, Fused: true},
-	{Width: 80, Depth: 3, Stride: 2, Kernel: 3, Expansion: 6, SERatio: 0.25},
-	{Width: 112, Depth: 3, Stride: 1, Kernel: 5, Expansion: 6, SERatio: 0.25},
-	{Width: 192, Depth: 4, Stride: 2, Kernel: 5, Expansion: 6, SERatio: 0.25},
-	{Width: 320, Depth: 1, Stride: 1, Kernel: 3, Expansion: 6, SERatio: 0.25},
-}
+// specializations — the baseline the CNN search space is anchored to:
+// fused MBConv in the early (shallow, wide-spatial) stages where fusion's
+// higher operational intensity wins, unfused MBConv deeper where channel
+// depth makes depthwise factorization cheaper — exactly the Figure 4
+// trade-off.
+var enetBaseStages = space.DefaultCNNConfig().Stages
 
 // enetScaling is the (widthMult, depthMult, resolution) compound-scaling
 // table for B0–B7.
@@ -42,7 +29,7 @@ var enetScaling = [8]struct {
 // ENetSpec is one (scaled) EfficientNet model.
 type ENetSpec struct {
 	Name       string
-	Stages     []ENetStage
+	Stages     []space.CNNStage
 	Resolution int
 	StemWidth  int
 	HeadWidth  int
@@ -56,7 +43,7 @@ func EfficientNetX(i int) ENetSpec {
 		panic(fmt.Sprintf("models: EfficientNet variant %d outside 0..7", i))
 	}
 	sc := enetScaling[i]
-	stages := make([]ENetStage, len(enetBaseStages))
+	stages := make([]space.CNNStage, len(enetBaseStages))
 	for j, st := range enetBaseStages {
 		st.Width = roundFilters(float64(st.Width) * sc.w)
 		st.Depth = int(math.Ceil(float64(st.Depth) * sc.d))
@@ -98,42 +85,29 @@ func (s ENetSpec) Graph() *arch.Graph {
 	const dt = 2
 	b := s.Batch
 	g := &arch.Graph{Name: s.Name, Batch: b, DTypeBytes: dt}
-	var params float64
 
 	res := s.Resolution
 	// EfficientNet-X space-to-depth stem: reshape + stride-2 conv.
 	g.Add(arch.SpaceToDepthOp(s.Name+"/s2d", b*res*res*3, dt))
 	g.Add(arch.ConvOp(s.Name+"/stem", b, res, res, 3, s.StemWidth, 3, 2, dt))
-	params += float64(3*3*3*s.StemWidth + s.StemWidth)
+	g.Params += float64(3*3*3*s.StemWidth + s.StemWidth)
 	h := (res + 1) / 2
 	in := s.StemWidth
 
 	for i, st := range s.Stages {
-		for layer := 0; layer < st.Depth; layer++ {
-			spec := arch.MBConvSpec{
-				Name: fmt.Sprintf("%s/s%d/l%d", s.Name, i, layer),
-				In:   in, Out: st.Width, Kernel: st.Kernel,
-				Expansion: st.Expansion, SERatio: st.SERatio,
-				Fused: st.Fused, Stride: 1, Act: "swish",
-				H: h, W: h, Batch: b, DType: dt,
-			}
-			if layer == 0 {
-				spec.Stride = st.Stride
-			}
-			for _, op := range spec.Ops() {
-				g.Add(op)
-				params += op.ParamBytes / dt
-			}
-			hh, _, cc := spec.OutShape()
-			h, in = hh, cc
-		}
+		h, in = g.AddMBConvStage(arch.MBConvSpec{
+			Name: fmt.Sprintf("%s/s%d", s.Name, i),
+			In:   in, Out: st.Width, Kernel: st.Kernel,
+			Expansion: st.Expansion, SERatio: st.SERatio,
+			Fused: st.Fused, Stride: st.Stride, Act: "swish",
+			H: h, W: h, Batch: b, DType: dt,
+		}, st.Depth, true)
 	}
 	g.Add(arch.ConvOp(s.Name+"/head", b, h, h, in, s.HeadWidth, 1, 1, dt))
-	params += float64(in*s.HeadWidth + s.HeadWidth)
+	g.Params += float64(in*s.HeadWidth + s.HeadWidth)
 	g.Add(arch.PoolOp(s.Name+"/pool", b*h*h*s.HeadWidth, b*s.HeadWidth, dt))
 	g.Add(arch.DenseOp(s.Name+"/classifier", b, s.HeadWidth, 1000, dt))
-	params += float64(s.HeadWidth*1000 + 1000)
-	g.Params = params
+	g.Params += float64(s.HeadWidth*1000 + 1000)
 	return g
 }
 

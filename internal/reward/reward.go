@@ -125,15 +125,3 @@ func (f *Function) MeetsTargets(perf []float64) bool {
 	}
 	return true
 }
-
-// WithTargets returns a copy of the function with the named objective's
-// target replaced.
-func (f *Function) WithTargets(name string, target float64) *Function {
-	out := &Function{Kind: f.Kind, Objectives: append([]Objective(nil), f.Objectives...)}
-	for i := range out.Objectives {
-		if out.Objectives[i].Name == name {
-			out.Objectives[i].Target = target
-		}
-	}
-	return out
-}

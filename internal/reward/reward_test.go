@@ -125,20 +125,6 @@ func TestMeetsTargets(t *testing.T) {
 	}
 }
 
-func TestWithTargetsRescalesOne(t *testing.T) {
-	f := MustNew(ReLU,
-		Objective{Name: "lat", Target: 1.0, Beta: -1},
-		Objective{Name: "mem", Target: 5.0, Beta: -1},
-	)
-	g := f.WithTargets("lat", 2.0)
-	if g.Objectives[0].Target != 2.0 || g.Objectives[1].Target != 5.0 {
-		t.Fatalf("WithTargets wrong: %+v", g.Objectives)
-	}
-	if f.Objectives[0].Target != 1.0 {
-		t.Fatal("WithTargets must not mutate the original")
-	}
-}
-
 func TestRewardScaleInvarianceProperty(t *testing.T) {
 	// Normalizing by the target makes the reward invariant under joint
 	// rescaling of target and measurement.

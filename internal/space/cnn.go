@@ -2,7 +2,6 @@ package space
 
 import (
 	"fmt"
-	"math"
 
 	"h2onas/internal/arch"
 )
@@ -65,24 +64,76 @@ type CNNSpace struct {
 	Space  *Space
 }
 
-// NewCNNSpace constructs the convolutional search space of Table 5: per
-// stage, the block type, kernel, stride, expansion ratio, activation,
-// tensor reshaping, SE ratio, skip connection, depth and width; plus the
-// global initial resolution.
+// addConvStageDecisions adds Table 5's per-stage convolutional decisions
+// under prefix: the block type, kernel, stride, expansion ratio,
+// activation, tensor reshaping, SE ratio, skip connection, depth and
+// width. The CNN space and the hybrid-ViT stem share them.
+func addConvStageDecisions(s *Space, prefix string, st CNNStage, widthStep int) {
+	s.Add(NewLabeledDecision(prefix+"type", []string{"mbconv", "fused_mbconv"}, []float64{0, 1}))
+	s.Add(NewDecision(prefix+"kernel", 3, 5, 7))
+	s.Add(NewDecision(prefix+"stride", 1, 2, 4))
+	s.Add(NewDecision(prefix+"expansion", 1, 3, 4, 6))
+	s.Add(NewLabeledDecision(prefix+"act", []string{"relu", "swish"}, []float64{0, 1}))
+	s.Add(NewLabeledDecision(prefix+"reshape", []string{"none", "space_to_depth", "space_to_batch"}, []float64{0, 1, 2}))
+	s.Add(NewDecision(prefix+"se_ratio", seRatios...))
+	s.Add(NewLabeledDecision(prefix+"skip", []string{"none", "identity"}, []float64{0, 1}))
+	s.Add(NewDecision(prefix+"depth", depthDeltas...))
+	s.Add(NewDecision(prefix+"width", offsets(st.Width, widthStep, -5, 5, 8)...))
+}
+
+// decodeConvStage reads one stage's decisions back: the block every layer
+// of the stage repeats (named name; In, H and W are the graph builder's to
+// fill), its layer count, the reshape choice (0 none, 1 space-to-depth,
+// 2 space-to-batch) and whether the skip connection is kept.
+func decodeConvStage(s *Space, a Assignment, prefix, name string, st CNNStage, batch, dtype int) (spec arch.MBConvSpec, depth, reshape int, skip bool) {
+	depth = st.Depth + int(s.Value(a, prefix+"depth"))
+	if depth < 1 {
+		depth = 1
+	}
+	act := "relu"
+	if s.Value(a, prefix+"act") == 1 {
+		act = "swish"
+	}
+	spec = arch.MBConvSpec{
+		Name:      name,
+		Fused:     s.Value(a, prefix+"type") == 1,
+		Out:       int(s.Value(a, prefix+"width")),
+		Kernel:    int(s.Value(a, prefix+"kernel")),
+		Stride:    int(s.Value(a, prefix+"stride")),
+		Expansion: int(s.Value(a, prefix+"expansion")),
+		SERatio:   s.Value(a, prefix+"se_ratio"),
+		Act:       act,
+		Batch:     batch,
+		DType:     dtype,
+	}
+	return spec, depth, int(s.Value(a, prefix+"reshape")), s.Value(a, prefix+"skip") == 1
+}
+
+// setConvStageBaseline points a at the choices reproducing baseline stage
+// st: swish (the EfficientNet baseline), no reshape, skip kept.
+func setConvStageBaseline(s *Space, a Assignment, prefix string, st CNNStage, fused bool) {
+	t := 0.0
+	if fused {
+		t = 1
+	}
+	s.setNearest(a, prefix+"type", t)
+	s.setNearest(a, prefix+"kernel", float64(st.Kernel))
+	s.setNearest(a, prefix+"stride", float64(st.Stride))
+	s.setNearest(a, prefix+"expansion", float64(st.Expansion))
+	s.setNearest(a, prefix+"act", 1)
+	s.setNearest(a, prefix+"reshape", 0)
+	s.setNearest(a, prefix+"se_ratio", st.SERatio)
+	s.setNearest(a, prefix+"skip", 1)
+	s.setNearest(a, prefix+"depth", 0)
+	s.setNearest(a, prefix+"width", float64(st.Width))
+}
+
+// NewCNNSpace constructs the convolutional search space of Table 5: the
+// per-stage decisions plus the global initial resolution.
 func NewCNNSpace(cfg CNNConfig) *CNNSpace {
 	s := NewSpace("cnn/" + cfg.Name)
 	for i, st := range cfg.Stages {
-		p := fmt.Sprintf("block%d_", i)
-		s.Add(NewLabeledDecision(p+"type", []string{"mbconv", "fused_mbconv"}, []float64{0, 1}))
-		s.Add(NewDecision(p+"kernel", 3, 5, 7))
-		s.Add(NewDecision(p+"stride", 1, 2, 4))
-		s.Add(NewDecision(p+"expansion", 1, 3, 4, 6))
-		s.Add(NewLabeledDecision(p+"act", []string{"relu", "swish"}, []float64{0, 1}))
-		s.Add(NewLabeledDecision(p+"reshape", []string{"none", "space_to_depth", "space_to_batch"}, []float64{0, 1, 2}))
-		s.Add(NewDecision(p+"se_ratio", seRatios...))
-		s.Add(NewLabeledDecision(p+"skip", []string{"none", "identity"}, []float64{0, 1}))
-		s.Add(NewDecision(p+"depth", depthDeltas...))
-		s.Add(NewDecision(p+"width", offsets(st.Width, cfg.WidthStep, -5, 5, 8)...))
+		addConvStageDecisions(s, fmt.Sprintf("block%d_", i), st, cfg.WidthStep)
 	}
 	s.Add(NewDecision("resolution", cnnResolutions...))
 	return &CNNSpace{Config: cfg, Space: s}
@@ -104,31 +155,12 @@ func (c *CNNSpace) Decode(a Assignment) CNNArch {
 	}
 	out := CNNArch{Resolution: int(c.Space.Value(a, "resolution"))}
 	for i, st := range c.Config.Stages {
-		p := fmt.Sprintf("block%d_", i)
-		depth := st.Depth + int(c.Space.Value(a, p+"depth"))
-		if depth < 1 {
-			depth = 1
-		}
-		act := "relu"
-		if c.Space.Value(a, p+"act") == 1 {
-			act = "swish"
-		}
-		spec := arch.MBConvSpec{
-			Name:      fmt.Sprintf("stage%d", i),
-			Fused:     c.Space.Value(a, p+"type") == 1,
-			Out:       int(c.Space.Value(a, p+"width")),
-			Kernel:    int(c.Space.Value(a, p+"kernel")),
-			Stride:    int(c.Space.Value(a, p+"stride")),
-			Expansion: int(c.Space.Value(a, p+"expansion")),
-			SERatio:   c.Space.Value(a, p+"se_ratio"),
-			Act:       act,
-			Batch:     c.Config.Batch,
-			DType:     c.Config.DType,
-		}
+		spec, depth, reshape, skip := decodeConvStage(c.Space, a, fmt.Sprintf("block%d_", i),
+			fmt.Sprintf("stage%d", i), st, c.Config.Batch, c.Config.DType)
 		out.Blocks = append(out.Blocks, spec)
 		out.Depths = append(out.Depths, depth)
-		out.Reshapes = append(out.Reshapes, int(c.Space.Value(a, p+"reshape")))
-		out.Skips = append(out.Skips, c.Space.Value(a, p+"skip") == 1)
+		out.Reshapes = append(out.Reshapes, reshape)
+		out.Skips = append(out.Skips, skip)
 	}
 	return out
 }
@@ -137,34 +169,10 @@ func (c *CNNSpace) Decode(a Assignment) CNNArch {
 // stages at the baseline resolution.
 func (c *CNNSpace) BaselineAssignment() Assignment {
 	a := make(Assignment, len(c.Space.Decisions))
-	pick := func(name string, want float64) {
-		i := c.Space.Lookup(name)
-		best, bestDiff := 0, math.Inf(1)
-		for j, v := range c.Space.Decisions[i].Values {
-			if d := math.Abs(v - want); d < bestDiff {
-				best, bestDiff = j, d
-			}
-		}
-		a[i] = best
-	}
 	for i, st := range c.Config.Stages {
-		p := fmt.Sprintf("block%d_", i)
-		t := 0.0
-		if st.Fused {
-			t = 1
-		}
-		pick(p+"type", t)
-		pick(p+"kernel", float64(st.Kernel))
-		pick(p+"stride", float64(st.Stride))
-		pick(p+"expansion", float64(st.Expansion))
-		pick(p+"act", 1) // swish is the EfficientNet baseline
-		pick(p+"reshape", 0)
-		pick(p+"se_ratio", st.SERatio)
-		pick(p+"skip", 1)
-		pick(p+"depth", 0)
-		pick(p+"width", float64(st.Width))
+		setConvStageBaseline(c.Space, a, fmt.Sprintf("block%d_", i), st, st.Fused)
 	}
-	pick("resolution", float64(c.Config.Resolution))
+	c.Space.setNearest(a, "resolution", float64(c.Config.Resolution))
 	return a
 }
 
@@ -180,52 +188,19 @@ func (c *CNNSpace) Graph(ar CNNArch) *arch.Graph {
 	g.Add(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
 	h := (res + 1) / 2
 	in := cfg.StemWidth
-	var params float64
-	params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
+	g.Params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
 
-	for i := range ar.Blocks {
-		spec := ar.Blocks[i]
+	for i, spec := range ar.Blocks {
 		if ar.Reshapes[i] != 0 {
 			g.Add(arch.SpaceToDepthOp(fmt.Sprintf("stage%d/reshape", i), b*h*h*in, dt))
 		}
-		for layer := 0; layer < ar.Depths[i]; layer++ {
-			ls := spec
-			ls.Name = fmt.Sprintf("stage%d/l%d", i, layer)
-			ls.In = in
-			ls.H, ls.W = h, h
-			if layer > 0 {
-				ls.Stride = 1
-				ls.In = spec.Out
-			}
-			if !ar.Skips[i] {
-				// Searchable skip removal: force shapes to mismatch the
-				// residual condition by leaving stride; modelling-wise the
-				// residual add op is simply omitted. MBConvSpec adds the
-				// residual only when stride==1 && in==out, so emulate
-				// "none" by trimming the op after expansion.
-				ops := ls.Ops()
-				for _, op := range ops {
-					if op.Kind == arch.Elementwise && op.Name == ls.Name+"/residual" {
-						continue
-					}
-					g.Add(op)
-					params += op.ParamBytes / float64(dt)
-				}
-			} else {
-				for _, op := range ls.Ops() {
-					g.Add(op)
-					params += op.ParamBytes / float64(dt)
-				}
-			}
-			hh, _, cc := ls.OutShape()
-			h, in = hh, cc
-		}
+		spec.In, spec.H, spec.W = in, h, h
+		h, in = g.AddMBConvStage(spec, ar.Depths[i], ar.Skips[i])
 	}
 	g.Add(arch.ConvOp("head", b, h, h, in, cfg.HeadWidth, 1, 1, dt))
-	params += float64(in*cfg.HeadWidth + cfg.HeadWidth)
+	g.Params += float64(in*cfg.HeadWidth + cfg.HeadWidth)
 	g.Add(arch.PoolOp("avgpool", b*h*h*cfg.HeadWidth, b*cfg.HeadWidth, dt))
 	g.Add(arch.DenseOp("classifier", b, cfg.HeadWidth, cfg.NumClasses, dt))
-	params += float64(cfg.HeadWidth*cfg.NumClasses + cfg.NumClasses)
-	g.Params = params
+	g.Params += float64(cfg.HeadWidth*cfg.NumClasses + cfg.NumClasses)
 	return g
 }

@@ -242,7 +242,7 @@ func (d *DLRMSpace) DecodeInto(a Assignment, out *DLRMArch) {
 func (d *DLRMSpace) BaselineAssignment() Assignment {
 	cfg := d.Config
 	a := make(Assignment, len(d.Space.Decisions))
-	set := func(name string, want float64) { a[d.Space.Lookup(name)] = d.Space.NearestIndex(name, want) }
+	set := func(name string, want float64) { d.Space.setNearest(a, name, want) }
 	for i := 0; i < cfg.NumTables; i++ {
 		set(fmt.Sprintf("emb%d_width", i), float64(cfg.BaseEmbWidth))
 		set(fmt.Sprintf("emb%d_vocab", i), float64(cfg.BaseVocab))
@@ -372,11 +372,4 @@ func roundUpTo8(v int) int {
 		return 8
 	}
 	return (v + 7) / 8 * 8
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -175,9 +175,9 @@ func (s *Space) Features(a Assignment) []float64 {
 	return out
 }
 
-// NearestIndex returns the option index of the named decision whose value
-// is closest to want. It panics on unknown decisions.
-func (s *Space) NearestIndex(name string, want float64) int {
+// setNearest points a at the option of the named decision whose value is
+// closest to want. It panics on unknown decisions.
+func (s *Space) setNearest(a Assignment, name string, want float64) {
 	i := s.Lookup(name)
 	if i < 0 {
 		panic(fmt.Sprintf("space: unknown decision %q", name))
@@ -188,7 +188,7 @@ func (s *Space) NearestIndex(name string, want float64) int {
 			best, bestDiff = j, d
 		}
 	}
-	return best
+	a[i] = best
 }
 
 // offsets returns base + k·step for k in [lo, hi], excluding results below

@@ -2,7 +2,6 @@ package space
 
 import (
 	"fmt"
-	"math"
 
 	"h2onas/internal/arch"
 )
@@ -139,17 +138,7 @@ func NewTransformerSpace(cfg ViTConfig) *ViTSpace {
 func NewHybridViTSpace(cfg ViTConfig) *ViTSpace {
 	s := NewSpace("vit/" + cfg.Name)
 	for i, st := range cfg.ConvStages {
-		p := fmt.Sprintf("conv%d_", i)
-		s.Add(NewLabeledDecision(p+"type", []string{"mbconv", "fused_mbconv"}, []float64{0, 1}))
-		s.Add(NewDecision(p+"kernel", 3, 5, 7))
-		s.Add(NewDecision(p+"stride", 1, 2, 4))
-		s.Add(NewDecision(p+"expansion", 1, 3, 4, 6))
-		s.Add(NewLabeledDecision(p+"act", []string{"relu", "swish"}, []float64{0, 1}))
-		s.Add(NewLabeledDecision(p+"reshape", []string{"none", "space_to_depth", "space_to_batch"}, []float64{0, 1, 2}))
-		s.Add(NewDecision(p+"se_ratio", seRatios...))
-		s.Add(NewLabeledDecision(p+"skip", []string{"none", "identity"}, []float64{0, 1}))
-		s.Add(NewDecision(p+"depth", depthDeltas...))
-		s.Add(NewDecision(p+"width", offsets(st.Width, cfg.WidthStep, -5, 5, 8)...))
+		addConvStageDecisions(s, fmt.Sprintf("conv%d_", i), st, cfg.WidthStep)
 	}
 	s.Add(NewDecision("patch_size", patchSizes...))
 	s.Add(NewDecision("resolution", vitResolutions()...))
@@ -189,27 +178,12 @@ func (v *ViTSpace) Decode(a Assignment) ViTArch {
 		out.Resolution = int(v.Space.Value(a, "resolution"))
 		out.PatchSize = int(v.Space.Value(a, "patch_size"))
 		for i, st := range cfg.ConvStages {
-			p := fmt.Sprintf("conv%d_", i)
-			depth := st.Depth + int(v.Space.Value(a, p+"depth"))
-			if depth < 1 {
-				depth = 1
-			}
-			act := "relu"
-			if v.Space.Value(a, p+"act") == 1 {
-				act = "swish"
-			}
-			out.ConvBlocks = append(out.ConvBlocks, arch.MBConvSpec{
-				Name:      fmt.Sprintf("conv%d", i),
-				Fused:     v.Space.Value(a, p+"type") == 1,
-				Out:       int(v.Space.Value(a, p+"width")),
-				Kernel:    int(v.Space.Value(a, p+"kernel")),
-				Stride:    int(v.Space.Value(a, p+"stride")),
-				Expansion: int(v.Space.Value(a, p+"expansion")),
-				SERatio:   v.Space.Value(a, p+"se_ratio"),
-				Act:       act,
-				Batch:     cfg.Batch,
-				DType:     cfg.DType,
-			})
+			// The stage's reshape and skip choices are decoded and dropped:
+			// the hybrid graph has never modelled them (ROADMAP lists it as
+			// an open defect; fixing it moves the analytic goldens).
+			spec, depth, _, _ := decodeConvStage(v.Space, a, fmt.Sprintf("conv%d_", i),
+				fmt.Sprintf("conv%d", i), st, cfg.Batch, cfg.DType)
+			out.ConvBlocks = append(out.ConvBlocks, spec)
 			out.ConvDepths = append(out.ConvDepths, depth)
 		}
 	}
@@ -239,30 +213,11 @@ func (v *ViTSpace) Decode(a Assignment) ViTArch {
 // BaselineAssignment returns the assignment reproducing the baseline.
 func (v *ViTSpace) BaselineAssignment() Assignment {
 	a := make(Assignment, len(v.Space.Decisions))
-	pick := func(name string, want float64) {
-		i := v.Space.Lookup(name)
-		best, bestDiff := 0, math.Inf(1)
-		for j, val := range v.Space.Decisions[i].Values {
-			if d := math.Abs(val - want); d < bestDiff {
-				best, bestDiff = j, d
-			}
-		}
-		a[i] = best
-	}
+	pick := func(name string, want float64) { v.Space.setNearest(a, name, want) }
 	cfg := v.Config
 	if v.Hybrid {
 		for i, st := range cfg.ConvStages {
-			p := fmt.Sprintf("conv%d_", i)
-			pick(p+"type", 0)
-			pick(p+"kernel", float64(st.Kernel))
-			pick(p+"stride", float64(st.Stride))
-			pick(p+"expansion", float64(st.Expansion))
-			pick(p+"act", 1)
-			pick(p+"reshape", 0)
-			pick(p+"se_ratio", st.SERatio)
-			pick(p+"skip", 1)
-			pick(p+"depth", 0)
-			pick(p+"width", float64(st.Width))
+			setConvStageBaseline(v.Space, a, fmt.Sprintf("conv%d_", i), st, false)
 		}
 		pick("patch_size", float64(cfg.PatchSize))
 		pick("resolution", float64(cfg.Resolution))
@@ -290,30 +245,14 @@ func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
 	res := ar.Resolution
 	in := 3
 	h := res
-	var params float64
 	if len(ar.ConvBlocks) > 0 {
 		g.Add(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
-		params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
+		g.Params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
 		h = (res + 1) / 2
 		in = cfg.StemWidth
-		for i := range ar.ConvBlocks {
-			spec := ar.ConvBlocks[i]
-			for layer := 0; layer < ar.ConvDepths[i]; layer++ {
-				ls := spec
-				ls.Name = fmt.Sprintf("conv%d/l%d", i, layer)
-				ls.In = in
-				ls.H, ls.W = h, h
-				if layer > 0 {
-					ls.Stride = 1
-					ls.In = spec.Out
-				}
-				for _, op := range ls.Ops() {
-					g.Add(op)
-					params += op.ParamBytes / float64(dt)
-				}
-				hh, _, cc := ls.OutShape()
-				h, in = hh, cc
-			}
+		for i, spec := range ar.ConvBlocks {
+			spec.In, spec.H, spec.W = in, h, h
+			h, in = g.AddMBConvStage(spec, ar.ConvDepths[i], true)
 		}
 	}
 	// Patchify whatever spatial extent remains into a token sequence.
@@ -330,7 +269,7 @@ func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
 		firstHidden = ar.TFMBlocks[0].Hidden
 	}
 	g.Add(arch.ConvOp("patchify", b, h, h, in, firstHidden, patch, patch, dt))
-	params += float64(patch*patch*in*firstHidden + firstHidden)
+	g.Params += float64(patch*patch*in*firstHidden + firstHidden)
 
 	hidden := firstHidden
 	for i := range ar.TFMBlocks {
@@ -339,18 +278,17 @@ func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
 		if blk.Hidden != hidden {
 			// Width transition between blocks.
 			g.Add(arch.DenseOp(fmt.Sprintf("tfm%d/transition", i), b*seq, hidden, blk.Hidden, dt))
-			params += float64(hidden*blk.Hidden + blk.Hidden)
+			g.Params += float64(hidden*blk.Hidden + blk.Hidden)
 			hidden = blk.Hidden
 		}
 		for _, op := range blk.Ops() {
 			g.Add(op)
-			params += op.ParamBytes / float64(dt) * op.Repeat()
+			g.Params += op.ParamBytes / float64(dt) * op.Repeat()
 		}
 		seq = blk.OutSeq()
 	}
 	g.Add(arch.PoolOp("token_pool", b*seq*hidden, b*hidden, dt))
 	g.Add(arch.DenseOp("classifier", b, hidden, cfg.NumClasses, dt))
-	params += float64(hidden*cfg.NumClasses + cfg.NumClasses)
-	g.Params = params
+	g.Params += float64(hidden*cfg.NumClasses + cfg.NumClasses)
 	return g
 }
