@@ -233,14 +233,12 @@ func (a *affine) forward(x *tensor.Matrix, arena *tensor.Arena, workers int) *te
 // axis: each output row is written by exactly one worker and accumulates
 // its k contributions in ascending order, with the zero-input skip decided
 // per (i,k), so any row partition is bit-identical to the serial pass.
-// The loop is batch-row-outer: at super-network sizes W fits in cache
-// either way, and keeping the output row hot measured equal to W-row-outer
-// blocking on dense inputs and 3–12 % faster on ReLU-sparse ones, across
-// the ViT and DLRM layer shapes.
+// One tensor.AffineRow call computes a whole output row, so the row stays
+// in registers across the k sweep instead of round-tripping memory once
+// per nonzero input.
 func (a *affine) forwardRows(lo, hi int) {
 	xd, xcols := a.x.Data, a.x.Cols
 	yd, n := a.y.Data, a.out
-	wd, wcols := a.w.Value.Data, a.w.Value.Cols
 	for i := lo; i < hi; i++ {
 		y := yd[i*n : (i+1)*n]
 		if a.b != nil {
@@ -248,11 +246,7 @@ func (a *affine) forwardRows(lo, hi int) {
 		} else {
 			clear(y)
 		}
-		for k, xv := range xd[i*xcols : i*xcols+a.in] {
-			if xv != 0 {
-				tensor.Axpy(y, xv, wd[k*wcols:k*wcols+n])
-			}
-		}
+		tensor.AffineRow(y, xd[i*xcols:i*xcols+a.in], a.w.Value.Data, a.w.Value.Cols)
 	}
 }
 
@@ -296,34 +290,18 @@ func (a *affine) backward(grad *tensor.Matrix, arena *tensor.Arena, workers int)
 // value/gradient row pair cache-hot across the batch and streams it
 // exactly once; W.Grad row k takes its batch contributions in ascending
 // batch order and dX column k gets one write per batch row, so bits do
-// not depend on the partition. The inner kernel is tensor.FusedAxpyDot,
-// whose accumulation order is the fixed reference order on every backend.
+// not depend on the partition. One tensor.AffineGradRow call walks the
+// batch for W row k: a zero input skips the dW row (it would add exactly
+// zero) and, under reluInput, sets dX to +0, since the upstream ReLU mask
+// discards dX there.
 func (a *affine) backwardRows(lo, hi int) {
 	xd, xcols := a.x.Data, a.x.Cols
 	gd, gcols := a.grad.Data, a.grad.Cols
-	dxd, dxcols := a.dx.Data, a.dx.Cols
+	dxd := a.dx.Data // batch×in, like x: column k has stride xcols
 	wd, gwd, wcols := a.w.Value.Data, a.w.Grad.Data, a.w.Value.Cols
 	n, rows := a.out, a.x.Rows
 	for k := lo; k < hi; k++ {
-		w, gw := wd[k*wcols:k*wcols+n], gwd[k*wcols:k*wcols+n]
-		for i := 0; i < rows; i++ {
-			g := gd[i*gcols : i*gcols+n]
-			switch xv := xd[i*xcols+k]; {
-			case xv != 0:
-				dxd[i*dxcols+k] = tensor.FusedAxpyDot(g, w, gw, xv)
-			case a.reluInput:
-				// The upstream ReLU mask discards dX here and the dW
-				// contribution is exactly zero: the pair is dead work.
-				dxd[i*dxcols+k] = 0
-			default:
-				// Inputs often arrive through ReLU, so exact zeros are
-				// common. dW += g·0 adds exactly zero; only the dot for dX
-				// remains, and skipping the gradient row halves the
-				// traffic. tensor.Dot uses the same accumulator pattern as
-				// the fused kernel's dot chain, so dX is bit-identical.
-				dxd[i*dxcols+k] = tensor.Dot(g, w)
-			}
-		}
+		tensor.AffineGradRow(gwd[k*wcols:k*wcols+n], wd[k*wcols:k*wcols+n], gd, gcols, xd[k:], dxd[k:], xcols, rows, a.reluInput)
 	}
 }
 

@@ -12,12 +12,20 @@ package tensor
 //   - axpy: a 4-lane VMULPD+VADDPD per group of four elements performs,
 //     per element, one rounded multiply and one rounded add — identical
 //     to the scalar loop (Go never contracts mul+add to FMA on its own).
-//   - dot / fused: a single 4-lane accumulator register stepped 4
-//     elements at a time makes vector lane l exactly the reference
-//     accumulator s_l (indices ≡ l mod 4, ascending). The wrapper folds
-//     the tail into s0 and reduces ((s0+s1)+s2)+s3, as the reference
-//     does. Two-register unrolls would interleave lanes mod 8 and break
-//     the mapping — do not "optimize" this without updating the contract.
+//   - dot: a single 4-lane accumulator register stepped 4 elements at a
+//     time makes vector lane l exactly the reference accumulator s_l
+//     (indices ≡ l mod 4, ascending). The tail folds into s0 and the sum
+//     reduces as ((s0+s1)+s2)+s3, as the reference does. Two-register
+//     unrolls of one dot would interleave lanes mod 8 and break the
+//     mapping — do not "optimize" this without updating the contract.
+//     Independent dots may run side by side, one register each.
+//   - affine rows: the forward kernel first compacts the nonzero inputs,
+//     then holds a tile of the output row in registers across the
+//     ascending sweep of them — per element, the reference axpy
+//     sequence. The backward runs the fused reference's two chains one
+//     after the other over the batch: every dX dot, four batch rows per
+//     load of w, then the gradient row as a forward sweep over the batch.
+//     The chains share no state, so splitting them moves no bit.
 //
 // Because the backend is bit-exact, the cross-check test asserts exact
 // equality (tolerance zero), and the golden trajectories replay
@@ -25,17 +33,17 @@ package tensor
 // race job on the scalar loops).
 //
 // CPUs without AVX2 (or an OS that doesn't enable YMM state) fall back to
-// the generic loops at runtime, as do vectors shorter than the dispatch
-// threshold, where call overhead would exceed the vector win. Race builds
-// exclude this file (see kernels_noasm.go).
+// the generic loops at runtime, as do Axpy/Dot vectors shorter than the
+// dispatch threshold, where call overhead would exceed the vector win.
+// Race builds exclude this file (see kernels_noasm.go).
 
 // useAVX2 gates the assembly kernels on runtime CPU support: AVX2 plus
 // OS-enabled YMM state (OSXSAVE + XCR0).
 var useAVX2 = cpuSupportsAVX2()
 
-// avxMinLen is the vector length below which dispatch stays on the
-// generic loops: the wrapper + VZEROUPPER overhead needs a few groups of
-// four to amortize.
+// avxMinLen is the vector length below which Axpy/Dot dispatch stays on
+// the generic loops: the wrapper + VZEROUPPER overhead needs a few groups
+// of four to amortize.
 const avxMinLen = 16
 
 //go:noescape
@@ -45,7 +53,10 @@ func axpyAVX(dst, src *float64, n int, s float64)
 func dotAVX(a, b *float64, n int, sums *float64)
 
 //go:noescape
-func fusedAVX(grad, w, gw *float64, n int, x float64, sums *float64)
+func affineRowAVX(y, x, w *float64, n, in, xs, ws int)
+
+//go:noescape
+func dotRowsAVX(w, grad *float64, n, gs int, dx *float64, xs, rows int)
 
 //go:noescape
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -103,23 +114,57 @@ func dotUnrolled(a, b []float64) float64 {
 	return ((s0 + sums[1]) + sums[2]) + sums[3]
 }
 
-func fusedAxpyDot(g, w, gw []float64, x float64) float64 {
-	n := len(g)
-	if !useAVX2 || n < avxMinLen {
-		return fusedGeneric(g, w, gw, x)
+// The row kernels have no length threshold: one call covers a whole
+// output row or weight row, so the call overhead is amortized over the
+// k or batch sweep however narrow the row is. The slice expressions
+// below bounds-check the last element the assembly touches.
+
+func affineRow(y, x, w []float64, ws int) {
+	n, in := len(y), len(x)
+	if !useAVX2 || n == 0 || in == 0 {
+		affineRowGeneric(y, x, w, ws)
+		return
 	}
-	w = w[:n]
+	sweepRow(y, x, 1, w[:(in-1)*ws+n], ws, in)
+}
+
+// sweepChunk is the most k one affineRowAVX call takes: the compaction
+// buffer in its frame holds that many inputs.
+const sweepChunk = 256
+
+// sweepRow runs y[j] += Σ x[k·xs]·w[k·ws+j] over k < in through
+// affineRowAVX, in ascending chunks of k. The tile goes back to memory
+// between chunks, which rounds nothing. Callers bounds-check x and w.
+func sweepRow(y, x []float64, xs int, w []float64, ws, in int) {
+	for k := 0; k < in; k += sweepChunk {
+		affineRowAVX(&y[0], &x[k*xs], &w[k*ws], len(y), min(sweepChunk, in-k), xs, ws)
+	}
+}
+
+// affineGradRow computes every dX dot first, then gw += Σ x_i·g_i as a
+// forward row over the batch — gw in registers, batch rows ascending,
+// zero x_i skipped. Under reluInput the dots of zero inputs are computed
+// and then overwritten with +0: the sweep runs four batch rows at a time
+// whatever their inputs.
+func affineGradRow(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, reluInput bool) {
+	n := len(w)
+	if !useAVX2 || n == 0 || rows == 0 {
+		affineGradRowGeneric(gw, w, g, gs, x, dx, xs, rows, reluInput)
+		return
+	}
 	gw = gw[:n]
-	n4 := n &^ 3
-	var sums [4]float64
-	fusedAVX(&g[0], &w[0], &gw[0], n4, x, &sums[0])
-	s0 := sums[0]
-	for j := n4; j < n; j++ {
-		gv := g[j]
-		s0 += gv * w[j]
-		gw[j] += gv * x
+	g = g[:(rows-1)*gs+n]
+	x = x[:(rows-1)*xs+1]
+	dx = dx[:(rows-1)*xs+1]
+	dotRowsAVX(&w[0], &g[0], n, gs, &dx[0], xs, rows)
+	if reluInput {
+		for i := 0; i < rows; i++ {
+			if x[i*xs] == 0 {
+				dx[i*xs] = 0
+			}
+		}
 	}
-	return ((s0 + sums[1]) + sums[2]) + sums[3]
+	sweepRow(gw, x, xs, g, gs, rows)
 }
 
 // KernelBackend names the inner-kernel backend this process runs: "avx2"

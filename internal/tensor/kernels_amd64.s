@@ -4,13 +4,14 @@
 
 // The AVX2 inner kernels of the amd64 backend. Bit-exactness contract
 // (see kernels_amd64.go): vectorize only across independent output
-// elements, never use FMA, keep the dot/fused accumulator as a single
-// YMM register stepped four elements per iteration so lane l is exactly
-// the reference accumulator s_l.
+// elements, never use FMA, keep each dot accumulator as a single YMM
+// register stepped four elements per iteration so lane l is exactly the
+// reference accumulator s_l.
 //
-// All lengths are in float64 elements and must be multiples of 4; the Go
-// wrappers handle tails. Loads/stores are unaligned (VMOVUPD): slice
-// bases are 8-byte aligned only.
+// All lengths and strides are in float64 elements. axpyAVX and dotAVX
+// take multiples of 4 and leave tails to their Go wrappers; the row
+// kernels run their own tails. Loads/stores are unaligned (VMOVUPD):
+// slice bases are 8-byte aligned only.
 
 // func axpyAVX(dst, src *float64, n int, s float64)
 // dst[j] += s*src[j] for j in [0, n).
@@ -78,36 +79,223 @@ dotdone:
 	VZEROUPPER
 	RET
 
-// func fusedAVX(grad, w, gw *float64, n int, x float64, sums *float64)
-// sums[l] accumulates grad[k]*w[k] over k ≡ l mod 4 (ascending), and
-// gw[k] += grad[k]*x per element — the fused backward kernel. (The first
-// argument is named grad because `g` is a reserved pseudo-register.)
-TEXT ·fusedAVX(SB), NOSPLIT, $0-48
-	MOVQ         grad+0(FP), SI
-	MOVQ         w+8(FP), DX
-	MOVQ         gw+16(FP), DI
-	MOVQ         n+24(FP), CX
-	VBROADCASTSD x+32(FP), Y3
-	MOVQ         sums+40(FP), BX
-	VXORPD       Y0, Y0, Y0
+// func affineRowAVX(y, x, w *float64, n, in, xs, ws int)
+// y[j] += x[k*xs]*w[k*ws+j] for j < n, k < in ascending, skipping every k
+// whose x[k*xs] is ±0; 1 ≤ in ≤ 256 and n ≥ 1. A first pass compacts the
+// nonzero x into the frame (values at 0(SP), their w row offsets in bytes
+// at 2048(SP)) without a branch, so ReLU-sparse inputs cost no
+// mispredicts. The zero test is on the bits with the sign shifted out,
+// which is exactly Go's `x != 0`: NaN and subnormals are nonzero. Then
+// columns go in tiles of 16, 4 and 1, each tile's outputs held in
+// registers across the whole compacted k sweep.
+TEXT ·affineRowAVX(SB), $4096-56
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ in+32(FP), R8
+	MOVQ xs+40(FP), BX
+	SHLQ $3, BX        // x stride in bytes
+	MOVQ ws+48(FP), R9
+	SHLQ $3, R9        // w row stride in bytes
+	LEAQ 0(SP), R13
+	LEAQ 2048(SP), R12
+	XORQ R10, R10      // nonzero count
+	XORQ R11, R11      // k*ws in bytes
 
-fused4:
+compact:
+	MOVQ  (SI), AX
+	MOVQ  AX, (R13)(R10*8)
+	MOVQ  R11, (R12)(R10*8)
+	SHLQ  $1, AX
+	NEGQ  AX           // CF = (x != 0)
+	ADCQ  $0, R10
+	ADDQ  BX, SI
+	ADDQ  R9, R11
+	DECQ  R8
+	JNZ   compact
+	TESTQ R10, R10
+	JZ    rowdone
+
+row16:
+	CMPQ    CX, $16
+	JLT     row4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	XORQ    SI, SI
+
+k16:
+	VBROADCASTSD (R13)(SI*8), Y4
+	MOVQ         (R12)(SI*8), AX
+	VMULPD       (DX)(AX*1), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(DX)(AX*1), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(DX)(AX*1), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(DX)(AX*1), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	INCQ         SI
+	CMPQ         SI, R10
+	JLT          k16
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, DX
+	SUBQ         $16, CX
+	JMP          row16
+
+row4:
 	CMPQ    CX, $4
-	JLT     fuseddone
-	VMOVUPD (SI), Y1
-	VMULPD  (DX), Y1, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  Y3, Y1, Y1
-	VADDPD  (DI), Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     fused4
+	JLT     row1
+	VMOVUPD (DI), Y0
+	XORQ    SI, SI
 
-fuseddone:
-	VMOVUPD Y0, (BX)
+k4:
+	VBROADCASTSD (R13)(SI*8), Y4
+	MOVQ         (R12)(SI*8), AX
+	VMULPD       (DX)(AX*1), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	INCQ         SI
+	CMPQ         SI, R10
+	JLT          k4
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, DX
+	SUBQ         $4, CX
+	JMP          row4
+
+row1:
+	TESTQ  CX, CX
+	JZ     rowdone
+	VMOVSD (DI), X0
+	XORQ   SI, SI
+
+k1:
+	VMOVSD (R13)(SI*8), X4
+	MOVQ   (R12)(SI*8), AX
+	VMULSD (DX)(AX*1), X4, X5
+	VADDSD X5, X0, X0
+	INCQ   SI
+	CMPQ   SI, R10
+	JLT    k1
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, DX
+	DECQ   CX
+	JMP    row1
+
+rowdone:
+	VZEROUPPER
+	RET
+
+// func dotRowsAVX(w, grad *float64, n, gs int, dx *float64, xs, rows int)
+// dx[i*xs] = Σ_j grad[i*gs+j]*w[j] for i < rows (rows, n ≥ 1), in the
+// dot contract's order. Four batch rows share each load of w: YMM r is
+// row r's accumulator (lane l = its s_l). After the vector body a 4×4
+// transpose puts s_l of the four rows in Y_l, so the n mod 4 tail folds
+// into s0 and ((s0+s1)+s2)+s3 reduces all four rows at once, lane by
+// lane. A short last group points its missing rows at its first row and
+// drops their results. (`g` is a reserved pseudo-register, hence grad.)
+TEXT ·dotRowsAVX(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), DX
+	MOVQ grad+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ gs+24(FP), R8
+	SHLQ $3, R8        // grad row stride in bytes
+	MOVQ dx+32(FP), R12
+	MOVQ xs+40(FP), R13
+	SHLQ $3, R13       // dx stride in bytes
+	MOVQ rows+48(FP), DI
+	MOVQ CX, BX
+	ANDQ $-4, BX       // n4: end of the vector body
+
+group:
+	LEAQ (SI)(R8*1), R9
+	LEAQ (SI)(R8*2), R10
+	LEAQ (R9)(R8*2), R11
+	CMPQ DI, $4
+	JGE  sweep
+	MOVQ SI, R11
+	CMPQ DI, $3
+	JEQ  sweep
+	MOVQ SI, R10
+	CMPQ DI, $2
+	JEQ  sweep
+	MOVQ SI, R9
+
+sweep:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX
+
+dot4rows:
+	CMPQ    AX, BX
+	JGE     transpose
+	VMOVUPD (DX)(AX*8), Y4
+	VMULPD  (SI)(AX*8), Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  (R9)(AX*8), Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VMULPD  (R10)(AX*8), Y4, Y7
+	VADDPD  Y7, Y2, Y2
+	VMULPD  (R11)(AX*8), Y4, Y8
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $4, AX
+	JMP     dot4rows
+
+transpose:
+	VUNPCKLPD  Y1, Y0, Y4        // a0 b0 a2 b2
+	VUNPCKHPD  Y1, Y0, Y5        // a1 b1 a3 b3
+	VUNPCKLPD  Y3, Y2, Y6        // c0 d0 c2 d2
+	VUNPCKHPD  Y3, Y2, Y7        // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y6, Y4, Y0 // s0 of rows 0..3
+	VPERM2F128 $0x20, Y7, Y5, Y1 // s1
+	VPERM2F128 $0x31, Y6, Y4, Y2 // s2
+	VPERM2F128 $0x31, Y7, Y5, Y3 // s3
+
+tail:
+	CMPQ         AX, CX
+	JGE          reduce
+	VMOVSD       (SI)(AX*8), X4
+	VMOVHPD      (R9)(AX*8), X4, X4
+	VMOVSD       (R10)(AX*8), X5
+	VMOVHPD      (R11)(AX*8), X5, X5
+	VINSERTF128  $1, X5, Y4, Y4
+	VBROADCASTSD (DX)(AX*8), Y5
+	VMULPD       Y5, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	INCQ         AX
+	JMP          tail
+
+reduce:
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y3, Y0, Y0
+	VMOVSD       X0, (R12)
+	CMPQ         DI, $1
+	JEQ          dotrowsdone
+	VMOVHPD      X0, (R12)(R13*1)
+	LEAQ         (R12)(R13*2), R12
+	VEXTRACTF128 $1, Y0, X0
+	CMPQ         DI, $2
+	JEQ          dotrowsdone
+	VMOVSD       X0, (R12)
+	CMPQ         DI, $3
+	JEQ          dotrowsdone
+	VMOVHPD      X0, (R12)(R13*1)
+	LEAQ         (R12)(R13*2), R12
+	LEAQ         (R10)(R8*2), SI     // first row of the next group
+	SUBQ         $4, DI
+	JNZ          group
+
+dotrowsdone:
 	VZEROUPPER
 	RET
 

@@ -18,6 +18,13 @@ package tensor
 //   - fused axpy+dot: per element j, s_{j mod 4} += g[j]·w[j] and
 //     gw[j] += g[j]·x. The two chains are independent per element, so a
 //     backend may reorder between them but not within either.
+//   - affine row (forward): one axpy per input k, in ascending k, for
+//     every k whose x[k] != 0 — so ±0 skips and NaN does not. A backend
+//     may keep the output row in registers across the k sweep; each
+//     element still sees the same adds in the same order.
+//   - affine gradient row (backward): per batch row, in ascending order,
+//     a nonzero x takes the fused kernel, a zero x the dot alone, or a
+//     stored +0 under reluInput.
 //
 // The generic bodies live here unconstrained so every build (including
 // amd64, which falls back below its vector-length threshold or on CPUs
@@ -100,8 +107,51 @@ func Axpy(dst []float64, s float64, src []float64) { axpyUnrolled(dst, s, src) }
 // fixed order; see dotGeneric).
 func Dot(a, b []float64) float64 { return dotUnrolled(a, b) }
 
-// FusedAxpyDot accumulates gw[j] += g[j]·x and returns Σ g[j]·w[j] in one
-// traversal — the backward-pass workhorse of the masked and low-rank
-// layers (dW row update fused with the dX dot). Accumulation order is the
-// fixed reference order documented on fusedGeneric.
-func FusedAxpyDot(g, w, gw []float64, x float64) float64 { return fusedAxpyDot(g, w, gw, x) }
+// affineRowGeneric is the reference forward row: y[j] += x[k]·w[k·ws+j]
+// for j < len(y), one axpy per nonzero x[k], k ascending.
+func affineRowGeneric(y, x, w []float64, ws int) {
+	n := len(y)
+	for k, xv := range x {
+		if xv != 0 {
+			axpyGeneric(y, xv, w[k*ws:k*ws+n])
+		}
+	}
+}
+
+// affineGradRowGeneric is the reference backward row. For batch row
+// i < rows, with x_i = x[i·xs] and g_i = g[i·gs : i·gs+len(w)], it sets
+// dx[i·xs] = g_i·w and, when x_i != 0, accumulates gw += g_i·x_i. A zero
+// x_i under reluInput stores +0 instead of computing the dot.
+func affineGradRowGeneric(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, reluInput bool) {
+	n := len(w)
+	for i := 0; i < rows; i++ {
+		gi := g[i*gs : i*gs+n]
+		switch xv := x[i*xs]; {
+		case xv != 0:
+			dx[i*xs] = fusedGeneric(gi, w, gw, xv)
+		case reluInput:
+			dx[i*xs] = 0
+		default:
+			// gw += g·0 adds exactly zero; only the dot remains.
+			dx[i*xs] = dotGeneric(gi, w)
+		}
+	}
+}
+
+// AffineRow computes one output row of a masked affine layer in place:
+// y[j] += Σ_k x[k]·w[k·ws+j] for j < len(y), where row k of w starts at
+// k·ws. Each x[k] that is ±0 is skipped, so exact zeros cost nothing and
+// a NaN or subnormal input still propagates; the k sweep is ascending,
+// so every y[j] receives the reference sequence of rounded adds.
+func AffineRow(y, x, w []float64, ws int) { affineRow(y, x, w, ws) }
+
+// AffineGradRow runs the backward pass of a masked affine layer for one
+// weight row w (gradient row gw, same length) across a batch. Batch row i
+// reads g_i = g[i·gs : i·gs+len(w)] and x_i = x[i·xs], and writes
+// dx[i·xs] = Σ_j g_i[j]·w[j] (the dot order of Dot); when x_i != 0 it
+// also accumulates gw += g_i·x_i, batch rows ascending. With reluInput a
+// zero x_i gets dx[i·xs] = +0 in place of the dot: the caller asserts an
+// upstream ReLU discards dX there.
+func AffineGradRow(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, reluInput bool) {
+	affineGradRow(gw, w, g, gs, x, dx, xs, rows, reluInput)
+}

@@ -12,7 +12,11 @@ func axpyUnrolled(dst []float64, s float64, src []float64) { axpyGeneric(dst, s,
 
 func dotUnrolled(a, b []float64) float64 { return dotGeneric(a, b) }
 
-func fusedAxpyDot(g, w, gw []float64, x float64) float64 { return fusedGeneric(g, w, gw, x) }
+func affineRow(y, x, w []float64, ws int) { affineRowGeneric(y, x, w, ws) }
+
+func affineGradRow(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, reluInput bool) {
+	affineGradRowGeneric(gw, w, g, gs, x, dx, xs, rows, reluInput)
+}
 
 // KernelBackend names the inner-kernel backend this process runs:
 // "scalar", the reference loops.
