@@ -13,6 +13,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"h2onas/internal/tensor"
 )
@@ -160,13 +161,7 @@ func (l *ActivationLayer) Forward(x *tensor.Matrix) *tensor.Matrix {
 	case Identity:
 		copy(out.Data, x.Data)
 	case ReLU:
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
-		}
+		reluSelect(out.Data, x.Data, x.Data)
 	default:
 		for i, v := range x.Data {
 			out.Data[i] = l.Act.Apply(v)
@@ -180,24 +175,32 @@ func (l *ActivationLayer) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if l.input == nil {
 		panic("nn: ActivationLayer.Backward before Forward")
 	}
+	checkSame("ActivationLayer.Backward", grad, l.input)
 	out := l.Arena.GetNoZero(grad.Rows, grad.Cols)
 	switch l.Act {
 	case Identity:
 		copy(out.Data, grad.Data)
 	case ReLU:
-		for i, v := range l.input.Data {
-			if v > 0 {
-				out.Data[i] = grad.Data[i]
-			} else {
-				out.Data[i] = 0
-			}
-		}
+		reluSelect(out.Data, grad.Data, l.input.Data)
 	default:
 		for i := range grad.Data {
 			out.Data[i] = grad.Data[i] * l.Act.Derivative(l.input.Data[i])
 		}
 	}
 	return out
+}
+
+// reluSelect sets out[i] = x[i] where in[i] > 0 and +0 elsewhere (±0 and
+// NaN included), by bit mask instead of a branch: on ReLU outputs about
+// half the elements go each way, so a branch mispredicts all the time.
+// in[i] > 0 exactly when bits(in[i])−1, unsigned, is below the bits of
+// +Inf, which the borrow of that subtraction reports.
+func reluSelect(out, x, in []float64) {
+	x, in = x[:len(out)], in[:len(out)] // bounds-check elimination hint
+	for i := range out {
+		_, borrow := bits.Sub64(math.Float64bits(in[i])-1, 0x7FF0000000000000, 0)
+		out[i] = math.Float64frombits(math.Float64bits(x[i]) & -borrow)
+	}
 }
 
 // Params returns nil: activations have no trainable parameters.

@@ -67,6 +67,43 @@ func benchMaskedDense(b *testing.B, backward bool) {
 func BenchmarkMaskedDenseForward(b *testing.B)  { benchMaskedDense(b, false) }
 func BenchmarkMaskedDenseBackward(b *testing.B) { benchMaskedDense(b, true) }
 
+// benchReLU times the ReLU layer's Forward or Backward at the DLRM MLP
+// activation shapes. About half the inputs are exactly zero and the rest
+// positive, in random order, and the iterations rotate through eight
+// such inputs: on one repeated input a branch predictor learns the
+// live/dead pattern, which no real batch lets it do.
+func benchReLU(b *testing.B, backward bool) {
+	for _, s := range []struct {
+		name       string
+		rows, cols int
+	}{{"dlrm/64x64", 64, 64}, {"dlrm/64x32", 64, 32}} {
+		b.Run(s.name, func(b *testing.B) {
+			var xs [8]*tensor.Matrix
+			for i := range xs {
+				xs[i] = benchReLUInput(s.rows, s.cols, uint64(2+i))
+			}
+			g := tensor.RandN(s.rows, s.cols, 1, tensor.NewRNG(1))
+			l := NewActivationLayer(ReLU)
+			l.Arena = tensor.NewArena()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Arena.Release()
+				x := xs[i%len(xs)]
+				if backward {
+					l.input = x // what Forward(x) caches, without timing it
+					l.Backward(g)
+				} else {
+					l.Forward(x)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkReLUForward(b *testing.B)  { benchReLU(b, false) }
+func BenchmarkReLUBackward(b *testing.B) { benchReLU(b, true) }
+
 // BenchmarkLowRankDenseBackward runs the factored layer at full rank
 // (min(in, out)) with its input declared ReLU-fed, as the DLRM
 // super-network wires it.

@@ -41,14 +41,8 @@ func (o *Adam) Step(params []*Param) {
 			}
 			m = o.alloc(p)
 		}
-		v := o.v[p]
-		for i, g := range p.Grad.Data {
-			m.Data[i] = o.Beta1*m.Data[i] + (1-o.Beta1)*g
-			v.Data[i] = o.Beta2*v.Data[i] + (1-o.Beta2)*g*g
-			mhat := m.Data[i] / c1
-			vhat := v.Data[i] / c2
-			p.Value.Data[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-		}
+		// Scale 1 is exact (g·1 = g), so this is the unscaled update.
+		tensor.AdamRow(p.Value.Data, m.Data, o.v[p].Data, p.Grad.Data, 1, o.Beta1, o.Beta2, o.LR, o.Eps, c1, c2)
 	}
 }
 

@@ -195,33 +195,22 @@ func NewSpine(params []*Param, opt *Adam, maxNorm float64) *Spine {
 	}
 	s.applyFn = func(lo, hi int) {
 		o := s.opt
-		b1, b2 := o.Beta1, o.Beta2
+		// step updates one span of the param and clears its gradient
+		// while it is still in L1.
+		step := func(pv, md, vd, gd []float64) {
+			tensor.AdamRow(pv, md, vd, gd, s.scale, o.Beta1, o.Beta2, o.LR, o.Eps, s.c1, s.c2)
+			clear(gd)
+		}
 		for k := lo; k < hi; k++ {
 			e := s.apply[k]
 			pv, md, vd, gd := e.p.Value.Data, e.m.Data, e.v.Data, e.p.Grad.Data
 			if e.rows == nil {
-				for i := range gd {
-					gv := gd[i] * s.scale
-					md[i] = b1*md[i] + (1-b1)*gv
-					vd[i] = b2*vd[i] + (1-b2)*gv*gv
-					mhat := md[i] / s.c1
-					vhat := vd[i] / s.c2
-					pv[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-					gd[i] = 0
-				}
+				step(pv, md, vd, gd)
 			} else {
 				cols := e.p.Grad.Cols
 				for _, r := range e.rows {
-					base := int(r) * cols
-					for i := base; i < base+cols; i++ {
-						gv := gd[i] * s.scale
-						md[i] = b1*md[i] + (1-b1)*gv
-						vd[i] = b2*vd[i] + (1-b2)*gv*gv
-						mhat := md[i] / s.c1
-						vhat := vd[i] / s.c2
-						pv[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-						gd[i] = 0
-					}
+					a, b := int(r)*cols, (int(r)+1)*cols
+					step(pv[a:b], md[a:b], vd[a:b], gd[a:b])
 				}
 				e.p.ClearRows()
 			}

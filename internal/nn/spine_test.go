@@ -354,6 +354,44 @@ func TestSpineClipStepMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAdamStepMatchesSpineClipStep pins the one Adam arithmetic: on dense
+// params that are dirty every step, with clipping off, the eager
+// Adam.Step and the spine's lazy ClipStep are the same update, so weights
+// and moments stay bit-identical step after step. Widths 1–19 run both
+// the vector body and every tail of the row kernel.
+func TestAdamStepMatchesSpineClipStep(t *testing.T) {
+	rng := tensor.NewRNG(61)
+	var eager []*Param
+	for cols := 1; cols < 20; cols += 3 {
+		eager = append(eager, NewParam("p", tensor.RandN(1+cols%3, cols, 1, rng)))
+	}
+	lazy := cloneParams(eager)
+	eagerOpt, lazyOpt := NewAdam(0.01), NewAdam(0.01)
+	spine := NewSpine(lazy, lazyOpt, 0)
+	for step := 0; step < 5; step++ {
+		for i, p := range eager {
+			for j := range p.Grad.Data {
+				p.Grad.Data[j] = 3 * rng.Norm()
+			}
+			copy(lazy[i].Grad.Data, p.Grad.Data)
+			lazy[i].Dirty = true
+		}
+		eagerOpt.Step(eager)
+		spine.Reduce(nil)
+		spine.ClipStep()
+		for i := range eager {
+			for j := range eager[i].Value.Data {
+				if math.Float64bits(lazy[i].Value.Data[j]) != math.Float64bits(eager[i].Value.Data[j]) {
+					t.Fatalf("step %d: param %d value[%d] = %v (ClipStep), %v (Adam.Step)", step, i, j, lazy[i].Value.Data[j], eager[i].Value.Data[j])
+				}
+				if lazyOpt.m[lazy[i]].Data[j] != eagerOpt.m[eager[i]].Data[j] || lazyOpt.v[lazy[i]].Data[j] != eagerOpt.v[eager[i]].Data[j] {
+					t.Fatalf("step %d: param %d moments at %d differ", step, i, j)
+				}
+			}
+		}
+	}
+}
+
 // TestSpineWorkerCountInvariance runs the same trajectory under
 // workers=1 (the GOMAXPROCS=1 serial path) and workers=7, asserting
 // bit-identical weights and norms — chunk boundaries must not matter.

@@ -24,8 +24,13 @@ package tensor
 //     ascending sweep of them — per element, the reference axpy
 //     sequence. The backward runs the fused reference's two chains one
 //     after the other over the batch: every dX dot, four batch rows per
-//     load of w, then the gradient row as a forward sweep over the batch.
+//     load of w (under reluInput only the compacted rows with a nonzero
+//     input), then the gradient row as a forward sweep over the batch.
 //     The chains share no state, so splitting them moves no bit.
+//   - Adam row: the reference sequence four elements at a time with
+//     VMULPD, VADDPD, VSUBPD, VDIVPD and VSQRTPD in the reference's
+//     operand order. Each is correctly rounded per lane, exactly as
+//     MULSD/ADDSD/SUBSD/DIVSD and SQRTSD (math.Sqrt) are per element.
 //
 // Because the backend is bit-exact, the cross-check test asserts exact
 // equality (tolerance zero), and the golden trajectories replay
@@ -56,7 +61,10 @@ func dotAVX(a, b *float64, n int, sums *float64)
 func affineRowAVX(y, x, w *float64, n, in, xs, ws int)
 
 //go:noescape
-func dotRowsAVX(w, grad *float64, n, gs int, dx *float64, xs, rows int)
+func dotRowsAVX(w, grad *float64, n, gs int, x, dx *float64, xs, rows int, relu bool)
+
+//go:noescape
+func adamRowAVX(p, m, v, grad *float64, n int, scale, b1, omb1, b2, omb2, lr, eps, c1, c2 float64)
 
 //go:noescape
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -128,8 +136,9 @@ func affineRow(y, x, w []float64, ws int) {
 	sweepRow(y, x, 1, w[:(in-1)*ws+n], ws, in)
 }
 
-// sweepChunk is the most k one affineRowAVX call takes: the compaction
-// buffer in its frame holds that many inputs.
+// sweepChunk is the most inputs one affineRowAVX call, or batch rows one
+// dotRowsAVX call, takes: the compaction buffers in their frames hold
+// that many.
 const sweepChunk = 256
 
 // sweepRow runs y[j] += Σ x[k·xs]·w[k·ws+j] over k < in through
@@ -143,9 +152,8 @@ func sweepRow(y, x []float64, xs int, w []float64, ws, in int) {
 
 // affineGradRow computes every dX dot first, then gw += Σ x_i·g_i as a
 // forward row over the batch — gw in registers, batch rows ascending,
-// zero x_i skipped. Under reluInput the dots of zero inputs are computed
-// and then overwritten with +0: the sweep runs four batch rows at a time
-// whatever their inputs.
+// zero x_i skipped. Under reluInput the zero inputs' rows are compacted
+// out before the dots, so their +0 costs no dot.
 func affineGradRow(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, reluInput bool) {
 	n := len(w)
 	if !useAVX2 || n == 0 || rows == 0 {
@@ -156,15 +164,24 @@ func affineGradRow(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, re
 	g = g[:(rows-1)*gs+n]
 	x = x[:(rows-1)*xs+1]
 	dx = dx[:(rows-1)*xs+1]
-	dotRowsAVX(&w[0], &g[0], n, gs, &dx[0], xs, rows)
-	if reluInput {
-		for i := 0; i < rows; i++ {
-			if x[i*xs] == 0 {
-				dx[i*xs] = 0
-			}
-		}
+	for i := 0; i < rows; i += sweepChunk {
+		dotRowsAVX(&w[0], &g[i*gs], n, gs, &x[i*xs], &dx[i*xs], xs, min(sweepChunk, rows-i), reluInput)
 	}
 	sweepRow(gw, x, xs, g, gs, rows)
+}
+
+// adamRow runs the vector body over the first len(p)&^3 elements and the
+// reference loop over the rest. 1−β₁ and 1−β₂ are computed here once.
+func adamRow(p, m, v, g []float64, scale, b1, b2, lr, eps, c1, c2 float64) {
+	n := len(p)
+	n4 := n &^ 3
+	if !useAVX2 || n4 == 0 {
+		adamRowGeneric(p, m, v, g, scale, b1, b2, lr, eps, c1, c2)
+		return
+	}
+	m, v, g = m[:n], v[:n], g[:n]
+	adamRowAVX(&p[0], &m[0], &v[0], &g[0], n4, scale, b1, 1-b1, b2, 1-b2, lr, eps, c1, c2)
+	adamRowGeneric(p[n4:], m[n4:], v[n4:], g[n4:], scale, b1, b2, lr, eps, c1, c2)
 }
 
 // KernelBackend names the inner-kernel backend this process runs: "avx2"

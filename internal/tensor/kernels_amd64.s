@@ -193,26 +193,34 @@ rowdone:
 	VZEROUPPER
 	RET
 
-// func dotRowsAVX(w, grad *float64, n, gs int, dx *float64, xs, rows int)
-// dx[i*xs] = Σ_j grad[i*gs+j]*w[j] for i < rows (rows, n ≥ 1), in the
-// dot contract's order. Four batch rows share each load of w: YMM r is
-// row r's accumulator (lane l = its s_l). After the vector body a 4×4
-// transpose puts s_l of the four rows in Y_l, so the n mod 4 tail folds
-// into s0 and ((s0+s1)+s2)+s3 reduces all four rows at once, lane by
-// lane. A short last group points its missing rows at its first row and
-// drops their results. (`g` is a reserved pseudo-register, hence grad.)
-TEXT ·dotRowsAVX(SB), NOSPLIT, $0-56
+// func dotRowsAVX(w, grad *float64, n, gs int, x, dx *float64, xs, rows int, relu bool)
+// dx[i*xs] = Σ_j grad[i*gs+j]*w[j] for i < rows (1 ≤ rows ≤ 256, n ≥ 1),
+// in the dot contract's order, except that with relu a row whose
+// x[i*xs] is ±0 gets dx = +0 and no dot. Four batch rows share each load
+// of w: YMM r is row r's accumulator (lane l = its s_l). After the vector
+// body a 4×4 transpose puts s_l of the four rows in Y_l, so the n mod 4
+// tail folds into s0 and ((s0+s1)+s2)+s3 reduces all four rows at once,
+// lane by lane. A short last group points its missing rows at its first
+// row and drops their results. Without relu the groups walk the batch at
+// stride gs. With relu a first pass stores +0 to every dx and compacts
+// the live rows into the frame (grad row offsets in bytes at 0(SP), dx
+// offsets at 2048(SP)) without a branch, by the zero test affineRowAVX
+// uses, and the groups walk that list. (`g` is a reserved
+// pseudo-register, hence grad.)
+TEXT ·dotRowsAVX(SB), $4096-65
 	MOVQ w+0(FP), DX
 	MOVQ grad+8(FP), SI
 	MOVQ n+16(FP), CX
 	MOVQ gs+24(FP), R8
 	SHLQ $3, R8        // grad row stride in bytes
-	MOVQ dx+32(FP), R12
-	MOVQ xs+40(FP), R13
-	SHLQ $3, R13       // dx stride in bytes
-	MOVQ rows+48(FP), DI
+	MOVQ dx+40(FP), R12
+	MOVQ xs+48(FP), R13
+	SHLQ $3, R13       // x and dx stride in bytes
+	MOVQ rows+56(FP), DI
 	MOVQ CX, BX
 	ANDQ $-4, BX       // n4: end of the vector body
+	CMPB relu+64(FP), $0
+	JNE  compact
 
 group:
 	LEAQ (SI)(R8*1), R9
@@ -227,6 +235,52 @@ group:
 	CMPQ DI, $2
 	JEQ  sweep
 	MOVQ SI, R9
+	JMP  sweep
+
+compact:
+	MOVQ x+32(FP), R9
+	XORQ R10, R10      // live rows
+	XORQ R11, R11      // i*gs in bytes
+	XORQ BX, BX        // i*xs in bytes
+
+compactrows:
+	MOVQ  R11, 0(SP)(R10*8)
+	MOVQ  BX, 2048(SP)(R10*8)
+	MOVQ  $0, (R12)(BX*1)
+	MOVQ  (R9)(BX*1), AX
+	SHLQ  $1, AX
+	NEGQ  AX           // CF = (x != 0)
+	ADCQ  $0, R10
+	ADDQ  R8, R11
+	ADDQ  R13, BX
+	DECQ  DI
+	JNZ   compactrows
+	MOVQ  R10, DI      // live rows left
+	TESTQ DI, DI
+	JZ    dotrowsdone
+	MOVQ  CX, BX
+	ANDQ  $-4, BX      // n4 again
+	MOVQ  SI, R8       // grad base
+	LEAQ  0(SP), R13   // cursor into both offset lists
+
+listgroup:
+	MOVQ (R13), SI
+	ADDQ R8, SI
+	MOVQ SI, R9
+	MOVQ SI, R10
+	MOVQ SI, R11
+	CMPQ DI, $2
+	JLT  sweep
+	MOVQ 8(R13), R9
+	ADDQ R8, R9
+	CMPQ DI, $3
+	JLT  sweep
+	MOVQ 16(R13), R10
+	ADDQ R8, R10
+	CMPQ DI, $4
+	JLT  sweep
+	MOVQ 24(R13), R11
+	ADDQ R8, R11
 
 sweep:
 	VXORPD Y0, Y0, Y0
@@ -278,6 +332,8 @@ reduce:
 	VADDPD       Y1, Y0, Y0
 	VADDPD       Y2, Y0, Y0
 	VADDPD       Y3, Y0, Y0
+	CMPB         relu+64(FP), $0
+	JNE          liststore
 	VMOVSD       X0, (R12)
 	CMPQ         DI, $1
 	JEQ          dotrowsdone
@@ -294,8 +350,79 @@ reduce:
 	LEAQ         (R10)(R8*2), SI     // first row of the next group
 	SUBQ         $4, DI
 	JNZ          group
+	JMP          dotrowsdone
+
+liststore:
+	MOVQ         2048(R13), AX
+	VMOVSD       X0, (R12)(AX*1)
+	CMPQ         DI, $1
+	JEQ          dotrowsdone
+	MOVQ         2056(R13), AX
+	VMOVHPD      X0, (R12)(AX*1)
+	VEXTRACTF128 $1, Y0, X0
+	CMPQ         DI, $2
+	JEQ          dotrowsdone
+	MOVQ         2064(R13), AX
+	VMOVSD       X0, (R12)(AX*1)
+	CMPQ         DI, $3
+	JEQ          dotrowsdone
+	MOVQ         2072(R13), AX
+	VMOVHPD      X0, (R12)(AX*1)
+	ADDQ         $32, R13
+	SUBQ         $4, DI
+	JNZ          listgroup
 
 dotrowsdone:
+	VZEROUPPER
+	RET
+
+// func adamRowAVX(p, m, v, grad *float64, n int, scale, b1, omb1, b2, omb2, lr, eps, c1, c2 float64)
+// For j < n (a positive multiple of 4), four lanes at a time:
+//   gv = g·scale
+//   m  = b1·m + omb1·gv
+//   v  = b2·v + (omb2·gv)·gv
+//   p  = p − (lr·(m/c1)) / (√(v/c2) + eps)
+// with omb1 = 1−b1, omb2 = 1−b2 and g = grad, which is only read.
+TEXT ·adamRowAVX(SB), NOSPLIT, $0-112
+	MOVQ         p+0(FP), DI
+	MOVQ         m+8(FP), SI
+	MOVQ         v+16(FP), DX
+	MOVQ         grad+24(FP), R8
+	MOVQ         n+32(FP), CX
+	VBROADCASTSD scale+40(FP), Y0
+	VBROADCASTSD b1+48(FP), Y1
+	VBROADCASTSD omb1+56(FP), Y2
+	VBROADCASTSD b2+64(FP), Y3
+	VBROADCASTSD omb2+72(FP), Y4
+	VBROADCASTSD lr+80(FP), Y5
+	VBROADCASTSD eps+88(FP), Y6
+	VBROADCASTSD c1+96(FP), Y7
+	VBROADCASTSD c2+104(FP), Y8
+	XORQ         AX, AX
+
+adam4:
+	VMULPD  (R8)(AX*8), Y0, Y9  // gv
+	VMULPD  (SI)(AX*8), Y1, Y10 // b1·m
+	VMULPD  Y9, Y2, Y11         // omb1·gv
+	VADDPD  Y11, Y10, Y10       // m
+	VMOVUPD Y10, (SI)(AX*8)
+	VMULPD  Y9, Y4, Y11         // omb2·gv
+	VMULPD  Y9, Y11, Y11        // (omb2·gv)·gv
+	VMULPD  (DX)(AX*8), Y3, Y12 // b2·v
+	VADDPD  Y11, Y12, Y12       // v
+	VMOVUPD Y12, (DX)(AX*8)
+	VDIVPD  Y7, Y10, Y10        // m/c1
+	VMULPD  Y10, Y5, Y10        // lr·(m/c1)
+	VDIVPD  Y8, Y12, Y12        // v/c2
+	VSQRTPD Y12, Y12
+	VADDPD  Y6, Y12, Y12        // √(v/c2) + eps
+	VDIVPD  Y12, Y10, Y10
+	VMOVUPD (DI)(AX*8), Y13
+	VSUBPD  Y10, Y13, Y13       // p − step
+	VMOVUPD Y13, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     adam4
 	VZEROUPPER
 	RET
 

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // The scalar reference kernels. These define the numeric contract of the
 // whole system: every backend — the AVX2 assembly, the pass-through
 // build, the parallel matmul shards — must produce results bit-identical
@@ -25,6 +27,16 @@ package tensor
 //   - affine gradient row (backward): per batch row, in ascending order,
 //     a nonzero x takes the fused kernel, a zero x the dot alone, or a
 //     stored +0 under reluInput.
+//   - Adam row: per element, gv = g·scale, m = β₁·m + (1−β₁)·gv,
+//     v = β₂·v + ((1−β₂)·gv)·gv, p −= (lr·(m/c₁)) / (√(v/c₂) + ε), each
+//     operation rounded once in exactly that order. Elements are
+//     independent, and IEEE mul, add, sub, div and sqrt are correctly
+//     rounded lane by lane, so any vectorization across j is bit-identical.
+//     1−β₁ and 1−β₂ may be computed once: they are the same double.
+//   - select (the ReLU layer in internal/nn): a kept value is copied as
+//     its bits and a dropped one is +0, so a select by bit mask matches
+//     an `if v > 0` select bit for bit, including the sign of zero. The
+//     mask is all ones exactly when v > 0: ±0 and NaN are dropped.
 //
 // The generic bodies live here unconstrained so every build (including
 // amd64, which falls back below its vector-length threshold or on CPUs
@@ -138,6 +150,19 @@ func affineGradRowGeneric(gw, w, g []float64, gs int, x, dx []float64, xs, rows 
 	}
 }
 
+// adamRowGeneric is the reference Adam row: the per-element sequence the
+// contract above spells out, over j < len(p).
+func adamRowGeneric(p, m, v, g []float64, scale, b1, b2, lr, eps, c1, c2 float64) {
+	n := len(p)
+	m, v, g = m[:n], v[:n], g[:n] // bounds-check elimination hint
+	for j := range p {
+		gv := g[j] * scale
+		m[j] = b1*m[j] + (1-b1)*gv
+		v[j] = b2*v[j] + (1-b2)*gv*gv
+		p[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + eps)
+	}
+}
+
 // AffineRow computes one output row of a masked affine layer in place:
 // y[j] += Σ_k x[k]·w[k·ws+j] for j < len(y), where row k of w starts at
 // k·ws. Each x[k] that is ±0 is skipped, so exact zeros cost nothing and
@@ -154,4 +179,13 @@ func AffineRow(y, x, w []float64, ws int) { affineRow(y, x, w, ws) }
 // upstream ReLU discards dX there.
 func AffineGradRow(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, reluInput bool) {
 	affineGradRow(gw, w, g, gs, x, dx, xs, rows, reluInput)
+}
+
+// AdamRow applies one bias-corrected Adam update to the parameter row p
+// with first and second moment rows m and v and gradient row g (all of
+// len(p)): the gradient is scaled by scale, β₁ = b1 and β₂ = b2 decay the
+// moments, c1 and c2 are the bias corrections 1−β₁ᵗ and 1−β₂ᵗ, and lr and
+// eps are the step size and denominator floor. g is read, never written.
+func AdamRow(p, m, v, g []float64, scale, b1, b2, lr, eps, c1, c2 float64) {
+	adamRow(p, m, v, g, scale, b1, b2, lr, eps, c1, c2)
 }

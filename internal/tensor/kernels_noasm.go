@@ -18,6 +18,10 @@ func affineGradRow(gw, w, g []float64, gs int, x, dx []float64, xs, rows int, re
 	affineGradRowGeneric(gw, w, g, gs, x, dx, xs, rows, reluInput)
 }
 
+func adamRow(p, m, v, g []float64, scale, b1, b2, lr, eps, c1, c2 float64) {
+	adamRowGeneric(p, m, v, g, scale, b1, b2, lr, eps, c1, c2)
+}
+
 // KernelBackend names the inner-kernel backend this process runs:
 // "scalar", the reference loops.
 func KernelBackend() string { return "scalar" }

@@ -50,17 +50,18 @@ func xcheckClone(v []float64, off int) []float64 {
 }
 
 // TestKernelBackendMatchesReference cross-checks the active inner kernels
-// (axpyUnrolled / dotUnrolled / affineRow / affineGradRow) against the
-// scalar reference bodies in kernels_generic.go, bit for bit — tolerance
-// zero. On a race or non-amd64 build the dispatchers ARE the reference,
-// so this passes trivially; on every other build it is the gate that
-// proves the AVX2 assembly honors the numeric contract. Lengths cover
-// both sides of the AVX dispatch threshold and every tail residue mod 4;
-// row widths 1–160 cover every residue mod 16 (the forward tile) against
-// k sweeps and batches of 1, 2, 17, 80 and 128 (and 300, past the
+// (axpyUnrolled / dotUnrolled / affineRow / affineGradRow / adamRow)
+// against the scalar reference bodies in kernels_generic.go, bit for bit
+// — tolerance zero. On a race or non-amd64 build the dispatchers ARE the
+// reference, so this passes trivially; on every other build it is the
+// gate that proves the AVX2 assembly honors the numeric contract. Lengths
+// cover both sides of the AVX dispatch threshold and every tail residue
+// mod 4; row widths 1–160 cover every residue mod 16 (the forward tile)
+// against k sweeps and batches of 1, 2, 17, 80 and 128 (and 300, past the
 // 256-input chunk of one assembly call), with row strides wider than the
-// active width; offsets 0–3 move every operand off 32-byte alignment; the
-// specials pass feeds ±0, ±Inf, NaN and subnormals through every chain.
+// active width; Adam rows run lengths 0–67; offsets 0–3 move every
+// operand off 32-byte alignment; the specials pass feeds ±0, ±Inf, NaN
+// and subnormals through every chain.
 func TestKernelBackendMatchesReference(t *testing.T) {
 	t.Logf("kernel backend: %s", KernelBackend())
 	rng := rand.New(rand.NewSource(3))
@@ -78,6 +79,44 @@ func TestKernelBackendMatchesReference(t *testing.T) {
 		}
 	}
 	xcheckAffineZeroRules(t)
+	for _, specials := range []bool{false, true} {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				xcheckAdamRow(t, rng, n, off, specials)
+			}
+		}
+	}
+}
+
+// xcheckAdamRow cross-checks the Adam row kernel at length n against the
+// reference for clip scales 1, 0.37 and 1e-3 and steps 1, 2 and 1000, so
+// the bias corrections run from 0.1 and 0.001 to about 1. Each operand
+// has four more elements after the active n, and whole backing arrays are
+// compared, g included: the kernel must leave g and the padding alone.
+// The second moment starts non-negative, as Adam keeps it.
+func xcheckAdamRow(t *testing.T, rng *rand.Rand, n, off int, specials bool) {
+	t.Helper()
+	const b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
+	for _, scale := range []float64{1, 0.37, 1e-3} {
+		for _, step := range []float64{1, 2, 1000} {
+			c1, c2 := 1-math.Pow(b1, step), 1-math.Pow(b2, step)
+			var got, want [4][]float64 // p, m, v, g
+			for i := range got {
+				got[i] = xcheckOperand(rng, n+4, off, specials)
+				if i == 2 {
+					for j, x := range got[i] {
+						got[i][j] = math.Abs(x)
+					}
+				}
+				want[i] = xcheckClone(got[i], off)
+			}
+			adamRow(got[0][:n], got[1][:n], got[2][:n], got[3][:n], scale, b1, b2, lr, eps, c1, c2)
+			adamRowGeneric(want[0][:n], want[1][:n], want[2][:n], want[3][:n], scale, b1, b2, lr, eps, c1, c2)
+			for i, name := range []string{"p", "m", "v", "g"} {
+				xcheckSame(t, fmt.Sprintf("adamRow n=%d off=%d scale=%v t=%v specials=%v: %s", n, off, scale, step, specials, name), got[i], want[i])
+			}
+		}
+	}
 }
 
 func xcheckKernels(t *testing.T, rng *rand.Rand, n, off int, specials bool) {
