@@ -138,12 +138,42 @@ type Graph struct {
 	DTypeBytes int
 	// Params is the total trainable parameter count.
 	Params float64
+
+	// slab holds the ops Push copied in, in fixed-size chunks so their
+	// addresses stay put as the graph grows; Reset recycles it.
+	slab []*[opChunk]Op
+	used int
 }
+
+// opChunk is the number of ops per slab chunk.
+const opChunk = 32
 
 // Add appends an op and returns the graph for chaining.
 func (g *Graph) Add(op *Op) *Graph {
 	g.Ops = append(g.Ops, op)
 	return g
+}
+
+// Push appends a copy of op held in the graph's own storage, which Reset
+// recycles: a graph rebuilt in place allocates nothing once it has held
+// as many ops before.
+func (g *Graph) Push(op Op) {
+	c := g.used / opChunk
+	if c == len(g.slab) {
+		g.slab = append(g.slab, new([opChunk]Op))
+	}
+	slot := &g.slab[c][g.used%opChunk]
+	*slot = op
+	g.used++
+	g.Ops = append(g.Ops, slot)
+}
+
+// Reset empties the graph and renames it for a rebuild, keeping the
+// storage of its op list and of the ops Push copied in.
+func (g *Graph) Reset(name string, batch, dtypeBytes int) {
+	g.Name, g.Batch, g.DTypeBytes, g.Params = name, batch, dtypeBytes, 0
+	g.Ops = g.Ops[:0]
+	g.used = 0
 }
 
 // TotalFLOPs sums FLOPs over all ops with repeats.

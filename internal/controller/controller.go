@@ -17,23 +17,52 @@ import (
 )
 
 // Policy is a probability distribution over architectures: an independent
-// categorical distribution per decision, parameterized by logits.
+// categorical distribution per decision, parameterized by logits. A Policy
+// is not safe for concurrent use.
 type Policy struct {
 	Space  *space.Space
 	Logits [][]float64
+
+	// probs[d] is the softmax of from[d], a copy of the logits it was
+	// computed from: Probs recomputes it only once Logits[d] has changed.
+	probs, from [][]float64
 }
 
 // NewPolicy returns the uniform policy over the space.
 func NewPolicy(s *space.Space) *Policy {
-	p := &Policy{Space: s, Logits: make([][]float64, len(s.Decisions))}
+	n := len(s.Decisions)
+	p := &Policy{Space: s, Logits: make([][]float64, n), probs: make([][]float64, n), from: make([][]float64, n)}
 	for i, d := range s.Decisions {
 		p.Logits[i] = make([]float64, d.Arity())
 	}
 	return p
 }
 
-// Probs returns the softmax probabilities of decision d.
-func (p *Policy) Probs(d int) []float64 { return nn.Softmax(p.Logits[d]) }
+// Probs returns the softmax probabilities of decision d. The slice belongs
+// to the policy: it holds until decision d's logits next change, and the
+// caller must not modify it.
+func (p *Policy) Probs(d int) []float64 {
+	logits := p.Logits[d]
+	if !sameBits(logits, p.from[d]) {
+		p.from[d] = append(p.from[d][:0], logits...)
+		p.probs[d] = append(p.probs[d][:0], logits...) // sized; SoftmaxInto overwrites
+		nn.SoftmaxInto(logits, p.probs[d])
+	}
+	return p.probs[d]
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // Sample draws an architecture from π.
 func (p *Policy) Sample(rng *tensor.RNG) space.Assignment {
@@ -54,7 +83,6 @@ func (p *Policy) MostProbable() space.Assignment {
 			if l > logits[best] {
 				best = j
 			}
-			_ = l
 		}
 		a[d] = best
 	}
@@ -127,6 +155,10 @@ type Controller struct {
 	baseline    float64
 	baselineSet bool
 	steps       int
+
+	// Update's per-decision scratch: the policy gradient and, for the KL
+	// term, π_new (which must not share the policy's π_old buffer).
+	grad, next []float64
 }
 
 // New returns a controller with a uniform initial policy.
@@ -195,7 +227,7 @@ func (c *Controller) Update(samples []space.Assignment, rewards []float64) {
 	var kl float64
 	for d := range c.Policy.Logits {
 		probs := c.Policy.Probs(d)
-		grad := make([]float64, len(probs))
+		grad := scratch(&c.grad, len(probs))
 		for s, a := range samples {
 			adv := rewards[s] - c.baseline
 			for j := range grad {
@@ -225,8 +257,9 @@ func (c *Controller) Update(samples []space.Assignment, rewards []float64) {
 		}
 		if c.Metrics.Enabled() {
 			// probs still holds π_old for this decision; the logits have
-			// just been stepped, so Probs(d) is π_new.
-			next := c.Policy.Probs(d)
+			// just been stepped, so their softmax is π_new.
+			next := scratch(&c.next, len(logits))
+			nn.SoftmaxInto(logits, next)
 			for j, p := range probs {
 				if p > 0 && next[j] > 0 {
 					kl += p * math.Log(p/next[j])
@@ -244,4 +277,14 @@ func (c *Controller) Update(samples []space.Assignment, rewards []float64) {
 		c.Metrics.Gauge("controller_update_kl").Set(kl)
 		c.Metrics.Histogram("controller_update_kl_nats").Observe(kl)
 	}
+}
+
+// scratch returns (*buf)[:n] zeroed, growing *buf when it is too short.
+func scratch(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }

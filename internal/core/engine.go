@@ -197,9 +197,12 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	outcomes := make([]ShardOutcome, cfg.Shards)
 	alive := make([]bool, cfg.Shards)
 	// liveParams collects the surviving replicas' param lists for the
-	// cross-shard reduce; preallocated once so the steady-state step stays
+	// cross-shard reduce, policySamples and rewards the step's policy
+	// feedback; preallocated once so the steady-state step stays
 	// allocation-flat on the coordinator too.
 	liveParams := make([][]*nn.Param, 0, cfg.Shards)
+	policySamples := make([]space.Assignment, 0, cfg.Shards)
+	rewards := make([]float64, 0, cfg.Shards)
 
 	// Stage-3 spine worker: the cross-shard gradient reduce and fused
 	// clip+Adam weight step run here, overlapped with the coordinator's
@@ -306,14 +309,14 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 		// Stage 2: cross-shard policy update from (Q, T) → R. The
 		// sandwich shard trains weights only; its fixed candidate would
 		// bias the strategy, so it is excluded from the update.
-		var rewards []float64
+		rewards = rewards[:0]
 		if !warmup {
 			policySpan := sm.PolicyTime.Start()
 			first := 0
 			if sandwichOn && cfg.Shards > 1 {
 				first = 1
 			}
-			var policySamples []space.Assignment
+			policySamples = policySamples[:0]
 			for i := first; i < cfg.Shards; i++ {
 				if !alive[i] {
 					continue

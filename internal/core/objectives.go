@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"h2onas/internal/arch"
 	"h2onas/internal/hwsim"
 	"h2onas/internal/perfmodel"
@@ -16,13 +18,30 @@ import (
 type DLRMObjectives struct {
 	DS   *space.DLRMSpace
 	Chip hwsim.Chip
+
+	// scratch recycles *perfScratch across Perf calls, concurrent ones
+	// included.
+	scratch sync.Pool
 }
 
-// Perf implements PerfFunc.
+// perfScratch is the decode and graph storage one Perf call builds into.
+type perfScratch struct {
+	ar space.DLRMArch
+	g  arch.Graph
+}
+
+// Perf implements PerfFunc. It is safe for concurrent use, and the slice
+// it returns is the caller's to keep.
 func (o *DLRMObjectives) Perf(a space.Assignment) []float64 {
-	ar := o.DS.Decode(a)
-	r := hwsim.Simulate(o.DS.Graph(ar), o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
-	return []float64{r.StepTime, o.DS.ServingBytes(ar)}
+	sc, _ := o.scratch.Get().(*perfScratch)
+	if sc == nil {
+		sc = new(perfScratch)
+	}
+	defer o.scratch.Put(sc)
+	o.DS.DecodeInto(a, &sc.ar)
+	o.DS.GraphInto(sc.ar, &sc.g)
+	r := hwsim.Simulate(&sc.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
+	return []float64{r.StepTime, o.DS.ServingBytes(sc.ar)}
 }
 
 // BaselinePerf evaluates the baseline architecture: the reference point

@@ -104,13 +104,13 @@ type cursor struct {
 // split draws the generator of the next batch of n examples — the one
 // value a batch takes from the parent, which is what lets Skip stand in
 // for a whole batch.
-func (c *cursor) split(n int) *tensor.RNG {
+func (c *cursor) split(n int) tensor.RNG {
 	if n <= 0 {
 		panic("datapipe: NextBatch with non-positive size")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rng.Split()
+	return *c.rng.Split()
 }
 
 // ExamplesServed returns how many examples have been generated.
@@ -141,19 +141,31 @@ type Batch struct {
 	Labels *tensor.Matrix // batch×1, {0,1}
 
 	phaseGuard
+	dense, labels tensor.Matrix // what Dense and Labels point to
 }
 
 // Size returns the number of examples.
 func (b *Batch) Size() int { return b.Dense.Rows }
 
 // Stream generates an endless, never-repeating sequence of synthetic CTR
-// examples. Latent per-id effects are hash-derived, so the generator needs
-// O(1) memory regardless of vocabulary size and two streams with the same
-// seed produce identical populations.
+// examples. Latent per-id effects are hash-derived, so two streams with the
+// same seed produce identical populations. The stationary effect of each
+// (table, id) is memoized on first use; the memo holds 8 bytes per entry
+// for at most min(NumTables·Vocab, 2¹⁹) entries, so a stream never holds
+// more than 4 MiB of it whatever the vocabulary (ids past the bound are
+// recomputed per use).
 type Stream struct {
 	cfg  CTRConfig
 	seed uint64
 	cursor
+
+	// The ground truth's per-stream constants: the dense signal's linear
+	// and pairwise weights and each table's effect scale.
+	denseW, pairW []float64
+	tableScale    []float64
+	// effects memoizes the stationary effect of (table, id) at
+	// id·NumTables + table.
+	effects memo
 }
 
 // NewStream returns a stream with the given seed.
@@ -162,7 +174,23 @@ func NewStream(cfg CTRConfig, seed uint64) *Stream {
 	if cfg.NumTables <= 0 || cfg.Vocab <= 0 || cfg.NumDense < 0 {
 		panic(fmt.Sprintf("datapipe: invalid config %+v", cfg))
 	}
-	return &Stream{cfg: cfg, seed: seed, cursor: cursor{rng: tensor.NewRNG(seed)}}
+	s := &Stream{
+		cfg: cfg, seed: seed, cursor: cursor{rng: tensor.NewRNG(seed)},
+		denseW:     make([]float64, cfg.NumDense),
+		pairW:      make([]float64, cfg.NumDense/2),
+		tableScale: make([]float64, cfg.NumTables),
+		effects:    newMemo(cfg.NumTables * cfg.Vocab),
+	}
+	for j := range s.denseW {
+		s.denseW[j] = gaussFromHash(hash3(seed, 0x10, uint64(j))) * 0.4
+	}
+	for j := range s.pairW {
+		s.pairW[j] = gaussFromHash(hash3(seed, 0x20, uint64(2*j))) * 0.5
+	}
+	for t := range s.tableScale {
+		s.tableScale[t] = signalScale * math.Pow(cfg.SignalDecay, float64(t))
+	}
+	return s
 }
 
 // Config returns the stream's generator configuration.
@@ -170,17 +198,24 @@ func (s *Stream) Config() CTRConfig { return s.cfg }
 
 // NextBatch generates n fresh examples. Every call produces new examples;
 // nothing is ever replayed (the use-once property of production traffic).
+// The batch's dense values and labels share one backing array, its bags
+// another, and the two matrix headers live in the batch itself.
 func (s *Stream) NextBatch(n int) *Batch {
 	rng := s.split(n)
 
 	cfg := s.cfg
+	nd := n * cfg.NumDense
+	floats := make([]float64, nd+n)
+	rows := make([][]int, cfg.NumTables*n)
+	ids := make([]int, cfg.NumTables*n*cfg.BagSize)
 	b := &Batch{
-		Dense:  tensor.New(n, cfg.NumDense),
-		Labels: tensor.New(n, 1),
 		Sparse: make([][][]int, cfg.NumTables),
+		dense:  tensor.Matrix{Rows: n, Cols: cfg.NumDense, Data: floats[:nd:nd]},
+		labels: tensor.Matrix{Rows: n, Cols: 1, Data: floats[nd:]},
 	}
+	b.Dense, b.Labels = &b.dense, &b.labels
 	for t := range b.Sparse {
-		b.Sparse[t] = make([][]int, n)
+		b.Sparse[t] = rows[t*n : (t+1)*n : (t+1)*n]
 	}
 	startIndex := atomic.LoadInt64(&s.served)
 	for i := 0; i < n; i++ {
@@ -191,7 +226,8 @@ func (s *Stream) NextBatch(n int) *Batch {
 		}
 		logit += s.denseSignal(drow)
 		for t := 0; t < cfg.NumTables; t++ {
-			bag := make([]int, cfg.BagSize)
+			at := (t*n + i) * cfg.BagSize
+			bag := ids[at : at+cfg.BagSize : at+cfg.BagSize]
 			var eff float64
 			for k := range bag {
 				id := rng.Intn(cfg.Vocab)
@@ -216,11 +252,21 @@ func (s *Stream) latentEffect(table, id int) float64 {
 	return s.epochEffect(table, id, 0)
 }
 
-// epochEffect is the latent effect during drift epoch e.
+// epochEffect is the latent effect during drift epoch e. Epoch 0 — the
+// whole stream without drift — goes through the memo.
 func (s *Stream) epochEffect(table, id int, epoch int64) float64 {
-	scale := signalScale * math.Pow(s.cfg.SignalDecay, float64(table))
+	key := id*s.cfg.NumTables + table
+	if epoch == 0 {
+		if v, ok := s.effects.load(key); ok {
+			return v
+		}
+	}
 	h := hash3(s.seed+uint64(epoch)*0x51_7c_c1_b7_27_22_0a95, uint64(table)+1, uint64(id)+1)
-	return gaussFromHash(h) * scale
+	v := gaussFromHash(h) * s.tableScale[table]
+	if epoch == 0 {
+		s.effects.store(key, v)
+	}
+	return v
 }
 
 // effectAt is the (possibly drifting) effect at a global example index.
@@ -239,17 +285,41 @@ func (s *Stream) effectAt(table, id int, exampleIndex int64) float64 {
 func (s *Stream) denseSignal(x []float64) float64 {
 	var v float64
 	for j, xj := range x {
-		w := gaussFromHash(hash3(s.seed, 0x10, uint64(j))) * 0.4
-		v += w * xj
+		v += s.denseW[j] * xj
 	}
 	for j := 0; j+1 < len(x); j += 2 {
-		w := gaussFromHash(hash3(s.seed, 0x20, uint64(j))) * 0.5
-		v += w * x[j] * x[j+1]
+		v += s.pairW[j/2] * x[j] * x[j+1]
 	}
 	if len(x) > 0 {
 		v += 0.6 * math.Sin(2*x[0]+x[len(x)-1])
 	}
 	return v
+}
+
+// maxMemo bounds a memo's entries: 2¹⁹ × 8 bytes = 4 MiB.
+const maxMemo = 1 << 19
+
+// memo lazily caches a deterministic float64 function of a small key for
+// keys below its length. It is safe for concurrent use: a cell holds the
+// value's bits, or 0 until some caller stores them, and concurrent fills
+// store the same bits. A value whose bits are 0 (+0) is simply never
+// cached.
+type memo []atomic.Uint64
+
+func newMemo(keys int) memo { return make(memo, min(keys, maxMemo)) }
+
+func (m memo) load(key int) (float64, bool) {
+	if key >= len(m) {
+		return 0, false
+	}
+	b := m[key].Load()
+	return math.Float64frombits(b), b != 0
+}
+
+func (m memo) store(key int, v float64) {
+	if key < len(m) {
+		m[key].Store(math.Float64bits(v))
+	}
 }
 
 func sigmoid(x float64) float64 {

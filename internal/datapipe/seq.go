@@ -45,16 +45,24 @@ type SeqBatch struct {
 	Labels *tensor.Matrix // batch×1
 
 	phaseGuard
+	labels tensor.Matrix // what Labels points to
 }
 
 // Size returns the number of examples.
 func (b *SeqBatch) Size() int { return len(b.Tokens) }
 
 // SeqStream generates endless, never-repeating synthetic sequence traffic.
+// Its per-(token, position) and per-pair effects are memoized like
+// Stream's, each memo within the same 4 MiB bound.
 type SeqStream struct {
 	cfg  SeqConfig
 	seed uint64
 	cursor
+
+	sqrtLen float64 // √SeqLen, the unary effects' normalizer
+	// unary memoizes unaryEffect at tok·SeqLen + pos, pair pairEffect at
+	// a·Vocab + b.
+	unary, pair memo
 }
 
 // NewSeqStream returns a stream with the given seed.
@@ -62,20 +70,28 @@ func NewSeqStream(cfg SeqConfig, seed uint64) *SeqStream {
 	if cfg.SeqLen <= 0 || cfg.Vocab <= 1 {
 		panic(fmt.Sprintf("datapipe: invalid sequence config %+v", cfg))
 	}
-	return &SeqStream{cfg: cfg, seed: seed, cursor: cursor{rng: tensor.NewRNG(seed)}}
+	return &SeqStream{
+		cfg: cfg, seed: seed, cursor: cursor{rng: tensor.NewRNG(seed)},
+		sqrtLen: math.Sqrt(float64(cfg.SeqLen)),
+		unary:   newMemo(cfg.Vocab * cfg.SeqLen),
+		pair:    newMemo(cfg.Vocab * cfg.Vocab),
+	}
 }
 
 // Config returns the generator configuration.
 func (s *SeqStream) Config() SeqConfig { return s.cfg }
 
-// NextBatch generates n fresh sequences.
+// NextBatch generates n fresh sequences; their tokens share one backing
+// array, and the label matrix header lives in the batch itself.
 func (s *SeqStream) NextBatch(n int) *SeqBatch {
 	rng := s.split(n)
 
 	cfg := s.cfg
-	b := &SeqBatch{Tokens: make([][]int, n), Labels: tensor.New(n, 1)}
+	b := &SeqBatch{Tokens: make([][]int, n), labels: tensor.Matrix{Rows: n, Cols: 1, Data: make([]float64, n)}}
+	b.Labels = &b.labels
+	all := make([]int, n*cfg.SeqLen)
 	for i := 0; i < n; i++ {
-		toks := make([]int, cfg.SeqLen)
+		toks := all[i*cfg.SeqLen : (i+1)*cfg.SeqLen : (i+1)*cfg.SeqLen]
 		logit := 0.0
 		for t := range toks {
 			tok := rng.Intn(cfg.Vocab)
@@ -97,13 +113,25 @@ func (s *SeqStream) NextBatch(n int) *SeqBatch {
 // position-independent part (learnable by token embeddings alone) plus a
 // small position modulation (needs token/position mixing).
 func (s *SeqStream) unaryEffect(tok, pos int) float64 {
+	key := tok*s.cfg.SeqLen + pos
+	if v, ok := s.unary.load(key); ok {
+		return v
+	}
 	base := gaussFromHash(hash3(s.seed, 0x100, uint64(tok)+1))
 	mod := gaussFromHash(hash3(s.seed, 0x110+uint64(pos), uint64(tok)+1))
-	return (base + 0.3*mod) * unaryScale / math.Sqrt(float64(s.cfg.SeqLen))
+	v := (base + 0.3*mod) * unaryScale / s.sqrtLen
+	s.unary.store(key, v)
+	return v
 }
 
 // pairEffect is the ground-truth long-range interaction between the first
 // and last tokens.
 func (s *SeqStream) pairEffect(a, b int) float64 {
-	return gaussFromHash(hash3(s.seed, 0x200+uint64(a), uint64(b)+1)) * pairScale
+	key := a*s.cfg.Vocab + b
+	if v, ok := s.pair.load(key); ok {
+		return v
+	}
+	v := gaussFromHash(hash3(s.seed, 0x200+uint64(a), uint64(b)+1)) * pairScale
+	s.pair.store(key, v)
+	return v
 }

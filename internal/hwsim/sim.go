@@ -3,6 +3,7 @@ package hwsim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"h2onas/internal/arch"
 )
@@ -140,10 +141,17 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("hwsim: %v", err))
 	}
-	ops := g.Ops
-	if !opts.DisableFusion {
-		ops = fuse(ops)
+	buf := opBufs.Get().(*[]arch.Op)
+	defer opBufs.Put(buf)
+	ops := (*buf)[:0]
+	if opts.DisableFusion {
+		for _, op := range g.Ops {
+			ops = append(ops, *op)
+		}
+	} else {
+		ops = fuse(ops, g.Ops)
 	}
+	*buf = ops
 	cmemAct := chip.CMEMCapacity * cmemActFraction
 
 	trainMul := 1.0
@@ -152,7 +160,8 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	}
 
 	var res Result
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		rep := op.Repeat()
 		switch op.Unit {
 		case arch.NetworkUnit:
@@ -232,27 +241,28 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	return res
 }
 
-// fuse merges fusable elementwise ops into their producer: the fused op's
-// FLOPs move to the producer's VPU-side cost and the intermediate tensor
-// round-trip disappears (it lives in registers/CMEM inside the fused
-// kernel). A fusable op with no producer is kept as-is.
-func fuse(ops []*arch.Op) []*arch.Op {
-	var out []*arch.Op
+// opBufs recycles the op copies Simulate walks, so a simulation allocates
+// nothing once the pool is warm.
+var opBufs = sync.Pool{New: func() any { return new([]arch.Op) }}
+
+// fuse appends copies of ops to out, merging fusable elementwise ops into
+// their producer: the fused op's FLOPs move to the producer's VPU-side
+// cost and the intermediate tensor round-trip disappears (it lives in
+// registers/CMEM inside the fused kernel). A fusable op with no producer
+// is kept as-is.
+func fuse(out []arch.Op, ops []*arch.Op) []arch.Op {
 	for _, op := range ops {
 		if op.Fusable && len(out) > 0 {
-			prev := out[len(out)-1]
+			prev := &out[len(out)-1]
 			if prev.Unit != arch.NetworkUnit && prev.Repeat() == op.Repeat() {
 				// Merge: keep producer's tensors, absorb FLOPs on the VPU
 				// (the producer's kernel epilogue) and any parameters.
-				merged := *prev
-				merged.FLOPs += op.FLOPs * vpuFusePenalty(prev.Unit)
-				merged.ParamBytes += op.ParamBytes
-				out[len(out)-1] = &merged
+				prev.FLOPs += op.FLOPs * vpuFusePenalty(prev.Unit)
+				prev.ParamBytes += op.ParamBytes
 				continue
 			}
 		}
-		c := *op
-		out = append(out, &c)
+		out = append(out, *op)
 	}
 	return out
 }

@@ -57,13 +57,6 @@ func (MSE) Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	return total / n, grad
 }
 
-// Softmax returns the softmax of logits, numerically stabilized.
-func Softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	SoftmaxInto(logits, out)
-	return out
-}
-
 // SoftmaxInto writes the numerically-stabilized softmax of logits into
 // out, which must have the same length (it may alias logits).
 func SoftmaxInto(logits, out []float64) {

@@ -187,6 +187,13 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
+// softmax is SoftmaxInto into a fresh slice.
+func softmax(logits []float64) []float64 {
+	out := make([]float64, len(logits))
+	SoftmaxInto(logits, out)
+	return out
+}
+
 func TestSoftmaxProperties(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		for _, v := range []float64{a, b, c} {
@@ -194,7 +201,7 @@ func TestSoftmaxProperties(t *testing.T) {
 				return true // skip pathological inputs
 			}
 		}
-		p := Softmax([]float64{a, b, c})
+		p := softmax([]float64{a, b, c})
 		var sum float64
 		for _, v := range p {
 			if v < 0 || v > 1 {
@@ -210,8 +217,8 @@ func TestSoftmaxProperties(t *testing.T) {
 }
 
 func TestSoftmaxShiftInvariance(t *testing.T) {
-	a := Softmax([]float64{1, 2, 3})
-	b := Softmax([]float64{101, 102, 103})
+	a := softmax([]float64{1, 2, 3})
+	b := softmax([]float64{101, 102, 103})
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatal("softmax must be shift-invariant")

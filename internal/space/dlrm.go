@@ -111,6 +111,21 @@ type DLRMSpace struct {
 	bottomWidthIdx, bottomRankIdx []int
 	topWidthIdx, topRankIdx       []int
 	bottomDepthIdx, topDepthIdx   int
+
+	// Op names of every graph slot, formatted once so building a graph
+	// formats none: "emb<i>" per table, and per MLP layer slot the names
+	// of its dense, low-rank and activation ops.
+	embNames              []string
+	bottomNames, topNames []layerNames
+}
+
+// layerNames are the op names of one MLP layer slot: the dense op (the
+// layer's own name), the two matmuls of its rank factorization
+// (arch.LowRankDenseOps's "/u" and "/v") and its activation.
+type layerNames struct{ dense, u, v, relu string }
+
+func newLayerNames(name string) layerNames {
+	return layerNames{dense: name, u: name + "/u", v: name + "/v", relu: name + "/relu"}
 }
 
 // vocabFractions are the Table 5 vocabulary-size multipliers.
@@ -155,14 +170,17 @@ func NewDLRMSpace(cfg DLRMConfig) *DLRMSpace {
 	for i := 0; i < cfg.NumTables; i++ {
 		d.embWidthIdx = append(d.embWidthIdx, s.Lookup(fmt.Sprintf("emb%d_width", i)))
 		d.embVocabIdx = append(d.embVocabIdx, s.Lookup(fmt.Sprintf("emb%d_vocab", i)))
+		d.embNames = append(d.embNames, fmt.Sprintf("emb%d", i))
 	}
 	for i := 0; i < maxBottom; i++ {
 		d.bottomWidthIdx = append(d.bottomWidthIdx, s.Lookup(fmt.Sprintf("bottom%d_width", i)))
 		d.bottomRankIdx = append(d.bottomRankIdx, s.Lookup(fmt.Sprintf("bottom%d_rank", i)))
+		d.bottomNames = append(d.bottomNames, newLayerNames(fmt.Sprintf("bottom%d", i)))
 	}
 	for i := 0; i < maxTop; i++ {
 		d.topWidthIdx = append(d.topWidthIdx, s.Lookup(fmt.Sprintf("top%d_width", i)))
 		d.topRankIdx = append(d.topRankIdx, s.Lookup(fmt.Sprintf("top%d_rank", i)))
+		d.topNames = append(d.topNames, newLayerNames(fmt.Sprintf("top%d", i)))
 	}
 	d.bottomDepthIdx = s.Lookup("bottom_depth")
 	d.topDepthIdx = s.Lookup("top_depth")
@@ -263,9 +281,18 @@ func (d *DLRMSpace) BaselineAssignment() Assignment {
 // paper's distributed DLRM execution: table-sharded embeddings with an
 // all-to-all exchange, data-parallel MLPs with gradient all-reduce.
 func (d *DLRMSpace) Graph(ar DLRMArch) *arch.Graph {
+	g := new(arch.Graph)
+	d.GraphInto(ar, g)
+	return g
+}
+
+// GraphInto builds the candidate's graph into g, replacing what g held and
+// reusing its storage (arch.Graph.Reset), so rebuilding one graph per
+// candidate allocates nothing once g has held a graph as large.
+func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 	cfg := d.Config
 	b, dt := cfg.Batch, cfg.DType
-	g := &arch.Graph{Name: cfg.Name, Batch: b, DTypeBytes: dt}
+	g.Reset(cfg.Name, b, dt)
 
 	var embOut int // concatenated embedding width
 	var embParams float64
@@ -274,56 +301,54 @@ func (d *DLRMSpace) Graph(ar DLRMArch) *arch.Graph {
 			continue
 		}
 		vocab := ar.EmbVocabs[i]
-		g.Add(arch.EmbeddingOp(fmt.Sprintf("emb%d", i), b, cfg.BagSize, w, vocab, dt))
+		g.Push(*arch.EmbeddingOp(d.embNames[i], b, cfg.BagSize, w, vocab, dt))
 		embOut += w
 		embParams += float64(vocab) * float64(w)
 	}
 	if embOut > 0 && cfg.Chips > 1 {
 		// Each chip exchanges its shard's pooled embeddings with all
 		// others: ~batch × total width values per chip per step.
-		g.Add(arch.AllToAllOp("emb_exchange", float64(b*embOut)*float64(dt)))
+		g.Push(*arch.AllToAllOp("emb_exchange", float64(b*embOut)*float64(dt)))
 	}
 
 	var denseParams float64
-	addMLP := func(prefix string, in int, widths, ranks []int) int {
+	addMLP := func(names []layerNames, in int, widths, ranks []int) int {
 		for i, w := range widths {
 			rank := ranks[i]
-			name := fmt.Sprintf("%s%d", prefix, i)
+			n := names[i]
 			if rank < w && rank < in {
-				for _, op := range arch.LowRankDenseOps(name, b, in, w, rank, dt) {
-					g.Add(op)
-				}
+				g.Push(*arch.DenseOp(n.u, b, in, rank, dt))
+				g.Push(*arch.DenseOp(n.v, b, rank, w, dt))
 				denseParams += float64(in*rank + rank*w + w)
 			} else {
-				g.Add(arch.DenseOp(name, b, in, w, dt))
+				g.Push(*arch.DenseOp(n.dense, b, in, w, dt))
 				denseParams += float64(in*w + w)
 			}
-			g.Add(arch.ElementwiseOp(name+"/relu", b*w, 1, dt))
+			g.Push(*arch.ElementwiseOp(n.relu, b*w, 1, dt))
 			in = w
 		}
 		return in
 	}
 	bottomOut := 0
 	if cfg.NumDense > 0 && len(ar.BottomWidths) > 0 {
-		bottomOut = addMLP("bottom", cfg.NumDense, ar.BottomWidths, ar.BottomRanks)
+		bottomOut = addMLP(d.bottomNames, cfg.NumDense, ar.BottomWidths, ar.BottomRanks)
 	}
 	concatWidth := bottomOut + embOut
 	if concatWidth == 0 {
 		concatWidth = 1
 	}
-	g.Add(arch.ConcatOp("interact", b*concatWidth, dt))
-	topOut := addMLP("top", concatWidth, ar.TopWidths, ar.TopRanks)
-	g.Add(arch.DenseOp("logit", b, topOut, 1, dt))
+	g.Push(*arch.ConcatOp("interact", b*concatWidth, dt))
+	topOut := addMLP(d.topNames, concatWidth, ar.TopWidths, ar.TopRanks)
+	g.Push(*arch.DenseOp("logit", b, topOut, 1, dt))
 	denseParams += float64(topOut + 1)
 
 	if cfg.Chips > 1 {
 		// Dense parameters are data-parallel and all-reduced every step;
 		// embedding tables are model-parallel (sharded), so their
 		// gradients stay local.
-		g.Add(arch.AllReduceOp("grad_sync", denseParams*float64(dt)))
+		g.Push(*arch.AllReduceOp("grad_sync", denseParams*float64(dt)))
 	}
 	g.Params = embParams + denseParams
-	return g
 }
 
 // ServingBytes returns the model's serving memory footprint in bytes

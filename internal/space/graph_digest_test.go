@@ -37,9 +37,10 @@ func randomAssignment(s *Space, seed uint64) Assignment {
 }
 
 // TestGraphDigestsUnmoved pins the CNN and hybrid-ViT graphs to the
-// digests captured before the conv-stage space was folded into one owner
-// (testdata/graph_digests.txt, "label digest" per line; never regenerate
-// it to make a refactor pass).
+// digests captured before the conv-stage space was folded into one owner,
+// and the small and default DLRM graphs to the digests captured before
+// their builder reused op storage (testdata/graph_digests.txt, "label
+// digest" per line; never regenerate it to make a refactor pass).
 func TestGraphDigestsUnmoved(t *testing.T) {
 	raw, err := os.ReadFile("testdata/graph_digests.txt")
 	if err != nil {
@@ -59,6 +60,13 @@ func TestGraphDigestsUnmoved(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		got[fmt.Sprintf("cnn/seed%d", seed)] = graphDigest(c.Graph(c.Decode(randomAssignment(c.Space, seed))))
 		got[fmt.Sprintf("hybrid/seed%d", seed)] = graphDigest(v.Graph(v.Decode(randomAssignment(v.Space, seed))))
+	}
+	for _, cfg := range []DLRMConfig{SmallDLRMConfig(), DefaultDLRMConfig()} {
+		d := NewDLRMSpace(cfg)
+		got["dlrm/"+cfg.Name+"/baseline"] = graphDigest(d.Graph(d.Decode(d.BaselineAssignment())))
+		for seed := uint64(1); seed <= 3; seed++ {
+			got[fmt.Sprintf("dlrm/%s/seed%d", cfg.Name, seed)] = graphDigest(d.Graph(d.Decode(randomAssignment(d.Space, seed))))
+		}
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d graphs digested, golden file has %d", len(got), len(want))

@@ -13,7 +13,8 @@ import (
 // Adam, gradient clear — must perform zero heap allocations. The data
 // plane (batch synthesis) is excluded by pre-drawing the batch; real
 // steps draw fresh batches, which is the pipeline's (prefetched,
-// off-hot-path) job.
+// off-hot-path) job. The whole step, data plane and coordinator
+// included, is gated in internal/core by TestSteadyStateSearchStepAllocs.
 func TestSteadyStateStepZeroMatrixAllocs(t *testing.T) {
 	ds, master, stream := newSmall(t, 7)
 	rng := tensor.NewRNG(9)
