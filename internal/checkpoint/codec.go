@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -42,10 +41,9 @@ var format = wire.Format{Magic: magic, Version: Version, MaxPayload: maxPayload}
 // EncodeBytes returns the snapshot in the versioned, checksummed wire
 // format.
 func EncodeBytes(s *Snapshot) []byte {
-	var buf bytes.Buffer
-	// bytes.Buffer writes cannot fail.
-	_ = wire.WriteFrame(&buf, format, nil, encodePayload(s))
-	return buf.Bytes()
+	frame := encodePayload(format.Reserve(nil), s)
+	format.Seal(frame, nil)
+	return frame
 }
 
 // Decode reads a snapshot, validating magic, version, length and
@@ -59,10 +57,10 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return decodePayload(payload, version)
 }
 
-// encodePayload serializes the snapshot fields. decodePayload reads the
-// identical sequence.
-func encodePayload(s *Snapshot) []byte {
-	var e wire.Enc
+// encodePayload appends the snapshot fields to buf. decodePayload reads
+// the identical sequence.
+func encodePayload(buf []byte, s *Snapshot) []byte {
+	e := wire.Enc{Buf: buf}
 	e.U64(uint64(s.Step))
 	e.U64(uint64(s.BatchesConsumed))
 	e.U64(uint64(s.CreatedAtUnix))

@@ -43,7 +43,7 @@ func sampleSnapshot() *Snapshot {
 // payload minus the trailing Strategy/StrategyState fields, under a
 // version-1 header. Used to pin backward compatibility.
 func encodeV1Bytes(s *Snapshot) []byte {
-	payload := encodePayload(s)
+	payload := encodePayload(nil, s)
 	trim := 4 + len(s.Strategy) + 4 + len(s.StrategyState)
 	payload = payload[:len(payload)-trim]
 	var hdr [headerLen]byte

@@ -84,7 +84,9 @@ type ShardTransport interface {
 	// shards; touched lists exactly the params (and rows) the step
 	// modified, in param-index order. Called after every weight update
 	// when WantsWeightSync; implementations may defer the actual network
-	// send to the next RunStep.
+	// send to the next RunStep. touched is the spine's record and, like
+	// the master weights, stays unchanged until the next weight update,
+	// which starts only after the next RunStep has returned.
 	PushWeights(touched []nn.ParamTouch) error
 	// Membership identifies the fleet for the checkpoint fingerprint:
 	// resuming a run under a different transport or a silently changed

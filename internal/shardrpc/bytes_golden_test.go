@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"h2onas/internal/space"
@@ -49,14 +50,14 @@ func goldenFrames() []struct {
 		reqID   uint64
 		payload []byte
 	}{
-		{"hello", frameHello, 1, encodeHello(&hello{
+		{"hello", frameHello, 1, encodeHello(nil, &hello{
 			Shard: 3, Space: space.SmallDLRMConfig(),
 			Options: supernet.Options{VocabSharing: supernet.FineVocab},
 		})},
-		{"exec_none", frameExec, 0x0102030405060708, encodeExec(goldenExec(weightsNone))},
-		{"exec_full", frameExec, 2, encodeExec(goldenExec(weightsFull))},
-		{"exec_delta", frameExec, 3, encodeExec(goldenExec(weightsDelta))},
-		{"exec_result", frameExecResult, 3, encodeExecResult(&execResult{
+		{"exec_none", frameExec, 0x0102030405060708, encodeExec(nil, goldenExec(weightsNone))},
+		{"exec_full", frameExec, 2, encodeExec(nil, goldenExec(weightsFull))},
+		{"exec_delta", frameExec, 3, encodeExec(nil, goldenExec(weightsDelta))},
+		{"exec_result", frameExecResult, 3, encodeExecResult(nil, &execResult{
 			Step: 9, Version: 4, Loss: math.Float64frombits(0x7FF8000000000001),
 			Grads: []tensorPatch{
 				{Param: 2, Rows: []int32{8, 0}, Values: []float64{math.Copysign(0, -1), 1e-308, -1e308, 0.5}},
@@ -73,19 +74,62 @@ func goldenFrames() []struct {
 func TestFrameBytesMatchGolden(t *testing.T) {
 	for _, g := range goldenFrames() {
 		want := wiretest.Hex(t, filepath.Join("testdata", g.name+".hex"))
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, g.typ, g.reqID, g.payload); err != nil {
-			t.Fatal(err)
+		if got := frameBytes(t, g.typ, g.reqID, g.payload); !bytes.Equal(got, want) {
+			t.Fatalf("%s frame bytes moved:\n got %x\nwant %x", g.name, got, want)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("%s frame bytes moved:\n got %x\nwant %x", g.name, buf.Bytes(), want)
-		}
-		typ, id, payload, err := readFrame(bytes.NewReader(want))
+		typ, id, payload, err := readFrame(bytes.NewReader(want), nil)
 		if err != nil {
 			t.Fatalf("reading the golden %s frame: %v", g.name, err)
 		}
 		if typ != g.typ || id != g.reqID || !bytes.Equal(payload, g.payload) {
 			t.Fatalf("golden %s frame read back as type %d id %d payload %x", g.name, typ, id, payload)
+		}
+	}
+}
+
+// inPlace rewrites a packed row patch the way senders hold one: the rows
+// left in a parameter's whole storage (zeros elsewhere), read by the
+// encoder where they lie.
+func inPlace(ps []tensorPatch) []tensorPatch {
+	out := make([]tensorPatch, len(ps))
+	for i, p := range ps {
+		out[i] = p
+		if len(p.Rows) == 0 {
+			continue
+		}
+		cols := len(p.Values) / len(p.Rows)
+		storage := make([]float64, (int(slices.Max(p.Rows))+1)*cols)
+		for k, r := range p.Rows {
+			copy(storage[int(r)*cols:], p.Values[k*cols:(k+1)*cols])
+		}
+		out[i].Values, out[i].Cols = storage, cols
+	}
+	return out
+}
+
+// TestInPlacePatchesMatchGolden: rows encoded from where they live — the
+// form the coordinator's delta and the worker's gradients take — frame to
+// the same golden bytes as the packed rows they stand for.
+func TestInPlacePatchesMatchGolden(t *testing.T) {
+	delta := goldenExec(weightsDelta)
+	delta.Delta = inPlace(delta.Delta)
+	want := wiretest.Hex(t, filepath.Join("testdata", "exec_delta.hex"))
+	if got := frameBytes(t, frameExec, 3, encodeExec(nil, delta)); !bytes.Equal(got, want) {
+		t.Fatalf("in-place delta frame:\n got %x\nwant %x", got, want)
+	}
+	for _, g := range goldenFrames() {
+		if g.name != "exec_result" {
+			continue
+		}
+		var v resultView
+		if err := decodeExecResult(g.payload, &v); err != nil {
+			t.Fatal(err)
+		}
+		res := resultOf(&v)
+		res.Grads = inPlace(res.Grads)
+		want := wiretest.Hex(t, filepath.Join("testdata", "exec_result.hex"))
+		if got := frameBytes(t, frameExecResult, 3, encodeExecResult(nil, res)); !bytes.Equal(got, want) {
+			t.Fatalf("in-place result frame:\n got %x\nwant %x", got, want)
 		}
 	}
 }
@@ -107,11 +151,11 @@ func fuzzSeeds(f *testing.F, names ...string) {
 func FuzzDecodeExec(f *testing.F) {
 	fuzzSeeds(f, "exec_none", "exec_full", "exec_delta")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := decodeExec(data)
-		if err != nil {
+		var v execView
+		if err := decodeExec(data, &v); err != nil {
 			return
 		}
-		if re := encodeExec(r); !bytes.Equal(re, data) {
+		if re := encodeExec(nil, reqOf(&v)); !bytes.Equal(re, data) {
 			t.Fatalf("decodeExec accepted %d bytes that re-encode differently", len(data))
 		}
 	})
@@ -120,11 +164,11 @@ func FuzzDecodeExec(f *testing.F) {
 func FuzzDecodeExecResult(f *testing.F) {
 	fuzzSeeds(f, "exec_result")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := decodeExecResult(data)
-		if err != nil {
+		var v resultView
+		if err := decodeExecResult(data, &v); err != nil {
 			return
 		}
-		if re := encodeExecResult(r); !bytes.Equal(re, data) {
+		if re := encodeExecResult(nil, resultOf(&v)); !bytes.Equal(re, data) {
 			t.Fatalf("decodeExecResult accepted %d bytes that re-encode differently", len(data))
 		}
 	})
@@ -137,7 +181,7 @@ func FuzzDecodeHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if re := encodeHello(h); !bytes.Equal(re, data) {
+		if re := encodeHello(nil, h); !bytes.Equal(re, data) {
 			t.Fatalf("decodeHello accepted %d bytes that re-encode differently", len(data))
 		}
 	})

@@ -24,7 +24,7 @@ type testClock struct{ now time.Time }
 func (c *testClock) Now() time.Time      { return c.now }
 func (c *testClock) Sleep(time.Duration) {}
 
-func testSearcher(t *testing.T, seed uint64) *core.Searcher {
+func testSearcher(t testing.TB, seed uint64) *core.Searcher {
 	t.Helper()
 	ds := space.NewDLRMSpace(space.SmallDLRMConfig())
 	obj := &core.DLRMObjectives{DS: ds, Chip: hwsim.TPUv4()}
@@ -59,7 +59,7 @@ type fleet struct {
 	addrs   []string
 }
 
-func startFleet(t *testing.T, n int) *fleet {
+func startFleet(t testing.TB, n int) *fleet {
 	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
@@ -344,11 +344,11 @@ func TestHandshakeRejectsMismatchedModel(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, reqID, _, err := readFrame(conn)
+		_, reqID, _, err := readFrame(conn, nil)
 		if err != nil {
 			return
 		}
-		writeFrame(conn, frameHelloAck, reqID, encodeHelloAck(&helloAck{NumParams: 1}))
+		writeFrame(conn, frameHelloAck, reqID, encodeHelloAck(newFrame(nil), &helloAck{NumParams: 1}))
 	}()
 	tr, err := Dial([]string{lis.Addr().String()}, Options{})
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"h2onas/internal/nn"
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
+	"h2onas/internal/tensor"
 )
 
 // Options configures the coordinator side of the TCP transport.
@@ -40,6 +41,10 @@ type rpcWorker struct {
 	// acked is the weight version the worker last confirmed holding;
 	// 0 after (re)connect, forcing a full sync.
 	acked uint64
+
+	// bufs and res are reused every step; res views into bufs.rx.
+	bufs connBufs
+	res  resultView
 }
 
 // Transport drives remote shard workers over length-prefixed TCP frames,
@@ -71,12 +76,13 @@ type Transport struct {
 	backoff *Backoff
 	reqID   atomic.Uint64
 
-	// version is the master's current weight version; deltaTouched (valid
-	// when non-nil) describes exactly the params/rows that changed from
-	// deltaFrom to version. Mutated only between RunStep calls.
-	version      uint64
-	deltaFrom    uint64
-	deltaTouched []nn.ParamTouch
+	// version is the master's current weight version; delta (valid when
+	// hasDelta) names exactly the params/rows that changed from deltaFrom
+	// to version. Mutated only between RunStep calls.
+	version   uint64
+	deltaFrom uint64
+	hasDelta  bool
+	delta     []tensorPatch
 
 	membership string
 	closed     bool
@@ -179,15 +185,17 @@ func (t *Transport) connect(w *rpcWorker) error {
 	id := t.reqID.Add(1)
 	w.conn.SetDeadline(time.Now().Add(t.timeout))
 	h := &hello{Shard: uint32(w.shard), Space: t.master.DS.Config, Options: t.master.Options()}
-	if err := writeFrame(w.conn, frameHello, id, encodeHello(h)); err != nil {
+	w.bufs.tx = encodeHello(newFrame(w.bufs.tx), h)
+	if err := writeFrame(w.conn, frameHello, id, w.bufs.tx); err != nil {
 		t.dropConn(w)
 		return err
 	}
-	typ, gotID, payload, err := readFrame(w.conn)
+	typ, gotID, payload, err := readFrame(w.conn, w.bufs.rx)
 	if err != nil {
 		t.dropConn(w)
 		return err
 	}
+	w.bufs.rx = payload
 	if gotID != id {
 		t.dropConn(w)
 		return fmt.Errorf("handshake response for request %d, expected %d", gotID, id)
@@ -222,15 +230,14 @@ func (t *Transport) dropConn(w *rpcWorker) {
 }
 
 func (t *Transport) RunStep(step int, assignments []space.Assignment, batches []*datapipe.Batch, outcomes []core.ShardOutcome) {
-	// The delta is materialized once per step and shared read-only by
-	// every worker goroutine that syncs from version-1.
-	delta := t.buildDelta()
+	// The delta is shared read-only by every worker goroutine that syncs
+	// from version-1.
 	var wg sync.WaitGroup
 	for i := range t.workers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t.runShard(step, t.workers[i], assignments[i], batches[i], delta, &outcomes[i])
+			t.runShard(step, t.workers[i], assignments[i], batches[i], &outcomes[i])
 		}(i)
 	}
 	wg.Wait()
@@ -243,35 +250,10 @@ func (t *Transport) RunStep(step int, assignments []space.Assignment, batches []
 	t.ins.breakers.Set(float64(open))
 }
 
-// buildDelta gathers the current master values for the rows touched by
-// the last weight update. Values are read live from the master — safe
-// because the next update (ClipStep) cannot start until every RunStep
-// call has returned.
-func (t *Transport) buildDelta() []tensorPatch {
-	if t.deltaTouched == nil {
-		return nil
-	}
-	patches := make([]tensorPatch, 0, len(t.deltaTouched))
-	for _, tc := range t.deltaTouched {
-		v := t.params[tc.Index].Value
-		if tc.Rows == nil {
-			patches = append(patches, tensorPatch{Param: tc.Index, Values: v.Data})
-			continue
-		}
-		cols := v.Cols
-		vals := make([]float64, len(tc.Rows)*cols)
-		for k, r := range tc.Rows {
-			copy(vals[k*cols:(k+1)*cols], v.Data[int(r)*cols:(int(r)+1)*cols])
-		}
-		patches = append(patches, tensorPatch{Param: tc.Index, Rows: tc.Rows, Values: vals})
-	}
-	return patches
-}
-
 // runShard drives one shard through the step: retry with jittered backoff
 // up to maxAttempts, redial dead connections, and on exhaustion
 // leave the outcome !Alive — the shard is dropped from this step's reduce.
-func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *datapipe.Batch, delta []tensorPatch, out *core.ShardOutcome) {
+func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *datapipe.Batch, out *core.ShardOutcome) {
 	if !w.br.Allow() {
 		t.ins.dropped.Inc()
 		return
@@ -289,7 +271,7 @@ func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *data
 				continue
 			}
 		}
-		res, fatal, err := t.call(w, step, a, b, delta)
+		res, fatal, err := t.call(w, step, a, b)
 		if err != nil {
 			log.Printf("shardrpc: shard %d step %d attempt %d: %v", w.shard, step, attempt, err)
 			t.ins.failures.Inc()
@@ -300,8 +282,9 @@ func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *data
 			continue
 		}
 		if err := applyGrads(t.replicas[w.shard], res.Grads); err != nil {
-			// The reduce would consume a half-applied gradient; treat the
-			// step as lost for this shard and force a resync.
+			// Nothing was applied; treat the attempt as failed and force a
+			// resync.
+			log.Printf("shardrpc: shard %d step %d attempt %d: %v", w.shard, step, attempt, err)
 			t.ins.failures.Inc()
 			w.br.Failure()
 			t.dropConn(w)
@@ -319,8 +302,8 @@ func (t *Transport) runShard(step int, w *rpcWorker, a space.Assignment, b *data
 // call performs one exec round trip. fatal reports whether the connection
 // is desynchronized and must be dropped (I/O or protocol errors); a clean
 // worker-side error frame leaves the connection usable.
-func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe.Batch, delta []tensorPatch) (res *execResult, fatal bool, err error) {
-	req := &execReq{
+func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe.Batch) (res *resultView, fatal bool, err error) {
+	req := execReq{
 		Step:        uint64(step),
 		Assignment:  a,
 		NumExamples: b.Dense.Rows,
@@ -333,11 +316,11 @@ func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe
 	case w.acked == t.version:
 		req.WeightsMode = weightsNone
 		req.ToVersion = t.version
-	case w.acked == t.deltaFrom && delta != nil:
+	case w.acked == t.deltaFrom && t.hasDelta:
 		req.WeightsMode = weightsDelta
 		req.FromVersion = t.deltaFrom
 		req.ToVersion = t.version
-		req.Delta = delta
+		req.Delta = t.delta
 		t.ins.deltaSyncs.Inc()
 	default:
 		req.WeightsMode = weightsFull
@@ -348,19 +331,20 @@ func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe
 		}
 		t.ins.fullSyncs.Inc()
 	}
-	payload := encodeExec(req)
+	w.bufs.tx = encodeExec(newFrame(w.bufs.tx), &req)
 	id := t.reqID.Add(1)
 	w.conn.SetDeadline(time.Now().Add(t.timeout))
 	span := t.ins.roundtrip.Start()
 	defer span.End()
-	if err := writeFrame(w.conn, frameExec, id, payload); err != nil {
+	if err := writeFrame(w.conn, frameExec, id, w.bufs.tx); err != nil {
 		return nil, true, err
 	}
-	t.ins.broadcast.Add(int64(headerLen + len(payload)))
-	typ, gotID, resp, err := readFrame(w.conn)
+	t.ins.broadcast.Add(int64(len(w.bufs.tx)))
+	typ, gotID, resp, err := readFrame(w.conn, w.bufs.rx)
 	if err != nil {
 		return nil, true, err
 	}
+	w.bufs.rx = resp
 	t.ins.collect.Add(int64(headerLen + len(resp)))
 	if gotID != id {
 		return nil, true, fmt.Errorf("response for request %d, expected %d", gotID, id)
@@ -373,8 +357,8 @@ func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe
 		}
 		return nil, false, fmt.Errorf("worker error: %s", msg)
 	case frameExecResult:
-		r, derr := decodeExecResult(resp)
-		if derr != nil {
+		r := &w.res
+		if derr := decodeExecResult(resp, r); derr != nil {
 			return nil, true, derr
 		}
 		if r.Step != uint64(step) {
@@ -391,60 +375,92 @@ func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe
 // have left: row patches are copied and marked in first-write order, and
 // a dense gradient landing on a row-sparse param marks every row (the
 // replica's row bookkeeping would otherwise hide it from the tracked
-// reduce path).
-func applyGrads(rep *supernet.Supernet, patches []tensorPatch) error {
+// reduce path). Every patch is checked before the first is copied, so a
+// rejected result leaves the replica clean: no stale rows reach a retry's
+// reduce, or the next step's.
+func applyGrads(rep *supernet.Supernet, patches []patchView) error {
 	params := rep.Params()
+	if err := checkPatches(params, patches, "gradient"); err != nil {
+		return err
+	}
+	for _, pt := range patches {
+		p := params[pt.Param]
+		copyPatch(p.Grad, pt)
+		p.Dirty = true
+		switch {
+		case !pt.Dense:
+			for k := 0; k < pt.Rows.Len(); k++ {
+				p.MarkRow(int(pt.Rows.At(k)))
+			}
+		case p.RowSparse:
+			for r := 0; r < p.Grad.Rows; r++ {
+				p.MarkRow(r)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPatches validates a decoded delta or gradient against the params'
+// shapes: every index, value count and row in range.
+func checkPatches(params []*nn.Param, patches []patchView, what string) error {
 	for _, pt := range patches {
 		if pt.Param < 0 || pt.Param >= len(params) {
-			return fmt.Errorf("gradient for param %d, model has %d", pt.Param, len(params))
+			return fmt.Errorf("%s for param %d, model has %d", what, pt.Param, len(params))
 		}
-		p := params[pt.Param]
-		g := p.Grad
-		if pt.Rows == nil {
-			if len(pt.Values) != len(g.Data) {
-				return fmt.Errorf("dense gradient for param %d has %d values, tensor has %d", pt.Param, len(pt.Values), len(g.Data))
-			}
-			copy(g.Data, pt.Values)
-			p.Dirty = true
-			if p.RowSparse {
-				for r := 0; r < g.Rows; r++ {
-					p.MarkRow(r)
-				}
+		rows, cols := params[pt.Param].Value.Rows, params[pt.Param].Value.Cols
+		if pt.Dense {
+			if pt.Values.Len() != rows*cols {
+				return fmt.Errorf("dense %s for param %d has %d values, tensor has %d", what, pt.Param, pt.Values.Len(), rows*cols)
 			}
 			continue
 		}
-		cols := g.Cols
-		if len(pt.Values) != len(pt.Rows)*cols {
-			return fmt.Errorf("row gradient for param %d has %d values for %d rows of %d cols", pt.Param, len(pt.Values), len(pt.Rows), cols)
+		if pt.Values.Len() != pt.Rows.Len()*cols {
+			return fmt.Errorf("row %s for param %d has %d values for %d rows of %d cols", what, pt.Param, pt.Values.Len(), pt.Rows.Len(), cols)
 		}
-		for k, r := range pt.Rows {
-			if r < 0 || int(r) >= g.Rows {
-				return fmt.Errorf("row gradient for param %d touches row %d of %d", pt.Param, r, g.Rows)
+		for k := 0; k < pt.Rows.Len(); k++ {
+			if r := pt.Rows.At(k); r < 0 || int(r) >= rows {
+				return fmt.Errorf("row %s for param %d touches row %d of %d", what, pt.Param, r, rows)
 			}
-			copy(g.Data[int(r)*cols:(int(r)+1)*cols], pt.Values[k*cols:(k+1)*cols])
-			p.MarkRow(int(r))
 		}
-		p.Dirty = true
 	}
 	return nil
+}
+
+// copyPatch decodes a checked patch into m, the param's value or
+// gradient storage: each float is copied once, from the frame to where
+// it is used.
+func copyPatch(m *tensor.Matrix, pt patchView) {
+	if pt.Dense {
+		pt.Values.CopyTo(m.Data)
+		return
+	}
+	cols := m.Cols
+	for k := 0; k < pt.Rows.Len(); k++ {
+		r := int(pt.Rows.At(k))
+		pt.Values.Slice(k*cols, (k+1)*cols).CopyTo(m.Data[r*cols : (r+1)*cols])
+	}
 }
 
 func (t *Transport) WantsWeightSync() bool { return true }
 
 // PushWeights records the step's touched params as the delta from the
-// previous version. Indexes and rows are copied (the spine reuses its
-// buffers); values are deliberately not — they are read from the master
-// at the next RunStep, before any later update can overwrite them.
+// previous version. Nothing is copied: the patches name the spine's
+// touched rows and the master's storage, and the exec encoder reads both
+// where they lie. Neither changes before the next ClipStep, which cannot
+// start until the next RunStep has returned.
 func (t *Transport) PushWeights(touched []nn.ParamTouch) error {
 	t.deltaFrom = t.version
 	t.version++
-	t.deltaTouched = make([]nn.ParamTouch, len(touched))
-	for i, tc := range touched {
-		cp := nn.ParamTouch{Index: tc.Index}
+	t.hasDelta = true
+	t.delta = t.delta[:0]
+	for _, tc := range touched {
+		v := t.params[tc.Index].Value
+		p := tensorPatch{Param: tc.Index, Values: v.Data}
 		if tc.Rows != nil {
-			cp.Rows = append([]int32(nil), tc.Rows...)
+			p.Rows, p.Cols = tc.Rows, v.Cols
 		}
-		t.deltaTouched[i] = cp
+		t.delta = append(t.delta, p)
 	}
 	return nil
 }

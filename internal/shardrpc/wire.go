@@ -13,9 +13,11 @@
 package shardrpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
@@ -59,18 +61,26 @@ const (
 	weightsDelta = 2 // only the params/rows the last step touched
 )
 
-// writeFrame sends one frame. The payload is framed with type, request
-// id, length and checksum; the caller owns deadlines on w.
-func writeFrame(w io.Writer, typ byte, reqID uint64, payload []byte) error {
-	extra := wire.Enc{Buf: make([]byte, 0, frameExtra)}
-	extra.U8(typ)
-	extra.U64(reqID)
-	return wire.WriteFrame(w, frameFormat, extra.Buf, payload)
+// newFrame returns buf emptied behind a reserved frame header: encode
+// the payload by appending to it, then send it with writeFrame.
+func newFrame(buf []byte) []byte { return frameFormat.Reserve(buf) }
+
+// writeFrame seals frame (from newFrame, payload appended) with its type
+// and request id and sends it in one Write. The caller owns deadlines on w.
+func writeFrame(w io.Writer, typ byte, reqID uint64, frame []byte) error {
+	var extra [frameExtra]byte
+	extra[0] = typ
+	binary.LittleEndian.PutUint64(extra[1:], reqID)
+	frameFormat.Seal(frame, extra[:])
+	_, err := w.Write(frame)
+	return err
 }
 
-// readFrame reads and validates one frame. The caller owns deadlines.
-func readFrame(r io.Reader) (typ byte, reqID uint64, payload []byte, err error) {
-	_, extra, payload, err := wire.ReadFrame(r, frameFormat)
+// readFrame reads and validates one frame into buf (see wire.ReadFrame:
+// passing each returned payload back as buf reuses one buffer per
+// connection). The caller owns deadlines.
+func readFrame(r io.Reader, buf []byte) (typ byte, reqID uint64, payload []byte, err error) {
+	_, extra, payload, err := wire.ReadFrame(r, frameFormat, buf)
 	if err != nil {
 		var ve *wire.VersionError
 		if errors.As(err, &ve) {
@@ -78,9 +88,14 @@ func readFrame(r io.Reader) (typ byte, reqID uint64, payload []byte, err error) 
 		}
 		return 0, 0, nil, err
 	}
-	d := wire.NewDec(extra)
-	return d.U8(), d.U64(), payload, nil
+	return extra[0], binary.LittleEndian.Uint64(extra[1:]), payload, nil
 }
+
+// connBufs are one connection's frame buffers, reused every step: tx
+// holds the frame being encoded and sent, rx the last frame read — and
+// with it every view decoded from that frame, which is valid until the
+// next read on the connection.
+type connBufs struct{ tx, rx []byte }
 
 // hello is the coordinator's handshake: everything a worker needs to
 // build a structurally identical replica of the super-network.
@@ -97,18 +112,34 @@ type helloAck struct {
 }
 
 // tensorPatch is one parameter's share of a weight delta or gradient
-// payload. Rows nil means the values cover the whole tensor densely;
-// otherwise Values holds len(Rows) rows of the parameter's column width,
-// in Rows order — which for gradients is the first-write order the
-// deterministic reduce depends on.
+// payload as the sender holds it. Rows nil means the values cover the
+// whole tensor densely; otherwise the patch carries len(Rows) rows of the
+// parameter's column width, in Rows order — which for gradients is the
+// first-write order the deterministic reduce depends on. With Cols 0,
+// Values holds those rows packed; with Cols > 0, Values is the
+// parameter's whole row-major storage, Cols wide, and the encoder reads
+// each row where it lives — so a sender ships rows without gathering
+// them into a copy first.
 type tensorPatch struct {
 	Param  int
 	Rows   []int32
 	Values []float64
+	Cols   int
 }
 
-// execReq is one shard step: the candidate, the batch, and whatever
-// weight synchronization this worker needs to be exact before computing.
+// patchView is a decoded tensorPatch left in the frame it arrived in:
+// Rows and Values are views into the connection's receive buffer, valid
+// until the next read on that connection. Dense patches carry no rows.
+type patchView struct {
+	Param  int
+	Dense  bool
+	Rows   wire.I32View
+	Values wire.F64View
+}
+
+// execReq is one shard step as the coordinator sends it: the candidate,
+// the batch, and whatever weight synchronization this worker needs to be
+// exact before computing. Full and Delta reference the master's storage.
 type execReq struct {
 	Step       uint64
 	Assignment space.Assignment
@@ -126,6 +157,28 @@ type execReq struct {
 	Sparse      [][][]int // [table][example][bag ids]
 }
 
+// execView is a decoded exec request. Its float vectors are views into
+// the frame it was decoded from, valid until the next read on the
+// connection; the assignment and the bags are decoded into storage the
+// view owns and reuses from one decode to the next.
+type execView struct {
+	Step       uint64
+	Assignment space.Assignment
+
+	WeightsMode byte
+	FromVersion uint64
+	ToVersion   uint64
+	Full        []wire.F64View
+	Delta       []patchView
+
+	NumExamples int
+	NumDense    int
+	Dense       wire.F64View
+	Labels      wire.F64View
+	Sparse      [][][]int // bags carved out of ids with 3-index slices
+	ids         []int
+}
+
 // execResult is the worker's answer: the exact loss bits and the exact
 // gradient bits of its replica, in param order.
 type execResult struct {
@@ -135,8 +188,20 @@ type execResult struct {
 	Grads   []tensorPatch
 }
 
-func encodeHello(h *hello) []byte {
-	var e wire.Enc
+// resultView is a decoded exec result; Grads are views into the frame
+// (see patchView).
+type resultView struct {
+	Step    uint64
+	Version uint64
+	Loss    float64
+	Grads   []patchView
+}
+
+// The encoders append their payload to buf and return it; the decoders
+// read a payload that is consumed exactly.
+
+func encodeHello(buf []byte, h *hello) []byte {
+	e := wire.Enc{Buf: buf}
 	e.U32(h.Shard)
 	c := h.Space
 	e.Str(c.Name)
@@ -177,8 +242,8 @@ func decodeHello(payload []byte) (*hello, error) {
 	return h, finish(d, "hello")
 }
 
-func encodeHelloAck(a *helloAck) []byte {
-	var e wire.Enc
+func encodeHelloAck(buf []byte, a *helloAck) []byte {
+	e := wire.Enc{Buf: buf}
 	e.U32(a.NumParams)
 	return e.Buf
 }
@@ -189,8 +254,8 @@ func decodeHelloAck(payload []byte) (*helloAck, error) {
 	return a, finish(d, "hello ack")
 }
 
-func encodeExec(r *execReq) []byte {
-	var e wire.Enc
+func encodeExec(buf []byte, r *execReq) []byte {
+	e := wire.Enc{Buf: buf}
 	e.U64(r.Step)
 	e.Ints(r.Assignment)
 	e.U8(r.WeightsMode)
@@ -216,46 +281,60 @@ func encodeExec(r *execReq) []byte {
 	return e.Buf
 }
 
-func decodeExec(payload []byte) (*execReq, error) {
+// decodeExec decodes payload into r, reusing r's storage.
+func decodeExec(payload []byte, r *execView) error {
 	d := wire.NewDec(payload)
-	r := &execReq{}
 	r.Step = d.U64()
-	r.Assignment = d.Ints()
+	r.Assignment = d.AppendInts(r.Assignment[:0])
 	r.WeightsMode = d.U8()
 	r.FromVersion = d.U64()
 	r.ToVersion = d.U64()
+	r.Full, r.Delta = r.Full[:0], r.Delta[:0]
 	switch r.WeightsMode {
 	case weightsNone:
 	case weightsFull:
-		r.Full = d.Mat()
+		n := int(d.U32())
+		// Each row needs at least its 4-byte length prefix.
+		if d.Count(n, 4, "matrix row") {
+			for i := 0; i < n && d.Err() == nil; i++ {
+				r.Full = append(r.Full, d.F64View())
+			}
+		}
 	case weightsDelta:
-		r.Delta = decodePatches(d)
+		r.Delta = decodePatches(d, r.Delta)
 	default:
 		d.Failf("unknown weights mode %d", r.WeightsMode)
 	}
 	r.NumExamples = int(d.U32())
 	r.NumDense = int(d.U32())
-	r.Dense = d.F64s()
-	r.Labels = d.F64s()
+	r.Dense = d.F64View()
+	r.Labels = d.F64View()
 	nt := int(d.U32())
+	r.Sparse = r.Sparse[:0]
 	if d.Count(nt, 4, "sparse tables") {
-		r.Sparse = make([][][]int, nt)
+		// Every id is 4 payload bytes, so this capacity holds them all
+		// and no bag is left pointing into a stale array.
+		r.ids = slices.Grow(r.ids[:0], d.Remaining()/4)
+		r.Sparse = slices.Grow(r.Sparse, nt)[:nt]
 		for t := range r.Sparse {
 			ne := int(d.U32())
 			if !d.Count(ne, 4, "sparse examples") {
 				break
 			}
-			r.Sparse[t] = make([][]int, ne)
-			for i := range r.Sparse[t] {
-				r.Sparse[t][i] = d.Ints()
+			bags := slices.Grow(r.Sparse[t][:0], ne)[:ne]
+			for i := range bags {
+				start := len(r.ids)
+				r.ids = d.AppendInts(r.ids)
+				bags[i] = r.ids[start:len(r.ids):len(r.ids)]
 			}
+			r.Sparse[t] = bags
 		}
 	}
-	return r, finish(d, "exec")
+	return finish(d, "exec")
 }
 
-func encodeExecResult(r *execResult) []byte {
-	var e wire.Enc
+func encodeExecResult(buf []byte, r *execResult) []byte {
+	e := wire.Enc{Buf: buf}
 	e.U64(r.Step)
 	e.U64(r.Version)
 	e.F64(r.Loss)
@@ -263,18 +342,18 @@ func encodeExecResult(r *execResult) []byte {
 	return e.Buf
 }
 
-func decodeExecResult(payload []byte) (*execResult, error) {
+// decodeExecResult decodes payload into r, reusing r's storage.
+func decodeExecResult(payload []byte, r *resultView) error {
 	d := wire.NewDec(payload)
-	r := &execResult{}
 	r.Step = d.U64()
 	r.Version = d.U64()
 	r.Loss = d.F64()
-	r.Grads = decodePatches(d)
-	return r, finish(d, "exec result")
+	r.Grads = decodePatches(d, r.Grads[:0])
+	return finish(d, "exec result")
 }
 
-func encodeError(msg string) []byte {
-	var e wire.Enc
+func encodeError(buf []byte, msg string) []byte {
+	e := wire.Enc{Buf: buf}
 	e.Str(msg)
 	return e.Buf
 }
@@ -293,38 +372,40 @@ func encodePatches(e *wire.Enc, ps []tensorPatch) {
 		e.U32(uint32(p.Param))
 		if p.Rows == nil {
 			e.U8(0)
-		} else {
-			e.U8(1)
-			e.I32s(p.Rows)
+			e.F64s(p.Values)
+			continue
 		}
-		e.F64s(p.Values)
+		e.U8(1)
+		e.I32s(p.Rows)
+		if p.Cols > 0 {
+			e.F64Rows(p.Values, p.Cols, p.Rows)
+		} else {
+			e.F64s(p.Values)
+		}
 	}
 }
 
-func decodePatches(d *wire.Dec) []tensorPatch {
+// decodePatches appends a patch list's views to ps.
+func decodePatches(d *wire.Dec, ps []patchView) []patchView {
 	n := int(d.U32())
 	if !d.Count(n, 6, "patch") {
-		return nil
+		return ps
 	}
-	ps := make([]tensorPatch, n)
-	for i := range ps {
-		ps[i].Param = int(d.U32())
+	for i := 0; i < n; i++ {
+		p := patchView{Param: int(d.U32())}
 		switch d.U8() {
 		case 0:
+			p.Dense = true
 		case 1:
-			ps[i].Rows = d.I32s()
-			if ps[i].Rows == nil && d.Err() == nil {
-				// A rows-kind patch with zero rows keeps a non-nil marker
-				// so the decoder round-trips the dense/rows distinction.
-				ps[i].Rows = []int32{}
-			}
+			p.Rows = d.I32View()
 		default:
 			d.Failf("invalid patch kind")
 		}
-		ps[i].Values = d.F64s()
+		p.Values = d.F64View()
 		if d.Err() != nil {
-			return nil
+			return ps
 		}
+		ps = append(ps, p)
 	}
 	return ps
 }

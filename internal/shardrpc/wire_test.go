@@ -14,13 +14,66 @@ import (
 	"h2onas/internal/wire"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
+// frameBytes is the complete frame of one message.
+func frameBytes(t testing.TB, typ byte, reqID uint64, payload []byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	payload := []byte{1, 2, 3, 4, 5}
-	if err := writeFrame(&buf, frameExec, 42, payload); err != nil {
+	if err := writeFrame(&buf, typ, reqID, append(newFrame(nil), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	typ, id, got, err := readFrame(&buf)
+	return buf.Bytes()
+}
+
+// floats decodes a view into a new slice.
+func floats(v wire.F64View) []float64 {
+	out := make([]float64, v.Len())
+	v.CopyTo(out)
+	return out
+}
+
+// patchesOf turns decoded patches back into sendable ones, values packed.
+func patchesOf(vs []patchView) []tensorPatch {
+	ps := make([]tensorPatch, len(vs))
+	for i, v := range vs {
+		ps[i] = tensorPatch{Param: v.Param, Values: floats(v.Values)}
+		if !v.Dense {
+			ps[i].Rows = make([]int32, v.Rows.Len())
+			for k := range ps[i].Rows {
+				ps[i].Rows[k] = v.Rows.At(k)
+			}
+		}
+	}
+	return ps
+}
+
+// reqOf turns a decoded exec request back into a sendable one.
+func reqOf(v *execView) *execReq {
+	r := &execReq{
+		Step: v.Step, Assignment: v.Assignment,
+		WeightsMode: v.WeightsMode, FromVersion: v.FromVersion, ToVersion: v.ToVersion,
+		NumExamples: v.NumExamples, NumDense: v.NumDense,
+		Dense: floats(v.Dense), Labels: floats(v.Labels), Sparse: v.Sparse,
+	}
+	switch v.WeightsMode {
+	case weightsFull:
+		r.Full = make([][]float64, len(v.Full))
+		for i, row := range v.Full {
+			r.Full[i] = floats(row)
+		}
+	case weightsDelta:
+		r.Delta = patchesOf(v.Delta)
+	}
+	return r
+}
+
+// resultOf turns a decoded exec result back into a sendable one.
+func resultOf(v *resultView) *execResult {
+	return &execResult{Step: v.Step, Version: v.Version, Loss: v.Loss, Grads: patchesOf(v.Grads)}
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	payload := []byte{1, 2, 3, 4, 5}
+	typ, id, got, err := readFrame(bytes.NewReader(frameBytes(t, frameExec, 42, payload)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +83,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameHelloAck, 7, nil); err != nil {
-		t.Fatal(err)
-	}
-	typ, id, got, err := readFrame(&buf)
+	typ, id, got, err := readFrame(bytes.NewReader(frameBytes(t, frameHelloAck, 7, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,23 +93,19 @@ func TestFrameEmptyPayload(t *testing.T) {
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
-	frame := func() []byte {
-		var buf bytes.Buffer
-		writeFrame(&buf, frameExec, 1, []byte("hello shard"))
-		return buf.Bytes()
-	}
+	frame := func() []byte { return frameBytes(t, frameExec, 1, []byte("hello shard")) }
 
 	t.Run("bad magic", func(t *testing.T) {
 		b := frame()
 		b[0] ^= 0xFF
-		if _, _, _, err := readFrame(bytes.NewReader(b)); !errors.Is(err, wire.ErrBadMagic) {
+		if _, _, _, err := readFrame(bytes.NewReader(b), nil); !errors.Is(err, wire.ErrBadMagic) {
 			t.Fatalf("err = %v, want bad magic", err)
 		}
 	})
 	t.Run("future version", func(t *testing.T) {
 		b := frame()
 		b[8] = 99
-		_, _, _, err := readFrame(bytes.NewReader(b))
+		_, _, _, err := readFrame(bytes.NewReader(b), nil)
 		if err == nil || !strings.Contains(err.Error(), "protocol version") {
 			t.Fatalf("err = %v, want version rejection", err)
 		}
@@ -68,13 +113,13 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	t.Run("flipped payload bit", func(t *testing.T) {
 		b := frame()
 		b[headerLen+2] ^= 0x01
-		if _, _, _, err := readFrame(bytes.NewReader(b)); !errors.Is(err, wire.ErrChecksum) {
+		if _, _, _, err := readFrame(bytes.NewReader(b), nil); !errors.Is(err, wire.ErrChecksum) {
 			t.Fatalf("err = %v, want checksum mismatch", err)
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
 		b := frame()
-		if _, _, _, err := readFrame(bytes.NewReader(b[:len(b)-3])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, _, _, err := readFrame(bytes.NewReader(b[:len(b)-3]), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("err = %v, want unexpected EOF", err)
 		}
 	})
@@ -85,7 +130,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		for i := 21; i < 29; i++ {
 			b[i] = 0xFF
 		}
-		_, _, _, err := readFrame(bytes.NewReader(b))
+		_, _, _, err := readFrame(bytes.NewReader(b), nil)
 		if err == nil || !strings.Contains(err.Error(), "implausible") {
 			t.Fatalf("err = %v, want size rejection", err)
 		}
@@ -98,7 +143,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		Space:   space.SmallDLRMConfig(),
 		Options: supernet.Options{VocabSharing: supernet.FineVocab},
 	}
-	out, err := decodeHello(encodeHello(in))
+	out, err := decodeHello(encodeHello(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +183,13 @@ func TestExecRoundTrip(t *testing.T) {
 			Sparse: [][][]int{{{1}}},
 		},
 	}
+	// One view decodes every case, the way a connection reuses its own.
+	var v execView
 	for i, in := range cases {
-		out, err := decodeExec(encodeExec(in))
-		if err != nil {
+		if err := decodeExec(encodeExec(nil, in), &v); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(in, out) {
+		if out := reqOf(&v); !reflect.DeepEqual(in, out) {
 			t.Fatalf("case %d round trip:\n in  %+v\n out %+v", i, in, out)
 		}
 	}
@@ -160,10 +206,11 @@ func TestExecResultRoundTripPreservesBits(t *testing.T) {
 			{Param: 5, Values: []float64{math.Pi}},
 		},
 	}
-	out, err := decodeExecResult(encodeExecResult(in))
-	if err != nil {
+	var v resultView
+	if err := decodeExecResult(encodeExecResult(nil, in), &v); err != nil {
 		t.Fatal(err)
 	}
+	out := resultOf(&v)
 	if out.Step != in.Step || out.Version != in.Version {
 		t.Fatalf("header fields: %+v", out)
 	}
@@ -186,7 +233,7 @@ func TestExecResultRoundTripPreservesBits(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	msg, err := decodeError(encodeError("shard step panicked: boom"))
+	msg, err := decodeError(encodeError(nil, "shard step panicked: boom"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +246,7 @@ func TestErrorRoundTrip(t *testing.T) {
 // of a valid payload: every prefix must return an error, never panic or
 // hang — the bounded-decoder discipline.
 func TestPayloadDecodersRejectGarbage(t *testing.T) {
-	valid := encodeExec(&execReq{
+	valid := encodeExec(nil, &execReq{
 		Step: 1, Assignment: space.Assignment{1, 2},
 		WeightsMode: weightsDelta, FromVersion: 1, ToVersion: 2,
 		Delta:       []tensorPatch{{Param: 0, Rows: []int32{1}, Values: []float64{1, 2}}},
@@ -208,7 +255,7 @@ func TestPayloadDecodersRejectGarbage(t *testing.T) {
 		Sparse: [][][]int{{{3, 4}}},
 	})
 	for n := 0; n < len(valid); n++ {
-		if _, err := decodeExec(valid[:n]); err == nil {
+		if err := decodeExec(valid[:n], &execView{}); err == nil {
 			t.Fatalf("decodeExec accepted a %d-byte truncation of a %d-byte payload", n, len(valid))
 		}
 	}

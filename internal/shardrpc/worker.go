@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -131,24 +132,24 @@ func (w *Worker) session(conn net.Conn) {
 	}
 	log.Printf("shardrpc: worker serving shard %d for %s (%d params)", s.shard, conn.RemoteAddr(), len(s.params))
 	for {
-		typ, reqID, payload, err := readFrame(conn)
+		typ, reqID, payload, err := readFrame(conn, s.bufs.rx)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !w.isDraining() {
 				log.Printf("shardrpc: worker session with %s ended: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
+		s.bufs.rx = payload
 		if typ != frameExec {
 			log.Printf("shardrpc: worker got unexpected frame type %d", typ)
 			return
 		}
-		resp, herr := s.handleExec(payload)
-		if herr != nil {
-			err = writeFrame(conn, frameError, reqID, encodeError(herr.Error()))
-		} else {
-			err = writeFrame(conn, frameExecResult, reqID, resp)
+		typ = frameExecResult
+		if herr := s.handleExec(payload); herr != nil {
+			typ = frameError
+			s.bufs.tx = encodeError(newFrame(s.bufs.tx), herr.Error())
 		}
-		if err != nil {
+		if err := writeFrame(conn, typ, reqID, s.bufs.tx); err != nil {
 			return
 		}
 		if w.isDraining() {
@@ -157,7 +158,10 @@ func (w *Worker) session(conn net.Conn) {
 	}
 }
 
-// workerSession is the per-connection model state.
+// workerSession is the per-connection model state. Everything below
+// version is reused from one exec to the next: req views into bufs.rx,
+// batch points at dense, labels and req's bags, and grads into the
+// params' gradients.
 type workerSession struct {
 	shard   uint32
 	ds      *space.DLRMSpace
@@ -165,10 +169,16 @@ type workerSession struct {
 	arena   *tensor.Arena
 	params  []*nn.Param
 	version uint64 // weight version currently loaded; 0 = uninitialized
+
+	bufs          connBufs
+	req           execView
+	batch         datapipe.Batch
+	dense, labels tensor.Matrix
+	grads         []tensorPatch
 }
 
 func (w *Worker) handshake(conn net.Conn) (*workerSession, error) {
-	typ, reqID, payload, err := readFrame(conn)
+	typ, reqID, payload, err := readFrame(conn, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -181,13 +191,14 @@ func (w *Worker) handshake(conn net.Conn) (*workerSession, error) {
 	}
 	s, err := newSession(h)
 	if err != nil {
-		werr := writeFrame(conn, frameError, reqID, encodeError(err.Error()))
+		werr := writeFrame(conn, frameError, reqID, encodeError(newFrame(nil), err.Error()))
 		if werr != nil {
 			return nil, werr
 		}
 		return nil, err
 	}
-	if err := writeFrame(conn, frameHelloAck, reqID, encodeHelloAck(&helloAck{NumParams: uint32(len(s.params))})); err != nil {
+	s.bufs.tx = encodeHelloAck(newFrame(nil), &helloAck{NumParams: uint32(len(s.params))})
+	if err := writeFrame(conn, frameHelloAck, reqID, s.bufs.tx); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -225,26 +236,27 @@ func newSession(h *hello) (s *workerSession, err error) {
 	}, nil
 }
 
-// handleExec runs one shard step and returns the encoded exec result.
-func (s *workerSession) handleExec(payload []byte) (resp []byte, err error) {
+// handleExec runs one shard step and encodes its exec result into
+// s.bufs.tx.
+func (s *workerSession) handleExec(payload []byte) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp, err = nil, fmt.Errorf("shard step panicked: %v", r)
+			err = fmt.Errorf("shard step panicked: %v", r)
 		}
 	}()
-	req, err := decodeExec(payload)
-	if err != nil {
-		return nil, err
+	req := &s.req
+	if err := decodeExec(payload, req); err != nil {
+		return err
 	}
 	if err := s.applyWeights(req); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.ds.Space.Validate(req.Assignment); err != nil {
-		return nil, err
+		return err
 	}
 	batch, err := s.buildBatch(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// The two phase marks mirror the in-process worker exactly: fresh
@@ -254,19 +266,20 @@ func (s *workerSession) handleExec(payload []byte) (resp []byte, err error) {
 	batch.UseForWeights()
 	s.net.Backward(dout)
 
-	res := &execResult{Step: req.Step, Version: s.version, Loss: loss}
-	res.Grads = collectGrads(s.params)
-	resp = encodeExecResult(res)
+	res := execResult{Step: req.Step, Version: s.version, Loss: loss, Grads: s.dirtyGrads()}
+	s.bufs.tx = encodeExecResult(newFrame(s.bufs.tx), &res)
 	// Encoding copied every gradient bit out; restore the clean-grad
 	// invariant for the next step.
 	for _, p := range s.params {
 		p.ZeroGrad()
 	}
-	return resp, nil
+	return nil
 }
 
 // applyWeights brings the session's weights to the request's version.
-func (s *workerSession) applyWeights(req *execReq) error {
+// The whole sync is checked before the first value is copied, so a
+// rejected one leaves the weights as they were.
+func (s *workerSession) applyWeights(req *execView) error {
 	switch req.WeightsMode {
 	case weightsNone:
 		if s.version != req.ToVersion {
@@ -274,54 +287,44 @@ func (s *workerSession) applyWeights(req *execReq) error {
 		}
 		return nil
 	case weightsFull:
-		if err := nn.LoadWeights(s.net.Params(), req.Full); err != nil {
-			return err
+		if len(req.Full) != len(s.params) {
+			return fmt.Errorf("full sync has %d parameter tensors, super-network has %d", len(req.Full), len(s.params))
 		}
-		s.version = req.ToVersion
-		return nil
+		for i, p := range s.params {
+			if req.Full[i].Len() != len(p.Value.Data) {
+				return fmt.Errorf("full sync has %d values for parameter %d (%s), super-network has %d", req.Full[i].Len(), i, p.Name, len(p.Value.Data))
+			}
+		}
+		for i, p := range s.params {
+			req.Full[i].CopyTo(p.Value.Data)
+		}
 	case weightsDelta:
 		if s.version != req.FromVersion {
 			return fmt.Errorf("delta applies on version %d, worker holds %d", req.FromVersion, s.version)
 		}
-		for _, pt := range req.Delta {
-			if pt.Param < 0 || pt.Param >= len(s.params) {
-				return fmt.Errorf("delta for param %d, model has %d", pt.Param, len(s.params))
-			}
-			v := s.params[pt.Param].Value
-			if pt.Rows == nil {
-				if len(pt.Values) != len(v.Data) {
-					return fmt.Errorf("dense delta for param %d has %d values, tensor has %d", pt.Param, len(pt.Values), len(v.Data))
-				}
-				copy(v.Data, pt.Values)
-				continue
-			}
-			cols := v.Cols
-			if len(pt.Values) != len(pt.Rows)*cols {
-				return fmt.Errorf("row delta for param %d has %d values for %d rows of %d cols", pt.Param, len(pt.Values), len(pt.Rows), cols)
-			}
-			for k, r := range pt.Rows {
-				if r < 0 || int(r) >= v.Rows {
-					return fmt.Errorf("row delta for param %d touches row %d of %d", pt.Param, r, v.Rows)
-				}
-				copy(v.Data[int(r)*cols:(int(r)+1)*cols], pt.Values[k*cols:(k+1)*cols])
-			}
+		if err := checkPatches(s.params, req.Delta, "delta"); err != nil {
+			return err
 		}
-		s.version = req.ToVersion
-		return nil
+		for _, pt := range req.Delta {
+			copyPatch(s.params[pt.Param].Value, pt)
+		}
 	default:
 		return fmt.Errorf("unknown weights mode %d", req.WeightsMode)
 	}
+	s.version = req.ToVersion
+	return nil
 }
 
-// buildBatch reconstructs the coordinator's batch bit-for-bit.
-func (s *workerSession) buildBatch(req *execReq) (*datapipe.Batch, error) {
+// buildBatch reconstructs the coordinator's batch bit-for-bit in the
+// session's reused storage; its bags are the request's.
+func (s *workerSession) buildBatch(req *execView) (*datapipe.Batch, error) {
 	n := req.NumExamples
 	cfg := s.ds.Config
 	if n <= 0 || req.NumDense != cfg.NumDense {
 		return nil, fmt.Errorf("batch shape %d×%d does not fit model with %d dense features", n, req.NumDense, cfg.NumDense)
 	}
-	if len(req.Dense) != n*cfg.NumDense || len(req.Labels) != n {
-		return nil, fmt.Errorf("batch payload sizes dense=%d labels=%d for %d examples", len(req.Dense), len(req.Labels), n)
+	if req.Dense.Len() != n*cfg.NumDense || req.Labels.Len() != n {
+		return nil, fmt.Errorf("batch payload sizes dense=%d labels=%d for %d examples", req.Dense.Len(), req.Labels.Len(), n)
 	}
 	if len(req.Sparse) != cfg.NumTables {
 		return nil, fmt.Errorf("batch has %d sparse tables, model has %d", len(req.Sparse), cfg.NumTables)
@@ -331,32 +334,32 @@ func (s *workerSession) buildBatch(req *execReq) (*datapipe.Batch, error) {
 			return nil, fmt.Errorf("sparse table %d has %d examples, batch has %d", t, len(table), n)
 		}
 	}
-	dense := tensor.New(n, cfg.NumDense)
-	copy(dense.Data, req.Dense)
-	labels := tensor.New(n, 1)
-	copy(labels.Data, req.Labels)
-	return &datapipe.Batch{Dense: dense, Sparse: req.Sparse, Labels: labels}, nil
+	s.dense = resize(s.dense, n, cfg.NumDense)
+	s.labels = resize(s.labels, n, 1)
+	req.Dense.CopyTo(s.dense.Data)
+	req.Labels.CopyTo(s.labels.Data)
+	s.batch = datapipe.Batch{Dense: &s.dense, Sparse: req.Sparse, Labels: &s.labels}
+	return &s.batch, nil
 }
 
-// collectGrads snapshots the replica's dirty gradients in param order.
-// Row-sparse params ship only their dirty rows, in first-write order —
-// the order the coordinator replays into its ghost replica so the
-// fixed-order spine reduce sees exactly the state an in-process shard
-// would have produced.
-func collectGrads(params []*nn.Param) []tensorPatch {
-	var out []tensorPatch
-	for i, p := range params {
+// resize reshapes m to rows×cols, reusing its storage when large enough.
+func resize(m tensor.Matrix, rows, cols int) tensor.Matrix {
+	return tensor.Matrix{Rows: rows, Cols: cols, Data: slices.Grow(m.Data[:0], rows*cols)[:rows*cols]}
+}
+
+// dirtyGrads names the replica's dirty gradients in param order, for the
+// result encoder to read in place. Row-sparse params ship only their
+// dirty rows, in first-write order — the order the coordinator replays
+// into its ghost replica so the fixed-order spine reduce sees exactly the
+// state an in-process shard would have produced.
+func (s *workerSession) dirtyGrads() []tensorPatch {
+	s.grads = s.grads[:0]
+	for i, p := range s.params {
 		if !p.Dirty {
 			continue
 		}
 		if p.RowSparse && len(p.DirtyRows) > 0 {
-			cols := p.Grad.Cols
-			rows := append([]int32(nil), p.DirtyRows...)
-			vals := make([]float64, len(rows)*cols)
-			for k, r := range rows {
-				copy(vals[k*cols:(k+1)*cols], p.Grad.Data[int(r)*cols:(int(r)+1)*cols])
-			}
-			out = append(out, tensorPatch{Param: i, Rows: rows, Values: vals})
+			s.grads = append(s.grads, tensorPatch{Param: i, Rows: p.DirtyRows, Values: p.Grad.Data, Cols: p.Grad.Cols})
 			continue
 		}
 		if p.RowSparse {
@@ -364,7 +367,7 @@ func collectGrads(params []*nn.Param) []tensorPatch {
 			// the row invariant — nothing to ship.
 			continue
 		}
-		out = append(out, tensorPatch{Param: i, Values: p.Grad.Data})
+		s.grads = append(s.grads, tensorPatch{Param: i, Values: p.Grad.Data})
 	}
-	return out
+	return s.grads
 }

@@ -10,12 +10,24 @@
 // count against the bytes actually present before it allocates — so
 // corrupt, truncated or hostile input produces an error, never a panic,
 // a hang or an allocation larger than a constant multiple of the input.
+//
+// A vector is coded in bulk: the encoder reserves its bytes once and the
+// decoder checks its count once, then each runs a tight loop over the
+// elements. Streams that carry frame after frame need copy no byte twice
+// and allocate nothing per frame. The sender reserves the header in front
+// of the payload (Format.Reserve), encodes in place, seals (Format.Seal)
+// and writes the frame in one Write. The receiver passes each payload
+// ReadFrame returned back as the next read's buffer, and takes its large
+// vectors as views (Dec.F64View, Dec.I32View). A view decodes straight
+// into the storage that uses the values, and it is valid only until the
+// next read into that buffer.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Enc appends little-endian fields to Buf; Dec reads the same sequence.
@@ -44,10 +56,34 @@ func (e *Enc) Bytes(b []byte) {
 	e.Buf = append(e.Buf, b...)
 }
 
+// extend grows Buf by n bytes — one capacity check, at most one
+// reallocation — and returns them for the caller to fill.
+func (e *Enc) extend(n int) []byte {
+	off := len(e.Buf)
+	e.Buf = slices.Grow(e.Buf, n)[:off+n]
+	return e.Buf[off:]
+}
+
 func (e *Enc) F64s(v []float64) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.F64(x)
+	putF64s(e.extend(8*len(v)), v)
+}
+
+// F64Rows writes the listed rows of the row-major matrix data (cols
+// wide) as one vector: the bytes F64s writes for those rows gathered in
+// order, without gathering them first.
+func (e *Enc) F64Rows(data []float64, cols int, rows []int32) {
+	e.U32(uint32(len(rows) * cols))
+	b := e.extend(8 * cols * len(rows))
+	for k, r := range rows {
+		putF64s(b[8*cols*k:], data[int(r)*cols:(int(r)+1)*cols])
+	}
+}
+
+func putF64s(b []byte, v []float64) {
+	b = b[:8*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -62,15 +98,17 @@ func (e *Enc) Mat(m [][]float64) {
 // Ints writes each element as a uint32.
 func (e *Enc) Ints(v []int) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U32(uint32(x))
+	b := e.extend(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 
 func (e *Enc) I32s(v []int32) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U32(uint32(x))
+	b := e.extend(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 
@@ -174,15 +212,24 @@ func (d *Dec) Bytes() []byte {
 	return append([]byte(nil), d.take(n)...)
 }
 
-func (d *Dec) F64s() []float64 {
+// vec reads a vector's count and returns the bytes of its size-byte
+// elements, checked present in full before anything is sized by the
+// count; nil after a decode error.
+func (d *Dec) vec(size int, what string) []byte {
 	n := int(d.U32())
-	if !d.Count(n, 8, "vector") {
+	if !d.Count(n, size, what) {
 		return nil
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.F64()
+	return d.take(n * size)
+}
+
+func (d *Dec) F64s() []float64 {
+	b := d.vec(8, "vector")
+	if d.err != nil {
+		return nil
 	}
+	v := make([]float64, len(b)/8)
+	F64View{b}.CopyTo(v)
 	return v
 }
 
@@ -203,28 +250,73 @@ func (d *Dec) Mat() [][]float64 {
 }
 
 func (d *Dec) Ints() []int {
-	n := int(d.U32())
-	if !d.Count(n, 4, "int vector") {
+	b := d.vec(4, "int vector")
+	if d.err != nil {
 		return nil
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(d.U32())
-	}
-	return v
+	return appendInts(make([]int, 0, len(b)/4), b)
 }
 
-func (d *Dec) I32s() []int32 {
-	n := int(d.U32())
-	if !d.Count(n, 4, "row vector") {
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(d.U32())
-	}
-	return v
+// AppendInts reads an Ints vector onto the end of dst — a caller that
+// carves many short vectors out of one reused backing array allocates
+// nothing once the array is large enough.
+func (d *Dec) AppendInts(dst []int) []int {
+	return appendInts(dst, d.vec(4, "int vector"))
 }
+
+func appendInts(dst []int, b []byte) []int {
+	off := len(dst)
+	dst = slices.Grow(dst, len(b)/4)[:off+len(b)/4]
+	v := dst[off:]
+	for i := range v {
+		v[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return dst
+}
+
+// F64View reads an F64s vector without copying it out: the view holds
+// the elements' little-endian bytes where they lie in the payload.
+func (d *Dec) F64View() F64View { return F64View{d.vec(8, "vector")} }
+
+// I32View reads an I32s vector without copying it out.
+func (d *Dec) I32View() I32View { return I32View{d.vec(4, "row vector")} }
+
+// F64View is a decoded float64 vector left in place: the exact bit
+// patterns of its elements inside the payload it was read from. Reading
+// one costs no allocation and no copy; CopyTo decodes the values once,
+// straight into the storage that uses them.
+//
+// A view aliases its payload and is valid only while those bytes are:
+// for a frame read into a reused buffer (ReadFrame), until the next read
+// into that buffer.
+type F64View struct{ b []byte }
+
+// Len is the element count.
+func (v F64View) Len() int { return len(v.b) / 8 }
+
+// Slice is the view of elements [i, j).
+func (v F64View) Slice(i, j int) F64View { return F64View{v.b[8*i : 8*j]} }
+
+// CopyTo decodes min(len(dst), v.Len()) elements into dst and returns
+// how many, like copy.
+func (v F64View) CopyTo(dst []float64) int {
+	n := min(len(dst), v.Len())
+	b, dst := v.b[:8*n], dst[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return n
+}
+
+// I32View is a decoded int32 vector left in place; see F64View for its
+// lifetime.
+type I32View struct{ b []byte }
+
+// Len is the element count.
+func (v I32View) Len() int { return len(v.b) / 4 }
+
+// At decodes element i.
+func (v I32View) At(i int) int32 { return int32(binary.LittleEndian.Uint32(v.b[4*i:])) }
 
 // Finish reports the first decode error, or an error if unread bytes
 // remain — every payload must be consumed exactly.

@@ -54,22 +54,36 @@ func (e *VersionError) Error() string {
 // Every frame and snapshot at this repository's scale is far below it.
 const maxUpfront = 64 << 20
 
-// WriteFrame writes one frame: the header (with extra, which must be
-// f.Extra bytes) and then the payload. The caller owns deadlines on w.
-func WriteFrame(w io.Writer, f Format, extra, payload []byte) error {
+// Reserve returns buf emptied, with f's header reserved in front: a
+// payload encoded by appending to the result is framed in place by Seal,
+// never copied behind a separately built header.
+func (f Format) Reserve(buf []byte) []byte {
+	return append(buf[:0], make([]byte, f.HeaderLen())...)
+}
+
+// Seal fills in the header reserved in front of frame's payload (frame
+// comes from Reserve, payload appended) with extra, which must be f.Extra
+// bytes. The sealed frame goes out in one Write.
+func (f Format) Seal(frame, extra []byte) {
 	if len(f.Magic) != 8 || len(extra) != f.Extra {
 		panic(fmt.Sprintf("wire: frame %q with %d extra header bytes, format declares %d", f.Magic, len(extra), f.Extra))
 	}
-	hdr := make([]byte, 0, f.HeaderLen())
-	hdr = append(hdr, f.Magic...)
+	hl := f.HeaderLen()
+	payload := frame[hl:]
+	hdr := append(frame[:0:hl], f.Magic...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, f.Version)
 	hdr = append(hdr, extra...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+}
+
+// WriteFrame writes one frame — the header (with extra, which must be
+// f.Extra bytes) and the payload — in one Write. The caller owns
+// deadlines on w.
+func WriteFrame(w io.Writer, f Format, extra, payload []byte) error {
+	frame := append(f.Reserve(make([]byte, 0, f.HeaderLen()+len(payload))), payload...)
+	f.Seal(frame, extra)
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -86,8 +100,19 @@ func readErr(part string, err error) error {
 // never panics, never returns unverified bytes — on any malformed,
 // truncated or corrupted input; a stream that ends cleanly before the
 // first header byte yields an error wrapping io.EOF.
-func ReadFrame(r io.Reader, f Format) (version uint32, extra, payload []byte, err error) {
-	hdr := make([]byte, f.HeaderLen())
+//
+// The frame is read into buf when buf's capacity covers the header and
+// the declared payload, and into a new buffer otherwise (nil always
+// takes a new one). The payload starts at the buffer's first byte, so a
+// caller that passes each returned payload back as the next buf reads a
+// stream of frames into one buffer, allocating only when a frame
+// outgrows it. The results alias that buffer until it is reused.
+func ReadFrame(r io.Reader, f Format, buf []byte) (version uint32, extra, payload []byte, err error) {
+	hl := f.HeaderLen()
+	if cap(buf) < hl {
+		buf = make([]byte, hl)
+	}
+	hdr := buf[:hl]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, nil, readErr("header", err)
 	}
@@ -101,14 +126,29 @@ func ReadFrame(r io.Reader, f Format) (version uint32, extra, payload []byte, er
 	if version == 0 {
 		return 0, nil, nil, errors.New("wire: invalid format version 0")
 	}
-	extra = hdr[12 : 12+f.Extra]
 	length := binary.LittleEndian.Uint64(hdr[12+f.Extra:])
 	if length > f.MaxPayload {
 		return 0, nil, nil, fmt.Errorf("wire: implausible payload size %d", length)
 	}
-	// One allocation and one read for any realistic frame; a larger
-	// declared length has to be backed by bytes before it gets memory.
-	payload = make([]byte, min(length, maxUpfront))
+	sum := binary.LittleEndian.Uint32(hdr[12+f.Extra+8:])
+	// One read for any realistic frame, into buf or one allocation; a
+	// larger declared length has to be backed by bytes before it gets
+	// memory. The header moves behind the up-front payload span, where
+	// the payload read cannot overwrite it.
+	n := int(min(length, maxUpfront))
+	if cap(buf) < n+hl {
+		grown := make([]byte, n+hl)
+		copy(grown[n:], hdr)
+		buf = grown
+	} else {
+		copy(buf[n:n+hl], hdr)
+	}
+	extra = buf[n+12 : n+12+f.Extra : n+12+f.Extra]
+	payload = buf[:n]
+	if uint64(n) < length {
+		// Growth below may reuse the bytes behind the payload.
+		extra = append([]byte(nil), extra...)
+	}
 	filled := 0
 	for {
 		if _, err := io.ReadFull(r, payload[filled:]); err != nil {
@@ -122,7 +162,7 @@ func ReadFrame(r io.Reader, f Format) (version uint32, extra, payload []byte, er
 		grow := int(min(length-uint64(filled), uint64(filled)))
 		payload = slices.Grow(payload, grow)[:filled+grow]
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[12+f.Extra+8:]) {
+	if crc32.ChecksumIEEE(payload) != sum {
 		return 0, nil, nil, ErrChecksum
 	}
 	return version, extra, payload, nil
@@ -131,7 +171,7 @@ func ReadFrame(r io.Reader, f Format) (version uint32, extra, payload []byte, er
 // ReadFileFrame reads a frame that must be the reader's entire content —
 // a snapshot or journal file. Anything after the payload is an error.
 func ReadFileFrame(r io.Reader, f Format) (version uint32, payload []byte, err error) {
-	version, _, payload, err = ReadFrame(r, f)
+	version, _, payload, err = ReadFrame(r, f, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,11 +57,20 @@ func (s *sample) encode() []byte {
 	return e.Buf
 }
 
+// int32s copies a row view out.
+func int32s(v I32View) []int32 {
+	out := make([]int32, v.Len())
+	for i := range out {
+		out[i] = v.At(i)
+	}
+	return out
+}
+
 func decodeSample(payload []byte) (*sample, error) {
 	d := NewDec(payload)
 	s := &sample{
 		U8: d.U8(), U32: d.U32(), U64: d.U64(), F64: d.F64(), Bool: d.Bool(),
-		Str: d.Str(), Raw: d.Bytes(), Vec: d.F64s(), Mat: d.Mat(), Ints: d.Ints(), Rows: d.I32s(),
+		Str: d.Str(), Raw: d.Bytes(), Vec: d.F64s(), Mat: d.Mat(), Ints: d.Ints(), Rows: int32s(d.I32View()),
 	}
 	return s, d.Finish()
 }
@@ -132,12 +142,14 @@ func TestDecBoundsCountsBeforeAllocating(t *testing.T) {
 	huge := binary.LittleEndian.AppendUint32(nil, math.MaxUint32)
 	huge = append(huge, make([]byte, 16)...)
 	reads := map[string]func(*Dec){
-		"Str":   func(d *Dec) { d.Str() },
-		"Bytes": func(d *Dec) { d.Bytes() },
-		"F64s":  func(d *Dec) { d.F64s() },
-		"Mat":   func(d *Dec) { d.Mat() },
-		"Ints":  func(d *Dec) { d.Ints() },
-		"I32s":  func(d *Dec) { d.I32s() },
+		"Str":        func(d *Dec) { d.Str() },
+		"Bytes":      func(d *Dec) { d.Bytes() },
+		"F64s":       func(d *Dec) { d.F64s() },
+		"Mat":        func(d *Dec) { d.Mat() },
+		"Ints":       func(d *Dec) { d.Ints() },
+		"I32View":    func(d *Dec) { d.I32View() },
+		"F64View":    func(d *Dec) { d.F64View() },
+		"AppendInts": func(d *Dec) { d.AppendInts(nil) },
 	}
 	for name, read := range reads {
 		var err error
@@ -172,7 +184,7 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 		if len(frame) != f.HeaderLen()+len(payload) {
 			t.Fatalf("%s: frame is %d bytes, header %d + payload %d", f.Magic, len(frame), f.HeaderLen(), len(payload))
 		}
-		version, gotExtra, got, err := ReadFrame(bytes.NewReader(frame), f)
+		version, gotExtra, got, err := ReadFrame(bytes.NewReader(frame), f, nil)
 		if err != nil || version != f.Version || !bytes.Equal(gotExtra, extra) || !bytes.Equal(got, payload) {
 			t.Fatalf("%s: round trip = v%d %x %q, %v", f.Magic, version, gotExtra, got, err)
 		}
@@ -202,7 +214,7 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 			{"implausible length", append(append([]byte(nil), frame[:lengthAt]...), bytes.Repeat([]byte{0xff}, 12)...), nil, "implausible"},
 		}
 		for _, c := range cases {
-			_, _, _, err := ReadFrame(bytes.NewReader(c.data), f)
+			_, _, _, err := ReadFrame(bytes.NewReader(c.data), f, nil)
 			if err == nil || (c.is != nil && !errors.Is(err, c.is)) || !strings.Contains(err.Error(), c.text) {
 				t.Fatalf("%s: %s: err = %v", f.Magic, c.name, err)
 			}
@@ -210,22 +222,22 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 		// Truncation keeps the cause visible: a clean end of stream before
 		// the first header byte is io.EOF (a closed connection), a cut
 		// mid-frame is io.ErrUnexpectedEOF.
-		if _, _, _, err := ReadFrame(bytes.NewReader(nil), f); !errors.Is(err, io.EOF) {
+		if _, _, _, err := ReadFrame(bytes.NewReader(nil), f, nil); !errors.Is(err, io.EOF) {
 			t.Fatalf("%s: empty stream: %v, want io.EOF", f.Magic, err)
 		}
-		if _, _, _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-1]), f); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, _, _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-1]), f, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("%s: cut stream: %v, want io.ErrUnexpectedEOF", f.Magic, err)
 		}
 
 		var ve *VersionError
-		_, _, _, err = ReadFrame(bytes.NewReader(mutate(8, byte(f.Version+1))), f)
+		_, _, _, err = ReadFrame(bytes.NewReader(mutate(8, byte(f.Version+1))), f, nil)
 		if !errors.As(err, &ve) || ve.Version != f.Version+1 || ve.Supported != f.Version {
 			t.Fatalf("%s: future version: err = %v", f.Magic, err)
 		}
 
 		// A stream may carry more frames; a file may not.
 		two := append(append([]byte(nil), frame...), frame...)
-		if _, _, _, err := ReadFrame(bytes.NewReader(two), f); err != nil {
+		if _, _, _, err := ReadFrame(bytes.NewReader(two), f, nil); err != nil {
 			t.Fatalf("%s: first of two frames: %v", f.Magic, err)
 		}
 		if _, _, err := ReadFileFrame(bytes.NewReader(two), f); err == nil || !strings.Contains(err.Error(), "trailing") {
@@ -251,7 +263,7 @@ func TestDeclaredLengthAloneBuysBoundedMemory(t *testing.T) {
 	for _, f := range formats {
 		hdr := header(f, f.MaxPayload, 0)
 		var err error
-		got := allocated(func() { _, _, _, err = ReadFrame(bytes.NewReader(hdr), f) })
+		got := allocated(func() { _, _, _, err = ReadFrame(bytes.NewReader(hdr), f, nil) })
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("%s: err = %v, want ErrTruncated", f.Magic, err)
 		}
@@ -330,7 +342,7 @@ func TestGoldenFramesRead(t *testing.T) {
 	for i, frames := range goldenFrames(t) {
 		f := formats[i]
 		for _, frame := range frames {
-			version, extra, payload, err := ReadFrame(bytes.NewReader(frame), f)
+			version, extra, payload, err := ReadFrame(bytes.NewReader(frame), f, nil)
 			if err != nil {
 				t.Fatalf("%s golden: %v", f.Magic, err)
 			}
@@ -343,7 +355,9 @@ func TestGoldenFramesRead(t *testing.T) {
 
 // FuzzReadFrame: arbitrary bytes under each envelope either fail or yield
 // a frame that re-frames to exactly the bytes consumed — never a panic,
-// and never more memory than maxUpfront plus a multiple of the input.
+// and never more memory than maxUpfront plus a multiple of the input. A
+// read through a reused buffer pre-filled with garbage must agree with a
+// fresh read byte for byte, and an accepted frame lands in that buffer.
 func FuzzReadFrame(f *testing.F) {
 	for i, frames := range goldenFrames(f) {
 		for _, frame := range frames {
@@ -360,12 +374,35 @@ func FuzzReadFrame(f *testing.F) {
 			extra, payload []byte
 			err            error
 		)
-		got := allocated(func() { version, extra, payload, err = ReadFrame(bytes.NewReader(data), format) })
-		if limit := uint64(maxUpfront + 4*len(data) + 1<<20); got > limit {
+		got := allocated(func() { version, extra, payload, err = ReadFrame(bytes.NewReader(data), format, nil) })
+		limit := uint64(maxUpfront + 4*len(data) + 1<<20)
+		if got > limit {
 			t.Fatalf("%d input bytes cost %d bytes of allocation", len(data), got)
+		}
+
+		// Every accepted frame fits in len(data) bytes, so this buffer
+		// covers it; the garbage must never leak into a result.
+		reused := make([]byte, len(data))
+		for i := range reused {
+			reused[i] = byte(i*131 + 7)
+		}
+		var (
+			rVersion         uint32
+			rExtra, rPayload []byte
+			rErr             error
+		)
+		got = allocated(func() { rVersion, rExtra, rPayload, rErr = ReadFrame(bytes.NewReader(data), format, reused) })
+		if got > limit {
+			t.Fatalf("%d input bytes cost %d bytes of allocation through a reused buffer", len(data), got)
+		}
+		if (err == nil) != (rErr == nil) || rVersion != version || !bytes.Equal(rExtra, extra) || !bytes.Equal(rPayload, payload) {
+			t.Fatalf("reused buffer read v%d %x %x (%v), fresh read v%d %x %x (%v)", rVersion, rExtra, rPayload, rErr, version, extra, payload, err)
 		}
 		if err != nil {
 			return
+		}
+		if len(rPayload) > 0 && &rPayload[0] != &reused[0] {
+			t.Fatal("a frame the buffer covers was read into a new buffer")
 		}
 		format.Version = version
 		re := frameBytes(t, format, extra, payload)
@@ -373,6 +410,35 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("accepted %d bytes that re-frame differently", len(data))
 		}
 	})
+}
+
+// TestReusedBufferReadsFramesOfEverySize pushes a stream of frames that
+// shrink and grow through one buffer: each must read back exactly, and
+// the buffer is replaced only when a frame outgrows it.
+func TestReusedBufferReadsFramesOfEverySize(t *testing.T) {
+	f := formats[2]
+	sizes := []int{300, 5, 0, 300, 301, 4096, 17}
+	var stream bytes.Buffer
+	for i, n := range sizes {
+		payload := bytes.Repeat([]byte{byte(i + 1)}, n)
+		extra := bytes.Repeat([]byte{byte(0xf0 + i)}, f.Extra)
+		stream.Write(frameBytes(t, f, extra, payload))
+	}
+	var buf []byte
+	for i, n := range sizes {
+		before := cap(buf)
+		_, extra, payload, err := ReadFrame(&stream, f, buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(payload, bytes.Repeat([]byte{byte(i + 1)}, n)) || !bytes.Equal(extra, bytes.Repeat([]byte{byte(0xf0 + i)}, f.Extra)) {
+			t.Fatalf("frame %d read back as extra %x payload %x", i, extra, payload)
+		}
+		if grew := cap(payload) != before; grew != (before < n+f.HeaderLen()) {
+			t.Fatalf("frame %d (%d bytes): buffer capacity %d → %d", i, n, before, cap(payload))
+		}
+		buf = payload
+	}
 }
 
 // FuzzDec: arbitrary bytes decoded as one field of every kind either
@@ -403,6 +469,95 @@ func FuzzDec(f *testing.F) {
 		}
 		if re := s.encode(); !bytes.Equal(re, data) {
 			t.Fatalf("accepted %d bytes that re-encode differently", len(data))
+		}
+	})
+}
+
+// TestViewsDecodeLikeCopies: the in-place readers accept exactly what the
+// copying readers accept and decode the same bits.
+func TestViewsDecodeLikeCopies(t *testing.T) {
+	s := fullSample()
+	var e Enc
+	e.F64s(s.Vec)
+	e.I32s(s.Rows)
+	e.Ints(s.Ints)
+	e.F64Rows([]float64{1, 2, 3, 4, 5, 6}, 2, []int32{2, 0})
+	d := NewDec(e.Buf)
+	vec, rows, ints, gathered := d.F64View(), d.I32View(), d.AppendInts([]int{9}), d.F64s()
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, vec.Len()+1)
+	if n := vec.CopyTo(got); n != len(s.Vec) {
+		t.Fatalf("CopyTo copied %d of %d", n, len(s.Vec))
+	}
+	for i, x := range s.Vec {
+		if math.Float64bits(got[i]) != math.Float64bits(x) {
+			t.Fatalf("vector element %d: %v, want %v", i, got[i], x)
+		}
+	}
+	window := make([]float64, 2)
+	if vec.Slice(1, 3).CopyTo(window) != 2 || window[0] != s.Vec[1] || window[1] != s.Vec[2] {
+		t.Fatal("Slice does not window the view")
+	}
+	if rows.Len() != len(s.Rows) {
+		t.Fatalf("row view has %d elements, want %d", rows.Len(), len(s.Rows))
+	}
+	for i, r := range s.Rows {
+		if rows.At(i) != r {
+			t.Fatalf("row %d = %d, want %d", i, rows.At(i), r)
+		}
+	}
+	if !reflect.DeepEqual(ints, append([]int{9}, s.Ints...)) {
+		t.Fatalf("AppendInts = %v", ints)
+	}
+	if !reflect.DeepEqual(gathered, []float64{5, 6, 1, 2}) {
+		t.Fatalf("F64Rows wrote %v, want rows 2 and 0", gathered)
+	}
+	// A count the payload cannot back fails before any view exists.
+	d = NewDec(binary.LittleEndian.AppendUint32(nil, 3))
+	if v := d.F64View(); v.Len() != 0 || d.Finish() == nil {
+		t.Fatal("F64View accepted a count with no bytes behind it")
+	}
+}
+
+// f64Sink keeps BenchmarkF64s's decoded vectors alive.
+var f64Sink []float64
+
+// BenchmarkF64s measures the bulk float codec on one 64 K-element vector
+// (512 KiB, the order of a weight-delta or gradient frame): encode into a
+// reused buffer, decode to a new slice, and decode in place through a
+// view into reused storage.
+func BenchmarkF64s(b *testing.B) {
+	v := make([]float64, 1<<16)
+	for i := range v {
+		v[i] = float64(i) * 0.5
+	}
+	var e Enc
+	e.F64s(v)
+	payload := slices.Clone(e.Buf)
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.Buf = e.Buf[:0]
+			e.F64s(v)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f64Sink = NewDec(payload).F64s()
+		}
+	})
+	dst := make([]float64, len(v))
+	b.Run("view", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := Dec{buf: payload}
+			d.F64View().CopyTo(dst)
 		}
 	})
 }
