@@ -3,8 +3,16 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
+
+	"h2onas/internal/wire"
 )
+
+// maxDecodeAmplification bounds the heap bytes decoding a current-version
+// payload allocates per payload byte. The largest ratio is a param state:
+// 104 bytes of nn.ParamState per 17-byte minimal encoding.
+const maxDecodeAmplification = 8
 
 // FuzzDecodeSnapshot throws arbitrary bytes at the checkpoint loader.
 // The contract under fuzzing: Decode either returns an error or returns
@@ -29,12 +37,25 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(future) // version from a newer build
 	huge := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(huge[12:20], maxPayload+1)
-	f.Add(huge) // implausible payload length
-	legacy := sampleSnapshot()
-	legacy.Strategy, legacy.StrategyState = "", nil
-	f.Add(encodeV1Bytes(legacy)) // version-1 file from an older build
+	f.Add(huge)                                   // implausible payload length
+	f.Add(encodeLegacyBytes(2, legacySnapshot())) // version-2 file from an older build
+	v1 := legacySnapshot()
+	v1.Strategy, v1.StrategyState = "", nil
+	f.Add(encodeLegacyBytes(1, v1)) // version-1 file
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The payload decoder's allocation bound: a declared count buys no
+		// memory beyond a small multiple of the payload bytes present. (The
+		// envelope's own up-front read is bounded separately, by wire.)
+		if version, payload, err := wire.ReadFileFrame(bytes.NewReader(data), format); err == nil && version == Version {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			decodePayload(payload, version)
+			runtime.ReadMemStats(&after)
+			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(maxDecodeAmplification*len(payload)+1<<16); got > bound {
+				t.Fatalf("decoding a %d-byte payload allocated %d bytes, bound %d", len(payload), got, bound)
+			}
+		}
 		s, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return

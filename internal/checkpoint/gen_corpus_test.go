@@ -28,12 +28,13 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	flipped[headerLen+3] ^= 0x40
 	future := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(future[8:12], Version+7)
-	legacy := sampleSnapshot()
-	legacy.Strategy, legacy.StrategyState = "", nil
+	v1 := legacySnapshot()
+	v1.Strategy, v1.StrategyState = "", nil
 
 	seeds := map[string][]byte{
 		"seed-valid":      valid,
-		"seed-v1":         encodeV1Bytes(legacy),
+		"seed-v1":         encodeLegacyBytes(1, v1),
+		"seed-v2":         encodeLegacyBytes(2, legacySnapshot()),
 		"seed-truncated":  truncated,
 		"seed-bitflip":    flipped,
 		"seed-future-ver": future,

@@ -1,13 +1,16 @@
 package checkpoint
 
+import "h2onas/internal/nn"
+
 // Snapshot is the complete state of a unified single-step search at a
-// step boundary. Restoring every field reproduces the uninterrupted run
-// bit-for-bit: the search strategy's serialized state (for REINFORCE,
-// the policy logits and baseline; for the baseline battery, populations
-// and incumbents), the shared super-network weights and their Adam
-// moments, the coordinator RNG stream, the data-pipeline position (as a
-// consumed-batch count, so a fresh stream can be fast-forwarded past
-// exactly the batches the checkpointed run consumed), and the step
+// step boundary. Restoring every field onto a freshly built search of the
+// same configuration reproduces the uninterrupted run bit-for-bit: the
+// search strategy's serialized state (for REINFORCE, the policy logits
+// and baseline; for the baseline battery, populations and incumbents),
+// what training changed of the shared super-network (its weights and
+// Adam moments), the coordinator RNG stream, the data-pipeline position
+// (as a consumed-batch count, so a fresh stream can be fast-forwarded
+// past exactly the batches the checkpointed run consumed), and the step
 // counter.
 //
 // The Fingerprint ties a snapshot to the run configuration that produced
@@ -34,23 +37,12 @@ type Snapshot struct {
 	// v2+); only the strategy that wrote it can interpret it.
 	StrategyState []byte
 
-	// PolicyLogits are the controller policy's logits per decision.
-	// Legacy (wire v1): superseded by StrategyState, kept so v1 files
-	// still decode.
-	PolicyLogits [][]float64
-	// Baseline/BaselineSet/CtrlSteps are the controller optimizer state.
-	// Legacy (wire v1): superseded by StrategyState.
-	Baseline    float64
-	BaselineSet bool
-	CtrlSteps   int64
-
-	// Weights are the shared super-network parameters in Params() order.
-	Weights [][]float64
-	// AdamT/AdamM/AdamV are the weight optimizer's step count and moment
-	// vectors, aligned with Weights.
-	AdamT int64
-	AdamM [][]float64
-	AdamV [][]float64
+	// Adam is the weight optimizer's state over the shared super-network
+	// parameters in Params() order (nn.Adam.Export): its step count and,
+	// per param, nothing (never stepped), the whole param, or its stepped
+	// rows — each with the weights and both moments. Wire v1 and v2 files
+	// carried every param whole; they decode as nn.Whole states.
+	Adam nn.AdamState
 
 	// History is the per-step telemetry accumulated so far, so a resumed
 	// run's reward trajectory is the uninterrupted run's.

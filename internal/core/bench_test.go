@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"h2onas/internal/checkpoint"
 	"h2onas/internal/controller"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
@@ -162,5 +163,60 @@ func BenchmarkSearchStepWarmup(b *testing.B) {
 	b.ResetTimer()
 	if _, err := s.Search(cfg); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// serveSnapshotState runs one serve-shaped search (the job service's
+// default warmup, 24 steps, 2 shards, batch 32) and returns a search state
+// whose optimizer holds the state of that run's last snapshot, imported
+// onto a fresh master: the params and rows a job's capture walks.
+func serveSnapshotState(b *testing.B) *searchState {
+	b.Helper()
+	s := benchmarkSearcher(3)
+	fs := checkpoint.NewMemFS()
+	cfg := OneShotConfig(2, 24, 32, 8, 3)
+	cfg.CheckpointDir, cfg.CheckpointFS, cfg.CheckpointEvery = "ckpt", fs, cfg.WarmupSteps+cfg.Steps
+	res, err := s.Search(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, _, err := (&checkpoint.Manager{Dir: "ckpt", FS: fs}).LoadLatest()
+	if err != nil {
+		b.Fatal(err)
+	}
+	master := supernet.New(s.DS, tensor.NewRNG(3))
+	opt := nn.NewAdam(cfg.WeightLR)
+	if err := opt.Import(master.Params(), snap.Adam); err != nil {
+		b.Fatal(err)
+	}
+	return &searchState{
+		cfg: &cfg, space: s.DS.Space, membership: "inproc", rng: tensor.NewRNG(3),
+		strat: strategyFor(&cfg, s.DS.Space), params: master.Params(), opt: opt, out: &res.Outcome,
+	}
+}
+
+// BenchmarkSnapshotCapture measures the step loop's synchronous share of
+// a periodic checkpoint on a serve-shaped job: the deep copy of what
+// resume needs. Run with -benchmem: allocations per capture do not grow
+// with the param count.
+func BenchmarkSnapshotCapture(b *testing.B) {
+	st := serveSnapshotState(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.snapshot(32, 64)
+	}
+}
+
+// BenchmarkEncodeSnapshot measures the persister's encode of the same
+// snapshot into its one presized frame buffer, and reports the frame
+// size.
+func BenchmarkEncodeSnapshot(b *testing.B) {
+	snap := serveSnapshotState(b).snapshot(32, 64)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(checkpoint.EncodeBytes(snap))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checkpoint.EncodeBytes(snap)
 	}
 }

@@ -54,11 +54,13 @@ func (st *searchState) fingerprint() string {
 
 // snapshot captures the complete search state after nextStep-1 completed
 // steps. Everything a step's outcome depends on is included, so a
-// restored run is bit-identical to the uninterrupted one. The strategy
-// serializes itself into an opaque StrategyState blob, tagged with its
-// Name so resume can refuse a cross-strategy restore before decoding.
+// restored run is bit-identical to the uninterrupted one. The weights
+// travel as the optimizer's export: only the params and rows a step ever
+// updated, since every other value is what a fresh network of the same
+// seed holds (see maybeRestore). The strategy serializes itself into an
+// opaque StrategyState blob, tagged with its Name so resume can refuse a
+// cross-strategy restore before decoding.
 func (st *searchState) snapshot(nextStep int, batchesConsumed int64) *checkpoint.Snapshot {
-	ad := st.opt.State(st.params)
 	history := make([]checkpoint.StepRecord, len(st.out.History))
 	for i, h := range st.out.History {
 		history[i] = checkpoint.StepRecord{
@@ -76,10 +78,7 @@ func (st *searchState) snapshot(nextStep int, batchesConsumed int64) *checkpoint
 		RNG:             st.rng.State(),
 		Strategy:        st.strat.Name(),
 		StrategyState:   st.strat.StateBytes(),
-		Weights:         nn.WeightsState(st.params),
-		AdamT:           ad.T,
-		AdamM:           ad.M,
-		AdamV:           ad.V,
+		Adam:            st.opt.Export(st.params),
 		History:         history,
 	}
 }
@@ -105,7 +104,9 @@ type streamCursor interface {
 }
 
 // maybeRestore applies, under cfg.Resume, the newest valid snapshot in
-// the checkpoint directory to the freshly constructed search state. It
+// the checkpoint directory to the freshly constructed search state: a
+// master built from cfg.Seed and an optimizer that has not stepped,
+// before the pipeline starts — the precondition nn.Adam.Import states. It
 // returns the step index to continue from and the number of batches the
 // checkpointed run had consumed; (0, 0) means a fresh start. The stream
 // must be unused: it is fast-forwarded to the checkpoint's position.
@@ -149,11 +150,8 @@ func (st *searchState) maybeRestore(mgr *checkpoint.Manager, stream streamCursor
 	if err := strat.RestoreState(snap.StrategyState); err != nil {
 		return 0, 0, fmt.Errorf("core: restoring %s strategy state: %w", snap.Strategy, err)
 	}
-	if err := nn.LoadWeights(st.params, snap.Weights); err != nil {
-		return 0, 0, fmt.Errorf("core: restoring super-network weights: %w", err)
-	}
-	if err := st.opt.LoadState(st.params, nn.AdamState{T: snap.AdamT, M: snap.AdamM, V: snap.AdamV}); err != nil {
-		return 0, 0, fmt.Errorf("core: restoring optimizer state: %w", err)
+	if err := st.opt.Import(st.params, snap.Adam); err != nil {
+		return 0, 0, fmt.Errorf("core: restoring super-network weights and optimizer state: %w", err)
 	}
 	st.rng.SetState(snap.RNG)
 	stream.Skip(snap.BatchesConsumed, cfg.BatchSize)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"h2onas/internal/checkpoint"
+	"h2onas/internal/nn"
 	"h2onas/internal/reward"
 	"h2onas/internal/space"
 )
@@ -269,5 +271,75 @@ func TestResumeRequiresCheckpointDir(t *testing.T) {
 	s, _ := testSearcher(t, reward.ReLU, 1.0, 1)
 	if _, err := s.Search(cfg); err == nil {
 		t.Fatal("Resume without CheckpointDir accepted")
+	}
+}
+
+// TestResumeTwiceReproducesRun crashes a run at step a, resumes it, lets
+// the resumed run crash at step b and resumes again. Snapshots carry only
+// the params and rows a step ever updated, so the first resume must
+// re-mark what it restored: the resumed run's snapshot at b must be
+// byte-identical to the uninterrupted run's — rows stepped only before a
+// included — and the twice-resumed result document must equal the
+// uninterrupted one.
+func TestResumeTwiceReproducesRun(t *testing.T) {
+	const a, b = 3, 7
+	fs := checkpoint.NewMemFS()
+	cfg := ckptConfig(fs)
+	golden, err := DLRMSearch(t, 21, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(fs checkpoint.FS, step int64) (*checkpoint.Snapshot, []byte) {
+		t.Helper()
+		mgr := &checkpoint.Manager{Dir: cfg.CheckpointDir, FS: fs}
+		snap, err := mgr.Load("ckpt/" + checkpoint.SnapshotName(step))
+		if err != nil {
+			t.Fatalf("loading snapshot %d: %v", step, err)
+		}
+		return snap, checkpoint.EncodeBytes(snap)
+	}
+	snapA, _ := load(fs, a)
+	_, goldenB := load(fs, b)
+
+	// First resume, from a, checkpointing every step into its own dir:
+	// its snapshot at b is what a crash at b would leave on disk.
+	onceFS := checkpoint.NewMemFS()
+	if _, err := (&checkpoint.Manager{Dir: cfg.CheckpointDir, FS: onceFS}).Save(snapA); err != nil {
+		t.Fatal(err)
+	}
+	once := cfg
+	once.CheckpointFS, once.Resume = onceFS, true
+	if _, err := DLRMSearch(t, 21, once); err != nil {
+		t.Fatal(err)
+	}
+	snapB, onceB := load(onceFS, b)
+	if !bytes.Equal(onceB, goldenB) {
+		t.Fatal("the resumed run's snapshot at step b differs from the uninterrupted run's")
+	}
+	for i, ps := range snapA.Adam.Params {
+		if ps.Kind == nn.SteppedRows && snapB.Adam.Params[i].Kind == nn.SteppedRows &&
+			len(snapB.Adam.Params[i].Rows) < len(ps.Rows) {
+			t.Fatalf("param %d: snapshot b carries %d stepped rows, fewer than snapshot a's %d", i, len(snapB.Adam.Params[i].Rows), len(ps.Rows))
+		}
+	}
+
+	twice, err := DLRMSearch(t, 21, resumeOnlyFrom(t, cfg, snapB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twice.ResumedFrom != b {
+		t.Fatalf("ResumedFrom = %d, want %d", twice.ResumedFrom, b)
+	}
+	sp := space.NewDLRMSpace(space.SmallDLRMConfig()).Space
+	want, err := golden.ResultDocument(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := twice.ResultDocument(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("twice-resumed result document differs from the uninterrupted run's\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -233,5 +234,107 @@ func TestDrainParksRunningJobsAndRestartResumes(t *testing.T) {
 	})
 	if got := readArtifact(t, s2, "alice", running.ID, "result.json"); !bytes.Equal(got, golden) {
 		t.Fatalf("parked-and-resumed job diverged from control\ngot:\n%s\nwant:\n%s", got, golden)
+	}
+}
+
+// TestDoneJobDropsItsSnapshots is the disk contract of a finished job: a
+// done job keeps no snapshot. The process dies in the one window where it
+// still has them — the done record is durable, the removal has not run —
+// and recovery must delete them while serving the control's exact bytes.
+// It runs on the in-memory FS and on the OS filesystem, whose directories
+// the in-memory FS does not model.
+func TestDoneJobDropsItsSnapshots(t *testing.T) {
+	spec := crashSpec(46)
+	const every = 2
+	golden := runControl(t, spec, every)
+	for name, open := range map[string]func(t *testing.T) (checkpoint.FS, string){
+		"memfs": func(t *testing.T) (checkpoint.FS, string) { return checkpoint.NewMemFS(), "root" },
+		"osfs":  func(t *testing.T) (checkpoint.FS, string) { return checkpoint.OS(), t.TempDir() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs, root := open(t)
+			snapshots := func(s *Service, id string) []string {
+				names, _ := fs.ReadDir(s.store.CheckpointDir(id))
+				return names
+			}
+
+			s, err := Open(root, Options{Workers: 1, CheckpointEvery: every, FS: fs, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.crashAfterDone = func(string) bool { return true }
+			rec, err := s.Submit("alice", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "done record", func() bool {
+				st, err := s.Status("alice", rec.ID)
+				return err == nil && st.State == StateDone
+			})
+			s.Drain()
+			if len(snapshots(s, rec.ID)) == 0 {
+				t.Fatal("the crash left no snapshot behind; the window is not exercised")
+			}
+
+			s2, err := Open(root, Options{Workers: 1, CheckpointEvery: every, FS: fs, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if names := snapshots(s2, rec.ID); len(names) != 0 {
+				t.Fatalf("recovery kept the done job's snapshots %v", names)
+			}
+			if name == "osfs" {
+				if _, err := os.Stat(s2.store.CheckpointDir(rec.ID)); !os.IsNotExist(err) {
+					t.Fatalf("recovery kept the done job's snapshot directory: %v", err)
+				}
+			}
+			if got := readArtifact(t, s2, "alice", rec.ID, "result.json"); !bytes.Equal(got, golden) {
+				t.Fatalf("result.json changed across the recovery\ngot:\n%s\nwant:\n%s", got, golden)
+			}
+
+			// Without a crash the runner drops the snapshots itself.
+			next, err := s2.Submit("alice", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "second job done", func() bool {
+				st, err := s2.Status("alice", next.ID)
+				return err == nil && st.State == StateDone
+			})
+			s2.Drain()
+			if names := snapshots(s2, next.ID); len(names) != 0 {
+				t.Fatalf("a done job kept its snapshots %v", names)
+			}
+		})
+	}
+}
+
+// TestServeSpecSnapshotSize gates what one snapshot of a serve-shaped
+// job (24 steps, 2 shards, batch 32) weighs: only what resume needs. A
+// snapshot carrying every param whole weighed 22.8 MB.
+func TestServeSpecSnapshotSize(t *testing.T) {
+	const limit = 8 << 20
+	reg := metrics.New()
+	s, err := Open("root", Options{Workers: 1, FS: checkpoint.NewMemFS(), Metrics: reg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec, err := s.Submit("alice", Spec{Steps: 24, Shards: 2, Batch: 32, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job done", func() bool {
+		st, err := s.Status("alice", rec.ID)
+		return err == nil && st.State == StateDone
+	})
+	if saves := reg.Counter("checkpoint_saves_total").Value(); saves == 0 {
+		t.Fatal("the job wrote no snapshot")
+	}
+	size := reg.Gauge("checkpoint_bytes").Value()
+	t.Logf("serve-spec snapshot: %.0f bytes", size)
+	if size > limit {
+		t.Fatalf("serve-spec snapshot is %.0f bytes, limit %d", size, limit)
 	}
 }

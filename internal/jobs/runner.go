@@ -105,16 +105,26 @@ func (s *Service) runJob(rec Record, rj *runningJob) (crashed bool) {
 	}
 	rec.Artifacts = []string{"result.json", "best.dot"}
 	rec.Front = frontOf(res)
-	s.finish(rec, StateDone, "")
+	// A done job never resumes, so once its done record is durable its
+	// snapshots are garbage. A crash before the removal leaves them for
+	// recovery to delete.
+	if s.finish(rec, StateDone, "") == nil {
+		if s.crashAfterDone != nil && s.crashAfterDone(rec.ID) {
+			return true
+		}
+		s.store.DropCheckpoints(rec.ID)
+	}
 	return false
 }
 
-// finish journals a terminal transition and bumps its counter.
-func (s *Service) finish(rec Record, state State, errMsg string) {
+// finish journals a terminal transition and bumps its counter. The
+// error is the journal write's.
+func (s *Service) finish(rec Record, state State, errMsg string) error {
 	rec.State = state
 	rec.Error = errMsg
 	rec.FinishedUnix = s.opts.Clock.Now().Unix()
-	if err := s.store.Put(rec); err != nil {
+	err := s.store.Put(rec)
+	if err != nil {
 		s.opts.Logf("jobs: %s: journaling %s state: %v", rec.ID, state, err)
 	}
 	switch state {
@@ -125,6 +135,7 @@ func (s *Service) finish(rec Record, state State, errMsg string) {
 	case StateCancelled:
 		s.ins.cancelled.Inc()
 	}
+	return err
 }
 
 // frontOf extracts the quality/step-time Pareto front of the evaluated

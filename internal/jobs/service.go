@@ -220,6 +220,11 @@ type Service struct {
 	// true for (id, step) the job's runner aborts without journaling, as
 	// a SIGKILL would. Test-only; the CI chaos leg covers the real thing.
 	crashStep func(id string, step int) bool
+	// crashAfterDone, when non-nil, simulates process death in the one
+	// window after a job's done record is durable and before its
+	// snapshots are deleted: once it returns true for id the runner
+	// aborts there. Test-only.
+	crashAfterDone func(id string) bool
 
 	wg sync.WaitGroup
 }
@@ -259,10 +264,14 @@ func Open(root string, opts Options) (*Service, error) {
 // recover re-enqueues unfinished jobs from the replayed journal, in
 // submission order so recovery is deterministic. A job found running lost
 // its process mid-run: it is journaled back to queued with Resumes
-// incremented and will restart from its newest snapshot.
+// incremented and will restart from its newest snapshot. A done job's
+// snapshots are deleted, in case its process died between the done
+// record and their removal.
 func (s *Service) recover() error {
 	for _, rec := range s.store.List() {
 		switch rec.State {
+		case StateDone:
+			s.store.DropCheckpoints(rec.ID)
 		case StateRunning:
 			rec.State = StateQueued
 			rec.Resumes++

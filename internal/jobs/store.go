@@ -1,8 +1,10 @@
 package jobs
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -19,7 +21,8 @@ import (
 // real filesystem does):
 //
 //	<root>/journal/<id>.<seq>.jrec   sequenced state records (see record.go)
-//	<root>/ckpt/<id>/                the job's search snapshots (core.Search)
+//	<root>/ckpt/<id>/                the job's search snapshots (core.Search),
+//	                                 deleted once the job is done
 //	<root>/artifacts/<id>/<name>     result files served by the HTTP API
 //
 // Every journal write is atomic (checkpoint.WriteFileAtomic) and
@@ -87,6 +90,26 @@ func (st *Store) journalDir() string { return filepath.Join(st.root, "journal") 
 // pruning safe (see checkpoint.Manager and
 // TestConcurrentPruneAcrossJobDirsIsScoped).
 func (st *Store) CheckpointDir(id string) string { return filepath.Join(st.root, "ckpt", id) }
+
+// DropCheckpoints deletes the job's snapshot directory, best effort: a
+// failed removal is logged and retried by the next recovery. A missing
+// directory is not an error.
+func (st *Store) DropCheckpoints(id string) {
+	dir := st.CheckpointDir(id)
+	names, err := st.fs.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, name := range names {
+		if err := st.fs.Remove(filepath.Join(dir, name)); err != nil {
+			st.logf("jobs: dropping snapshot %s of %s: %v", name, id, err)
+		}
+	}
+	// The in-memory FS has no directories, so there is nothing to remove.
+	if err := st.fs.Remove(dir); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		st.logf("jobs: dropping snapshot directory of %s: %v", id, err)
+	}
+}
 
 func (st *Store) artifactPath(id, name string) string {
 	return filepath.Join(st.root, "artifacts", id, name)

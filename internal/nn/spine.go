@@ -87,7 +87,7 @@ func ReduceParamGrads(master []*Param, replicas [][]*Param, wl []int) []int {
 // gradient is live and the update walks it densely.
 type applyEntry struct {
 	p    *Param
-	m, v *tensor.Matrix
+	m, v []float64
 	rows []int32
 }
 
@@ -203,7 +203,7 @@ func NewSpine(params []*Param, opt *Adam, maxNorm float64) *Spine {
 		}
 		for k := lo; k < hi; k++ {
 			e := s.apply[k]
-			pv, md, vd, gd := e.p.Value.Data, e.m.Data, e.v.Data, e.p.Grad.Data
+			pv, md, vd, gd := e.p.Value.Data, e.m, e.v, e.p.Grad.Data
 			if e.rows == nil {
 				step(pv, md, vd, gd)
 			} else {
@@ -276,9 +276,10 @@ func (s *Spine) ClipStep() float64 {
 		s.scale = s.maxNorm / (norm + 1e-12)
 	}
 
-	// Serial pre-pass: moment allocation mutates the optimizer's maps, so
+	// Serial pre-pass: moment allocation mutates the optimizer's map, so
 	// it cannot run inside the parallel apply. In steady state every dirty
-	// param already has moments and this is a worklist walk of map reads.
+	// param already has moments and this is a worklist walk of map reads,
+	// plus the stepped-row marks Adam.Export reads.
 	s.apply = s.apply[:0]
 	s.touched = s.touched[:0]
 	s.touchRows = s.touchRows[:0]
@@ -294,8 +295,8 @@ func (s *Spine) ClipStep() float64 {
 				continue
 			}
 		}
-		m := o.m[p]
-		if m == nil {
+		sl := o.slots[p]
+		if sl == nil {
 			if rows == nil && allZero(p.Grad.Data) {
 				// Identical to Adam.Step's skip: moments stay unallocated
 				// and the update is exactly zero. The gradient is already
@@ -304,9 +305,10 @@ func (s *Spine) ClipStep() float64 {
 				p.Dirty = false
 				continue
 			}
-			m = o.alloc(p)
+			sl = o.alloc(p, rows != nil)
 		}
-		s.apply = append(s.apply, applyEntry{p: p, m: m, v: o.v[p], rows: rows})
+		sl.mark(rows)
+		s.apply = append(s.apply, applyEntry{p: p, m: sl.m, v: sl.v, rows: rows})
 		if s.recordTouched {
 			// Copy the row worklist: the apply pass ClearRows the param,
 			// and the next Backward reuses the backing array. Copies land

@@ -170,13 +170,13 @@ func refClipStep(params []*Param, opt *Adam, maxNorm float64) float64 {
 	opt.t++
 	c1 := 1 - math.Pow(opt.Beta1, float64(opt.t))
 	c2 := 1 - math.Pow(opt.Beta2, float64(opt.t))
-	update := func(p *Param, m, v *tensor.Matrix, lo, hi int) {
+	update := func(p *Param, m, v []float64, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := p.Grad.Data[i] * scale
-			m.Data[i] = opt.Beta1*m.Data[i] + (1-opt.Beta1)*g
-			v.Data[i] = opt.Beta2*v.Data[i] + (1-opt.Beta2)*g*g
-			mhat := m.Data[i] / c1
-			vhat := v.Data[i] / c2
+			m[i] = opt.Beta1*m[i] + (1-opt.Beta1)*g
+			v[i] = opt.Beta2*v[i] + (1-opt.Beta2)*g*g
+			mhat := m[i] / c1
+			vhat := v[i] / c2
 			p.Value.Data[i] -= opt.LR * mhat / (math.Sqrt(vhat) + opt.Eps)
 			p.Grad.Data[i] = 0
 		}
@@ -190,15 +190,15 @@ func refClipStep(params []*Param, opt *Adam, maxNorm float64) float64 {
 			p.Dirty = false
 			continue
 		}
-		m := opt.m[p]
-		if m == nil {
+		sl := opt.slots[p]
+		if sl == nil {
 			if !rowPath && allZero(p.Grad.Data) {
 				p.Dirty = false
 				continue
 			}
-			m = opt.alloc(p)
+			sl = opt.alloc(p, rowPath)
 		}
-		v := opt.v[p]
+		m, v := sl.m, sl.v
 		if rowPath {
 			cols := p.Grad.Cols
 			for _, r := range p.DirtyRows {
@@ -333,18 +333,18 @@ func TestSpineClipStepMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: t = %d, want %d", step, opt.t, refOpt.t)
 				}
 				for i := range master {
-					m, rm := opt.m[master[i]], refOpt.m[refMaster[i]]
-					if (m == nil) != (rm == nil) {
+					sl, rsl := opt.slots[master[i]], refOpt.slots[refMaster[i]]
+					if (sl == nil) != (rsl == nil) {
 						t.Fatalf("step %d: param %d moment allocation mismatch", step, i)
 					}
-					if m == nil {
+					if sl == nil {
 						continue
 					}
-					for j := range m.Data {
-						if m.Data[j] != rm.Data[j] {
-							t.Fatalf("step %d: param %d m[%d] = %v, want %v", step, i, j, m.Data[j], rm.Data[j])
+					for j := range sl.m {
+						if sl.m[j] != rsl.m[j] {
+							t.Fatalf("step %d: param %d m[%d] = %v, want %v", step, i, j, sl.m[j], rsl.m[j])
 						}
-						if opt.v[master[i]].Data[j] != refOpt.v[refMaster[i]].Data[j] {
+						if sl.v[j] != rsl.v[j] {
 							t.Fatalf("step %d: param %d v[%d] mismatch", step, i, j)
 						}
 					}
@@ -384,7 +384,7 @@ func TestAdamStepMatchesSpineClipStep(t *testing.T) {
 				if math.Float64bits(lazy[i].Value.Data[j]) != math.Float64bits(eager[i].Value.Data[j]) {
 					t.Fatalf("step %d: param %d value[%d] = %v (ClipStep), %v (Adam.Step)", step, i, j, lazy[i].Value.Data[j], eager[i].Value.Data[j])
 				}
-				if lazyOpt.m[lazy[i]].Data[j] != eagerOpt.m[eager[i]].Data[j] || lazyOpt.v[lazy[i]].Data[j] != eagerOpt.v[eager[i]].Data[j] {
+				if lazyOpt.slots[lazy[i]].m[j] != eagerOpt.slots[eager[i]].m[j] || lazyOpt.slots[lazy[i]].v[j] != eagerOpt.slots[eager[i]].v[j] {
 					t.Fatalf("step %d: param %d moments at %d differ", step, i, j)
 				}
 			}
@@ -440,11 +440,11 @@ func TestSpineLazyAdamFreezesUntouchedMoments(t *testing.T) {
 	spine.Reduce(nil)
 	spine.ClipStep()
 	p := master[1] // dense param, now stepped
-	if opt.m[p] == nil {
+	if opt.slots[p] == nil {
 		t.Fatal("param 1 has no moments after a dirty step")
 	}
-	wantM := append([]float64(nil), opt.m[p].Data...)
-	wantV := append([]float64(nil), opt.v[p].Data...)
+	wantM := append([]float64(nil), opt.slots[p].m...)
+	wantV := append([]float64(nil), opt.slots[p].v...)
 	wantW := append([]float64(nil), p.Value.Data...)
 
 	// Step 2: only param 0 dirty; param 1 must be bit-frozen.
@@ -456,7 +456,7 @@ func TestSpineLazyAdamFreezesUntouchedMoments(t *testing.T) {
 	spine.Reduce(nil)
 	spine.ClipStep()
 	for j := range wantM {
-		if opt.m[p].Data[j] != wantM[j] || opt.v[p].Data[j] != wantV[j] {
+		if opt.slots[p].m[j] != wantM[j] || opt.slots[p].v[j] != wantV[j] {
 			t.Fatalf("moments of clean param changed at %d", j)
 		}
 		if p.Value.Data[j] != wantW[j] {
@@ -497,7 +497,7 @@ func TestSpineClipStepRestoresDirtyInvariant(t *testing.T) {
 			t.Fatalf("param %d has %d dirty rows after ClipStep", i, len(p.DirtyRows))
 		}
 	}
-	if spine.opt.m[master[1]] != nil {
+	if spine.opt.slots[master[1]] != nil {
 		t.Fatal("all-zero dirty param allocated moments")
 	}
 }
