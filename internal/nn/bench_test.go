@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"h2onas/internal/tensor"
@@ -113,6 +114,27 @@ func BenchmarkLowRankDenseBackward(b *testing.B) {
 			l := NewLowRankDense(s.in, s.out, min(s.in, s.out), tensor.NewRNG(1))
 			l.SetReLUInput(true)
 			benchAffine(b, l, func(a *tensor.Arena) { l.Arena = a }, s.rows, s.in, s.out, true)
+		})
+	}
+}
+
+// BenchmarkDenseStep times one training pass of the perf model's Dense
+// layer — zeroed gradients, Forward, Backward — on a batch of 256 at the
+// -scale quick (128×128) and -scale full (512×512) hidden widths. Dense
+// fans out to the pool's width, so -cpu 1,2 sweeps it.
+func BenchmarkDenseStep(b *testing.B) {
+	for _, width := range []int{128, 512} {
+		b.Run(fmt.Sprintf("256x%dx%d", width, width), func(b *testing.B) {
+			l := NewDense(width, width, tensor.NewRNG(1))
+			x := benchReLUInput(256, width, 2)
+			g := tensor.RandN(256, width, 1, tensor.NewRNG(3))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ZeroGrads(l.Params())
+				l.Forward(x)
+				l.Backward(g)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"h2onas/internal/tensor"
 )
@@ -134,18 +135,16 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Dense is a fully connected layer: y = x·W + b, with x batch×in.
+// Dense is a fully connected layer: y = x·W + b, with x batch×in. It runs
+// the masked affine stage over its whole weight without a bias and adds b
+// after the k sweep rather than seeding it, so y is the rounded x·W plus
+// b — the perf model's formula, pinned by TestDenseMatchesMatMulReference.
 type Dense struct {
 	W *Param // in×out
 	B *Param // 1×out
 
-	// Workers bounds the parallelism of the layer's matmul kernels under
-	// the owning search's core budget (see internal/sched). 0 keeps the
-	// kernels' default dispatch (the shared-pool width); any positive
-	// value caps the fan-out. Bits never depend on the setting.
-	Workers int
-
-	input *tensor.Matrix
+	stage affine        // bias-less; bound to W on first use
+	arena *tensor.Arena // y and dX of the pass in flight
 }
 
 // NewDense returns a Glorot-initialized in→out dense layer.
@@ -156,28 +155,39 @@ func NewDense(in, out int, rng *tensor.RNG) *Dense {
 	}
 }
 
-// Forward computes x·W + b.
+// bind returns the layer's stage, binding it to W the first time, so a
+// Dense built as a struct literal works like one from NewDense.
+func (l *Dense) bind() *affine {
+	if l.stage.w != l.W {
+		l.stage.init(l.W, nil)
+	}
+	return &l.stage
+}
+
+// Forward computes x·W + b. The row loops fan out up to the shared
+// pool's width; bits never depend on it. y, and the dX of the Backward
+// that follows, stay valid until the layer's next Forward, which hands
+// them back to the shared matrix pool, so the layer keeps no batch-sized
+// buffers between passes and a training loop does not churn the heap.
 func (l *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
-	l.input = x
-	y := tensor.New(x.Rows, l.W.Value.Cols)
-	tensor.MatMulIntoN(x, l.W.Value, y, l.Workers)
+	if l.arena == nil {
+		l.arena = tensor.NewArena()
+	}
+	l.arena.Drain()
+	y := l.bind().forward(x, l.arena, runtime.GOMAXPROCS(0))
 	tensor.AddRowVector(y, l.B.Value)
 	return y
 }
 
-// Backward accumulates dW = xᵀ·grad, db = colsum(grad) and returns
-// dX = grad·Wᵀ.
+// Backward accumulates dW = xᵀ·grad and db = Σ_rows grad (batch rows
+// ascending) and returns dX = grad·Wᵀ.
 func (l *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if l.input == nil {
-		panic("nn: Dense.Backward before Forward")
+	dx := l.bind().backward(grad, l.arena, runtime.GOMAXPROCS(0))
+	bg := l.B.Grad.Data
+	for i := 0; i < grad.Rows; i++ {
+		tensor.Axpy(bg, 1, grad.Row(i))
 	}
-	dw := tensor.New(l.W.Grad.Rows, l.W.Grad.Cols)
-	tensor.MatMulTransAIntoN(l.input, grad, dw, l.Workers)
-	tensor.AddInPlace(l.W.Grad, dw)
-	tensor.AddInPlace(l.B.Grad, tensor.ColSums(grad))
-	l.W.Dirty, l.B.Dirty = true, true
-	dx := tensor.New(grad.Rows, l.W.Value.Rows)
-	tensor.MatMulTransBIntoN(grad, l.W.Value, dx, l.Workers)
+	l.B.Dirty = true
 	return dx
 }
 

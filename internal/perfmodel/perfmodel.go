@@ -74,7 +74,8 @@ func (m *Model) SetMetrics(r *metrics.Registry) {
 }
 
 // New builds an untrained model for featDim input features with the given
-// hidden widths (Table 1 uses two hidden layers of 512 neurons).
+// hidden widths (Table 1 uses two hidden layers of 512 neurons). It
+// panics on a non-positive feature dimension or hidden width.
 func New(featDim int, hidden []int, seed uint64) *Model {
 	if featDim <= 0 {
 		panic("perfmodel: non-positive feature dimension")
@@ -86,6 +87,9 @@ func New(featDim int, hidden []int, seed uint64) *Model {
 	var layers []nn.Layer
 	in := featDim
 	for _, h := range hidden {
+		if h <= 0 {
+			panic(fmt.Sprintf("perfmodel: non-positive hidden width %d", h))
+		}
 		layers = append(layers, nn.NewDense(in, h, rng), nn.NewActivationLayer(nn.ReLU))
 		in = h
 	}

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"h2onas/internal/metrics"
@@ -158,13 +159,31 @@ func TestDualHeadsIndependent(t *testing.T) {
 	}
 }
 
+// TestNewValidates: a non-positive feature dimension or hidden width is
+// refused up front. A zero-width layer would cut every feature off (the
+// model then predicts one constant), and a negative one would panic deep
+// inside tensor.
 func TestNewValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive feature dim")
-		}
-	}()
-	New(0, nil, 1)
+	for _, c := range []struct {
+		featDim int
+		hidden  []int
+		want    string
+	}{
+		{0, nil, "non-positive feature dimension"},
+		{3, []int{0}, "non-positive hidden width"},
+		{3, []int{-4}, "non-positive hidden width"},
+		{3, []int{8, 0}, "non-positive hidden width"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, c.want) {
+					t.Errorf("New(%d, %v, 1) panic = %v, want %q", c.featDim, c.hidden, r, c.want)
+				}
+			}()
+			New(c.featDim, c.hidden, 1)
+		}()
+	}
 }
 
 func TestFineTuneDegradedSampleSet(t *testing.T) {

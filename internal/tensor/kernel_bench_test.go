@@ -51,7 +51,7 @@ func BenchmarkMatMulTransB(b *testing.B) {
 // entries are the small-DLRM search step's real operand sizes (batch 64
 // against bottom/top-MLP weights); the vit entries are ViT-Base token
 // mixing shapes (196 patch tokens × 768 hidden), whose weight operand
-// crosses blockMinElems so the cache-blocked path is what gets measured.
+// outgrows L2, so they show the flat sweep's memory-bound regime.
 var benchShapes = []struct {
 	name    string
 	m, k, n int

@@ -15,7 +15,7 @@ func wantKernelBackend() string {
 }
 
 // TestKernelFallbackWithoutAVX2 reruns the kernel cross-check and the
-// blocked-vs-naive matmul property tests with the assembly gated off, the
+// matmul-vs-reference property tests with the assembly gated off, the
 // state a CPU without AVX2 starts in: that host's code path must not go
 // untested just because the test host has AVX2.
 func TestKernelFallbackWithoutAVX2(t *testing.T) {
@@ -28,6 +28,7 @@ func TestKernelFallbackWithoutAVX2(t *testing.T) {
 		t.Fatalf("kernel backend %q with AVX2 gated off, want scalar", got)
 	}
 	t.Run("MatchesReference", TestKernelBackendMatchesReference)
-	t.Run("BlockedKernels", TestBlockedKernelsBitIdentical)
-	t.Run("BlockedRangeSplits", TestBlockedRangeSplitsBitIdentical)
+	t.Run("MatMul", TestMatMulIntoBitIdenticalAcrossShapes)
+	t.Run("MatMulTransA", TestMatMulTransAIntoBitIdenticalAcrossShapes)
+	t.Run("MatMulTransB", TestMatMulTransBIntoBitIdenticalAcrossShapes)
 }

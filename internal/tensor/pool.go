@@ -138,42 +138,18 @@ func (a *Arena) Drain() {
 // ---------------------------------------------------------------------------
 // Persistent kernel worker pool.
 //
-// Large matmuls shard output rows across workers. Spawning a goroutine
-// per chunk per call (the old parallelRows) costs a scheduler round-trip
-// on every kernel invocation; instead a fixed set of workers, started on
-// first use and sized to GOMAXPROCS at that moment, receives fixed-shape
-// task structs over a channel. Tasks carry no closures, so dispatch
-// itself is allocation-free (WaitGroups are pooled).
-
-type kernelOp uint8
-
-const (
-	opMatMul kernelOp = iota
-	opMatMulTransA
-	opMatMulTransB
-	opRange
-)
+// Parallel kernels and layer loops shard index ranges across workers.
+// Spawning a goroutine per chunk per call costs a scheduler round-trip
+// on every invocation; instead a fixed set of workers, started on first
+// use and sized to GOMAXPROCS at that moment, receives fixed-shape task
+// structs over a channel. A task carries the caller's func value, so a
+// caller that reuses one performs no allocation per dispatch (WaitGroups
+// are pooled).
 
 type kernelTask struct {
-	op     kernelOp
-	a, b   *Matrix
-	out    *Matrix
 	fn     func(lo, hi int)
 	lo, hi int
 	wg     *sync.WaitGroup
-}
-
-func runKernelRange(t kernelTask) {
-	switch t.op {
-	case opMatMul:
-		matmulRows(t.a, t.b, t.out, t.lo, t.hi)
-	case opMatMulTransA:
-		transACols(t.a, t.b, t.out, t.lo, t.hi)
-	case opMatMulTransB:
-		transBRows(t.a, t.b, t.out, t.lo, t.hi)
-	case opRange:
-		t.fn(t.lo, t.hi)
-	}
 }
 
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
@@ -196,43 +172,9 @@ func newKernelPool(workers int) *kernelPool {
 
 func (p *kernelPool) work() {
 	for t := range p.tasks {
-		runKernelRange(t)
+		t.fn(t.lo, t.hi)
 		t.wg.Done()
 	}
-}
-
-// run shards [0,n) across at most workers pool workers (<= 0 means the
-// pool's full width) and blocks until every chunk has finished. When the
-// queue is full (all workers busy — e.g. several shards issuing large
-// kernels at once) the submitter runs the chunk inline instead of
-// blocking, so the pool can never deadlock or idle the submitting
-// goroutine.
-func (p *kernelPool) run(n int, op kernelOp, a, b, out *Matrix, workers int) {
-	if workers <= 0 || workers > p.workers {
-		workers = p.workers
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		runKernelRange(kernelTask{op: op, a: a, b: b, out: out, lo: 0, hi: n})
-		return
-	}
-	wg := wgPool.Get().(*sync.WaitGroup)
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		t := kernelTask{op: op, a: a, b: b, out: out, lo: lo, hi: hi, wg: wg}
-		select {
-		case p.tasks <- t:
-		default:
-			runKernelRange(t)
-			wg.Done()
-		}
-	}
-	wg.Wait()
-	wgPool.Put(wg)
 }
 
 // ParallelFor shards [0,n) into contiguous chunks and runs fn(lo, hi)
@@ -274,13 +216,12 @@ func ParallelFor(n, workers int, fn func(lo, hi int)) {
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
 		wg.Add(1)
-		t := kernelTask{op: opRange, fn: fn, lo: lo, hi: hi, wg: wg}
 		select {
-		case p.tasks <- t:
+		case p.tasks <- kernelTask{fn: fn, lo: lo, hi: hi, wg: wg}:
 		default:
 			// Pool saturated: run the chunk on the submitting goroutine so
 			// ParallelFor can never deadlock behind its own siblings.
-			runKernelRange(t)
+			fn(lo, hi)
 			wg.Done()
 		}
 	}

@@ -158,13 +158,15 @@ func TestMatMulTransBIntoBitIdenticalAcrossShapes(t *testing.T) {
 }
 
 // TestKernelPoolMatchesSerial forces the worker-pool path (bypassing the
-// size threshold) and asserts it is bit-identical to the serial kernels
-// for every op, including under concurrent submitters.
+// WorkersFor grain) and asserts it is bit-identical to the serial kernels
+// for every matmul form, with four goroutines submitting to the shared
+// pool at once so chunks of different products interleave and some run
+// inline on a saturated queue.
 func TestKernelPoolMatchesSerial(t *testing.T) {
-	pool := newKernelPool(4)
 	rng := NewRNG(105)
 	type c struct {
-		op   kernelOp
+		name string
+		rows func(a, b, out *Matrix, lo, hi int)
 		a, b *Matrix
 		want *Matrix
 		n    int
@@ -178,10 +180,10 @@ func TestKernelPoolMatchesSerial(t *testing.T) {
 		b := RandN(k, m, 1, rng)
 		g := RandN(n, m, 1, rng) // batch×out gradient for the TransA case
 		sparsify(a, rng)
-		cases = append(cases, c{opMatMul, a, b, MatMul(a, b), n})
-		cases = append(cases, c{opMatMulTransA, a, g, MatMulTransA(a, g), k})
+		cases = append(cases, c{"matmulRows", matmulRows, a, b, MatMul(a, b), n})
+		cases = append(cases, c{"transACols", transACols, a, g, MatMulTransA(a, g), k})
 		bt := Transpose(b)
-		cases = append(cases, c{opMatMulTransB, a, bt, MatMulTransB(a, bt), n})
+		cases = append(cases, c{"transBRows", transBRows, a, bt, MatMulTransB(a, bt), n})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -190,11 +192,11 @@ func TestKernelPoolMatchesSerial(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 10; rep++ {
 				for _, tc := range cases {
-					out := New(tc.want.Rows, tc.want.Cols)
-					pool.run(tc.n, tc.op, tc.a, tc.b, out, 0)
+					out := dirty(tc.want.Rows, tc.want.Cols)
+					ParallelFor(tc.n, 4, func(lo, hi int) { tc.rows(tc.a, tc.b, out, lo, hi) })
 					for i := range out.Data {
 						if math.Float64bits(out.Data[i]) != math.Float64bits(tc.want.Data[i]) {
-							t.Errorf("pooled op %d element %d = %v want %v", tc.op, i, out.Data[i], tc.want.Data[i])
+							t.Errorf("pooled %s element %d = %v want %v", tc.name, i, out.Data[i], tc.want.Data[i])
 							return
 						}
 					}
@@ -203,7 +205,6 @@ func TestKernelPoolMatchesSerial(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(pool.tasks)
 }
 
 func TestArenaGetZeroedAndReuse(t *testing.T) {

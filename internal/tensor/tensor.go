@@ -1,8 +1,8 @@
 // Package tensor provides dense float64 matrices and vectors with the
-// linear-algebra kernels the rest of the system is built on: blocked,
-// optionally parallel matrix multiplication (including the transposed
-// variants needed for backpropagation), elementwise maps, reductions, and
-// deterministic random initialization.
+// linear-algebra kernels the rest of the system is built on: the
+// bit-exact row kernels every dense layer runs on (AVX2 on amd64, a
+// scalar reference elsewhere), a shared worker pool, region arenas,
+// elementwise maps, reductions, and deterministic random initialization.
 //
 // The package is deliberately small: it implements exactly what the
 // neural-network substrate (internal/nn), the performance model
@@ -149,18 +149,6 @@ func MaxAbs(a *Matrix) float64 {
 		}
 	}
 	return m
-}
-
-// ColSums returns a row vector (1×m matrix) of per-column sums.
-func ColSums(a *Matrix) *Matrix {
-	out := New(1, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	return out
 }
 
 // AddRowVector adds the 1×m row vector v to every row of a, in place.
