@@ -53,7 +53,7 @@ var (
 	ckptEvery  = flag.Int("checkpoint-every", 25, "snapshot every N search steps (with -checkpoint-dir)")
 	ckptRetain = flag.Int("checkpoint-retain", 3, "keep only the newest N snapshots (0 keeps all)")
 	resume     = flag.Bool("resume", false, "resume from the newest valid snapshot in -checkpoint-dir")
-	workers    = flag.String("workers", "", "comma-separated shardworker addresses; runs the search over TCP with one remote worker per shard (overrides -shards)")
+	workers    = flag.String("workers", "", "comma-separated shardworker addresses; runs the search over TCP with one remote worker per shard (overrides -shards); each worker's GOMAXPROCS is its core budget, and -cores does not reach it")
 	rpcTimeout = flag.Duration("rpc-timeout", 0, "per-call deadline for remote shard RPCs (with -workers; 0 uses the default)")
 	resultOut  = flag.String("result-out", "", "write the deterministic search result as JSON to this file")
 	failShard  = flag.String("fail-shard", "", "fail shards in-process for reproduction, as shard:step[,shard:step...] — shard s fails every step ≥ step")

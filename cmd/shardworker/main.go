@@ -8,6 +8,9 @@
 //
 //	shardworker -listen :7070
 //
+// The worker computes its shard on all of GOMAXPROCS: that is its core
+// budget, and the result bits do not depend on it.
+//
 // On SIGTERM or SIGINT the worker drains gracefully: it stops accepting
 // connections, lets any in-flight step finish and flush its response, and
 // exits 0. A drained worker never leaves the coordinator with a torn

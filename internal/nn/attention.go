@@ -168,6 +168,7 @@ func (l *MaskedAttention) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if l.ctx == nil {
 		panic("nn: MaskedAttention.Backward before Forward")
 	}
+	checkGrad("MaskedAttention.Backward", grad, l.ctx.Rows, l.activeDim)
 	batch := grad.Rows / l.seq
 	nHeads, dh := l.heads()
 	scale := 1 / math.Sqrt(float64(dh))

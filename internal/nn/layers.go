@@ -271,9 +271,7 @@ func (a *affine) backward(grad *tensor.Matrix, arena *tensor.Arena, workers int)
 	if a.x == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", a.w.Name))
 	}
-	if grad.Cols != a.out {
-		panic(fmt.Sprintf("nn: %s: grad width %d != active out %d", a.w.Name, grad.Cols, a.out))
-	}
+	checkGrad(a.w.Name, grad, a.x.Rows, a.out)
 	if a.w.RowSparse {
 		for k := 0; k < a.in; k++ {
 			a.w.MarkRow(k)

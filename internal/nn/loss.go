@@ -80,6 +80,16 @@ func SoftmaxInto(logits, out []float64) {
 	}
 }
 
+// checkGrad panics unless a Backward's grad is rows×cols, the shape of the
+// output its Forward produced: with more rows the extras would be dropped
+// from some gradients and summed into others, with fewer the pass would
+// return partial gradients or index past the batch.
+func checkGrad(op string, grad *tensor.Matrix, rows, cols int) {
+	if grad.Rows != rows || grad.Cols != cols {
+		panic(fmt.Sprintf("nn: %s: grad shape %dx%d, want %dx%d", op, grad.Rows, grad.Cols, rows, cols))
+	}
+}
+
 func checkSame(op string, a, b *tensor.Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))

@@ -94,9 +94,7 @@ func (l *MaskedLayerNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if l.input == nil {
 		panic("nn: MaskedLayerNorm.Backward before Forward")
 	}
-	if grad.Cols != l.activeDim {
-		panic(fmt.Sprintf("nn: MaskedLayerNorm grad width %d != active %d", grad.Cols, l.activeDim))
-	}
+	checkGrad("MaskedLayerNorm.Backward", grad, l.input.Rows, l.activeDim)
 	n := float64(l.activeDim)
 	gamma := l.Gamma.Value.Data[:l.activeDim]
 	dGamma := l.Gamma.Grad.Data[:l.activeDim]

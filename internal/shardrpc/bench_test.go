@@ -46,14 +46,16 @@ func rpcSearch(t testing.TB, steps int) (allocs, bytes uint64) {
 }
 
 // The heap a steady-state sampled step of the 2-worker loopback DLRM
-// search may take, coordinator and both workers together: the measured
-// 18 allocations of ~79.3 KB (GOMAXPROCS 1, 2 and 4) plus at most 10 %.
-// What remains is the in-process step plane's — two coordinator-drawn
-// batches (~48 KB), the sampled assignments, the candidate log (see
-// core's TestSteadyStateSearchStepAllocs) — and the fan-out's goroutine
-// per worker: no frame, decode or weight or gradient copy allocates.
-// Before the wire plane reused its buffers a step made ~1,700
-// allocations of ~28 MB.
+// search may take, coordinator and both workers together. The budgets
+// were set at 18 allocations of ~79.3 KB plus at most 10 %; since the
+// fan-out runs pre-bound per-worker funcs a step makes 12–14 allocations
+// of ~79.3 KB (GOMAXPROCS 1, 2 and 4), one more or less with
+// scheduling. What remains is the in-process step plane's
+// — two coordinator-drawn batches (~48 KB), the sampled assignments, the
+// candidate log (see core's TestSteadyStateSearchStepAllocs): no
+// fan-out, frame, decode or weight or gradient copy allocates. Before
+// the wire plane reused its buffers a step made ~1,700 allocations of
+// ~28 MB.
 const (
 	rpcStepAllocBudget = 19
 	rpcStepByteBudget  = 87_000

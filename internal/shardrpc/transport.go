@@ -45,6 +45,18 @@ type rpcWorker struct {
 	// bufs and res are reused every step; res views into bufs.rx.
 	bufs connBufs
 	res  resultView
+
+	// run drives this shard through the step in flight (Transport.cur);
+	// bound once at Dial, so RunStep's fan-out allocates nothing.
+	run func()
+}
+
+// stepArgs are the operands of the RunStep in flight.
+type stepArgs struct {
+	step        int
+	assignments []space.Assignment
+	batches     []*datapipe.Batch
+	outcomes    []core.ShardOutcome
 }
 
 // Transport drives remote shard workers over length-prefixed TCP frames,
@@ -86,6 +98,10 @@ type Transport struct {
 
 	membership string
 	closed     bool
+
+	// cur and inFlight belong to the RunStep in flight.
+	cur      stepArgs
+	inFlight sync.WaitGroup
 
 	ins instruments
 }
@@ -129,11 +145,17 @@ func Dial(addrs []string, opts Options) (*Transport, error) {
 		if a == "" {
 			return nil, fmt.Errorf("shardrpc: empty address for shard %d", i)
 		}
-		t.workers = append(t.workers, &rpcWorker{
+		w := &rpcWorker{
 			shard: i,
 			addr:  a,
 			br:    NewBreaker(breakerThreshold, breakerCooldown, t.clock),
-		})
+		}
+		w.run = func() {
+			defer t.inFlight.Done()
+			c := &t.cur
+			t.runShard(c.step, w, c.assignments[i], c.batches[i], &c.outcomes[i])
+		}
+		t.workers = append(t.workers, w)
 	}
 	t.membership = "tcp[" + strings.Join(addrs, ",") + "]"
 	return t, nil
@@ -232,15 +254,13 @@ func (t *Transport) dropConn(w *rpcWorker) {
 func (t *Transport) RunStep(step int, assignments []space.Assignment, batches []*datapipe.Batch, outcomes []core.ShardOutcome) {
 	// The delta is shared read-only by every worker goroutine that syncs
 	// from version-1.
-	var wg sync.WaitGroup
-	for i := range t.workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t.runShard(step, t.workers[i], assignments[i], batches[i], &outcomes[i])
-		}(i)
+	t.cur = stepArgs{step, assignments, batches, outcomes}
+	t.inFlight.Add(len(t.workers))
+	for _, w := range t.workers {
+		go w.run()
 	}
-	wg.Wait()
+	t.inFlight.Wait()
+	t.cur = stepArgs{}
 	open := 0
 	for _, w := range t.workers {
 		if w.br.State() != BreakerClosed {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -22,9 +23,15 @@ import (
 // structurally identical super-network replica, and then answers one
 // synchronous exec request at a time — apply the weight sync, run the
 // forward/backward on the wire-delivered batch, return the exact loss
-// and gradient bits. The computation is single-goroutine and consumes no
-// worker-local randomness, so its results are a pure function of the
-// request — the property the coordinator's bit-determinism rests on.
+// and gradient bits. The computation consumes no worker-local
+// randomness, so its results are a pure function of the request — the
+// property the coordinator's bit-determinism rests on.
+//
+// GOMAXPROCS is the worker's core budget: a worker process serves one
+// shard, so each replica's layers fan out across all of it
+// (supernet.SetWorkers). Every layer's parallel path is bit-identical to
+// its serial loop, so the budget moves no bit; run one worker per host
+// and leave GOMAXPROCS at the host's core count.
 //
 // A worker serves coordinator sessions sequentially or concurrently (one
 // super-network per connection) and drains gracefully: Drain lets the
@@ -227,6 +234,9 @@ func newSession(h *hello) (s *workerSession, err error) {
 	}
 	arena := tensor.NewArena()
 	net.SetArena(arena)
+	// One shard per worker process: the replica gets the host's whole
+	// core budget (see Worker).
+	net.SetWorkers(runtime.GOMAXPROCS(0))
 	return &workerSession{
 		shard:  h.Shard,
 		ds:     ds,

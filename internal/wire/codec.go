@@ -12,9 +12,11 @@
 // a hang or an allocation larger than a constant multiple of the input.
 //
 // A vector is coded in bulk: the encoder reserves its bytes once and the
-// decoder checks its count once, then each runs a tight loop over the
-// elements. Streams that carry frame after frame need copy no byte twice
-// and allocate nothing per frame. The sender reserves the header in front
+// decoder checks its count once. Then, on a little-endian host, each
+// moves the whole vector with one copy (one per row for F64Rows), since
+// there the wire bytes are the vector's own memory (bulk.go). Streams
+// that carry frame after frame need copy no byte twice and allocate
+// nothing per frame. The sender reserves the header in front
 // of the payload (Format.Reserve), encodes in place, seals (Format.Seal)
 // and writes the frame in one Write. The receiver passes each payload
 // ReadFrame returned back as the next read's buffer, and takes its large
@@ -80,10 +82,28 @@ func (e *Enc) F64Rows(data []float64, cols int, rows []int32) {
 	}
 }
 
-func putF64s(b []byte, v []float64) {
+// putF64sRef, getF64sRef and putI32sRef are the per-element reference
+// codec: the wire format spelled out one element at a time. A
+// big-endian host runs them; a little-endian host copies instead
+// (bulk.go), and the tests hold the copy to these loops.
+func putF64sRef(b []byte, v []float64) {
 	b = b[:8*len(v)]
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+}
+
+func getF64sRef(dst []float64, b []byte) {
+	b = b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+func putI32sRef(b []byte, v []int32) {
+	b = b[:4*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 
@@ -106,10 +126,7 @@ func (e *Enc) Ints(v []int) {
 
 func (e *Enc) I32s(v []int32) {
 	e.U32(uint32(len(v)))
-	b := e.extend(4 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
+	putI32s(e.extend(4*len(v)), v)
 }
 
 // Dec reads a payload with sticky errors and hard bounds: after the
@@ -301,10 +318,7 @@ func (v F64View) Slice(i, j int) F64View { return F64View{v.b[8*i : 8*j]} }
 // how many, like copy.
 func (v F64View) CopyTo(dst []float64) int {
 	n := min(len(dst), v.Len())
-	b, dst := v.b[:8*n], dst[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	getF64s(dst[:n], v.b)
 	return n
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -530,7 +531,9 @@ var f64Sink []float64
 // BenchmarkF64s measures the bulk float codec on one 64 K-element vector
 // (512 KiB, the order of a weight-delta or gradient frame): encode into a
 // reused buffer, decode to a new slice, and decode in place through a
-// view into reused storage.
+// view into reused storage. The rows cases gather every other row of a
+// 4096-row table at the weight delta's real row widths (24 and 72), one
+// copy per row.
 func BenchmarkF64s(b *testing.B) {
 	v := make([]float64, 1<<16)
 	for i := range v {
@@ -563,4 +566,23 @@ func BenchmarkF64s(b *testing.B) {
 			d.F64View().CopyTo(dst)
 		}
 	})
+	for _, cols := range []int{24, 72} {
+		const tableRows = 4096
+		data := make([]float64, tableRows*cols)
+		for i := range data {
+			data[i] = float64(i) * 0.25
+		}
+		rows := make([]int32, 0, tableRows/2)
+		for r := 0; r < tableRows; r += 2 {
+			rows = append(rows, int32(r))
+		}
+		b.Run(fmt.Sprintf("rows/%d", cols), func(b *testing.B) {
+			b.SetBytes(int64(8 * cols * len(rows)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Buf = e.Buf[:0]
+				e.F64Rows(data, cols, rows)
+			}
+		})
+	}
 }
