@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"path/filepath"
 	"sort"
@@ -115,11 +116,15 @@ func (m *Manager) Save(s *Snapshot) (string, error) {
 }
 
 // List returns the steps of all snapshots present, ascending. A missing
-// directory is an empty list, not an error.
+// directory is an empty list, not an error; a directory that exists but
+// cannot be read is an error, never an empty list.
 func (m *Manager) List() ([]int64, error) {
 	names, err := m.fs().ReadDir(m.Dir)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: listing %s: %w", m.Dir, err)
 	}
 	var steps []int64
 	for _, name := range names {
@@ -144,8 +149,13 @@ func (m *Manager) Load(path string) (*Snapshot, error) {
 // LoadLatest returns the newest valid snapshot in Dir and its path.
 // Corrupted, truncated, or unreadable snapshots are skipped with a
 // logged warning; if nothing valid remains it returns ErrNoCheckpoint.
+// A directory it cannot list is an error: reading it as empty would
+// restart the run from scratch.
 func (m *Manager) LoadLatest() (*Snapshot, string, error) {
-	steps, _ := m.List()
+	steps, err := m.List()
+	if err != nil {
+		return nil, "", err
+	}
 	for i := len(steps) - 1; i >= 0; i-- {
 		path := filepath.Join(m.Dir, SnapshotName(steps[i]))
 		s, err := m.Load(path)

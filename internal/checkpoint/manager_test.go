@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	iofs "io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,6 +67,47 @@ func TestManagerEmptyDirIsErrNoCheckpoint(t *testing.T) {
 	m, _ := memManager()
 	if _, _, err := m.LoadLatest(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
+	}
+}
+
+// readDirFailsOnce is a directory that exists but cannot be read, once:
+// its first ReadDir fails with a permission error, not a missing one.
+type readDirFailsOnce struct {
+	FS
+	failed bool
+}
+
+func (f *readDirFailsOnce) ReadDir(dir string) ([]string, error) {
+	if !f.failed {
+		f.failed = true
+		return nil, &iofs.PathError{Op: "open", Path: dir, Err: iofs.ErrPermission}
+	}
+	return f.FS.ReadDir(dir)
+}
+
+// TestManagerUnreadableDirIsAnError: only a missing directory reads as
+// empty. A snapshot directory that cannot be listed must fail the
+// resume rather than look empty, which would restart the run from
+// scratch and lose its progress.
+func TestManagerUnreadableDirIsAnError(t *testing.T) {
+	m, mem := memManager()
+	if _, err := m.Save(snapshotAt(4)); err != nil {
+		t.Fatal(err)
+	}
+	m.FS = &readDirFailsOnce{FS: mem}
+	if _, _, err := m.LoadLatest(); !errors.Is(err, iofs.ErrPermission) {
+		t.Fatalf("LoadLatest on an unreadable directory = %v, want the permission error", err)
+	}
+	if s, _, err := m.LoadLatest(); err != nil || s.Step != 4 {
+		t.Fatalf("LoadLatest once readable = %v, %v; want step 4", s, err)
+	}
+
+	missing := &Manager{Dir: filepath.Join(t.TempDir(), "missing")}
+	if steps, err := missing.List(); err != nil || len(steps) != 0 {
+		t.Fatalf("List of a missing directory = %v, %v; want empty", steps, err)
+	}
+	if _, _, err := missing.LoadLatest(); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("LoadLatest of a missing directory = %v, want ErrNoCheckpoint", err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"h2onas/internal/datapipe"
 	"h2onas/internal/nn"
 	"h2onas/internal/reward"
-	"h2onas/internal/sched"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
 )
@@ -88,28 +87,28 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	rng := tensor.NewRNG(cfg.Seed)
 	master, replicas := e.Build(rng, cfg.Shards)
 	// Partition the core budget so shard-level and kernel-level
-	// parallelism stop fighting: the shards run on at most budget.Workers()
+	// parallelism stop fighting: the shards run on at most budget.workers()
 	// goroutines, each replica's intra-layer fan-out is bounded to its
 	// per-shard share, while the master — which only computes in
 	// coordinator-exclusive phases (final eval) — and the spine get the
 	// full budget. Purely a performance decision; bits never depend on it.
-	budget := sched.New(cfg.Workers, cfg.Shards)
-	master.SetWorkers(budget.Total())
+	budget := newCoreBudget(cfg.Workers, cfg.Shards)
+	master.SetWorkers(budget.total)
 	for _, r := range replicas {
-		r.SetWorkers(budget.PerShard())
+		r.SetWorkers(budget.perShard())
 	}
 	sandwichOn := !cfg.DisableSandwich
-	if sandwichOn && cfg.Shards > budget.Total() {
+	if sandwichOn && cfg.Shards > budget.total {
 		// The sandwich shard trains the maximal sub-network every step, so
 		// it is the step's longest job. With more shards than cores the
 		// sampled shards drain off the workers' queue before it is done and
 		// their cores go idle; its kernels get the full budget to use them.
-		replicas[0].SetWorkers(budget.Total())
+		replicas[0].SetWorkers(budget.total)
 	}
 	strat := strategyFor(&cfg, e.Space)
 	opt := nn.NewAdam(cfg.WeightLR)
 	spine := nn.NewSpine(master.Params(), opt, 10)
-	spine.SetWorkers(budget.Total())
+	spine.SetWorkers(budget.total)
 	sm := newSearchMetrics(cfg.Metrics)
 
 	// The transport seam: where the per-shard forward/backward executes.
@@ -122,7 +121,7 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 			return nil, fmt.Errorf("core: binding shard transport: %w", err)
 		}
 	} else {
-		pool := newShardPool[B](&cfg, sm, replicas, budget.Workers())
+		pool := newShardPool[B](&cfg, sm, replicas, budget.workers())
 		defer pool.Close()
 		transport = pool
 	}

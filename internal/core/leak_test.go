@@ -82,7 +82,7 @@ func HarnessSearchLeaksNoGoroutines(t *testing.T, search SearchFunc, cfg Config)
 
 	RequireNoGoroutineLeak(t, "all shards dropped", func() {
 		dead := cfg
-		dead.Clock = &testClock{now: time.Unix(1754400000, 0)}
+		dead.Clock = &FrozenClock{}
 		dead.ShardFault = func(step, shard, attempt int) error { return errors.New("whole fleet offline") }
 		res, err := search(t, 31, dead)
 		if err != nil {

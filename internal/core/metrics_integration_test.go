@@ -105,36 +105,6 @@ func TestSearchRecordsMetrics(t *testing.T) {
 	}
 }
 
-// TestSearchNopMetricsUnchanged checks the zero-config contract: a search
-// with Metrics nil must behave identically to one with the nop registry —
-// and identically to the pre-observability code path (same seeds, same
-// result).
-func TestSearchNopMetricsUnchanged(t *testing.T) {
-	run := func(reg *metrics.Registry) *Result {
-		s, _ := testSearcher(t, reward.ReLU, 1.0, 7)
-		cfg := fastConfig(7)
-		cfg.Steps = 8
-		cfg.WarmupSteps = 2
-		cfg.Metrics = reg
-		res, err := s.Search(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a := run(nil)
-	b := run(metrics.Nop())
-	c := run(metrics.New())
-	for i := range a.Best {
-		if a.Best[i] != b.Best[i] || a.Best[i] != c.Best[i] {
-			t.Fatalf("metrics configuration changed the search outcome: %v vs %v vs %v", a.Best, b.Best, c.Best)
-		}
-	}
-	if a.FinalQuality != b.FinalQuality || a.FinalQuality != c.FinalQuality {
-		t.Fatalf("final quality diverged: %v %v %v", a.FinalQuality, b.FinalQuality, c.FinalQuality)
-	}
-}
-
 // TestAnalyticSearchRecordsMetrics covers the analytic flow's
 // instrumentation.
 func TestAnalyticSearchRecordsMetrics(t *testing.T) {

@@ -2,9 +2,8 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,20 +13,15 @@ import (
 	"h2onas/internal/space"
 )
 
-// testClock never advances and records the sleeps asked of it; shard
-// workers back off concurrently, so recording is locked.
-type testClock struct {
-	now    time.Time
-	mu     sync.Mutex
-	sleeps []time.Duration
-}
+// FrozenClock never advances and counts the backoff sleeps asked of it;
+// shard workers back off concurrently.
+type FrozenClock struct{ sleeps atomic.Int32 }
 
-func (c *testClock) Now() time.Time { return c.now }
-func (c *testClock) Sleep(d time.Duration) {
-	c.mu.Lock()
-	c.sleeps = append(c.sleeps, d)
-	c.mu.Unlock()
-}
+func (*FrozenClock) Now() time.Time        { return time.Unix(1754400000, 0) }
+func (c *FrozenClock) Sleep(time.Duration) { c.sleeps.Add(1) }
+
+// Sleeps returns how many sleeps were asked of the clock.
+func (c *FrozenClock) Sleeps() int { return int(c.sleeps.Load()) }
 
 // ckptConfig is a deliberately tiny run — every step checkpointed into an
 // in-memory filesystem — sized so the crash-at-every-step sweep stays
@@ -41,7 +35,7 @@ func ckptConfig(fs checkpoint.FS) Config {
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointDir = "ckpt"
 	cfg.CheckpointFS = fs
-	cfg.Clock = &testClock{now: time.Unix(1754400000, 0)}
+	cfg.Clock = &FrozenClock{}
 	return cfg
 }
 
@@ -71,11 +65,12 @@ func requireSameBest(t *testing.T, golden, resumed space.Assignment) {
 }
 
 // SearchFunc runs a fresh searcher of one search space, its traffic
-// seeded with seed, under cfg. The engine-contract harnesses (resume,
-// Stop, shard faults, core budgets) are written against it, so every
-// space the step engine serves is held to them by one more call: the
-// DLRM cases are the tests in this package, the transformer cases live
-// in vit_test.go (package core_test, which may import vitnet).
+// seeded with seed, under cfg. The engine-contract harnesses outside
+// TestEngineEquivalence (degrade to survivors, no goroutine leak) are
+// written against it, so every space the step engine serves is held to
+// them by one more call: the DLRM cases are the tests in this package,
+// the transformer cases live in vit_test.go (package core_test, which
+// may import vitnet).
 type SearchFunc func(t *testing.T, seed uint64, cfg Config) (*Outcome, error)
 
 // DLRMSearch is the DLRM SearchFunc.
@@ -86,71 +81,6 @@ func DLRMSearch(t *testing.T, seed uint64, cfg Config) (*Outcome, error) {
 		return nil, err
 	}
 	return &res.Outcome, err
-}
-
-// TestResumeFromEverySnapshotReproducesRun is the crash-at-every-step
-// harness: a golden run checkpoints after every step, then for each
-// snapshot a fresh searcher resumes from it and must reproduce the golden
-// run's final architecture, reward history and candidate tail
-// bit-for-bit. Under -short only the first, middle and last mid-run
-// snapshots are swept.
-func TestResumeFromEverySnapshotReproducesRun(t *testing.T) {
-	fs := checkpoint.NewMemFS()
-	HarnessResumeFromEverySnapshot(t, DLRMSearch, ckptConfig(fs), fs)
-}
-
-// HarnessResumeFromEverySnapshot is the body of the crash-at-every-step
-// sweep; cfg must checkpoint every step into fs.
-func HarnessResumeFromEverySnapshot(t *testing.T, search SearchFunc, cfg Config, fs *checkpoint.MemFS) {
-	golden, err := search(t, 21, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mgr := &checkpoint.Manager{Dir: cfg.CheckpointDir, FS: fs}
-	steps, err := mgr.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := int64(cfg.WarmupSteps + cfg.Steps)
-	if len(steps) != int(total) || steps[0] != 1 || steps[len(steps)-1] != total {
-		t.Fatalf("snapshot steps %v, want 1..%d", steps, total)
-	}
-
-	sweep := steps
-	if testing.Short() {
-		sweep = []int64{steps[0], steps[len(steps)/2], total - 1}
-	}
-	for _, k := range sweep {
-		snap, err := mgr.Load("ckpt/" + checkpoint.SnapshotName(k))
-		if err != nil {
-			t.Fatalf("loading snapshot %d: %v", k, err)
-		}
-		resumed, err := search(t, 21, resumeOnlyFrom(t, cfg, snap))
-		if err != nil {
-			t.Fatalf("resume from step %d: %v", k, err)
-		}
-		if resumed.ResumedFrom != k {
-			t.Fatalf("ResumedFrom = %d, want %d", resumed.ResumedFrom, k)
-		}
-		requireSameBest(t, golden.Best, resumed.Best)
-		if k < total {
-			// A run resumed mid-way replays the exact trajectory; the
-			// final-quality eval races with producer prefetch only when the
-			// loop body never runs, so it is compared for mid-run resumes.
-			requireSameHistory(t, golden.History, resumed.History)
-			if d := math.Abs(golden.FinalQuality - resumed.FinalQuality); d > 1e-9 {
-				t.Fatalf("resume from %d: FinalQuality drifted by %g", k, d)
-			}
-			want := golden.Candidates[len(golden.Candidates)-len(resumed.Candidates):]
-			for i := range want {
-				g, r := want[i], resumed.Candidates[i]
-				if g.Step != r.Step || g.Quality != r.Quality || g.Reward != r.Reward {
-					t.Fatalf("resume from %d: candidate %d = %+v, golden %+v", k, i, r, g)
-				}
-			}
-		}
-	}
 }
 
 // resumeOnlyFrom returns cfg set to resume from exactly snap: the snapshot

@@ -14,7 +14,7 @@ import (
 // goroutine on either end. (It sits here, not in shardrpc, to share the
 // engine's leak helper; shardrpc imports core.)
 func TestLoopbackFleetLeaksNoGoroutines(t *testing.T) {
-	cfg := vitConfig() // a small generic run shape
+	cfg := goldenConfig(8) // a small generic run shape
 	cfg.Shards, cfg.Steps, cfg.WarmupSteps = 2, 3, 1
 	run := func() {
 		var workers []*shardrpc.Worker

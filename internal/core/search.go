@@ -51,9 +51,9 @@ type Config struct {
 	// its own candidate per step.
 	Shards int
 	// Workers is the search's total core budget, partitioned by
-	// sched.New(Workers, Shards): at most Workers shards run at once, each
-	// replica's layer passes are bounded to its per-shard share, while the
-	// spine and the master's final evaluation — which run in
+	// coreBudget: at most Workers shards run at once, each replica's
+	// layer passes are bounded to its per-shard share, while the spine
+	// and the master's final evaluation — which run in
 	// coordinator-exclusive phases — use the full budget. 0 (the default)
 	// uses GOMAXPROCS at Search time. The budget is a performance knob
 	// only: trajectories are bit-identical for any Workers value, so it is

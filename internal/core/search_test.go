@@ -65,29 +65,6 @@ func TestSearchRunsAndProducesResult(t *testing.T) {
 	}
 }
 
-func TestSearchDeterministicForSeed(t *testing.T) {
-	s1, _ := testSearcher(t, reward.ReLU, 1.0, 5)
-	s2, _ := testSearcher(t, reward.ReLU, 1.0, 5)
-	cfg := fastConfig(9)
-	cfg.Steps, cfg.WarmupSteps = 15, 5
-	r1, err := s1.Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s2.Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.Best {
-		if r1.Best[i] != r2.Best[i] {
-			t.Fatalf("same seed produced different architectures at decision %d", i)
-		}
-	}
-	if math.Abs(r1.FinalQuality-r2.FinalQuality) > 1e-9 {
-		t.Fatalf("same seed produced different qualities: %v vs %v", r1.FinalQuality, r2.FinalQuality)
-	}
-}
-
 func TestSearchImprovesRewardOverTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long convergence run; the fan-out is race-checked by the faster search tests")

@@ -105,7 +105,7 @@ func StrategyByName(name string, sp *space.Space, evals int) (Strategy, error) {
 // EMA baseline, the paper's search algorithm) to the Strategy interface.
 // It is the default strategy and the reference implementation: routing
 // it through the interface reproduces the pre-interface search loop's
-// trajectory bit for bit (see TestGoldenTrajectory).
+// trajectory bit for bit (see TestEngineEquivalence).
 type Reinforce struct {
 	Ctrl *controller.Controller
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"h2onas/internal/checkpoint"
 	"h2onas/internal/datapipe"
@@ -95,7 +94,7 @@ func TestResumeAcceptsSameMembership(t *testing.T) {
 
 	resume := ckptConfig(fs)
 	resume.Resume = true
-	resume.Clock = &testClock{now: time.Unix(1754400000, 0)}
+	resume.Clock = &FrozenClock{}
 	s2, _ := testSearcher(t, reward.ReLU, 1.0, 35)
 	resumed, err := s2.Search(resume)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"h2onas/internal/checkpoint"
-	"h2onas/internal/controller"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
@@ -15,9 +14,9 @@ import (
 )
 
 // The transformer space rides the same step engine as the DLRM space, so
-// it is held to the same contracts by the same harnesses: this file adds
-// the vitnet case to each (it sits in the external test package because
-// vitnet imports core).
+// it is held to the same contracts: it is a key of TestEngineEquivalence,
+// and this file adds its case to the harnesses outside the matrix (it
+// sits in the external test package because vitnet imports core).
 
 func vitSearcher(seed uint64) *vitnet.Searcher {
 	vs := space.NewTransformerSpace(space.SmallViTConfig())
@@ -44,69 +43,14 @@ func vitSearch(t *testing.T, seed uint64, cfg core.Config) (*core.Outcome, error
 	return &res.Outcome, err
 }
 
-// vitConfig is the golden transformer configuration; the harness cases
-// reuse it at other shard counts and lengths.
-func vitConfig() core.Config {
-	return core.Config{
-		Shards:      3,
-		Steps:       12,
-		BatchSize:   8,
-		WarmupSteps: 3,
-		WeightLR:    0.003,
-		Controller:  controller.Config{LearningRate: 0.1, BaselineMomentum: 0.9, EntropyWeight: 1e-3},
-		Seed:        21,
-	}
-}
-
-// TestGoldenTrajectoryViT replays the committed transformer trace. Its
-// History and Best were generated by the forked vitnet loop that predates
-// the shared engine, so passing is the proof that the fold moved no bit;
-// FinalQuality alone was re-pinned, because the engine evaluates it on 16
-// pipeline batches where the fork drew one 16×BatchSize batch.
-func TestGoldenTrajectoryViT(t *testing.T) {
-	res, err := vitSearch(t, 21, vitConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.CheckGolden(t, "vit.json", core.TraceOf("reinforce",
-		"vit-small shards=3 steps=12 warmup=3 batch=8 seed=21 ctrl=0.1/0.9/0.001", res))
-}
-
-func vitCkptConfig(fs checkpoint.FS) core.Config {
-	cfg := vitConfig()
-	cfg.Steps = 7
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointDir = "ckpt"
-	cfg.CheckpointFS = fs
-	return cfg
-}
-
-func TestResumeFromEverySnapshotReproducesRunViT(t *testing.T) {
-	fs := checkpoint.NewMemFS()
-	core.HarnessResumeFromEverySnapshot(t, vitSearch, vitCkptConfig(fs), fs)
-}
-
-func TestStopFlushesCheckpointAndResumesBitIdenticallyViT(t *testing.T) {
-	cfg := vitConfig()
-	cfg.Steps = 7
-	core.HarnessStopFlushesAndResumes(t, vitSearch, cfg)
-}
-
 func TestPermanentShardFailureDegradesGracefullyViT(t *testing.T) {
-	cfg := vitConfig()
+	cfg := goldenConfig(8)
 	cfg.Steps, cfg.WarmupSteps = 6, 2
 	core.HarnessPermanentShardFailure(t, vitSearch, vitSearcher(0).VS.Space, cfg)
 }
 
-func TestSearchBitIdenticalAcrossGOMAXPROCSViT(t *testing.T) {
-	cfg := vitConfig()
-	cfg.Shards = 4
-	cfg.Steps, cfg.WarmupSteps = 5, 2
-	core.HarnessBitIdenticalAcrossGOMAXPROCS(t, vitSearch, cfg)
-}
-
 func TestSearchLeaksNoGoroutinesViT(t *testing.T) {
-	cfg := vitConfig()
+	cfg := goldenConfig(8)
 	cfg.Steps, cfg.WarmupSteps = 3, 1
 	core.HarnessSearchLeaksNoGoroutines(t, vitSearch, cfg)
 }
@@ -115,9 +59,9 @@ func TestSearchLeaksNoGoroutinesViT(t *testing.T) {
 // through the same engine, so the fingerprint is what keeps a checkpoint
 // written by one from being loaded into the other's super-network.
 func TestResumeRefusesOtherSpace(t *testing.T) {
-	fs := checkpoint.NewMemFS()
-	cfg := vitCkptConfig(fs)
+	cfg := goldenConfig(8)
 	cfg.Steps, cfg.WarmupSteps = 2, 1
+	cfg.CheckpointEvery, cfg.CheckpointDir, cfg.CheckpointFS = 1, "ckpt", checkpoint.NewMemFS()
 	if _, err := vitSearch(t, 5, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +76,7 @@ func TestResumeRefusesOtherSpace(t *testing.T) {
 // super-network; the transformer searcher must refuse one loudly rather
 // than run in-process behind the caller's back.
 func TestViTRejectsTransport(t *testing.T) {
-	cfg := vitConfig()
+	cfg := goldenConfig(8)
 	cfg.Transport = core.StubTransport("tcp[10.0.0.1:7070]")
 	if _, err := vitSearch(t, 1, cfg); err == nil || !strings.Contains(err.Error(), "Transport") {
 		t.Fatalf("transformer search with a Transport returned %v, want a rejection naming it", err)

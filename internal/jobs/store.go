@@ -156,9 +156,12 @@ func idNumber(id string) (int, bool) {
 // bump; only if every record of a job is unusable is the job lost.
 func (st *Store) replay() error {
 	names, err := st.fs.ReadDir(st.journalDir())
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil // a fresh store
+	}
 	if err != nil {
-		// Missing directory: fresh store.
-		return nil
+		// Opening empty would restart job IDs and overwrite live records.
+		return fmt.Errorf("jobs: reading journal: %w", err)
 	}
 	// Newest-first per job: sort by (id, seq descending) and take the
 	// first record of each job that decodes.

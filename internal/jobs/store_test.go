@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"errors"
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -39,6 +41,50 @@ func TestStoreReplayKeepsNewestRecordPerJob(t *testing.T) {
 	}
 	if next := st2.NextID(); next != "j-000001" {
 		t.Fatalf("NextID after replay = %q, want j-000001", next)
+	}
+}
+
+// readDirFailsOnce is a directory that exists but cannot be read, once:
+// its first ReadDir fails with a permission error, not a missing one.
+type readDirFailsOnce struct {
+	checkpoint.FS
+	failed bool
+}
+
+func (f *readDirFailsOnce) ReadDir(dir string) ([]string, error) {
+	if !f.failed {
+		f.failed = true
+		return nil, &fs.PathError{Op: "open", Path: dir, Err: fs.ErrPermission}
+	}
+	return f.FS.ReadDir(dir)
+}
+
+// TestStoreRefusesUnreadableJournal: a journal directory that cannot be
+// listed must fail the open. Opening empty would restart IDs at
+// j-000000, and the next Put would overwrite a live job's record.
+func TestStoreRefusesUnreadableJournal(t *testing.T) {
+	mem := checkpoint.NewMemFS()
+	st, err := OpenStore("root", StoreOptions{FS: mem, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.NextID()
+	if err := st.Put(testRecord(id, "alice", StateRunning)); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := OpenStore("root", StoreOptions{FS: &readDirFailsOnce{FS: mem}, Logf: t.Logf}); !errors.Is(err, fs.ErrPermission) {
+		t.Fatalf("OpenStore on an unreadable journal = %v, want the permission error", err)
+	}
+	st2, err := OpenStore("root", StoreOptions{FS: mem, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := st2.Get(id); !ok || rec.State != StateRunning {
+		t.Fatalf("replayed %s = %+v, %v; want it running", id, rec, ok)
+	}
+	if next := st2.NextID(); next == id {
+		t.Fatalf("NextID = %q reuses a live job's ID", next)
 	}
 }
 

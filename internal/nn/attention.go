@@ -40,7 +40,7 @@ func (l *MaskedAttention) SetArena(a *tensor.Arena) {
 }
 
 // SetWorkers bounds the parallelism of the four projection layers under
-// the owning search's core budget (see internal/sched). The attention
+// the owning search's core budget (core.Config.Workers). The attention
 // core (scores, softmax, context) stays serial: its per-(batch, head)
 // scratch comes from the single-threaded arena, and its accumulation
 // loops interleave reads and read-modify-writes across rows.

@@ -23,7 +23,7 @@ type Embedding struct {
 	Arena *tensor.Arena
 
 	// Workers bounds the parallelism of Forward under the owning search's
-	// core budget (see internal/sched). 0 or 1 — the default — keeps the
+	// core budget (core.Config.Workers). 0 or 1 — the default — keeps the
 	// historical serial loop. Backward is serial at any setting: bags
 	// scatter into shared table rows (two examples can look up the same
 	// id) and MarkRow's dedup state is not thread-safe.

@@ -327,7 +327,7 @@ type MaskedDense struct {
 	Arena *tensor.Arena
 
 	// Workers bounds the parallelism of the forward and backward passes
-	// under the owning search's core budget (see internal/sched). 0 or 1
+	// under the owning search's core budget (core.Config.Workers). 0 or 1
 	// — the default — keeps the historical serial loops.
 	Workers int
 
@@ -380,7 +380,7 @@ type LowRankDense struct {
 	Arena *tensor.Arena
 
 	// Workers bounds the parallelism of the forward and backward passes
-	// under the owning search's core budget (see internal/sched). 0 or 1
+	// under the owning search's core budget (core.Config.Workers). 0 or 1
 	// — the default — keeps the historical serial loops.
 	Workers int
 

@@ -2,7 +2,6 @@ package shardrpc
 
 import (
 	"errors"
-	"math"
 	"net"
 	"strings"
 	"testing"
@@ -104,57 +103,6 @@ func requireSameBest(t *testing.T, golden, got *core.Result) {
 		if golden.Best[i] != got.Best[i] {
 			t.Fatalf("Best = %v, golden %v", got.Best, golden.Best)
 		}
-	}
-}
-
-// TestRemoteSearchBitIdenticalToInProcess is the transport's headline
-// contract: the same seed must yield the same trajectory — reward history,
-// final architecture and final quality, bit for bit — whether the shards
-// run in-process or behind TCP workers that receive weights and return
-// gradients over the wire.
-func TestRemoteSearchBitIdenticalToInProcess(t *testing.T) {
-	golden, err := testSearcher(t, 11).Search(testConfig(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	f := startFleet(t, 3)
-	tr, err := Dial(f.addrs, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	reg := metrics.New()
-	cfg := testConfig(11)
-	cfg.Transport = tr
-	cfg.Metrics = reg
-	remote, err := testSearcher(t, 11).Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	requireSameBest(t, golden, remote)
-	requireSameHistory(t, golden.History, remote.History)
-	if golden.FinalQuality != remote.FinalQuality {
-		t.Fatalf("FinalQuality %v over TCP, %v in-process (diff %g)",
-			remote.FinalQuality, golden.FinalQuality,
-			math.Abs(golden.FinalQuality-remote.FinalQuality))
-	}
-	for i, d := range remote.ShardFirstDrop {
-		if d != -1 {
-			t.Fatalf("shard %d dropped at step %d in a healthy run", i, d)
-		}
-	}
-	// Weight sync must settle into deltas: exactly one full sync per
-	// worker (the first step), deltas after.
-	if got := reg.Counter("shardrpc_full_syncs_total").Value(); got != 3 {
-		t.Fatalf("full syncs = %d, want 3", got)
-	}
-	if got := reg.Counter("shardrpc_delta_syncs_total").Value(); got == 0 {
-		t.Fatal("no delta syncs recorded")
-	}
-	if got := reg.Counter("shardrpc_rpc_failures_total").Value(); got != 0 {
-		t.Fatalf("rpc failures = %d in a healthy run", got)
 	}
 }
 

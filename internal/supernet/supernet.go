@@ -223,11 +223,11 @@ func (s *Supernet) SetArena(a *tensor.Arena) {
 
 // SetWorkers threads an intra-pass parallelism bound through every layer
 // of the super-network, mirroring SetArena. The bound is one shard's
-// share of the search's core budget (sched.Budget.PerShard for replicas,
-// the full budget for the coordinator-exclusive master passes); it is a
-// performance knob only — every layer's parallel path is bit-identical
-// to its serial loop, so the setting never changes a trajectory. 0 or 1
-// keeps the historical serial layer loops.
+// share of the search's core budget (core.Config.Workers ÷ Shards for
+// replicas, the full budget for the coordinator-exclusive master
+// passes); it is a performance knob only — every layer's parallel path
+// is bit-identical to its serial loop, so the setting never changes a
+// trajectory. 0 or 1 keeps the historical serial layer loops.
 func (s *Supernet) SetWorkers(n int) {
 	for _, row := range s.tables {
 		for _, e := range row {

@@ -171,7 +171,7 @@ func (s *Supernet) SetArena(a *tensor.Arena) {
 
 // SetWorkers threads an intra-pass parallelism bound through every layer
 // slot, mirroring SetArena. The bound is one shard's share of the
-// search's core budget (sched.Budget); 0 or 1 — the default — keeps the
+// search's core budget (core.Config.Workers); 0 or 1 — the default — keeps the
 // historical serial layer loops, and any setting is bit-identical.
 func (s *Supernet) SetWorkers(n int) {
 	s.tokens.Workers = n
