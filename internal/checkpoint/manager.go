@@ -148,9 +148,11 @@ func (m *Manager) Load(path string) (*Snapshot, error) {
 
 // LoadLatest returns the newest valid snapshot in Dir and its path.
 // Corrupted, truncated, or unreadable snapshots are skipped with a
-// logged warning; if nothing valid remains it returns ErrNoCheckpoint.
-// A directory it cannot list is an error: reading it as empty would
-// restart the run from scratch.
+// logged warning; if nothing valid remains it returns ErrNoCheckpoint —
+// bare when Dir holds no snapshot at all (or does not exist), wrapped
+// with the count when every snapshot there was unusable. A directory it
+// cannot list is an error: reading it as empty would restart the run
+// from scratch.
 func (m *Manager) LoadLatest() (*Snapshot, string, error) {
 	steps, err := m.List()
 	if err != nil {
@@ -166,6 +168,9 @@ func (m *Manager) LoadLatest() (*Snapshot, string, error) {
 		}
 		m.Metrics.Counter("checkpoint_loads_total").Inc()
 		return s, path, nil
+	}
+	if len(steps) > 0 {
+		return nil, "", fmt.Errorf("%w: none of the %d snapshots in %s loaded", ErrNoCheckpoint, len(steps), m.Dir)
 	}
 	return nil, "", ErrNoCheckpoint
 }

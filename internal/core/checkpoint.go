@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -119,8 +120,13 @@ func (st *searchState) maybeRestore(mgr *checkpoint.Manager, stream streamCursor
 		return 0, 0, fmt.Errorf("core: Resume requires CheckpointDir")
 	}
 	snap, path, err := mgr.LoadLatest()
-	if err == checkpoint.ErrNoCheckpoint {
-		log.Printf("core: no valid checkpoint in %s; starting fresh", cfg.CheckpointDir)
+	if errors.Is(err, checkpoint.ErrNoCheckpoint) {
+		// A bare ErrNoCheckpoint is an empty or missing directory, an
+		// ordinary first start; only snapshots that were there and did
+		// not load are worth a line.
+		if err != checkpoint.ErrNoCheckpoint {
+			log.Printf("core: %v; starting fresh", err)
+		}
 		return 0, 0, nil
 	}
 	if err != nil {

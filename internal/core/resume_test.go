@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"log"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -171,6 +172,42 @@ func TestResumeWithEmptyDirStartsFresh(t *testing.T) {
 	}
 	if len(res.History) != cfg.Steps {
 		t.Fatalf("history length %d, want %d", len(res.History), cfg.Steps)
+	}
+}
+
+// TestResumeLogsOnlyUnusableSnapshots pins that a fresh start under
+// Resume is silent — every fresh job resumes from an empty directory —
+// while snapshots that exist but do not load are reported.
+func TestResumeLogsOnlyUnusableSnapshots(t *testing.T) {
+	var out bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&out)
+	defer log.SetOutput(prev)
+	run := func(fs checkpoint.FS) string {
+		t.Helper()
+		out.Reset()
+		cfg := ckptConfig(fs)
+		cfg.Steps, cfg.WarmupSteps = 1, 0
+		cfg.CheckpointEvery = 0
+		cfg.Resume = true
+		s, _ := testSearcher(t, reward.ReLU, 1.0, 56)
+		res, err := s.Search(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ResumedFrom != 0 {
+			t.Fatalf("ResumedFrom = %d for a fresh start", res.ResumedFrom)
+		}
+		return out.String()
+	}
+
+	if got := run(checkpoint.NewMemFS()); got != "" {
+		t.Fatalf("a fresh start from an empty directory logged:\n%s", got)
+	}
+	corrupt := checkpoint.NewMemFS()
+	corrupt.WriteFile("ckpt/"+checkpoint.SnapshotName(2), []byte("not a snapshot"))
+	if got := run(corrupt); !strings.Contains(got, "none of the 1 snapshots in ckpt loaded; starting fresh") {
+		t.Fatalf("a directory of unusable snapshots was not reported; log:\n%s", got)
 	}
 }
 

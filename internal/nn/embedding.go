@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"h2onas/internal/tensor"
 )
@@ -37,16 +38,61 @@ type Embedding struct {
 	// parallelRows bound it, so a parallel Forward allocates no closure.
 	fwdOut *tensor.Matrix
 	fwdFn  func(lo, hi int)
+
+	// init is the table's deferred initialization; Table.lazy points at
+	// it unless the table was built weightless (ZeroRNG).
+	init lazyRows
 }
 
-// NewEmbedding returns a vocab×maxWidth table initialized N(0, 1/√maxWidth).
+// NewEmbedding returns a vocab×maxWidth table initialized N(0, 1/√maxWidth)
+// from rng. The initialization is lazy: each row is written the first
+// time a lookup (or MaterializeAll) reads it, with exactly the bits an
+// eager tensor.RandN fill would have given it, and rng advances past
+// every draw that fill takes.
 func NewEmbedding(vocab, maxWidth int, rng *tensor.RNG) *Embedding {
-	std := 1 / math.Sqrt(float64(maxWidth))
-	t := tensor.RandN(vocab, maxWidth, std, rng)
+	e := newEmbedding(vocab, maxWidth, rng)
+	if e.Table.lazy != nil {
+		e.init.done = make([]atomic.Bool, vocab)
+	}
+	return e
+}
+
+// NewEmbeddings returns one NewEmbedding table per vocabulary size, all
+// maxWidth wide, table i drawing from the i-th rng.Split(). The tables'
+// pending-row marks share one allocation.
+func NewEmbeddings(vocabs []int, maxWidth int, rng *tensor.RNG) []*Embedding {
+	total := 0
+	for _, v := range vocabs {
+		total += v
+	}
+	var marks []atomic.Bool
+	es := make([]*Embedding, len(vocabs))
+	for i, v := range vocabs {
+		e := newEmbedding(v, maxWidth, rng.Split())
+		if e.Table.lazy != nil {
+			if marks == nil {
+				marks = make([]atomic.Bool, total)
+			}
+			e.init.done, marks = marks[:v:v], marks[v:]
+		}
+		es[i] = e
+	}
+	return es
+}
+
+// newEmbedding builds a lazy table but its row marks, which the caller
+// allocates when Table.lazy is set; a ZeroRNG table is a weightless
+// placeholder with nothing pending.
+func newEmbedding(vocab, maxWidth int, rng *tensor.RNG) *Embedding {
+	t, state, lazy := tensor.DeferRandN(vocab, maxWidth, rng)
 	e := &Embedding{
 		Table:       NewParam(fmt.Sprintf("embedding_%dx%d", vocab, maxWidth), t),
 		activeWidth: maxWidth,
 		activeVocab: vocab,
+	}
+	if lazy {
+		e.init.state, e.init.std = state, 1/math.Sqrt(float64(maxWidth))
+		e.Table.lazy = &e.init
 	}
 	// Lookups scatter gradients into a handful of rows per step; row
 	// tracking lets the weight-update spine touch only those rows.
@@ -101,7 +147,9 @@ func (e *Embedding) forwardRows(lo, hi int) {
 		orow := out.Row(i)
 		inv := 1 / float64(len(bag))
 		for _, idx := range bag {
-			tensor.Axpy(orow, inv, e.Table.Value.Row(e.fold(idx)))
+			r := e.fold(idx)
+			e.Table.ensureRow(r)
+			tensor.Axpy(orow, inv, e.Table.Value.Row(r))
 		}
 	}
 }

@@ -43,6 +43,10 @@ type Param struct {
 	// ClearRows bumps the epoch instead of rewriting the stamps.
 	rowMark  []int32
 	rowEpoch int32
+
+	// lazy, when set, is the pending-row state of a lazily initialized
+	// value (see lazyRows), shared by every param viewing that value.
+	lazy *lazyRows
 }
 
 // NewParam allocates a parameter with a zeroed gradient of matching shape.

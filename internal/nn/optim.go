@@ -50,7 +50,8 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one bias-corrected Adam update.
+// Step applies one bias-corrected Adam update. It walks each stepped
+// param's whole value, so a lazy one is materialized first.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
@@ -70,6 +71,7 @@ func (o *Adam) Step(params []*Param) {
 			sl = o.alloc(p, false)
 		}
 		sl.mark(nil)
+		p.materialize()
 		// Scale 1 is exact (g·1 = g), so this is the unscaled update.
 		tensor.AdamRow(p.Value.Data, sl.m, sl.v, p.Grad.Data, 1, o.Beta1, o.Beta2, o.LR, o.Eps, c1, c2)
 	}
@@ -129,7 +131,7 @@ type AdamState struct {
 // param is Unstepped, Whole or SteppedRows (see StateKind). Export is a
 // deep copy — later steps do not change it — made in three allocations
 // whatever the param count: the rows are counted before anything is
-// copied.
+// copied. A lazy param exported Whole is materialized first.
 func (o *Adam) Export(params []*Param) AdamState {
 	nVals, nRows := 0, 0
 	for _, p := range params {
@@ -157,6 +159,7 @@ func (o *Adam) Export(params []*Param) AdamState {
 		}
 		ps := &st.Params[i]
 		if sl.stepped == nil {
+			p.materialize()
 			n := len(p.Value.Data)
 			*ps = ParamState{Kind: Whole, W: carve(n), M: carve(n), V: carve(n)}
 			copy(ps.W, p.Value.Data)
@@ -192,7 +195,8 @@ func (o *Adam) Export(params []*Param) AdamState {
 // validates every param before it writes anything, so a rejected state
 // leaves params and o untouched. The values are copied in place, so
 // replicas sharing storage with params see them too. Restored rows are
-// re-marked as stepped, so a later Export still carries them.
+// re-marked as stepped, so a later Export still carries them, and as
+// written, so a lazy table's first read does not overwrite them.
 func (o *Adam) Import(params []*Param, st AdamState) error {
 	if o.t != 0 || len(o.slots) != 0 {
 		return fmt.Errorf("nn: Adam import needs a fresh optimizer (t = %d, %d params with moments)", o.t, len(o.slots))
@@ -217,6 +221,7 @@ func (o *Adam) Import(params []*Param, st AdamState) error {
 			copy(p.Value.Data, ps.W)
 			copy(sl.m, ps.M)
 			copy(sl.v, ps.V)
+			p.markWritten(nil)
 		case SteppedRows:
 			sl := o.alloc(p, true)
 			cols := p.Value.Cols
@@ -227,6 +232,7 @@ func (o *Adam) Import(params []*Param, st AdamState) error {
 				copy(sl.v[dst:dst+cols], ps.V[src:src+cols])
 			}
 			sl.mark(ps.Rows)
+			p.markWritten(ps.Rows)
 		}
 	}
 	return nil

@@ -308,6 +308,10 @@ func (s *Spine) ClipStep() float64 {
 			sl = o.alloc(p, rows != nil)
 		}
 		sl.mark(rows)
+		if rows == nil {
+			// A whole step writes every row, read or not.
+			p.materialize()
+		}
 		s.apply = append(s.apply, applyEntry{p: p, m: sl.m, v: sl.v, rows: rows})
 		if s.recordTouched {
 			// Copy the row worklist: the apply pass ClearRows the param,

@@ -165,6 +165,9 @@ func (t *Transport) Bind(b core.ShardBinding) error {
 	t.master = b.Master
 	t.replicas = b.Replicas
 	t.params = b.Master.Params()
+	// A full sync ships every value whole, so rows of lazy tables that
+	// nothing has read yet are written now, on every core.
+	nn.MaterializeAll(t.params)
 	t.bindInstruments(b.Metrics)
 	if shards := len(b.Replicas); len(t.workers) != shards {
 		return fmt.Errorf("shardrpc: %d worker addresses for %d shards", len(t.workers), shards)

@@ -50,6 +50,10 @@ func TestExportImportRoundTripOnSupernet(t *testing.T) {
 	if err := imported.Import(fresh.Params(), st); err != nil {
 		t.Fatal(err)
 	}
+	// Rows nothing has read are still unwritten on both sides; write them
+	// so the comparison covers every weight, not zeros against zeros.
+	nn.MaterializeAll(fresh.Params())
+	nn.MaterializeAll(trained.Params())
 	for i, p := range fresh.Params() {
 		if !reflect.DeepEqual(p.Value.Data, trained.Params()[i].Value.Data) {
 			t.Fatalf("param %d (%s) differs from the trained network after import", i, p.Name)
@@ -70,6 +74,10 @@ func TestLoadWeightsPropagatesToReplicas(t *testing.T) {
 	if err := nn.NewAdam(0.01).Import(sn.Params(), opt.Export(trained.Params())); err != nil {
 		t.Fatal(err)
 	}
+	// Materializing through the replica writes the master's storage: the
+	// unread rows are shared too.
+	nn.MaterializeAll(replica.Params())
+	nn.MaterializeAll(trained.Params())
 	for i, p := range replica.Params() {
 		if !reflect.DeepEqual(p.Value.Data, trained.Params()[i].Value.Data) {
 			t.Fatalf("replica param %d did not see the imported weights", i)
@@ -98,6 +106,8 @@ func TestLoadWeightsRejectsShapeMismatchAtomically(t *testing.T) {
 	if err := nn.NewAdam(0.01).Import(sn.Params(), bad); err == nil {
 		t.Fatal("wrong parameter length accepted")
 	}
+	nn.MaterializeAll(sn.Params())
+	nn.MaterializeAll(untouched.Params())
 	for i, p := range sn.Params() {
 		if !reflect.DeepEqual(p.Value.Data, untouched.Params()[i].Value.Data) {
 			t.Fatalf("param %d changed by a rejected import", i)

@@ -118,6 +118,11 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 	sp := ds.Space
 	_, w0 := sp.Decisions[sp.Lookup("emb0_width")].Max()
 	s.maxEmbWidth = int(w0)
+	// Every table's vocabulary, feature by feature: one per option under
+	// coarse sharing, the largest under fine. The tables are built in one
+	// call, so their pending-row marks share one allocation.
+	var vocabs []int
+	perTable := make([]int, cfg.NumTables)
 	for t := 0; t < cfg.NumTables; t++ {
 		if _, w := sp.Decisions[sp.Lookup(fmt.Sprintf("emb%d_width", t))].Max(); int(w) != s.maxEmbWidth {
 			panic("supernet: per-table max widths must agree")
@@ -125,14 +130,19 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 		vocabDec := &sp.Decisions[sp.Lookup(fmt.Sprintf("emb%d_vocab", t))]
 		if opts.VocabSharing == FineVocab {
 			_, maxVocab := vocabDec.Max()
-			s.tables = append(s.tables, []*nn.Embedding{nn.NewEmbedding(int(maxVocab), s.maxEmbWidth, rng.Split())})
+			vocabs = append(vocabs, int(maxVocab))
+			perTable[t] = 1
 			continue
 		}
-		row := make([]*nn.Embedding, len(vocabDec.Values))
-		for v, vocab := range vocabDec.Values {
-			row[v] = nn.NewEmbedding(int(vocab), s.maxEmbWidth, rng.Split())
+		for _, vocab := range vocabDec.Values {
+			vocabs = append(vocabs, int(vocab))
 		}
-		s.tables = append(s.tables, row)
+		perTable[t] = len(vocabDec.Values)
+	}
+	embs := nn.NewEmbeddings(vocabs, s.maxEmbWidth, rng)
+	s.tables = make([][]*nn.Embedding, cfg.NumTables)
+	for t, n := range perTable {
+		s.tables[t], embs = embs[:n:n], embs[n:]
 	}
 
 	buildSlots := func(prefix string, n, firstIn int) []*mlpSlot {
@@ -266,9 +276,7 @@ func (s *Supernet) Replicate(rng *tensor.RNG) *Supernet {
 	// their stream (bit-compatibility of seeded runs).
 	_ = rng
 	r := NewWithOptions(s.DS, tensor.ZeroRNG(), s.opts)
-	for i, p := range r.params {
-		p.Value = s.params[i].Value
-	}
+	nn.ShareValues(r.params, s.params)
 	return r
 }
 

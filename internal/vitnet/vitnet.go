@@ -197,9 +197,7 @@ func (s *Supernet) Replicate(rng *tensor.RNG) *Supernet {
 	// call sites keep consuming one Split from their stream.
 	_ = rng
 	r := New(s.VS, s.vocab, s.seqLen, tensor.ZeroRNG())
-	for i, p := range r.params {
-		p.Value = s.params[i].Value
-	}
+	nn.ShareValues(r.params, s.params)
 	return r
 }
 
