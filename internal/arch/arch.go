@@ -130,6 +130,9 @@ func (o *Op) TotalFLOPs() float64 { return o.FLOPs * o.Repeat() }
 // TensorFlow/HLO graph ... and finally sums the total run-time on the
 // critical path"); branch-level parallelism is expressed by the builders
 // via the Parallel combinator before the graph is flattened.
+//
+// Ops enter a graph only through Push, which copies them into the
+// graph's own storage.
 type Graph struct {
 	Name  string
 	Ops   []*Op
@@ -139,33 +142,43 @@ type Graph struct {
 	// Params is the total trainable parameter count.
 	Params float64
 
-	// slab holds the ops Push copied in, in fixed-size chunks so their
-	// addresses stay put as the graph grows; Reset recycles it.
-	slab []*[opChunk]Op
-	used int
+	// slab holds the ops Push copied in, in chunks that never grow in
+	// place, so their addresses stay put as the graph grows; chunk is the
+	// first one with room. Reset recycles them.
+	slab  [][]Op
+	chunk int
 }
 
-// opChunk is the number of ops per slab chunk.
+// opChunk is the number of ops per slab chunk Push adds on its own.
 const opChunk = 32
 
-// Add appends an op and returns the graph for chaining.
-func (g *Graph) Add(op *Op) *Graph {
-	g.Ops = append(g.Ops, op)
-	return g
+// NewGraph returns an empty graph whose op list and op storage are sized
+// for n ops: pushing n ops allocates nothing more.
+func NewGraph(name string, batch, dtypeBytes, n int) *Graph {
+	return &Graph{Name: name, Batch: batch, DTypeBytes: dtypeBytes,
+		Ops: make([]*Op, 0, n), slab: [][]Op{make([]Op, 0, n)}}
 }
 
 // Push appends a copy of op held in the graph's own storage, which Reset
 // recycles: a graph rebuilt in place allocates nothing once it has held
 // as many ops before.
 func (g *Graph) Push(op Op) {
-	c := g.used / opChunk
-	if c == len(g.slab) {
-		g.slab = append(g.slab, new([opChunk]Op))
+	for g.chunk < len(g.slab) && len(g.slab[g.chunk]) == cap(g.slab[g.chunk]) {
+		g.chunk++
 	}
-	slot := &g.slab[c][g.used%opChunk]
-	*slot = op
-	g.used++
-	g.Ops = append(g.Ops, slot)
+	if g.chunk == len(g.slab) {
+		g.slab = append(g.slab, make([]Op, 0, opChunk))
+	}
+	c := &g.slab[g.chunk]
+	*c = append(*c, op)
+	g.Ops = append(g.Ops, &(*c)[len(*c)-1])
+}
+
+// pushCounted pushes op and counts its weights into Params: ParamBytes
+// over the element size dt, once per repeated layer.
+func (g *Graph) pushCounted(op Op, dt int) {
+	g.Push(op)
+	g.Params += op.ParamBytes / float64(dt) * op.Repeat()
 }
 
 // Reset empties the graph and renames it for a rebuild, keeping the
@@ -173,7 +186,10 @@ func (g *Graph) Push(op Op) {
 func (g *Graph) Reset(name string, batch, dtypeBytes int) {
 	g.Name, g.Batch, g.DTypeBytes, g.Params = name, batch, dtypeBytes, 0
 	g.Ops = g.Ops[:0]
-	g.used = 0
+	for i := range g.slab {
+		g.slab[i] = g.slab[i][:0]
+	}
+	g.chunk = 0
 }
 
 // TotalFLOPs sums FLOPs over all ops with repeats.
@@ -217,11 +233,10 @@ func (g *Graph) NetworkBytes() float64 {
 
 // Clone deep-copies the graph.
 func (g *Graph) Clone() *Graph {
-	out := &Graph{Name: g.Name, Batch: g.Batch, DTypeBytes: g.DTypeBytes, Params: g.Params}
-	out.Ops = make([]*Op, len(g.Ops))
-	for i, op := range g.Ops {
-		c := *op
-		out.Ops[i] = &c
+	out := NewGraph(g.Name, g.Batch, g.DTypeBytes, len(g.Ops))
+	out.Params = g.Params
+	for _, op := range g.Ops {
+		out.Push(*op)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -56,12 +57,8 @@ func TestDenseOpAccounting(t *testing.T) {
 
 func TestLowRankReducesFLOPs(t *testing.T) {
 	full := DenseOp("fc", 8, 512, 512, 2)
-	lr := LowRankDenseOps("fc", 8, 512, 512, 64, 2)
-	var lrFLOPs float64
-	for _, op := range lr {
-		lrFLOPs += op.FLOPs
-	}
-	if lrFLOPs >= full.FLOPs {
+	u, v := LowRankDenseOps("fc/u", "fc/v", 8, 512, 512, 64, 2)
+	if lrFLOPs := u.FLOPs + v.FLOPs; lrFLOPs >= full.FLOPs {
 		t.Errorf("rank-64 factorization (%v FLOPs) must beat dense (%v)", lrFLOPs, full.FLOPs)
 	}
 }
@@ -69,7 +66,7 @@ func TestLowRankReducesFLOPs(t *testing.T) {
 func TestAttentionOpsQuadraticInSeq(t *testing.T) {
 	flops := func(seq int) float64 {
 		var s float64
-		for _, op := range AttentionOps("a", 1, seq, 256, 4, 2) {
+		for _, op := range attentionOps(NewTransformerNames("a"), 1, seq, 256, 4, 2) {
 			s += op.FLOPs
 		}
 		return s
@@ -110,10 +107,10 @@ func TestCollectiveOps(t *testing.T) {
 
 func TestGraphTotals(t *testing.T) {
 	g := &Graph{Name: "g", Batch: 1, DTypeBytes: 2}
-	g.Add(DenseOp("a", 1, 10, 10, 2))
+	g.Push(DenseOp("a", 1, 10, 10, 2))
 	op := DenseOp("b", 1, 10, 10, 2)
 	op.Weight = 3
-	g.Add(op)
+	g.Push(op)
 	want := 2.0*10*10 + 3*2*10*10
 	if g.TotalFLOPs() != want {
 		t.Errorf("TotalFLOPs = %v, want %v", g.TotalFLOPs(), want)
@@ -128,7 +125,7 @@ func TestGraphTotals(t *testing.T) {
 
 func TestGraphCloneIsDeep(t *testing.T) {
 	g := &Graph{Name: "g", Batch: 1, DTypeBytes: 2}
-	g.Add(DenseOp("a", 1, 10, 10, 2))
+	g.Push(DenseOp("a", 1, 10, 10, 2))
 	c := g.Clone()
 	c.Ops[0].FLOPs = 0
 	if g.Ops[0].FLOPs == 0 {
@@ -138,7 +135,7 @@ func TestGraphCloneIsDeep(t *testing.T) {
 
 func TestGraphValidate(t *testing.T) {
 	g := &Graph{Name: "ok", Batch: 1, DTypeBytes: 2}
-	g.Add(DenseOp("a", 1, 4, 4, 2))
+	g.Push(DenseOp("a", 1, 4, 4, 2))
 	if err := g.Validate(); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
@@ -147,14 +144,28 @@ func TestGraphValidate(t *testing.T) {
 		t.Fatal("zero batch must be rejected")
 	}
 	bad2 := &Graph{Name: "bad2", Batch: 1, DTypeBytes: 2}
-	bad2.Add(&Op{Name: "n", Kind: AllToAll, Unit: NetworkUnit})
+	bad2.Push(Op{Name: "n", Kind: AllToAll, Unit: NetworkUnit})
 	if bad2.Validate() == nil {
 		t.Fatal("network op with zero traffic must be rejected")
 	}
 }
 
+// mbconvOps expands one MBConv block, skip connection kept.
+func mbconvOps(s MBConvSpec) []*Op {
+	g := NewGraph("g", s.Batch, s.DType, s.StageOps(1, true))
+	g.PushMBConvStage(s, StageNames("b", 1), true)
+	return g.Ops
+}
+
+// transformerOps expands one transformer block.
+func transformerOps(s TransformerSpec) []*Op {
+	g := NewGraph("g", s.Batch, s.DType, s.NumOps())
+	g.PushTransformer(s, NewTransformerNames("t"))
+	return g.Ops
+}
+
 func TestMBConvVsFusedFLOPs(t *testing.T) {
-	base := MBConvSpec{Name: "b", In: 64, Out: 64, Kernel: 3, Stride: 1,
+	base := MBConvSpec{In: 64, Out: 64, Kernel: 3, Stride: 1,
 		Expansion: 4, Act: "relu", H: 28, W: 28, Batch: 1, DType: 2}
 	fused := base
 	fused.Fused = true
@@ -165,7 +176,7 @@ func TestMBConvVsFusedFLOPs(t *testing.T) {
 		}
 		return s
 	}
-	mb, fmb := sum(base.Ops()), sum(fused.Ops())
+	mb, fmb := sum(mbconvOps(base)), sum(mbconvOps(fused))
 	// F-MBConv replaces 1×1 expand + 3×3 depthwise with a full 3×3 conv:
 	// strictly more FLOPs.
 	if fmb <= mb {
@@ -177,10 +188,10 @@ func TestMBConvOperationalIntensityOrdering(t *testing.T) {
 	// The crux of Figure 4b: fused blocks have higher operational
 	// intensity at every depth.
 	oi := func(fused bool, c int) float64 {
-		s := MBConvSpec{Name: "x", Fused: fused, In: c, Out: c, Kernel: 3,
+		s := MBConvSpec{Fused: fused, In: c, Out: c, Kernel: 3,
 			Stride: 1, Expansion: 4, Act: "relu", H: 28, W: 28, Batch: 8, DType: 2}
 		var flops, bytes float64
-		for _, op := range s.Ops() {
+		for _, op := range mbconvOps(s) {
 			flops += op.FLOPs
 			bytes += op.InputBytes + op.OutputBytes + op.ParamBytes
 		}
@@ -195,14 +206,14 @@ func TestMBConvOperationalIntensityOrdering(t *testing.T) {
 
 func TestMBConvResidualOnlyWhenShapesMatch(t *testing.T) {
 	has := func(s MBConvSpec, name string) bool {
-		for _, op := range s.Ops() {
-			if op.Name == s.Name+"/"+name {
+		for _, op := range mbconvOps(s) {
+			if strings.HasSuffix(op.Name, "/"+name) {
 				return true
 			}
 		}
 		return false
 	}
-	same := MBConvSpec{Name: "r", In: 32, Out: 32, Kernel: 3, Stride: 1, Expansion: 4, Act: "relu", H: 8, W: 8, Batch: 1, DType: 2}
+	same := MBConvSpec{In: 32, Out: 32, Kernel: 3, Stride: 1, Expansion: 4, Act: "relu", H: 8, W: 8, Batch: 1, DType: 2}
 	if !has(same, "residual") {
 		t.Error("stride-1 same-depth block must have a residual")
 	}
@@ -219,10 +230,10 @@ func TestMBConvResidualOnlyWhenShapesMatch(t *testing.T) {
 }
 
 func TestMBConvSERatioAddsOp(t *testing.T) {
-	s := MBConvSpec{Name: "s", In: 32, Out: 32, Kernel: 3, Stride: 1, Expansion: 4,
+	s := MBConvSpec{In: 32, Out: 32, Kernel: 3, Stride: 1, Expansion: 4,
 		SERatio: 0.25, Act: "relu", H: 8, W: 8, Batch: 1, DType: 2}
 	found := false
-	for _, op := range s.Ops() {
+	for _, op := range mbconvOps(s) {
 		if op.Kind == SE {
 			found = true
 		}
@@ -231,7 +242,7 @@ func TestMBConvSERatioAddsOp(t *testing.T) {
 		t.Error("SERatio > 0 must produce an SE op")
 	}
 	s.SERatio = 0
-	for _, op := range s.Ops() {
+	for _, op := range mbconvOps(s) {
 		if op.Kind == SE {
 			t.Error("SERatio == 0 must omit the SE op")
 		}
@@ -239,12 +250,12 @@ func TestMBConvSERatioAddsOp(t *testing.T) {
 }
 
 func TestTransformerSpecLayersWeighting(t *testing.T) {
-	one := TransformerSpec{Name: "t", Seq: 64, Hidden: 128, Heads: 2, Act: "gelu", Layers: 1, Batch: 1, DType: 2}
+	one := TransformerSpec{Seq: 64, Hidden: 128, Heads: 2, Act: "gelu", Layers: 1, Batch: 1, DType: 2}
 	three := one
 	three.Layers = 3
 	sum := func(s TransformerSpec) float64 {
 		var f float64
-		for _, op := range s.Ops() {
+		for _, op := range transformerOps(s) {
 			f += op.TotalFLOPs()
 		}
 		return f
@@ -255,7 +266,7 @@ func TestTransformerSpecLayersWeighting(t *testing.T) {
 }
 
 func TestTransformerSeqPoolHalves(t *testing.T) {
-	s := TransformerSpec{Name: "t", Seq: 64, Hidden: 128, SeqPool: true, Batch: 1, DType: 2}
+	s := TransformerSpec{Seq: 64, Hidden: 128, SeqPool: true, Batch: 1, DType: 2}
 	if s.OutSeq() != 32 {
 		t.Errorf("OutSeq = %d, want 32", s.OutSeq())
 	}
@@ -266,12 +277,12 @@ func TestTransformerSeqPoolHalves(t *testing.T) {
 }
 
 func TestTransformerLowRankReducesFFNFLOPs(t *testing.T) {
-	full := TransformerSpec{Name: "t", Seq: 64, Hidden: 512, Act: "relu", Layers: 1, Batch: 1, DType: 2}
+	full := TransformerSpec{Seq: 64, Hidden: 512, Act: "relu", Layers: 1, Batch: 1, DType: 2}
 	low := full
 	low.LowRank = 0.2
 	sum := func(s TransformerSpec) float64 {
 		var f float64
-		for _, op := range s.Ops() {
+		for _, op := range transformerOps(s) {
 			f += op.TotalFLOPs()
 		}
 		return f
@@ -282,9 +293,9 @@ func TestTransformerLowRankReducesFFNFLOPs(t *testing.T) {
 }
 
 func TestPrimerAddsDepthwise(t *testing.T) {
-	s := TransformerSpec{Name: "t", Seq: 32, Hidden: 128, Primer: true, Batch: 1, DType: 2}
+	s := TransformerSpec{Seq: 32, Hidden: 128, Primer: true, Batch: 1, DType: 2}
 	found := false
-	for _, op := range s.Ops() {
+	for _, op := range transformerOps(s) {
 		if op.Kind == DepthwiseConv {
 			found = true
 		}

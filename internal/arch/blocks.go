@@ -30,7 +30,6 @@ func ActCost(act string) int {
 // block, the macro structure of Figure 4a. All searchable dimensions of
 // the CNN space map onto its fields.
 type MBConvSpec struct {
-	Name      string
 	Fused     bool // F-MBConv: expansion+depthwise fused into one conv
 	In, Out   int  // input/output channel depth
 	Kernel    int  // depthwise / fused kernel size
@@ -43,41 +42,83 @@ type MBConvSpec struct {
 	DType     int // bytes per element
 }
 
-// Ops expands the block into its operator sequence.
-func (s MBConvSpec) Ops() []*Op {
+// MBConvNames are the op names of one MBConv layer, "<layer>/<op>".
+type MBConvNames struct {
+	fusedConv, expand, bn0, act0, depthwise, bn1, act1, se, project, bn2, residual string
+}
+
+// StageNames formats the op names of the first depth layers of the MBConv
+// stage named stage, layer l being "<stage>/l<l>". Builders format them
+// once and hand PushMBConvStage a prefix of them per graph.
+func StageNames(stage string, depth int) []MBConvNames {
+	out := make([]MBConvNames, depth)
+	for l := range out {
+		p := stage + "/l" + strconv.Itoa(l) + "/"
+		out[l] = MBConvNames{
+			fusedConv: p + "fused_conv", expand: p + "expand", bn0: p + "bn0", act0: p + "act0",
+			depthwise: p + "depthwise", bn1: p + "bn1", act1: p + "act1", se: p + "se",
+			project: p + "project", bn2: p + "bn2", residual: p + "residual",
+		}
+	}
+	return out
+}
+
+// hasResidual reports whether the block adds its input back: only when
+// the shapes match and the caller keeps skip connections.
+func (s MBConvSpec) hasResidual(residual bool) bool {
+	return residual && s.Stride == 1 && s.In == s.Out
+}
+
+// numOps returns the number of ops pushMBConv appends for the block.
+func (s MBConvSpec) numOps(residual bool) int {
+	n := 5 // the conv, norm and activation at mid depth, projection, norm
+	if !s.Fused && s.Expansion != 1 {
+		n += 3
+	}
+	if s.SERatio > 0 {
+		n++
+	}
+	if s.hasResidual(residual) {
+		n++
+	}
+	return n
+}
+
+// pushMBConv appends the block's operator sequence to g, named by n, and
+// counts its parameters into g.Params. With residual false the
+// skip-connection add is left out.
+func (g *Graph) pushMBConv(s MBConvSpec, n *MBConvNames, residual bool) {
 	b, dt := s.Batch, s.DType
 	mid := s.In * s.Expansion
 	oh, ow := outDim(s.H, s.Stride), outDim(s.W, s.Stride)
-	var ops []*Op
-	add := func(o *Op) { ops = append(ops, o) }
 	actCost := ActCost(s.Act)
+	push := func(op Op) { g.pushCounted(op, dt) }
 
 	if s.Fused {
 		// Fused conv replaces expansion 1×1 + depthwise k×k with one
 		// vanilla k×k convolution In→mid (stride applied here).
-		add(ConvOp(s.Name+"/fused_conv", b, s.H, s.W, s.In, mid, s.Kernel, s.Stride, dt))
-		add(NormOp(s.Name+"/bn0", b*oh*ow*mid, mid, dt))
-		add(ElementwiseOp(s.Name+"/act0", b*oh*ow*mid, actCost, dt))
+		push(ConvOp(n.fusedConv, b, s.H, s.W, s.In, mid, s.Kernel, s.Stride, dt))
+		push(NormOp(n.bn0, b*oh*ow*mid, mid, dt))
+		push(ElementwiseOp(n.act0, b*oh*ow*mid, actCost, dt))
 	} else {
 		if s.Expansion != 1 {
-			add(ConvOp(s.Name+"/expand", b, s.H, s.W, s.In, mid, 1, 1, dt))
-			add(NormOp(s.Name+"/bn0", b*s.H*s.W*mid, mid, dt))
-			add(ElementwiseOp(s.Name+"/act0", b*s.H*s.W*mid, actCost, dt))
+			push(ConvOp(n.expand, b, s.H, s.W, s.In, mid, 1, 1, dt))
+			push(NormOp(n.bn0, b*s.H*s.W*mid, mid, dt))
+			push(ElementwiseOp(n.act0, b*s.H*s.W*mid, actCost, dt))
 		}
-		add(DepthwiseOp(s.Name+"/depthwise", b, s.H, s.W, mid, s.Kernel, s.Stride, dt))
-		add(NormOp(s.Name+"/bn1", b*oh*ow*mid, mid, dt))
-		add(ElementwiseOp(s.Name+"/act1", b*oh*ow*mid, actCost, dt))
+		push(DepthwiseOp(n.depthwise, b, s.H, s.W, mid, s.Kernel, s.Stride, dt))
+		push(NormOp(n.bn1, b*oh*ow*mid, mid, dt))
+		push(ElementwiseOp(n.act1, b*oh*ow*mid, actCost, dt))
 	}
 	if s.SERatio > 0 {
-		add(SEOp(s.Name+"/se", b, oh, ow, mid, s.SERatio, dt))
+		push(SEOp(n.se, b, oh, ow, mid, s.SERatio, dt))
 	}
 	// Projection back to Out channels.
-	add(ConvOp(s.Name+"/project", b, oh, ow, mid, s.Out, 1, 1, dt))
-	add(NormOp(s.Name+"/bn2", b*oh*ow*s.Out, s.Out, dt))
-	if s.Stride == 1 && s.In == s.Out {
-		add(ElementwiseOp(s.Name+"/residual", b*oh*ow*s.Out, 1, dt))
+	push(ConvOp(n.project, b, oh, ow, mid, s.Out, 1, 1, dt))
+	push(NormOp(n.bn2, b*oh*ow*s.Out, s.Out, dt))
+	if s.hasResidual(residual) {
+		push(ElementwiseOp(n.residual, b*oh*ow*s.Out, 1, dt))
 	}
-	return ops
 }
 
 // OutShape returns the block's output (h, w, channels).
@@ -85,28 +126,36 @@ func (s MBConvSpec) OutShape() (h, w, c int) {
 	return outDim(s.H, s.Stride), outDim(s.W, s.Stride), s.Out
 }
 
-// AddMBConvStage appends a stage of depth MBConv layers to g and counts
-// their parameters into g.Params. Layer 0 is first as given (its In, H, W
-// and Stride); later layers run at stride 1 on first.Out channels. Layer l
-// is named "<first.Name>/l<l>". With residual false the skip-connection
-// adds are left out (the CNN space's searchable skip removal). It returns
-// the stage's output extent and channel depth.
-func (g *Graph) AddMBConvStage(first MBConvSpec, depth int, residual bool) (h, channels int) {
+// stageLayer returns the spec of a later layer of the stage first opens:
+// stride 1 on first.Out channels at input extent h.
+func (s MBConvSpec) stageLayer(h int) MBConvSpec {
+	s.In, s.H, s.W, s.Stride = s.Out, h, h, 1
+	return s
+}
+
+// StageOps returns the number of ops PushMBConvStage appends for a stage
+// of depth layers opened by first.
+func (s MBConvSpec) StageOps(depth int, residual bool) int {
+	if depth < 1 {
+		return 0
+	}
+	return s.numOps(residual) + (depth-1)*s.stageLayer(0).numOps(residual)
+}
+
+// PushMBConvStage appends a stage of len(names) MBConv layers to g and
+// counts their parameters into g.Params; names[l] names layer l's ops
+// (StageNames). Layer 0 is first as given (its In, H, W and Stride);
+// later layers run at stride 1 on first.Out channels. With residual false
+// the skip-connection adds are left out (the CNN space's searchable skip
+// removal). It returns the stage's output extent and channel depth.
+func (g *Graph) PushMBConvStage(first MBConvSpec, names []MBConvNames, residual bool) (h, channels int) {
 	h, channels = first.H, first.In
-	for layer := 0; layer < depth; layer++ {
-		ls := first
-		ls.Name = first.Name + "/l" + strconv.Itoa(layer)
-		ls.In, ls.H, ls.W = channels, h, h
-		if layer > 0 {
-			ls.Stride = 1
+	ls := first
+	for l := range names {
+		if l > 0 {
+			ls = first.stageLayer(h)
 		}
-		for _, op := range ls.Ops() {
-			if !residual && op.Name == ls.Name+"/residual" {
-				continue
-			}
-			g.Add(op)
-			g.Params += op.ParamBytes / float64(ls.DType)
-		}
+		g.pushMBConv(ls, &names[l], residual)
 		h, _, channels = ls.OutShape()
 	}
 	return h, channels
@@ -117,7 +166,6 @@ func (g *Graph) AddMBConvStage(first MBConvSpec, depth int, residual bool) (h, c
 // searchable hidden size, low-rank projection, activation, optional
 // sequence pooling, and optional Primer depthwise convolutions.
 type TransformerSpec struct {
-	Name     string
 	Seq      int // sequence length in
 	Hidden   int
 	Heads    int
@@ -131,56 +179,90 @@ type TransformerSpec struct {
 	DType    int
 }
 
-// Ops expands the transformer block into its operator sequence. The block's
-// Layers count is expressed with op Weight so repeated layers share cost
+// TransformerNames are the op names of one transformer block,
+// "<block>/<op>".
+type TransformerNames struct {
+	ln0, qkv, scores, softmax, context, proj, primer, attnResidual string
+	ln1, ffn0, ffn0U, ffn0V, ffnAct, ffn1, ffnResidual, seqPool    string
+}
+
+// NewTransformerNames formats the op names of the transformer block named
+// block. Builders format them once and reuse them for every graph.
+func NewTransformerNames(block string) *TransformerNames {
+	p, attn := block+"/", block+"/attn/"
+	return &TransformerNames{
+		ln0: p + "ln0", qkv: attn + "qkv", scores: attn + "scores", softmax: attn + "softmax",
+		context: attn + "context", proj: attn + "proj", primer: p + "primer_dconv",
+		attnResidual: p + "attn_residual", ln1: p + "ln1", ffn0: p + "ffn0",
+		ffn0U: p + "ffn0/u", ffn0V: p + "ffn0/v", ffnAct: p + "ffn_act", ffn1: p + "ffn1",
+		ffnResidual: p + "ffn_residual", seqPool: p + "seq_pool",
+	}
+}
+
+// lowRank reports whether the FFN's first layer is rank-factorized.
+func (s TransformerSpec) lowRank() bool { return s.LowRank > 0 && s.LowRank < 1 }
+
+// NumOps returns the number of ops PushTransformer appends for the block.
+func (s TransformerSpec) NumOps() int {
+	n := 12 // ln0, five attention ops, residual, ln1, ffn0, act, ffn1, residual
+	for _, opt := range []bool{s.Primer, s.lowRank(), s.SeqPool} {
+		if opt {
+			n++
+		}
+	}
+	return n
+}
+
+// PushTransformer appends the transformer block's operator sequence to g,
+// named by n, and counts its parameters into g.Params. The block's Layers
+// count is expressed with op Weight so repeated layers share cost
 // accounting without duplicating ops.
-func (s TransformerSpec) Ops() []*Op {
+func (g *Graph) PushTransformer(s TransformerSpec, n *TransformerNames) {
 	b, dt := s.Batch, s.DType
 	heads := s.Heads
 	if heads < 1 {
 		heads = max(1, s.Hidden/64)
 	}
-	var ops []*Op
-	add := func(list ...*Op) { ops = append(ops, list...) }
+	layers := float64(max(s.Layers, 1))
+	push := func(op Op) {
+		op.Weight = layers
+		g.pushCounted(op, dt)
+	}
 
-	add(NormOp(s.Name+"/ln0", b*s.Seq*s.Hidden, s.Hidden, dt))
-	add(AttentionOps(s.Name+"/attn", b, s.Seq, s.Hidden, heads, dt)...)
+	push(NormOp(n.ln0, b*s.Seq*s.Hidden, s.Hidden, dt))
+	for _, op := range attentionOps(n, b, s.Seq, s.Hidden, heads, dt) {
+		push(op)
+	}
 	if s.Primer {
 		// Primer: 3×1 depthwise convolution over the sequence per head dim.
-		add(DepthwiseOp(s.Name+"/primer_dconv", b, s.Seq, 1, 3*s.Hidden, 3, 1, dt))
+		push(DepthwiseOp(n.primer, b, s.Seq, 1, 3*s.Hidden, 3, 1, dt))
 	}
-	add(ElementwiseOp(s.Name+"/attn_residual", b*s.Seq*s.Hidden, 1, dt))
-	add(NormOp(s.Name+"/ln1", b*s.Seq*s.Hidden, s.Hidden, dt))
+	push(ElementwiseOp(n.attnResidual, b*s.Seq*s.Hidden, 1, dt))
+	push(NormOp(n.ln1, b*s.Seq*s.Hidden, s.Hidden, dt))
 
 	ffn := s.FFNRatio
 	if ffn <= 0 {
 		ffn = 4
 	}
 	inner := s.Hidden * ffn
-	if s.LowRank > 0 && s.LowRank < 1 {
+	if s.lowRank() {
 		rank := int(float64(s.Hidden) * s.LowRank)
 		if rank < 8 {
 			rank = 8
 		}
-		add(LowRankDenseOps(s.Name+"/ffn0", b*s.Seq, s.Hidden, inner, rank, dt)...)
+		u, v := LowRankDenseOps(n.ffn0U, n.ffn0V, b*s.Seq, s.Hidden, inner, rank, dt)
+		push(u)
+		push(v)
 	} else {
-		add(DenseOp(s.Name+"/ffn0", b*s.Seq, s.Hidden, inner, dt))
+		push(DenseOp(n.ffn0, b*s.Seq, s.Hidden, inner, dt))
 	}
-	add(ElementwiseOp(s.Name+"/ffn_act", b*s.Seq*inner, ActCost(s.Act), dt))
-	add(DenseOp(s.Name+"/ffn1", b*s.Seq, inner, s.Hidden, dt))
-	add(ElementwiseOp(s.Name+"/ffn_residual", b*s.Seq*s.Hidden, 1, dt))
+	push(ElementwiseOp(n.ffnAct, b*s.Seq*inner, ActCost(s.Act), dt))
+	push(DenseOp(n.ffn1, b*s.Seq, inner, s.Hidden, dt))
+	push(ElementwiseOp(n.ffnResidual, b*s.Seq*s.Hidden, 1, dt))
 
-	layers := s.Layers
-	if layers < 1 {
-		layers = 1
-	}
-	for _, op := range ops {
-		op.Weight = float64(layers)
-	}
 	if s.SeqPool {
-		ops = append(ops, PoolOp(s.Name+"/seq_pool", b*s.Seq*s.Hidden, b*s.Seq/2*s.Hidden, dt))
+		g.pushCounted(PoolOp(n.seqPool, b*s.Seq*s.Hidden, b*s.Seq/2*s.Hidden, dt), dt)
 	}
-	return ops
 }
 
 // OutSeq returns the sequence length after the block.

@@ -8,10 +8,10 @@ import "fmt"
 
 // ConvOp builds a standard 2-D convolution over an h×w×cin input with a
 // k×k kernel, stride s, and cout output channels. It runs on the MXU.
-func ConvOp(name string, b, h, w, cin, cout, k, s, dt int) *Op {
+func ConvOp(name string, b, h, w, cin, cout, k, s, dt int) Op {
 	oh, ow := outDim(h, s), outDim(w, s)
 	params := float64(k*k*cin*cout + cout)
-	return &Op{
+	return Op{
 		Name:        name,
 		Kind:        Conv2D,
 		Unit:        MXU,
@@ -27,10 +27,10 @@ func ConvOp(name string, b, h, w, cin, cout, k, s, dt int) *Op {
 // multiply per output element per tap, no channel reduction), so they
 // execute on the VPU — the root cause of MBConv's low operational
 // intensity in Figure 4.
-func DepthwiseOp(name string, b, h, w, c, k, s, dt int) *Op {
+func DepthwiseOp(name string, b, h, w, c, k, s, dt int) Op {
 	oh, ow := outDim(h, s), outDim(w, s)
 	params := float64(k*k*c + c)
-	return &Op{
+	return Op{
 		Name:        name,
 		Kind:        DepthwiseConv,
 		Unit:        VPU,
@@ -42,9 +42,9 @@ func DepthwiseOp(name string, b, h, w, c, k, s, dt int) *Op {
 }
 
 // DenseOp builds a fully connected in→out layer at batch b on the MXU.
-func DenseOp(name string, b, in, out, dt int) *Op {
+func DenseOp(name string, b, in, out, dt int) Op {
 	params := float64(in*out + out)
-	return &Op{
+	return Op{
 		Name:        name,
 		Kind:        Dense,
 		Unit:        MXU,
@@ -56,18 +56,15 @@ func DenseOp(name string, b, in, out, dt int) *Op {
 }
 
 // LowRankDenseOps builds the two matmuls of a rank-r factorized in→out
-// dense layer.
-func LowRankDenseOps(name string, b, in, out, rank, dt int) []*Op {
-	return []*Op{
-		DenseOp(name+"/u", b, in, rank, dt),
-		DenseOp(name+"/v", b, rank, out, dt),
-	}
+// dense layer, named u and v.
+func LowRankDenseOps(u, v string, b, in, out, rank, dt int) (Op, Op) {
+	return DenseOp(u, b, in, rank, dt), DenseOp(v, b, rank, out, dt)
 }
 
 // BatchMatMulOp builds a batched (groups× m×k·k×n) matrix multiply on the
 // MXU, e.g. attention score or context products.
-func BatchMatMulOp(name string, groups, m, k, n, dt int) *Op {
-	return &Op{
+func BatchMatMulOp(name string, groups, m, k, n, dt int) Op {
+	return Op{
 		Name:        name,
 		Kind:        BatchMatMul,
 		Unit:        MXU,
@@ -77,28 +74,28 @@ func BatchMatMulOp(name string, groups, m, k, n, dt int) *Op {
 	}
 }
 
-// AttentionOps builds a multi-head self-attention block: QKV projections,
-// score matmul, softmax, context matmul, and output projection.
-func AttentionOps(name string, b, seq, hidden, heads, dt int) []*Op {
+// attentionOps builds a multi-head self-attention block named by n: QKV
+// projections, score matmul, softmax, context matmul, and output
+// projection.
+func attentionOps(n *TransformerNames, b, seq, hidden, heads, dt int) [5]Op {
 	dh := hidden / heads
 	if dh == 0 {
 		dh = 1
 	}
-	ops := []*Op{
-		DenseOp(name+"/qkv", b*seq, hidden, 3*hidden, dt),
-		BatchMatMulOp(name+"/scores", b*heads, seq, dh, seq, dt),
-		SoftmaxOp(name+"/softmax", b*heads*seq, seq, dt),
-		BatchMatMulOp(name+"/context", b*heads, seq, seq, dh, dt),
-		DenseOp(name+"/proj", b*seq, hidden, hidden, dt),
+	return [5]Op{
+		DenseOp(n.qkv, b*seq, hidden, 3*hidden, dt),
+		BatchMatMulOp(n.scores, b*heads, seq, dh, seq, dt),
+		SoftmaxOp(n.softmax, b*heads*seq, seq, dt),
+		BatchMatMulOp(n.context, b*heads, seq, seq, dh, dt),
+		DenseOp(n.proj, b*seq, hidden, hidden, dt),
 	}
-	return ops
 }
 
 // SoftmaxOp builds a rows×cols row-softmax on the VPU (~5 FLOPs/element:
 // max, sub, exp, sum, div).
-func SoftmaxOp(name string, rows, cols, dt int) *Op {
+func SoftmaxOp(name string, rows, cols, dt int) Op {
 	elems := float64(rows * cols)
-	return &Op{
+	return Op{
 		Name:        name,
 		Kind:        Softmax,
 		Unit:        VPU,
@@ -110,8 +107,8 @@ func SoftmaxOp(name string, rows, cols, dt int) *Op {
 
 // ElementwiseOp builds a fusable elementwise op (activation, residual add,
 // scale) over elems elements with flopsPerElem operations each.
-func ElementwiseOp(name string, elems, flopsPerElem, dt int) *Op {
-	return &Op{
+func ElementwiseOp(name string, elems, flopsPerElem, dt int) Op {
+	return Op{
 		Name:        name,
 		Kind:        Elementwise,
 		Unit:        VPU,
@@ -125,8 +122,8 @@ func ElementwiseOp(name string, elems, flopsPerElem, dt int) *Op {
 // NormOp builds a batch/layer normalization over elems elements with c
 // channels of scale/offset parameters (~4 FLOPs/element). Norms fuse into
 // their producer on TPU compilers.
-func NormOp(name string, elems, c, dt int) *Op {
-	return &Op{
+func NormOp(name string, elems, c, dt int) Op {
+	return Op{
 		Name:        name,
 		Kind:        Norm,
 		Unit:        VPU,
@@ -139,8 +136,8 @@ func NormOp(name string, elems, c, dt int) *Op {
 }
 
 // PoolOp builds a pooling reduction from inElems to outElems.
-func PoolOp(name string, inElems, outElems, dt int) *Op {
-	return &Op{
+func PoolOp(name string, inElems, outElems, dt int) Op {
+	return Op{
 		Name:        name,
 		Kind:        Pool,
 		Unit:        VPU,
@@ -153,14 +150,14 @@ func PoolOp(name string, inElems, outElems, dt int) *Op {
 // SEOp builds a squeeze-and-excitation block on an h×w×c tensor with
 // reduction ratio ratio∈(0,1]: global pool, two tiny dense layers, and a
 // channel-wise rescale.
-func SEOp(name string, b, h, w, c int, ratio float64, dt int) *Op {
+func SEOp(name string, b, h, w, c int, ratio float64, dt int) Op {
 	mid := int(float64(c) * ratio)
 	if mid < 1 {
 		mid = 1
 	}
 	elems := float64(b * h * w * c)
 	denseFLOPs := 2 * float64(b) * float64(c*mid) * 2 // squeeze + excite matmuls
-	return &Op{
+	return Op{
 		Name:        name,
 		Kind:        SE,
 		Unit:        VPU,
@@ -173,8 +170,8 @@ func SEOp(name string, b, h, w, c int, ratio float64, dt int) *Op {
 
 // SpaceToDepthOp builds the tensor-reshaping op from the CNN search space:
 // pure data movement of elems elements.
-func SpaceToDepthOp(name string, elems, dt int) *Op {
-	return &Op{
+func SpaceToDepthOp(name string, elems, dt int) Op {
+	return Op{
 		Name:        name,
 		Kind:        SpaceToDepth,
 		Unit:        MemoryUnit,
@@ -184,8 +181,8 @@ func SpaceToDepthOp(name string, elems, dt int) *Op {
 }
 
 // ConcatOp builds a feature concatenation writing elems elements.
-func ConcatOp(name string, elems, dt int) *Op {
-	return &Op{
+func ConcatOp(name string, elems, dt int) Op {
+	return Op{
 		Name:        name,
 		Kind:        Concat,
 		Unit:        MemoryUnit,
@@ -199,9 +196,9 @@ func ConcatOp(name string, elems, dt int) *Op {
 // traffic dominates; the table itself contributes capacity, not per-step
 // streaming, so ParamBytes stays zero and capacity is tracked by the
 // caller via Graph.Params.
-func EmbeddingOp(name string, b, bagSize, width, vocab, dt int) *Op {
+func EmbeddingOp(name string, b, bagSize, width, vocab, dt int) Op {
 	gather := float64(b*bagSize*width) * float64(dt)
-	return &Op{
+	return Op{
 		Name:        name,
 		Kind:        EmbeddingLookup,
 		Unit:        MemoryUnit,
@@ -213,8 +210,8 @@ func EmbeddingOp(name string, b, bagSize, width, vocab, dt int) *Op {
 
 // AllToAllOp builds the embedding-exchange collective: each chip sends and
 // receives bytes of pooled embedding activations per step.
-func AllToAllOp(name string, bytes float64) *Op {
-	return &Op{
+func AllToAllOp(name string, bytes float64) Op {
+	return Op{
 		Name:         name,
 		Kind:         AllToAll,
 		Unit:         NetworkUnit,
@@ -224,8 +221,8 @@ func AllToAllOp(name string, bytes float64) *Op {
 
 // AllReduceOp builds the data-parallel gradient synchronization: a ring
 // all-reduce moves ~2× the parameter bytes per chip.
-func AllReduceOp(name string, paramBytes float64) *Op {
-	return &Op{
+func AllReduceOp(name string, paramBytes float64) Op {
+	return Op{
 		Name:         name,
 		Kind:         AllReduce,
 		Unit:         NetworkUnit,

@@ -8,11 +8,11 @@ import (
 
 func TestWriteDot(t *testing.T) {
 	g := &Graph{Name: "toy", Batch: 4, DTypeBytes: 2}
-	g.Add(DenseOp("fc1", 4, 8, 8, 2))
+	g.Push(DenseOp("fc1", 4, 8, 8, 2))
 	rep := DenseOp("fc2", 4, 8, 8, 2)
 	rep.Weight = 3
-	g.Add(rep)
-	g.Add(AllReduceOp("sync", 1e6))
+	g.Push(rep)
+	g.Push(AllReduceOp("sync", 1e6))
 
 	var buf bytes.Buffer
 	if err := g.WriteDot(&buf); err != nil {

@@ -283,7 +283,7 @@ func ExtScalingStudy() *Report {
 		spec := models.CoAtNet(5)
 		spec.Batch = batch
 		g := spec.Graph()
-		g.Add(arch.AllReduceOp("grad_sync", g.TotalParamBytes()))
+		g.Push(arch.AllReduceOp("grad_sync", g.TotalParamBytes()))
 		return g
 	}, 8192)
 

@@ -19,14 +19,13 @@ func Fig4Roofline() *Report {
 
 	point := func(fused bool, c int) hwsim.RooflinePoint {
 		spec := arch.MBConvSpec{
-			Name: blockName(fused, c), Fused: fused, In: c, Out: c,
+			Fused: fused, In: c, Out: c,
 			Kernel: 3, Stride: 1, Expansion: 6, Act: "relu",
 			H: 28, W: 28, Batch: 128, DType: 2,
 		}
-		g := &arch.Graph{Name: spec.Name, Batch: 128, DTypeBytes: 2}
-		for _, op := range spec.Ops() {
-			g.Add(op)
-		}
+		name := blockName(fused, c)
+		g := &arch.Graph{Name: name, Batch: 128, DTypeBytes: 2}
+		g.PushMBConvStage(spec, arch.StageNames(name, 1), true)
 		return hwsim.Roofline(g, chip)
 	}
 

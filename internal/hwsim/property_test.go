@@ -18,9 +18,9 @@ func randomDenseGraph(rng *tensor.RNG) *arch.Graph {
 	in := 1 << (rng.Intn(6) + 4)
 	for i := 0; i < layers; i++ {
 		out := 1 << (rng.Intn(6) + 4)
-		g.Add(arch.DenseOp("fc", batch, in, out, g.DTypeBytes))
+		g.Push(arch.DenseOp("fc", batch, in, out, g.DTypeBytes))
 		if rng.Intn(2) == 0 {
-			g.Add(arch.ElementwiseOp("act", batch*out, 1, g.DTypeBytes))
+			g.Push(arch.ElementwiseOp("act", batch*out, 1, g.DTypeBytes))
 		}
 		in = out
 	}
@@ -57,7 +57,7 @@ func TestSimMonotoneInWorkProperty(t *testing.T) {
 		g := randomDenseGraph(rng)
 		base := Simulate(g, chip, Options{}).StepTime
 		bigger := g.Clone()
-		bigger.Add(arch.DenseOp("extra", g.Batch, 256, 256, g.DTypeBytes))
+		bigger.Push(arch.DenseOp("extra", g.Batch, 256, 256, g.DTypeBytes))
 		return Simulate(bigger, chip, Options{}).StepTime >= base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -75,8 +75,8 @@ func TestSimMonotoneInBatchProperty(t *testing.T) {
 		inner := 1 << (tensor.NewRNG(seed).Intn(4) + 6)
 		mk := func(batch int) *arch.Graph {
 			g := &arch.Graph{Name: "b", Batch: batch, DTypeBytes: 2}
-			g.Add(arch.DenseOp("fc1", batch, inner, inner, 2))
-			g.Add(arch.DenseOp("fc2", batch, inner, inner, 2))
+			g.Push(arch.DenseOp("fc1", batch, inner, inner, 2))
+			g.Push(arch.DenseOp("fc2", batch, inner, inner, 2))
 			return g
 		}
 		return Simulate(mk(big), chip, Options{}).StepTime >= Simulate(mk(small), chip, Options{}).StepTime

@@ -9,7 +9,7 @@ import (
 
 func denseGraph(batch, in, out int) *arch.Graph {
 	g := &arch.Graph{Name: "dense", Batch: batch, DTypeBytes: 2}
-	g.Add(arch.DenseOp("fc", batch, in, out, 2))
+	g.Push(arch.DenseOp("fc", batch, in, out, 2))
 	return g
 }
 
@@ -59,7 +59,7 @@ func TestMemoryBoundOpLimitedByBandwidth(t *testing.T) {
 	chip := TPUv4()
 	g := &arch.Graph{Name: "emb", Batch: 1024, DTypeBytes: 4}
 	op := arch.EmbeddingOp("e", 1024, 32, 256, 1_000_000, 4)
-	g.Add(op)
+	g.Push(op)
 	r := Simulate(g, chip, Options{})
 	wantMin := (op.InputBytes + op.OutputBytes) / chip.HBMBandwidth
 	if r.StepTime < wantMin {
@@ -79,7 +79,7 @@ func TestSmallActivationsUseCMEM(t *testing.T) {
 	}
 	// Huge activations exceed the budget and spill to HBM.
 	big := &arch.Graph{Name: "big", Batch: 1024, DTypeBytes: 4}
-	big.Add(arch.DenseOp("fc", 4096, 8192, 8192, 4))
+	big.Push(arch.DenseOp("fc", 4096, 8192, 8192, 4))
 	r := Simulate(big, chip, Options{})
 	if r.HBMBytes == 0 {
 		t.Fatal("oversized activations must spill to HBM")
@@ -88,8 +88,8 @@ func TestSmallActivationsUseCMEM(t *testing.T) {
 
 func TestFusionRemovesElementwiseTraffic(t *testing.T) {
 	g := &arch.Graph{Name: "f", Batch: 256, DTypeBytes: 2}
-	g.Add(arch.DenseOp("fc", 256, 2048, 2048, 2))
-	g.Add(arch.ElementwiseOp("relu", 256*2048, 1, 2))
+	g.Push(arch.DenseOp("fc", 256, 2048, 2048, 2))
+	g.Push(arch.ElementwiseOp("relu", 256*2048, 1, 2))
 	fused := Simulate(g, TPUv4(), Options{})
 	unfused := Simulate(g, TPUv4(), Options{DisableFusion: true})
 	if fused.StepTime >= unfused.StepTime {
@@ -102,7 +102,7 @@ func TestFusionRemovesElementwiseTraffic(t *testing.T) {
 
 func TestAllReducePartiallyOverlapped(t *testing.T) {
 	g := denseGraph(128, 2048, 2048)
-	g.Add(arch.AllReduceOp("grads", g.TotalParamBytes()))
+	g.Push(arch.AllReduceOp("grads", g.TotalParamBytes()))
 	trn := Simulate(g, TPUv4(), Options{Mode: Training, Chips: 128})
 	if trn.SyncTime <= 0 {
 		t.Fatal("training with all-reduce must have sync time")
@@ -120,9 +120,9 @@ func TestAllReducePartiallyOverlapped(t *testing.T) {
 func TestEmbeddingPhaseOverlapsDense(t *testing.T) {
 	// Step time = MAX(embed, dense), the Figure 8 pipeline.
 	g := &arch.Graph{Name: "dlrm", Batch: 4096, DTypeBytes: 4}
-	g.Add(arch.EmbeddingOp("emb", 4096, 32, 128, 1_000_000, 4))
-	g.Add(arch.AllToAllOp("a2a", 64<<20))
-	g.Add(arch.DenseOp("mlp", 4096, 512, 512, 4))
+	g.Push(arch.EmbeddingOp("emb", 4096, 32, 128, 1_000_000, 4))
+	g.Push(arch.AllToAllOp("a2a", 64<<20))
+	g.Push(arch.DenseOp("mlp", 4096, 512, 512, 4))
 	r := Simulate(g, TPUv4(), Options{Mode: Training})
 	if r.EmbedTime == 0 || r.DenseTime == 0 {
 		t.Fatal("both phases must be populated")
@@ -141,13 +141,11 @@ func TestMBConvFusedCrossover(t *testing.T) {
 	// depth the fused block is faster; at deep channels the unfused
 	// MBConv wins despite lower operational intensity.
 	lat := func(fused bool, c int) float64 {
-		spec := arch.MBConvSpec{Name: "b", Fused: fused, In: c, Out: c,
+		spec := arch.MBConvSpec{Fused: fused, In: c, Out: c,
 			Kernel: 3, Stride: 1, Expansion: 6, Act: "relu", H: 28, W: 28,
 			Batch: 128, DType: 2}
-		g := &arch.Graph{Name: spec.String(), Batch: 128, DTypeBytes: 2}
-		for _, op := range spec.Ops() {
-			g.Add(op)
-		}
+		g := arch.NewGraph(spec.String(), 128, 2, spec.StageOps(1, true))
+		g.PushMBConvStage(spec, arch.StageNames("b", 1), true)
 		return Simulate(g, TPUv4i(), Options{}).StepTime
 	}
 	if lat(true, 32) >= lat(false, 32) {
@@ -161,13 +159,11 @@ func TestMBConvFusedCrossover(t *testing.T) {
 func TestMBConvFusedAlwaysHigherThroughput(t *testing.T) {
 	// Figure 4b: fused MBConvs always achieve higher FLOPS.
 	point := func(fused bool, c int) RooflinePoint {
-		spec := arch.MBConvSpec{Name: "b", Fused: fused, In: c, Out: c,
+		spec := arch.MBConvSpec{Fused: fused, In: c, Out: c,
 			Kernel: 3, Stride: 1, Expansion: 6, Act: "relu", H: 28, W: 28,
 			Batch: 128, DType: 2}
-		g := &arch.Graph{Name: spec.String(), Batch: 128, DTypeBytes: 2}
-		for _, op := range spec.Ops() {
-			g.Add(op)
-		}
+		g := arch.NewGraph(spec.String(), 128, 2, spec.StageOps(1, true))
+		g.PushMBConvStage(spec, arch.StageNames("b", 1), true)
 		return Roofline(g, TPUv4i())
 	}
 	for _, c := range []int{32, 64, 128} {
@@ -245,7 +241,7 @@ func TestTrainingThroughput(t *testing.T) {
 
 func TestTraceRecordsPerOp(t *testing.T) {
 	g := denseGraph(64, 128, 128)
-	g.Add(arch.DenseOp("fc2", 64, 128, 128, 2))
+	g.Push(arch.DenseOp("fc2", 64, 128, 128, 2))
 	r := Simulate(g, TPUv4(), Options{Trace: true})
 	if len(r.PerOp) != 2 {
 		t.Fatalf("trace has %d ops, want 2", len(r.PerOp))

@@ -72,47 +72,40 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 	res := s.Resolution
 	// Stem ("S0"): stride-2 conv pair at /2, so the stage resolutions run
 	// /4 (S1), /8 (S2), /16 (S3), /32 (S4) as in CoAtNet.
-	g.Add(arch.ConvOp(s.Name+"/stem0", b, res, res, 3, s.Widths[0], 3, 2, dt))
+	g.Push(arch.ConvOp(s.Name+"/stem0", b, res, res, 3, s.Widths[0], 3, 2, dt))
 	h := (res + 1) / 2
-	g.Add(arch.ConvOp(s.Name+"/stem1", b, h, h, s.Widths[0], s.Widths[0], 3, 1, dt))
+	g.Push(arch.ConvOp(s.Name+"/stem1", b, h, h, s.Widths[0], s.Widths[0], 3, 1, dt))
 	g.Params += float64(3*3*3*s.Widths[0] + 3*3*s.Widths[0]*s.Widths[0] + 2*s.Widths[0])
 
 	in := s.Widths[0]
 	// S1, S2: MBConv stages, each downsampling once.
 	for stage := 0; stage < 2; stage++ {
-		h, in = g.AddMBConvStage(arch.MBConvSpec{
-			Name: fmt.Sprintf("%s/s%d", s.Name, stage+1),
-			In:   in, Out: s.Widths[1+stage], Kernel: 3, Expansion: 4,
+		h, in = g.PushMBConvStage(arch.MBConvSpec{
+			In: in, Out: s.Widths[1+stage], Kernel: 3, Expansion: 4,
 			Stride: 2, Act: "gelu", H: h, W: h, Batch: b, DType: dt,
-		}, s.ConvDepths[stage], true)
+		}, arch.StageNames(fmt.Sprintf("%s/s%d", s.Name, stage+1), s.ConvDepths[stage]), true)
 	}
 
 	// S3, S4: transformer stages; S3 runs at /16, S4 at /32.
 	for stage := 0; stage < 2; stage++ {
 		width := s.Widths[3+stage]
 		// Downsampling projection between stages.
-		g.Add(arch.ConvOp(fmt.Sprintf("%s/s%d/downsample", s.Name, stage+3), b, h, h, in, width, 2, 2, dt))
+		g.Push(arch.ConvOp(fmt.Sprintf("%s/s%d/downsample", s.Name, stage+3), b, h, h, in, width, 2, 2, dt))
 		g.Params += float64(2*2*in*width + width)
 		h = (h + 1) / 2
 		in = width
-		seq := h * h
-		blk := arch.TransformerSpec{
-			Name:   fmt.Sprintf("%s/s%d/tfm", s.Name, stage+3),
-			Seq:    seq,
+		g.PushTransformer(arch.TransformerSpec{
+			Seq:    h * h,
 			Hidden: width,
 			Heads:  width / 64,
 			Act:    s.Act,
 			Layers: s.TFMDepths[stage],
 			Batch:  b,
 			DType:  dt,
-		}
-		for _, op := range blk.Ops() {
-			g.Add(op)
-			g.Params += op.ParamBytes / dt * op.Repeat()
-		}
+		}, arch.NewTransformerNames(fmt.Sprintf("%s/s%d/tfm", s.Name, stage+3)))
 	}
-	g.Add(arch.PoolOp(s.Name+"/pool", b*h*h*in, b*in, dt))
-	g.Add(arch.DenseOp(s.Name+"/classifier", b, in, 1000, dt))
+	g.Push(arch.PoolOp(s.Name+"/pool", b*h*h*in, b*in, dt))
+	g.Push(arch.DenseOp(s.Name+"/classifier", b, in, 1000, dt))
 	g.Params += float64(in*1000 + 1000)
 	return g
 }

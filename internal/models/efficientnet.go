@@ -88,25 +88,24 @@ func (s ENetSpec) Graph() *arch.Graph {
 
 	res := s.Resolution
 	// EfficientNet-X space-to-depth stem: reshape + stride-2 conv.
-	g.Add(arch.SpaceToDepthOp(s.Name+"/s2d", b*res*res*3, dt))
-	g.Add(arch.ConvOp(s.Name+"/stem", b, res, res, 3, s.StemWidth, 3, 2, dt))
+	g.Push(arch.SpaceToDepthOp(s.Name+"/s2d", b*res*res*3, dt))
+	g.Push(arch.ConvOp(s.Name+"/stem", b, res, res, 3, s.StemWidth, 3, 2, dt))
 	g.Params += float64(3*3*3*s.StemWidth + s.StemWidth)
 	h := (res + 1) / 2
 	in := s.StemWidth
 
 	for i, st := range s.Stages {
-		h, in = g.AddMBConvStage(arch.MBConvSpec{
-			Name: fmt.Sprintf("%s/s%d", s.Name, i),
-			In:   in, Out: st.Width, Kernel: st.Kernel,
+		h, in = g.PushMBConvStage(arch.MBConvSpec{
+			In: in, Out: st.Width, Kernel: st.Kernel,
 			Expansion: st.Expansion, SERatio: st.SERatio,
 			Fused: st.Fused, Stride: st.Stride, Act: "swish",
 			H: h, W: h, Batch: b, DType: dt,
-		}, st.Depth, true)
+		}, arch.StageNames(fmt.Sprintf("%s/s%d", s.Name, i), st.Depth), true)
 	}
-	g.Add(arch.ConvOp(s.Name+"/head", b, h, h, in, s.HeadWidth, 1, 1, dt))
+	g.Push(arch.ConvOp(s.Name+"/head", b, h, h, in, s.HeadWidth, 1, 1, dt))
 	g.Params += float64(in*s.HeadWidth + s.HeadWidth)
-	g.Add(arch.PoolOp(s.Name+"/pool", b*h*h*s.HeadWidth, b*s.HeadWidth, dt))
-	g.Add(arch.DenseOp(s.Name+"/classifier", b, s.HeadWidth, 1000, dt))
+	g.Push(arch.PoolOp(s.Name+"/pool", b*h*h*s.HeadWidth, b*s.HeadWidth, dt))
+	g.Push(arch.DenseOp(s.Name+"/classifier", b, s.HeadWidth, 1000, dt))
 	g.Params += float64(s.HeadWidth*1000 + 1000)
 	return g
 }

@@ -2,6 +2,7 @@ package space
 
 import (
 	"fmt"
+	"slices"
 
 	"h2onas/internal/arch"
 )
@@ -58,85 +59,111 @@ var cnnResolutions = []float64{224, 240, 260, 300, 380, 456, 528, 600}
 // seRatios are the Table 5 squeeze-and-excite ratios (0 removes SE).
 var seRatios = []float64{0, 1.0, 0.5, 0.25, 0.125}
 
-// CNNSpace couples a CNN baseline with its Table 5 search space.
+// CNNSpace couples a CNN baseline with its Table 5 search space. Decode
+// and Graph are safe for concurrent use: they only read what the
+// constructor resolved.
 type CNNSpace struct {
 	Config CNNConfig
 	Space  *Space
+
+	// Resolved once at construction, so decoding and expanding a
+	// candidate formats no name and looks none up: the stages and the
+	// resolution decision.
+	stages        []convStage
+	resolutionIdx int
+}
+
+// convStage is one conv stage of a space, resolved at construction: the
+// index of each of its decisions, the op names of every layer its
+// searched depth can reach and the name of its reshape op.
+type convStage struct {
+	typ, kernel, stride, expansion, act, reshape, seRatio, skip, depth, width int
+
+	names       []arch.MBConvNames
+	reshapeName string
 }
 
 // addConvStageDecisions adds Table 5's per-stage convolutional decisions
 // under prefix: the block type, kernel, stride, expansion ratio,
 // activation, tensor reshaping, SE ratio, skip connection, depth and
-// width. The CNN space and the hybrid-ViT stem share them.
-func addConvStageDecisions(s *Space, prefix string, st CNNStage, widthStep int) {
-	s.Add(NewLabeledDecision(prefix+"type", []string{"mbconv", "fused_mbconv"}, []float64{0, 1}))
-	s.Add(NewDecision(prefix+"kernel", 3, 5, 7))
-	s.Add(NewDecision(prefix+"stride", 1, 2, 4))
-	s.Add(NewDecision(prefix+"expansion", 1, 3, 4, 6))
-	s.Add(NewLabeledDecision(prefix+"act", []string{"relu", "swish"}, []float64{0, 1}))
-	s.Add(NewLabeledDecision(prefix+"reshape", []string{"none", "space_to_depth", "space_to_batch"}, []float64{0, 1, 2}))
-	s.Add(NewDecision(prefix+"se_ratio", seRatios...))
-	s.Add(NewLabeledDecision(prefix+"skip", []string{"none", "identity"}, []float64{0, 1}))
-	s.Add(NewDecision(prefix+"depth", depthDeltas...))
-	s.Add(NewDecision(prefix+"width", offsets(st.Width, widthStep, -5, 5, 8)...))
+// width. The CNN space and the hybrid-ViT stem share them. The stage's
+// layers are named "<stage>/l<l>".
+func addConvStageDecisions(s *Space, prefix, stage string, st CNNStage, widthStep int) convStage {
+	var cs convStage
+	cs.typ = s.Add(NewLabeledDecision(prefix+"type", []string{"mbconv", "fused_mbconv"}, []float64{0, 1}))
+	cs.kernel = s.Add(NewDecision(prefix+"kernel", 3, 5, 7))
+	cs.stride = s.Add(NewDecision(prefix+"stride", 1, 2, 4))
+	cs.expansion = s.Add(NewDecision(prefix+"expansion", 1, 3, 4, 6))
+	cs.act = s.Add(NewLabeledDecision(prefix+"act", []string{"relu", "swish"}, []float64{0, 1}))
+	cs.reshape = s.Add(NewLabeledDecision(prefix+"reshape", []string{"none", "space_to_depth", "space_to_batch"}, []float64{0, 1, 2}))
+	cs.seRatio = s.Add(NewDecision(prefix+"se_ratio", seRatios...))
+	cs.skip = s.Add(NewLabeledDecision(prefix+"skip", []string{"none", "identity"}, []float64{0, 1}))
+	cs.depth = s.Add(NewDecision(prefix+"depth", depthDeltas...))
+	cs.width = s.Add(NewDecision(prefix+"width", offsets(st.Width, widthStep, -5, 5, 8)...))
+	cs.names = arch.StageNames(stage, stageDepth(st, slices.Max(depthDeltas)))
+	cs.reshapeName = stage + "/reshape"
+	return cs
 }
 
-// decodeConvStage reads one stage's decisions back: the block every layer
-// of the stage repeats (named name; In, H and W are the graph builder's to
-// fill), its layer count, the reshape choice (0 none, 1 space-to-depth,
-// 2 space-to-batch) and whether the skip connection is kept.
-func decodeConvStage(s *Space, a Assignment, prefix, name string, st CNNStage, batch, dtype int) (spec arch.MBConvSpec, depth, reshape int, skip bool) {
-	depth = st.Depth + int(s.Value(a, prefix+"depth"))
-	if depth < 1 {
-		depth = 1
-	}
+// stageDepth is the layer count of baseline stage st under depth offset
+// delta: at least one layer.
+func stageDepth(st CNNStage, delta float64) int {
+	return max(1, st.Depth+int(delta))
+}
+
+// decode reads the stage's decisions back: the block every layer of the
+// stage repeats (In, H and W are the graph builder's to fill), its layer
+// count, the reshape choice (0 none, 1 space-to-depth, 2 space-to-batch)
+// and whether the skip connection is kept.
+func (cs *convStage) decode(s *Space, a Assignment, st CNNStage, batch, dtype int) (spec arch.MBConvSpec, depth, reshape int, skip bool) {
+	val := func(i int) float64 { return s.Decisions[i].Values[a[i]] }
 	act := "relu"
-	if s.Value(a, prefix+"act") == 1 {
+	if val(cs.act) == 1 {
 		act = "swish"
 	}
 	spec = arch.MBConvSpec{
-		Name:      name,
-		Fused:     s.Value(a, prefix+"type") == 1,
-		Out:       int(s.Value(a, prefix+"width")),
-		Kernel:    int(s.Value(a, prefix+"kernel")),
-		Stride:    int(s.Value(a, prefix+"stride")),
-		Expansion: int(s.Value(a, prefix+"expansion")),
-		SERatio:   s.Value(a, prefix+"se_ratio"),
+		Fused:     val(cs.typ) == 1,
+		Out:       int(val(cs.width)),
+		Kernel:    int(val(cs.kernel)),
+		Stride:    int(val(cs.stride)),
+		Expansion: int(val(cs.expansion)),
+		SERatio:   val(cs.seRatio),
 		Act:       act,
 		Batch:     batch,
 		DType:     dtype,
 	}
-	return spec, depth, int(s.Value(a, prefix+"reshape")), s.Value(a, prefix+"skip") == 1
+	return spec, stageDepth(st, val(cs.depth)), int(val(cs.reshape)), val(cs.skip) == 1
 }
 
-// setConvStageBaseline points a at the choices reproducing baseline stage
-// st: swish (the EfficientNet baseline), no reshape, skip kept.
-func setConvStageBaseline(s *Space, a Assignment, prefix string, st CNNStage, fused bool) {
+// setBaseline points a at the choices reproducing baseline stage st:
+// swish (the EfficientNet baseline), no reshape, skip kept.
+func (cs *convStage) setBaseline(s *Space, a Assignment, st CNNStage, fused bool) {
 	t := 0.0
 	if fused {
 		t = 1
 	}
-	s.setNearest(a, prefix+"type", t)
-	s.setNearest(a, prefix+"kernel", float64(st.Kernel))
-	s.setNearest(a, prefix+"stride", float64(st.Stride))
-	s.setNearest(a, prefix+"expansion", float64(st.Expansion))
-	s.setNearest(a, prefix+"act", 1)
-	s.setNearest(a, prefix+"reshape", 0)
-	s.setNearest(a, prefix+"se_ratio", st.SERatio)
-	s.setNearest(a, prefix+"skip", 1)
-	s.setNearest(a, prefix+"depth", 0)
-	s.setNearest(a, prefix+"width", float64(st.Width))
+	s.setNearest(a, cs.typ, t)
+	s.setNearest(a, cs.kernel, float64(st.Kernel))
+	s.setNearest(a, cs.stride, float64(st.Stride))
+	s.setNearest(a, cs.expansion, float64(st.Expansion))
+	s.setNearest(a, cs.act, 1)
+	s.setNearest(a, cs.reshape, 0)
+	s.setNearest(a, cs.seRatio, st.SERatio)
+	s.setNearest(a, cs.skip, 1)
+	s.setNearest(a, cs.depth, 0)
+	s.setNearest(a, cs.width, float64(st.Width))
 }
 
 // NewCNNSpace constructs the convolutional search space of Table 5: the
 // per-stage decisions plus the global initial resolution.
 func NewCNNSpace(cfg CNNConfig) *CNNSpace {
 	s := NewSpace("cnn/" + cfg.Name)
+	c := &CNNSpace{Config: cfg, Space: s}
 	for i, st := range cfg.Stages {
-		addConvStageDecisions(s, fmt.Sprintf("block%d_", i), st, cfg.WidthStep)
+		c.stages = append(c.stages, addConvStageDecisions(s, fmt.Sprintf("block%d_", i), fmt.Sprintf("stage%d", i), st, cfg.WidthStep))
 	}
-	s.Add(NewDecision("resolution", cnnResolutions...))
-	return &CNNSpace{Config: cfg, Space: s}
+	c.resolutionIdx = s.Add(NewDecision("resolution", cnnResolutions...))
+	return c
 }
 
 // CNNArch is a decoded convolutional architecture.
@@ -153,14 +180,17 @@ func (c *CNNSpace) Decode(a Assignment) CNNArch {
 	if err := c.Space.Validate(a); err != nil {
 		panic(err)
 	}
-	out := CNNArch{Resolution: int(c.Space.Value(a, "resolution"))}
+	n := len(c.stages)
+	ints := make([]int, 2*n) // Depths and Reshapes share one allocation
+	out := CNNArch{
+		Resolution: int(c.Space.Decisions[c.resolutionIdx].Values[a[c.resolutionIdx]]),
+		Blocks:     make([]arch.MBConvSpec, n),
+		Depths:     ints[:n:n],
+		Reshapes:   ints[n:],
+		Skips:      make([]bool, n),
+	}
 	for i, st := range c.Config.Stages {
-		spec, depth, reshape, skip := decodeConvStage(c.Space, a, fmt.Sprintf("block%d_", i),
-			fmt.Sprintf("stage%d", i), st, c.Config.Batch, c.Config.DType)
-		out.Blocks = append(out.Blocks, spec)
-		out.Depths = append(out.Depths, depth)
-		out.Reshapes = append(out.Reshapes, reshape)
-		out.Skips = append(out.Skips, skip)
+		out.Blocks[i], out.Depths[i], out.Reshapes[i], out.Skips[i] = c.stages[i].decode(c.Space, a, st, c.Config.Batch, c.Config.DType)
 	}
 	return out
 }
@@ -170,37 +200,49 @@ func (c *CNNSpace) Decode(a Assignment) CNNArch {
 func (c *CNNSpace) BaselineAssignment() Assignment {
 	a := make(Assignment, len(c.Space.Decisions))
 	for i, st := range c.Config.Stages {
-		setConvStageBaseline(c.Space, a, fmt.Sprintf("block%d_", i), st, st.Fused)
+		c.stages[i].setBaseline(c.Space, a, st, st.Fused)
 	}
-	c.Space.setNearest(a, "resolution", float64(c.Config.Resolution))
+	c.Space.setNearest(a, c.resolutionIdx, float64(c.Config.Resolution))
 	return a
 }
 
-// Graph expands a decoded CNN into its operator graph: stem convolution,
-// the staged (fused) MBConv blocks, head convolution, pooling and the
-// classifier.
+// Graph expands a candidate Decode returned into its operator graph: stem
+// convolution, the staged (fused) MBConv blocks, head convolution,
+// pooling and the classifier. The graph's op storage is allocated once,
+// sized to the candidate.
 func (c *CNNSpace) Graph(ar CNNArch) *arch.Graph {
 	cfg := c.Config
 	b, dt := cfg.Batch, cfg.DType
-	g := &arch.Graph{Name: cfg.Name, Batch: b, DTypeBytes: dt}
+
+	n := 4 // stem, head, pool, classifier
+	in := cfg.StemWidth
+	for i, spec := range ar.Blocks {
+		if ar.Reshapes[i] != 0 {
+			n++
+		}
+		spec.In = in
+		n += spec.StageOps(ar.Depths[i], ar.Skips[i])
+		in = spec.Out
+	}
+	g := arch.NewGraph(cfg.Name, b, dt, n)
 
 	res := ar.Resolution
-	g.Add(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
+	g.Push(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
 	h := (res + 1) / 2
-	in := cfg.StemWidth
+	in = cfg.StemWidth
 	g.Params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
 
 	for i, spec := range ar.Blocks {
 		if ar.Reshapes[i] != 0 {
-			g.Add(arch.SpaceToDepthOp(fmt.Sprintf("stage%d/reshape", i), b*h*h*in, dt))
+			g.Push(arch.SpaceToDepthOp(c.stages[i].reshapeName, b*h*h*in, dt))
 		}
 		spec.In, spec.H, spec.W = in, h, h
-		h, in = g.AddMBConvStage(spec, ar.Depths[i], ar.Skips[i])
+		h, in = g.PushMBConvStage(spec, c.stages[i].names[:ar.Depths[i]], ar.Skips[i])
 	}
-	g.Add(arch.ConvOp("head", b, h, h, in, cfg.HeadWidth, 1, 1, dt))
+	g.Push(arch.ConvOp("head", b, h, h, in, cfg.HeadWidth, 1, 1, dt))
 	g.Params += float64(in*cfg.HeadWidth + cfg.HeadWidth)
-	g.Add(arch.PoolOp("avgpool", b*h*h*cfg.HeadWidth, b*cfg.HeadWidth, dt))
-	g.Add(arch.DenseOp("classifier", b, cfg.HeadWidth, cfg.NumClasses, dt))
+	g.Push(arch.PoolOp("avgpool", b*h*h*cfg.HeadWidth, b*cfg.HeadWidth, dt))
+	g.Push(arch.DenseOp("classifier", b, cfg.HeadWidth, cfg.NumClasses, dt))
 	g.Params += float64(cfg.HeadWidth*cfg.NumClasses + cfg.NumClasses)
 	return g
 }

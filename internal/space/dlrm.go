@@ -120,8 +120,8 @@ type DLRMSpace struct {
 }
 
 // layerNames are the op names of one MLP layer slot: the dense op (the
-// layer's own name), the two matmuls of its rank factorization
-// (arch.LowRankDenseOps's "/u" and "/v") and its activation.
+// layer's own name), the two matmuls of its rank factorization ("/u" and
+// "/v", arch.LowRankDenseOps) and its activation.
 type layerNames struct{ dense, u, v, relu string }
 
 func newLayerNames(name string) layerNames {
@@ -260,20 +260,20 @@ func (d *DLRMSpace) DecodeInto(a Assignment, out *DLRMArch) {
 func (d *DLRMSpace) BaselineAssignment() Assignment {
 	cfg := d.Config
 	a := make(Assignment, len(d.Space.Decisions))
-	set := func(name string, want float64) { d.Space.setNearest(a, name, want) }
+	set := func(i int, want float64) { d.Space.setNearest(a, i, want) }
 	for i := 0; i < cfg.NumTables; i++ {
-		set(fmt.Sprintf("emb%d_width", i), float64(cfg.BaseEmbWidth))
-		set(fmt.Sprintf("emb%d_vocab", i), float64(cfg.BaseVocab))
+		set(d.embWidthIdx[i], float64(cfg.BaseEmbWidth))
+		set(d.embVocabIdx[i], float64(cfg.BaseVocab))
 	}
-	setMLP := func(prefix string, widths []int, maxLayers int) {
-		for i := 0; i < maxLayers; i++ {
-			set(fmt.Sprintf("%s%d_width", prefix, i), float64(widths[min(i, len(widths)-1)]))
-			set(fmt.Sprintf("%s%d_rank", prefix, i), 1.0)
+	setMLP := func(widthIdx, rankIdx []int, depthIdx int, widths []int) {
+		for i := range widthIdx {
+			set(widthIdx[i], float64(widths[min(i, len(widths)-1)]))
+			set(rankIdx[i], 1.0)
 		}
-		set(prefix+"_depth", 0)
+		set(depthIdx, 0)
 	}
-	setMLP("bottom", cfg.BottomWidths, d.maxBottom)
-	setMLP("top", cfg.TopWidths, d.maxTop)
+	setMLP(d.bottomWidthIdx, d.bottomRankIdx, d.bottomDepthIdx, cfg.BottomWidths)
+	setMLP(d.topWidthIdx, d.topRankIdx, d.topDepthIdx, cfg.TopWidths)
 	return a
 }
 
@@ -301,14 +301,14 @@ func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 			continue
 		}
 		vocab := ar.EmbVocabs[i]
-		g.Push(*arch.EmbeddingOp(d.embNames[i], b, cfg.BagSize, w, vocab, dt))
+		g.Push(arch.EmbeddingOp(d.embNames[i], b, cfg.BagSize, w, vocab, dt))
 		embOut += w
 		embParams += float64(vocab) * float64(w)
 	}
 	if embOut > 0 && cfg.Chips > 1 {
 		// Each chip exchanges its shard's pooled embeddings with all
 		// others: ~batch × total width values per chip per step.
-		g.Push(*arch.AllToAllOp("emb_exchange", float64(b*embOut)*float64(dt)))
+		g.Push(arch.AllToAllOp("emb_exchange", float64(b*embOut)*float64(dt)))
 	}
 
 	var denseParams float64
@@ -317,14 +317,15 @@ func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 			rank := ranks[i]
 			n := names[i]
 			if rank < w && rank < in {
-				g.Push(*arch.DenseOp(n.u, b, in, rank, dt))
-				g.Push(*arch.DenseOp(n.v, b, rank, w, dt))
+				u, v := arch.LowRankDenseOps(n.u, n.v, b, in, w, rank, dt)
+				g.Push(u)
+				g.Push(v)
 				denseParams += float64(in*rank + rank*w + w)
 			} else {
-				g.Push(*arch.DenseOp(n.dense, b, in, w, dt))
+				g.Push(arch.DenseOp(n.dense, b, in, w, dt))
 				denseParams += float64(in*w + w)
 			}
-			g.Push(*arch.ElementwiseOp(n.relu, b*w, 1, dt))
+			g.Push(arch.ElementwiseOp(n.relu, b*w, 1, dt))
 			in = w
 		}
 		return in
@@ -337,16 +338,16 @@ func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 	if concatWidth == 0 {
 		concatWidth = 1
 	}
-	g.Push(*arch.ConcatOp("interact", b*concatWidth, dt))
+	g.Push(arch.ConcatOp("interact", b*concatWidth, dt))
 	topOut := addMLP(d.topNames, concatWidth, ar.TopWidths, ar.TopRanks)
-	g.Push(*arch.DenseOp("logit", b, topOut, 1, dt))
+	g.Push(arch.DenseOp("logit", b, topOut, 1, dt))
 	denseParams += float64(topOut + 1)
 
 	if cfg.Chips > 1 {
 		// Dense parameters are data-parallel and all-reduced every step;
 		// embedding tables are model-parallel (sharded), so their
 		// gradients stay local.
-		g.Push(*arch.AllReduceOp("grad_sync", denseParams*float64(dt)))
+		g.Push(arch.AllReduceOp("grad_sync", denseParams*float64(dt)))
 	}
 	g.Params = embParams + denseParams
 }

@@ -82,8 +82,8 @@ func NewSpace(name string, decisions ...Decision) *Space {
 	return s
 }
 
-// Add appends a decision.
-func (s *Space) Add(d Decision) {
+// Add appends a decision and returns its index.
+func (s *Space) Add(d Decision) int {
 	if s.index == nil {
 		s.index = make(map[string]int)
 	}
@@ -95,6 +95,7 @@ func (s *Space) Add(d Decision) {
 	}
 	s.index[d.Name] = len(s.Decisions)
 	s.Decisions = append(s.Decisions, d)
+	return len(s.Decisions) - 1
 }
 
 // Lookup returns the index of the named decision, or -1.
@@ -104,17 +105,6 @@ func (s *Space) Lookup(name string) int {
 		return -1
 	}
 	return i
-}
-
-// Value returns the numeric value the assignment selects for the named
-// decision. It panics on unknown names or malformed assignments, which are
-// programming errors.
-func (s *Space) Value(a Assignment, name string) float64 {
-	i := s.Lookup(name)
-	if i < 0 {
-		panic(fmt.Sprintf("space: unknown decision %q", name))
-	}
-	return s.Decisions[i].Values[a[i]]
 }
 
 // Log10Size returns log₁₀ of the number of architectures in the space
@@ -175,13 +165,9 @@ func (s *Space) Features(a Assignment) []float64 {
 	return out
 }
 
-// setNearest points a at the option of the named decision whose value is
-// closest to want. It panics on unknown decisions.
-func (s *Space) setNearest(a Assignment, name string, want float64) {
-	i := s.Lookup(name)
-	if i < 0 {
-		panic(fmt.Sprintf("space: unknown decision %q", name))
-	}
+// setNearest points a at the option of decision i whose value is
+// closest to want.
+func (s *Space) setNearest(a Assignment, i int, want float64) {
 	best, bestDiff := 0, math.Inf(1)
 	for j, v := range s.Decisions[i].Values {
 		if d := math.Abs(v - want); d < bestDiff {

@@ -28,7 +28,7 @@ func TestNewLabeledDecisionValidates(t *testing.T) {
 	NewLabeledDecision("x", []string{"a"}, []float64{1, 2})
 }
 
-func TestSpaceLookupAndValue(t *testing.T) {
+func TestSpaceLookupAndSetNearest(t *testing.T) {
 	s := NewSpace("t", NewDecision("a", 10, 20), NewDecision("b", 1, 2, 3))
 	if s.Lookup("b") != 1 {
 		t.Fatal("Lookup failed")
@@ -36,12 +36,11 @@ func TestSpaceLookupAndValue(t *testing.T) {
 	if s.Lookup("zzz") != -1 {
 		t.Fatal("unknown name must return -1")
 	}
-	a := Assignment{1, 2}
-	if got := s.Value(a, "a"); got != 20 {
-		t.Fatalf("Value(a) = %v", got)
-	}
-	if got := s.Value(a, "b"); got != 3 {
-		t.Fatalf("Value(b) = %v", got)
+	a := Assignment{0, 0}
+	s.setNearest(a, s.Lookup("a"), 17)
+	s.setNearest(a, s.Lookup("b"), 2.4)
+	if a[0] != 1 || a[1] != 1 {
+		t.Fatalf("setNearest picked %v, want [1 1]", a)
 	}
 }
 

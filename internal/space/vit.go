@@ -113,13 +113,33 @@ func SmallViTConfig() ViTConfig {
 // vitActivations are the searchable transformer activations of Table 5.
 var vitActivations = []string{"relu", "swish", "gelu", "squared_relu"}
 
-// ViTSpace couples a ViT/hybrid baseline with its search space.
+// ViTSpace couples a ViT/hybrid baseline with its search space. Decode
+// and Graph are safe for concurrent use: they only read what the
+// constructor resolved.
 type ViTSpace struct {
 	Config ViTConfig
 	Space  *Space
 	// Hybrid reports whether the space includes the convolutional stem
 	// decisions.
 	Hybrid bool
+
+	// Resolved once at construction, so decoding and expanding a
+	// candidate formats no name and looks none up: the hybrid stem's
+	// conv stages and patch-size and resolution decisions, and per
+	// transformer block its decisions and op names.
+	convStages              []convStage
+	patchIdx, resolutionIdx int
+	blocks                  []tfmBlock
+}
+
+// tfmBlock is one transformer block of a space, resolved at
+// construction: the index of each of its decisions, its op names and the
+// name of the width transition into it.
+type tfmBlock struct {
+	hidden, lowRank, act, seqPool, primer, layers int
+
+	names      *arch.TransformerNames
+	transition string
 }
 
 // NewTransformerSpace constructs the pure transformer search space of
@@ -128,8 +148,7 @@ type ViTSpace struct {
 // pure VIT or transformer based NLP models".
 func NewTransformerSpace(cfg ViTConfig) *ViTSpace {
 	s := NewSpace("tfm/" + cfg.Name)
-	addTransformerDecisions(s, cfg)
-	return &ViTSpace{Config: cfg, Space: s}
+	return &ViTSpace{Config: cfg, Space: s, blocks: addTransformerDecisions(s, cfg)}
 }
 
 // NewHybridViTSpace constructs the hybrid search space: the transformer
@@ -137,25 +156,32 @@ func NewTransformerSpace(cfg ViTConfig) *ViTSpace {
 // resolution, and the conv search space for each conv stage).
 func NewHybridViTSpace(cfg ViTConfig) *ViTSpace {
 	s := NewSpace("vit/" + cfg.Name)
+	v := &ViTSpace{Config: cfg, Space: s, Hybrid: true}
 	for i, st := range cfg.ConvStages {
-		addConvStageDecisions(s, fmt.Sprintf("conv%d_", i), st, cfg.WidthStep)
+		v.convStages = append(v.convStages, addConvStageDecisions(s, fmt.Sprintf("conv%d_", i), fmt.Sprintf("conv%d", i), st, cfg.WidthStep))
 	}
-	s.Add(NewDecision("patch_size", patchSizes...))
-	s.Add(NewDecision("resolution", vitResolutions()...))
-	addTransformerDecisions(s, cfg)
-	return &ViTSpace{Config: cfg, Space: s, Hybrid: true}
+	v.patchIdx = s.Add(NewDecision("patch_size", patchSizes...))
+	v.resolutionIdx = s.Add(NewDecision("resolution", vitResolutions()...))
+	v.blocks = addTransformerDecisions(s, cfg)
+	return v
 }
 
-func addTransformerDecisions(s *Space, cfg ViTConfig) {
-	for i := range cfg.Blocks {
+func addTransformerDecisions(s *Space, cfg ViTConfig) []tfmBlock {
+	blocks := make([]tfmBlock, len(cfg.Blocks))
+	for i := range blocks {
 		p := fmt.Sprintf("tfm%d_", i)
-		s.Add(NewDecision(p+"hidden", hiddenSizes(cfg)...))
-		s.Add(NewDecision(p+"lowrank", lowRankFractions...))
-		s.Add(NewLabeledDecision(p+"act", vitActivations, []float64{0, 1, 2, 3}))
-		s.Add(NewLabeledDecision(p+"seqpool", []string{"no", "yes"}, []float64{0, 1}))
-		s.Add(NewLabeledDecision(p+"primer", []string{"no", "yes"}, []float64{0, 1}))
-		s.Add(NewDecision(p+"layers", depthDeltas...))
+		blk := &blocks[i]
+		blk.hidden = s.Add(NewDecision(p+"hidden", hiddenSizes(cfg)...))
+		blk.lowRank = s.Add(NewDecision(p+"lowrank", lowRankFractions...))
+		blk.act = s.Add(NewLabeledDecision(p+"act", vitActivations, []float64{0, 1, 2, 3}))
+		blk.seqPool = s.Add(NewLabeledDecision(p+"seqpool", []string{"no", "yes"}, []float64{0, 1}))
+		blk.primer = s.Add(NewLabeledDecision(p+"primer", []string{"no", "yes"}, []float64{0, 1}))
+		blk.layers = s.Add(NewDecision(p+"layers", depthDeltas...))
+		name := fmt.Sprintf("tfm%d", i)
+		blk.names = arch.NewTransformerNames(name)
+		blk.transition = name + "/transition"
 	}
+	return blocks
 }
 
 // ViTArch is a decoded transformer / hybrid architecture.
@@ -172,40 +198,36 @@ func (v *ViTSpace) Decode(a Assignment) ViTArch {
 	if err := v.Space.Validate(a); err != nil {
 		panic(err)
 	}
+	val := func(i int) float64 { return v.Space.Decisions[i].Values[a[i]] }
 	cfg := v.Config
 	out := ViTArch{Resolution: cfg.Resolution, PatchSize: cfg.PatchSize}
 	if v.Hybrid {
-		out.Resolution = int(v.Space.Value(a, "resolution"))
-		out.PatchSize = int(v.Space.Value(a, "patch_size"))
+		out.Resolution = int(val(v.resolutionIdx))
+		out.PatchSize = int(val(v.patchIdx))
+		out.ConvBlocks = make([]arch.MBConvSpec, len(v.convStages))
+		out.ConvDepths = make([]int, len(v.convStages))
 		for i, st := range cfg.ConvStages {
 			// The stage's reshape and skip choices are decoded and dropped:
 			// the hybrid graph has never modelled them (ROADMAP lists it as
 			// an open defect; fixing it moves the analytic goldens).
-			spec, depth, _, _ := decodeConvStage(v.Space, a, fmt.Sprintf("conv%d_", i),
-				fmt.Sprintf("conv%d", i), st, cfg.Batch, cfg.DType)
-			out.ConvBlocks = append(out.ConvBlocks, spec)
-			out.ConvDepths = append(out.ConvDepths, depth)
+			out.ConvBlocks[i], out.ConvDepths[i], _, _ = v.convStages[i].decode(v.Space, a, st, cfg.Batch, cfg.DType)
 		}
 	}
+	out.TFMBlocks = make([]arch.TransformerSpec, len(v.blocks))
 	for i, blk := range cfg.Blocks {
-		p := fmt.Sprintf("tfm%d_", i)
-		layers := blk.Layers + int(v.Space.Value(a, p+"layers"))
-		if layers < 1 {
-			layers = 1
-		}
-		out.TFMBlocks = append(out.TFMBlocks, arch.TransformerSpec{
-			Name:     fmt.Sprintf("tfm%d", i),
-			Hidden:   int(v.Space.Value(a, p+"hidden")),
+		d := &v.blocks[i]
+		out.TFMBlocks[i] = arch.TransformerSpec{
+			Hidden:   int(val(d.hidden)),
 			Heads:    blk.Heads,
 			FFNRatio: blk.FFNRatio,
-			LowRank:  v.Space.Value(a, p+"lowrank"),
-			Act:      vitActivations[int(v.Space.Value(a, p+"act"))],
-			SeqPool:  v.Space.Value(a, p+"seqpool") == 1,
-			Primer:   v.Space.Value(a, p+"primer") == 1,
-			Layers:   layers,
+			LowRank:  val(d.lowRank),
+			Act:      vitActivations[int(val(d.act))],
+			SeqPool:  val(d.seqPool) == 1,
+			Primer:   val(d.primer) == 1,
+			Layers:   max(1, blk.Layers+int(val(d.layers))),
 			Batch:    cfg.Batch,
 			DType:    cfg.DType,
-		})
+		}
 	}
 	return out
 }
@@ -213,46 +235,70 @@ func (v *ViTSpace) Decode(a Assignment) ViTArch {
 // BaselineAssignment returns the assignment reproducing the baseline.
 func (v *ViTSpace) BaselineAssignment() Assignment {
 	a := make(Assignment, len(v.Space.Decisions))
-	pick := func(name string, want float64) { v.Space.setNearest(a, name, want) }
+	pick := func(i int, want float64) { v.Space.setNearest(a, i, want) }
 	cfg := v.Config
 	if v.Hybrid {
 		for i, st := range cfg.ConvStages {
-			setConvStageBaseline(v.Space, a, fmt.Sprintf("conv%d_", i), st, false)
+			v.convStages[i].setBaseline(v.Space, a, st, false)
 		}
-		pick("patch_size", float64(cfg.PatchSize))
-		pick("resolution", float64(cfg.Resolution))
+		pick(v.patchIdx, float64(cfg.PatchSize))
+		pick(v.resolutionIdx, float64(cfg.Resolution))
 	}
 	for i, blk := range cfg.Blocks {
-		p := fmt.Sprintf("tfm%d_", i)
-		pick(p+"hidden", float64(blk.Hidden))
-		pick(p+"lowrank", 1)
-		pick(p+"act", 2) // gelu baseline
-		pick(p+"seqpool", 0)
-		pick(p+"primer", 0)
-		pick(p+"layers", 0)
+		d := &v.blocks[i]
+		pick(d.hidden, float64(blk.Hidden))
+		pick(d.lowRank, 1)
+		pick(d.act, 2) // gelu baseline
+		pick(d.seqPool, 0)
+		pick(d.primer, 0)
+		pick(d.layers, 0)
 	}
 	return a
 }
 
-// Graph expands a decoded hybrid/transformer model into its operator
-// graph: conv stem and stages, patchification, transformer blocks, and
-// classifier head.
+// Graph expands a candidate Decode returned into its operator graph: conv
+// stem and stages, patchification, transformer blocks, and classifier
+// head. The graph's op storage is allocated once, sized to the
+// candidate.
 func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
 	cfg := v.Config
 	b, dt := cfg.Batch, cfg.DType
-	g := &arch.Graph{Name: cfg.Name, Batch: b, DTypeBytes: dt}
+	firstHidden := cfg.Blocks[0].Hidden
+	if len(ar.TFMBlocks) > 0 {
+		firstHidden = ar.TFMBlocks[0].Hidden
+	}
+
+	n := 3 // patchify, token pool, classifier
+	if len(ar.ConvBlocks) > 0 {
+		n++ // stem
+		in := cfg.StemWidth
+		for i, spec := range ar.ConvBlocks {
+			spec.In = in
+			n += spec.StageOps(ar.ConvDepths[i], true)
+			in = spec.Out
+		}
+	}
+	hidden := firstHidden
+	for _, blk := range ar.TFMBlocks {
+		if blk.Hidden != hidden {
+			n++ // width transition
+			hidden = blk.Hidden
+		}
+		n += blk.NumOps()
+	}
+	g := arch.NewGraph(cfg.Name, b, dt, n)
 
 	res := ar.Resolution
 	in := 3
 	h := res
 	if len(ar.ConvBlocks) > 0 {
-		g.Add(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
+		g.Push(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
 		g.Params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
 		h = (res + 1) / 2
 		in = cfg.StemWidth
 		for i, spec := range ar.ConvBlocks {
 			spec.In, spec.H, spec.W = in, h, h
-			h, in = g.AddMBConvStage(spec, ar.ConvDepths[i], true)
+			h, in = g.PushMBConvStage(spec, v.convStages[i].names[:ar.ConvDepths[i]], true)
 		}
 	}
 	// Patchify whatever spatial extent remains into a token sequence.
@@ -264,31 +310,23 @@ func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
 	if seq < 1 {
 		seq = 1
 	}
-	firstHidden := cfg.Blocks[0].Hidden
-	if len(ar.TFMBlocks) > 0 {
-		firstHidden = ar.TFMBlocks[0].Hidden
-	}
-	g.Add(arch.ConvOp("patchify", b, h, h, in, firstHidden, patch, patch, dt))
+	g.Push(arch.ConvOp("patchify", b, h, h, in, firstHidden, patch, patch, dt))
 	g.Params += float64(patch*patch*in*firstHidden + firstHidden)
 
-	hidden := firstHidden
-	for i := range ar.TFMBlocks {
-		blk := ar.TFMBlocks[i]
+	hidden = firstHidden
+	for i, blk := range ar.TFMBlocks {
 		blk.Seq = seq
 		if blk.Hidden != hidden {
 			// Width transition between blocks.
-			g.Add(arch.DenseOp(fmt.Sprintf("tfm%d/transition", i), b*seq, hidden, blk.Hidden, dt))
+			g.Push(arch.DenseOp(v.blocks[i].transition, b*seq, hidden, blk.Hidden, dt))
 			g.Params += float64(hidden*blk.Hidden + blk.Hidden)
 			hidden = blk.Hidden
 		}
-		for _, op := range blk.Ops() {
-			g.Add(op)
-			g.Params += op.ParamBytes / float64(dt) * op.Repeat()
-		}
+		g.PushTransformer(blk, v.blocks[i].names)
 		seq = blk.OutSeq()
 	}
-	g.Add(arch.PoolOp("token_pool", b*seq*hidden, b*hidden, dt))
-	g.Add(arch.DenseOp("classifier", b, hidden, cfg.NumClasses, dt))
+	g.Push(arch.PoolOp("token_pool", b*seq*hidden, b*hidden, dt))
+	g.Push(arch.DenseOp("classifier", b, hidden, cfg.NumClasses, dt))
 	g.Params += float64(hidden*cfg.NumClasses + cfg.NumClasses)
 	return g
 }
