@@ -107,7 +107,7 @@ func TestResumedResultDocumentEqualsUninterrupted(t *testing.T) {
 
 // TestSecondSpaceThroughTheOneShotPath: the flags the shared engine serves
 // work for -domain nlp as for dlrm, and what the transformer search lacks
-// is refused by vitnet itself, as an error line.
+// (a DLRM shard fleet) is refused by the engine, as an error line.
 func TestSecondSpaceThroughTheOneShotPath(t *testing.T) {
 	doc := filepath.Join(t.TempDir(), "f.json")
 	exit, stderr := execMain(t, "-domain", "nlp", "-steps", "2", "-warmup", "0", "-shards", "2", "-batch", "8", "-fail-shard", "1:1", "-result-out", doc)
@@ -115,7 +115,7 @@ func TestSecondSpaceThroughTheOneShotPath(t *testing.T) {
 		t.Errorf("-domain nlp -fail-shard 1:1 -result-out: exit %d, document %v\n%s", exit, err, stderr)
 	}
 	exit, stderr = execMain(t, "-domain", "nlp", "-steps", "2", "-workers", "127.0.0.1:1")
-	if exit != 1 || !strings.Contains(stderr, "vitnet: Config.Transport is not supported") || strings.Contains(stderr, "goroutine 1 [") {
-		t.Errorf("-domain nlp -workers: exit %d, want 1 with vitnet's refusal and no trace\n%s", exit, stderr)
+	if exit != 1 || !strings.Contains(stderr, "core: Config.Transport *shardrpc.Transport cannot run") || strings.Contains(stderr, "goroutine 1 [") {
+		t.Errorf("-domain nlp -workers: exit %d, want 1 with the engine's refusal and no trace\n%s", exit, stderr)
 	}
 }

@@ -34,7 +34,9 @@ type AnalyticResult struct {
 	BestQuality float64
 	BestPerf    []float64
 	History     []StepInfo
-	Candidates  []Candidate
+	// Candidates is every evaluated (α, Q, T, R), or only the newest
+	// Config.MaxCandidates of them, in arrival order, when that is > 0.
+	Candidates []Candidate
 }
 
 // Search runs Steps×Shards candidate evaluations, feeding each step's
@@ -53,6 +55,7 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 	strat := strategyFor(&cfg, s.Space)
 	sm := newSearchMetrics(cfg.Metrics)
 	res := &AnalyticResult{}
+	cands := newCandidateRing(cfg.MaxCandidates)
 
 	assignments := make([]space.Assignment, cfg.Shards)
 	rewards := make([]float64, cfg.Shards)
@@ -68,7 +71,7 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 			assignments[i], rewards[i] = a, r
 			sumR += r
 			sumQ += q
-			res.Candidates = append(res.Candidates, Candidate{
+			cands.Add(Candidate{
 				Step: step, Assignment: append(space.Assignment(nil), a...),
 				Quality: q, Perf: perf, Reward: r,
 			})
@@ -92,6 +95,7 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 		}
 		stepSpan.End()
 	}
+	res.Candidates = cands.Items()
 	res.Best = strat.Best()
 	res.BestQuality = s.Quality(res.Best)
 	res.BestPerf = s.Perf(res.Best)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"h2onas/internal/reward"
@@ -169,5 +170,32 @@ func TestRLBeatsRandomOnStructuredLandscape(t *testing.T) {
 	// And it must have essentially solved the landscape.
 	if res.BestQuality < -1.01 {
 		t.Fatalf("RL best quality %v, want near 0", res.BestQuality)
+	}
+}
+
+// TestAnalyticMaxCandidatesBoundsResult: Config.MaxCandidates bounds the
+// analytic loop's candidates as it bounds the engine's — the newest N, in
+// arrival order — and leaves the trajectory alone.
+func TestAnalyticMaxCandidatesBoundsResult(t *testing.T) {
+	sp := multiTrialSpace()
+	cfg := Config{Shards: 3, Steps: 9, Seed: 4}
+	full, err := quadraticSearcher(sp).Search(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxCandidates = 7
+	bounded, err := quadraticSearcher(sp).Search(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Candidates) != cfg.Shards*cfg.Steps {
+		t.Fatalf("unbounded run kept %d candidates, want %d", len(full.Candidates), cfg.Shards*cfg.Steps)
+	}
+	tail := full.Candidates[len(full.Candidates)-cfg.MaxCandidates:]
+	if !reflect.DeepEqual(bounded.Candidates, tail) {
+		t.Fatalf("bounded candidates\n%+v\nwant the unbounded run's newest %d\n%+v", bounded.Candidates, cfg.MaxCandidates, tail)
+	}
+	if !reflect.DeepEqual(bounded.History, full.History) || !sameAssignment(bounded.Best, full.Best) {
+		t.Fatal("bounding the candidates moved the trajectory")
 	}
 }

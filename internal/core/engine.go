@@ -19,15 +19,19 @@ type Batch interface {
 	UseForWeights()
 }
 
-// Network is the engine's view of a weight-sharing super-network over
+// Network is the engine's view of a weight-sharing super-network N over
 // batches of type B.
-type Network[B any] interface {
+type Network[B, N any] interface {
 	Loss(a space.Assignment, batch B) (float64, *tensor.Matrix)
 	Backward(dLogits *tensor.Matrix)
 	Quality(a space.Assignment, batch B) float64
 	Params() []*nn.Param
 	SetArena(a *tensor.Arena)
 	SetWorkers(n int)
+	// Replicate returns one shard's replica: it shares the network's
+	// weight values and accumulates its own gradients. rng is the
+	// replica's draw from the run's stream.
+	Replicate(rng *tensor.RNG) N
 }
 
 // Source is the engine's view of a traffic stream: fresh batches, the
@@ -47,19 +51,16 @@ type Source[B any] interface {
 // draw, the shard fan-out with its retry/drop policy, the overlapped
 // spine stage, candidates, telemetry, checkpoint/Resume/Stop and the
 // final evaluation — is this one loop for every space.
-type Engine[B Batch, N Network[B]] struct {
+type Engine[B Batch, N Network[B, N]] struct {
 	Space  *space.Space
 	Reward *reward.Function
 	Perf   PerfFunc
 	Stream Source[B]
-	// Build constructs the master super-network and one replica per shard
-	// (sharing the master's weight storage) from the run's seeded RNG. The
-	// order in which it draws from rng is part of a space's trajectory.
-	Build func(rng *tensor.RNG, shards int) (master N, replicas []N)
-
-	// remote, when set, binds a caller-owned transport to the built
-	// networks and returns it; nil runs the shards on an in-process pool.
-	remote func(master N, replicas []N) (shardRunner[B], error)
+	// New constructs the master super-network from its draw of the run's
+	// seeded RNG. The engine draws the master's split first and then one
+	// per replica (Network.Replicate), in shard order; the order in which
+	// New draws from its rng is part of a space's trajectory.
+	New func(rng *tensor.RNG) N
 }
 
 // Search runs the unified single-step massively parallel algorithm.
@@ -84,8 +85,6 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := tensor.NewRNG(cfg.Seed)
-	master, replicas := e.Build(rng, cfg.Shards)
 	// Partition the core budget so shard-level and kernel-level
 	// parallelism stop fighting: the shards run on at most budget.workers()
 	// goroutines, each replica's intra-layer fan-out is bounded to its
@@ -93,9 +92,13 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	// coordinator-exclusive phases (final eval) — and the spine get the
 	// full budget. Purely a performance decision; bits never depend on it.
 	budget := newCoreBudget(cfg.Workers, cfg.Shards)
+	rng := tensor.NewRNG(cfg.Seed)
+	master := e.New(rng.Split())
 	master.SetWorkers(budget.total)
-	for _, r := range replicas {
-		r.SetWorkers(budget.perShard())
+	replicas := make([]N, cfg.Shards)
+	for i := range replicas {
+		replicas[i] = master.Replicate(rng.Split())
+		replicas[i].SetWorkers(budget.perShard())
 	}
 	sandwichOn := !cfg.DisableSandwich
 	if sandwichOn && cfg.Shards > budget.total {
@@ -114,16 +117,15 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	// The transport seam: where the per-shard forward/backward executes.
 	// The engine owns (and closes) the in-process pool; a caller-provided
 	// transport is only bound here and closed by its owner.
-	var transport shardRunner[B]
-	if e.remote != nil {
-		var err error
-		if transport, err = e.remote(master, replicas); err != nil {
-			return nil, fmt.Errorf("core: binding shard transport: %w", err)
-		}
-	} else {
-		pool := newShardPool[B](&cfg, sm, replicas, budget.workers())
+	transport, pool, err := bindShards[B](&cfg, Binding[N]{Master: master, Replicas: replicas, Metrics: cfg.Metrics}, budget.workers())
+	if err != nil {
+		return nil, err
+	}
+	if pool != nil {
+		// Closed through the concrete type: a Close called through the
+		// generic interface keeps every reachable type's Close in the
+		// binary (reflect.Value's too), shifting all code after it.
 		defer pool.Close()
-		transport = pool
 	}
 	wantSync := transport.WantsWeightSync()
 	spine.SetRecordTouched(wantSync)

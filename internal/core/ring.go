@@ -7,13 +7,12 @@ package core
 // long searches with large shard counts cannot grow Result.Candidates
 // without limit. Items() linearizes the ring back to arrival order.
 //
-// The same type serves the DLRM and ViT search loops; it is not
+// The same type serves the step engine and the analytic loop; it is not
 // goroutine-safe (candidates are appended on the coordinator only).
 type candidateRing struct {
-	max     int
-	buf     []Candidate
-	start   int   // index of the oldest element when wrapped
-	dropped int64 // candidates overwritten by newer ones
+	max   int
+	buf   []Candidate
+	start int // index of the oldest element when wrapped
 }
 
 // newCandidateRing returns a ring bounded to max candidates (max <= 0
@@ -34,7 +33,6 @@ func (r *candidateRing) Add(c Candidate) {
 	}
 	r.buf[r.start] = c
 	r.start = (r.start + 1) % r.max
-	r.dropped++
 }
 
 // Len reports how many candidates are currently retained.

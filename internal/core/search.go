@@ -144,8 +144,8 @@ type Config struct {
 	// executes. nil (the default) runs the in-process worker pool, driven
 	// by the ShardFault seam above. A non-nil transport (e.g. shardrpc's
 	// coordinator transport) is Bound by Search but closed by its owner;
-	// its own fault policy replaces ShardFault. Transports are typed to
-	// the DLRM super-network: vitnet.Searcher rejects a non-nil one.
+	// its own fault policy replaces ShardFault. ShardTransport serves the
+	// DLRM super-network: the engine refuses it for any other space.
 	Transport ShardTransport
 }
 
@@ -280,26 +280,15 @@ func (cfg *Config) validate() error {
 // Search runs the unified single-step massively parallel algorithm (see
 // Engine.Search) over the DLRM space. Shard execution goes through
 // Config.Transport when set — a fleet of remote workers over TCP, bound
-// here and closed by its owner — and the in-process pool otherwise.
+// by the engine and closed by its owner — and the in-process pool
+// otherwise.
 func (s *Searcher) Search(cfg Config) (*Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	eng := Engine[*datapipe.Batch, *supernet.Supernet]{
 		Space: s.DS.Space, Reward: s.Reward, Perf: s.Perf, Stream: s.Stream,
-		Build: func(rng *tensor.RNG, shards int) (*supernet.Supernet, []*supernet.Supernet) {
-			master := supernet.New(s.DS, rng.Split())
-			replicas := make([]*supernet.Supernet, shards)
-			for i := range replicas {
-				replicas[i] = master.Replicate(rng.Split())
-			}
-			return master, replicas
-		},
-	}
-	if t := cfg.Transport; t != nil {
-		eng.remote = func(master *supernet.Supernet, replicas []*supernet.Supernet) (shardRunner[*datapipe.Batch], error) {
-			return t, t.Bind(ShardBinding{Master: master, Replicas: replicas, Metrics: cfg.Metrics})
-		}
+		New: func(rng *tensor.RNG) *supernet.Supernet { return supernet.New(s.DS, rng) },
 	}
 	out, err := eng.Search(cfg)
 	if out == nil {

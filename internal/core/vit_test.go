@@ -72,13 +72,21 @@ func TestResumeRefusesOtherSpace(t *testing.T) {
 	}
 }
 
-// TestViTRejectsTransport: remote transports are typed to the DLRM
-// super-network; the transformer searcher must refuse one loudly rather
+// TestViTRejectsTransport: Config.Transport serves the DLRM
+// super-network, so the engine refuses it for the transformer space with
+// its one refusal, before it binds the transport or runs a step, rather
 // than run in-process behind the caller's back.
 func TestViTRejectsTransport(t *testing.T) {
 	cfg := goldenConfig(8)
 	cfg.Transport = core.StubTransport("tcp[10.0.0.1:7070]")
-	if _, err := vitSearch(t, 1, cfg); err == nil || !strings.Contains(err.Error(), "Transport") {
-		t.Fatalf("transformer search with a Transport returned %v, want a rejection naming it", err)
+	ran := 0
+	cfg.Progress = func(core.StepInfo) { ran++ }
+	cfg.ShardFault = func(int, int, int) error { ran++; return nil }
+	_, err := vitSearch(t, 1, cfg)
+	if err == nil || !strings.HasPrefix(err.Error(), "core: Config.Transport ") || strings.Contains(err.Error(), "binding") {
+		t.Fatalf("transformer search with a Transport returned %v, want the engine's refusal", err)
+	}
+	if ran != 0 {
+		t.Fatalf("the refused search ran %d shard attempts or steps, want none", ran)
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"h2onas/internal/hwsim"
 	"h2onas/internal/models"
 	"h2onas/internal/space"
 )
@@ -67,14 +66,4 @@ func Table5SpaceSizes() *Report {
 // spaceForDLRM builds the search space for a DLRM config (shared helper).
 func spaceForDLRM(cfg space.DLRMConfig) *space.DLRMSpace {
 	return space.NewDLRMSpace(cfg)
-}
-
-// chipSummary formats the chip configurations backing every experiment.
-func chipSummary() []string {
-	var out []string
-	for _, c := range []hwsim.Chip{hwsim.TPUv4(), hwsim.TPUv4i(), hwsim.GPUV100()} {
-		out = append(out, fmt.Sprintf("%s: %.0f TFLOPS MXU, %.0f GB/s HBM, %d MiB CMEM, %.0f GB/s ICI",
-			c.Name, c.PeakMXUFLOPS/1e12, c.HBMBandwidth/1e9, int(c.CMEMCapacity)>>20, c.ICIBandwidth/1e9))
-	}
-	return out
 }

@@ -285,9 +285,9 @@ func (st *Store) List() []Record {
 // exists, in which case the write is skipped: artifacts are written only
 // by the job's own deterministic completion, and the atomic protocol
 // guarantees an existing artifact is complete. The skip makes completion
-// idempotent across the one edge where a resumed run could diverge (a
-// resume landing exactly on the final step re-evaluates final quality on
-// a prefetch-sensitive batch boundary).
+// idempotent across a crash between the artifact write and the done
+// record: the restarted job finishes again and finds its artifacts
+// already written, so the served bytes never change once written.
 func (st *Store) WriteArtifact(id, name string, data []byte) error {
 	path := st.artifactPath(id, name)
 	if f, err := st.fs.Open(path); err == nil {

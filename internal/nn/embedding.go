@@ -185,6 +185,10 @@ func (e *Embedding) Backward(grad *tensor.Matrix) {
 // Params returns the shared table parameter.
 func (e *Embedding) Params() []*Param { return []*Param{e.Table} }
 
+// SetArena and SetWorkers set Arena and Workers (SharedLayer).
+func (e *Embedding) SetArena(a *tensor.Arena) { e.Arena = a }
+func (e *Embedding) SetWorkers(n int)         { e.Workers = n }
+
 func (e *Embedding) fold(idx int) int {
 	if idx < 0 {
 		idx = -idx

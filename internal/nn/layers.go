@@ -139,6 +139,16 @@ type Layer interface {
 	Params() []*Param
 }
 
+// SharedLayer is a super-network layer as its network lists it, once: its
+// weights, in the network's Params order, and the arena and core budget
+// its passes run under. A super-network's Params, SetArena and SetWorkers
+// all walk one ordered list of them.
+type SharedLayer interface {
+	Params() []*Param
+	SetArena(a *tensor.Arena)
+	SetWorkers(n int)
+}
+
 // Dense is a fully connected layer: y = x·W + b, with x batch×in. It runs
 // the masked affine stage over its whole weight without a bias and adds b
 // after the k sweep rather than seeding it, so y is the rounded x·W plus
@@ -368,6 +378,10 @@ func (l *MaskedDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // Params returns the full super-network weight and bias parameters.
 func (l *MaskedDense) Params() []*Param { return []*Param{l.W, l.B} }
 
+// SetArena and SetWorkers set Arena and Workers (SharedLayer).
+func (l *MaskedDense) SetArena(a *tensor.Arena) { l.Arena = a }
+func (l *MaskedDense) SetWorkers(n int)         { l.Workers = n }
+
 // LowRankDense is the weight-shared low-rank factorized dense layer of the
 // DLRM super-network (Figure 3 ④): y = (x·U[:, :r])·V[:r, :] + b where the
 // rank r is searchable. The factors are sized for the maximum rank and
@@ -445,6 +459,10 @@ func (l *LowRankDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 
 // Params returns both factors and the bias.
 func (l *LowRankDense) Params() []*Param { return []*Param{l.U, l.V, l.B} }
+
+// SetArena and SetWorkers set Arena and Workers (SharedLayer).
+func (l *LowRankDense) SetArena(a *tensor.Arena) { l.Arena = a }
+func (l *LowRankDense) SetWorkers(n int)         { l.Workers = n }
 
 // Sequential chains layers; the output of each feeds the next.
 type Sequential struct {

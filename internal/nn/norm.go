@@ -130,3 +130,8 @@ func (l *MaskedLayerNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 
 // Params returns the affine parameters.
 func (l *MaskedLayerNorm) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
+
+// SetArena sets Arena; SetWorkers is a no-op, since the normalization is
+// serial at any core budget (SharedLayer).
+func (l *MaskedLayerNorm) SetArena(a *tensor.Arena) { l.Arena = a }
+func (l *MaskedLayerNorm) SetWorkers(int)           {}

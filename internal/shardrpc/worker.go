@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/nn"
 	"h2onas/internal/space"
@@ -269,12 +270,9 @@ func (s *workerSession) handleExec(payload []byte) (err error) {
 		return err
 	}
 
-	// The two phase marks mirror the in-process worker exactly: fresh
-	// data feeds architecture learning first, then weight training.
-	batch.UseForArch()
-	loss, dout := s.net.Loss(req.Assignment, batch)
-	batch.UseForWeights()
-	s.net.Backward(dout)
+	// The shard step the in-process pool runs: fresh data feeds
+	// architecture learning first, then weight training.
+	loss := core.ShardStep(s.net, req.Assignment, batch)
 
 	res := execResult{Step: req.Step, Version: s.version, Loss: loss, Grads: s.dirtyGrads()}
 	s.bufs.tx = encodeExecResult(newFrame(s.bufs.tx), &res)

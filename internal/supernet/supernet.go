@@ -59,6 +59,10 @@ type Supernet struct {
 	maxBottomOut int
 	concatWidth  int
 
+	// layers lists every layer once, in Params order: the embedding
+	// tables feature by feature, the bottom and top MLP slots, the logit
+	// layer. Params, SetArena and SetWorkers all walk it.
+	layers []nn.SharedLayer
 	params []*nn.Param
 
 	// arena, when set via SetArena, owns every intermediate matrix of a
@@ -140,6 +144,9 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 		perTable[t] = len(vocabDec.Values)
 	}
 	embs := nn.NewEmbeddings(vocabs, s.maxEmbWidth, rng)
+	for _, e := range embs {
+		s.layers = append(s.layers, e)
+	}
 	s.tables = make([][]*nn.Embedding, cfg.NumTables)
 	for t, n := range perTable {
 		s.tables[t], embs = embs[:n:n], embs[n:]
@@ -189,15 +196,13 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 	}
 	s.logit = nn.NewMaskedDense(maxTopOut, 1, rng.Split())
 
-	for _, row := range s.tables {
-		for _, e := range row {
-			s.params = append(s.params, e.Params()...)
-		}
-	}
 	for _, slot := range append(append([]*mlpSlot{}, s.bottom...), s.top...) {
-		s.params = append(s.params, slot.low.Params()...)
+		s.layers = append(s.layers, slot.low)
 	}
-	s.params = append(s.params, s.logit.Params()...)
+	s.layers = append(s.layers, s.logit)
+	for _, l := range s.layers {
+		s.params = append(s.params, l.Params()...)
+	}
 
 	s.vocabIdx = make([]int, cfg.NumTables)
 	for t := 0; t < cfg.NumTables; t++ {
@@ -214,18 +219,9 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 // to per-call heap allocation.
 func (s *Supernet) SetArena(a *tensor.Arena) {
 	s.arena = a
-	for _, row := range s.tables {
-		for _, e := range row {
-			e.Arena = a
-		}
+	for _, l := range s.layers {
+		l.SetArena(a)
 	}
-	for _, slot := range s.bottom {
-		slot.low.Arena = a
-	}
-	for _, slot := range s.top {
-		slot.low.Arena = a
-	}
-	s.logit.Arena = a
 	for _, act := range s.acts {
 		act.Arena = a
 	}
@@ -239,18 +235,9 @@ func (s *Supernet) SetArena(a *tensor.Arena) {
 // is bit-identical to its serial loop, so the setting never changes a
 // trajectory. 0 or 1 keeps the historical serial layer loops.
 func (s *Supernet) SetWorkers(n int) {
-	for _, row := range s.tables {
-		for _, e := range row {
-			e.Workers = n
-		}
+	for _, l := range s.layers {
+		l.SetWorkers(n)
 	}
-	for _, slot := range s.bottom {
-		slot.low.Workers = n
-	}
-	for _, slot := range s.top {
-		slot.low.Workers = n
-	}
-	s.logit.Workers = n
 }
 
 // Params returns every shared parameter in a stable order.
@@ -268,13 +255,11 @@ func (s *Supernet) ConcatWidth() int { return s.concatWidth }
 // parameter *value* with s but accumulates gradients separately — one
 // replica per accelerator shard, with a cross-shard gradient reduction
 // after the parallel step (Section 4.2 stage 3).
-func (s *Supernet) Replicate(rng *tensor.RNG) *Supernet {
+func (s *Supernet) Replicate(*tensor.RNG) *Supernet {
 	// Every replica weight is immediately replaced by the master's shared
 	// storage, so the structural clone is built with a ZeroRNG — the
-	// random initialization it would otherwise compute is pure waste. The
-	// rng argument is retained so call sites keep consuming one Split from
-	// their stream (bit-compatibility of seeded runs).
-	_ = rng
+	// random initialization it would otherwise compute is pure waste. rng,
+	// the caller's per-replica draw (core.Network), goes unused.
 	r := NewWithOptions(s.DS, tensor.ZeroRNG(), s.opts)
 	nn.ShareValues(r.params, s.params)
 	return r

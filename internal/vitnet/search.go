@@ -28,26 +28,15 @@ type Result struct {
 	BestArch space.ViTArch
 }
 
-// Search runs the search. Shards execute in-process only: a non-nil
-// cfg.Transport (typed to the DLRM super-network) is rejected.
+// Search runs the search.
 func (s *Searcher) Search(cfg core.Config) (*Result, error) {
 	if s.VS == nil || s.Reward == nil || s.Perf == nil || s.Stream == nil {
 		return nil, fmt.Errorf("vitnet: Searcher requires VS, Reward, Perf and Stream")
 	}
-	if cfg.Transport != nil {
-		return nil, fmt.Errorf("vitnet: Config.Transport is not supported: remote shard transports serve the DLRM super-network only")
-	}
+	seqCfg := s.Stream.Config()
 	eng := core.Engine[*datapipe.SeqBatch, *Supernet]{
 		Space: s.VS.Space, Reward: s.Reward, Perf: s.Perf, Stream: s.Stream,
-		Build: func(rng *tensor.RNG, shards int) (*Supernet, []*Supernet) {
-			seqCfg := s.Stream.Config()
-			master := New(s.VS, seqCfg.Vocab, seqCfg.SeqLen, rng.Split())
-			replicas := make([]*Supernet, shards)
-			for i := range replicas {
-				replicas[i] = master.Replicate(rng.Split())
-			}
-			return master, replicas
-		},
+		New: func(rng *tensor.RNG) *Supernet { return New(s.VS, seqCfg.Vocab, seqCfg.SeqLen, rng) },
 	}
 	out, err := eng.Search(cfg)
 	if out == nil {

@@ -52,6 +52,12 @@ type Supernet struct {
 	trans  []*nn.MaskedDense // between-block width transitions
 	head   *nn.MaskedDense   // maxHidden → 1
 
+	// layers lists every layer once, in Params order: tokens, positions,
+	// each layer slot's ln0, attn, ln1, ffnUp and ffnDown, the block
+	// transitions, the head. Params, SetArena and SetWorkers all walk it;
+	// a slot's activation layer is created lazily and takes the arena
+	// from runLayer.
+	layers []nn.SharedLayer
 	params []*nn.Param
 
 	// arena, when set, owns every forward/backward intermediate; it is
@@ -123,23 +129,29 @@ func New(vs *space.ViTSpace, vocab, seqLen int, rng *tensor.RNG) *Supernet {
 	}
 	s.head = nn.NewMaskedDense(maxHidden, 1, rng.Split())
 
-	s.params = append(s.params, s.tokens.Params()...)
-	s.params = append(s.params, s.pos)
+	s.layers = append(s.layers, s.tokens, posTable{s.pos})
 	for _, blk := range s.blocks {
 		for _, slot := range blk.layers {
-			s.params = append(s.params, slot.ln0.Params()...)
-			s.params = append(s.params, slot.attn.Params()...)
-			s.params = append(s.params, slot.ln1.Params()...)
-			s.params = append(s.params, slot.ffnUp.Params()...)
-			s.params = append(s.params, slot.ffnDown.Params()...)
+			s.layers = append(s.layers, slot.ln0, slot.attn, slot.ln1, slot.ffnUp, slot.ffnDown)
 		}
 	}
 	for _, tr := range s.trans {
-		s.params = append(s.params, tr.Params()...)
+		s.layers = append(s.layers, tr)
 	}
-	s.params = append(s.params, s.head.Params()...)
+	s.layers = append(s.layers, s.head)
+	for _, l := range s.layers {
+		s.params = append(s.params, l.Params()...)
+	}
 	return s
 }
+
+// posTable is the positional embedding as a layer-list entry: a bare
+// parameter, read in place by Forward, with no pass of its own.
+type posTable struct{ p *nn.Param }
+
+func (t posTable) Params() []*nn.Param  { return []*nn.Param{t.p} }
+func (posTable) SetArena(*tensor.Arena) {}
+func (posTable) SetWorkers(int)         {}
 
 // Params returns all shared parameters in a stable order.
 func (s *Supernet) Params() []*nn.Param { return s.params }
@@ -150,23 +162,9 @@ func (s *Supernet) Params() []*nn.Param { return s.params }
 // recycles them. nil reverts to per-pass heap allocation.
 func (s *Supernet) SetArena(a *tensor.Arena) {
 	s.arena = a
-	s.tokens.Arena = a
-	for _, blk := range s.blocks {
-		for _, slot := range blk.layers {
-			slot.ln0.Arena = a
-			slot.ln1.Arena = a
-			slot.attn.SetArena(a)
-			slot.ffnUp.Arena = a
-			slot.ffnDown.Arena = a
-			if slot.act != nil {
-				slot.act.Arena = a
-			}
-		}
+	for _, l := range s.layers {
+		l.SetArena(a)
 	}
-	for _, tr := range s.trans {
-		tr.Arena = a
-	}
-	s.head.Arena = a
 }
 
 // SetWorkers threads an intra-pass parallelism bound through every layer
@@ -174,28 +172,18 @@ func (s *Supernet) SetArena(a *tensor.Arena) {
 // search's core budget (core.Config.Workers); 0 or 1 — the default — keeps the
 // historical serial layer loops, and any setting is bit-identical.
 func (s *Supernet) SetWorkers(n int) {
-	s.tokens.Workers = n
-	for _, blk := range s.blocks {
-		for _, slot := range blk.layers {
-			slot.attn.SetWorkers(n)
-			slot.ffnUp.Workers = n
-			slot.ffnDown.Workers = n
-		}
+	for _, l := range s.layers {
+		l.SetWorkers(n)
 	}
-	for _, tr := range s.trans {
-		tr.Workers = n
-	}
-	s.head.Workers = n
 }
 
 // Replicate returns a view sharing parameter values with s but with
 // independent gradients and forward caches — one per accelerator shard.
-func (s *Supernet) Replicate(rng *tensor.RNG) *Supernet {
+func (s *Supernet) Replicate(*tensor.RNG) *Supernet {
 	// The structural clone is built with a ZeroRNG: every replica weight
 	// is immediately replaced by the master's shared storage, so a real
-	// initialization would be thrown away. The rng argument is retained so
-	// call sites keep consuming one Split from their stream.
-	_ = rng
+	// initialization would be thrown away. rng, the caller's per-replica
+	// draw (core.Network), goes unused.
 	r := New(s.VS, s.vocab, s.seqLen, tensor.ZeroRNG())
 	nn.ShareValues(r.params, s.params)
 	return r

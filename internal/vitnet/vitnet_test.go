@@ -218,3 +218,34 @@ func TestSearchValidates(t *testing.T) {
 		t.Fatal("incomplete searcher must be rejected")
 	}
 }
+
+// TestArenaReachesEveryLayer: SetArena hands the arena to every layer of
+// the network's one layer list, so once the arena is warm a forward and
+// backward pass over alternating candidates draws no matrix from the
+// heap pools.
+func TestArenaReachesEveryLayer(t *testing.T) {
+	vs, sn, stream := newSmall(11)
+	rng := tensor.NewRNG(12)
+	arena := tensor.NewArena()
+	sn.SetArena(arena)
+	defer func() {
+		sn.SetArena(nil)
+		arena.Drain()
+	}()
+	b := stream.NextBatch(4)
+	a1, a2 := randomAssignment(vs, rng), randomAssignment(vs, rng)
+	pass := func(a space.Assignment) {
+		_, dout := sn.Loss(a, b)
+		sn.Backward(dout)
+	}
+	for range 3 {
+		pass(a1)
+		pass(a2)
+	}
+	before := tensor.MatrixAllocs()
+	pass(a1)
+	pass(a2)
+	if d := tensor.MatrixAllocs() - before; d != 0 {
+		t.Fatalf("a warm pass pair allocated %d matrices outside the arena, want 0", d)
+	}
+}
