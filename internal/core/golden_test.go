@@ -9,12 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"h2onas/internal/datapipe"
+	"h2onas/internal/reward"
 )
 
 // updateGolden rewrites the committed golden trajectories instead of
 // asserting against them:
 //
-//	go test ./internal/core -run 'TestEngineEquivalence|TestGoldenAnalytic' -update-golden
+//	go test ./internal/core -run 'TestEngineEquivalence|TestGoldenAnalytic|TestGoldenTuNAS' -update-golden
 //
 // Review the diff before committing — a changed golden means the
 // search trajectory changed, which is only correct when the change is
@@ -41,6 +44,9 @@ type goldenTrace struct {
 	FinalQualityBits string       `json:"final_quality_bits"`
 	FinalQuality     float64      `json:"final_quality"`
 	Steps            []goldenStep `json:"steps"`
+	// ExamplesSeen is pinned only where it is a pure function of the
+	// config: in a loop without a prefetch stage (TuNAS).
+	ExamplesSeen int64 `json:"examples_seen,omitempty"`
 }
 
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
@@ -51,6 +57,10 @@ func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 // self-describing note stored with it.
 func GoldenTrace(t *testing.T, name, config string, res *Outcome) []byte {
 	t.Helper()
+	return newGoldenTrace(name, config, res).encode(t)
+}
+
+func newGoldenTrace(name, config string, res *Outcome) *goldenTrace {
 	tr := &goldenTrace{
 		Strategy:         name,
 		Config:           config,
@@ -68,6 +78,11 @@ func GoldenTrace(t *testing.T, name, config string, res *Outcome) []byte {
 			MeanReward:     h.MeanReward,
 		})
 	}
+	return tr
+}
+
+func (tr *goldenTrace) encode(t *testing.T) []byte {
+	t.Helper()
 	data, err := json.MarshalIndent(tr, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -95,4 +110,22 @@ func CheckGolden(t *testing.T, file string, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("trajectory diverged from %s\n got: %s\nwant: %s\nThe search walked a different path on the pinned seed. If the change is intentional, regenerate with -update-golden and justify the new trajectory in review.", path, got, want)
 	}
+}
+
+// TestGoldenTuNAS pins the alternating two-step baseline (Figure 2,
+// left; the abl-unified ablation) on TestTuNASBaselineRuns's config: its
+// trajectory, choice, final quality and the examples it drew from both
+// streams, which carry no prefetch and so are a function of the config.
+func TestGoldenTuNAS(t *testing.T) {
+	s, _ := testSearcher(t, reward.Absolute, 1.0, 8)
+	val := datapipe.NewStream(s.Stream.Config(), 1008)
+	cfg := fastConfig(8)
+	cfg.Steps, cfg.WarmupSteps = 20, 5
+	res, err := s.TuNASSearch(cfg, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newGoldenTrace("reinforce", "dlrm-small tunas shards=4 steps=20 warmup=5 batch=32 seed=8 val_seed=1008 reward=absolute ctrl=0.1/0.9/0.001", &res.Outcome)
+	tr.ExamplesSeen = res.ExamplesSeen
+	CheckGolden(t, "tunas.json", tr.encode(t))
 }
