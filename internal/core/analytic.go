@@ -48,56 +48,30 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 	if cfg.Shards <= 0 || cfg.Steps <= 0 {
 		return nil, fmt.Errorf("core: non-positive shards/steps in %+v", cfg)
 	}
-	if cfg.CheckpointDir != "" || cfg.Resume || cfg.Transport != nil || cfg.ShardFault != nil {
-		return nil, fmt.Errorf("core: the analytic search trains no weights and places no shards, so CheckpointDir, Resume, Transport and ShardFault are not supported")
+	if cfg.CheckpointDir != "" || cfg.Resume || cfg.Transport != nil || cfg.ShardFault != nil || cfg.Stop != nil || cfg.WarmupSteps != 0 {
+		return nil, fmt.Errorf("core: the analytic search trains no weights, places no shards and runs to completion, so CheckpointDir, Resume, Transport, ShardFault, Stop and WarmupSteps are not supported")
 	}
 	rng := tensor.NewRNG(cfg.Seed)
-	strat := strategyFor(&cfg, s.Space)
-	sm := newSearchMetrics(cfg.Metrics)
-	res := &AnalyticResult{}
-	cands := newCandidateRing(cfg.MaxCandidates)
-
-	assignments := make([]space.Assignment, cfg.Shards)
-	rewards := make([]float64, cfg.Shards)
+	var out Outcome
+	pol := newPolicyStage(&cfg, s.Space, s.Reward, s.Perf, &out)
 	for step := 0; step < cfg.Steps; step++ {
-		stepSpan := sm.StepTime.Start()
-		var sumR, sumQ float64
-		evalSpan := sm.FanoutTime.Start()
+		stepSpan := pol.sm.StepTime.Start()
+		evalSpan := pol.sm.FanoutTime.Start()
 		for i := 0; i < cfg.Shards; i++ {
-			a := strat.Sample(rng, false)
-			q := s.Quality(a)
-			perf := s.Perf(a)
-			r := s.Reward.Eval(q, perf)
-			assignments[i], rewards[i] = a, r
-			sumR += r
-			sumQ += q
-			cands.Add(Candidate{
-				Step: step, Assignment: append(space.Assignment(nil), a...),
-				Quality: q, Perf: perf, Reward: r,
-			})
+			a := pol.strat.Sample(rng, false)
+			pol.eval(step, a, s.Quality(a))
 		}
 		evalSpan.End()
-		sm.Candidates.Add(int64(cfg.Shards))
-		policySpan := sm.PolicyTime.Start()
-		strat.Update(assignments, rewards)
-		policySpan.End()
-		info := StepInfo{
-			Step:       step,
-			MeanReward: sumR / float64(cfg.Shards),
-			MeanQ:      sumQ / float64(cfg.Shards),
-			Entropy:    strat.Entropy(),
-			Confidence: strat.Confidence(),
-		}
-		res.History = append(res.History, info)
-		sm.RecordStep(info)
-		if cfg.Progress != nil {
-			cfg.Progress(info)
-		}
+		pol.update()
+		pol.record(step)
 		stepSpan.End()
 	}
-	res.Candidates = cands.Items()
-	res.Best = strat.Best()
-	res.BestQuality = s.Quality(res.Best)
-	res.BestPerf = s.Perf(res.Best)
-	return res, nil
+	pol.finish()
+	return &AnalyticResult{
+		Best:        out.Best,
+		BestQuality: s.Quality(out.Best),
+		BestPerf:    out.BestPerf,
+		History:     out.History,
+		Candidates:  out.Candidates,
+	}, nil
 }

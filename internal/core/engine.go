@@ -48,9 +48,9 @@ type Source[B any] interface {
 // type N over those batches. core.Searcher (DLRM) and vitnet.Searcher
 // (transformer) are thin adapters that fill one in; everything else —
 // sandwich sampling, the strategy's sample/update, the prefetched batch
-// draw, the shard fan-out with its retry/drop policy, the overlapped
-// spine stage, candidates, telemetry, checkpoint/Resume/Stop and the
-// final evaluation — is this one loop for every space.
+// draw, the shard fan-out with its retry/drop policy, the spine's weight
+// step, the policy stage, checkpoint/Resume/Stop and the final evaluation
+// — is this one loop for every space.
 type Engine[B Batch, N Network[B, N]] struct {
 	Space  *space.Space
 	Reward *reward.Function
@@ -85,6 +85,15 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// A caller's transport for other networks is refused before any
+	// network is built.
+	var caller Transport[B, N]
+	if cfg.Transport != nil {
+		if caller, _ = cfg.Transport.(Transport[B, N]); caller == nil {
+			var net N
+			return nil, fmt.Errorf("core: Config.Transport %T cannot run this space's %T shards", cfg.Transport, net)
+		}
+	}
 	// Partition the core budget so shard-level and kernel-level
 	// parallelism stop fighting: the shards run on at most budget.workers()
 	// goroutines, each replica's intra-layer fan-out is bounded to its
@@ -108,16 +117,21 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 		// their cores go idle; its kernels get the full budget to use them.
 		replicas[0].SetWorkers(budget.total)
 	}
-	strat := strategyFor(&cfg, e.Space)
 	opt := nn.NewAdam(cfg.WeightLR)
 	spine := nn.NewSpine(master.Params(), opt, 10)
 	spine.SetWorkers(budget.total)
-	sm := newSearchMetrics(cfg.Metrics)
+
+	out := &Outcome{ShardFirstDrop: make([]int, cfg.Shards)}
+	for i := range out.ShardFirstDrop {
+		out.ShardFirstDrop[i] = -1
+	}
+	pol := newPolicyStage(&cfg, e.Space, e.Reward, e.Perf, out)
+	sm := pol.sm
 
 	// The transport seam: where the per-shard forward/backward executes.
 	// The engine owns (and closes) the in-process pool; a caller-provided
 	// transport is only bound here and closed by its owner.
-	transport, pool, err := bindShards[B](&cfg, Binding[N]{Master: master, Replicas: replicas, Metrics: cfg.Metrics}, budget.workers())
+	transport, pool, err := bindShards(&cfg, caller, Binding[N]{Master: master, Replicas: replicas, Metrics: cfg.Metrics}, budget.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -141,13 +155,9 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 		}
 	}
 
-	out := &Outcome{ShardFirstDrop: make([]int, cfg.Shards)}
-	for i := range out.ShardFirstDrop {
-		out.ShardFirstDrop[i] = -1
-	}
 	st := &searchState{
 		cfg: &cfg, space: e.Space, membership: transport.Membership(),
-		rng: rng, strat: strat, params: master.Params(), opt: opt, out: out,
+		rng: rng, strat: pol.strat, params: master.Params(), opt: opt, out: out,
 	}
 	// Restore must precede pipeline construction: the producer starts
 	// prefetching from the stream immediately, so the stream has to be
@@ -190,53 +200,28 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	ckpt := newAsyncCheckpointer(mgr, sm)
 	defer ckpt.Close()
 
-	cands := newCandidateRing(cfg.MaxCandidates)
-
 	assignments := make([]space.Assignment, cfg.Shards)
-	qualities := make([]float64, cfg.Shards)
 	batches := make([]B, cfg.Shards)
 	outcomes := make([]ShardOutcome, cfg.Shards)
-	alive := make([]bool, cfg.Shards)
 	// liveParams collects the surviving replicas' param lists for the
-	// cross-shard reduce, policySamples and rewards the step's policy
-	// feedback; preallocated once so the steady-state step stays
+	// cross-shard reduce; preallocated once so the steady-state step stays
 	// allocation-flat on the coordinator too.
 	liveParams := make([][]*nn.Param, 0, cfg.Shards)
-	policySamples := make([]space.Assignment, 0, cfg.Shards)
-	rewards := make([]float64, 0, cfg.Shards)
-
-	// Stage-3 spine worker: the cross-shard gradient reduce and fused
-	// clip+Adam weight step run here, overlapped with the coordinator's
-	// stage 2 (perf eval, reward, strategy update) — the two stages touch
-	// disjoint state (master weights + optimizer vs. policy, perf cache
-	// and reward bookkeeping). The coordinator's send on spineWork
-	// happens-before the worker's read of liveParams; the worker's send on
-	// spineDone happens-before the coordinator's next read of the master
-	// weights (the checkpoint, the next fan-out, and the final eval all
-	// sit after the join).
-	spineWork := make(chan struct{}, 1)
-	spineDone := make(chan struct{}, 1)
-	var spineNorm float64
-	go func() {
-		for range spineWork {
-			weightsSpan := sm.WeightsTime.Start()
-			spine.Reduce(liveParams)
-			spineNorm = spine.ClipStep()
-			weightsSpan.End()
-			spineDone <- struct{}{}
-		}
-	}()
-	defer close(spineWork)
+	// The sandwich shard trains weights only; its fixed candidate would
+	// bias the strategy, so it stays out of the policy update.
+	firstPolicy := 0
+	if sandwichOn && cfg.Shards > 1 {
+		firstPolicy = 1
+	}
 
 	maxA := MaxAssignment(e.Space)
 	for step := startStep; step < cfg.WarmupSteps+cfg.Steps; step++ {
 		select {
 		case <-cfg.Stop:
 			// Cooperative cancellation at a step boundary: every piece of
-			// state is settled (the previous step's spine join already
-			// happened), so the snapshot taken here resumes bit-identically.
-			// The deferred ckpt.Close drains the persister, making the
-			// snapshot durable before Search returns.
+			// state is settled, so the snapshot taken here resumes
+			// bit-identically. The deferred ckpt.Close drains the
+			// persister, making the snapshot durable before Search returns.
 			sm.StepsStopped.Inc()
 			if mgr != nil {
 				ckpt.enqueue(st.snapshot(step, consumed))
@@ -265,7 +250,7 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 			if sandwichOn && ((i == 0 && cfg.Shards > 1) || (warmup && i%2 == 0)) {
 				assignments[i] = maxA
 			} else {
-				assignments[i] = strat.Sample(rng, warmup)
+				assignments[i] = pol.strat.Sample(rng, warmup)
 			}
 			batches[i] = pipe.Next()
 		}
@@ -283,8 +268,6 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 		// unbiased.
 		liveParams = liveParams[:0]
 		for i, o := range outcomes {
-			alive[i] = o.Alive
-			qualities[i] = o.Quality
 			if o.Alive {
 				liveParams = append(liveParams, replicas[i].Params())
 			} else if out.ShardFirstDrop[i] < 0 {
@@ -301,48 +284,29 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 			continue
 		}
 
-		// Stage 3 (cross-shard) starts first, on the spine worker: reduce
-		// the surviving replicas' gradients and step W while the
-		// coordinator runs stage 2 below on disjoint state. The join is
-		// after stage 2, before anything reads the master weights again.
-		spineWork <- struct{}{}
-
-		// Stage 2: cross-shard policy update from (Q, T) → R. The
-		// sandwich shard trains weights only; its fixed candidate would
-		// bias the strategy, so it is excluded from the update.
-		rewards = rewards[:0]
+		// Stage 2: cross-shard policy update from (Q, T) → R over the
+		// policy shards that completed the step; the step's mean quality
+		// counts every surviving shard.
 		if !warmup {
-			policySpan := sm.PolicyTime.Start()
-			first := 0
-			if sandwichOn && cfg.Shards > 1 {
-				first = 1
-			}
-			policySamples = policySamples[:0]
-			for i := first; i < cfg.Shards; i++ {
-				if !alive[i] {
-					continue
+			for i, o := range outcomes {
+				switch {
+				case !o.Alive:
+				case i < firstPolicy:
+					pol.quality(o.Quality)
+				default:
+					pol.eval(step-cfg.WarmupSteps, assignments[i], o.Quality)
 				}
-				perf := e.Perf(assignments[i])
-				rw := e.Reward.Eval(qualities[i], perf)
-				policySamples = append(policySamples, assignments[i])
-				rewards = append(rewards, rw)
-				cands.Add(Candidate{
-					Step:       step - cfg.WarmupSteps,
-					Assignment: append(space.Assignment(nil), assignments[i]...),
-					Quality:    qualities[i],
-					Perf:       perf,
-					Reward:     rw,
-				})
 			}
-			strat.Update(policySamples, rewards)
-			sm.Candidates.Add(int64(len(policySamples)))
-			policySpan.End()
+			pol.update()
 		}
 
-		// Join stage 3: from here on the master weights, the optimizer
-		// moments and the pre-clip gradient norm are settled.
-		<-spineDone
-		sm.GradNorm.Observe(spineNorm)
+		// Stage 3 (cross-shard): reduce the surviving replicas' gradients
+		// and step W. It runs in line: stage 2 costs tens of microseconds
+		// a step, too little to be worth overlapping.
+		weightsSpan := sm.WeightsTime.Start()
+		spine.Reduce(liveParams)
+		sm.GradNorm.Observe(spine.ClipStep())
+		weightsSpan.End()
 		if wantSync {
 			// Publish the step's weight change to remote shards. The spine
 			// recorded exactly which params (and rows) ClipStep touched, so
@@ -351,29 +315,15 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 				return nil, fmt.Errorf("core: publishing step %d weight update: %w", step, err)
 			}
 		}
-
 		if !warmup {
-			info := StepInfo{
-				Step:       step - cfg.WarmupSteps,
-				MeanReward: meanOf(rewards),
-				MeanQ:      meanAlive(qualities, alive),
-				Entropy:    strat.Entropy(),
-				Confidence: strat.Confidence(),
-			}
-			out.History = append(out.History, info)
-			sm.RecordStep(info)
-			if cfg.Progress != nil {
-				cfg.Progress(info)
-			}
+			pol.record(step - cfg.WarmupSteps)
 		}
 		stepSpan.End()
 
 		st.maybeCheckpoint(ckpt, step, consumed)
 	}
 
-	out.Best = strat.Best()
-	out.BestPerf = e.Perf(out.Best)
-	out.Candidates = cands.Items()
+	pol.finish()
 	// Final quality on 16 fresh batches: forward-only, so the extra
 	// examples are cheap and cut evaluation noise. They are drawn through
 	// the pipeline like every step's batches, which keeps FinalQuality a

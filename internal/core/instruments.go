@@ -6,15 +6,16 @@ import "h2onas/internal/metrics"
 // run so the step loop never does a name lookup. All fields are nil-safe
 // no-ops when resolved from the nop registry, so callers use them
 // unconditionally. The same instrument names are shared by every search
-// flavour (core.Searcher, core.AnalyticSearcher, vitnet.Searcher) so
-// dashboards and snapshot diffs are uniform across domains.
+// flavour (core.Searcher, core.AnalyticSearcher, TuNASSearch,
+// vitnet.Searcher) so dashboards and snapshot diffs are uniform across
+// domains.
 type searchMetrics struct {
 	// Per-phase timing histograms (seconds).
 	StepTime    *metrics.Histogram // one full search step
 	ShardTime   *metrics.Histogram // one shard's forward/backward work
 	SampleTime  *metrics.Histogram // candidate sampling + batch draw
 	FanoutTime  *metrics.Histogram // the parallel shard fan-out barrier
-	PolicyTime  *metrics.Histogram // cross-shard REINFORCE update
+	PolicyTime  *metrics.Histogram // the strategy's update
 	WeightsTime *metrics.Histogram // gradient reduce + optimizer step
 
 	// GradNorm is the pre-clip global L2 gradient norm of every weight

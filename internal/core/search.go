@@ -318,31 +318,3 @@ func MaxAssignment(sp *space.Space) space.Assignment {
 	}
 	return a
 }
-
-// meanAlive averages the entries of v whose alive flag is set — the
-// per-step quality mean over the shards that completed the step.
-func meanAlive(v []float64, alive []bool) float64 {
-	var sum float64
-	n := 0
-	for i, x := range v {
-		if alive[i] {
-			sum += x
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-func meanOf(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v))
-}

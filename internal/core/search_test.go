@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"h2onas/internal/controller"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
+	"h2onas/internal/metrics"
 	"h2onas/internal/reward"
 	"h2onas/internal/space"
 )
@@ -152,6 +155,77 @@ func TestSearchValidatesConfig(t *testing.T) {
 	bad := &Searcher{}
 	if _, err := bad.Search(fastConfig(1)); err == nil {
 		t.Fatal("incomplete searcher must be rejected")
+	}
+}
+
+// TestLoopsRefuseWhatTheyCannotHonour: every search loop refuses a Config
+// field it cannot honour, naming it, instead of dropping it silently.
+func TestLoopsRefuseWhatTheyCannotHonour(t *testing.T) {
+	loops := map[string]func(Config) error{
+		"engine": func(cfg Config) error {
+			s, _ := testSearcher(t, reward.ReLU, 1.0, 9)
+			_, err := s.Search(cfg)
+			return err
+		},
+		"analytic": func(cfg Config) error {
+			_, err := quadraticSearcher(multiTrialSpace()).Search(cfg)
+			return err
+		},
+		"tunas": func(cfg Config) error {
+			s, _ := testSearcher(t, reward.Absolute, 1.0, 9)
+			_, err := s.TuNASSearch(cfg, datapipe.NewStream(s.Stream.Config(), 1009))
+			return err
+		},
+	}
+	stop := make(chan struct{})
+	for _, tc := range []struct {
+		loop, field string
+		edit        func(*Config)
+	}{
+		{"engine", "Resume", func(c *Config) { c.Resume = true }},
+		{"analytic", "Stop", func(c *Config) { c.Stop = stop }},
+		{"analytic", "WarmupSteps", func(c *Config) { c.WarmupSteps = 2 }},
+		{"analytic", "CheckpointDir", func(c *Config) { c.CheckpointDir = "ckpt" }},
+		{"analytic", "Transport", func(c *Config) { c.Transport = &stubTransport{"inproc"} }},
+		{"tunas", "Stop", func(c *Config) { c.Stop = stop }},
+		{"tunas", "CheckpointDir", func(c *Config) { c.CheckpointDir = "ckpt" }},
+		{"tunas", "Resume", func(c *Config) { c.Resume = true }},
+		{"tunas", "Transport", func(c *Config) { c.Transport = &stubTransport{"inproc"} }},
+		{"tunas", "ShardFault", func(c *Config) { c.ShardFault = func(int, int, int) error { return nil } }},
+	} {
+		cfg := fastConfig(9)
+		cfg.Steps, cfg.WarmupSteps = 2, 0
+		tc.edit(&cfg)
+		if err := loops[tc.loop](cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s loop with %s set returned %v, want a refusal naming it", tc.loop, tc.field, err)
+		}
+	}
+}
+
+// TestTuNASHonoursStrategyCandidatesAndMetrics: the baseline samples and
+// updates through Config.Strategy, bounds its candidates by MaxCandidates
+// and reports to Metrics, like every loop behind the policy stage.
+func TestTuNASHonoursStrategyCandidatesAndMetrics(t *testing.T) {
+	s, _ := testSearcher(t, reward.Absolute, 1.0, 10)
+	cfg := fastConfig(10)
+	cfg.Steps, cfg.WarmupSteps = 6, 1
+	evo := NewEvolution(s.DS.Space, EvolutionOpts{Population: 4})
+	cfg.Strategy, cfg.MaxCandidates, cfg.Metrics = evo, 5, metrics.New()
+	res, err := s.TuNASSearch(cfg, datapipe.NewStream(s.Stream.Config(), 1010))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Candidates) != 5 || res.Candidates[4].Step != cfg.Steps-1 {
+		t.Fatalf("kept %d candidates ending at step %d, want the newest 5 ending at step %d", len(res.Candidates), res.Candidates[len(res.Candidates)-1].Step, cfg.Steps-1)
+	}
+	if got := len(evo.Population()); got != 4 || !slices.Equal(res.Best, evo.Best()) {
+		t.Fatalf("the evolution strategy holds %d individuals and chose %v, search chose %v", got, evo.Best(), res.Best)
+	}
+	if got, want := cfg.Metrics.Counter("search_candidates_total").Value(), int64(cfg.Steps*cfg.Shards); got != want {
+		t.Fatalf("search_candidates_total = %d, want %d", got, want)
+	}
+	if got := cfg.Metrics.Counter("search_steps_total").Value(); got != int64(cfg.Steps) {
+		t.Fatalf("search_steps_total = %d, want %d", got, cfg.Steps)
 	}
 }
 

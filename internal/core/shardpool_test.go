@@ -155,7 +155,7 @@ func TestPoolIsBoundLikeACallerTransport(t *testing.T) {
 		}
 	}
 
-	own, pool, err := bindShards[*datapipe.Batch](&cfg, b, 2)
+	own, pool, err := bindShards[*datapipe.Batch, *supernet.Supernet](&cfg, nil, b, 2)
 	if err != nil || pool == nil || own != Transport[*datapipe.Batch, *supernet.Supernet](pool) {
 		t.Fatalf("default transport: %T (pool %p), err %v; want the engine's own pool", own, pool, err)
 	}
@@ -168,7 +168,7 @@ func TestPoolIsBoundLikeACallerTransport(t *testing.T) {
 
 	rec := &bindRecorder{shardPool: newShardPool[*datapipe.Batch, *supernet.Supernet](&cfg, 2)}
 	cfg.Transport = rec
-	got, pool, err := bindShards[*datapipe.Batch](&cfg, b, 2)
+	got, pool, err := bindShards[*datapipe.Batch](&cfg, rec, b, 2)
 	if err != nil || pool != nil || got != Transport[*datapipe.Batch, *supernet.Supernet](rec) {
 		t.Fatalf("caller transport: %T (engine pool %p), err %v; want it bound and left to its owner", got, pool, err)
 	}

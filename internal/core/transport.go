@@ -120,18 +120,14 @@ func ShardStep[B Batch, N Network[B, N]](net N, a space.Assignment, b B) float64
 	return loss
 }
 
-// bindShards binds the run's transport to b and returns it:
-// cfg.Transport when it serves the space's (B, N), or else a new
-// in-process pool of up to workers goroutines, also returned as pool:
-// the caller owns that one and closes it after the last step. A
-// Config.Transport for other networks is refused before anything is
-// bound.
-func bindShards[B Batch, N Network[B, N]](cfg *Config, b Binding[N], workers int) (t Transport[B, N], pool *shardPool[B, N], err error) {
-	if cfg.Transport == nil {
+// bindShards binds the run's transport to b and returns it: t, the
+// caller's transport, or when t is nil a new in-process pool of up to
+// workers goroutines, also returned as pool: the caller owns that one
+// and closes it after the last step.
+func bindShards[B Batch, N Network[B, N]](cfg *Config, t Transport[B, N], b Binding[N], workers int) (_ Transport[B, N], pool *shardPool[B, N], err error) {
+	if t == nil {
 		pool = newShardPool[B, N](cfg, workers)
 		t = pool
-	} else if t, _ = cfg.Transport.(Transport[B, N]); t == nil {
-		return nil, nil, fmt.Errorf("core: Config.Transport %T cannot run this space's %T shards", cfg.Transport, b.Master)
 	}
 	if err := t.Bind(b); err != nil {
 		return nil, nil, fmt.Errorf("core: binding shard transport: %w", err)

@@ -10,6 +10,7 @@ import (
 	"h2onas/internal/hwsim"
 	"h2onas/internal/reward"
 	"h2onas/internal/space"
+	"h2onas/internal/tensor"
 	"h2onas/internal/vitnet"
 )
 
@@ -74,8 +75,8 @@ func TestResumeRefusesOtherSpace(t *testing.T) {
 
 // TestViTRejectsTransport: Config.Transport serves the DLRM
 // super-network, so the engine refuses it for the transformer space with
-// its one refusal, before it binds the transport or runs a step, rather
-// than run in-process behind the caller's back.
+// its one refusal, before it builds a network, binds the transport or
+// runs a step, rather than run in-process behind the caller's back.
 func TestViTRejectsTransport(t *testing.T) {
 	cfg := goldenConfig(8)
 	cfg.Transport = core.StubTransport("tcp[10.0.0.1:7070]")
@@ -88,5 +89,19 @@ func TestViTRejectsTransport(t *testing.T) {
 	}
 	if ran != 0 {
 		t.Fatalf("the refused search ran %d shard attempts or steps, want none", ran)
+	}
+
+	s := vitSearcher(1)
+	seq := s.Stream.Config()
+	built := 0
+	eng := core.Engine[*datapipe.SeqBatch, *vitnet.Supernet]{
+		Space: s.VS.Space, Reward: s.Reward, Perf: s.Perf, Stream: s.Stream,
+		New: func(rng *tensor.RNG) *vitnet.Supernet {
+			built++
+			return vitnet.New(s.VS, seq.Vocab, seq.SeqLen, rng)
+		},
+	}
+	if _, err := eng.Search(cfg); err == nil || built != 0 {
+		t.Fatalf("engine refusal returned %v after building %d networks, want an error and none built", err, built)
 	}
 }

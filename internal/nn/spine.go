@@ -124,9 +124,9 @@ type ParamTouch struct {
 // eager form, and it keeps the per-step cost proportional to what the
 // step touched instead of to everything ever touched.
 //
-// A Spine is owned by a single goroutine at a time (the search's stage-3
-// worker); it is not safe for concurrent use, but distinct searches with
-// distinct Spines can run concurrently. Steady-state Reduce+ClipStep
+// A Spine is owned by a single goroutine at a time (the search's
+// coordinator); it is not safe for concurrent use, but distinct searches
+// with distinct Spines can run concurrently. Steady-state Reduce+ClipStep
 // calls perform no heap allocations: the worklist, partial and apply
 // buffers are reused, and the dispatch closures are hoisted at
 // construction.

@@ -40,7 +40,7 @@ import (
 type mlpSlot struct {
 	low *nn.LowRankDense
 
-	maxIn, maxOut int
+	maxOut int
 }
 
 // Supernet is the weight-sharing super-network for a DLRM search space.
@@ -161,7 +161,6 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 			maxRank := min(in, out)
 			slots[i] = &mlpSlot{
 				low:    nn.NewLowRankDense(in, out, maxRank, rng.Split()),
-				maxIn:  in,
 				maxOut: out,
 			}
 			// Every slot after the first is fed through the preceding
