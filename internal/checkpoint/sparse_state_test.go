@@ -38,13 +38,11 @@ func stepState(spine *nn.Spine, params []*nn.Param, rng *tensor.RNG) {
 			continue
 		}
 		if p.RowSparse {
-			cols := p.Grad.Cols
 			for n := 1 + rng.Intn(4); n > 0; n-- {
-				r := rng.Intn(p.Grad.Rows)
-				for j := 0; j < cols; j++ {
-					p.Grad.Data[r*cols+j] += rng.Norm()
+				row := p.MarkRow(rng.Intn(p.Value.Rows))
+				for j := range row {
+					row[j] += rng.Norm()
 				}
-				p.MarkRow(r)
 			}
 		} else {
 			for j := range p.Grad.Data {

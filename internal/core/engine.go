@@ -34,10 +34,11 @@ type Network[B, N any] interface {
 	Replicate(rng *tensor.RNG) N
 }
 
-// Source is the engine's view of a traffic stream: fresh batches, the
+// Source is the engine's view of a traffic stream: fresh batches (written
+// into a spent batch's storage when the pipeline hands one back), the
 // O(1) fast-forward resume needs, and the served-example count.
 type Source[B any] interface {
-	NextBatch(n int) B
+	NextBatchInto(b B, n int) B
 	Skip(nBatches int64, batchSize int)
 	ExamplesServed() int64
 }
@@ -251,6 +252,10 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 				assignments[i] = maxA
 			} else {
 				assignments[i] = pol.strat.Sample(rng, warmup)
+			}
+			// The previous step is over: nothing reads its batch any more.
+			if step > startStep {
+				pipe.Recycle(batches[i])
 			}
 			batches[i] = pipe.Next()
 		}

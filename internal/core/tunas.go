@@ -33,6 +33,15 @@ func (s *Searcher) TuNASSearch(cfg Config, valStream *datapipe.Stream) (*Result,
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 	master := supernet.New(s.DS, rng.Split())
+	// One arena recycles every half-step's intermediates, as the engine's
+	// networks do; drained on exit so its buffers return to the global
+	// pools.
+	arena := tensor.NewArena()
+	master.SetArena(arena)
+	defer func() {
+		master.SetArena(nil)
+		arena.Drain()
+	}()
 	opt := nn.NewAdam(cfg.WeightLR)
 	res := &Result{}
 	pol := newPolicyStage(&cfg, s.DS.Space, s.Reward, s.Perf, &res.Outcome)

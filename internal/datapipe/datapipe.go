@@ -200,9 +200,53 @@ func (s *Stream) Config() CTRConfig { return s.cfg }
 // nothing is ever replayed (the use-once property of production traffic).
 // The batch's dense values and labels share one backing array, its bags
 // another, and the two matrix headers live in the batch itself.
-func (s *Stream) NextBatch(n int) *Batch {
+func (s *Stream) NextBatch(n int) *Batch { return s.NextBatchInto(nil, n) }
+
+// NextBatchInto is NextBatch writing the examples into b, a batch of this
+// stream its consumer is done with, when b holds n of them, and into a
+// new batch otherwise (b nil always takes a new one). It returns the
+// batch written; everything b held is overwritten and its phase guard
+// starts fresh, so the examples are those NextBatch would have drawn.
+func (s *Stream) NextBatchInto(b *Batch, n int) *Batch {
 	rng := s.split(n)
 
+	cfg := s.cfg
+	if b == nil || b.Size() != n {
+		b = s.newBatch(n)
+	} else {
+		b.phaseGuard = phaseGuard{}
+		clear(b.Labels.Data)
+	}
+	startIndex := atomic.LoadInt64(&s.served)
+	for i := 0; i < n; i++ {
+		logit := 0.0
+		drow := b.Dense.Row(i)
+		for j := range drow {
+			drow[j] = rng.Norm()
+		}
+		logit += s.denseSignal(drow)
+		for t := 0; t < cfg.NumTables; t++ {
+			bag := b.Sparse[t][i]
+			var eff float64
+			for k := range bag {
+				id := rng.Intn(cfg.Vocab)
+				bag[k] = id
+				eff += s.effectAt(t, id, startIndex+int64(i))
+			}
+			logit += eff / float64(cfg.BagSize)
+		}
+		logit += rng.Norm() * noiseStd
+		if rng.Float64() < sigmoid(logit) {
+			b.Labels.Data[i] = 1
+		}
+	}
+	atomic.AddInt64(&s.served, int64(n))
+	return b
+}
+
+// newBatch allocates the storage of an n-example batch, every bag in
+// place in the shared id array.
+func (s *Stream) newBatch(n int) *Batch {
 	cfg := s.cfg
 	nd := n * cfg.NumDense
 	floats := make([]float64, nd+n)
@@ -216,33 +260,11 @@ func (s *Stream) NextBatch(n int) *Batch {
 	b.Dense, b.Labels = &b.dense, &b.labels
 	for t := range b.Sparse {
 		b.Sparse[t] = rows[t*n : (t+1)*n : (t+1)*n]
-	}
-	startIndex := atomic.LoadInt64(&s.served)
-	for i := 0; i < n; i++ {
-		logit := 0.0
-		drow := b.Dense.Row(i)
-		for j := range drow {
-			drow[j] = rng.Norm()
-		}
-		logit += s.denseSignal(drow)
-		for t := 0; t < cfg.NumTables; t++ {
+		for i := range b.Sparse[t] {
 			at := (t*n + i) * cfg.BagSize
-			bag := ids[at : at+cfg.BagSize : at+cfg.BagSize]
-			var eff float64
-			for k := range bag {
-				id := rng.Intn(cfg.Vocab)
-				bag[k] = id
-				eff += s.effectAt(t, id, startIndex+int64(i))
-			}
-			b.Sparse[t][i] = bag
-			logit += eff / float64(cfg.BagSize)
-		}
-		logit += rng.Norm() * noiseStd
-		if rng.Float64() < sigmoid(logit) {
-			b.Labels.Data[i] = 1
+			b.Sparse[t][i] = ids[at : at+cfg.BagSize : at+cfg.BagSize]
 		}
 	}
-	atomic.AddInt64(&s.served, int64(n))
 	return b
 }
 

@@ -21,6 +21,7 @@ type Pipeline[B any] struct {
 	batchSize int
 
 	ch       chan B
+	free     chan B // batches the consumer is done with, for reuse
 	done     chan struct{}
 	closed   sync.Once
 	wg       sync.WaitGroup
@@ -35,9 +36,10 @@ type Pipeline[B any] struct {
 }
 
 // BatchSource is the stream side of a Pipeline: anything that synthesizes
-// a fresh batch of n examples per call.
+// a fresh batch of n examples per call, into a spent batch's storage when
+// it is handed one (the zero B: none).
 type BatchSource[B any] interface {
-	NextBatch(n int) B
+	NextBatchInto(b B, n int) B
 }
 
 // NewPipeline starts producing batches of batchSize into a buffer holding
@@ -57,6 +59,7 @@ func NewPipelineWithMetrics[B any](stream BatchSource[B], batchSize, depth int, 
 		stream:    stream,
 		batchSize: batchSize,
 		ch:        make(chan B, depth),
+		free:      make(chan B, depth),
 		done:      make(chan struct{}),
 
 		produceTime: r.Histogram("datapipe_produce_seconds"),
@@ -74,7 +77,12 @@ func (p *Pipeline[B]) produce() {
 	defer p.wg.Done()
 	for {
 		span := p.produceTime.Start()
-		b := p.stream.NextBatch(p.batchSize)
+		var b B
+		select {
+		case b = <-p.free:
+		default:
+		}
+		b = p.stream.NextBatchInto(b, p.batchSize)
 		span.End()
 		select {
 		case p.ch <- b:
@@ -109,6 +117,17 @@ func (p *Pipeline[B]) Next() B {
 			var none B
 			return none
 		}
+	}
+}
+
+// Recycle hands back a batch from Next that nothing reads any more, so
+// the producer can write a later batch into its storage instead of
+// allocating one. The batch must not be touched after the call. A full
+// recycle buffer drops it for the collector.
+func (p *Pipeline[B]) Recycle(b B) {
+	select {
+	case p.free <- b:
+	default:
 	}
 }
 

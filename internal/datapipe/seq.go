@@ -83,15 +83,27 @@ func (s *SeqStream) Config() SeqConfig { return s.cfg }
 
 // NextBatch generates n fresh sequences; their tokens share one backing
 // array, and the label matrix header lives in the batch itself.
-func (s *SeqStream) NextBatch(n int) *SeqBatch {
+func (s *SeqStream) NextBatch(n int) *SeqBatch { return s.NextBatchInto(nil, n) }
+
+// NextBatchInto is NextBatch writing into b when it holds n sequences
+// (see Stream.NextBatchInto).
+func (s *SeqStream) NextBatchInto(b *SeqBatch, n int) *SeqBatch {
 	rng := s.split(n)
 
 	cfg := s.cfg
-	b := &SeqBatch{Tokens: make([][]int, n), labels: tensor.Matrix{Rows: n, Cols: 1, Data: make([]float64, n)}}
-	b.Labels = &b.labels
-	all := make([]int, n*cfg.SeqLen)
+	if b == nil || b.Size() != n {
+		b = &SeqBatch{Tokens: make([][]int, n), labels: tensor.Matrix{Rows: n, Cols: 1, Data: make([]float64, n)}}
+		b.Labels = &b.labels
+		all := make([]int, n*cfg.SeqLen)
+		for i := range b.Tokens {
+			b.Tokens[i] = all[i*cfg.SeqLen : (i+1)*cfg.SeqLen : (i+1)*cfg.SeqLen]
+		}
+	} else {
+		b.phaseGuard = phaseGuard{}
+		clear(b.Labels.Data)
+	}
 	for i := 0; i < n; i++ {
-		toks := all[i*cfg.SeqLen : (i+1)*cfg.SeqLen : (i+1)*cfg.SeqLen]
+		toks := b.Tokens[i]
 		logit := 0.0
 		for t := range toks {
 			tok := rng.Intn(cfg.Vocab)
@@ -100,7 +112,6 @@ func (s *SeqStream) NextBatch(n int) *SeqBatch {
 		}
 		logit += s.pairEffect(toks[0], toks[cfg.SeqLen-1])
 		logit += rng.Norm() * seqNoiseStd
-		b.Tokens[i] = toks
 		if rng.Float64() < sigmoid(logit) {
 			b.Labels.Data[i] = 1
 		}

@@ -78,9 +78,9 @@ func refReLUInput(rows, cols int, seed uint64) *tensor.Matrix {
 }
 
 // cloneParam copies a param's value and gradient into a fresh param the
-// naive reference can accumulate into.
+// naive reference can accumulate into, its gradient dense.
 func cloneParam(p *Param) *Param {
-	return &Param{Name: p.Name, Value: p.Value.Clone(), Grad: p.Grad.Clone()}
+	return &Param{Name: p.Name, Value: p.Value.Clone(), Grad: gradMatrix(p)}
 }
 
 // affineRefShapes are the ViT FFN (128 token rows, 80→160), a DLRM
@@ -108,8 +108,8 @@ func TestMaskedDenseMatchesNaiveReference(t *testing.T) {
 					g := tensor.RandN(s.rows, s.out, 1, tensor.NewRNG(3+pass))
 					matBitEqual(t, "forward", l.Forward(x), naiveForward(x, w.Value, b, s.in, s.out))
 					matBitEqual(t, "dX", l.Backward(g), naiveBackward(x, g, w, b, s.in, s.out, false))
-					matBitEqual(t, "dW", l.W.Grad, w.Grad)
-					matBitEqual(t, "dB", l.B.Grad, b.Grad)
+					matBitEqual(t, "dW", gradMatrix(l.W), w.Grad)
+					matBitEqual(t, "dB", gradMatrix(l.B), b.Grad)
 				}
 				if len(l.W.DirtyRows) != 0 {
 					t.Fatalf("MaskedDense W is not row-tracked, yet DirtyRows = %v", l.W.DirtyRows)
@@ -136,9 +136,9 @@ func TestLowRankDenseMatchesNaiveReference(t *testing.T) {
 						matBitEqual(t, "forward", l.Forward(x), naiveForward(h, v.Value, b, rank, s.out))
 						dh := naiveBackward(h, g, v, b, rank, s.out, false)
 						matBitEqual(t, "dX", l.Backward(g), naiveBackward(x, dh, u, nil, s.in, rank, relu))
-						matBitEqual(t, "dU", l.U.Grad, u.Grad)
-						matBitEqual(t, "dV", l.V.Grad, v.Grad)
-						matBitEqual(t, "dB", l.B.Grad, b.Grad)
+						matBitEqual(t, "dU", gradMatrix(l.U), u.Grad)
+						matBitEqual(t, "dV", gradMatrix(l.V), v.Grad)
+						matBitEqual(t, "dB", gradMatrix(l.B), b.Grad)
 					}
 					// Backward marks the active rows of each factor, ascending.
 					for name, c := range map[string]struct {

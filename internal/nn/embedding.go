@@ -85,8 +85,11 @@ func NewEmbeddings(vocabs []int, maxWidth int, rng *tensor.RNG) []*Embedding {
 // placeholder with nothing pending.
 func newEmbedding(vocab, maxWidth int, rng *tensor.RNG) *Embedding {
 	t, state, lazy := tensor.DeferRandN(vocab, maxWidth, rng)
+	// Lookups scatter gradients into a handful of rows per step; row
+	// tracking lets the weight-update spine touch only those rows, and
+	// the packed gradient stores only those.
 	e := &Embedding{
-		Table:       NewParam(fmt.Sprintf("embedding_%dx%d", vocab, maxWidth), t),
+		Table:       newRowParam(fmt.Sprintf("embedding_%dx%d", vocab, maxWidth), t),
 		activeWidth: maxWidth,
 		activeVocab: vocab,
 	}
@@ -94,9 +97,6 @@ func newEmbedding(vocab, maxWidth int, rng *tensor.RNG) *Embedding {
 		e.init.state, e.init.std = state, 1/math.Sqrt(float64(maxWidth))
 		e.Table.lazy = &e.init
 	}
-	// Lookups scatter gradients into a handful of rows per step; row
-	// tracking lets the weight-update spine touch only those rows.
-	e.Table.EnableRowTracking()
 	return e
 }
 
@@ -166,6 +166,11 @@ func (e *Embedding) Backward(grad *tensor.Matrix) {
 	if grad.Rows != len(e.lastIndices) || grad.Cols != e.activeWidth {
 		panic(fmt.Sprintf("nn: Embedding grad shape %dx%d, want %dx%d", grad.Rows, grad.Cols, len(e.lastIndices), e.activeWidth))
 	}
+	lookups := 0
+	for _, bag := range e.lastIndices {
+		lookups += len(bag)
+	}
+	e.Table.reserve(lookups)
 	for i, bag := range e.lastIndices {
 		if len(bag) == 0 {
 			continue
@@ -173,10 +178,7 @@ func (e *Embedding) Backward(grad *tensor.Matrix) {
 		grow := grad.Row(i)[:e.activeWidth]
 		inv := 1 / float64(len(bag))
 		for _, idx := range bag {
-			r := e.fold(idx)
-			trow := e.Table.Grad.Row(r)[:e.activeWidth]
-			tensor.Axpy(trow, inv, grow)
-			e.Table.MarkRow(r)
+			tensor.Axpy(e.Table.MarkRow(e.fold(idx))[:e.activeWidth], inv, grow)
 		}
 	}
 	e.Table.Dirty = true

@@ -44,12 +44,13 @@ func checkGrads(t *testing.T, layers *Sequential, loss lossFn, x, y *tensor.Matr
 	_, dout := loss.Eval(out, y)
 	layers.Backward(dout)
 	for _, p := range layers.Params() {
+		got := denseGrad(p)
 		want := numericalGrad(p, lossFn)
 		for i := range want.Data {
-			diff := math.Abs(p.Grad.Data[i] - want.Data[i])
+			diff := math.Abs(got[i] - want.Data[i])
 			scale := math.Max(1, math.Abs(want.Data[i]))
 			if diff/scale > tol {
-				t.Fatalf("param %s grad[%d]: analytic %v vs numeric %v", p.Name, i, p.Grad.Data[i], want.Data[i])
+				t.Fatalf("param %s grad[%d]: analytic %v vs numeric %v", p.Name, i, got[i], want.Data[i])
 			}
 		}
 	}
@@ -138,7 +139,7 @@ func TestLowRankDenseGradCheck(t *testing.T) {
 	// Inactive rank columns of U must stay gradient-free.
 	for i := 0; i < 6; i++ {
 		for j := 2; j < 4; j++ {
-			if g := lr.U.Grad.At(i, j); g != 0 {
+			if g := gradMatrix(lr.U).At(i, j); g != 0 {
 				t.Fatalf("inactive U(%d,%d) received gradient %v", i, j, g)
 			}
 		}
@@ -161,14 +162,15 @@ func TestEmbeddingGradCheck(t *testing.T) {
 	out := emb.Forward(indices)
 	_, dout := loss.Eval(out, y)
 	emb.Backward(dout)
+	got := gradMatrix(emb.Table)
 	want := numericalGrad(emb.Table, lossFn)
 	for i := range want.Data {
-		if math.Abs(emb.Table.Grad.Data[i]-want.Data[i]) > 1e-5 {
-			t.Fatalf("embedding grad[%d]: analytic %v vs numeric %v", i, emb.Table.Grad.Data[i], want.Data[i])
+		if math.Abs(got.Data[i]-want.Data[i]) > 1e-5 {
+			t.Fatalf("embedding grad[%d]: analytic %v vs numeric %v", i, got.Data[i], want.Data[i])
 		}
 	}
 	// Inactive width columns of looked-up rows must stay gradient-free.
-	if g := emb.Table.Grad.At(1, 3); g != 0 {
+	if g := got.At(1, 3); g != 0 {
 		t.Fatalf("inactive embedding column received gradient %v", g)
 	}
 }

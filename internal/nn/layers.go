@@ -13,7 +13,9 @@ import (
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
-	Grad  *tensor.Matrix
+	// Grad is the accumulated gradient: Value's shape for a dense param,
+	// packed rows for a row-tracked one (see RowSparse).
+	Grad *tensor.Matrix
 
 	// Dirty is set by layer Backward methods when they accumulate into
 	// Grad, and cleared by ZeroGrad/ZeroGrads. The contract is an
@@ -25,24 +27,26 @@ type Param struct {
 	// the gradient as zero.
 	Dirty bool
 
-	// RowSparse refines the Dirty invariant to row granularity for
-	// scatter-written params (embedding tables): when set, every write
-	// to a Grad row must be paired with MarkRow, and the invariant
-	// becomes "a row not in DirtyRows is exactly zero". The coordinator
-	// spine exploits this to reduce, norm, update and clear only the
-	// rows a step actually touched — on a weight-sharing search the
-	// overwhelming majority of embedding rows are untouched each step,
-	// and walking them is pure memory traffic.
+	// RowSparse marks a scatter-written param (embedding tables, low-rank
+	// factors) whose gradient is stored packed: Grad holds one Cols-wide
+	// slot per row written since the last ClearRows, slot i holding row
+	// DirtyRows[i], and rows nobody wrote have no storage at all. Every
+	// write goes through MarkRow, which hands a row its slot. Grad.Rows is
+	// the slot capacity, not Value.Rows; a slot past len(DirtyRows) is
+	// exactly zero, and whoever consumes a row (reduce, apply, ZeroGrad)
+	// zeroes its slot before ClearRows. The coordinator spine reduces,
+	// norms, updates and clears only those slots — on a weight-sharing
+	// search the overwhelming majority of embedding rows are untouched
+	// each step, and walking them, or even storing them, is pure waste.
 	RowSparse bool
 	// DirtyRows lists the rows written since the last ClearRows, in
 	// first-write order, deduplicated. Only meaningful when RowSparse.
 	DirtyRows []int32
 
-	// rowMark/rowEpoch implement O(1) dedup and O(1) clear: a row is
-	// recorded iff its stamp differs from the current epoch, and
-	// ClearRows bumps the epoch instead of rewriting the stamps.
-	rowMark  []int32
-	rowEpoch int32
+	// rowSlot is the sparse-set index of DirtyRows: row r is marked iff
+	// s = rowSlot[r] < len(DirtyRows) and DirtyRows[s] == r, so a mark
+	// and a clear are O(1) and stale entries need no reset.
+	rowSlot []int32
 
 	// lazy, when set, is the pending-row state of a lazily initialized
 	// value (see lazyRows), shared by every param viewing that value.
@@ -54,55 +58,110 @@ func NewParam(name string, value *tensor.Matrix) *Param {
 	return &Param{Name: name, Value: value, Grad: tensor.New(value.Rows, value.Cols)}
 }
 
-// EnableRowTracking opts the param into row-granular dirty tracking
-// (see RowSparse). The layer that owns the param must MarkRow every
-// gradient row it writes from then on.
-func (p *Param) EnableRowTracking() { p.RowSparse = true }
+// newRowParam returns a row-tracked parameter (see RowSparse) with no
+// gradient storage yet.
+func newRowParam(name string, value *tensor.Matrix) *Param {
+	p := &Param{Name: name, Value: value}
+	p.EnableRowTracking()
+	return p
+}
 
-// MarkRow records row r as written since the last ClearRows. Duplicate
-// marks are absorbed in O(1).
-func (p *Param) MarkRow(r int) {
-	if p.rowMark == nil {
-		p.rowMark = make([]int32, p.Value.Rows)
-		p.rowEpoch = 1
+// EnableRowTracking switches a clean param to packed row storage (see
+// RowSparse), dropping its dense gradient. The layer that owns the param
+// must MarkRow every gradient row it writes from then on.
+func (p *Param) EnableRowTracking() {
+	p.RowSparse = true
+	p.Grad = &tensor.Matrix{Cols: p.Value.Cols}
+}
+
+// MarkRow records row r as written since the last ClearRows and returns
+// its gradient storage to accumulate into. On a row-tracked param the
+// first mark of a row in an epoch hands it the next slot — slot
+// len(DirtyRows), not cleared, which the packed invariant keeps zero —
+// and later marks return the same slot. On a dense param it returns row
+// r of Grad and records nothing.
+func (p *Param) MarkRow(r int) []float64 {
+	cols := p.Grad.Cols
+	if !p.RowSparse {
+		return p.Grad.Data[r*cols : (r+1)*cols]
 	}
-	if p.rowMark[r] != p.rowEpoch {
-		p.rowMark[r] = p.rowEpoch
+	if p.rowSlot == nil {
+		// The worklist can never outgrow the row count, so it shares the
+		// index's allocation and never reallocates.
+		n := p.Value.Rows
+		idx := make([]int32, 2*n)
+		p.rowSlot, p.DirtyRows = idx[:n:n], idx[n:n]
+	}
+	s := int(p.rowSlot[r])
+	if !p.marked(r) {
+		s = len(p.DirtyRows)
+		if s == p.Grad.Rows {
+			p.reserve(1)
+		}
+		p.rowSlot[r] = int32(s)
 		p.DirtyRows = append(p.DirtyRows, int32(r))
 	}
+	return p.Grad.Data[s*cols : (s+1)*cols]
 }
 
-// ClearRows empties the dirty-row worklist. The epoch bump invalidates
-// every stamp without walking the mark array; the worklist keeps its
-// capacity so steady-state steps allocate nothing.
-func (p *Param) ClearRows() {
-	p.DirtyRows = p.DirtyRows[:0]
-	if p.rowMark != nil {
-		p.rowEpoch++
+// reserve grows a row-tracked gradient so n more rows can be marked
+// without reallocating: at least doubling, never past the row count, so
+// a gradient reaches its working size in a few large steps.
+func (p *Param) reserve(n int) {
+	rows := p.Value.Rows
+	need := min(len(p.DirtyRows)+n, rows)
+	if need <= p.Grad.Rows {
+		return
 	}
+	c := max(need, min(2*p.Grad.Rows, rows))
+	data := make([]float64, c*p.Grad.Cols)
+	copy(data, p.Grad.Data)
+	p.Grad.Data, p.Grad.Rows = data, c
 }
+
+// marked reports whether row r of a row-tracked param has a slot.
+func (p *Param) marked(r int) bool {
+	if p.rowSlot == nil {
+		return false
+	}
+	s := int(p.rowSlot[r])
+	return s < len(p.DirtyRows) && p.DirtyRows[s] == int32(r)
+}
+
+// gradRow returns row r's gradient: its slot if the param is row-tracked
+// (the row must be marked), row r of Grad otherwise.
+func (p *Param) gradRow(r int) []float64 {
+	cols := p.Grad.Cols
+	if p.RowSparse {
+		r = int(p.rowSlot[r])
+	}
+	return p.Grad.Data[r*cols : (r+1)*cols]
+}
+
+// liveGrad returns the gradient values that may be nonzero: every slot in
+// use of a row-tracked param, the whole gradient of a dense one.
+func (p *Param) liveGrad() []float64 {
+	if p.RowSparse {
+		return p.Grad.Data[:len(p.DirtyRows)*p.Grad.Cols]
+	}
+	return p.Grad.Data
+}
+
+// ClearRows empties the dirty-row worklist, handing every slot back. It
+// does not zero them: the caller has consumed and zeroed the rows. The
+// worklist keeps its capacity so steady-state steps allocate nothing.
+func (p *Param) ClearRows() { p.DirtyRows = p.DirtyRows[:0] }
 
 // ZeroGrad clears the accumulated gradient and the Dirty mark. A clean
 // param's gradient is already zero by the Dirty invariant, so the memclr
 // runs only for params that were actually written since the last clear —
-// and, for row-sparse params, only over the rows actually written.
+// and, for row-tracked params, only over the slots in use.
 func (p *Param) ZeroGrad() {
 	if !p.Dirty {
 		return
 	}
-	if p.RowSparse && p.rowMark != nil {
-		gd := p.Grad.Data
-		cols := p.Grad.Cols
-		for _, r := range p.DirtyRows {
-			row := gd[int(r)*cols : (int(r)+1)*cols]
-			for j := range row {
-				row[j] = 0
-			}
-		}
-		p.ClearRows()
-	} else {
-		p.Grad.Zero()
-	}
+	clear(p.liveGrad())
+	p.ClearRows()
 	p.Dirty = false
 }
 
@@ -279,14 +338,17 @@ func (a *affine) forwardRows(lo, hi int) {
 // not batch rows: every batch row accumulates into the same W.Grad rows,
 // so a batch partition would race, while a worker owning W rows [lo, hi)
 // touches only those gradient rows and the matching dX columns. MarkRow
-// mutates shared dedup state, so a row-tracked W has its rows marked in a
-// serial ascending pre-pass; the bias sum stays a serial pass too.
+// mutates shared dedup state and may grow the packed gradient, so a
+// row-tracked W has its rows marked in a serial ascending pre-pass and
+// the workers only look their slots up; the bias sum stays a serial pass
+// too.
 func (a *affine) backward(grad *tensor.Matrix, arena *tensor.Arena, workers int) *tensor.Matrix {
 	if a.x == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", a.w.Name))
 	}
 	checkGrad(a.w.Name, grad, a.x.Rows, a.out)
 	if a.w.RowSparse {
+		a.w.reserve(a.in)
 		for k := 0; k < a.in; k++ {
 			a.w.MarkRow(k)
 		}
@@ -320,10 +382,10 @@ func (a *affine) backwardRows(lo, hi int) {
 	xd, xcols := a.x.Data, a.x.Cols
 	gd, gcols := a.grad.Data, a.grad.Cols
 	dxd := a.dx.Data // batch×in, like x: column k has stride xcols
-	wd, gwd, wcols := a.w.Value.Data, a.w.Grad.Data, a.w.Value.Cols
+	wd, wcols := a.w.Value.Data, a.w.Value.Cols
 	n, rows := a.out, a.x.Rows
 	for k := lo; k < hi; k++ {
-		tensor.AffineGradRow(gwd[k*wcols:k*wcols+n], wd[k*wcols:k*wcols+n], gd, gcols, xd[k:], dxd[k:], xcols, rows, a.reluInput)
+		tensor.AffineGradRow(a.w.gradRow(k)[:n], wd[k*wcols:k*wcols+n], gd, gcols, xd[k:], dxd[k:], xcols, rows, a.reluInput)
 	}
 }
 
@@ -425,17 +487,15 @@ func (l *LowRankDense) SetReLUInput(on bool) { l.u.reluInput = on }
 // layer, making deep factorized candidates untrainable.
 func NewLowRankDense(maxIn, maxOut, maxRank int, rng *tensor.RNG) *LowRankDense {
 	vStd := math.Sqrt(float64(maxIn+maxRank) / (float64(maxIn+maxOut) * float64(maxRank)))
-	l := &LowRankDense{
-		U: NewParam(fmt.Sprintf("lowrank_u_%dx%d", maxIn, maxRank), tensor.GlorotUniform(maxIn, maxRank, rng)),
-		V: NewParam(fmt.Sprintf("lowrank_v_%dx%d", maxRank, maxOut), tensor.RandN(maxRank, maxOut, vStd, rng)),
-		B: NewParam(fmt.Sprintf("lowrank_b_%d", maxOut), tensor.New(1, maxOut)),
-	}
 	// A step writes gradient only into the active sub-block: U rows
 	// [0,activeIn) and V rows [0,activeRank). Row tracking lets the
 	// weight-update spine reduce, norm and step just those rows instead
-	// of the factor's maximum extent.
-	l.U.EnableRowTracking()
-	l.V.EnableRowTracking()
+	// of the factor's maximum extent, and stores only those.
+	l := &LowRankDense{
+		U: newRowParam(fmt.Sprintf("lowrank_u_%dx%d", maxIn, maxRank), tensor.GlorotUniform(maxIn, maxRank, rng)),
+		V: newRowParam(fmt.Sprintf("lowrank_v_%dx%d", maxRank, maxOut), tensor.RandN(maxRank, maxOut, vStd, rng)),
+		B: NewParam(fmt.Sprintf("lowrank_b_%d", maxOut), tensor.New(1, maxOut)),
+	}
 	l.u.init(l.U, nil)
 	l.v.init(l.V, l.B)
 	return l

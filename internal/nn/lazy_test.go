@@ -146,16 +146,19 @@ func TestAdamStepAndExportMaterialize(t *testing.T) {
 	}
 }
 
-// TestSpineWholeStepMaterializes steps a lazy table whole through the
-// spine — a dense gradient with no row marks, the reduce's fallback
-// shape — next to an eager twin: the whole-value update must see
-// initialized rows, and the Whole export must carry the same bits.
+// TestSpineWholeStepMaterializes steps every row of a lazy table through
+// the spine — a gradient on rows nothing has read, the shape a dense wire
+// patch gives a row-tracked param — next to an eager twin: the update
+// must see initialized rows, and the export must carry the same bits.
 func TestSpineWholeStepMaterializes(t *testing.T) {
 	lazy, eager := NewEmbedding(12, 5, tensor.NewRNG(4)), NewEmbedding(12, 5, tensor.NewRNG(4))
 	MaterializeAll(eager.Params())
 	var exports []AdamState
 	for _, e := range []*Embedding{lazy, eager} {
-		e.Table.Grad = tensor.RandN(12, 5, 1, tensor.NewRNG(6))
+		g := tensor.RandN(12, 5, 1, tensor.NewRNG(6))
+		for r := 0; r < 12; r++ {
+			copy(e.Table.MarkRow(r), g.Row(r))
+		}
 		e.Table.Dirty = true
 		opt := NewAdam(0.05)
 		s := NewSpine(e.Params(), opt, 0)
@@ -165,8 +168,8 @@ func TestSpineWholeStepMaterializes(t *testing.T) {
 	}
 	matBitEqual(t, "whole-stepped table", lazy.Table.Value, eager.Table.Value)
 	l, e := exports[0].Params[0], exports[1].Params[0]
-	if l.Kind != Whole || e.Kind != Whole {
-		t.Fatalf("export kinds %d and %d, want Whole", l.Kind, e.Kind)
+	if l.Kind != SteppedRows || e.Kind != SteppedRows || len(l.Rows) != 12 {
+		t.Fatalf("export kinds %d and %d over %d rows, want SteppedRows over 12", l.Kind, e.Kind, len(l.Rows))
 	}
 	for i := range e.W {
 		if math.Float64bits(l.W[i]) != math.Float64bits(e.W[i]) {

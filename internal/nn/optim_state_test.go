@@ -21,10 +21,15 @@ func adamFixture(seed uint64) ([]*Param, *tensor.RNG) {
 	return params, rng
 }
 
+// fakeGrads writes a random gradient into every element of params, a
+// row-tracked param's rows marked ascending.
 func fakeGrads(params []*Param, rng *tensor.RNG) {
 	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = rng.Norm()
+		for r := 0; r < p.Value.Rows; r++ {
+			row := p.MarkRow(r)
+			for i := range row {
+				row[i] = rng.Norm()
+			}
 		}
 	}
 }
@@ -98,8 +103,7 @@ func TestAdamExportKinds(t *testing.T) {
 	for _, rows := range [][]int{{4, 1}, {1, 5}} {
 		p := params[2]
 		for _, r := range rows {
-			p.Grad.Data[r*2] = float64(r) + 0.5
-			p.MarkRow(r)
+			p.MarkRow(r)[0] = float64(r) + 0.5
 		}
 		p.Dirty = true
 		params[0].Grad.Data[3] = -1
@@ -145,8 +149,7 @@ func TestAdamImportRejectsBeforeAnyWrite(t *testing.T) {
 	fakeGrads(params[:2], rng)
 	params[0].Dirty, params[1].Dirty = true, true
 	for _, r := range []int{0, 3, 5} {
-		params[2].Grad.Data[2*r+1] = rng.Norm()
-		params[2].MarkRow(r)
+		params[2].MarkRow(r)[1] = rng.Norm()
 	}
 	params[2].Dirty = true
 	spine.Reduce(nil)

@@ -37,13 +37,15 @@ func cloneParams(src []*Param) []*Param {
 		v := tensor.New(p.Value.Rows, p.Value.Cols)
 		copy(v.Data, p.Value.Data)
 		q := NewParam(p.Name, v)
-		copy(q.Grad.Data, p.Grad.Data)
 		q.Dirty = p.Dirty
 		if p.RowSparse {
 			q.EnableRowTracking()
-			for _, r := range p.DirtyRows {
-				q.MarkRow(int(r))
+			cols := p.Grad.Cols
+			for k, r := range p.DirtyRows {
+				copy(q.MarkRow(int(r)), p.Grad.Data[k*cols:(k+1)*cols])
 			}
+		} else {
+			copy(q.Grad.Data, p.Grad.Data)
 		}
 		out[i] = q
 	}
@@ -69,15 +71,12 @@ func smearGrads(params []*Param, rng *tensor.RNG, density, mag float64) {
 			continue
 		}
 		if p.RowSparse {
-			cols := p.Grad.Cols
-			touched := 1 + rng.Intn(p.Grad.Rows/2+1)
+			touched := 1 + rng.Intn(p.Value.Rows/2+1)
 			for n := 0; n < touched; n++ {
-				r := rng.Intn(p.Grad.Rows)
-				row := p.Grad.Data[r*cols : (r+1)*cols]
+				row := p.MarkRow(rng.Intn(p.Value.Rows))
 				for j := range row {
 					row[j] += mag * rng.Norm()
 				}
-				p.MarkRow(r)
 			}
 		} else {
 			for j := range p.Grad.Data {
@@ -107,41 +106,58 @@ func sameParams(t *testing.T, got, want []*Param, what string) {
 				t.Fatalf("%s: param %d value[%d] = %v, want %v", what, i, j, got[i].Value.Data[j], want[i].Value.Data[j])
 			}
 		}
-		for j := range want[i].Grad.Data {
-			if got[i].Grad.Data[j] != want[i].Grad.Data[j] {
-				t.Fatalf("%s: param %d grad[%d] = %v, want %v", what, i, j, got[i].Grad.Data[j], want[i].Grad.Data[j])
+		g, w := denseGrad(got[i]), denseGrad(want[i])
+		for j := range w {
+			if g[j] != w[j] {
+				t.Fatalf("%s: param %d grad[%d] = %v, want %v", what, i, j, g[j], w[j])
 			}
 		}
 	}
 }
 
-// refReduce is a brute-force dense model of the cross-shard reduce:
-// master.Grad[j] += inv·replica.Grad[j] for every element of every dirty
-// replica param, ignoring all row bookkeeping. The spine's row-sparse
-// fast path must produce bit-identical gradients because skipped rows
-// are exactly zero.
-func refReduce(master []*Param, replicas [][]*Param) {
+// refReduce is a brute-force dense model of the cross-shard reduce: the
+// master's gradient, laid out like its value, plus inv·replica.Grad[j]
+// for every element of every dirty replica param, ignoring all row
+// bookkeeping. The spine's packed path must produce bit-identical
+// gradients because unwritten rows are exactly zero.
+func refReduce(master []*Param, replicas [][]*Param) (grads [][]float64, dirty []bool) {
 	inv := 1 / float64(len(replicas))
 	for i, p := range master {
+		g, d := denseGrad(p), p.Dirty
 		for _, rep := range replicas {
 			rp := rep[i]
 			if !rp.Dirty {
 				continue
 			}
-			for j, g := range rp.Grad.Data {
-				p.Grad.Data[j] += inv * g
+			for j, rg := range denseGrad(rp) {
+				g[j] += inv * rg
 			}
-			p.Dirty = true
+			d = true
 		}
+		grads, dirty = append(grads, g), append(dirty, d)
 	}
+	return grads, dirty
+}
+
+// refAdam is the dense model of the spine's optimizer state: moments laid
+// out like each param's value, nil for a param never stepped.
+type refAdam struct {
+	t    int
+	lr   float64
+	m, v map[*Param][]float64
+}
+
+func newRefAdam(lr float64) *refAdam {
+	return &refAdam{lr: lr, m: map[*Param][]float64{}, v: map[*Param][]float64{}}
 }
 
 // refClipStep is an independent serial implementation of the spine's
-// clip+lazy-Adam spec: per-param squared-norm partials combined in param
-// order (rows in dirty-row order for row-sparse params), one global clip
-// scale, then the Adam update applied to exactly the live gradient —
-// dirty params, dirty rows — with moments elsewhere left frozen.
-func refClipStep(params []*Param, opt *Adam, maxNorm float64) float64 {
+// clip+lazy-Adam spec over dense state: per-param squared-norm partials
+// combined in param order (rows in dirty-row order for row-tracked
+// params), one global clip scale, then the Adam update applied to exactly
+// the live gradient — dirty params, dirty rows — with moments elsewhere
+// left frozen.
+func refClipStep(params []*Param, opt *refAdam, maxNorm float64) float64 {
 	var sq float64
 	for _, p := range params {
 		if !p.Dirty {
@@ -149,15 +165,16 @@ func refClipStep(params []*Param, opt *Adam, maxNorm float64) float64 {
 		}
 		// Per-param partial first, then fold into the global sum — the
 		// same association the spine uses, so norms are bit-identical.
+		g := denseGrad(p)
 		var psq float64
-		if p.RowSparse && p.rowMark != nil {
-			cols := p.Grad.Cols
+		if p.RowSparse {
+			cols := p.Value.Cols
 			for _, r := range p.DirtyRows {
-				row := p.Grad.Data[int(r)*cols : (int(r)+1)*cols]
+				row := g[int(r)*cols : (int(r)+1)*cols]
 				psq += tensor.Dot(row, row)
 			}
 		} else {
-			psq = tensor.Dot(p.Grad.Data, p.Grad.Data)
+			psq = tensor.Dot(g, g)
 		}
 		sq += psq
 	}
@@ -168,46 +185,47 @@ func refClipStep(params []*Param, opt *Adam, maxNorm float64) float64 {
 	}
 
 	opt.t++
-	c1 := 1 - math.Pow(opt.Beta1, float64(opt.t))
-	c2 := 1 - math.Pow(opt.Beta2, float64(opt.t))
-	update := func(p *Param, m, v []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := p.Grad.Data[i] * scale
-			m[i] = opt.Beta1*m[i] + (1-opt.Beta1)*g
-			v[i] = opt.Beta2*v[i] + (1-opt.Beta2)*g*g
-			mhat := m[i] / c1
-			vhat := v[i] / c2
-			p.Value.Data[i] -= opt.LR * mhat / (math.Sqrt(vhat) + opt.Eps)
-			p.Grad.Data[i] = 0
-		}
-	}
+	b1, b2, lr, eps := 0.9, 0.999, opt.lr, 1e-8
+	c1 := 1 - math.Pow(b1, float64(opt.t))
+	c2 := 1 - math.Pow(b2, float64(opt.t))
 	for _, p := range params {
 		if !p.Dirty {
 			continue
 		}
-		rowPath := p.RowSparse && p.rowMark != nil
-		if rowPath && len(p.DirtyRows) == 0 {
+		if p.RowSparse && len(p.DirtyRows) == 0 {
 			p.Dirty = false
 			continue
 		}
-		sl := opt.slots[p]
-		if sl == nil {
-			if !rowPath && allZero(p.Grad.Data) {
+		g := denseGrad(p)
+		m, v := opt.m[p], opt.v[p]
+		if m == nil {
+			if !p.RowSparse && allZero(g) {
 				p.Dirty = false
 				continue
 			}
-			sl = opt.alloc(p, rowPath)
+			m, v = make([]float64, len(g)), make([]float64, len(g))
+			opt.m[p], opt.v[p] = m, v
 		}
-		m, v := sl.m, sl.v
-		if rowPath {
-			cols := p.Grad.Cols
-			for _, r := range p.DirtyRows {
-				update(p, m, v, int(r)*cols, (int(r)+1)*cols)
+		update := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				gi := g[i] * scale
+				m[i] = b1*m[i] + (1-b1)*gi
+				v[i] = b2*v[i] + (1-b2)*gi*gi
+				mhat := m[i] / c1
+				vhat := v[i] / c2
+				p.Value.Data[i] -= lr * mhat / (math.Sqrt(vhat) + eps)
 			}
-			p.ClearRows()
-		} else {
-			update(p, m, v, 0, len(p.Grad.Data))
 		}
+		if p.RowSparse {
+			cols := p.Value.Cols
+			for _, r := range p.DirtyRows {
+				update(int(r)*cols, (int(r)+1)*cols)
+			}
+		} else {
+			update(0, len(g))
+		}
+		clear(p.Grad.Data)
+		p.ClearRows()
 		p.Dirty = false
 	}
 	return norm
@@ -227,21 +245,19 @@ func TestSpineReduceMatchesDenseModel(t *testing.T) {
 		smearGrads(replicas[i], rng, 0.5, 1)
 	}
 
-	refMaster := cloneParams(master)
-	refReplicas := cloneReplicas(replicas)
-	refReduce(refMaster, refReplicas)
+	wantGrads, wantDirty := refReduce(master, replicas)
 
 	spine := NewSpine(master, NewAdam(0.003), 10)
 	spine.workers = 8
 	wl := spine.Reduce(replicas)
 
 	for i := range master {
-		if master[i].Dirty != refMaster[i].Dirty {
-			t.Fatalf("param %d dirty = %v, want %v", i, master[i].Dirty, refMaster[i].Dirty)
+		if master[i].Dirty != wantDirty[i] {
+			t.Fatalf("param %d dirty = %v, want %v", i, master[i].Dirty, wantDirty[i])
 		}
-		for j := range master[i].Grad.Data {
-			if master[i].Grad.Data[j] != refMaster[i].Grad.Data[j] {
-				t.Fatalf("param %d grad[%d] = %v, want %v", i, j, master[i].Grad.Data[j], refMaster[i].Grad.Data[j])
+		for j, g := range denseGrad(master[i]) {
+			if g != wantGrads[i][j] {
+				t.Fatalf("param %d grad[%d] = %v, want %v", i, j, g, wantGrads[i][j])
 			}
 		}
 	}
@@ -258,22 +274,11 @@ func TestSpineReduceMatchesDenseModel(t *testing.T) {
 	if k != len(wl) {
 		t.Fatalf("worklist %v has %d extra entries", wl, len(wl)-k)
 	}
-	// Row invariant on the master: any nonzero row of a row-sparse param
-	// must be in its DirtyRows.
+	// Packed invariant on the master: every slot past the ones in use is
+	// zero.
 	for i, p := range master {
-		if !p.RowSparse {
-			continue
-		}
-		listed := map[int]bool{}
-		for _, r := range p.DirtyRows {
-			listed[int(r)] = true
-		}
-		cols := p.Grad.Cols
-		for r := 0; r < p.Grad.Rows; r++ {
-			row := p.Grad.Data[r*cols : (r+1)*cols]
-			if !listed[r] && !allZero(row) {
-				t.Fatalf("param %d row %d nonzero but not in DirtyRows", i, r)
-			}
+		if p.RowSparse && !allZero(p.Grad.Data[len(p.liveGrad()):]) {
+			t.Fatalf("param %d has a nonzero slot past its %d rows", i, len(p.DirtyRows))
 		}
 	}
 	// Replicas are fully clean.
@@ -306,7 +311,7 @@ func TestSpineClipStepMatchesReference(t *testing.T) {
 			resetGrads(master)
 			refMaster := cloneParams(master)
 			opt := NewAdam(0.003)
-			refOpt := NewAdam(0.003)
+			refOpt := newRefAdam(0.003)
 			spine := NewSpine(master, opt, 10)
 			spine.workers = 8
 
@@ -333,18 +338,16 @@ func TestSpineClipStepMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: t = %d, want %d", step, opt.t, refOpt.t)
 				}
 				for i := range master {
-					sl, rsl := opt.slots[master[i]], refOpt.slots[refMaster[i]]
-					if (sl == nil) != (rsl == nil) {
+					m, v := denseMoments(opt, master[i])
+					rm, rv := refOpt.m[refMaster[i]], refOpt.v[refMaster[i]]
+					if (m == nil) != (rm == nil) {
 						t.Fatalf("step %d: param %d moment allocation mismatch", step, i)
 					}
-					if sl == nil {
-						continue
-					}
-					for j := range sl.m {
-						if sl.m[j] != rsl.m[j] {
-							t.Fatalf("step %d: param %d m[%d] = %v, want %v", step, i, j, sl.m[j], rsl.m[j])
+					for j := range m {
+						if m[j] != rm[j] {
+							t.Fatalf("step %d: param %d m[%d] = %v, want %v", step, i, j, m[j], rm[j])
 						}
-						if sl.v[j] != rsl.v[j] {
+						if v[j] != rv[j] {
 							t.Fatalf("step %d: param %d v[%d] mismatch", step, i, j)
 						}
 					}
@@ -448,10 +451,7 @@ func TestSpineLazyAdamFreezesUntouchedMoments(t *testing.T) {
 	wantW := append([]float64(nil), p.Value.Data...)
 
 	// Step 2: only param 0 dirty; param 1 must be bit-frozen.
-	master[0].Grad.Data[0] = 0.5
-	if master[0].RowSparse {
-		master[0].MarkRow(0)
-	}
+	master[0].MarkRow(0)[0] = 0.5
 	master[0].Dirty = true
 	spine.Reduce(nil)
 	spine.ClipStep()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"h2onas/internal/metrics"
+	"h2onas/internal/nn"
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
 	"h2onas/internal/tensor"
@@ -71,10 +72,43 @@ func TestRejectedGradientLeavesReplicaClean(t *testing.T) {
 	}
 	for i, p := range ghost.Params() {
 		want := s.params[i]
-		if p.Dirty != (want.Dirty && (!want.RowSparse || len(want.DirtyRows) > 0)) || !reflect.DeepEqual(p.DirtyRows, want.DirtyRows) || !reflect.DeepEqual(p.Grad.Data, want.Grad.Data) {
+		if p.Dirty != (want.Dirty && (!want.RowSparse || len(want.DirtyRows) > 0)) || !reflect.DeepEqual(p.DirtyRows, want.DirtyRows) || !reflect.DeepEqual(liveGrad(p), liveGrad(want)) {
 			t.Fatalf("param %d: replica does not hold the worker's gradient", i)
 		}
 	}
+}
+
+// liveGrad is the gradient storage in use: a row-tracked param's packed
+// slots (slot k holds row DirtyRows[k]), a dense param's whole gradient.
+func liveGrad(p *nn.Param) []float64 {
+	if p.RowSparse {
+		return p.Grad.Data[:len(p.DirtyRows)*p.Grad.Cols]
+	}
+	return p.Grad.Data
+}
+
+// TestRepeatedGradientRowLeavesReplicaClean: a row patch that names a row
+// twice would fold two packed slots into one; the result is refused, and
+// whatever its earlier patches had landed is cleared again.
+func TestRepeatedGradientRowLeavesReplicaClean(t *testing.T) {
+	s, _ := shardStep(t)
+	res := execResult{Step: 1, Version: 1, Grads: s.dirtyGrads()}
+	for i, p := range s.params {
+		if p.RowSparse {
+			row := make([]float64, p.Value.Cols)
+			res.Grads = append(res.Grads, tensorPatch{Param: i, Rows: []int32{0, 0}, Values: append(row, row...)})
+			break
+		}
+	}
+	ghost := supernet.NewWithOptions(s.ds, tensor.NewRNG(1), supernet.Options{})
+	var v resultView
+	if err := decodeExecResult(encodeExecResult(nil, &res), &v); err != nil {
+		t.Fatal(err)
+	}
+	if err := applyGrads(ghost, v.Grads); err == nil {
+		t.Fatal("a gradient repeating a row was applied")
+	}
+	requireClean(t, ghost)
 }
 
 // corruptingProxy relays one worker's connections unchanged, except that

@@ -395,12 +395,14 @@ func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe
 
 // applyGrads replays a shard's wire gradients into its ghost replica so
 // the spine reduce sees exactly the state an in-process Backward would
-// have left: row patches are copied and marked in first-write order, and
-// a dense gradient landing on a row-sparse param marks every row (the
-// replica's row bookkeeping would otherwise hide it from the tracked
-// reduce path). Every patch is checked before the first is copied, so a
-// rejected result leaves the replica clean: no stale rows reach a retry's
-// reduce, or the next step's.
+// have left. A row-tracked param's rows are marked in patch order, which
+// is the worker's first-write order, so on the clean ghost they take the
+// packed slots the worker's rows held and the values land in one copy; a
+// dense gradient landing on such a param marks every row, ascending. Every
+// patch is checked before the first is copied, and a patch that repeats a
+// row (which would fold two slots into one) clears the replica again, so
+// a rejected result leaves the replica clean: no stale rows reach a
+// retry's reduce, or the next step's.
 func applyGrads(rep *supernet.Supernet, patches []patchView) error {
 	params := rep.Params()
 	if err := checkPatches(params, patches, "gradient"); err != nil {
@@ -408,18 +410,28 @@ func applyGrads(rep *supernet.Supernet, patches []patchView) error {
 	}
 	for _, pt := range patches {
 		p := params[pt.Param]
-		copyPatch(p.Grad, pt)
 		p.Dirty = true
-		switch {
-		case !pt.Dense:
-			for k := 0; k < pt.Rows.Len(); k++ {
-				p.MarkRow(int(pt.Rows.At(k)))
-			}
-		case p.RowSparse:
-			for r := 0; r < p.Grad.Rows; r++ {
+		if !p.RowSparse {
+			copyPatch(p.Grad, pt)
+			continue
+		}
+		start, n := len(p.DirtyRows), p.Value.Rows
+		if pt.Dense {
+			for r := 0; r < n; r++ {
 				p.MarkRow(r)
 			}
+		} else {
+			n = pt.Rows.Len()
+			for k := 0; k < n; k++ {
+				p.MarkRow(int(pt.Rows.At(k)))
+			}
 		}
+		if len(p.DirtyRows) != start+n {
+			nn.ZeroGrads(params)
+			return fmt.Errorf("gradient for param %d repeats a row", pt.Param)
+		}
+		cols := p.Grad.Cols
+		pt.Values.CopyTo(p.Grad.Data[start*cols : (start+n)*cols])
 	}
 	return nil
 }

@@ -356,10 +356,11 @@ func resize(m tensor.Matrix, rows, cols int) tensor.Matrix {
 }
 
 // dirtyGrads names the replica's dirty gradients in param order, for the
-// result encoder to read in place. Row-sparse params ship only their
+// result encoder to read in place. Row-tracked params ship only their
 // dirty rows, in first-write order — the order the coordinator replays
 // into its ghost replica so the fixed-order spine reduce sees exactly the
-// state an in-process shard would have produced.
+// state an in-process shard would have produced — and their packed slots
+// are already those rows' values in that order.
 func (s *workerSession) dirtyGrads() []tensorPatch {
 	s.grads = s.grads[:0]
 	for i, p := range s.params {
@@ -367,7 +368,7 @@ func (s *workerSession) dirtyGrads() []tensorPatch {
 			continue
 		}
 		if p.RowSparse && len(p.DirtyRows) > 0 {
-			s.grads = append(s.grads, tensorPatch{Param: i, Rows: p.DirtyRows, Values: p.Grad.Data, Cols: p.Grad.Cols})
+			s.grads = append(s.grads, tensorPatch{Param: i, Rows: p.DirtyRows, Values: p.Grad.Data[:len(p.DirtyRows)*p.Grad.Cols]})
 			continue
 		}
 		if p.RowSparse {

@@ -60,7 +60,7 @@ func (tw *lazyTwin) step(as []space.Assignment, batches []*datapipe.Batch) (logi
 		lists[s] = rep.Params()
 		var g [][]float64
 		for _, p := range rep.Params() {
-			g = append(g, append([]float64(nil), p.Grad.Data...))
+			g = append(g, denseGrad(p))
 		}
 		grads = append(grads, g)
 	}

@@ -113,8 +113,9 @@ func TestGradCheckThroughSupernet(t *testing.T) {
 			continue
 		}
 		// Pick the largest-gradient element of this parameter.
+		grad := denseGrad(p)
 		idx, best := 0, 0.0
-		for i, g := range p.Grad.Data {
+		for i, g := range grad {
 			if math.Abs(g) > best {
 				idx, best = i, math.Abs(g)
 			}
@@ -126,8 +127,8 @@ func TestGradCheckThroughSupernet(t *testing.T) {
 		down, _ := sn.Loss(a, b)
 		p.Value.Data[idx] = orig
 		num := (up - down) / (2 * eps)
-		if math.Abs(num-p.Grad.Data[idx]) > 1e-4*math.Max(1, math.Abs(num)) {
-			t.Fatalf("param %s grad[%d]: analytic %v vs numeric %v", p.Name, idx, p.Grad.Data[idx], num)
+		if math.Abs(num-grad[idx]) > 1e-4*math.Max(1, math.Abs(num)) {
+			t.Fatalf("param %s grad[%d]: analytic %v vs numeric %v", p.Name, idx, grad[idx], num)
 		}
 		checked++
 		if checked >= 8 {
@@ -269,4 +270,19 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// denseGrad returns p's gradient laid out like its value: a row-tracked
+// param's packed slots (slot k holds row DirtyRows[k]) scattered to their
+// rows, every other row zero.
+func denseGrad(p *nn.Param) []float64 {
+	if !p.RowSparse {
+		return append([]float64(nil), p.Grad.Data...)
+	}
+	cols := p.Value.Cols
+	g := make([]float64, len(p.Value.Data))
+	for k, r := range p.DirtyRows {
+		copy(g[int(r)*cols:(int(r)+1)*cols], p.Grad.Data[k*cols:(k+1)*cols])
+	}
+	return g
 }

@@ -124,14 +124,6 @@ func AddInPlace(a, b *Matrix) *Matrix {
 	return a
 }
 
-// ScaleInPlace multiplies every element of a by s and returns a.
-func ScaleInPlace(a *Matrix, s float64) *Matrix {
-	for i := range a.Data {
-		a.Data[i] *= s
-	}
-	return a
-}
-
 // AXPY computes a += s·b in place.
 func AXPY(a *Matrix, s float64, b *Matrix) {
 	sameShape("AXPY", a, b)

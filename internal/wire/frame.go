@@ -109,6 +109,7 @@ func readErr(part string, err error) error {
 // outgrows it. The results alias that buffer until it is reused.
 func ReadFrame(r io.Reader, f Format, buf []byte) (version uint32, extra, payload []byte, err error) {
 	hl := f.HeaderLen()
+	reused := cap(buf) > 0
 	if cap(buf) < hl {
 		buf = make([]byte, hl)
 	}
@@ -137,7 +138,15 @@ func ReadFrame(r io.Reader, f Format, buf []byte) (version uint32, extra, payloa
 	// the payload read cannot overwrite it.
 	n := int(min(length, maxUpfront))
 	if cap(buf) < n+hl {
-		grown := make([]byte, n+hl)
+		// A stream's frame sizes wander: a reused buffer that has to grow
+		// takes a quarter more than this frame (at most 512 KiB more), so
+		// one whose frames creep upward reallocates rarely, not at every
+		// new maximum.
+		c := n + hl
+		if reused {
+			c += min(c/4, 512<<10)
+		}
+		grown := make([]byte, n+hl, c)
 		copy(grown[n:], hdr)
 		buf = grown
 	} else {
