@@ -181,12 +181,20 @@ func (e *Engine[B, N]) Search(cfg Config) (*Outcome, error) {
 	pipe := datapipe.NewPipelineWithMetrics[B](e.Stream, cfg.BatchSize, cfg.Shards*3, cfg.Metrics)
 	defer pipe.Close()
 
-	// Each network gets its own arena so a steady-state step (and the
-	// master's final evaluation passes) performs no matrix allocations:
-	// intermediates are recycled at the top of every Forward. One arena
-	// per network because arenas are single-goroutine. Drained on exit so
-	// the pooled buffers return to the global pools.
-	for _, n := range append([]N{master}, replicas...) {
+	// Arenas follow the goroutines that run passes, since an arena is
+	// single-goroutine and a pass's intermediates are dead once it
+	// returns: the master gets one for the final evaluation, and each
+	// in-process pool worker owns one that it binds to the replica it
+	// steps next. A caller's transport runs passes on its own goroutines,
+	// so under one every replica gets its own (shardrpc's coordinator-side
+	// replicas only receive gradients, so theirs stay empty). A warm arena makes a
+	// steady-state pass allocation-free on the matrix plane; each is
+	// drained on exit so its buffers return to the global pools.
+	nets := []N{master}
+	if pool == nil {
+		nets = append(nets, replicas...)
+	}
+	for _, n := range nets {
 		a := tensor.NewArena()
 		n.SetArena(a)
 		defer func() {

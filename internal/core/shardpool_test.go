@@ -23,10 +23,12 @@ func (gaugeBatch) UseForArch()    {}
 func (gaugeBatch) UseForWeights() {}
 
 // gaugeNet is a Network that only records how many of its kind are
-// inside Loss at once.
+// inside Loss at once, and the arenas it is bound to.
 type gaugeNet struct {
 	running, peak *atomic.Int32
 	backward      int
+	arena         *tensor.Arena
+	arenas        []*tensor.Arena // every arena a Backward ran under
 }
 
 func (n *gaugeNet) Loss(space.Assignment, gaugeBatch) (float64, *tensor.Matrix) {
@@ -41,10 +43,13 @@ func (n *gaugeNet) Loss(space.Assignment, gaugeBatch) (float64, *tensor.Matrix) 
 	n.running.Add(-1)
 	return 0, nil
 }
-func (n *gaugeNet) Backward(*tensor.Matrix)                      { n.backward++ }
+func (n *gaugeNet) Backward(*tensor.Matrix) {
+	n.backward++
+	n.arenas = append(n.arenas, n.arena)
+}
 func (n *gaugeNet) Quality(space.Assignment, gaugeBatch) float64 { return 0 }
 func (n *gaugeNet) Params() []*nn.Param                          { return nil }
-func (n *gaugeNet) SetArena(*tensor.Arena)                       {}
+func (n *gaugeNet) SetArena(a *tensor.Arena)                     { n.arena = a }
 func (n *gaugeNet) SetWorkers(int)                               {}
 func (n *gaugeNet) Replicate(*tensor.RNG) *gaugeNet {
 	return &gaugeNet{running: n.running, peak: n.peak}
@@ -86,6 +91,47 @@ func TestShardPoolRunsAtMostWorkersShardsAtOnce(t *testing.T) {
 	}
 	if got := peak.Load(); got > workers {
 		t.Errorf("%d shards ran at once, want at most %d", got, workers)
+	}
+}
+
+// TestShardPoolArenasFollowWorkers: every shard step runs under one of
+// the pool workers' arenas — never more arenas than workers — with a
+// worker per shard each shard keeps one arena, and Close unbinds them.
+func TestShardPoolArenasFollowWorkers(t *testing.T) {
+	for _, c := range []struct{ shards, workers int }{{5, 2}, {3, 3}} {
+		var running, peak atomic.Int32
+		replicas := make([]*gaugeNet, c.shards)
+		for i := range replicas {
+			replicas[i] = &gaugeNet{running: &running, peak: &peak}
+		}
+		pool := newShardPool[gaugeBatch, *gaugeNet](&Config{}, c.workers)
+		if err := pool.Bind(Binding[*gaugeNet]{Replicas: replicas}); err != nil {
+			t.Fatal(err)
+		}
+		outcomes := make([]ShardOutcome, c.shards)
+		for step := range 6 {
+			pool.RunStep(step, make([]space.Assignment, c.shards), make([]gaugeBatch, c.shards), outcomes)
+		}
+		pool.Close()
+		all := map[*tensor.Arena]bool{}
+		for i, r := range replicas {
+			own := map[*tensor.Arena]bool{}
+			for _, a := range r.arenas {
+				if a == nil {
+					t.Fatalf("%d shards on %d workers: shard %d stepped without an arena", c.shards, c.workers, i)
+				}
+				own[a], all[a] = true, true
+			}
+			if c.shards == c.workers && len(own) != 1 {
+				t.Errorf("%d shards on %d workers: shard %d ran under %d arenas, want its worker's one", c.shards, c.workers, i, len(own))
+			}
+			if r.arena != nil {
+				t.Errorf("%d shards on %d workers: shard %d still bound to an arena after Close", c.shards, c.workers, i)
+			}
+		}
+		if len(all) > c.workers {
+			t.Errorf("%d shards on %d workers ran under %d arenas, want at most one per worker", c.shards, c.workers, len(all))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"h2onas/internal/checkpoint"
@@ -10,6 +11,7 @@ import (
 	"h2onas/internal/nn"
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
+	"h2onas/internal/tensor"
 )
 
 // ShardOutcome reports one shard's completion (or loss) of a search step.
@@ -145,11 +147,16 @@ const (
 
 // shardPool is the in-process Transport: a fixed set of long-lived
 // worker goroutines — one per shard, capped at the core budget, since
-// more CPU-bound workers than cores would only time-slice — that take a
-// step's shards off one queue in shard order, so the sandwich shard
-// (shard 0, the maximal sub-network and the step's longest job) starts
-// first. Replicas share weight storage with the master, so there is no
-// weight synchronization at all. The coordinator's send on work
+// more CPU-bound workers than cores would only time-slice. With fewer
+// workers than shards they take a step's shards off one queue in shard
+// order, so the sandwich shard (shard 0, the maximal sub-network and the
+// step's longest job) starts first and the sampled shards balance around
+// it; with a worker per shard, worker i runs shard i. Replicas share
+// weight storage with the master, so there is no weight synchronization
+// at all. Each worker owns one activation arena and binds it to the
+// replica it steps next: a replica's intermediates are dead once
+// ShardStep returns (its gradients live in Param.Grad), so the arenas
+// number the workers, not the shards. The coordinator's send on work
 // happens-before the worker's read of that step's assignment/batch, and
 // the worker's send on stepDone happens-before the coordinator's read of
 // outcomes — the same memory-ordering guarantees a per-step WaitGroup
@@ -163,8 +170,9 @@ type shardPool[B Batch, N Network[B, N]] struct {
 	// Bound state: the replicas and the run's instruments.
 	sm       searchMetrics
 	replicas []N
-	work     chan int // shard indices of the step in flight
+	work     []chan int // shard indices of the step in flight: one shared queue, or one per worker
 	stepDone chan struct{}
+	exited   sync.WaitGroup // the workers, until each has drained its arena
 
 	// Per-step dispatch state: published before the work sends, read by
 	// the workers, settled before RunStep returns.
@@ -188,19 +196,33 @@ func newShardPool[B Batch, N Network[B, N]](cfg *Config, workers int) *shardPool
 func (p *shardPool[B, N]) Bind(b Binding[N]) error {
 	p.sm = newSearchMetrics(b.Metrics)
 	p.replicas = b.Replicas
-	p.work = make(chan int, len(b.Replicas))
+	// With a worker per shard, shard i always runs on worker i, so only
+	// one arena holds the sandwich shard's maximal pass. With fewer
+	// workers than shards they share one queue.
+	p.work = make([]chan int, 1)
+	if p.workers == len(b.Replicas) {
+		p.work = make([]chan int, p.workers)
+	}
+	for k := range p.work {
+		p.work[k] = make(chan int, len(b.Replicas))
+	}
 	p.stepDone = make(chan struct{}, len(b.Replicas))
-	for range p.workers {
-		go p.worker()
+	p.exited.Add(p.workers)
+	for k := range p.workers {
+		go p.worker(p.work[k%len(p.work)])
 	}
 	return nil
 }
 
 // worker is one long-lived execution loop. For each shard i it takes off
-// the queue: retry the shard-fault seam with bounded exponential backoff,
-// then run ShardStep on the shard's replica.
-func (p *shardPool[B, N]) worker() {
-	for i := range p.work {
+// its queue: retry the shard-fault seam with bounded exponential backoff,
+// then bind its arena to the shard's replica and run ShardStep on it.
+// When the pool closes it drains the arena back to the global pools.
+func (p *shardPool[B, N]) worker(work <-chan int) {
+	defer p.exited.Done()
+	arena := tensor.NewArena()
+	defer arena.Drain()
+	for i := range work {
 		step := p.step
 		shardSpan := p.sm.ShardTime.Start()
 		var out ShardOutcome
@@ -219,6 +241,7 @@ func (p *shardPool[B, N]) worker() {
 					continue
 				}
 			}
+			p.replicas[i].SetArena(arena)
 			out.Quality = QualityFromLoss(ShardStep(p.replicas[i], p.assignments[i], p.batches[i]))
 			out.Alive = true
 			break
@@ -232,7 +255,7 @@ func (p *shardPool[B, N]) worker() {
 func (p *shardPool[B, N]) RunStep(step int, assignments []space.Assignment, batches []B, outcomes []ShardOutcome) {
 	p.step, p.assignments, p.batches, p.outcomes = step, assignments, batches, outcomes
 	for i := range p.replicas {
-		p.work <- i
+		p.work[i%len(p.work)] <- i
 	}
 	for range p.replicas {
 		<-p.stepDone
@@ -247,9 +270,15 @@ func (p *shardPool[B, N]) PushWeights([]nn.ParamTouch) error { return nil }
 
 func (p *shardPool[B, N]) Membership() string { return "inproc" }
 
-// Close stops the workers. The engine calls it once, after the last
-// RunStep returned.
+// Close stops the workers and returns once each has drained its arena.
+// The engine calls it once, after the last RunStep returned.
 func (p *shardPool[B, N]) Close() error {
-	close(p.work)
+	for _, w := range p.work {
+		close(w)
+	}
+	p.exited.Wait()
+	for _, r := range p.replicas {
+		r.SetArena(nil)
+	}
 	return nil
 }

@@ -254,8 +254,11 @@ func decodeHelloAck(payload []byte) (*helloAck, error) {
 	return a, finish(d, "hello ack")
 }
 
+// encodeExec appends r to buf, grown once to the request's exact size:
+// a frame that carries a full weight sync would otherwise regrow row by
+// row.
 func encodeExec(buf []byte, r *execReq) []byte {
-	e := wire.Enc{Buf: buf}
+	e := wire.Enc{Buf: slices.Grow(buf, execLen(r))}
 	e.U64(r.Step)
 	e.Ints(r.Assignment)
 	e.U8(r.WeightsMode)
@@ -279,6 +282,38 @@ func encodeExec(buf []byte, r *execReq) []byte {
 		}
 	}
 	return e.Buf
+}
+
+// execLen is the exact byte count encodeExec appends for r.
+func execLen(r *execReq) int {
+	n := 8 + 4 + 4*len(r.Assignment) + 1 + 8 + 8
+	switch r.WeightsMode {
+	case weightsFull:
+		n += 4
+		for _, row := range r.Full {
+			n += 4 + 8*len(row)
+		}
+	case weightsDelta:
+		n += 4
+		for _, p := range r.Delta {
+			values := len(p.Values)
+			if p.Rows != nil {
+				n += 4 + 4*len(p.Rows)
+				if p.Cols > 0 {
+					values = p.Cols * len(p.Rows)
+				}
+			}
+			n += 4 + 1 + 4 + 8*values
+		}
+	}
+	n += 4 + 4 + 4 + 8*len(r.Dense) + 4 + 8*len(r.Labels) + 4
+	for _, table := range r.Sparse {
+		n += 4
+		for _, bag := range table {
+			n += 4 + 4*len(bag)
+		}
+	}
+	return n
 }
 
 // decodeExec decodes payload into r, reusing r's storage.

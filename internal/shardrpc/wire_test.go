@@ -195,6 +195,31 @@ func TestExecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeExecSizedOnce holds execLen to the bytes encodeExec writes in
+// every weight-sync mode, a delta that reads rows in place included, and
+// requires a full sync encoded into an empty buffer to allocate once: a
+// frame grown row by row reallocates at every doubling.
+func TestEncodeExecSizedOnce(t *testing.T) {
+	rowsInPlace := goldenExec(weightsDelta)
+	rowsInPlace.Delta = append(rowsInPlace.Delta, tensorPatch{Param: 6, Rows: []int32{2, 0}, Values: make([]float64, 12), Cols: 4})
+	full := goldenExec(weightsFull)
+	full.Full = nil
+	for i := range 64 {
+		full.Full = append(full.Full, make([]float64, 100*i))
+	}
+	for _, r := range []*execReq{goldenExec(weightsNone), goldenExec(weightsFull), goldenExec(weightsDelta), rowsInPlace, full} {
+		if got, want := len(encodeExec(nil, r)), execLen(r); got != want {
+			t.Errorf("mode %d: encodeExec wrote %d bytes, execLen says %d", r.WeightsMode, got, want)
+		}
+	}
+	if raceDetector {
+		t.Skip("the race detector's own allocations swamp the count")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { encodeExec(nil, full) }); allocs != 1 {
+		t.Fatalf("encoding a %d-row full sync into an empty buffer made %v allocations, want 1", len(full.Full), allocs)
+	}
+}
+
 func TestExecResultRoundTripPreservesBits(t *testing.T) {
 	// NaN payloads can't survive reflect.DeepEqual, but their bits must
 	// survive the wire: compare bit patterns explicitly.

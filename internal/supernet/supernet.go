@@ -210,10 +210,10 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 	return s
 }
 
-// SetArena threads a per-shard arena through every layer of the
-// super-network. All intermediates of a pass — including the logits and
-// loss gradient — become arena-owned: they stay valid through Backward
-// and are recycled by the next Forward on this super-network. Callers
+// SetArena threads an arena through every layer of the super-network.
+// All intermediates of a pass — including the logits and loss gradient —
+// become arena-owned: they stay valid through Backward and are recycled
+// by the next Forward of any network bound to the same arena. Callers
 // that retain outputs across steps must Clone them. Pass nil to revert
 // to per-call heap allocation.
 func (s *Supernet) SetArena(a *tensor.Arena) {

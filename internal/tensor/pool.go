@@ -50,7 +50,15 @@ var bucketPool [numBuckets]sync.Pool
 // across Release (clone them instead), and must not Release while a
 // matrix is still referenced by in-flight work.
 //
-// An Arena is NOT safe for concurrent use; give each shard its own.
+// Borrow rule: a request whose own bucket is empty takes a buffer from
+// the arena's next bucket up, which holds twice the elements, before it
+// goes to the global pools; Release files the buffer back under that
+// bucket. An arena then converges to its widest pass rather than to the
+// union of every width it ever served.
+//
+// An Arena is NOT safe for concurrent use; give each goroutine that runs
+// passes its own. It may serve several networks in turn, bound to each
+// with its SetArena before the pass.
 // A nil *Arena is valid and degrades to plain heap allocation via New,
 // so arena-threaded code needs no nil checks at call sites.
 type Arena struct {
@@ -86,20 +94,37 @@ func (a *Arena) GetNoZero(rows, cols int) *Matrix {
 	}
 	need := rows * cols
 	b := bucketFor(need)
-	var m *Matrix
-	if n := len(a.free[b]); n > 0 {
-		m = a.free[b][n-1]
-		a.free[b][n-1] = nil
-		a.free[b] = a.free[b][:n-1]
-	} else if v := bucketPool[b].Get(); v != nil {
-		m = v.(*Matrix)
-	} else {
-		matrixAllocs.Add(1)
-		m = &Matrix{Data: make([]float64, 1<<b)}
+	m := a.take(b)
+	if m == nil {
+		m = a.take(b + 1) // the borrow rule
+	}
+	if m == nil {
+		if v := bucketPool[b].Get(); v != nil {
+			m = v.(*Matrix)
+		} else {
+			matrixAllocs.Add(1)
+			m = &Matrix{Data: make([]float64, 1<<b)}
+		}
 	}
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:need]
 	a.out = append(a.out, m)
+	return m
+}
+
+// take pops a buffer from the arena's own free list for bucket b, or
+// returns nil when that list is empty.
+func (a *Arena) take(b int) *Matrix {
+	if b >= numBuckets {
+		return nil
+	}
+	n := len(a.free[b])
+	if n == 0 {
+		return nil
+	}
+	m := a.free[b][n-1]
+	a.free[b][n-1] = nil
+	a.free[b] = a.free[b][:n-1]
 	return m
 }
 

@@ -238,6 +238,41 @@ func TestArenaGetZeroedAndReuse(t *testing.T) {
 	}
 }
 
+// TestArenaBorrowsOneBucketUp: an arena whose own bucket is empty serves
+// the request from its next bucket up, with no matrix allocation, and
+// Release files the borrowed buffer back under the bucket it came from.
+func TestArenaBorrowsOneBucketUp(t *testing.T) {
+	a := NewArena()
+	wide := a.GetNoZero(8, 8) // 64 elements: bucket 6
+	for i := range wide.Data {
+		wide.Data[i] = 7
+	}
+	a.Release()
+	base := MatrixAllocs()
+	narrow := a.Get(4, 8) // 32 elements: bucket 5, empty
+	if MatrixAllocs() != base {
+		t.Fatalf("a bucket-5 request with a bucket-6 buffer free allocated a new matrix")
+	}
+	if narrow != wide || len(narrow.Data) != 32 || cap(narrow.Data) != 64 {
+		t.Fatalf("got a %d/%d-element buffer, want the free 64-element one as 32", len(narrow.Data), cap(narrow.Data))
+	}
+	for i, v := range narrow.Data {
+		if v != 0 {
+			t.Fatalf("Get returned dirty element %d = %v", i, v)
+		}
+	}
+	a.Release()
+	if len(a.free[5]) != 0 || len(a.free[6]) != 1 || a.free[6][0] != wide {
+		t.Fatalf("free lists after Release: bucket 5 holds %d, bucket 6 %d; want the buffer back in bucket 6", len(a.free[5]), len(a.free[6]))
+	}
+	// Only one bucket up: a bucket-4 request does not take it.
+	a.GetNoZero(4, 4)
+	if len(a.free[6]) != 1 {
+		t.Fatalf("a bucket-4 request took the bucket-6 buffer")
+	}
+	a.Drain()
+}
+
 func TestArenaNilSafe(t *testing.T) {
 	var a *Arena
 	m := a.Get(3, 3)

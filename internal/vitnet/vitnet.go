@@ -158,8 +158,9 @@ func (s *Supernet) Params() []*nn.Param { return s.params }
 
 // SetArena threads an arena through the super-network and all its layer
 // slots. Every intermediate from a Forward/Backward pass (including the
-// Loss gradient) is arena-owned: valid until the next Forward, which
-// recycles them. nil reverts to per-pass heap allocation.
+// Loss gradient) is arena-owned: valid until the next Forward of any
+// network bound to the same arena, which recycles them. nil reverts to
+// per-pass heap allocation.
 func (s *Supernet) SetArena(a *tensor.Arena) {
 	s.arena = a
 	for _, l := range s.layers {
