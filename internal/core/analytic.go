@@ -28,20 +28,10 @@ type AnalyticSearcher struct {
 	Perf    PerfFunc
 }
 
-// AnalyticResult is the outcome of an analytic search.
-type AnalyticResult struct {
-	Best        space.Assignment
-	BestQuality float64
-	BestPerf    []float64
-	History     []StepInfo
-	// Candidates is every evaluated (α, Q, T, R), or only the newest
-	// Config.MaxCandidates of them, in arrival order, when that is > 0.
-	Candidates []Candidate
-}
-
 // Search runs Steps×Shards candidate evaluations, feeding each step's
-// Shards evaluations back to the strategy, and returns its choice.
-func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
+// Shards evaluations back to the strategy, and returns its choice with
+// FinalQuality the Quality of Best.
+func (s *AnalyticSearcher) Search(cfg Config) (*Outcome, error) {
 	if s.Space == nil || s.Reward == nil || s.Quality == nil || s.Perf == nil {
 		return nil, fmt.Errorf("core: AnalyticSearcher requires Space, Reward, Quality and Perf")
 	}
@@ -67,11 +57,6 @@ func (s *AnalyticSearcher) Search(cfg Config) (*AnalyticResult, error) {
 		stepSpan.End()
 	}
 	pol.finish()
-	return &AnalyticResult{
-		Best:        out.Best,
-		BestQuality: s.Quality(out.Best),
-		BestPerf:    out.BestPerf,
-		History:     out.History,
-		Candidates:  out.Candidates,
-	}, nil
+	out.FinalQuality = s.Quality(out.Best)
+	return &out, nil
 }

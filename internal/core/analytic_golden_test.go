@@ -46,11 +46,11 @@ func bitsOf(vs []float64) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-func analyticRunOf(rule string, res *AnalyticResult, history bool) analyticRun {
+func analyticRunOf(rule string, res *Outcome, history bool) analyticRun {
 	run := analyticRun{
 		Rule:            rule,
 		Best:            res.Best,
-		BestQualityBits: bits(res.BestQuality),
+		BestQualityBits: bits(res.FinalQuality),
 		BestPerfBits:    bitsOf(res.BestPerf),
 	}
 	for _, c := range res.Candidates {

@@ -38,7 +38,7 @@ func multiTrialSpace() *space.Space {
 }
 
 // multiTrial is a multi-trial run: one evaluation per step.
-func multiTrial(t *testing.T, s *AnalyticSearcher, strat Strategy, trials int, seed uint64) *AnalyticResult {
+func multiTrial(t *testing.T, s *AnalyticSearcher, strat Strategy, trials int, seed uint64) *Outcome {
 	t.Helper()
 	res, err := s.Search(Config{Shards: 1, Steps: trials, Seed: seed, Strategy: strat})
 	if err != nil {
@@ -55,8 +55,8 @@ func TestRandomSearchFindsGoodCandidate(t *testing.T) {
 	}
 	// 5^4 = 625 options; 400 uniform trials should land close to optimal
 	// (quality 0 at all-middle).
-	if res.BestQuality < -2 {
-		t.Fatalf("random search best quality %v too poor", res.BestQuality)
+	if res.FinalQuality < -2 {
+		t.Fatalf("random search best quality %v too poor", res.FinalQuality)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestEvolutionBeatsRandomAtEqualBudget(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		rnd := multiTrial(t, s, NewRandomSearch(sp), trials, seed)
 		evo := multiTrial(t, s, NewEvolution(sp, EvolutionOpts{}), trials, seed)
-		if evo.BestQuality > rnd.BestQuality {
+		if evo.FinalQuality > rnd.FinalQuality {
 			evoWins++
 		}
 	}
@@ -163,13 +163,13 @@ func TestRLBeatsRandomOnStructuredLandscape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnd := multiTrial(t, s, NewRandomSearch(sp), 400, 2)
-	if res.BestQuality < rnd.BestQuality-0.5 {
+	if res.FinalQuality < rnd.FinalQuality-0.5 {
 		t.Fatalf("RL (%v) should be competitive with random (%v) at equal budget",
-			res.BestQuality, rnd.BestQuality)
+			res.FinalQuality, rnd.FinalQuality)
 	}
 	// And it must have essentially solved the landscape.
-	if res.BestQuality < -1.01 {
-		t.Fatalf("RL best quality %v, want near 0", res.BestQuality)
+	if res.FinalQuality < -1.01 {
+		t.Fatalf("RL best quality %v, want near 0", res.FinalQuality)
 	}
 }
 

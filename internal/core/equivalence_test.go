@@ -68,6 +68,7 @@ func TestEngineEquivalence(t *testing.T) {
 type equivKey struct {
 	name, file, note string
 	strategy         string // the trace's strategy field
+	sp               *space.Space
 	cfg              core.Config
 	// search runs a fresh searcher — and a fresh strategy, which is
 	// stateful — on the key's traffic seed under cfg.
@@ -100,7 +101,7 @@ func equivKeys() []equivKey {
 	dlrm := func(strategy string, mk func() core.Strategy, short []string, resumeAt, stopAt int) equivKey {
 		return equivKey{
 			name: "dlrm-" + strategy, file: strategy + ".json", note: dlrmGoldenNote,
-			strategy: strategy, cfg: goldenConfig(16),
+			strategy: strategy, sp: sp, cfg: goldenConfig(16),
 			search: func(t *testing.T, cfg core.Config) (*core.Outcome, error) {
 				cfg.Strategy = mk()
 				return core.DLRMSearch(t, 21, cfg)
@@ -132,7 +133,7 @@ func equivKeys() []equivKey {
 		// was re-pinned when the engine took over the final evaluation.
 		{
 			name: "vit", file: "vit.json", note: "vit-small shards=3 steps=12 warmup=3 batch=8 seed=21 ctrl=0.1/0.9/0.001",
-			strategy: "reinforce", cfg: goldenConfig(8),
+			strategy: "reinforce", sp: vitSearcher(0).VS.Space, cfg: goldenConfig(8),
 			search: func(t *testing.T, cfg core.Config) (*core.Outcome, error) {
 				return vitSearch(t, 21, cfg)
 			},
@@ -163,6 +164,14 @@ func (k *equivKey) reference(t *testing.T) *equivRef {
 	}
 	ref := &equivRef{want: core.GoldenTrace(t, k.strategy, k.note, out), out: out, fs: fs}
 	core.CheckGolden(t, k.file, ref.want)
+	// What the trace does not pin: the choice is a valid candidate, every
+	// policy step is recorded, Best is priced and traffic was drawn.
+	if err := k.sp.Validate(out.Best); err != nil {
+		t.Fatalf("reference Best invalid: %v", err)
+	}
+	if len(out.History) != k.cfg.Steps || len(out.BestPerf) == 0 || out.BestPerf[0] <= 0 || out.ExamplesSeen <= 0 {
+		t.Fatalf("reference history %d (want %d), BestPerf %v, ExamplesSeen %d", len(out.History), k.cfg.Steps, out.BestPerf, out.ExamplesSeen)
+	}
 	steps, err := (&checkpoint.Manager{Dir: "ckpt", FS: fs}).List()
 	if err != nil {
 		t.Fatal(err)

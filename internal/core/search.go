@@ -28,6 +28,7 @@ import (
 	"h2onas/internal/controller"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/metrics"
+	"h2onas/internal/nn"
 	"h2onas/internal/reward"
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
@@ -191,7 +192,9 @@ type Outcome struct {
 	Best space.Assignment
 	// BestPerf is Perf evaluated on Best.
 	BestPerf []float64
-	// FinalQuality is the shared-weight quality of Best on fresh data.
+	// FinalQuality is the quality of Best: for a weight-sharing search,
+	// the shared weights' quality on fresh data; for an analytic search,
+	// the evaluator's QualityFunc on Best.
 	FinalQuality float64
 	// History is per-step telemetry.
 	History []StepInfo
@@ -301,12 +304,10 @@ func (s *Searcher) Search(cfg Config) (*Result, error) {
 	return res, err
 }
 
-const ln2 = 0.6931471805599453
-
 // QualityFromLoss maps a per-shard BCE loss to the one-shot quality
-// signal Q = 1 − loss/ln 2. Exported so remote transports reproduce the
-// in-process computation bit-for-bit from the raw loss they collect.
-func QualityFromLoss(loss float64) float64 { return 1 - loss/ln2 }
+// signal (nn.QualityFromLoss). Exported so remote transports reproduce
+// the in-process computation bit-for-bit from the raw loss they collect.
+func QualityFromLoss(loss float64) float64 { return nn.QualityFromLoss(loss) }
 
 // MaxAssignment selects the largest option of every decision (widest,
 // deepest, fullest-rank candidate). The sandwich shard trains this maximal

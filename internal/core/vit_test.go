@@ -44,6 +44,27 @@ func vitSearch(t *testing.T, seed uint64, cfg core.Config) (*core.Outcome, error
 	return &res.Outcome, err
 }
 
+func vitNetworkCase() core.NetworkCase[*datapipe.SeqBatch, *vitnet.Supernet] {
+	vs := space.NewTransformerSpace(space.SmallViTConfig())
+	seq := datapipe.DefaultSeqConfig()
+	return core.NetworkCase[*datapipe.SeqBatch, *vitnet.Supernet]{
+		Space:    vs.Space,
+		Baseline: vs.BaselineAssignment(),
+		Build: func(seed uint64) (*vitnet.Supernet, func(int) *datapipe.SeqBatch) {
+			return vitnet.New(vs, seq.Vocab, seq.SeqLen, tensor.NewRNG(seed)), datapipe.NewSeqStream(seq, seed).NextBatch
+		},
+		Forward:    (*vitnet.Supernet).Forward,
+		GradTol:    2e-4,
+		TrainSteps: 150, TrainBatch: 64, MinGain: 0.03,
+	}
+}
+
+func TestNetworkContractViT(t *testing.T) { core.HarnessNetwork(t, vitNetworkCase()) }
+
+func TestNetworkWarmPassAllocsViT(t *testing.T) {
+	core.HarnessNetworkWarmPassAllocs(t, vitNetworkCase())
+}
+
 func TestPermanentShardFailureDegradesGracefullyViT(t *testing.T) {
 	cfg := goldenConfig(8)
 	cfg.Steps, cfg.WarmupSteps = 6, 2

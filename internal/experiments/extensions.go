@@ -245,10 +245,10 @@ func ExtSearchAlgorithms(sc Scale) *Report {
 		if err != nil {
 			panic(fmt.Sprintf("ext-algos: %s: %v", b.name, err))
 		}
-		reward := rw.Eval(res.BestQuality, res.BestPerf)
+		reward := rw.Eval(res.FinalQuality, res.BestPerf)
 		r.AddRow(b.name,
 			fmt.Sprintf("%.3f", reward),
-			fmt.Sprintf("%.2f", res.BestQuality+baseAcc),
+			fmt.Sprintf("%.2f", res.FinalQuality+baseAcc),
 			fmt.Sprintf("%.1f", res.BestPerf[0]*1e3),
 			fmt.Sprintf("%v", rw.MeetsTargets(res.BestPerf)))
 		r.Metrics[b.name+"_reward"] = reward

@@ -26,8 +26,8 @@ type LoadPoint struct {
 	MeanLatency, P99Latency float64
 }
 
-// qPow is the tail inflation exponent: an M/D/1-flavoured approximation
-// where the p99 waiting time is ~ln(100)× the mean wait.
+// tailFactor is the tail inflation factor: an M/D/1-flavoured
+// approximation where the p99 waiting time is ~ln(100)× the mean wait.
 const tailFactor = 4.6 // ln(100)
 
 // ServeUnderLoad evaluates one batch configuration at a given query rate:

@@ -135,7 +135,9 @@ func sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// ActivationLayer applies an Activation elementwise.
+// ActivationLayer applies an Activation elementwise. A super-network
+// lists it with its other layers (SharedLayer) and may change Act between
+// passes.
 type ActivationLayer struct {
 	Act Activation
 
@@ -205,3 +207,8 @@ func reluSelect(out, x, in []float64) {
 
 // Params returns nil: activations have no trainable parameters.
 func (l *ActivationLayer) Params() []*Param { return nil }
+
+// SetArena sets Arena; SetWorkers is a no-op, since the elementwise loop
+// is serial at any core budget (SharedLayer).
+func (l *ActivationLayer) SetArena(a *tensor.Arena) { l.Arena = a }
+func (l *ActivationLayer) SetWorkers(int)           {}

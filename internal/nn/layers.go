@@ -201,11 +201,68 @@ type Layer interface {
 // SharedLayer is a super-network layer as its network lists it, once: its
 // weights, in the network's Params order, and the arena and core budget
 // its passes run under. A super-network's Params, SetArena and SetWorkers
-// all walk one ordered list of them.
+// all walk one ordered list of them (SharedNet).
 type SharedLayer interface {
 	Params() []*Param
 	SetArena(a *tensor.Arena)
 	SetWorkers(n int)
+}
+
+// SharedNet is the skeleton every weight-sharing super-network embeds:
+// its one list of layers, activations included, the arena its passes
+// draw from and the BCE loss over its logits. Params, SetArena and
+// SetWorkers walk the list, so a listed layer gets the network's arena
+// and core budget with every other.
+type SharedNet struct {
+	layers []SharedLayer
+	params []*Param
+	arena  *tensor.Arena
+}
+
+// List appends layers to the network's layer list, in Params order.
+func (n *SharedNet) List(layers ...SharedLayer) {
+	for _, l := range layers {
+		n.layers = append(n.layers, l)
+		n.params = append(n.params, l.Params()...)
+	}
+}
+
+// Params returns every shared parameter in list order.
+func (n *SharedNet) Params() []*Param { return n.params }
+
+// SetArena binds an arena to the network and every listed layer. All
+// intermediates of a pass — the logits gradient included — become
+// arena-owned: they stay valid through Backward and are recycled by the
+// next Forward of any network bound to the same arena, so a caller that
+// keeps an output across passes must Clone it. nil reverts to per-call
+// heap allocation.
+func (n *SharedNet) SetArena(a *tensor.Arena) {
+	n.arena = a
+	for _, l := range n.layers {
+		l.SetArena(a)
+	}
+}
+
+// SetWorkers threads an intra-pass parallelism bound through every
+// listed layer. The bound is one shard's share of the search's core
+// budget; every layer's parallel path is bit-identical to its serial
+// loop, so the setting never changes a trajectory. 0 or 1 keeps the
+// serial layer loops.
+func (n *SharedNet) SetWorkers(k int) {
+	for _, l := range n.layers {
+		l.SetWorkers(k)
+	}
+}
+
+// Arena returns the bound arena, nil when passes allocate on the heap.
+func (n *SharedNet) Arena() *tensor.Arena { return n.arena }
+
+// BCELoss returns the BCE loss of the logits against the labels and the
+// logits gradient, drawn from the bound arena: valid through Backward,
+// recycled by the next Forward.
+func (n *SharedNet) BCELoss(logits, labels *tensor.Matrix) (float64, *tensor.Matrix) {
+	grad := n.arena.GetNoZero(logits.Rows, logits.Cols)
+	return BCEWithLogits{}.EvalInto(logits, labels, grad), grad
 }
 
 // Dense is a fully connected layer: y = x·W + b, with x batch×in. It runs

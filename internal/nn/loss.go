@@ -40,6 +40,11 @@ func (BCEWithLogits) EvalInto(output, target, grad *tensor.Matrix) float64 {
 	return total / n
 }
 
+// QualityFromLoss maps a BCE loss to the one-shot quality signal
+// Q = 1 − loss/ln 2: predicting the uninformative 0.5 scores 0 and a
+// perfect predictor 1.
+func QualityFromLoss(loss float64) float64 { return 1 - loss/math.Ln2 }
+
 // MSE is mean squared error, used to train the performance model.
 type MSE struct{}
 

@@ -195,17 +195,26 @@ type ViTArch struct {
 
 // Decode maps an assignment onto a ViTArch.
 func (v *ViTSpace) Decode(a Assignment) ViTArch {
+	var out ViTArch
+	v.DecodeInto(a, &out)
+	return out
+}
+
+// DecodeInto decodes the assignment into out, reusing out's slices when
+// their capacity allows — the allocation-free decode the transformer
+// super-network's pass uses, as DLRMSpace.DecodeInto is the DLRM one's.
+func (v *ViTSpace) DecodeInto(a Assignment, out *ViTArch) {
 	if err := v.Space.Validate(a); err != nil {
 		panic(err)
 	}
 	val := func(i int) float64 { return v.Space.Decisions[i].Values[a[i]] }
 	cfg := v.Config
-	out := ViTArch{Resolution: cfg.Resolution, PatchSize: cfg.PatchSize}
+	out.Resolution, out.PatchSize = cfg.Resolution, cfg.PatchSize
+	out.ConvBlocks = resized(out.ConvBlocks, len(v.convStages))
+	out.ConvDepths = resized(out.ConvDepths, len(v.convStages))
 	if v.Hybrid {
 		out.Resolution = int(val(v.resolutionIdx))
 		out.PatchSize = int(val(v.patchIdx))
-		out.ConvBlocks = make([]arch.MBConvSpec, len(v.convStages))
-		out.ConvDepths = make([]int, len(v.convStages))
 		for i, st := range cfg.ConvStages {
 			// The stage's reshape and skip choices are decoded and dropped:
 			// the hybrid graph has never modelled them (ROADMAP lists it as
@@ -213,7 +222,7 @@ func (v *ViTSpace) Decode(a Assignment) ViTArch {
 			out.ConvBlocks[i], out.ConvDepths[i], _, _ = v.convStages[i].decode(v.Space, a, st, cfg.Batch, cfg.DType)
 		}
 	}
-	out.TFMBlocks = make([]arch.TransformerSpec, len(v.blocks))
+	out.TFMBlocks = resized(out.TFMBlocks, len(v.blocks))
 	for i, blk := range cfg.Blocks {
 		d := &v.blocks[i]
 		out.TFMBlocks[i] = arch.TransformerSpec{
@@ -229,7 +238,15 @@ func (v *ViTSpace) Decode(a Assignment) ViTArch {
 			DType:    cfg.DType,
 		}
 	}
-	return out
+}
+
+// resized returns s at length n, reallocated only when its capacity is
+// short; a nil s stays nil at n = 0.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // BaselineAssignment returns the assignment reproducing the baseline.

@@ -20,7 +20,6 @@ package supernet
 
 import (
 	"fmt"
-	"math"
 
 	"h2onas/internal/datapipe"
 	"h2onas/internal/nn"
@@ -36,15 +35,22 @@ import (
 // the factorized path at maximal rank; a single shared parameterization
 // keeps every rank candidate's weights inside every other candidate's
 // gradient flow (splitting full-rank weights into a separate matrix
-// starves whichever path is sampled less).
+// starves whichever path is sampled less). The slot's ReLU is built and
+// listed with it.
 type mlpSlot struct {
 	low *nn.LowRankDense
+	act *nn.ActivationLayer
 
 	maxOut int
 }
 
 // Supernet is the weight-sharing super-network for a DLRM search space.
+// Its SharedNet lists every layer once, in Params order: the embedding
+// tables feature by feature, each bottom and top MLP slot with its ReLU,
+// the logit layer.
 type Supernet struct {
+	nn.SharedNet
+
 	DS   *space.DLRMSpace
 	opts Options
 
@@ -59,29 +65,13 @@ type Supernet struct {
 	maxBottomOut int
 	concatWidth  int
 
-	// layers lists every layer once, in Params order: the embedding
-	// tables feature by feature, the bottom and top MLP slots, the logit
-	// layer. Params, SetArena and SetWorkers all walk it.
-	layers []nn.SharedLayer
-	params []*nn.Param
-
-	// arena, when set via SetArena, owns every intermediate matrix of a
-	// forward/backward pass; Forward releases it on entry, so the
-	// previous pass's buffers are recycled instead of garbage-collected.
-	arena *tensor.Arena
-
 	// vocabIdx[t] is the decision index of emb<t>_vocab, resolved once.
 	vocabIdx []int
-
-	// acts is the pool of reusable activation layers; lastActs is the
-	// per-pass view of the ones actually used, consumed by Backward.
-	acts []*nn.ActivationLayer
 
 	// caches from the last Forward, consumed by Backward.
 	lastAssignment space.Assignment
 	lastArch       space.DLRMArch
 	lastBatch      *datapipe.Batch
-	lastActs       []*nn.ActivationLayer
 	lastBottomOut  int
 }
 
@@ -145,7 +135,7 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 	}
 	embs := nn.NewEmbeddings(vocabs, s.maxEmbWidth, rng)
 	for _, e := range embs {
-		s.layers = append(s.layers, e)
+		s.List(e)
 	}
 	s.tables = make([][]*nn.Embedding, cfg.NumTables)
 	for t, n := range perTable {
@@ -161,6 +151,7 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 			maxRank := min(in, out)
 			slots[i] = &mlpSlot{
 				low:    nn.NewLowRankDense(in, out, maxRank, rng.Split()),
+				act:    nn.NewActivationLayer(nn.ReLU),
 				maxOut: out,
 			}
 			// Every slot after the first is fed through the preceding
@@ -196,12 +187,9 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 	s.logit = nn.NewMaskedDense(maxTopOut, 1, rng.Split())
 
 	for _, slot := range append(append([]*mlpSlot{}, s.bottom...), s.top...) {
-		s.layers = append(s.layers, slot.low)
+		s.List(slot.low, slot.act)
 	}
-	s.layers = append(s.layers, s.logit)
-	for _, l := range s.layers {
-		s.params = append(s.params, l.Params()...)
-	}
+	s.List(s.logit)
 
 	s.vocabIdx = make([]int, cfg.NumTables)
 	for t := 0; t < cfg.NumTables; t++ {
@@ -209,38 +197,6 @@ func NewWithOptions(ds *space.DLRMSpace, rng *tensor.RNG, opts Options) *Superne
 	}
 	return s
 }
-
-// SetArena threads an arena through every layer of the super-network.
-// All intermediates of a pass — including the logits and loss gradient —
-// become arena-owned: they stay valid through Backward and are recycled
-// by the next Forward of any network bound to the same arena. Callers
-// that retain outputs across steps must Clone them. Pass nil to revert
-// to per-call heap allocation.
-func (s *Supernet) SetArena(a *tensor.Arena) {
-	s.arena = a
-	for _, l := range s.layers {
-		l.SetArena(a)
-	}
-	for _, act := range s.acts {
-		act.Arena = a
-	}
-}
-
-// SetWorkers threads an intra-pass parallelism bound through every layer
-// of the super-network, mirroring SetArena. The bound is one shard's
-// share of the search's core budget (core.Config.Workers ÷ Shards for
-// replicas, the full budget for the coordinator-exclusive master
-// passes); it is a performance knob only — every layer's parallel path
-// is bit-identical to its serial loop, so the setting never changes a
-// trajectory. 0 or 1 keeps the historical serial layer loops.
-func (s *Supernet) SetWorkers(n int) {
-	for _, l := range s.layers {
-		l.SetWorkers(n)
-	}
-}
-
-// Params returns every shared parameter in a stable order.
-func (s *Supernet) Params() []*nn.Param { return s.params }
 
 // Options returns the sharing choices the super-network was built with,
 // so a remote transport can hand a worker everything it needs to build a
@@ -260,7 +216,7 @@ func (s *Supernet) Replicate(*tensor.RNG) *Supernet {
 	// random initialization it would otherwise compute is pure waste. rng,
 	// the caller's per-replica draw (core.Network), goes unused.
 	r := NewWithOptions(s.DS, tensor.ZeroRNG(), s.opts)
-	nn.ShareValues(r.params, s.params)
+	nn.ShareValues(r.Params(), s.Params())
 	return r
 }
 
@@ -272,7 +228,8 @@ func (s *Supernet) Forward(a space.Assignment, batch *datapipe.Batch) *tensor.Ma
 	// Recycle the previous pass's intermediates (no-op without an arena).
 	// Anything the caller still holds from the last pass becomes invalid
 	// here — see SetArena.
-	s.arena.Release()
+	arena := s.Arena()
+	arena.Release()
 	s.DS.DecodeInto(a, &s.lastArch)
 	ar := s.lastArch
 	cfg := s.DS.Config
@@ -280,19 +237,17 @@ func (s *Supernet) Forward(a space.Assignment, batch *datapipe.Batch) *tensor.Ma
 
 	s.lastAssignment = append(s.lastAssignment[:0], a...)
 	s.lastBatch = batch
-	s.lastActs = s.lastActs[:0]
 
 	// Bottom MLP over dense features.
 	x := batch.Dense
 	for i, w := range ar.BottomWidths {
-		x = s.runSlot(s.bottom[i], x, w, ar.BottomRanks[i])
-		x = s.activate(x)
+		x = runSlot(s.bottom[i], x, w, ar.BottomRanks[i])
 	}
 	s.lastBottomOut = x.Cols
 
 	// Concat: bottom output then one fixed-offset slot per table. The
 	// zero fill is load-bearing: padding implements input-side masking.
-	concat := s.arena.Get(n, s.concatWidth)
+	concat := arena.Get(n, s.concatWidth)
 	for r := 0; r < n; r++ {
 		copy(concat.Row(r)[:x.Cols], x.Row(r))
 	}
@@ -314,34 +269,25 @@ func (s *Supernet) Forward(a space.Assignment, batch *datapipe.Batch) *tensor.Ma
 	// zero-padded layout is the mask); deeper layers use prefix widths.
 	y := concat
 	for i, w := range ar.TopWidths {
-		y = s.runSlot(s.top[i], y, w, ar.TopRanks[i])
-		y = s.activate(y)
+		y = runSlot(s.top[i], y, w, ar.TopRanks[i])
 	}
 	s.logit.SetActive(y.Cols, 1)
 	return s.logit.Forward(y)
 }
 
-// runSlot runs one MLP slot at (activeIn = x.Cols, activeOut = w, rank).
-func (s *Supernet) runSlot(slot *mlpSlot, x *tensor.Matrix, w, rank int) *tensor.Matrix {
+// runSlot runs one MLP slot at (activeIn = x.Cols, activeOut = w, rank)
+// and its ReLU.
+func runSlot(slot *mlpSlot, x *tensor.Matrix, w, rank int) *tensor.Matrix {
 	if r := min(w, x.Cols); rank > r {
 		rank = r
 	}
 	slot.low.SetActive(x.Cols, w, rank)
-	return slot.low.Forward(x)
+	return slot.act.Forward(slot.low.Forward(x))
 }
 
-func (s *Supernet) activate(x *tensor.Matrix) *tensor.Matrix {
-	// Reuse pooled activation layers instead of allocating one per layer
-	// per pass; lastActs tracks the ones this pass used, in order.
-	i := len(s.lastActs)
-	if i == len(s.acts) {
-		act := nn.NewActivationLayer(nn.ReLU)
-		act.Arena = s.arena
-		s.acts = append(s.acts, act)
-	}
-	act := s.acts[i]
-	s.lastActs = append(s.lastActs, act)
-	return act.Forward(x)
+// backSlot inverts runSlot.
+func backSlot(slot *mlpSlot, grad *tensor.Matrix) *tensor.Matrix {
+	return slot.low.Backward(slot.act.Backward(grad))
 }
 
 // Backward propagates dLoss/dLogits through the sub-network selected by
@@ -351,13 +297,11 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 		panic("supernet: Backward before Forward")
 	}
 	a, ar, cfg := s.lastAssignment, s.lastArch, s.DS.Config
-	actIdx := len(s.lastActs) - 1
+	arena := s.Arena()
 
 	grad := s.logit.Backward(dLogits)
 	for i := len(ar.TopWidths) - 1; i >= 0; i-- {
-		grad = s.lastActs[actIdx].Backward(grad)
-		actIdx--
-		grad = s.top[i].low.Backward(grad)
+		grad = backSlot(s.top[i], grad)
 	}
 
 	// Scatter the concat gradient to the embeddings and the bottom MLP.
@@ -368,22 +312,20 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 			continue
 		}
 		off := s.maxBottomOut + t*s.maxEmbWidth
-		eg := s.arena.GetNoZero(n, w)
+		eg := arena.GetNoZero(n, w)
 		for r := 0; r < n; r++ {
 			copy(eg.Row(r), grad.Row(r)[off:off+w])
 		}
 		s.tableFor(a, t, ar).Backward(eg)
 	}
 	bw := s.lastBottomOut
-	bg := s.arena.GetNoZero(n, bw)
+	bg := arena.GetNoZero(n, bw)
 	for r := 0; r < n; r++ {
 		copy(bg.Row(r), grad.Row(r)[:bw])
 	}
 	grad = bg
 	for i := len(ar.BottomWidths) - 1; i >= 0; i-- {
-		grad = s.lastActs[actIdx].Backward(grad)
-		actIdx--
-		grad = s.bottom[i].low.Backward(grad)
+		grad = backSlot(s.bottom[i], grad)
 	}
 }
 
@@ -405,19 +347,15 @@ func (s *Supernet) vocabChoice(a space.Assignment, t int) int {
 	return a[s.vocabIdx[t]]
 }
 
-// Loss runs Forward and returns the BCE loss plus its logits gradient.
-// With an arena set, the gradient is arena-owned: valid through Backward,
-// recycled by the next Forward.
+// Loss runs Forward and returns the BCE loss plus its logits gradient
+// (SharedNet.BCELoss).
 func (s *Supernet) Loss(a space.Assignment, batch *datapipe.Batch) (float64, *tensor.Matrix) {
-	logits := s.Forward(a, batch)
-	grad := s.arena.GetNoZero(logits.Rows, logits.Cols)
-	return nn.BCEWithLogits{}.EvalInto(logits, batch.Labels, grad), grad
+	return s.BCELoss(s.Forward(a, batch), batch.Labels)
 }
 
-// Quality evaluates the candidate's quality signal Q(α) on the batch
-// (forward only): 1 − logloss/ln 2, so predicting the uninformative 0.5
-// scores 0 and a perfect predictor scores 1.
+// Quality evaluates the candidate's quality signal Q(α) on the batch,
+// forward only (nn.QualityFromLoss).
 func (s *Supernet) Quality(a space.Assignment, batch *datapipe.Batch) float64 {
 	loss, _ := s.Loss(a, batch)
-	return 1 - loss/math.Ln2
+	return nn.QualityFromLoss(loss)
 }

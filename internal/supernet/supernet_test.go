@@ -30,30 +30,6 @@ func randomAssignment(ds *space.DLRMSpace, rng *tensor.RNG) space.Assignment {
 	return a
 }
 
-func TestForwardShape(t *testing.T) {
-	ds, sn, stream := newSmall(t, 1)
-	b := stream.NextBatch(16)
-	logits := sn.Forward(ds.BaselineAssignment(), b)
-	if logits.Rows != 16 || logits.Cols != 1 {
-		t.Fatalf("logits shape %dx%d", logits.Rows, logits.Cols)
-	}
-}
-
-func TestForwardAnyCandidate(t *testing.T) {
-	ds, sn, stream := newSmall(t, 2)
-	rng := tensor.NewRNG(99)
-	b := stream.NextBatch(8)
-	for trial := 0; trial < 30; trial++ {
-		a := randomAssignment(ds, rng)
-		logits := sn.Forward(a, b)
-		for _, v := range logits.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("trial %d: non-finite logit for %s", trial, ds.Space.Describe(a))
-			}
-		}
-	}
-}
-
 func TestBackwardTouchesOnlyActiveSubnetwork(t *testing.T) {
 	ds, sn, stream := newSmall(t, 3)
 	b := stream.NextBatch(8)
@@ -95,73 +71,6 @@ func TestBackwardTouchesOnlyActiveSubnetwork(t *testing.T) {
 	}
 }
 
-func TestGradCheckThroughSupernet(t *testing.T) {
-	ds, sn, stream := newSmall(t, 4)
-	b := stream.NextBatch(4)
-	rng := tensor.NewRNG(5)
-	a := randomAssignment(ds, rng)
-
-	nn.ZeroGrads(sn.Params())
-	_, dout := sn.Loss(a, b)
-	sn.Backward(dout)
-
-	// Numerically check a handful of touched parameters.
-	const eps = 1e-6
-	checked := 0
-	for _, p := range sn.Params() {
-		if tensor.MaxAbs(p.Grad) == 0 {
-			continue
-		}
-		// Pick the largest-gradient element of this parameter.
-		grad := denseGrad(p)
-		idx, best := 0, 0.0
-		for i, g := range grad {
-			if math.Abs(g) > best {
-				idx, best = i, math.Abs(g)
-			}
-		}
-		orig := p.Value.Data[idx]
-		p.Value.Data[idx] = orig + eps
-		up, _ := sn.Loss(a, b)
-		p.Value.Data[idx] = orig - eps
-		down, _ := sn.Loss(a, b)
-		p.Value.Data[idx] = orig
-		num := (up - down) / (2 * eps)
-		if math.Abs(num-grad[idx]) > 1e-4*math.Max(1, math.Abs(num)) {
-			t.Fatalf("param %s grad[%d]: analytic %v vs numeric %v", p.Name, idx, grad[idx], num)
-		}
-		checked++
-		if checked >= 8 {
-			break
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no parameters received gradient")
-	}
-}
-
-func TestTrainingImprovesQuality(t *testing.T) {
-	if testing.Short() {
-		t.Skip("single-threaded training loop; nothing for the race detector here")
-	}
-	ds, sn, stream := newSmall(t, 6)
-	a := ds.BaselineAssignment()
-	opt := nn.NewAdam(0.003)
-	eval := stream.NextBatch(512)
-	before := sn.Quality(a, eval)
-	for step := 0; step < 60; step++ {
-		b := stream.NextBatch(128)
-		nn.ZeroGrads(sn.Params())
-		_, dout := sn.Loss(a, b)
-		sn.Backward(dout)
-		opt.Step(sn.Params())
-	}
-	after := sn.Quality(a, stream.NextBatch(512))
-	if after <= before+0.02 {
-		t.Fatalf("training did not improve quality: %v → %v", before, after)
-	}
-}
-
 func TestWiderEmbeddingsLearnMoreSignal(t *testing.T) {
 	// The architecture/quality dependence the search exploits: on the
 	// memorization-heavy task, candidates with wider embeddings should
@@ -192,36 +101,6 @@ func TestWiderEmbeddingsLearnMoreSignal(t *testing.T) {
 	qNarrow := train(narrow, 120)
 	if qWide <= qNarrow {
 		t.Fatalf("wide embeddings (%v) must beat no embeddings (%v) on a memorization task", qWide, qNarrow)
-	}
-}
-
-func TestReplicateSharesValuesNotGrads(t *testing.T) {
-	ds, sn, stream := newSmall(t, 8)
-	rng := tensor.NewRNG(9)
-	rep := sn.Replicate(rng)
-	// Values are aliased.
-	sn.Params()[0].Value.Data[0] = 42
-	if rep.Params()[0].Value.Data[0] != 42 {
-		t.Fatal("replica must share parameter values")
-	}
-	// Gradients are independent.
-	b := stream.NextBatch(8)
-	a := ds.BaselineAssignment()
-	_, dout := rep.Loss(a, b)
-	rep.Backward(dout)
-	var repHasGrad bool
-	for _, p := range rep.Params() {
-		if tensor.MaxAbs(p.Grad) > 0 {
-			repHasGrad = true
-		}
-	}
-	if !repHasGrad {
-		t.Fatal("replica backward produced no gradient")
-	}
-	for _, p := range sn.Params() {
-		if tensor.MaxAbs(p.Grad) != 0 {
-			t.Fatal("master gradients must stay clear until reduction")
-		}
 	}
 }
 

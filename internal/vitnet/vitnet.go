@@ -26,11 +26,9 @@ import (
 type layerSlot struct {
 	ln0, ln1 *nn.MaskedLayerNorm
 	attn     *nn.MaskedAttention
-	ffnUp    *nn.LowRankDense // maxHidden → ffnRatio·maxHidden, shared rank factors
-	ffnDown  *nn.MaskedDense  // ffnRatio·maxHidden → maxHidden
-
-	// Per-forward caches.
-	act *nn.ActivationLayer
+	ffnUp    *nn.LowRankDense    // maxHidden → ffnRatio·maxHidden, shared rank factors
+	act      *nn.ActivationLayer // the searched FFN activation, its kind set per pass
+	ffnDown  *nn.MaskedDense     // ffnRatio·maxHidden → maxHidden
 }
 
 // blockSlots is one multi-layer transformer block's slots.
@@ -39,8 +37,13 @@ type blockSlots struct {
 	maxLayer int
 }
 
-// Supernet is the weight-sharing transformer super-network.
+// Supernet is the weight-sharing transformer super-network. Its
+// SharedNet lists every layer once, in Params order: tokens, positions,
+// each layer slot's ln0, attn, ln1, ffnUp, activation and ffnDown, the
+// block transitions, the head.
 type Supernet struct {
+	nn.SharedNet
+
 	VS *space.ViTSpace
 
 	vocab, seqLen, maxHidden int
@@ -51,19 +54,6 @@ type Supernet struct {
 	blocks []*blockSlots
 	trans  []*nn.MaskedDense // between-block width transitions
 	head   *nn.MaskedDense   // maxHidden → 1
-
-	// layers lists every layer once, in Params order: tokens, positions,
-	// each layer slot's ln0, attn, ln1, ffnUp and ffnDown, the block
-	// transitions, the head. Params, SetArena and SetWorkers all walk it;
-	// a slot's activation layer is created lazily and takes the arena
-	// from runLayer.
-	layers []nn.SharedLayer
-	params []*nn.Param
-
-	// arena, when set, owns every forward/backward intermediate; it is
-	// released (recycled) at the top of each Forward. One per shard
-	// replica — arenas are single-goroutine.
-	arena *tensor.Arena
 
 	// Forward tape consumed by Backward.
 	lastArch  space.ViTArch
@@ -117,6 +107,7 @@ func New(vs *space.ViTSpace, vocab, seqLen int, rng *tensor.RNG) *Supernet {
 				ln1:     nn.NewMaskedLayerNorm(maxHidden),
 				attn:    nn.NewMaskedAttention(maxHidden, rng.Split()),
 				ffnUp:   nn.NewLowRankDense(maxHidden, inner, maxHidden, rng.Split()),
+				act:     nn.NewActivationLayer(nn.GeLU),
 				ffnDown: nn.NewMaskedDense(inner, maxHidden, rng.Split()),
 			}
 			slot.attn.HeadDim = 16
@@ -129,19 +120,16 @@ func New(vs *space.ViTSpace, vocab, seqLen int, rng *tensor.RNG) *Supernet {
 	}
 	s.head = nn.NewMaskedDense(maxHidden, 1, rng.Split())
 
-	s.layers = append(s.layers, s.tokens, posTable{s.pos})
+	s.List(s.tokens, posTable{s.pos})
 	for _, blk := range s.blocks {
 		for _, slot := range blk.layers {
-			s.layers = append(s.layers, slot.ln0, slot.attn, slot.ln1, slot.ffnUp, slot.ffnDown)
+			s.List(slot.ln0, slot.attn, slot.ln1, slot.ffnUp, slot.act, slot.ffnDown)
 		}
 	}
 	for _, tr := range s.trans {
-		s.layers = append(s.layers, tr)
+		s.List(tr)
 	}
-	s.layers = append(s.layers, s.head)
-	for _, l := range s.layers {
-		s.params = append(s.params, l.Params()...)
-	}
+	s.List(s.head)
 	return s
 }
 
@@ -153,31 +141,6 @@ func (t posTable) Params() []*nn.Param  { return []*nn.Param{t.p} }
 func (posTable) SetArena(*tensor.Arena) {}
 func (posTable) SetWorkers(int)         {}
 
-// Params returns all shared parameters in a stable order.
-func (s *Supernet) Params() []*nn.Param { return s.params }
-
-// SetArena threads an arena through the super-network and all its layer
-// slots. Every intermediate from a Forward/Backward pass (including the
-// Loss gradient) is arena-owned: valid until the next Forward of any
-// network bound to the same arena, which recycles them. nil reverts to
-// per-pass heap allocation.
-func (s *Supernet) SetArena(a *tensor.Arena) {
-	s.arena = a
-	for _, l := range s.layers {
-		l.SetArena(a)
-	}
-}
-
-// SetWorkers threads an intra-pass parallelism bound through every layer
-// slot, mirroring SetArena. The bound is one shard's share of the
-// search's core budget (core.Config.Workers); 0 or 1 — the default — keeps the
-// historical serial layer loops, and any setting is bit-identical.
-func (s *Supernet) SetWorkers(n int) {
-	for _, l := range s.layers {
-		l.SetWorkers(n)
-	}
-}
-
 // Replicate returns a view sharing parameter values with s but with
 // independent gradients and forward caches — one per accelerator shard.
 func (s *Supernet) Replicate(*tensor.RNG) *Supernet {
@@ -186,7 +149,7 @@ func (s *Supernet) Replicate(*tensor.RNG) *Supernet {
 	// initialization would be thrown away. rng, the caller's per-replica
 	// draw (core.Network), goes unused.
 	r := New(s.VS, s.vocab, s.seqLen, tensor.ZeroRNG())
-	nn.ShareValues(r.params, s.params)
+	nn.ShareValues(r.Params(), s.Params())
 	return r
 }
 
@@ -194,9 +157,10 @@ func (s *Supernet) Replicate(*tensor.RNG) *Supernet {
 // and returns logits (batch×1).
 func (s *Supernet) Forward(a space.Assignment, batch *datapipe.SeqBatch) *tensor.Matrix {
 	// Recycle the previous pass's intermediates (no-op without an arena).
-	s.arena.Release()
-	ar := s.VS.Decode(a)
-	s.lastArch = ar
+	arena := s.Arena()
+	arena.Release()
+	s.VS.DecodeInto(a, &s.lastArch)
+	ar := &s.lastArch
 	s.lastBatch = batch
 	s.tape = s.tape[:0]
 
@@ -252,7 +216,7 @@ func (s *Supernet) Forward(a space.Assignment, batch *datapipe.SeqBatch) *tensor
 
 	// Mean over sequence, then the classifier head.
 	s.headSeq = seq
-	pooled := s.arena.Get(n, h)
+	pooled := arena.Get(n, h)
 	inv := 1 / float64(seq)
 	for i := 0; i < n; i++ {
 		prow := pooled.Row(i)
@@ -274,21 +238,17 @@ func (s *Supernet) runLayer(slot *layerSlot, x *tensor.Matrix, h, seq, rank int,
 	slot.ln0.SetActive(h)
 	slot.attn.SetActive(h, seq)
 	attnOut := slot.attn.Forward(slot.ln0.Forward(x))
-	y := s.arena.GetNoZero(x.Rows, x.Cols)
+	arena := s.Arena()
+	y := arena.GetNoZero(x.Rows, x.Cols)
 	tensor.AddInto(x, attnOut, y)
 
 	inner := s.ffnRatio * h
 	slot.ln1.SetActive(h)
 	slot.ffnUp.SetActive(h, inner, rank)
+	slot.act.Act = act
 	slot.ffnDown.SetActive(inner, h)
-	// The activation layer is pooled per slot; the searchable activation
-	// kind can change between passes.
-	if slot.act == nil || slot.act.Act != act {
-		slot.act = nn.NewActivationLayer(act)
-	}
-	slot.act.Arena = s.arena
 	ffnOut := slot.ffnDown.Forward(slot.act.Forward(slot.ffnUp.Forward(slot.ln1.Forward(y))))
-	out := s.arena.GetNoZero(y.Rows, y.Cols)
+	out := arena.GetNoZero(y.Rows, y.Cols)
 	tensor.AddInto(y, ffnOut, out)
 	return out
 }
@@ -296,7 +256,7 @@ func (s *Supernet) runLayer(slot *layerSlot, x *tensor.Matrix, h, seq, rank int,
 // pool halves the sequence by averaging adjacent positions.
 func (s *Supernet) pool(x *tensor.Matrix, n, seq, h int) (*tensor.Matrix, int) {
 	outSeq := seq / 2
-	out := s.arena.GetNoZero(n*outSeq, h)
+	out := s.Arena().GetNoZero(n*outSeq, h)
 	for i := 0; i < n; i++ {
 		for t := 0; t < outSeq; t++ {
 			a := x.Row(i*seq + 2*t)
@@ -316,13 +276,13 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 	if s.lastBatch == nil {
 		panic("vitnet: Backward before Forward")
 	}
-	ar := s.lastArch
+	ar := &s.lastArch
 	n := s.lastBatch.Size()
 
 	dPooled := s.head.Backward(dLogits)
 	seq := s.headSeq
 	// Un-pool the mean over sequence.
-	grad := s.arena.GetNoZero(n*seq, dPooled.Cols)
+	grad := s.Arena().GetNoZero(n*seq, dPooled.Cols)
 	inv := 1 / float64(seq)
 	for i := 0; i < n; i++ {
 		prow := dPooled.Row(i)
@@ -374,10 +334,11 @@ func (s *Supernet) Backward(dLogits *tensor.Matrix) {
 // LN1→FFN and adds to the residual path; then the attention branch.
 func (s *Supernet) backLayer(slot *layerSlot, grad *tensor.Matrix) *tensor.Matrix {
 	dFFN := slot.ffnUp.Backward(slot.act.Backward(slot.ffnDown.Backward(grad)))
-	dY := s.arena.GetNoZero(grad.Rows, grad.Cols)
+	arena := s.Arena()
+	dY := arena.GetNoZero(grad.Rows, grad.Cols)
 	tensor.AddInto(grad, slot.ln1.Backward(dFFN), dY)
 	dAttn := slot.ln0.Backward(slot.attn.Backward(dY))
-	out := s.arena.GetNoZero(dY.Rows, dY.Cols)
+	out := arena.GetNoZero(dY.Rows, dY.Cols)
 	tensor.AddInto(dY, dAttn, out)
 	return out
 }
@@ -386,7 +347,7 @@ func (s *Supernet) backLayer(slot *layerSlot, grad *tensor.Matrix) *tensor.Matri
 func (s *Supernet) unpool(grad *tensor.Matrix, pc poolCache) *tensor.Matrix {
 	// Zeroed: with an odd input sequence the dropped trailing position
 	// receives no gradient, and that zero must be explicit.
-	out := s.arena.Get(pc.batch*pc.inSeq, pc.width)
+	out := s.Arena().Get(pc.batch*pc.inSeq, pc.width)
 	for i := 0; i < pc.batch; i++ {
 		for t := 0; t < pc.outSeq; t++ {
 			g := grad.Row(i*pc.outSeq + t)
@@ -401,34 +362,28 @@ func (s *Supernet) unpool(grad *tensor.Matrix, pc poolCache) *tensor.Matrix {
 	return out
 }
 
-// Loss runs Forward and returns the BCE loss and logits gradient. With
-// an arena set, the gradient is arena-owned: valid through Backward,
-// recycled by the next Forward.
+// Loss runs Forward and returns the BCE loss and logits gradient
+// (SharedNet.BCELoss).
 func (s *Supernet) Loss(a space.Assignment, batch *datapipe.SeqBatch) (float64, *tensor.Matrix) {
-	logits := s.Forward(a, batch)
-	grad := s.arena.GetNoZero(logits.Rows, logits.Cols)
-	return nn.BCEWithLogits{}.EvalInto(logits, batch.Labels, grad), grad
+	return s.BCELoss(s.Forward(a, batch), batch.Labels)
 }
 
-// Quality is 1 − logloss/ln 2 on the batch (forward only).
+// Quality is the candidate's quality signal on the batch, forward only
+// (nn.QualityFromLoss).
 func (s *Supernet) Quality(a space.Assignment, batch *datapipe.SeqBatch) float64 {
 	loss, _ := s.Loss(a, batch)
-	return 1 - loss/math.Ln2
+	return nn.QualityFromLoss(loss)
 }
 
+// actFromName maps a searched activation name to its kind, GeLU when
+// the name is none of the space's.
 func actFromName(name string) nn.Activation {
-	switch name {
-	case "relu":
-		return nn.ReLU
-	case "swish":
-		return nn.Swish
-	case "gelu":
-		return nn.GeLU
-	case "squared_relu":
-		return nn.SquaredReLU
-	default:
-		return nn.GeLU
+	for _, act := range []nn.Activation{nn.ReLU, nn.Swish, nn.SquaredReLU} {
+		if act.String() == name {
+			return act
+		}
 	}
+	return nn.GeLU
 }
 
 func rankFor(frac float64, h int) int {
