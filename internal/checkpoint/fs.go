@@ -183,22 +183,6 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// ReadFile returns a copy of the file's current contents (test helper).
-func (m *MemFS) ReadFile(name string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.files[filepath.Clean(name)]
-	return append([]byte(nil), data...), ok
-}
-
-// WriteFile replaces the file's contents directly (test helper for
-// simulating out-of-band corruption).
-func (m *MemFS) WriteFile(name string, data []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.files[filepath.Clean(name)] = append([]byte(nil), data...)
-}
-
 type memFile struct {
 	fs     *MemFS
 	name   string

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"io"
 	iofs "io/fs"
 	"path/filepath"
 	"strings"
@@ -124,15 +125,19 @@ func TestManagerSkipsCorruptAndFallsBack(t *testing.T) {
 	// Corrupt the newest snapshot (flip a payload byte) and truncate the
 	// second-newest: recovery must fall back to step 1.
 	p3 := filepath.Join("ckpt", SnapshotName(3))
-	data, ok := fs.ReadFile(p3)
-	if !ok {
-		t.Fatal("snapshot 3 missing")
-	}
-	data[len(data)-1] ^= 0x01
-	fs.WriteFile(p3, data)
 	p2 := filepath.Join("ckpt", SnapshotName(2))
-	data, _ = fs.ReadFile(p2)
-	fs.WriteFile(p2, data[:len(data)/3])
+	rewrite := func(path string, edit func([]byte) []byte) {
+		r, err := fs.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(r)
+		if err := WriteFileAtomic(fs, path, edit(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite(p3, func(data []byte) []byte { data[len(data)-1] ^= 0x01; return data })
+	rewrite(p2, func(data []byte) []byte { return data[:len(data)/3] })
 
 	s, path, err := m.LoadLatest()
 	if err != nil {
@@ -154,7 +159,9 @@ func TestManagerAllCorruptIsErrNoCheckpoint(t *testing.T) {
 	if _, err := m.Save(snapshotAt(1)); err != nil {
 		t.Fatal(err)
 	}
-	fs.WriteFile(filepath.Join("ckpt", SnapshotName(1)), []byte("garbage"))
+	if err := WriteFileAtomic(fs, filepath.Join("ckpt", SnapshotName(1)), []byte("garbage")); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := m.LoadLatest(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
 	}

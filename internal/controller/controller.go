@@ -14,6 +14,7 @@ import (
 	"h2onas/internal/nn"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
+	"h2onas/internal/wire"
 )
 
 // Policy is a probability distribution over architectures: an independent
@@ -89,41 +90,6 @@ func (p *Policy) MostProbable() space.Assignment {
 	return a
 }
 
-// Entropy returns the policy entropy in nats (the sum over independent
-// decisions). It starts at Σ log(arity) for the uniform policy and shrinks
-// toward 0 as the search converges.
-func (p *Policy) Entropy() float64 {
-	var h float64
-	for d := range p.Logits {
-		for _, pr := range p.Probs(d) {
-			if pr > 0 {
-				h -= pr * math.Log(pr)
-			}
-		}
-	}
-	return h
-}
-
-// Confidence returns the mean (over decisions) probability of the most
-// probable option — a convergence diagnostic in [1/maxArity, 1].
-func (p *Policy) Confidence() float64 {
-	if len(p.Logits) == 0 {
-		return 1
-	}
-	var sum float64
-	for d := range p.Logits {
-		probs := p.Probs(d)
-		best := 0.0
-		for _, pr := range probs {
-			if pr > best {
-				best = pr
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(p.Logits))
-}
-
 // Config holds controller hyperparameters.
 type Config struct {
 	// LearningRate for the REINFORCE logit update.
@@ -140,17 +106,18 @@ func DefaultConfig() Config {
 	return Config{LearningRate: 0.05, BaselineMomentum: 0.95, EntropyWeight: 1e-3}
 }
 
-// Controller couples a policy with its REINFORCE optimizer state.
+// Controller couples a policy with its REINFORCE optimizer state. It is
+// the paper's search strategy: it satisfies core.Strategy directly.
 type Controller struct {
 	Policy *Policy
 	Config Config
 
-	// Metrics, when non-nil, receives per-update telemetry: the update
+	// reg, when non-nil, receives per-update telemetry: the update
 	// count, the EMA baseline, and the KL divergence KL(π_old ‖ π_new) of
 	// each policy step — the policy-movement trend that, together with
 	// entropy, diagnoses collapse (KL spikes) and stalls (KL ≈ 0 with
-	// high entropy). KL is only computed when Metrics is enabled.
-	Metrics *metrics.Registry
+	// high entropy). KL is only computed when reg is enabled.
+	reg *metrics.Registry
 
 	baseline    float64
 	baselineSet bool
@@ -172,34 +139,82 @@ func New(s *space.Space, cfg Config) *Controller {
 	return &Controller{Policy: NewPolicy(s), Config: cfg}
 }
 
-// Baseline returns the current EMA reward baseline.
-func (c *Controller) Baseline() float64 { return c.baseline }
+// Name is the strategy's identity in checkpoint fingerprints.
+func (c *Controller) Name() string { return "reinforce" }
 
-// State is the REINFORCE optimizer state that lives outside the policy
-// logits: the EMA reward baseline (and whether it has been initialized)
-// plus the update count. Together with the policy logits it makes a
-// controller fully restorable.
-type State struct {
-	Baseline    float64
-	BaselineSet bool
-	Steps       int64
+// SetMetrics sets the registry that receives the update telemetry.
+func (c *Controller) SetMetrics(m *metrics.Registry) { c.reg = m }
+
+// Sample draws from π. Warm-up steps sample the (still uniform) policy
+// too.
+func (c *Controller) Sample(rng *tensor.RNG, warmup bool) space.Assignment {
+	return c.Policy.Sample(rng)
 }
 
-// State captures the controller's optimizer state for checkpointing.
-func (c *Controller) State() State {
-	return State{Baseline: c.baseline, BaselineSet: c.baselineSet, Steps: int64(c.steps)}
+// Best returns π's most probable architecture.
+func (c *Controller) Best() space.Assignment { return c.Policy.MostProbable() }
+
+// Diagnostics returns the policy entropy in nats (the sum over
+// independent decisions: Σ log(arity) for the uniform policy, shrinking
+// toward 0 as the search converges) and its confidence, the mean over
+// decisions of the most probable option's probability, in
+// [1/maxArity, 1].
+func (c *Controller) Diagnostics() (entropy, confidence float64) {
+	p := c.Policy
+	if len(p.Logits) == 0 {
+		return 0, 1
+	}
+	for d := range p.Logits {
+		best := 0.0
+		for _, pr := range p.Probs(d) {
+			if pr > 0 {
+				entropy -= pr * math.Log(pr)
+			}
+			if pr > best {
+				best = pr
+			}
+		}
+		confidence += best
+	}
+	return entropy, confidence / float64(len(p.Logits))
 }
 
-// Restore overwrites the controller's optimizer state with a captured
-// one. The caller restores the policy logits separately.
-func (c *Controller) Restore(st State) {
-	c.baseline = st.Baseline
-	c.baselineSet = st.BaselineSet
-	c.steps = int(st.Steps)
+// StateBytes serializes the policy logits and the optimizer state: the
+// EMA baseline, whether it is set, and the update count.
+func (c *Controller) StateBytes() []byte {
+	var e wire.Enc
+	e.Mat(c.Policy.Logits)
+	e.F64(c.baseline)
+	e.Bool(c.baselineSet)
+	e.U64(uint64(c.steps))
+	return e.Buf
 }
 
-// Steps returns how many Update calls have been applied.
-func (c *Controller) Steps() int { return c.steps }
+// RestoreState replaces the controller's state with a StateBytes blob
+// whose logits fit the space.
+func (c *Controller) RestoreState(data []byte) error {
+	d := wire.NewDec(data)
+	logits := d.Mat()
+	baseline := d.F64()
+	baselineSet := d.Bool()
+	steps := int64(d.U64())
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("reinforce state: %w", err)
+	}
+	if len(logits) != len(c.Policy.Logits) {
+		return fmt.Errorf("reinforce state has %d policy decisions, space has %d", len(logits), len(c.Policy.Logits))
+	}
+	for i, row := range logits {
+		if len(row) != len(c.Policy.Logits[i]) {
+			return fmt.Errorf("reinforce state decision %d has %d logits, space arity is %d", i, len(row), len(c.Policy.Logits[i]))
+		}
+	}
+	for i, row := range logits {
+		copy(c.Policy.Logits[i], row)
+	}
+	c.baseline, c.baselineSet, c.steps = baseline, baselineSet, int(steps)
+	return nil
+}
 
 // Update applies one cross-shard REINFORCE step: every shard contributes
 // its sampled architecture and reward; the advantage is the reward minus
@@ -255,7 +270,7 @@ func (c *Controller) Update(samples []space.Assignment, rewards []float64) {
 				}
 			}
 		}
-		if c.Metrics.Enabled() {
+		if c.reg.Enabled() {
 			// probs still holds π_old for this decision; the logits have
 			// just been stepped, so their softmax is π_new.
 			next := scratch(&c.next, len(logits))
@@ -271,11 +286,11 @@ func (c *Controller) Update(samples []space.Assignment, rewards []float64) {
 	m := c.Config.BaselineMomentum
 	c.baseline = m*c.baseline + (1-m)*mean
 	c.steps++
-	if c.Metrics.Enabled() {
-		c.Metrics.Counter("controller_updates_total").Inc()
-		c.Metrics.Gauge("controller_baseline").Set(c.baseline)
-		c.Metrics.Gauge("controller_update_kl").Set(kl)
-		c.Metrics.Histogram("controller_update_kl_nats").Observe(kl)
+	if c.reg.Enabled() {
+		c.reg.Counter("controller_updates_total").Inc()
+		c.reg.Gauge("controller_baseline").Set(c.baseline)
+		c.reg.Gauge("controller_update_kl").Set(kl)
+		c.reg.Histogram("controller_update_kl_nats").Observe(kl)
 	}
 }
 

@@ -16,16 +16,16 @@ func twoDecisionSpace() *space.Space {
 }
 
 func TestNewPolicyUniform(t *testing.T) {
-	p := NewPolicy(twoDecisionSpace())
-	probs := p.Probs(0)
+	c := New(twoDecisionSpace(), DefaultConfig())
+	probs := c.Policy.Probs(0)
 	for _, pr := range probs {
 		if math.Abs(pr-1.0/3) > 1e-12 {
 			t.Fatalf("initial policy not uniform: %v", probs)
 		}
 	}
-	wantH := math.Log(3) + math.Log(2)
-	if math.Abs(p.Entropy()-wantH) > 1e-9 {
-		t.Fatalf("uniform entropy = %v, want %v", p.Entropy(), wantH)
+	wantH, wantC := math.Log(3)+math.Log(2), (1.0/3+1.0/2)/2
+	if h, conf := c.Diagnostics(); math.Abs(h-wantH) > 1e-9 || math.Abs(conf-wantC) > 1e-12 {
+		t.Fatalf("uniform diagnostics = %v, %v, want %v, %v", h, conf, wantH, wantC)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestUpdateMovesTowardRewardedOption(t *testing.T) {
 		t.Fatalf("controller converged to %v, want [2 1] (probs %v / %v)",
 			final, c.Policy.Probs(0), c.Policy.Probs(1))
 	}
-	if c.Policy.Confidence() < 0.8 {
-		t.Fatalf("confidence %v too low after convergence", c.Policy.Confidence())
+	if _, conf := c.Diagnostics(); conf < 0.8 {
+		t.Fatalf("confidence %v too low after convergence", conf)
 	}
 }
 
@@ -128,7 +128,8 @@ func TestEntropyRegularizationSlowsCollapse(t *testing.T) {
 			}
 			c.Update(samples, rewards)
 		}
-		return c.Policy.Entropy()
+		h, _ := c.Diagnostics()
+		return h
 	}
 	if run(0.5) <= run(0) {
 		t.Fatal("entropy regularization must keep entropy higher")
@@ -142,11 +143,11 @@ func TestBaselineTracksMeanReward(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.Update([]space.Assignment{c.Policy.Sample(rng)}, []float64{2.5})
 	}
-	if math.Abs(c.Baseline()-2.5) > 0.01 {
-		t.Fatalf("baseline = %v, want ≈2.5", c.Baseline())
+	if math.Abs(c.baseline-2.5) > 0.01 {
+		t.Fatalf("baseline = %v, want ≈2.5", c.baseline)
 	}
-	if c.Steps() != 50 {
-		t.Fatalf("Steps = %d", c.Steps())
+	if c.steps != 50 {
+		t.Fatalf("steps = %d", c.steps)
 	}
 }
 

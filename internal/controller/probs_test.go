@@ -56,7 +56,8 @@ func TestProbsFollowLogitWrites(t *testing.T) {
 // after each step, bit for bit: π_old and π_new must never share storage.
 func TestUpdateKLMatchesFreshSoftmax(t *testing.T) {
 	c := New(twoDecisionSpace(), Config{LearningRate: 0.3, BaselineMomentum: 0.9, EntropyWeight: 1e-2})
-	c.Metrics = metrics.New()
+	reg := metrics.New()
+	c.SetMetrics(reg)
 	rng := tensor.NewRNG(9)
 	for step := range 8 {
 		before := make([][]float64, len(c.Policy.Logits))
@@ -74,7 +75,7 @@ func TestUpdateKLMatchesFreshSoftmax(t *testing.T) {
 				}
 			}
 		}
-		got := c.Metrics.Gauge("controller_update_kl").Value()
+		got := reg.Gauge("controller_update_kl").Value()
 		if math.Float64bits(got) != math.Float64bits(want) || want <= 0 {
 			t.Fatalf("step %d: controller_update_kl %v, fresh-softmax KL %v", step, got, want)
 		}

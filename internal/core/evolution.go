@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
@@ -15,13 +16,10 @@ type EvolutionOpts struct {
 	// Tournament is the selection sample size per child (default 8,
 	// clamped to Population).
 	Tournament int
-	// MutationRate is the per-decision mutation probability (default
-	// 1/#decisions — one mutation per child in expectation).
-	MutationRate float64
 }
 
-// withDefaults resolves zero fields against the space.
-func (o EvolutionOpts) withDefaults(sp *space.Space) EvolutionOpts {
+// withDefaults resolves zero fields.
+func (o EvolutionOpts) withDefaults() EvolutionOpts {
 	if o.Population <= 0 {
 		o.Population = 32
 	}
@@ -31,10 +29,16 @@ func (o EvolutionOpts) withDefaults(sp *space.Space) EvolutionOpts {
 	if o.Tournament > o.Population {
 		o.Tournament = o.Population
 	}
-	if o.MutationRate <= 0 && len(sp.Decisions) > 0 {
-		o.MutationRate = 1 / float64(len(sp.Decisions))
-	}
 	return o
+}
+
+// mutationRate is the per-decision mutation probability: 1/#decisions,
+// one mutation per child in expectation.
+func mutationRate(sp *space.Space) float64 {
+	if len(sp.Decisions) == 0 {
+		return 0
+	}
+	return 1 / float64(len(sp.Decisions))
 }
 
 // scored is one evaluated individual.
@@ -56,33 +60,35 @@ type Evolution struct {
 	sp   *space.Space
 	opts EvolutionOpts
 
-	pop     []scored
-	best    space.Assignment
-	bestRw  float64
-	bestSet bool
-	evals   int64
+	pop []scored
+	inc incumbent
 }
 
 // NewEvolution returns the regularized-evolution strategy over the space.
 func NewEvolution(sp *space.Space, opts EvolutionOpts) *Evolution {
-	return &Evolution{sp: sp, opts: opts.withDefaults(sp)}
+	return &Evolution{sp: sp, opts: opts.withDefaults()}
 }
 
 // Name embeds the trajectory-affecting hyperparameters, so resuming
 // under a differently configured evolution is refused by the fingerprint.
 func (e *Evolution) Name() string {
-	return fmt.Sprintf("evolution/p%d/t%d/m%g", e.opts.Population, e.opts.Tournament, e.opts.MutationRate)
+	return fmt.Sprintf("evolution/p%d/t%d/m%g", e.opts.Population, e.opts.Tournament, mutationRate(e.sp))
 }
 
 // Sample seeds the population with uniform random candidates, then
-// breeds: a Tournament-sized random sample of the population competes on
-// reward (ties keep the earlier draw), and the winner's mutation is the
-// child. Warmup steps sample uniformly without touching the population —
-// their evaluations never reach Update.
+// breeds the mutation of a tournament winner. Warmup steps sample
+// uniformly without touching the population — their evaluations never
+// reach Update.
 func (e *Evolution) Sample(rng *tensor.RNG, warmup bool) space.Assignment {
 	if warmup || len(e.pop) < e.opts.Population {
 		return RandomAssignment(e.sp, rng)
 	}
+	return mutate(e.sp, e.tournament(rng), rng)
+}
+
+// tournament returns the genes of the best of a Tournament-sized random
+// sample of the population; ties keep the earlier draw.
+func (e *Evolution) tournament(rng *tensor.RNG) space.Assignment {
 	parent := e.pop[rng.Intn(len(e.pop))]
 	for s := 1; s < e.opts.Tournament; s++ {
 		other := e.pop[rng.Intn(len(e.pop))]
@@ -90,56 +96,35 @@ func (e *Evolution) Sample(rng *tensor.RNG, warmup bool) space.Assignment {
 			parent = other
 		}
 	}
-	return mutate(e.sp, parent.a, e.opts.MutationRate, rng)
+	return parent.a
 }
 
 // Update admits the step's evaluated children in shard order, retiring
 // the oldest individual for each admission once the population is full.
 func (e *Evolution) Update(samples []space.Assignment, rewards []float64) {
 	for i, a := range samples {
-		e.evals++
-		c := scored{a: copyAssignment(a), reward: rewards[i]}
-		e.pop = append(e.pop, c)
+		e.pop = append(e.pop, scored{a: slices.Clone(a), reward: rewards[i]})
 		if len(e.pop) > e.opts.Population {
 			e.pop = e.pop[1:]
 		}
-		if !e.bestSet || c.reward > e.bestRw {
-			e.best = copyAssignment(c.a)
-			e.bestRw = c.reward
-			e.bestSet = true
-		}
+		e.inc.observe(a, rewards[i])
 	}
 }
 
 // Best returns the best-reward individual ever evaluated (regularized
 // evolution's standard report), not merely the best still alive.
 func (e *Evolution) Best() space.Assignment {
-	if e.bestSet {
-		return copyAssignment(e.best)
+	if a, ok := e.inc.get(); ok {
+		return a
 	}
 	return make(space.Assignment, len(e.sp.Decisions))
 }
 
-// Population returns a copy of the live individuals, oldest first.
-func (e *Evolution) Population() []space.Assignment {
-	out := make([]space.Assignment, len(e.pop))
-	for i, c := range e.pop {
-		out[i] = copyAssignment(c.a)
-	}
-	return out
-}
-
-// Entropy and Confidence measure the live population's per-decision
-// concentration: entropy falls and confidence rises as a lineage takes
-// over — the evolutionary analogue of policy convergence.
-func (e *Evolution) Entropy() float64 {
-	h, _ := empiricalDiag(e.sp, e.Population())
-	return h
-}
-
-func (e *Evolution) Confidence() float64 {
-	_, c := empiricalDiag(e.sp, e.Population())
-	return c
+// Diagnostics measure the live population's per-decision concentration:
+// entropy falls and confidence rises as a lineage takes over — the
+// evolutionary analogue of policy convergence.
+func (e *Evolution) Diagnostics() (entropy, confidence float64) {
+	return empiricalDiag(e.sp, e.pop, func(c *scored) space.Assignment { return c.a })
 }
 
 func (e *Evolution) StateBytes() []byte {
@@ -149,10 +134,7 @@ func (e *Evolution) StateBytes() []byte {
 		encodeAssignment(&enc, c.a)
 		enc.F64(c.reward)
 	}
-	encodeAssignment(&enc, e.best)
-	enc.F64(e.bestRw)
-	enc.Bool(e.bestSet)
-	enc.U64(uint64(e.evals))
+	e.inc.encode(&enc)
 	return enc.Buf
 }
 
@@ -166,10 +148,7 @@ func (e *Evolution) RestoreState(data []byte) error {
 			pop[i] = scored{a: decodeAssignment(d), reward: d.F64()}
 		}
 	}
-	best := decodeAssignment(d)
-	bestRw := d.F64()
-	bestSet := d.Bool()
-	evals := int64(d.U64())
+	inc := decodeIncumbent(d)
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("evolution state: %w", err)
 	}
@@ -184,17 +163,18 @@ func (e *Evolution) RestoreState(data []byte) error {
 			return fmt.Errorf("evolution state individual %d: %w", i, err)
 		}
 	}
-	if err := validateAssignment(e.sp, best); err != nil {
+	if err := inc.validate(e.sp); err != nil {
 		return fmt.Errorf("evolution state incumbent: %w", err)
 	}
-	e.pop, e.best, e.bestRw, e.bestSet, e.evals = pop, best, bestRw, bestSet, evals
+	e.pop, e.inc = pop, inc
 	return nil
 }
 
-// mutate flips each decision to a uniformly random other option with the
-// given probability, guaranteeing at least one mutation.
-func mutate(sp *space.Space, a space.Assignment, rate float64, rng *tensor.RNG) space.Assignment {
-	out := append(space.Assignment(nil), a...)
+// mutate flips each decision to a uniformly random other option with
+// probability mutationRate, guaranteeing at least one mutation.
+func mutate(sp *space.Space, a space.Assignment, rng *tensor.RNG) space.Assignment {
+	rate := mutationRate(sp)
+	out := slices.Clone(a)
 	mutated := false
 	for i, d := range sp.Decisions {
 		if d.Arity() < 2 {

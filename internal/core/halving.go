@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"h2onas/internal/space"
@@ -157,7 +158,7 @@ func (h *SuccessiveHalving) Sample(rng *tensor.RNG, warmup bool) space.Assignmen
 	}
 	c := &h.cohort[h.next]
 	h.next = (h.next + 1) % len(h.cohort)
-	return copyAssignment(c.a)
+	return slices.Clone(c.a)
 }
 
 // Update credits each evaluation to its candidate (matched by
@@ -187,7 +188,7 @@ func (h *SuccessiveHalving) Update(samples []space.Assignment, rewards []float64
 // find returns the live candidate equal to a, or -1.
 func (h *SuccessiveHalving) find(a space.Assignment) int {
 	for i := range h.cohort {
-		if assignmentsEqual(h.cohort[i].a, a) {
+		if slices.Equal(h.cohort[i].a, a) {
 			return i
 		}
 	}
@@ -239,30 +240,16 @@ func (h *SuccessiveHalving) Best() space.Assignment {
 	if !h.seeded || len(h.cohort) == 0 {
 		return make(space.Assignment, len(h.sp.Decisions))
 	}
-	return copyAssignment(h.cohort[h.ranked()[0]].a)
+	return slices.Clone(h.cohort[h.ranked()[0]].a)
 }
 
-// Entropy and Confidence measure the live cohort's per-decision
-// concentration; they tighten as rungs cull.
-func (h *SuccessiveHalving) Entropy() float64 {
-	e, _ := empiricalDiag(h.sp, h.liveAssignments())
-	return e
-}
-
-func (h *SuccessiveHalving) Confidence() float64 {
-	_, c := empiricalDiag(h.sp, h.liveAssignments())
-	return c
-}
-
-func (h *SuccessiveHalving) liveAssignments() []space.Assignment {
+// Diagnostics measure the live cohort's per-decision concentration; they
+// tighten as rungs cull.
+func (h *SuccessiveHalving) Diagnostics() (entropy, confidence float64) {
 	if !h.seeded {
-		return nil
+		return uniformDiag(h.sp)
 	}
-	out := make([]space.Assignment, len(h.cohort))
-	for i := range h.cohort {
-		out[i] = h.cohort[i].a
-	}
-	return out
+	return empiricalDiag(h.sp, h.cohort, func(c *shCand) space.Assignment { return c.a })
 }
 
 func (h *SuccessiveHalving) StateBytes() []byte {
@@ -319,17 +306,4 @@ func (h *SuccessiveHalving) RestoreState(data []byte) error {
 	}
 	h.seeded, h.rung, h.rungEvals, h.next, h.cohort = seeded, rung, rungEvals, next, cohort
 	return nil
-}
-
-// assignmentsEqual reports whether two assignments pick identical values.
-func assignmentsEqual(a, b space.Assignment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -79,7 +79,8 @@ func (p *policyStage) update() {
 // record closes policy step step: the last update's means and the
 // strategy's diagnostics go to History, the instruments and Progress.
 func (p *policyStage) record(step int) {
-	info := StepInfo{Step: step, MeanReward: p.meanR, MeanQ: p.meanQ, Entropy: p.strat.Entropy(), Confidence: p.strat.Confidence()}
+	info := StepInfo{Step: step, MeanReward: p.meanR, MeanQ: p.meanQ}
+	info.Entropy, info.Confidence = p.strat.Diagnostics()
 	p.out.History = append(p.out.History, info)
 	p.sm.RecordStep(info)
 	if p.progress != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"log"
 	"strings"
 	"sync/atomic"
@@ -136,12 +137,15 @@ func TestResumeSkipsCorruptNewestSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	newest := "ckpt/" + checkpoint.SnapshotName(int64(cfg.WarmupSteps+cfg.Steps))
-	data, ok := fs.ReadFile(newest)
-	if !ok {
-		t.Fatalf("missing %s", newest)
+	r, err := fs.Open(newest)
+	if err != nil {
+		t.Fatal(err)
 	}
+	data, _ := io.ReadAll(r)
 	data[len(data)/2] ^= 0xff
-	fs.WriteFile(newest, data)
+	if err := checkpoint.WriteFileAtomic(fs, newest, data); err != nil {
+		t.Fatal(err)
+	}
 
 	rcfg := cfg
 	rcfg.Resume = true
@@ -205,7 +209,9 @@ func TestResumeLogsOnlyUnusableSnapshots(t *testing.T) {
 		t.Fatalf("a fresh start from an empty directory logged:\n%s", got)
 	}
 	corrupt := checkpoint.NewMemFS()
-	corrupt.WriteFile("ckpt/"+checkpoint.SnapshotName(2), []byte("not a snapshot"))
+	if err := checkpoint.WriteFileAtomic(corrupt, "ckpt/"+checkpoint.SnapshotName(2), []byte("not a snapshot")); err != nil {
+		t.Fatal(err)
+	}
 	if got := run(corrupt); !strings.Contains(got, "none of the 1 snapshots in ckpt loaded; starting fresh") {
 		t.Fatalf("a directory of unusable snapshots was not reported; log:\n%s", got)
 	}

@@ -218,7 +218,7 @@ func TestTuNASHonoursStrategyCandidatesAndMetrics(t *testing.T) {
 	if len(res.Candidates) != 5 || res.Candidates[4].Step != cfg.Steps-1 {
 		t.Fatalf("kept %d candidates ending at step %d, want the newest 5 ending at step %d", len(res.Candidates), res.Candidates[len(res.Candidates)-1].Step, cfg.Steps-1)
 	}
-	if got := len(evo.Population()); got != 4 || !slices.Equal(res.Best, evo.Best()) {
+	if got := len(evo.pop); got != 4 || !slices.Equal(res.Best, evo.Best()) {
 		t.Fatalf("the evolution strategy holds %d individuals and chose %v, search chose %v", got, evo.Best(), res.Best)
 	}
 	if got, want := cfg.Metrics.Counter("search_candidates_total").Value(), int64(cfg.Steps*cfg.Shards); got != want {

@@ -8,7 +8,6 @@ import (
 	"h2onas/internal/metrics"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
-	"h2onas/internal/wire"
 )
 
 // Strategy is the sample/update core of a search run — the plugin seam
@@ -45,11 +44,10 @@ type Strategy interface {
 	Update(samples []space.Assignment, rewards []float64)
 	// Best returns the strategy's current choice of final architecture.
 	Best() space.Assignment
-	// Entropy and Confidence are the per-step convergence diagnostics
-	// recorded in StepInfo: policy entropy/peak probability for RL,
+	// Diagnostics returns the per-step convergence diagnostics recorded
+	// in StepInfo: policy entropy and mean peak probability for RL,
 	// population concentration for the baselines.
-	Entropy() float64
-	Confidence() float64
+	Diagnostics() (entropy, confidence float64)
 	// StateBytes serializes the strategy's complete mutable state for
 	// checkpointing; RestoreState replaces the state with a previously
 	// serialized one, validating shape against the strategy's space.
@@ -101,74 +99,15 @@ func StrategyByName(name string, sp *space.Space, evals int) (Strategy, error) {
 	}
 }
 
-// Reinforce adapts the RL controller (REINFORCE policy gradient with an
-// EMA baseline, the paper's search algorithm) to the Strategy interface.
-// It is the default strategy and the reference implementation: routing
-// it through the interface reproduces the pre-interface search loop's
-// trajectory bit for bit (see TestEngineEquivalence).
-type Reinforce struct {
-	Ctrl *controller.Controller
+// NewReinforce returns the REINFORCE strategy over the space: the RL
+// controller (policy gradient with an EMA baseline, the paper's search
+// algorithm), which is the default strategy and the reference
+// implementation (see TestEngineEquivalence).
+func NewReinforce(sp *space.Space, cfg controller.Config) *controller.Controller {
+	return controller.New(sp, cfg)
 }
 
-// NewReinforce returns the REINFORCE strategy over the space.
-func NewReinforce(sp *space.Space, cfg controller.Config) *Reinforce {
-	return &Reinforce{Ctrl: controller.New(sp, cfg)}
-}
-
-func (r *Reinforce) Name() string { return "reinforce" }
-
-// SetMetrics propagates the registry to the controller (KL trend etc.).
-func (r *Reinforce) SetMetrics(m *metrics.Registry) { r.Ctrl.Metrics = m }
-
-// Sample draws from the policy. Warmup steps sample the (still uniform)
-// policy too — exactly the pre-interface behavior.
-func (r *Reinforce) Sample(rng *tensor.RNG, warmup bool) space.Assignment {
-	return r.Ctrl.Policy.Sample(rng)
-}
-
-func (r *Reinforce) Update(samples []space.Assignment, rewards []float64) {
-	r.Ctrl.Update(samples, rewards)
-}
-
-func (r *Reinforce) Best() space.Assignment { return r.Ctrl.Policy.MostProbable() }
-func (r *Reinforce) Entropy() float64       { return r.Ctrl.Policy.Entropy() }
-func (r *Reinforce) Confidence() float64    { return r.Ctrl.Policy.Confidence() }
-
-// StateBytes captures the policy logits and the controller's optimizer
-// state (EMA baseline, update count).
-func (r *Reinforce) StateBytes() []byte {
-	cs := r.Ctrl.State()
-	var e wire.Enc
-	e.Mat(r.Ctrl.Policy.Logits)
-	e.F64(cs.Baseline)
-	e.Bool(cs.BaselineSet)
-	e.U64(uint64(cs.Steps))
-	return e.Buf
-}
-
-func (r *Reinforce) RestoreState(data []byte) error {
-	d := wire.NewDec(data)
-	logits := d.Mat()
-	baseline := d.F64()
-	baselineSet := d.Bool()
-	steps := int64(d.U64())
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("reinforce state: %w", err)
-	}
-	if len(logits) != len(r.Ctrl.Policy.Logits) {
-		return fmt.Errorf("reinforce state has %d policy decisions, space has %d", len(logits), len(r.Ctrl.Policy.Logits))
-	}
-	for i, row := range logits {
-		if len(row) != len(r.Ctrl.Policy.Logits[i]) {
-			return fmt.Errorf("reinforce state decision %d has %d logits, space arity is %d", i, len(row), len(r.Ctrl.Policy.Logits[i]))
-		}
-	}
-	for i, row := range logits {
-		copy(r.Ctrl.Policy.Logits[i], row)
-	}
-	r.Ctrl.Restore(controller.State{Baseline: baseline, BaselineSet: baselineSet, Steps: steps})
-	return nil
-}
+var _ Strategy = (*controller.Controller)(nil)
 
 // uniformDiag returns the entropy and confidence of the uniform
 // distribution over the space — the fixed diagnostics of strategies that
@@ -187,17 +126,17 @@ func uniformDiag(sp *space.Space) (entropy, confidence float64) {
 }
 
 // empiricalDiag returns the entropy and mean peak probability of the
-// per-decision empirical distribution over a set of assignments — the
-// population-concentration diagnostics of evolution and halving.
-func empiricalDiag(sp *space.Space, pop []space.Assignment) (entropy, confidence float64) {
+// per-decision empirical distribution over the genes of a population —
+// the population-concentration diagnostics of evolution and halving.
+func empiricalDiag[T any](sp *space.Space, pop []T, genes func(*T) space.Assignment) (entropy, confidence float64) {
 	if len(pop) == 0 {
 		return uniformDiag(sp)
 	}
 	n := float64(len(pop))
 	for d, dec := range sp.Decisions {
 		counts := make([]int, dec.Arity())
-		for _, a := range pop {
-			counts[a[d]]++
+		for i := range pop {
+			counts[genes(&pop[i])[d]]++
 		}
 		peak := 0.0
 		for _, c := range counts {
@@ -218,12 +157,4 @@ func empiricalDiag(sp *space.Space, pop []space.Assignment) (entropy, confidence
 		confidence = 1
 	}
 	return entropy, confidence
-}
-
-// copyAssignment clones a (possibly nil) assignment.
-func copyAssignment(a space.Assignment) space.Assignment {
-	if a == nil {
-		return nil
-	}
-	return append(space.Assignment(nil), a...)
 }

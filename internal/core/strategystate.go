@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"h2onas/internal/space"
 	"h2onas/internal/wire"
@@ -44,3 +45,42 @@ func validateAssignment(sp *space.Space, a space.Assignment) error {
 	}
 	return sp.Validate(a)
 }
+
+// incumbent is the best-reward candidate a strategy has evaluated and
+// the number of evaluations it has seen. A strictly greater reward
+// replaces it, so ties resolve to the earliest evaluation and the
+// incumbent is a deterministic function of the evaluation sequence.
+type incumbent struct {
+	best   space.Assignment
+	reward float64
+	set    bool
+	evals  int64
+}
+
+// observe counts one evaluation: candidate a earned reward.
+func (in *incumbent) observe(a space.Assignment, reward float64) {
+	in.evals++
+	if !in.set || reward > in.reward {
+		in.best, in.reward, in.set = slices.Clone(a), reward, true
+	}
+}
+
+// get returns a copy of the incumbent, and whether there is one.
+func (in *incumbent) get() (space.Assignment, bool) { return slices.Clone(in.best), in.set }
+
+// encode writes the incumbent as (best, reward, set, evals).
+func (in *incumbent) encode(e *wire.Enc) {
+	encodeAssignment(e, in.best)
+	e.F64(in.reward)
+	e.Bool(in.set)
+	e.U64(uint64(in.evals))
+}
+
+// decodeIncumbent reads what encode wrote; the caller validates it once
+// the decoder is finished.
+func decodeIncumbent(d *wire.Dec) incumbent {
+	return incumbent{best: decodeAssignment(d), reward: d.F64(), set: d.Bool(), evals: int64(d.U64())}
+}
+
+// validate checks the incumbent's candidate against the space.
+func (in *incumbent) validate(sp *space.Space) error { return validateAssignment(sp, in.best) }

@@ -268,14 +268,10 @@ func (s *Stream) newBatch(n int) *Batch {
 	return b
 }
 
-// latentEffect is the stationary ground-truth per-id effect of table t: a
-// hash-derived Gaussian scaled by the table's informativeness.
-func (s *Stream) latentEffect(table, id int) float64 {
-	return s.epochEffect(table, id, 0)
-}
-
-// epochEffect is the latent effect during drift epoch e. Epoch 0 — the
-// whole stream without drift — goes through the memo.
+// epochEffect is the latent per-id effect of table t during drift epoch
+// e: a hash-derived Gaussian scaled by the table's informativeness. Epoch
+// 0 — the stationary ground truth, the whole stream without drift — goes
+// through the memo.
 func (s *Stream) epochEffect(table, id int, epoch int64) float64 {
 	key := id*s.cfg.NumTables + table
 	if epoch == 0 {

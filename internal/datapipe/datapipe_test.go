@@ -82,7 +82,7 @@ func TestLatentEffectDecaysAcrossTables(t *testing.T) {
 	meanAbs := func(table int) float64 {
 		var sum float64
 		for id := 0; id < 400; id++ {
-			sum += math.Abs(s.latentEffect(table, id))
+			sum += math.Abs(s.epochEffect(table, id, 0))
 		}
 		return sum / 400
 	}
@@ -94,10 +94,10 @@ func TestLatentEffectDecaysAcrossTables(t *testing.T) {
 
 func TestLatentEffectDeterministicPerID(t *testing.T) {
 	s := NewStream(smallCTRConfig(), 5)
-	if s.latentEffect(2, 42) != s.latentEffect(2, 42) {
+	if s.epochEffect(2, 42, 0) != s.epochEffect(2, 42, 0) {
 		t.Fatal("latent effect must be a pure function of (table, id)")
 	}
-	if s.latentEffect(2, 42) == s.latentEffect(2, 43) {
+	if s.epochEffect(2, 42, 0) == s.epochEffect(2, 43, 0) {
 		t.Fatal("different ids should have different effects")
 	}
 }
@@ -110,7 +110,7 @@ func TestLabelsCorrelateWithGroundTruth(t *testing.T) {
 	b := s.NextBatch(8000)
 	var hiSum, hiN, loSum, loN float64
 	for i := 0; i < b.Size(); i++ {
-		eff := s.latentEffect(0, b.Sparse[0][i][0])
+		eff := s.epochEffect(0, b.Sparse[0][i][0], 0)
 		if eff > 0.8 {
 			hiSum += b.Labels.Data[i]
 			hiN++
@@ -257,7 +257,7 @@ func TestNoDriftIsStationary(t *testing.T) {
 	if s.effectAt(0, 7, 0) != s.effectAt(0, 7, 1_000_000) {
 		t.Fatal("without drift, effects must be stationary")
 	}
-	if s.effectAt(0, 7, 0) != s.latentEffect(0, 7) {
+	if s.effectAt(0, 7, 0) != s.epochEffect(0, 7, 0) {
 		t.Fatal("stationary effect must match the exposed ground truth")
 	}
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"reflect"
@@ -103,12 +104,15 @@ func TestStoreReplaySkipsCorruptNewestRecord(t *testing.T) {
 	}
 	// Flip bytes in the newest record: replay must fall back to seq 1.
 	newest := filepath.Join("root", "journal", journalName(id, 2))
-	data, ok := fs.ReadFile(newest)
-	if !ok {
-		t.Fatalf("journal record %s missing", newest)
+	r, err := fs.Open(newest)
+	if err != nil {
+		t.Fatal(err)
 	}
+	data, _ := io.ReadAll(r)
 	data[len(data)-1] ^= 0xff
-	fs.WriteFile(newest, data)
+	if err := checkpoint.WriteFileAtomic(fs, newest, data); err != nil {
+		t.Fatal(err)
+	}
 
 	st2, err := OpenStore("root", StoreOptions{FS: fs, Metrics: reg, Logf: t.Logf})
 	if err != nil {
@@ -122,7 +126,9 @@ func TestStoreReplaySkipsCorruptNewestRecord(t *testing.T) {
 		t.Fatalf("corrupt-skipped counter = %d, want 1", n)
 	}
 	// Truncated-to-nothing record is skipped too.
-	fs.WriteFile(newest, []byte("H2O"))
+	if err := checkpoint.WriteFileAtomic(fs, newest, []byte("H2O")); err != nil {
+		t.Fatal(err)
+	}
 	st3, err := OpenStore("root", StoreOptions{FS: fs, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

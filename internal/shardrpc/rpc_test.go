@@ -239,6 +239,61 @@ func TestWorkerRejoinsWithFullSync(t *testing.T) {
 	}
 }
 
+// TestFullSyncFrameNotKept: a full weight sync's frame is a whole copy of
+// the weights, and neither end keeps it once it has landed (see
+// connBufs); a step without a sync keeps its buffer for the next one.
+func TestFullSyncFrameNotKept(t *testing.T) {
+	f := startFleet(t, 3)
+	tr, err := Dial(f.addrs, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cfg := testConfig(3)
+	cfg.Transport = tr
+	if _, err := testSearcher(t, 3).Search(cfg); err != nil {
+		t.Fatal(err)
+	}
+	weights := 0
+	for _, p := range tr.params {
+		weights += 8 * len(p.Value.Data)
+	}
+	for i, w := range tr.workers {
+		if c := cap(w.bufs.tx); c >= weights {
+			t.Errorf("coordinator still holds a %d-byte frame for shard %d; the weights are %d bytes", c, i, weights)
+		}
+	}
+
+	s, err := newSession(&hello{Space: space.SmallDLRMConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := s.ds.Config
+	batch := datapipe.NewStream(datapipe.CTRConfig{NumTables: cc.NumTables, Vocab: cc.BaseVocab, NumDense: cc.NumDense}, 3).NextBatch(16)
+	req := execReq{
+		Step: 1, Assignment: s.ds.BaselineAssignment(), ToVersion: 1,
+		NumExamples: batch.Dense.Rows, NumDense: batch.Dense.Cols,
+		Dense: batch.Dense.Data, Labels: batch.Labels.Data, Sparse: batch.Sparse,
+	}
+	for _, p := range s.params {
+		req.Full = append(req.Full, p.Value.Data)
+	}
+	for _, mode := range []byte{weightsFull, weightsNone} {
+		req.WeightsMode = mode
+		payload := encodeExec(newFrame(nil), &req)[headerLen:]
+		s.bufs.rx = payload
+		if err := s.handleExec(payload); err != nil {
+			t.Fatal(err)
+		}
+		if kept := s.bufs.rx != nil; kept != (mode == weightsNone) {
+			t.Errorf("weights mode %d: worker kept its receive buffer = %v", mode, kept)
+		}
+	}
+	if s.req.Full != nil {
+		t.Error("worker kept its views into the full sync")
+	}
+}
+
 // TestBindRejectsMismatchedFleet: a 2-worker fleet cannot serve a
 // 3-shard run.
 func TestBindRejectsMismatchedFleet(t *testing.T) {

@@ -363,6 +363,9 @@ func (t *Transport) call(w *rpcWorker, step int, a space.Assignment, b *datapipe
 		return nil, true, err
 	}
 	t.ins.broadcast.Add(int64(len(w.bufs.tx)))
+	if req.WeightsMode == weightsFull {
+		w.bufs.tx = nil // see connBufs
+	}
 	typ, gotID, resp, err := readFrame(w.conn, w.bufs.rx)
 	if err != nil {
 		return nil, true, err

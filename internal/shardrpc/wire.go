@@ -94,7 +94,10 @@ func readFrame(r io.Reader, buf []byte) (typ byte, reqID uint64, payload []byte,
 // connBufs are one connection's frame buffers, reused every step: tx
 // holds the frame being encoded and sent, rx the last frame read — and
 // with it every view decoded from that frame, which is valid until the
-// next read on the connection.
+// next read on the connection. A full weight sync is the exception: its
+// frame holds a whole copy of the weights, many times a delta step's, so
+// both ends let it go once it has been sent and applied rather than
+// keep that copy live for the connection's life.
 type connBufs struct{ tx, rx []byte }
 
 // hello is the coordinator's handshake: everything a worker needs to

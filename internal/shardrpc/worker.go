@@ -262,6 +262,11 @@ func (s *workerSession) handleExec(payload []byte) (err error) {
 	if err := s.applyWeights(req); err != nil {
 		return err
 	}
+	if req.WeightsMode == weightsFull {
+		// See connBufs. The step's other views into the frame hold it
+		// only until the next decode replaces them.
+		s.bufs.rx, req.Full = nil, nil
+	}
 	if err := s.ds.Space.Validate(req.Assignment); err != nil {
 		return err
 	}

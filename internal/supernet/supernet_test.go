@@ -72,6 +72,9 @@ func TestBackwardTouchesOnlyActiveSubnetwork(t *testing.T) {
 }
 
 func TestWiderEmbeddingsLearnMoreSignal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 120-step training runs")
+	}
 	// The architecture/quality dependence the search exploits: on the
 	// memorization-heavy task, candidates with wider embeddings should
 	// reach better quality than candidates with all tables removed.

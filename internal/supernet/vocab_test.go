@@ -105,6 +105,9 @@ func TestFineVocabReplicatePreservesMode(t *testing.T) {
 }
 
 func TestFineVocabTrainsOnTask(t *testing.T) {
+	if testing.Short() {
+		t.Skip("an 80-step training run")
+	}
 	ds, sn, stream := newFine(7)
 	a := ds.BaselineAssignment()
 	opt := nn.NewAdam(0.003)

@@ -20,13 +20,13 @@ import (
 var surfaceAllow = map[string]string{
 	"internal/nn.ReduceParamGrads": "reference implementation compared by tests: the serial reduce the spine must match bit for bit",
 
-	"internal/wire/wiretest.Hex":       "test support: the hex byte-golden reader shared by the core, jobs, shardrpc and wire golden tests",
 	"internal/httpserve.Server.Health": "test seam: cmd/serve's handler tests flip readiness without running the listener",
 	"internal/tensor.Equal":            "test support across packages: the tolerance comparison of seventeen test files",
 	"internal/tensor.MaxAbs":           "test probe across packages: 'did any gradient reach this parameter' in the nn, supernet and vitnet tests",
 	"internal/tensor.Matrix.Clone":     "test support across packages: nn and supernet tests snapshot weights and gradients with it",
 	"internal/arch.Graph.Clone":        "test support across packages: hwsim's monotonicity property test mutates a copy",
 	"internal/perfmodel.ServeHead":     "enum value: the other arm of Model.NRMSE's head switch; no experiment reports serve-head error, the tests do",
+	"internal/checkpoint.FaultFS":      "fault-injection seam: the checkpoint and core durability tests fail its writes, syncs and renames, and the durability and soak work builds on it",
 }
 
 // TestSurfaceHasCallers is the "nothing without a caller" gate: every
@@ -36,16 +36,22 @@ var surfaceAllow = map[string]string{
 // from api_test.go, which pins the façade — through references in
 // non-test files. A name only its own file (or only tests) mention is
 // reachable when, and only when, a reachable declaration mentions it.
+// A package under internal/ whose name ends in "test" is test support:
+// the gate exempts it, and fails any non-test file that imports it.
 //
 // The gate is stdlib-only (go/parser, no type information), so an edge
-// is a name: `pkg.Name` through an import of the package, a bare
-// identifier inside the package, and `.Name` to every method of that
-// name. That can keep an orphan whose name collides with a live one; it
-// never flags a reachable name.
+// is a name: `pkg.Name` through an import of the package (never a
+// method), a bare identifier inside the package, and `.Name` to every
+// method of that name whose receiver type is reachable. That can keep an
+// orphan whose name collides with a live one. It flags a reachable name
+// only when a variable shadows an import and its method is reached
+// through nothing else.
 func TestSurfaceHasCallers(t *testing.T) {
 	type ref struct{ dir, name string }
 	type decl struct {
 		key, method string // allowlist keys: exact, and "*.Method" for methods
+		id          ref    // directory and bare name
+		recv        *ref   // a method's receiver type
 		file        string
 		gated       bool  // exported, in the root package or internal/...
 		refs        []ref // package-level names it mentions
@@ -55,46 +61,58 @@ func TestSurfaceHasCallers(t *testing.T) {
 	var decls []*decl
 	byName := map[ref][]*decl{}      // package-level names
 	byMethod := map[string][]*decl{} // methods, by bare name
+	methodsOf := map[ref][]*decl{}   // methods, by receiver type
 
 	for _, f := range parseTree(t) {
 		if f.test && f.path != "api_test.go" {
 			continue
 		}
-		imports := map[string]string{} // local name -> repo dir
+		imports := map[string]string{} // local name -> repo dir, "" outside the repo
 		for _, im := range f.ast.Imports {
 			path, _ := strconv.Unquote(im.Path.Value)
-			if path != "h2onas" && !strings.HasPrefix(path, "h2onas/") {
-				continue
-			}
-			local := filepath.Base(path)
+			local := path[strings.LastIndex(path, "/")+1:]
 			if im.Name != nil {
 				local = im.Name.Name
 			}
-			imports[local] = filepath.ToSlash(filepath.Join(".", strings.TrimPrefix(path, "h2onas")))
+			if path != "h2onas" && !strings.HasPrefix(path, "h2onas/") {
+				imports[local] = ""
+				continue
+			}
+			dir := filepath.ToSlash(filepath.Join(".", strings.TrimPrefix(path, "h2onas")))
+			imports[local] = dir
+			if testSupport(dir) && !f.test && !testSupport(f.dir) {
+				t.Errorf("%s imports the test-support package %s", f.path, path)
+			}
 		}
 		library := f.dir == "." || strings.HasPrefix(f.dir, "internal/")
 		add := func(name, recv string, nodes ...ast.Node) {
-			d := &decl{key: f.dir + "." + name, file: f.path, gated: library && !f.test && ast.IsExported(name)}
+			d := &decl{key: f.dir + "." + name, id: ref{f.dir, name}, file: f.path,
+				gated: library && !f.test && ast.IsExported(name) && !testSupport(f.dir)}
 			// Binaries, examples and the façade's pinning test are the
 			// roots; so is anything a package runs unasked.
 			d.live = !library || f.test || name == "init" || name == "_"
 			if recv != "" {
 				d.key = f.dir + "." + recv + "." + name
 				d.method = "*." + name
+				d.recv = &ref{f.dir, recv}
 				byMethod[name] = append(byMethod[name], d)
+				methodsOf[*d.recv] = append(methodsOf[*d.recv], d)
 			} else {
-				byName[ref{f.dir, name}] = append(byName[ref{f.dir, name}], d)
+				byName[d.id] = append(byName[d.id], d)
 			}
 			for _, n := range nodes {
 				ast.Inspect(n, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.SelectorExpr:
-						d.selectors = append(d.selectors, n.Sel.Name)
 						if x, ok := n.X.(*ast.Ident); ok {
 							if dir, ok := imports[x.Name]; ok {
-								d.refs = append(d.refs, ref{dir, n.Sel.Name})
+								if dir != "" {
+									d.refs = append(d.refs, ref{dir, n.Sel.Name})
+								}
+								return true
 							}
 						}
+						d.selectors = append(d.selectors, n.Sel.Name)
 					case *ast.Ident:
 						d.refs = append(d.refs, ref{f.dir, n.Name})
 					}
@@ -137,7 +155,21 @@ func TestSurfaceHasCallers(t *testing.T) {
 		}
 	}
 
-	// reach marks everything the live declarations reach.
+	// reach marks everything the live declarations reach. A method is
+	// live once its name is selected and its receiver type is live, in
+	// either order.
+	selected := map[string]bool{}
+	recvLive := func(m *decl) bool {
+		if len(byName[*m.recv]) == 0 {
+			return true // a receiver the parse cannot name, e.g. "?"
+		}
+		for _, d := range byName[*m.recv] {
+			if d.live {
+				return true
+			}
+		}
+		return false
+	}
 	reach := func() {
 		var work []*decl
 		for _, d := range decls {
@@ -145,22 +177,37 @@ func TestSurfaceHasCallers(t *testing.T) {
 				work = append(work, d)
 			}
 		}
-		visit := func(ds []*decl) {
-			for _, d := range ds {
-				if !d.live {
-					d.live = true
-					work = append(work, d)
-				}
+		visit := func(d *decl) {
+			if !d.live {
+				d.live = true
+				work = append(work, d)
 			}
 		}
 		for len(work) > 0 {
 			d := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, r := range d.refs {
-				visit(byName[r])
+				for _, n := range byName[r] {
+					visit(n)
+				}
 			}
 			for _, s := range d.selectors {
-				visit(byMethod[s])
+				if selected[s] {
+					continue
+				}
+				selected[s] = true
+				for _, m := range byMethod[s] {
+					if recvLive(m) {
+						visit(m)
+					}
+				}
+			}
+			if d.recv == nil {
+				for _, m := range methodsOf[d.id] {
+					if selected[m.id.name] {
+						visit(m)
+					}
+				}
 			}
 		}
 	}
@@ -243,6 +290,12 @@ func parseTree(t *testing.T) []sourceFile {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// testSupport reports whether dir is a test-support package: under
+// internal/, with a name ending in "test".
+func testSupport(dir string) bool {
+	return strings.HasPrefix(dir, "internal/") && strings.HasSuffix(dir, "test")
 }
 
 // recvName returns the receiver's type name, without pointer or type
