@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,18 +22,54 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden")
+
 func execMain(t *testing.T, args ...string) (exit int, stderr string) {
+	t.Helper()
+	exit, _, stderr = runMain(t, args...)
+	return exit, stderr
+}
+
+// runMain runs the binary on args and returns its exit code and output.
+func runMain(t *testing.T, args ...string) (exit int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "H2ONAS_TEST_EXEC=1")
-	var buf bytes.Buffer
-	cmd.Stderr = &buf
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
 	var ee *exec.ExitError
 	if err != nil && !errors.As(err, &ee) {
 		t.Fatalf("exec h2onas %v: %v", args, err)
 	}
-	return cmd.ProcessState.ExitCode(), buf.String()
+	return cmd.ProcessState.ExitCode(), out.String(), errOut.String()
+}
+
+// TestGoldenVisionStdout pins the analytic vision searches end to end:
+// the CNN and hybrid-ViT domains' whole report, the final architecture's
+// every decision included, against testdata/golden/<domain>.txt
+// (-update-golden rewrites them).
+func TestGoldenVisionStdout(t *testing.T) {
+	for _, domain := range []string{"cnn", "vit"} {
+		exit, stdout, stderr := runMain(t, "-domain", domain, "-steps", "20", "-shards", "4", "-seed", "3", "-no-metrics")
+		if exit != 0 {
+			t.Fatalf("-domain %s: exit %d\n%s", domain, exit, stderr)
+		}
+		path := filepath.Join("testdata", "golden", domain+".txt")
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stdout != string(want) {
+			t.Errorf("-domain %s diverged from %s\n got: %s\nwant: %s", domain, path, stdout, want)
+		}
+	}
 }
 
 // TestLatencyFlagRejectedAsUsageError: a non-positive or NaN -latency is
