@@ -152,13 +152,6 @@ type Graph struct {
 // opChunk is the number of ops per slab chunk Push adds on its own.
 const opChunk = 32
 
-// NewGraph returns an empty graph whose op list and op storage are sized
-// for n ops: pushing n ops allocates nothing more.
-func NewGraph(name string, batch, dtypeBytes, n int) *Graph {
-	return &Graph{Name: name, Batch: batch, DTypeBytes: dtypeBytes,
-		Ops: make([]*Op, 0, n), slab: [][]Op{make([]Op, 0, n)}}
-}
-
 // Push appends a copy of op held in the graph's own storage, which Reset
 // recycles: a graph rebuilt in place allocates nothing once it has held
 // as many ops before.
@@ -181,13 +174,24 @@ func (g *Graph) pushCounted(op Op, dt int) {
 	g.Params += op.ParamBytes / float64(dt) * op.Repeat()
 }
 
-// Reset empties the graph and renames it for a rebuild, keeping the
-// storage of its op list and of the ops Push copied in.
-func (g *Graph) Reset(name string, batch, dtypeBytes int) {
+// Reset empties the graph and renames it for a build of n ops, keeping
+// the storage of its op list and of the ops Push copied in when it holds
+// n, and otherwise sizing both to n: pushing n ops then allocates nothing
+// more. A builder that does not count its ops passes 0 and lets Push grow
+// the storage.
+func (g *Graph) Reset(name string, batch, dtypeBytes, n int) {
 	g.Name, g.Batch, g.DTypeBytes, g.Params = name, batch, dtypeBytes, 0
 	g.Ops = g.Ops[:0]
+	if cap(g.Ops) < n {
+		g.Ops = make([]*Op, 0, n)
+	}
+	room := 0
 	for i := range g.slab {
 		g.slab[i] = g.slab[i][:0]
+		room += cap(g.slab[i])
+	}
+	if room < n {
+		g.slab = append(g.slab[:0], make([]Op, 0, n))
 	}
 	g.chunk = 0
 }
@@ -229,14 +233,4 @@ func (g *Graph) NetworkBytes() float64 {
 		s += op.NetworkBytes * op.Repeat()
 	}
 	return s
-}
-
-// Clone deep-copies the graph.
-func (g *Graph) Clone() *Graph {
-	out := NewGraph(g.Name, g.Batch, g.DTypeBytes, len(g.Ops))
-	out.Params = g.Params
-	for _, op := range g.Ops {
-		out.Push(*op)
-	}
-	return out
 }

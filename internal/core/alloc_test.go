@@ -211,7 +211,7 @@ func TestServeShapedSearchBytes(t *testing.T) {
 	}
 }
 
-// perfSink keeps BenchmarkDLRMPerf's result alive.
+// perfSink keeps the result of a measured PerfFunc alive.
 var perfSink []float64
 
 // BenchmarkDLRMPerf measures one candidate costing of the small DLRM

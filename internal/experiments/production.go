@@ -69,52 +69,29 @@ func Fig10Production(sc Scale) *Report {
 // optimizeCV runs the analytic RL search for one production CV model and
 // returns (perf gain, quality gain in pp, energy ratio).
 func optimizeCV(m models.ProductionModel, sc Scale) (perfGain, qualGain, energyRatio float64) {
-	cs := space.NewCNNSpace(*m.CNN)
-	chip := hwsim.TPUv4()
-	opts := hwsim.Options{Mode: hwsim.Training, Chips: 128}
-
-	simulate := func(a space.Assignment) hwsim.Result {
-		return hwsim.Simulate(cs.Graph(cs.Decode(a)), chip, opts)
-	}
-	accuracy := func(a space.Assignment) float64 {
-		ar := cs.Decode(a)
-		g := cs.Graph(ar)
-		return quality.Accuracy(quality.Traits{
-			Params:         g.Params,
-			FLOPs:          g.TotalFLOPs() / float64(m.CNN.Batch),
-			ConvDepth:      totalDepth(ar),
-			BaseConvDepth:  baselineDepth(*m.CNN),
-			Resolution:     ar.Resolution,
-			BaseResolution: m.CNN.Resolution,
-			Activation:     majorityAct(ar),
-		}, quality.ImageNet1K)
-	}
-
-	baseAssign := cs.BaselineAssignment()
-	baseRes := simulate(baseAssign)
-	baseAcc := accuracy(baseAssign)
-	baseSize := cs.Graph(cs.Decode(baseAssign)).Params
+	obj := &core.VisionObjectives{CNN: space.NewCNNSpace(*m.CNN), Chip: hwsim.TPUv4(), Dataset: quality.ImageNet1K}
+	base := obj.Evaluate(obj.CNN.BaselineAssignment())
 
 	rw := reward.MustNew(reward.ReLU,
-		reward.Objective{Name: "train_step_time", Target: baseRes.StepTime * m.LatencyTargetFactor, Beta: -3 / m.QualityWeight},
-		reward.Objective{Name: "model_size", Target: baseSize * 1.05, Beta: -1 / m.QualityWeight},
+		reward.Objective{Name: "train_step_time", Target: base.Train.StepTime * m.LatencyTargetFactor, Beta: -3 / m.QualityWeight},
+		reward.Objective{Name: "model_size", Target: base.Params * 1.05, Beta: -1 / m.QualityWeight},
 	)
 	s := &core.AnalyticSearcher{
-		Space:  cs.Space,
+		Space:  obj.CNN.Space,
 		Reward: rw,
 		// Quality is the first priority (Section 7.3): accuracy gains
 		// enter the reward at 2× weight, accuracy losses at 8×, so a
 		// model cannot buy speed with below-baseline accuracy.
 		Quality: func(a space.Assignment) float64 {
-			d := accuracy(a) - baseAcc
+			d := obj.Evaluate(a).Accuracy - base.Accuracy
 			if d < 0 {
 				return d * 8
 			}
 			return d * 2
 		},
 		Perf: func(a space.Assignment) []float64 {
-			res := simulate(a)
-			return []float64{res.StepTime, cs.Graph(cs.Decode(a)).Params}
+			ev := obj.Evaluate(a)
+			return []float64{ev.Train.StepTime, ev.Params}
 		},
 	}
 	res, err := s.Search(core.Config{
@@ -125,10 +102,10 @@ func optimizeCV(m models.ProductionModel, sc Scale) (perfGain, qualGain, energyR
 	if err != nil {
 		panic(err)
 	}
-	bestRes := simulate(res.Best)
-	return baseRes.StepTime / bestRes.StepTime,
-		accuracy(res.Best) - baseAcc,
-		bestRes.Energy / baseRes.Energy
+	best := obj.Evaluate(res.Best)
+	return base.Train.StepTime / best.Train.StepTime,
+		best.Accuracy - base.Accuracy,
+		best.Train.Energy / base.Train.Energy
 }
 
 // optimizeDLRM runs the live super-network search for one production DLRM
@@ -181,10 +158,9 @@ func optimizeDLRM(m models.ProductionModel, sc Scale) (perfGain, qualGain, energ
 		launched, launchedQuality = ds.BaselineAssignment(), baseQuality
 	}
 
-	chip := hwsim.TPUv4()
 	opts := hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}
-	baseRes := hwsim.Simulate(ds.Graph(ds.Decode(ds.BaselineAssignment())), chip, opts)
-	bestRes := hwsim.Simulate(ds.Graph(ds.Decode(launched)), chip, opts)
+	baseRes := hwsim.Simulate(ds.Graph(ds.Decode(ds.BaselineAssignment())), obj.Chip, opts)
+	bestRes := hwsim.Simulate(ds.Graph(ds.Decode(launched)), obj.Chip, opts)
 	return baseRes.StepTime / bestRes.StepTime,
 		(launchedQuality - baseQuality) * 100,
 		bestRes.Energy / baseRes.Energy
@@ -220,35 +196,6 @@ func trainFixedDLRM(ds *space.DLRMSpace, ctr datapipe.CTRConfig, a space.Assignm
 	eval := stream.NextBatch(4096)
 	eval.UseForArch()
 	return sn.Quality(a, eval)
-}
-
-func totalDepth(ar space.CNNArch) int {
-	var d int
-	for _, v := range ar.Depths {
-		d += v
-	}
-	return d
-}
-
-func baselineDepth(cfg space.CNNConfig) int {
-	var d int
-	for _, st := range cfg.Stages {
-		d += st.Depth
-	}
-	return d
-}
-
-func majorityAct(ar space.CNNArch) string {
-	swish := 0
-	for _, b := range ar.Blocks {
-		if b.Act == "swish" {
-			swish++
-		}
-	}
-	if swish*2 >= len(ar.Blocks) {
-		return "swish"
-	}
-	return "relu"
 }
 
 func geomean(v []float64) float64 {

@@ -144,7 +144,7 @@ func TestMBConvFusedCrossover(t *testing.T) {
 		spec := arch.MBConvSpec{Fused: fused, In: c, Out: c,
 			Kernel: 3, Stride: 1, Expansion: 6, Act: "relu", H: 28, W: 28,
 			Batch: 128, DType: 2}
-		g := arch.NewGraph(spec.String(), 128, 2, spec.StageOps(1, true))
+		g := &arch.Graph{Name: spec.String(), Batch: 128, DTypeBytes: 2}
 		g.PushMBConvStage(spec, arch.StageNames("b", 1), true)
 		return Simulate(g, TPUv4i(), Options{}).StepTime
 	}
@@ -162,7 +162,7 @@ func TestMBConvFusedAlwaysHigherThroughput(t *testing.T) {
 		spec := arch.MBConvSpec{Fused: fused, In: c, Out: c,
 			Kernel: 3, Stride: 1, Expansion: 6, Act: "relu", H: 28, W: 28,
 			Batch: 128, DType: 2}
-		g := arch.NewGraph(spec.String(), 128, 2, spec.StageOps(1, true))
+		g := &arch.Graph{Name: spec.String(), Batch: 128, DTypeBytes: 2}
 		g.PushMBConvStage(spec, arch.StageNames("b", 1), true)
 		return Roofline(g, TPUv4i())
 	}

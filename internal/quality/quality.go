@@ -65,7 +65,7 @@ func (d Dataset) ceiling() (ceil, capScale float64) {
 type Traits struct {
 	// Params is total trainable parameters.
 	Params float64
-	// FLOPs is per-image inference FLOPs (capacity via compute).
+	// FLOPs is per-image inference FLOPs. Accuracy does not read it.
 	FLOPs float64
 	// ConvDepth and BaseConvDepth are the convolution-section layer count
 	// and its family-baseline value (Table 3's DeeperConv knob).
@@ -73,7 +73,8 @@ type Traits struct {
 	// Resolution and BaseResolution are the (pre-)training image size and
 	// its family-baseline value (Table 3's ResShrink knob).
 	Resolution, BaseResolution int
-	// Activation is the transformer-section activation function.
+	// Activation is the candidate's activation function: a hybrid's
+	// transformer-section one, a CNN's majority block activation.
 	Activation string
 }
 
@@ -109,8 +110,8 @@ func activationBonus(act string) float64 {
 // on the dataset and evaluated on ImageNet.
 func Accuracy(tr Traits, ds Dataset) float64 {
 	ceil, capScale := ds.ceiling()
-	// Capacity term: geometric mean of parameter and compute capacity, so
-	// shrinking resolution (FLOPs) costs accuracy even at equal params.
+	// Capacity term: a saturating power law in the parameter count alone
+	// (1M when unset); resolution enters only through its own term below.
 	capacity := tr.Params
 	if capacity <= 0 {
 		capacity = 1e6

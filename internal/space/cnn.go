@@ -177,22 +177,27 @@ type CNNArch struct {
 
 // Decode maps an assignment onto a CNNArch.
 func (c *CNNSpace) Decode(a Assignment) CNNArch {
+	var out CNNArch
+	c.DecodeInto(a, &out)
+	return out
+}
+
+// DecodeInto decodes the assignment into out, reusing out's slices when
+// their capacity allows, as ViTSpace.DecodeInto does.
+func (c *CNNSpace) DecodeInto(a Assignment, out *CNNArch) {
 	if err := c.Space.Validate(a); err != nil {
 		panic(err)
 	}
 	n := len(c.stages)
-	ints := make([]int, 2*n) // Depths and Reshapes share one allocation
-	out := CNNArch{
-		Resolution: int(c.Space.Decisions[c.resolutionIdx].Values[a[c.resolutionIdx]]),
-		Blocks:     make([]arch.MBConvSpec, n),
-		Depths:     ints[:n:n],
-		Reshapes:   ints[n:],
-		Skips:      make([]bool, n),
+	if cap(out.Depths) < n || cap(out.Reshapes) < n {
+		ints := make([]int, 2*n) // Depths and Reshapes share one allocation
+		out.Depths, out.Reshapes = ints[:n:n], ints[n:]
 	}
+	out.Resolution = int(c.Space.Decisions[c.resolutionIdx].Values[a[c.resolutionIdx]])
+	out.Blocks, out.Depths, out.Reshapes, out.Skips = resized(out.Blocks, n), out.Depths[:n], out.Reshapes[:n], resized(out.Skips, n)
 	for i, st := range c.Config.Stages {
 		out.Blocks[i], out.Depths[i], out.Reshapes[i], out.Skips[i] = c.stages[i].decode(c.Space, a, st, c.Config.Batch, c.Config.DType)
 	}
-	return out
 }
 
 // BaselineAssignment returns the assignment reproducing the baseline
@@ -211,6 +216,14 @@ func (c *CNNSpace) BaselineAssignment() Assignment {
 // pooling and the classifier. The graph's op storage is allocated once,
 // sized to the candidate.
 func (c *CNNSpace) Graph(ar CNNArch) *arch.Graph {
+	g := new(arch.Graph)
+	c.GraphInto(ar, g)
+	return g
+}
+
+// GraphInto builds the candidate's graph into g, replacing what g held and
+// reusing its storage (arch.Graph.Reset), as DLRMSpace.GraphInto does.
+func (c *CNNSpace) GraphInto(ar CNNArch, g *arch.Graph) {
 	cfg := c.Config
 	b, dt := cfg.Batch, cfg.DType
 
@@ -224,7 +237,7 @@ func (c *CNNSpace) Graph(ar CNNArch) *arch.Graph {
 		n += spec.StageOps(ar.Depths[i], ar.Skips[i])
 		in = spec.Out
 	}
-	g := arch.NewGraph(cfg.Name, b, dt, n)
+	g.Reset(cfg.Name, b, dt, n)
 
 	res := ar.Resolution
 	g.Push(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
@@ -244,5 +257,4 @@ func (c *CNNSpace) Graph(ar CNNArch) *arch.Graph {
 	g.Push(arch.PoolOp("avgpool", b*h*h*cfg.HeadWidth, b*cfg.HeadWidth, dt))
 	g.Push(arch.DenseOp("classifier", b, cfg.HeadWidth, cfg.NumClasses, dt))
 	g.Params += float64(cfg.HeadWidth*cfg.NumClasses + cfg.NumClasses)
-	return g
 }

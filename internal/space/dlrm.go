@@ -292,7 +292,7 @@ func (d *DLRMSpace) Graph(ar DLRMArch) *arch.Graph {
 func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 	cfg := d.Config
 	b, dt := cfg.Batch, cfg.DType
-	g.Reset(cfg.Name, b, dt)
+	g.Reset(cfg.Name, b, dt, 0)
 
 	var embOut int // concatenated embedding width
 	var embParams float64

@@ -30,7 +30,8 @@ func candidates(s *Space, seed uint64, n int) []Assignment {
 // TestPricingAllocs bounds the heap allocations of decoding and expanding
 // one candidate of every non-DLRM space: the decoded arch's slices, the
 // graph, its op list and its op storage. A per-op &Op{} or a per-call
-// name concatenation puts it far over.
+// name concatenation puts it far over. Decoding and expanding into a warm
+// arch and graph (DecodeInto, GraphInto) allocates nothing.
 func TestPricingAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations swamp the count")
@@ -46,6 +47,16 @@ func TestPricingAllocs(t *testing.T) {
 		t.Logf("%s: %.1f allocations per candidate", ps.label, allocs)
 		if allocs > budget {
 			t.Errorf("%s: Graph(Decode(a)) makes %.1f allocations per candidate, budget %d", ps.label, allocs, budget)
+		}
+		warm := ps.warm()
+		for _, a := range as {
+			warm(a) // storage sized to the largest candidate
+		}
+		if allocs := testing.AllocsPerRun(64, func() {
+			warm(as[k%len(as)])
+			k++
+		}); allocs != 0 {
+			t.Errorf("%s: GraphInto(DecodeInto(a)) into a warm arch and graph makes %.1f allocations per candidate, want 0", ps.label, allocs)
 		}
 	}
 }

@@ -278,6 +278,14 @@ func (v *ViTSpace) BaselineAssignment() Assignment {
 // head. The graph's op storage is allocated once, sized to the
 // candidate.
 func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
+	g := new(arch.Graph)
+	v.GraphInto(ar, g)
+	return g
+}
+
+// GraphInto builds the candidate's graph into g, replacing what g held and
+// reusing its storage (arch.Graph.Reset), as DLRMSpace.GraphInto does.
+func (v *ViTSpace) GraphInto(ar ViTArch, g *arch.Graph) {
 	cfg := v.Config
 	b, dt := cfg.Batch, cfg.DType
 	firstHidden := cfg.Blocks[0].Hidden
@@ -303,7 +311,7 @@ func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
 		}
 		n += blk.NumOps()
 	}
-	g := arch.NewGraph(cfg.Name, b, dt, n)
+	g.Reset(cfg.Name, b, dt, n)
 
 	res := ar.Resolution
 	in := 3
@@ -345,5 +353,4 @@ func (v *ViTSpace) Graph(ar ViTArch) *arch.Graph {
 	g.Push(arch.PoolOp("token_pool", b*seq*hidden, b*hidden, dt))
 	g.Push(arch.DenseOp("classifier", b, hidden, cfg.NumClasses, dt))
 	g.Params += float64(hidden*cfg.NumClasses + cfg.NumClasses)
-	return g
 }

@@ -35,6 +35,9 @@ type pricedSpace struct {
 	space    *Space
 	baseline Assignment
 	graph    func(Assignment) *arch.Graph
+	// warm returns a pricer that decodes and builds every candidate into
+	// the one arch and graph it owns (DecodeInto, GraphInto).
+	warm func() func(Assignment) *arch.Graph
 }
 
 // pricedSpaces returns the CNN space, the hybrid-ViT space and the pure
@@ -45,11 +48,24 @@ func pricedSpaces() []pricedSpace {
 	v := NewHybridViTSpace(DefaultViTConfig())
 	ts := NewTransformerSpace(SmallViTConfig())
 	td := NewTransformerSpace(DefaultViTConfig())
+	cnnWarm := func() func(Assignment) *arch.Graph {
+		var ar CNNArch
+		var g arch.Graph
+		return func(a Assignment) *arch.Graph { c.DecodeInto(a, &ar); c.GraphInto(ar, &g); return &g }
+	}
 	return []pricedSpace{
-		{"cnn", c.Space, c.BaselineAssignment(), func(a Assignment) *arch.Graph { return c.Graph(c.Decode(a)) }},
-		{"hybrid", v.Space, v.BaselineAssignment(), func(a Assignment) *arch.Graph { return v.Graph(v.Decode(a)) }},
-		{"tfm-small", ts.Space, ts.BaselineAssignment(), func(a Assignment) *arch.Graph { return ts.Graph(ts.Decode(a)) }},
-		{"tfm-default", td.Space, td.BaselineAssignment(), func(a Assignment) *arch.Graph { return td.Graph(td.Decode(a)) }},
+		{"cnn", c.Space, c.BaselineAssignment(), func(a Assignment) *arch.Graph { return c.Graph(c.Decode(a)) }, cnnWarm},
+		{"hybrid", v.Space, v.BaselineAssignment(), func(a Assignment) *arch.Graph { return v.Graph(v.Decode(a)) }, vitWarm(v)},
+		{"tfm-small", ts.Space, ts.BaselineAssignment(), func(a Assignment) *arch.Graph { return ts.Graph(ts.Decode(a)) }, vitWarm(ts)},
+		{"tfm-default", td.Space, td.BaselineAssignment(), func(a Assignment) *arch.Graph { return td.Graph(td.Decode(a)) }, vitWarm(td)},
+	}
+}
+
+func vitWarm(v *ViTSpace) func() func(Assignment) *arch.Graph {
+	return func() func(Assignment) *arch.Graph {
+		var ar ViTArch
+		var g arch.Graph
+		return func(a Assignment) *arch.Graph { v.DecodeInto(a, &ar); v.GraphInto(ar, &g); return &g }
 	}
 }
 
@@ -73,9 +89,18 @@ func TestWideGraphDigestsUnmoved(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, ps := range pricedSpaces() {
-		got[ps.label+"/baseline"] = wideGraphDigest(ps.graph(ps.baseline))
+		// One warm pricer rebuilds every graph in place: each rebuild must
+		// digest as its fresh build does.
+		warm := ps.warm()
+		digest := func(label string, a Assignment) {
+			got[label] = wideGraphDigest(ps.graph(a))
+			if d := wideGraphDigest(warm(a)); d != got[label] {
+				t.Errorf("%s: rebuilt in place %s, built fresh %s", label, d, got[label])
+			}
+		}
+		digest(ps.label+"/baseline", ps.baseline)
 		for seed := uint64(1); seed <= wideDigestSeeds; seed++ {
-			got[fmt.Sprintf("%s/seed%d", ps.label, seed)] = wideGraphDigest(ps.graph(randomAssignment(ps.space, seed)))
+			digest(fmt.Sprintf("%s/seed%d", ps.label, seed), randomAssignment(ps.space, seed))
 		}
 	}
 	if len(got) != len(want) {

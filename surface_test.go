@@ -24,7 +24,6 @@ var surfaceAllow = map[string]string{
 	"internal/tensor.Equal":            "test support across packages: the tolerance comparison of seventeen test files",
 	"internal/tensor.MaxAbs":           "test probe across packages: 'did any gradient reach this parameter' in the nn, supernet and vitnet tests",
 	"internal/tensor.Matrix.Clone":     "test support across packages: nn and supernet tests snapshot weights and gradients with it",
-	"internal/arch.Graph.Clone":        "test support across packages: hwsim's monotonicity property test mutates a copy",
 	"internal/perfmodel.ServeHead":     "enum value: the other arm of Model.NRMSE's head switch; no experiment reports serve-head error, the tests do",
 	"internal/checkpoint.FaultFS":      "fault-injection seam: the checkpoint and core durability tests fail its writes, syncs and renames, and the durability and soak work builds on it",
 }
