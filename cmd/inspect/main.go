@@ -75,8 +75,8 @@ func inspect(g *arch.Graph, chip hwsim.Chip, trace bool) {
 		fmt.Printf("  %-8s %6.1f GFLOPs (%5.1f%%)\n", u, f/1e9, f/total*100)
 	}
 	byKind := map[arch.Kind]float64{}
-	for _, op := range g.Ops {
-		byKind[op.Kind] += op.TotalFLOPs()
+	for i := range g.Ops {
+		byKind[g.Ops[i].Kind] += g.Ops[i].TotalFLOPs()
 	}
 	type kindShare struct {
 		kind arch.Kind

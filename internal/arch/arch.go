@@ -131,76 +131,53 @@ func (o *Op) TotalFLOPs() float64 { return o.FLOPs * o.Repeat() }
 // critical path"); branch-level parallelism is expressed by the builders
 // via the Parallel combinator before the graph is flattened.
 //
-// Ops enter a graph only through Push, which copies them into the
-// graph's own storage.
+// Ops are held by value in one slice: a builder takes each op's slot
+// from Push and fills it in place, so an op is written once and never
+// copied. Loop over Ops by index; ranging over values copies every op.
 type Graph struct {
 	Name  string
-	Ops   []*Op
+	Ops   []Op
 	Batch int
 	// DTypeBytes is bytes per element (2 for bf16, 4 for f32).
 	DTypeBytes int
 	// Params is the total trainable parameter count.
 	Params float64
-
-	// slab holds the ops Push copied in, in chunks that never grow in
-	// place, so their addresses stay put as the graph grows; chunk is the
-	// first one with room. Reset recycles them.
-	slab  [][]Op
-	chunk int
 }
 
-// opChunk is the number of ops per slab chunk Push adds on its own.
-const opChunk = 32
-
-// Push appends a copy of op held in the graph's own storage, which Reset
-// recycles: a graph rebuilt in place allocates nothing once it has held
-// as many ops before.
-func (g *Graph) Push(op Op) {
-	for g.chunk < len(g.slab) && len(g.slab[g.chunk]) == cap(g.slab[g.chunk]) {
-		g.chunk++
-	}
-	if g.chunk == len(g.slab) {
-		g.slab = append(g.slab, make([]Op, 0, opChunk))
-	}
-	c := &g.slab[g.chunk]
-	*c = append(*c, op)
-	g.Ops = append(g.Ops, &(*c)[len(*c)-1])
+// Push appends a zero op and returns its slot in Ops for a constructor
+// (ConvOp, DenseOp, ...) to fill. The pointer is good until the next
+// Push, which may move Ops when it grows.
+func (g *Graph) Push() *Op {
+	g.Ops = append(g.Ops, Op{})
+	return &g.Ops[len(g.Ops)-1]
 }
 
-// pushCounted pushes op and counts its weights into Params: ParamBytes
-// over the element size dt, once per repeated layer.
-func (g *Graph) pushCounted(op Op, dt int) {
-	g.Push(op)
-	g.Params += op.ParamBytes / float64(dt) * op.Repeat()
+// countParams counts the weights of the ops from index from on into
+// Params, in op order: ParamBytes over the element size dt, once per
+// repeated layer.
+func (g *Graph) countParams(from, dt int) {
+	for i := from; i < len(g.Ops); i++ {
+		g.Params += g.Ops[i].ParamBytes / float64(dt) * g.Ops[i].Repeat()
+	}
 }
 
 // Reset empties the graph and renames it for a build of n ops, keeping
-// the storage of its op list and of the ops Push copied in when it holds
-// n, and otherwise sizing both to n: pushing n ops then allocates nothing
-// more. A builder that does not count its ops passes 0 and lets Push grow
-// the storage.
+// its op storage when it holds n and otherwise sizing it to n: pushing n
+// ops then allocates nothing more. A builder that does not count its
+// ops passes 0 and lets Push grow the storage.
 func (g *Graph) Reset(name string, batch, dtypeBytes, n int) {
 	g.Name, g.Batch, g.DTypeBytes, g.Params = name, batch, dtypeBytes, 0
 	g.Ops = g.Ops[:0]
 	if cap(g.Ops) < n {
-		g.Ops = make([]*Op, 0, n)
+		g.Ops = make([]Op, 0, n)
 	}
-	room := 0
-	for i := range g.slab {
-		g.slab[i] = g.slab[i][:0]
-		room += cap(g.slab[i])
-	}
-	if room < n {
-		g.slab = append(g.slab[:0], make([]Op, 0, n))
-	}
-	g.chunk = 0
 }
 
 // TotalFLOPs sums FLOPs over all ops with repeats.
 func (g *Graph) TotalFLOPs() float64 {
 	var s float64
-	for _, op := range g.Ops {
-		s += op.TotalFLOPs()
+	for i := range g.Ops {
+		s += g.Ops[i].TotalFLOPs()
 	}
 	return s
 }
@@ -209,8 +186,8 @@ func (g *Graph) TotalFLOPs() float64 {
 // layers have independent weights).
 func (g *Graph) TotalParamBytes() float64 {
 	var s float64
-	for _, op := range g.Ops {
-		s += op.ParamBytes * op.Repeat()
+	for i := range g.Ops {
+		s += g.Ops[i].ParamBytes * g.Ops[i].Repeat()
 	}
 	return s
 }
@@ -218,9 +195,9 @@ func (g *Graph) TotalParamBytes() float64 {
 // UnitFLOPs sums FLOPs on a given unit.
 func (g *Graph) UnitFLOPs(u Unit) float64 {
 	var s float64
-	for _, op := range g.Ops {
-		if op.Unit == u {
-			s += op.TotalFLOPs()
+	for i := range g.Ops {
+		if g.Ops[i].Unit == u {
+			s += g.Ops[i].TotalFLOPs()
 		}
 	}
 	return s
@@ -229,8 +206,8 @@ func (g *Graph) UnitFLOPs(u Unit) float64 {
 // NetworkBytes sums collective traffic.
 func (g *Graph) NetworkBytes() float64 {
 	var s float64
-	for _, op := range g.Ops {
-		s += op.NetworkBytes * op.Repeat()
+	for i := range g.Ops {
+		s += g.Ops[i].NetworkBytes * g.Ops[i].Repeat()
 	}
 	return s
 }

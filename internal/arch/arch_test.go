@@ -9,7 +9,7 @@ import (
 
 func TestConvOpAccounting(t *testing.T) {
 	// 1 image, 8x8x3 input, 3x3 kernel, 16 filters, stride 1, f32.
-	op := ConvOp("c", 1, 8, 8, 3, 16, 3, 1, 4)
+	op := ConvOp(new(Op), "c", 1, 8, 8, 3, 16, 3, 1, 4)
 	wantFLOPs := 2.0 * 8 * 8 * 3 * 3 * 3 * 16
 	if op.FLOPs != wantFLOPs {
 		t.Errorf("FLOPs = %v, want %v", op.FLOPs, wantFLOPs)
@@ -24,8 +24,8 @@ func TestConvOpAccounting(t *testing.T) {
 }
 
 func TestConvStrideHalvesOutput(t *testing.T) {
-	s1 := ConvOp("c", 1, 16, 16, 8, 8, 3, 1, 2)
-	s2 := ConvOp("c", 1, 16, 16, 8, 8, 3, 2, 2)
+	s1 := ConvOp(new(Op), "c", 1, 16, 16, 8, 8, 3, 1, 2)
+	s2 := ConvOp(new(Op), "c", 1, 16, 16, 8, 8, 3, 2, 2)
 	if math.Abs(s1.FLOPs/s2.FLOPs-4) > 1e-9 {
 		t.Errorf("stride 2 should quarter conv FLOPs: %v vs %v", s1.FLOPs, s2.FLOPs)
 	}
@@ -35,7 +35,7 @@ func TestConvStrideHalvesOutput(t *testing.T) {
 }
 
 func TestDepthwiseOnVPU(t *testing.T) {
-	op := DepthwiseOp("d", 1, 8, 8, 32, 3, 1, 2)
+	op := DepthwiseOp(new(Op), "d", 1, 8, 8, 32, 3, 1, 2)
 	if op.Unit != VPU {
 		t.Error("depthwise conv must be tagged VPU")
 	}
@@ -46,7 +46,7 @@ func TestDepthwiseOnVPU(t *testing.T) {
 }
 
 func TestDenseOpAccounting(t *testing.T) {
-	op := DenseOp("fc", 4, 100, 50, 2)
+	op := DenseOp(new(Op), "fc", 4, 100, 50, 2)
 	if op.FLOPs != 2*4*100*50 {
 		t.Errorf("FLOPs = %v", op.FLOPs)
 	}
@@ -56,8 +56,8 @@ func TestDenseOpAccounting(t *testing.T) {
 }
 
 func TestLowRankReducesFLOPs(t *testing.T) {
-	full := DenseOp("fc", 8, 512, 512, 2)
-	u, v := LowRankDenseOps("fc/u", "fc/v", 8, 512, 512, 64, 2)
+	full := DenseOp(new(Op), "fc", 8, 512, 512, 2)
+	u, v := DenseOp(new(Op), "fc/u", 8, 512, 64, 2), DenseOp(new(Op), "fc/v", 8, 64, 512, 2)
 	if lrFLOPs := u.FLOPs + v.FLOPs; lrFLOPs >= full.FLOPs {
 		t.Errorf("rank-64 factorization (%v FLOPs) must beat dense (%v)", lrFLOPs, full.FLOPs)
 	}
@@ -65,11 +65,9 @@ func TestLowRankReducesFLOPs(t *testing.T) {
 
 func TestAttentionOpsQuadraticInSeq(t *testing.T) {
 	flops := func(seq int) float64 {
-		var s float64
-		for _, op := range attentionOps(NewTransformerNames("a"), 1, seq, 256, 4, 2) {
-			s += op.FLOPs
-		}
-		return s
+		g := &Graph{Name: "a", Batch: 1, DTypeBytes: 2}
+		g.pushAttention(NewTransformerNames("a"), 1, seq, 256, 4, 2)
+		return g.TotalFLOPs()
 	}
 	// Score+context terms are quadratic; doubling seq should more than
 	// double total FLOPs but less than quadruple (linear QKV terms).
@@ -80,7 +78,7 @@ func TestAttentionOpsQuadraticInSeq(t *testing.T) {
 }
 
 func TestEmbeddingOpIsMemoryBound(t *testing.T) {
-	op := EmbeddingOp("e", 128, 8, 64, 100000, 4)
+	op := EmbeddingOp(new(Op), "e", 128, 8, 64, 100000, 4)
 	if op.Unit != MemoryUnit {
 		t.Error("embedding lookup must be memory-bound")
 	}
@@ -95,11 +93,11 @@ func TestEmbeddingOpIsMemoryBound(t *testing.T) {
 }
 
 func TestCollectiveOps(t *testing.T) {
-	a2a := AllToAllOp("x", 1e6)
+	a2a := AllToAllOp(new(Op), "x", 1e6)
 	if a2a.Unit != NetworkUnit || a2a.NetworkBytes != 1e6 {
 		t.Error("AllToAll accounting wrong")
 	}
-	ar := AllReduceOp("g", 1e6)
+	ar := AllReduceOp(new(Op), "g", 1e6)
 	if ar.NetworkBytes != 2e6 {
 		t.Errorf("ring all-reduce should move 2x param bytes, got %v", ar.NetworkBytes)
 	}
@@ -107,10 +105,8 @@ func TestCollectiveOps(t *testing.T) {
 
 func TestGraphTotals(t *testing.T) {
 	g := &Graph{Name: "g", Batch: 1, DTypeBytes: 2}
-	g.Push(DenseOp("a", 1, 10, 10, 2))
-	op := DenseOp("b", 1, 10, 10, 2)
-	op.Weight = 3
-	g.Push(op)
+	DenseOp(g.Push(), "a", 1, 10, 10, 2)
+	DenseOp(g.Push(), "b", 1, 10, 10, 2).Weight = 3
 	want := 2.0*10*10 + 3*2*10*10
 	if g.TotalFLOPs() != want {
 		t.Errorf("TotalFLOPs = %v, want %v", g.TotalFLOPs(), want)
@@ -125,7 +121,7 @@ func TestGraphTotals(t *testing.T) {
 
 func TestGraphValidate(t *testing.T) {
 	g := &Graph{Name: "ok", Batch: 1, DTypeBytes: 2}
-	g.Push(DenseOp("a", 1, 4, 4, 2))
+	DenseOp(g.Push(), "a", 1, 4, 4, 2)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
@@ -134,23 +130,23 @@ func TestGraphValidate(t *testing.T) {
 		t.Fatal("zero batch must be rejected")
 	}
 	bad2 := &Graph{Name: "bad2", Batch: 1, DTypeBytes: 2}
-	bad2.Push(Op{Name: "n", Kind: AllToAll, Unit: NetworkUnit})
+	*bad2.Push() = Op{Name: "n", Kind: AllToAll, Unit: NetworkUnit}
 	if bad2.Validate() == nil {
 		t.Fatal("network op with zero traffic must be rejected")
 	}
 }
 
 // mbconvOps expands one MBConv block, skip connection kept.
-func mbconvOps(s MBConvSpec) []*Op {
+func mbconvOps(s MBConvSpec) []Op {
 	g := &Graph{Name: "g", Batch: s.Batch, DTypeBytes: s.DType}
 	g.PushMBConvStage(s, StageNames("b", 1), true)
 	return g.Ops
 }
 
 // transformerOps expands one transformer block.
-func transformerOps(s TransformerSpec) []*Op {
+func transformerOps(s TransformerSpec) []Op {
 	g := &Graph{Name: "g", Batch: s.Batch, DTypeBytes: s.DType}
-	g.PushTransformer(s, NewTransformerNames("t"))
+	g.PushTransformer(&s, NewTransformerNames("t"))
 	return g.Ops
 }
 
@@ -159,7 +155,7 @@ func TestMBConvVsFusedFLOPs(t *testing.T) {
 		Expansion: 4, Act: "relu", H: 28, W: 28, Batch: 1, DType: 2}
 	fused := base
 	fused.Fused = true
-	sum := func(ops []*Op) float64 {
+	sum := func(ops []Op) float64 {
 		var s float64
 		for _, op := range ops {
 			s += op.FLOPs

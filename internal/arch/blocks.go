@@ -65,12 +65,13 @@ func StageNames(stage string, depth int) []MBConvNames {
 
 // hasResidual reports whether the block adds its input back: only when
 // the shapes match and the caller keeps skip connections.
-func (s MBConvSpec) hasResidual(residual bool) bool {
+func (s *MBConvSpec) hasResidual(residual bool) bool {
 	return residual && s.Stride == 1 && s.In == s.Out
 }
 
-// numOps returns the number of ops pushMBConv appends for the block.
-func (s MBConvSpec) numOps(residual bool) int {
+// numOps returns the number of ops pushMBConv appends for the block, with
+// or without the skip-connection add.
+func (s *MBConvSpec) numOps(skip bool) int {
 	n := 5 // the conv, norm and activation at mid depth, projection, norm
 	if !s.Fused && s.Expansion != 1 {
 		n += 3
@@ -78,68 +79,60 @@ func (s MBConvSpec) numOps(residual bool) int {
 	if s.SERatio > 0 {
 		n++
 	}
-	if s.hasResidual(residual) {
+	if skip {
 		n++
 	}
 	return n
 }
 
-// pushMBConv appends the block's operator sequence to g, named by n, and
-// counts its parameters into g.Params. With residual false the
-// skip-connection add is left out.
-func (g *Graph) pushMBConv(s MBConvSpec, n *MBConvNames, residual bool) {
+// pushMBConv appends the block's operator sequence to g, named by n.
+// With skip false the skip-connection add is left out.
+func (g *Graph) pushMBConv(s *MBConvSpec, n *MBConvNames, skip bool) {
 	b, dt := s.Batch, s.DType
 	mid := s.In * s.Expansion
 	oh, ow := outDim(s.H, s.Stride), outDim(s.W, s.Stride)
 	actCost := ActCost(s.Act)
-	push := func(op Op) { g.pushCounted(op, dt) }
 
 	if s.Fused {
 		// Fused conv replaces expansion 1×1 + depthwise k×k with one
 		// vanilla k×k convolution In→mid (stride applied here).
-		push(ConvOp(n.fusedConv, b, s.H, s.W, s.In, mid, s.Kernel, s.Stride, dt))
-		push(NormOp(n.bn0, b*oh*ow*mid, mid, dt))
-		push(ElementwiseOp(n.act0, b*oh*ow*mid, actCost, dt))
+		ConvOp(g.Push(), n.fusedConv, b, s.H, s.W, s.In, mid, s.Kernel, s.Stride, dt)
+		NormOp(g.Push(), n.bn0, b*oh*ow*mid, mid, dt)
+		ElementwiseOp(g.Push(), n.act0, b*oh*ow*mid, actCost, dt)
 	} else {
 		if s.Expansion != 1 {
-			push(ConvOp(n.expand, b, s.H, s.W, s.In, mid, 1, 1, dt))
-			push(NormOp(n.bn0, b*s.H*s.W*mid, mid, dt))
-			push(ElementwiseOp(n.act0, b*s.H*s.W*mid, actCost, dt))
+			ConvOp(g.Push(), n.expand, b, s.H, s.W, s.In, mid, 1, 1, dt)
+			NormOp(g.Push(), n.bn0, b*s.H*s.W*mid, mid, dt)
+			ElementwiseOp(g.Push(), n.act0, b*s.H*s.W*mid, actCost, dt)
 		}
-		push(DepthwiseOp(n.depthwise, b, s.H, s.W, mid, s.Kernel, s.Stride, dt))
-		push(NormOp(n.bn1, b*oh*ow*mid, mid, dt))
-		push(ElementwiseOp(n.act1, b*oh*ow*mid, actCost, dt))
+		DepthwiseOp(g.Push(), n.depthwise, b, s.H, s.W, mid, s.Kernel, s.Stride, dt)
+		NormOp(g.Push(), n.bn1, b*oh*ow*mid, mid, dt)
+		ElementwiseOp(g.Push(), n.act1, b*oh*ow*mid, actCost, dt)
 	}
 	if s.SERatio > 0 {
-		push(SEOp(n.se, b, oh, ow, mid, s.SERatio, dt))
+		SEOp(g.Push(), n.se, b, oh, ow, mid, s.SERatio, dt)
 	}
 	// Projection back to Out channels.
-	push(ConvOp(n.project, b, oh, ow, mid, s.Out, 1, 1, dt))
-	push(NormOp(n.bn2, b*oh*ow*s.Out, s.Out, dt))
-	if s.hasResidual(residual) {
-		push(ElementwiseOp(n.residual, b*oh*ow*s.Out, 1, dt))
+	ConvOp(g.Push(), n.project, b, oh, ow, mid, s.Out, 1, 1, dt)
+	NormOp(g.Push(), n.bn2, b*oh*ow*s.Out, s.Out, dt)
+	if skip {
+		ElementwiseOp(g.Push(), n.residual, b*oh*ow*s.Out, 1, dt)
 	}
 }
 
 // OutShape returns the block's output (h, w, channels).
-func (s MBConvSpec) OutShape() (h, w, c int) {
+func (s *MBConvSpec) OutShape() (h, w, c int) {
 	return outDim(s.H, s.Stride), outDim(s.W, s.Stride), s.Out
 }
 
-// stageLayer returns the spec of a later layer of the stage first opens:
-// stride 1 on first.Out channels at input extent h.
-func (s MBConvSpec) stageLayer(h int) MBConvSpec {
-	s.In, s.H, s.W, s.Stride = s.Out, h, h, 1
-	return s
-}
-
 // StageOps returns the number of ops PushMBConvStage appends for a stage
-// of depth layers opened by first.
-func (s MBConvSpec) StageOps(depth int, residual bool) int {
+// of depth layers opened by s. The later layers run at stride 1 on s.Out
+// channels, so they keep their skip connection whenever residual holds.
+func (s *MBConvSpec) StageOps(depth int, residual bool) int {
 	if depth < 1 {
 		return 0
 	}
-	return s.numOps(residual) + (depth-1)*s.stageLayer(0).numOps(residual)
+	return s.numOps(s.hasResidual(residual)) + (depth-1)*s.numOps(residual)
 }
 
 // PushMBConvStage appends a stage of len(names) MBConv layers to g and
@@ -150,14 +143,16 @@ func (s MBConvSpec) StageOps(depth int, residual bool) int {
 // removal). It returns the stage's output extent and channel depth.
 func (g *Graph) PushMBConvStage(first MBConvSpec, names []MBConvNames, residual bool) (h, channels int) {
 	h, channels = first.H, first.In
-	ls := first
+	from := len(g.Ops)
+	layer := &first // reshaped in place into each later layer
 	for l := range names {
 		if l > 0 {
-			ls = first.stageLayer(h)
+			layer.In, layer.H, layer.W, layer.Stride = layer.Out, h, h, 1
 		}
-		g.pushMBConv(ls, &names[l], residual)
-		h, _, channels = ls.OutShape()
+		g.pushMBConv(layer, &names[l], layer.hasResidual(residual))
+		h, _, channels = layer.OutShape()
 	}
+	g.countParams(from, first.DType)
 	return h, channels
 }
 
@@ -200,10 +195,10 @@ func NewTransformerNames(block string) *TransformerNames {
 }
 
 // lowRank reports whether the FFN's first layer is rank-factorized.
-func (s TransformerSpec) lowRank() bool { return s.LowRank > 0 && s.LowRank < 1 }
+func (s *TransformerSpec) lowRank() bool { return s.LowRank > 0 && s.LowRank < 1 }
 
 // NumOps returns the number of ops PushTransformer appends for the block.
-func (s TransformerSpec) NumOps() int {
+func (s *TransformerSpec) NumOps() int {
 	n := 12 // ln0, five attention ops, residual, ln1, ffn0, act, ffn1, residual
 	for _, opt := range []bool{s.Primer, s.lowRank(), s.SeqPool} {
 		if opt {
@@ -217,28 +212,22 @@ func (s TransformerSpec) NumOps() int {
 // named by n, and counts its parameters into g.Params. The block's Layers
 // count is expressed with op Weight so repeated layers share cost
 // accounting without duplicating ops.
-func (g *Graph) PushTransformer(s TransformerSpec, n *TransformerNames) {
+func (g *Graph) PushTransformer(s *TransformerSpec, n *TransformerNames) {
 	b, dt := s.Batch, s.DType
 	heads := s.Heads
 	if heads < 1 {
 		heads = max(1, s.Hidden/64)
 	}
-	layers := float64(max(s.Layers, 1))
-	push := func(op Op) {
-		op.Weight = layers
-		g.pushCounted(op, dt)
-	}
+	from := len(g.Ops)
 
-	push(NormOp(n.ln0, b*s.Seq*s.Hidden, s.Hidden, dt))
-	for _, op := range attentionOps(n, b, s.Seq, s.Hidden, heads, dt) {
-		push(op)
-	}
+	NormOp(g.Push(), n.ln0, b*s.Seq*s.Hidden, s.Hidden, dt)
+	g.pushAttention(n, b, s.Seq, s.Hidden, heads, dt)
 	if s.Primer {
 		// Primer: 3×1 depthwise convolution over the sequence per head dim.
-		push(DepthwiseOp(n.primer, b, s.Seq, 1, 3*s.Hidden, 3, 1, dt))
+		DepthwiseOp(g.Push(), n.primer, b, s.Seq, 1, 3*s.Hidden, 3, 1, dt)
 	}
-	push(ElementwiseOp(n.attnResidual, b*s.Seq*s.Hidden, 1, dt))
-	push(NormOp(n.ln1, b*s.Seq*s.Hidden, s.Hidden, dt))
+	ElementwiseOp(g.Push(), n.attnResidual, b*s.Seq*s.Hidden, 1, dt)
+	NormOp(g.Push(), n.ln1, b*s.Seq*s.Hidden, s.Hidden, dt)
 
 	ffn := s.FFNRatio
 	if ffn <= 0 {
@@ -250,23 +239,28 @@ func (g *Graph) PushTransformer(s TransformerSpec, n *TransformerNames) {
 		if rank < 8 {
 			rank = 8
 		}
-		u, v := LowRankDenseOps(n.ffn0U, n.ffn0V, b*s.Seq, s.Hidden, inner, rank, dt)
-		push(u)
-		push(v)
+		DenseOp(g.Push(), n.ffn0U, b*s.Seq, s.Hidden, rank, dt)
+		DenseOp(g.Push(), n.ffn0V, b*s.Seq, rank, inner, dt)
 	} else {
-		push(DenseOp(n.ffn0, b*s.Seq, s.Hidden, inner, dt))
+		DenseOp(g.Push(), n.ffn0, b*s.Seq, s.Hidden, inner, dt)
 	}
-	push(ElementwiseOp(n.ffnAct, b*s.Seq*inner, ActCost(s.Act), dt))
-	push(DenseOp(n.ffn1, b*s.Seq, inner, s.Hidden, dt))
-	push(ElementwiseOp(n.ffnResidual, b*s.Seq*s.Hidden, 1, dt))
+	ElementwiseOp(g.Push(), n.ffnAct, b*s.Seq*inner, ActCost(s.Act), dt)
+	DenseOp(g.Push(), n.ffn1, b*s.Seq, inner, s.Hidden, dt)
+	ElementwiseOp(g.Push(), n.ffnResidual, b*s.Seq*s.Hidden, 1, dt)
 
+	layers := float64(max(s.Layers, 1))
+	for i := from; i < len(g.Ops); i++ {
+		g.Ops[i].Weight = layers
+	}
+	g.countParams(from, dt)
 	if s.SeqPool {
-		g.pushCounted(PoolOp(n.seqPool, b*s.Seq*s.Hidden, b*s.Seq/2*s.Hidden, dt), dt)
+		// One pool after the repeated layers; it has no weights to count.
+		PoolOp(g.Push(), n.seqPool, b*s.Seq*s.Hidden, b*s.Seq/2*s.Hidden, dt)
 	}
 }
 
 // OutSeq returns the sequence length after the block.
-func (s TransformerSpec) OutSeq() int {
+func (s *TransformerSpec) OutSeq() int {
 	if s.SeqPool {
 		out := s.Seq / 2
 		if out < 1 {

@@ -19,7 +19,8 @@ func (g *Graph) WriteDot(w io.Writer) error {
 	fmt.Fprintf(&b, "  label=%q;\n", fmt.Sprintf("%s — batch %d, %.1fM params, %.1f GFLOPs",
 		g.Name, g.Batch, g.Params/1e6, g.TotalFLOPs()/1e9))
 
-	for i, op := range g.Ops {
+	for i := range g.Ops {
+		op := &g.Ops[i]
 		label := fmt.Sprintf("%s\\n%s", op.Name, op.Kind)
 		if op.FLOPs > 0 {
 			label += fmt.Sprintf("\\n%.2g GFLOPs", op.TotalFLOPs()/1e9)

@@ -8,11 +8,9 @@ import (
 
 func TestWriteDot(t *testing.T) {
 	g := &Graph{Name: "toy", Batch: 4, DTypeBytes: 2}
-	g.Push(DenseOp("fc1", 4, 8, 8, 2))
-	rep := DenseOp("fc2", 4, 8, 8, 2)
-	rep.Weight = 3
-	g.Push(rep)
-	g.Push(AllReduceOp("sync", 1e6))
+	DenseOp(g.Push(), "fc1", 4, 8, 8, 2)
+	DenseOp(g.Push(), "fc2", 4, 8, 8, 2).Weight = 3
+	AllReduceOp(g.Push(), "sync", 1e6)
 
 	var buf bytes.Buffer
 	if err := g.WriteDot(&buf); err != nil {

@@ -48,6 +48,37 @@ func (o *DLRMObjectives) Perf(a space.Assignment) []float64 {
 // search targets are set against.
 func (o *DLRMObjectives) BaselinePerf() []float64 { return o.Perf(o.DS.BaselineAssignment()) }
 
+// TransformerObjectives produces the performance objective of a one-shot
+// transformer search: one training step on 8 chips, from the simulator
+// invoked directly.
+type TransformerObjectives struct {
+	VS   *space.ViTSpace
+	Chip hwsim.Chip
+
+	// scratch recycles *vitScratch across Perf calls, concurrent ones
+	// included.
+	scratch sync.Pool
+}
+
+// vitScratch is the decode and graph storage one Perf call builds into.
+type vitScratch struct {
+	ar space.ViTArch
+	g  arch.Graph
+}
+
+// Perf implements PerfFunc. It is safe for concurrent use, and the slice
+// it returns is the caller's to keep.
+func (o *TransformerObjectives) Perf(a space.Assignment) []float64 {
+	sc, _ := o.scratch.Get().(*vitScratch)
+	if sc == nil {
+		sc = new(vitScratch)
+	}
+	defer o.scratch.Put(sc)
+	o.VS.DecodeInto(a, &sc.ar)
+	o.VS.GraphInto(sc.ar, &sc.g)
+	return []float64{hwsim.Simulate(&sc.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: 8}).StepTime}
+}
+
 // SimulatorSamples draws n random candidates from the space and labels
 // them with simulated training/serving performance — the pre-training
 // corpus of the two-phase performance model (Section 6.2.2).
@@ -73,11 +104,14 @@ func MeasuredSamples(ds *space.DLRMSpace, chip hwsim.Chip, n int, seed uint64) [
 func labeledSamples(ds *space.DLRMSpace, n int, seed uint64, run func(g *arch.Graph, opts hwsim.Options, noise uint64) hwsim.Result) []perfmodel.Sample {
 	rng := tensor.NewRNG(seed)
 	out := make([]perfmodel.Sample, n)
+	var ar space.DLRMArch // every candidate decodes and builds into these
+	var g arch.Graph
 	for i := range out {
 		a := RandomAssignment(ds.Space, rng)
-		g := ds.Graph(ds.Decode(a))
-		train := run(g, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}, seed+uint64(i))
-		serve := run(g, hwsim.Options{Mode: hwsim.Inference}, seed+uint64(i)+1<<32)
+		ds.DecodeInto(a, &ar)
+		ds.GraphInto(ar, &g)
+		train := run(&g, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}, seed+uint64(i))
+		serve := run(&g, hwsim.Options{Mode: hwsim.Inference}, seed+uint64(i)+1<<32)
 		out[i] = perfmodel.Sample{
 			Features:  ds.Space.Features(a),
 			TrainTime: train.StepTime,

@@ -268,7 +268,8 @@ func ExtScalingStudy() *Report {
 		spec := models.CoAtNet(5)
 		spec.Batch = batch
 		g := spec.Graph()
-		g.Push(arch.AllReduceOp("grad_sync", g.TotalParamBytes()))
+		grads := g.TotalParamBytes()
+		arch.AllReduceOp(g.Push(), "grad_sync", grads)
 		return g
 	}, 8192)
 

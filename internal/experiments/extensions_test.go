@@ -18,8 +18,14 @@ func TestExtPerfModelTransferShape(t *testing.T) {
 	}
 }
 
+// TestExtSearchAlgorithmsShape runs the battery at Quick scale (240
+// evaluations each), because Smoke cannot show an ordering: evolution
+// fills its population of 32 with uniform draws from the stream random
+// search samples too, so Smoke's 40 evaluations leave it 8 mutants,
+// none better than random's best, and the two tie on the same candidate
+// (testdata/golden/ext_algos_smoke.txt).
 func TestExtSearchAlgorithmsShape(t *testing.T) {
-	r := ExtSearchAlgorithms(Smoke())
+	r := ExtSearchAlgorithms(Quick())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 algorithms", len(r.Rows))
 	}
@@ -28,10 +34,8 @@ func TestExtSearchAlgorithmsShape(t *testing.T) {
 			t.Errorf("missing metric %s", key)
 		}
 	}
-	// Evolution should never lose to random at equal budget on this
-	// smooth landscape (it starts from random's candidates).
-	if r.Metrics["evolution_reward"] < r.Metrics["random_reward"]-1e-9 {
-		t.Errorf("evolution (%v) below random (%v)", r.Metrics["evolution_reward"], r.Metrics["random_reward"])
+	if r.Metrics["evolution_reward"] <= r.Metrics["random_reward"] {
+		t.Errorf("evolution (%v) not above random (%v) at equal budget", r.Metrics["evolution_reward"], r.Metrics["random_reward"])
 	}
 }
 

@@ -26,12 +26,12 @@ func Footprint(g *arch.Graph, opts Options) MemoryFootprint {
 	if opts.Mode == Training {
 		// Gradients plus Adam's first and second moments.
 		f.OptimizerBytes = 3 * f.ParamBytes
-		for _, op := range g.Ops {
-			f.ActivationBytes += op.OutputBytes * op.Repeat()
+		for i := range g.Ops {
+			f.ActivationBytes += g.Ops[i].OutputBytes * g.Ops[i].Repeat()
 		}
 	} else {
-		for _, op := range g.Ops {
-			if live := op.InputBytes + op.OutputBytes; live > f.ActivationBytes {
+		for i := range g.Ops {
+			if live := g.Ops[i].InputBytes + g.Ops[i].OutputBytes; live > f.ActivationBytes {
 				f.ActivationBytes = live
 			}
 		}

@@ -31,7 +31,7 @@ func TestFitsMemoryBounds(t *testing.T) {
 	}
 	huge := &arch.Graph{Name: "huge", Batch: 1, DTypeBytes: 4}
 	// ~64 GB of parameters: exceeds TPUv4's 32 GB HBM.
-	huge.Push(arch.DenseOp("fc", 1, 131072, 131072, 4))
+	arch.DenseOp(huge.Push(), "fc", 1, 131072, 131072, 4)
 	if ok, f := FitsMemory(huge, TPUv4(), Options{Mode: Inference}); ok {
 		t.Fatalf("a %v-byte model must not fit 32 GB HBM", f.Total)
 	}
@@ -40,9 +40,10 @@ func TestFitsMemoryBounds(t *testing.T) {
 func TestScalingCurveStrongScaling(t *testing.T) {
 	build := func(batch int) *arch.Graph {
 		g := &arch.Graph{Name: "scale", Batch: batch, DTypeBytes: 2}
-		g.Push(arch.DenseOp("fc1", batch, 4096, 4096, 2))
-		g.Push(arch.DenseOp("fc2", batch, 4096, 4096, 2))
-		g.Push(arch.AllReduceOp("grads", g.TotalParamBytes()))
+		arch.DenseOp(g.Push(), "fc1", batch, 4096, 4096, 2)
+		arch.DenseOp(g.Push(), "fc2", batch, 4096, 4096, 2)
+		grads := g.TotalParamBytes()
+		arch.AllReduceOp(g.Push(), "grads", grads)
 		return g
 	}
 	points := ScalingCurve(build, TPUv4(), 8192, []int{1, 8, 64, 512})

@@ -164,3 +164,21 @@ func TestSimulateGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateAllocs requires an untraced Simulate to allocate nothing on
+// any golden graph, fused or not: it walks the graph's ops in place.
+func TestSimulateAllocs(t *testing.T) {
+	graphs := goldenGraphs(t)
+	for _, opts := range []hwsim.Options{
+		{Mode: hwsim.Training, Chips: 128},
+		{Mode: hwsim.Inference, DisableFusion: true},
+	} {
+		k := 0
+		if allocs := testing.AllocsPerRun(len(graphs), func() {
+			hwsim.Simulate(graphs[k%len(graphs)].g, hwsim.TPUv4(), opts)
+			k++
+		}); allocs != 0 {
+			t.Errorf("Simulate(%+v) makes %.2f allocations per graph, want 0", opts, allocs)
+		}
+	}
+}

@@ -42,7 +42,8 @@ func gapFactor(g *arch.Graph, chip Chip) float64 {
 		base = 1.25
 	}
 	var memOps, totalOps float64
-	for _, op := range g.Ops {
+	for i := range g.Ops {
+		op := &g.Ops[i]
 		totalOps += op.Repeat()
 		if op.Unit == arch.MemoryUnit || op.Unit == arch.NetworkUnit {
 			memOps += op.Repeat()
@@ -64,10 +65,10 @@ func hashGraph(g *arch.Graph) uint64 {
 		h *= 1099511628211
 	}
 	mix(uint64(g.Batch))
-	for _, op := range g.Ops {
-		mix(math.Float64bits(op.FLOPs))
-		mix(math.Float64bits(op.InputBytes))
-		mix(uint64(op.Kind))
+	for i := range g.Ops {
+		mix(math.Float64bits(g.Ops[i].FLOPs))
+		mix(math.Float64bits(g.Ops[i].InputBytes))
+		mix(uint64(g.Ops[i].Kind))
 	}
 	return h
 }

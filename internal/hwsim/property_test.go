@@ -18,9 +18,9 @@ func randomDenseGraph(rng *tensor.RNG) *arch.Graph {
 	in := 1 << (rng.Intn(6) + 4)
 	for i := 0; i < layers; i++ {
 		out := 1 << (rng.Intn(6) + 4)
-		g.Push(arch.DenseOp("fc", batch, in, out, g.DTypeBytes))
+		arch.DenseOp(g.Push(), "fc", batch, in, out, g.DTypeBytes)
 		if rng.Intn(2) == 0 {
-			g.Push(arch.ElementwiseOp("act", batch*out, 1, g.DTypeBytes))
+			arch.ElementwiseOp(g.Push(), "act", batch*out, 1, g.DTypeBytes)
 		}
 		in = out
 	}
@@ -52,8 +52,8 @@ func TestSimTimeBoundedByResourcesProperty(t *testing.T) {
 // cloneGraph copies g through Push, so the copy shares no op storage.
 func cloneGraph(g *arch.Graph) *arch.Graph {
 	c := &arch.Graph{Name: g.Name, Batch: g.Batch, DTypeBytes: g.DTypeBytes, Params: g.Params}
-	for _, op := range g.Ops {
-		c.Push(*op)
+	for i := range g.Ops {
+		*c.Push() = g.Ops[i]
 	}
 	return c
 }
@@ -66,7 +66,7 @@ func TestSimMonotoneInWorkProperty(t *testing.T) {
 		g := randomDenseGraph(rng)
 		base := Simulate(g, chip, Options{}).StepTime
 		bigger := cloneGraph(g)
-		bigger.Push(arch.DenseOp("extra", g.Batch, 256, 256, g.DTypeBytes))
+		arch.DenseOp(bigger.Push(), "extra", g.Batch, 256, 256, g.DTypeBytes)
 		return Simulate(bigger, chip, Options{}).StepTime >= base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -84,8 +84,8 @@ func TestSimMonotoneInBatchProperty(t *testing.T) {
 		inner := 1 << (tensor.NewRNG(seed).Intn(4) + 6)
 		mk := func(batch int) *arch.Graph {
 			g := &arch.Graph{Name: "b", Batch: batch, DTypeBytes: 2}
-			g.Push(arch.DenseOp("fc1", batch, inner, inner, 2))
-			g.Push(arch.DenseOp("fc2", batch, inner, inner, 2))
+			arch.DenseOp(g.Push(), "fc1", batch, inner, inner, 2)
+			arch.DenseOp(g.Push(), "fc2", batch, inner, inner, 2)
 			return g
 		}
 		return Simulate(mk(big), chip, Options{}).StepTime >= Simulate(mk(small), chip, Options{}).StepTime

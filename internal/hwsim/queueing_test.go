@@ -10,8 +10,8 @@ import (
 func servingBuilder() GraphBuilder {
 	return func(batch int) *arch.Graph {
 		g := &arch.Graph{Name: "serve", Batch: batch, DTypeBytes: 2}
-		g.Push(arch.DenseOp("fc1", batch, 2048, 2048, 2))
-		g.Push(arch.DenseOp("fc2", batch, 2048, 2048, 2))
+		arch.DenseOp(g.Push(), "fc1", batch, 2048, 2048, 2)
+		arch.DenseOp(g.Push(), "fc2", batch, 2048, 2048, 2)
 		return g
 	}
 }

@@ -3,7 +3,6 @@ package hwsim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"h2onas/internal/arch"
 )
@@ -113,7 +112,7 @@ func (r Result) CMEMBandwidthUsed() float64 {
 // mxuEfficiency models how much of MXU peak an op of a given kind and size
 // attains: a per-kind ceiling (systolic array mapping quality) scaled by a
 // pipeline-fill ramp that penalizes small ops.
-func mxuEfficiency(kind arch.Kind, flops float64, chip Chip) float64 {
+func mxuEfficiency(kind arch.Kind, flops float64, chip *Chip) float64 {
 	var ceiling float64
 	switch kind {
 	case arch.Conv2D:
@@ -141,17 +140,6 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("hwsim: %v", err))
 	}
-	buf := opBufs.Get().(*[]arch.Op)
-	defer opBufs.Put(buf)
-	ops := (*buf)[:0]
-	if opts.DisableFusion {
-		for _, op := range g.Ops {
-			ops = append(ops, *op)
-		}
-	} else {
-		ops = fuse(ops, g.Ops)
-	}
-	*buf = ops
 	cmemAct := chip.CMEMCapacity * cmemActFraction
 
 	trainMul := 1.0
@@ -160,9 +148,22 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	}
 
 	var res Result
-	for i := range ops {
-		op := &ops[i]
+	for i := 0; i < len(g.Ops); {
+		// The compiler's fusion pass: op absorbs the fusable elementwise
+		// ops that follow it at its repeat count, unless it is a
+		// collective. Their FLOPs move into op's kernel epilogue and
+		// their parameters into op's; the intermediate tensor round-trip
+		// disappears (it lives in registers/CMEM inside the fused
+		// kernel). A fusable op with no producer is kept as-is.
+		op := &g.Ops[i]
 		rep := op.Repeat()
+		opFLOPs, paramBytes := op.FLOPs, op.ParamBytes
+		fuse := !opts.DisableFusion && op.Unit != arch.NetworkUnit
+		for i++; fuse && i < len(g.Ops) && g.Ops[i].Fusable && g.Ops[i].Repeat() == rep; i++ {
+			opFLOPs += g.Ops[i].FLOPs * vpuFusePenalty(op.Unit)
+			paramBytes += g.Ops[i].ParamBytes
+		}
+
 		switch op.Unit {
 		case arch.NetworkUnit:
 			t := op.NetworkBytes * trainMul / chip.ICIBandwidth * rep
@@ -182,11 +183,11 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 			continue
 		}
 
-		flops := op.FLOPs * trainMul
+		flops := opFLOPs * trainMul
 		var computeT float64
 		switch op.Unit {
 		case arch.MXU:
-			computeT = flops / (chip.PeakMXUFLOPS * mxuEfficiency(op.Kind, op.FLOPs, chip))
+			computeT = flops / (chip.PeakMXUFLOPS * mxuEfficiency(op.Kind, opFLOPs, &chip))
 			res.MXUTime += computeT * rep
 		case arch.VPU:
 			computeT = flops / (chip.PeakVPUFLOPS * vpuEfficiency)
@@ -208,7 +209,7 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 		} else {
 			hbm = actBytes
 		}
-		hbm += op.ParamBytes * trainMul
+		hbm += paramBytes * trainMul
 		memT := hbm/chip.HBMBandwidth + cmem/chip.CMEMBandwidth
 
 		t := math.Max(computeT, memT) + chip.OpOverhead
@@ -236,35 +237,9 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	// (Figure 8: "training step time is MAX(embedding, DNN)").
 	res.StepTime = math.Max(res.DenseTime, res.EmbedTime) + res.SyncTime
 
-	res.Power = power(chip, res)
+	res.Power = power(&chip, &res)
 	res.Energy = res.Power * res.StepTime
 	return res
-}
-
-// opBufs recycles the op copies Simulate walks, so a simulation allocates
-// nothing once the pool is warm.
-var opBufs = sync.Pool{New: func() any { return new([]arch.Op) }}
-
-// fuse appends copies of ops to out, merging fusable elementwise ops into
-// their producer: the fused op's FLOPs move to the producer's VPU-side
-// cost and the intermediate tensor round-trip disappears (it lives in
-// registers/CMEM inside the fused kernel). A fusable op with no producer
-// is kept as-is.
-func fuse(out []arch.Op, ops []*arch.Op) []arch.Op {
-	for _, op := range ops {
-		if op.Fusable && len(out) > 0 {
-			prev := &out[len(out)-1]
-			if prev.Unit != arch.NetworkUnit && prev.Repeat() == op.Repeat() {
-				// Merge: keep producer's tensors, absorb FLOPs on the VPU
-				// (the producer's kernel epilogue) and any parameters.
-				prev.FLOPs += op.FLOPs * vpuFusePenalty(prev.Unit)
-				prev.ParamBytes += op.ParamBytes
-				continue
-			}
-		}
-		out = append(out, *op)
-	}
-	return out
 }
 
 // vpuFusePenalty converts fused elementwise FLOPs into producer-unit FLOPs
@@ -279,7 +254,7 @@ func vpuFusePenalty(producer arch.Unit) float64 {
 }
 
 // power evaluates the utilization-based power model for one step.
-func power(chip Chip, r Result) float64 {
+func power(chip *Chip, r *Result) float64 {
 	if r.StepTime <= 0 {
 		return chip.IdlePower
 	}

@@ -9,7 +9,7 @@ import (
 
 func denseGraph(batch, in, out int) *arch.Graph {
 	g := &arch.Graph{Name: "dense", Batch: batch, DTypeBytes: 2}
-	g.Push(arch.DenseOp("fc", batch, in, out, 2))
+	arch.DenseOp(g.Push(), "fc", batch, in, out, 2)
 	return g
 }
 
@@ -58,8 +58,7 @@ func TestMemoryBoundOpLimitedByBandwidth(t *testing.T) {
 	// An embedding gather has almost no FLOPs; its time must be ~bytes/bw.
 	chip := TPUv4()
 	g := &arch.Graph{Name: "emb", Batch: 1024, DTypeBytes: 4}
-	op := arch.EmbeddingOp("e", 1024, 32, 256, 1_000_000, 4)
-	g.Push(op)
+	op := arch.EmbeddingOp(g.Push(), "e", 1024, 32, 256, 1_000_000, 4)
 	r := Simulate(g, chip, Options{})
 	wantMin := (op.InputBytes + op.OutputBytes) / chip.HBMBandwidth
 	if r.StepTime < wantMin {
@@ -79,7 +78,7 @@ func TestSmallActivationsUseCMEM(t *testing.T) {
 	}
 	// Huge activations exceed the budget and spill to HBM.
 	big := &arch.Graph{Name: "big", Batch: 1024, DTypeBytes: 4}
-	big.Push(arch.DenseOp("fc", 4096, 8192, 8192, 4))
+	arch.DenseOp(big.Push(), "fc", 4096, 8192, 8192, 4)
 	r := Simulate(big, chip, Options{})
 	if r.HBMBytes == 0 {
 		t.Fatal("oversized activations must spill to HBM")
@@ -88,8 +87,8 @@ func TestSmallActivationsUseCMEM(t *testing.T) {
 
 func TestFusionRemovesElementwiseTraffic(t *testing.T) {
 	g := &arch.Graph{Name: "f", Batch: 256, DTypeBytes: 2}
-	g.Push(arch.DenseOp("fc", 256, 2048, 2048, 2))
-	g.Push(arch.ElementwiseOp("relu", 256*2048, 1, 2))
+	arch.DenseOp(g.Push(), "fc", 256, 2048, 2048, 2)
+	arch.ElementwiseOp(g.Push(), "relu", 256*2048, 1, 2)
 	fused := Simulate(g, TPUv4(), Options{})
 	unfused := Simulate(g, TPUv4(), Options{DisableFusion: true})
 	if fused.StepTime >= unfused.StepTime {
@@ -102,7 +101,8 @@ func TestFusionRemovesElementwiseTraffic(t *testing.T) {
 
 func TestAllReducePartiallyOverlapped(t *testing.T) {
 	g := denseGraph(128, 2048, 2048)
-	g.Push(arch.AllReduceOp("grads", g.TotalParamBytes()))
+	grads := g.TotalParamBytes()
+	arch.AllReduceOp(g.Push(), "grads", grads)
 	trn := Simulate(g, TPUv4(), Options{Mode: Training, Chips: 128})
 	if trn.SyncTime <= 0 {
 		t.Fatal("training with all-reduce must have sync time")
@@ -120,9 +120,9 @@ func TestAllReducePartiallyOverlapped(t *testing.T) {
 func TestEmbeddingPhaseOverlapsDense(t *testing.T) {
 	// Step time = MAX(embed, dense), the Figure 8 pipeline.
 	g := &arch.Graph{Name: "dlrm", Batch: 4096, DTypeBytes: 4}
-	g.Push(arch.EmbeddingOp("emb", 4096, 32, 128, 1_000_000, 4))
-	g.Push(arch.AllToAllOp("a2a", 64<<20))
-	g.Push(arch.DenseOp("mlp", 4096, 512, 512, 4))
+	arch.EmbeddingOp(g.Push(), "emb", 4096, 32, 128, 1_000_000, 4)
+	arch.AllToAllOp(g.Push(), "a2a", 64<<20)
+	arch.DenseOp(g.Push(), "mlp", 4096, 512, 512, 4)
 	r := Simulate(g, TPUv4(), Options{Mode: Training})
 	if r.EmbedTime == 0 || r.DenseTime == 0 {
 		t.Fatal("both phases must be populated")
@@ -241,7 +241,7 @@ func TestTrainingThroughput(t *testing.T) {
 
 func TestTraceRecordsPerOp(t *testing.T) {
 	g := denseGraph(64, 128, 128)
-	g.Push(arch.DenseOp("fc2", 64, 128, 128, 2))
+	arch.DenseOp(g.Push(), "fc2", 64, 128, 128, 2)
 	r := Simulate(g, TPUv4(), Options{Trace: true})
 	if len(r.PerOp) != 2 {
 		t.Fatalf("trace has %d ops, want 2", len(r.PerOp))

@@ -72,9 +72,9 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 	res := s.Resolution
 	// Stem ("S0"): stride-2 conv pair at /2, so the stage resolutions run
 	// /4 (S1), /8 (S2), /16 (S3), /32 (S4) as in CoAtNet.
-	g.Push(arch.ConvOp(s.Name+"/stem0", b, res, res, 3, s.Widths[0], 3, 2, dt))
+	arch.ConvOp(g.Push(), s.Name+"/stem0", b, res, res, 3, s.Widths[0], 3, 2, dt)
 	h := (res + 1) / 2
-	g.Push(arch.ConvOp(s.Name+"/stem1", b, h, h, s.Widths[0], s.Widths[0], 3, 1, dt))
+	arch.ConvOp(g.Push(), s.Name+"/stem1", b, h, h, s.Widths[0], s.Widths[0], 3, 1, dt)
 	g.Params += float64(3*3*3*s.Widths[0] + 3*3*s.Widths[0]*s.Widths[0] + 2*s.Widths[0])
 
 	in := s.Widths[0]
@@ -90,11 +90,11 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 	for stage := 0; stage < 2; stage++ {
 		width := s.Widths[3+stage]
 		// Downsampling projection between stages.
-		g.Push(arch.ConvOp(fmt.Sprintf("%s/s%d/downsample", s.Name, stage+3), b, h, h, in, width, 2, 2, dt))
+		arch.ConvOp(g.Push(), fmt.Sprintf("%s/s%d/downsample", s.Name, stage+3), b, h, h, in, width, 2, 2, dt)
 		g.Params += float64(2*2*in*width + width)
 		h = (h + 1) / 2
 		in = width
-		g.PushTransformer(arch.TransformerSpec{
+		g.PushTransformer(&arch.TransformerSpec{
 			Seq:    h * h,
 			Hidden: width,
 			Heads:  width / 64,
@@ -104,8 +104,8 @@ func (s CoAtNetSpec) Graph() *arch.Graph {
 			DType:  dt,
 		}, arch.NewTransformerNames(fmt.Sprintf("%s/s%d/tfm", s.Name, stage+3)))
 	}
-	g.Push(arch.PoolOp(s.Name+"/pool", b*h*h*in, b*in, dt))
-	g.Push(arch.DenseOp(s.Name+"/classifier", b, in, 1000, dt))
+	arch.PoolOp(g.Push(), s.Name+"/pool", b*h*h*in, b*in, dt)
+	arch.DenseOp(g.Push(), s.Name+"/classifier", b, in, 1000, dt)
 	g.Params += float64(in*1000 + 1000)
 	return g
 }

@@ -88,8 +88,8 @@ func (s ENetSpec) Graph() *arch.Graph {
 
 	res := s.Resolution
 	// EfficientNet-X space-to-depth stem: reshape + stride-2 conv.
-	g.Push(arch.SpaceToDepthOp(s.Name+"/s2d", b*res*res*3, dt))
-	g.Push(arch.ConvOp(s.Name+"/stem", b, res, res, 3, s.StemWidth, 3, 2, dt))
+	arch.SpaceToDepthOp(g.Push(), s.Name+"/s2d", b*res*res*3, dt)
+	arch.ConvOp(g.Push(), s.Name+"/stem", b, res, res, 3, s.StemWidth, 3, 2, dt)
 	g.Params += float64(3*3*3*s.StemWidth + s.StemWidth)
 	h := (res + 1) / 2
 	in := s.StemWidth
@@ -102,10 +102,10 @@ func (s ENetSpec) Graph() *arch.Graph {
 			H: h, W: h, Batch: b, DType: dt,
 		}, arch.StageNames(fmt.Sprintf("%s/s%d", s.Name, i), st.Depth), true)
 	}
-	g.Push(arch.ConvOp(s.Name+"/head", b, h, h, in, s.HeadWidth, 1, 1, dt))
+	arch.ConvOp(g.Push(), s.Name+"/head", b, h, h, in, s.HeadWidth, 1, 1, dt)
 	g.Params += float64(in*s.HeadWidth + s.HeadWidth)
-	g.Push(arch.PoolOp(s.Name+"/pool", b*h*h*s.HeadWidth, b*s.HeadWidth, dt))
-	g.Push(arch.DenseOp(s.Name+"/classifier", b, s.HeadWidth, 1000, dt))
+	arch.PoolOp(g.Push(), s.Name+"/pool", b*h*h*s.HeadWidth, b*s.HeadWidth, dt)
+	arch.DenseOp(g.Push(), s.Name+"/classifier", b, s.HeadWidth, 1000, dt)
 	g.Params += float64(s.HeadWidth*1000 + 1000)
 	return g
 }

@@ -301,14 +301,14 @@ func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 			continue
 		}
 		vocab := ar.EmbVocabs[i]
-		g.Push(arch.EmbeddingOp(d.embNames[i], b, cfg.BagSize, w, vocab, dt))
+		arch.EmbeddingOp(g.Push(), d.embNames[i], b, cfg.BagSize, w, vocab, dt)
 		embOut += w
 		embParams += float64(vocab) * float64(w)
 	}
 	if embOut > 0 && cfg.Chips > 1 {
 		// Each chip exchanges its shard's pooled embeddings with all
 		// others: ~batch × total width values per chip per step.
-		g.Push(arch.AllToAllOp("emb_exchange", float64(b*embOut)*float64(dt)))
+		arch.AllToAllOp(g.Push(), "emb_exchange", float64(b*embOut)*float64(dt))
 	}
 
 	var denseParams float64
@@ -317,15 +317,14 @@ func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 			rank := ranks[i]
 			n := names[i]
 			if rank < w && rank < in {
-				u, v := arch.LowRankDenseOps(n.u, n.v, b, in, w, rank, dt)
-				g.Push(u)
-				g.Push(v)
+				arch.DenseOp(g.Push(), n.u, b, in, rank, dt)
+				arch.DenseOp(g.Push(), n.v, b, rank, w, dt)
 				denseParams += float64(in*rank + rank*w + w)
 			} else {
-				g.Push(arch.DenseOp(n.dense, b, in, w, dt))
+				arch.DenseOp(g.Push(), n.dense, b, in, w, dt)
 				denseParams += float64(in*w + w)
 			}
-			g.Push(arch.ElementwiseOp(n.relu, b*w, 1, dt))
+			arch.ElementwiseOp(g.Push(), n.relu, b*w, 1, dt)
 			in = w
 		}
 		return in
@@ -338,16 +337,16 @@ func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 	if concatWidth == 0 {
 		concatWidth = 1
 	}
-	g.Push(arch.ConcatOp("interact", b*concatWidth, dt))
+	arch.ConcatOp(g.Push(), "interact", b*concatWidth, dt)
 	topOut := addMLP(d.topNames, concatWidth, ar.TopWidths, ar.TopRanks)
-	g.Push(arch.DenseOp("logit", b, topOut, 1, dt))
+	arch.DenseOp(g.Push(), "logit", b, topOut, 1, dt)
 	denseParams += float64(topOut + 1)
 
 	if cfg.Chips > 1 {
 		// Dense parameters are data-parallel and all-reduced every step;
 		// embedding tables are model-parallel (sharded), so their
 		// gradients stay local.
-		g.Push(arch.AllReduceOp("grad_sync", denseParams*float64(dt)))
+		arch.AllReduceOp(g.Push(), "grad_sync", denseParams*float64(dt))
 	}
 	g.Params = embParams + denseParams
 }

@@ -219,8 +219,9 @@ func (v *ViTSpace) DecodeInto(a Assignment, out *ViTArch) {
 			// The stage's reshape and skip choices are decoded and dropped:
 			// the hybrid graph has never modelled them (ROADMAP lists it as
 			// an open defect; fixing it moves the analytic goldens).
-			out.ConvBlocks[i], out.ConvDepths[i], _, _ = v.convStages[i].decode(v.Space, a, st, cfg.Batch, cfg.DType)
+			out.ConvDepths[i], _, _ = v.convStages[i].decode(v.Space, a, st, &out.ConvBlocks[i], cfg.Batch, cfg.DType)
 		}
+		chainShape(out.ConvBlocks, out.Resolution, cfg.StemWidth)
 	}
 	out.TFMBlocks = resized(out.TFMBlocks, len(v.blocks))
 	for i, blk := range cfg.Blocks {
@@ -296,15 +297,13 @@ func (v *ViTSpace) GraphInto(ar ViTArch, g *arch.Graph) {
 	n := 3 // patchify, token pool, classifier
 	if len(ar.ConvBlocks) > 0 {
 		n++ // stem
-		in := cfg.StemWidth
-		for i, spec := range ar.ConvBlocks {
-			spec.In = in
-			n += spec.StageOps(ar.ConvDepths[i], true)
-			in = spec.Out
+		for i := range ar.ConvBlocks {
+			n += ar.ConvBlocks[i].StageOps(ar.ConvDepths[i], true)
 		}
 	}
 	hidden := firstHidden
-	for _, blk := range ar.TFMBlocks {
+	for i := range ar.TFMBlocks {
+		blk := &ar.TFMBlocks[i]
 		if blk.Hidden != hidden {
 			n++ // width transition
 			hidden = blk.Hidden
@@ -317,13 +316,12 @@ func (v *ViTSpace) GraphInto(ar ViTArch, g *arch.Graph) {
 	in := 3
 	h := res
 	if len(ar.ConvBlocks) > 0 {
-		g.Push(arch.ConvOp("stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt))
+		arch.ConvOp(g.Push(), "stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt)
 		g.Params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
 		h = (res + 1) / 2
 		in = cfg.StemWidth
-		for i, spec := range ar.ConvBlocks {
-			spec.In, spec.H, spec.W = in, h, h
-			h, in = g.PushMBConvStage(spec, v.convStages[i].names[:ar.ConvDepths[i]], true)
+		for i := range ar.ConvBlocks {
+			h, in = g.PushMBConvStage(ar.ConvBlocks[i], v.convStages[i].names[:ar.ConvDepths[i]], true)
 		}
 	}
 	// Patchify whatever spatial extent remains into a token sequence.
@@ -335,22 +333,23 @@ func (v *ViTSpace) GraphInto(ar ViTArch, g *arch.Graph) {
 	if seq < 1 {
 		seq = 1
 	}
-	g.Push(arch.ConvOp("patchify", b, h, h, in, firstHidden, patch, patch, dt))
+	arch.ConvOp(g.Push(), "patchify", b, h, h, in, firstHidden, patch, patch, dt)
 	g.Params += float64(patch*patch*in*firstHidden + firstHidden)
 
 	hidden = firstHidden
-	for i, blk := range ar.TFMBlocks {
+	for i := range ar.TFMBlocks {
+		blk := ar.TFMBlocks[i] // at this graph's sequence length
 		blk.Seq = seq
 		if blk.Hidden != hidden {
 			// Width transition between blocks.
-			g.Push(arch.DenseOp(v.blocks[i].transition, b*seq, hidden, blk.Hidden, dt))
+			arch.DenseOp(g.Push(), v.blocks[i].transition, b*seq, hidden, blk.Hidden, dt)
 			g.Params += float64(hidden*blk.Hidden + blk.Hidden)
 			hidden = blk.Hidden
 		}
-		g.PushTransformer(blk, v.blocks[i].names)
+		g.PushTransformer(&blk, v.blocks[i].names)
 		seq = blk.OutSeq()
 	}
-	g.Push(arch.PoolOp("token_pool", b*seq*hidden, b*hidden, dt))
-	g.Push(arch.DenseOp("classifier", b, hidden, cfg.NumClasses, dt))
+	arch.PoolOp(g.Push(), "token_pool", b*seq*hidden, b*hidden, dt)
+	arch.DenseOp(g.Push(), "classifier", b, hidden, cfg.NumClasses, dt)
 	g.Params += float64(hidden*cfg.NumClasses + cfg.NumClasses)
 }

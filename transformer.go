@@ -34,12 +34,8 @@ func SearchTransformer(model ViTConfig, traffic SeqConfig, chip Chip,
 	kind RewardKind, latencyTargetFactor float64, opts SearchConfig) (*TransformerResult, error) {
 
 	vs := space.NewTransformerSpace(model)
-	perf := func(a space.Assignment) []float64 {
-		g := vs.Graph(vs.Decode(a))
-		r := Simulate(g, chip, SimOptions{Mode: Training, Chips: 8})
-		return []float64{r.StepTime}
-	}
-	base := perf(vs.BaselineAssignment())
+	obj := &core.TransformerObjectives{VS: vs, Chip: chip}
+	base := obj.Perf(vs.BaselineAssignment())
 	rw, err := reward.New(kind,
 		reward.Objective{Name: "train_step_time", Target: base[0] * latencyTargetFactor, Beta: -2})
 	if err != nil {
@@ -48,7 +44,7 @@ func SearchTransformer(model ViTConfig, traffic SeqConfig, chip Chip,
 	s := &vitnet.Searcher{
 		VS:     vs,
 		Reward: rw,
-		Perf:   perf,
+		Perf:   obj.Perf,
 		Stream: datapipe.NewSeqStream(traffic, opts.Seed),
 	}
 	return s.Search(opts)
