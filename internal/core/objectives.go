@@ -48,37 +48,6 @@ func (o *DLRMObjectives) Perf(a space.Assignment) []float64 {
 // search targets are set against.
 func (o *DLRMObjectives) BaselinePerf() []float64 { return o.Perf(o.DS.BaselineAssignment()) }
 
-// TransformerObjectives produces the performance objective of a one-shot
-// transformer search: one training step on 8 chips, from the simulator
-// invoked directly.
-type TransformerObjectives struct {
-	VS   *space.ViTSpace
-	Chip hwsim.Chip
-
-	// scratch recycles *vitScratch across Perf calls, concurrent ones
-	// included.
-	scratch sync.Pool
-}
-
-// vitScratch is the decode and graph storage one Perf call builds into.
-type vitScratch struct {
-	ar space.ViTArch
-	g  arch.Graph
-}
-
-// Perf implements PerfFunc. It is safe for concurrent use, and the slice
-// it returns is the caller's to keep.
-func (o *TransformerObjectives) Perf(a space.Assignment) []float64 {
-	sc, _ := o.scratch.Get().(*vitScratch)
-	if sc == nil {
-		sc = new(vitScratch)
-	}
-	defer o.scratch.Put(sc)
-	o.VS.DecodeInto(a, &sc.ar)
-	o.VS.GraphInto(sc.ar, &sc.g)
-	return []float64{hwsim.Simulate(&sc.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: 8}).StepTime}
-}
-
 // SimulatorSamples draws n random candidates from the space and labels
 // them with simulated training/serving performance — the pre-training
 // corpus of the two-phase performance model (Section 6.2.2).

@@ -5,13 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"h2onas/internal/hwsim"
 	"h2onas/internal/perfmodel"
 	"h2onas/internal/space"
-	"h2onas/internal/tensor"
 )
 
 // samplesDigest hashes the bits of every sample's features and labels.
@@ -50,65 +48,5 @@ func TestLabeledSamplesDigestUnmoved(t *testing.T) {
 		if got := samplesDigest(MeasuredSamples(ds, hwsim.TPUv4(), 64, 7)); got != c.hw {
 			t.Errorf("%s: MeasuredSamples digest %s, want %s", c.cfg.Name, got, c.hw)
 		}
-	}
-}
-
-// transformerObjectives returns the objectives SearchTransformer prices
-// the small transformer space with, and 64 random candidates of it.
-func transformerObjectives() (*TransformerObjectives, []space.Assignment) {
-	vs := space.NewTransformerSpace(space.SmallViTConfig())
-	obj := &TransformerObjectives{VS: vs, Chip: hwsim.TPUv4()}
-	rng := tensor.NewRNG(13)
-	cands := make([]space.Assignment, 64)
-	for i := range cands {
-		cands[i] = RandomAssignment(vs.Space, rng)
-	}
-	return obj, cands
-}
-
-// TestTransformerPerfMatchesFreshGraph prices 64 candidates from two
-// goroutines at once through the pooled scratch and requires each step
-// time to equal, bit for bit, the one of a freshly decoded and built
-// graph.
-func TestTransformerPerfMatchesFreshGraph(t *testing.T) {
-	obj, cands := transformerObjectives()
-	want := make([]float64, len(cands))
-	for i, a := range cands {
-		g := obj.VS.Graph(obj.VS.Decode(a))
-		want[i] = hwsim.Simulate(g, obj.Chip, hwsim.Options{Mode: hwsim.Training, Chips: 8}).StepTime
-	}
-	var wg sync.WaitGroup
-	for w := range 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range cands {
-				i := (k + w*len(cands)/2) % len(cands) // the two walk different halves first
-				if got := obj.Perf(cands[i]); len(got) != 1 || math.Float64bits(got[0]) != math.Float64bits(want[i]) {
-					t.Errorf("candidate %d: pooled Perf %v, fresh graph %v", i, got, want[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestTransformerPerfWarmAllocs requires a warm Perf call to allocate
-// only the slice it returns: decode, graph and simulation all reuse the
-// pooled scratch.
-func TestTransformerPerfWarmAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("the race detector's own allocations swamp the count")
-	}
-	obj, cands := transformerObjectives()
-	for _, a := range cands {
-		obj.Perf(a) // scratch sized to the largest candidate
-	}
-	k := 0
-	if allocs := testing.AllocsPerRun(64, func() {
-		obj.Perf(cands[k%len(cands)])
-		k++
-	}); allocs != 1 {
-		t.Errorf("warm Perf makes %.1f allocations per call, want 1 (its result)", allocs)
 	}
 }

@@ -111,32 +111,28 @@ func stageDepth(st CNNStage, delta float64) int {
 	return max(1, st.Depth+int(delta))
 }
 
-// decode reads the stage's decisions back into spec, the block every
-// layer of the stage repeats — all of it but the input shape In, H and
-// W, which the caller chains from stage to stage (chainShape) — and
-// returns its layer count, the reshape choice (0 none, 1 space-to-depth,
-// 2 space-to-batch) and whether the skip connection is kept.
-func (cs *convStage) decode(s *Space, a Assignment, st CNNStage, spec *arch.MBConvSpec, batch, dtype int) (depth, reshape int, skip bool) {
+// decode reads the stage's decisions back: the block every layer of the
+// stage repeats (In, H and W are the graph builder's to fill), its layer
+// count, the reshape choice (0 none, 1 space-to-depth, 2 space-to-batch)
+// and whether the skip connection is kept.
+func (cs *convStage) decode(s *Space, a Assignment, st CNNStage, batch, dtype int) (spec arch.MBConvSpec, depth, reshape int, skip bool) {
 	val := func(i int) float64 { return s.Decisions[i].Values[a[i]] }
 	act := "relu"
 	if val(cs.act) == 1 {
 		act = "swish"
 	}
-	spec.Fused, spec.Out, spec.Kernel, spec.Stride = val(cs.typ) == 1, int(val(cs.width)), int(val(cs.kernel)), int(val(cs.stride))
-	spec.Expansion, spec.SERatio, spec.Act = int(val(cs.expansion)), val(cs.seRatio), act
-	spec.Batch, spec.DType = batch, dtype
-	return stageDepth(st, val(cs.depth)), int(val(cs.reshape)), val(cs.skip) == 1
-}
-
-// chainShape sets the input shape of every stage's first layer: stage 0
-// reads the stride-2 stem's output, (res+1)/2 square on stem channels,
-// and each later stage the output of the one before it.
-func chainShape(blocks []arch.MBConvSpec, res, stem int) {
-	h, in := (res+1)/2, stem
-	for i := range blocks {
-		blocks[i].In, blocks[i].H, blocks[i].W = in, h, h
-		h, _, in = blocks[i].OutShape()
+	spec = arch.MBConvSpec{
+		Fused:     val(cs.typ) == 1,
+		Out:       int(val(cs.width)),
+		Kernel:    int(val(cs.kernel)),
+		Stride:    int(val(cs.stride)),
+		Expansion: int(val(cs.expansion)),
+		SERatio:   val(cs.seRatio),
+		Act:       act,
+		Batch:     batch,
+		DType:     dtype,
 	}
+	return spec, stageDepth(st, val(cs.depth)), int(val(cs.reshape)), val(cs.skip) == 1
 }
 
 // setBaseline points a at the choices reproducing baseline stage st:
@@ -173,7 +169,7 @@ func NewCNNSpace(cfg CNNConfig) *CNNSpace {
 // CNNArch is a decoded convolutional architecture.
 type CNNArch struct {
 	Resolution int
-	Blocks     []arch.MBConvSpec // one per stage, at its input shape; Depths holds repeats
+	Blocks     []arch.MBConvSpec // one per stage; Depths holds repeats
 	Depths     []int
 	Reshapes   []int // 0 none, 1 space-to-depth, 2 space-to-batch
 	Skips      []bool
@@ -200,9 +196,8 @@ func (c *CNNSpace) DecodeInto(a Assignment, out *CNNArch) {
 	out.Resolution = int(c.Space.Decisions[c.resolutionIdx].Values[a[c.resolutionIdx]])
 	out.Blocks, out.Depths, out.Reshapes, out.Skips = resized(out.Blocks, n), out.Depths[:n], out.Reshapes[:n], resized(out.Skips, n)
 	for i, st := range c.Config.Stages {
-		out.Depths[i], out.Reshapes[i], out.Skips[i] = c.stages[i].decode(c.Space, a, st, &out.Blocks[i], c.Config.Batch, c.Config.DType)
+		out.Blocks[i], out.Depths[i], out.Reshapes[i], out.Skips[i] = c.stages[i].decode(c.Space, a, st, c.Config.Batch, c.Config.DType)
 	}
-	chainShape(out.Blocks, out.Resolution, c.Config.StemWidth)
 }
 
 // BaselineAssignment returns the assignment reproducing the baseline
@@ -233,24 +228,29 @@ func (c *CNNSpace) GraphInto(ar CNNArch, g *arch.Graph) {
 	b, dt := cfg.Batch, cfg.DType
 
 	n := 4 // stem, head, pool, classifier
-	for i := range ar.Blocks {
+	in := cfg.StemWidth
+	for i, spec := range ar.Blocks {
 		if ar.Reshapes[i] != 0 {
 			n++
 		}
-		n += ar.Blocks[i].StageOps(ar.Depths[i], ar.Skips[i])
+		spec.In = in
+		n += spec.StageOps(ar.Depths[i], ar.Skips[i])
+		in = spec.Out
 	}
 	g.Reset(cfg.Name, b, dt, n)
 
 	res := ar.Resolution
 	arch.ConvOp(g.Push(), "stem", b, res, res, 3, cfg.StemWidth, 3, 2, dt)
+	h := (res + 1) / 2
+	in = cfg.StemWidth
 	g.Params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
 
-	h, in := (res+1)/2, cfg.StemWidth
-	for i := range ar.Blocks {
+	for i, spec := range ar.Blocks {
 		if ar.Reshapes[i] != 0 {
 			arch.SpaceToDepthOp(g.Push(), c.stages[i].reshapeName, b*h*h*in, dt)
 		}
-		h, in = g.PushMBConvStage(ar.Blocks[i], c.stages[i].names[:ar.Depths[i]], ar.Skips[i])
+		spec.In, spec.H, spec.W = in, h, h
+		h, in = g.PushMBConvStage(spec, c.stages[i].names[:ar.Depths[i]], ar.Skips[i])
 	}
 	arch.ConvOp(g.Push(), "head", b, h, h, in, cfg.HeadWidth, 1, 1, dt)
 	g.Params += float64(in*cfg.HeadWidth + cfg.HeadWidth)

@@ -120,8 +120,8 @@ type DLRMSpace struct {
 }
 
 // layerNames are the op names of one MLP layer slot: the dense op (the
-// layer's own name), the two matmuls of its rank factorization ("/u" and
-// "/v", arch.LowRankDenseOps) and its activation.
+// layer's own name), the two DenseOps of its rank-r factorization ("/u"
+// and "/v") and its activation.
 type layerNames struct{ dense, u, v, relu string }
 
 func newLayerNames(name string) layerNames {

@@ -219,9 +219,8 @@ func (v *ViTSpace) DecodeInto(a Assignment, out *ViTArch) {
 			// The stage's reshape and skip choices are decoded and dropped:
 			// the hybrid graph has never modelled them (ROADMAP lists it as
 			// an open defect; fixing it moves the analytic goldens).
-			out.ConvDepths[i], _, _ = v.convStages[i].decode(v.Space, a, st, &out.ConvBlocks[i], cfg.Batch, cfg.DType)
+			out.ConvBlocks[i], out.ConvDepths[i], _, _ = v.convStages[i].decode(v.Space, a, st, cfg.Batch, cfg.DType)
 		}
-		chainShape(out.ConvBlocks, out.Resolution, cfg.StemWidth)
 	}
 	out.TFMBlocks = resized(out.TFMBlocks, len(v.blocks))
 	for i, blk := range cfg.Blocks {
@@ -297,8 +296,11 @@ func (v *ViTSpace) GraphInto(ar ViTArch, g *arch.Graph) {
 	n := 3 // patchify, token pool, classifier
 	if len(ar.ConvBlocks) > 0 {
 		n++ // stem
-		for i := range ar.ConvBlocks {
-			n += ar.ConvBlocks[i].StageOps(ar.ConvDepths[i], true)
+		in := cfg.StemWidth
+		for i, spec := range ar.ConvBlocks {
+			spec.In = in
+			n += spec.StageOps(ar.ConvDepths[i], true)
+			in = spec.Out
 		}
 	}
 	hidden := firstHidden
@@ -320,8 +322,9 @@ func (v *ViTSpace) GraphInto(ar ViTArch, g *arch.Graph) {
 		g.Params += float64(3*3*3*cfg.StemWidth + cfg.StemWidth)
 		h = (res + 1) / 2
 		in = cfg.StemWidth
-		for i := range ar.ConvBlocks {
-			h, in = g.PushMBConvStage(ar.ConvBlocks[i], v.convStages[i].names[:ar.ConvDepths[i]], true)
+		for i, spec := range ar.ConvBlocks {
+			spec.In, spec.H, spec.W = in, h, h
+			h, in = g.PushMBConvStage(spec, v.convStages[i].names[:ar.ConvDepths[i]], true)
 		}
 	}
 	// Patchify whatever spatial extent remains into a token sequence.

@@ -1,6 +1,7 @@
 package h2onas
 
 import (
+	"h2onas/internal/arch"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/reward"
@@ -34,8 +35,8 @@ func SearchTransformer(model ViTConfig, traffic SeqConfig, chip Chip,
 	kind RewardKind, latencyTargetFactor float64, opts SearchConfig) (*TransformerResult, error) {
 
 	vs := space.NewTransformerSpace(model)
-	obj := &core.TransformerObjectives{VS: vs, Chip: chip}
-	base := obj.Perf(vs.BaselineAssignment())
+	perf := transformerPerf(vs, chip)
+	base := perf(vs.BaselineAssignment())
 	rw, err := reward.New(kind,
 		reward.Objective{Name: "train_step_time", Target: base[0] * latencyTargetFactor, Beta: -2})
 	if err != nil {
@@ -44,10 +45,25 @@ func SearchTransformer(model ViTConfig, traffic SeqConfig, chip Chip,
 	s := &vitnet.Searcher{
 		VS:     vs,
 		Reward: rw,
-		Perf:   obj.Perf,
+		Perf:   perf,
 		Stream: datapipe.NewSeqStream(traffic, opts.Seed),
 	}
 	return s.Search(opts)
+}
+
+// transformerPerf returns the search's performance objective: the
+// simulated step time of one training step on 8 chips. Every candidate
+// decodes and builds into the same arch and graph, so a warm call
+// allocates only the slice it returns; the engine prices candidates on
+// one goroutine.
+func transformerPerf(vs *space.ViTSpace, chip Chip) func(space.Assignment) []float64 {
+	var ar space.ViTArch
+	var g arch.Graph
+	return func(a space.Assignment) []float64 {
+		vs.DecodeInto(a, &ar)
+		vs.GraphInto(ar, &g)
+		return []float64{Simulate(&g, chip, SimOptions{Mode: Training, Chips: 8}).StepTime}
+	}
 }
 
 // Search rules (the Section 2.1 taxonomy). SearchConfig.Strategy selects
