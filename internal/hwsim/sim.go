@@ -21,8 +21,9 @@ const (
 // Options configures a simulation run.
 type Options struct {
 	Mode Mode
-	// Chips is the number of data-parallel chips (affects gradient
-	// all-reduce time in Training mode). 0 means 1.
+	// Chips is the number of data-parallel chips the caller simulates
+	// for. Simulate does not read it: the gradient all-reduce time comes
+	// from the graph's AllReduce op, whose NetworkBytes the builder sized.
 	Chips int
 	// DisableFusion turns off the compiler op-fusion pass, exposing every
 	// elementwise op's HBM round-trip (useful for ablation).

@@ -9,7 +9,7 @@ import (
 
 func TestMaskedLayerNormForwardNormalizes(t *testing.T) {
 	ln := NewMaskedLayerNorm(4)
-	x := tensor.NewFromData(2, 4, []float64{1, 2, 3, 4, -5, 0, 5, 10})
+	x := &tensor.Matrix{Rows: 2, Cols: 4, Data: []float64{1, 2, 3, 4, -5, 0, 5, 10}}
 	out := ln.Forward(x)
 	for i := 0; i < 2; i++ {
 		row := out.Row(i)

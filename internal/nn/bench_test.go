@@ -34,7 +34,7 @@ func benchReLUInput(rows, cols int, seed uint64) *tensor.Matrix {
 // backward loop draws from a second arena, so releasing it each iteration
 // never recycles an activation Forward cached; the gradients keep
 // accumulating, which costs the same as accumulating into zero.
-func benchAffine(b *testing.B, l Layer, setArena func(*tensor.Arena), rows, in, out int, backward bool) {
+func benchAffine(b *testing.B, l layer, setArena func(*tensor.Arena), rows, in, out int, backward bool) {
 	x := benchReLUInput(rows, in, 2)
 	g := tensor.RandN(rows, out, 1, tensor.NewRNG(3))
 	arena := tensor.NewArena()

@@ -14,8 +14,8 @@ import (
 // shared vectors. Lookups take index lists (a "bag" per example) and mean-
 // pool them, the standard DLRM sparse-feature reduction.
 //
-// Embedding does not implement Layer because its input is integer indices,
-// not a Matrix; the super-network wires it explicitly.
+// Its input is integer indices, not a Matrix, so the super-network wires
+// it explicitly.
 type Embedding struct {
 	Table *Param // vocab×maxWidth
 

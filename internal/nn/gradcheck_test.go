@@ -29,9 +29,43 @@ type lossFn interface {
 	Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix)
 }
 
+// layer is one differentiable stage. Forward caches what Backward needs;
+// Backward accumulates parameter gradients (into Params' Grad) and returns
+// the gradient with respect to the layer input.
+type layer interface {
+	Forward(x *tensor.Matrix) *tensor.Matrix
+	Backward(grad *tensor.Matrix) *tensor.Matrix
+	Params() []*Param
+}
+
+// chain runs layers in order, the output of each feeding the next.
+type chain []layer
+
+func (c chain) Forward(x *tensor.Matrix) *tensor.Matrix {
+	for _, l := range c {
+		x = l.Forward(x)
+	}
+	return x
+}
+
+func (c chain) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	for i := len(c) - 1; i >= 0; i-- {
+		grad = c[i].Backward(grad)
+	}
+	return grad
+}
+
+func (c chain) Params() []*Param {
+	var ps []*Param
+	for _, l := range c {
+		ps = append(ps, l.Params()...)
+	}
+	return ps
+}
+
 // checkGrads compares analytic parameter gradients against finite
 // differences for a model under a loss.
-func checkGrads(t *testing.T, layers *Sequential, loss lossFn, x, y *tensor.Matrix, tol float64) {
+func checkGrads(t *testing.T, layers chain, loss lossFn, x, y *tensor.Matrix, tol float64) {
 	t.Helper()
 	lossFn := func() float64 {
 		out := layers.Forward(x)
@@ -58,7 +92,7 @@ func checkGrads(t *testing.T, layers *Sequential, loss lossFn, x, y *tensor.Matr
 
 func TestDenseGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	model := NewSequential(NewDense(4, 3, rng), NewActivationLayer(Tanh), NewDense(3, 2, rng))
+	model := chain{NewDense(4, 3, rng), NewActivationLayer(Tanh), NewDense(3, 2, rng)}
 	x := tensor.RandN(5, 4, 1, rng)
 	y := tensor.RandN(5, 2, 1, rng)
 	checkGrads(t, model, MSE{}, x, y, 1e-5)
@@ -66,7 +100,7 @@ func TestDenseGradCheck(t *testing.T) {
 
 func TestDenseGradCheckBCE(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	model := NewSequential(NewDense(6, 4, rng), NewActivationLayer(ReLU), NewDense(4, 1, rng))
+	model := chain{NewDense(6, 4, rng), NewActivationLayer(ReLU), NewDense(4, 1, rng)}
 	x := tensor.RandN(8, 6, 1, rng)
 	y := tensor.New(8, 1)
 	for i := range y.Data {
@@ -96,7 +130,7 @@ func TestActivationGradChecks(t *testing.T) {
 func TestMaskedDenseGradCheckFullWidth(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	md := NewMaskedDense(5, 4, rng)
-	model := NewSequential(md, NewActivationLayer(Swish))
+	model := chain{md, NewActivationLayer(Swish)}
 	x := tensor.RandN(6, 5, 1, rng)
 	y := tensor.RandN(6, 4, 1, rng)
 	checkGrads(t, model, MSE{}, x, y, 1e-5)
@@ -106,7 +140,7 @@ func TestMaskedDenseGradCheckSubMatrix(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	md := NewMaskedDense(8, 6, rng)
 	md.SetActive(5, 3)
-	model := NewSequential(md)
+	model := chain{md}
 	x := tensor.RandN(4, 5, 1, rng)
 	y := tensor.RandN(4, 3, 1, rng)
 	checkGrads(t, model, MSE{}, x, y, 1e-5)
@@ -132,7 +166,7 @@ func TestLowRankDenseGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	lr := NewLowRankDense(6, 5, 4, rng)
 	lr.SetActive(4, 3, 2)
-	model := NewSequential(lr, NewActivationLayer(GeLU))
+	model := chain{lr, NewActivationLayer(GeLU)}
 	x := tensor.RandN(3, 4, 1, rng)
 	y := tensor.RandN(3, 3, 1, rng)
 	checkGrads(t, model, MSE{}, x, y, 1e-5)

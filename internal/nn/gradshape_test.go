@@ -12,7 +12,7 @@ import (
 // a rows×cols output.
 type gradShapeCase struct {
 	name       string // what the panic must name
-	layer      Layer
+	layer      layer
 	params     []*Param
 	rows, cols int
 }

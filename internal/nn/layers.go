@@ -189,15 +189,6 @@ func parallelRows[T any](recv *T, loop func(*T, int, int), bound *func(lo, hi in
 	loop(recv, 0, n)
 }
 
-// Layer is one differentiable stage. Forward caches what Backward needs;
-// Backward accumulates parameter gradients (into Params' Grad) and returns
-// the gradient with respect to the layer input.
-type Layer interface {
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	Backward(grad *tensor.Matrix) *tensor.Matrix
-	Params() []*Param
-}
-
 // SharedLayer is a super-network layer as its network lists it, once: its
 // weights, in the network's Params order, and the arena and core budget
 // its passes run under. A super-network's Params, SetArena and SetWorkers
@@ -580,36 +571,3 @@ func (l *LowRankDense) Params() []*Param { return []*Param{l.U, l.V, l.B} }
 // SetArena and SetWorkers set Arena and Workers (SharedLayer).
 func (l *LowRankDense) SetArena(a *tensor.Arena) { l.Arena = a }
 func (l *LowRankDense) SetWorkers(n int)         { l.Workers = n }
-
-// Sequential chains layers; the output of each feeds the next.
-type Sequential struct {
-	Layers []Layer
-}
-
-// NewSequential returns a container over layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
-
-// Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward runs all layers' Backward in reverse order.
-func (s *Sequential) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// Params returns all layers' parameters in order.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}

@@ -50,16 +50,23 @@ type MSE struct{}
 
 // Eval returns loss = mean((out−target)²), grad = 2(out−target)/n.
 func (MSE) Eval(output, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	checkSame("MSE", output, target)
-	n := float64(len(output.Data))
 	grad := tensor.New(output.Rows, output.Cols)
+	return MSE{}.EvalInto(output, target, grad), grad
+}
+
+// EvalInto is Eval writing the gradient into grad (fully overwritten),
+// which must match output's shape.
+func (MSE) EvalInto(output, target, grad *tensor.Matrix) float64 {
+	checkSame("MSE", output, target)
+	checkSame("MSE grad", output, grad)
+	n := float64(len(output.Data))
 	var total float64
 	for i, v := range output.Data {
 		d := v - target.Data[i]
 		total += d * d
 		grad.Data[i] = 2 * d / n
 	}
-	return total / n, grad
+	return total / n
 }
 
 // SoftmaxInto writes the numerically-stabilized softmax of logits into

@@ -42,7 +42,7 @@ func TestMaskedDenseSubMatrixMatchesSlicedDense(t *testing.T) {
 	}
 	want := tensor.New(2, 3)
 	tensor.MatMulIntoN(x, w, want, 0)
-	b := tensor.NewFromData(1, 3, md.B.Value.Data[:3])
+	b := &tensor.Matrix{Rows: 1, Cols: 3, Data: md.B.Value.Data[:3]}
 	tensor.AddRowVector(want, b)
 	if !tensor.Equal(got, want, 1e-12) {
 		t.Fatal("sub-matrix MaskedDense must equal sliced Dense")
@@ -144,7 +144,7 @@ func TestAdamFitsTinyScaleTargets(t *testing.T) {
 	// Targets of scale 0.01 — hard for a fixed-step optimizer, routine for
 	// Adam's per-parameter normalization.
 	rng := tensor.NewRNG(10)
-	model := NewSequential(NewDense(2, 8, rng), NewActivationLayer(Tanh), NewDense(8, 1, rng))
+	model := chain{NewDense(2, 8, rng), NewActivationLayer(Tanh), NewDense(8, 1, rng)}
 	opt := NewAdam(0.01)
 	var first, loss float64
 	for step := 0; step < 200; step++ {
@@ -227,8 +227,8 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 }
 
 func TestBCEWithLogitsMatchesDirectFormula(t *testing.T) {
-	out := tensor.NewFromData(2, 1, []float64{0.7, -1.3})
-	y := tensor.NewFromData(2, 1, []float64{1, 0})
+	out := &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{0.7, -1.3}}
+	y := &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{1, 0}}
 	l, _ := BCEWithLogits{}.Eval(out, y)
 	direct := -(math.Log(sigmoid(0.7)) + math.Log(1-sigmoid(-1.3))) / 2
 	if math.Abs(l-direct) > 1e-9 {
@@ -237,8 +237,8 @@ func TestBCEWithLogitsMatchesDirectFormula(t *testing.T) {
 }
 
 func TestBCEWithLogitsStableAtExtremes(t *testing.T) {
-	out := tensor.NewFromData(2, 1, []float64{1000, -1000})
-	y := tensor.NewFromData(2, 1, []float64{1, 0})
+	out := &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{1000, -1000}}
+	y := &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{1, 0}}
 	l, grad := BCEWithLogits{}.Eval(out, y)
 	if math.IsNaN(l) || math.IsInf(l, 0) {
 		t.Fatalf("BCE loss unstable at extreme logits: %v", l)
@@ -247,13 +247,5 @@ func TestBCEWithLogitsStableAtExtremes(t *testing.T) {
 		if math.IsNaN(g) {
 			t.Fatal("BCE grad NaN at extreme logits")
 		}
-	}
-}
-
-func TestSequentialParamsCollectsAll(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	s := NewSequential(NewDense(2, 3, rng), NewActivationLayer(ReLU), NewDense(3, 1, rng))
-	if got := len(s.Params()); got != 4 {
-		t.Fatalf("Sequential.Params() returned %d, want 4 (2 dense layers × W,b)", got)
 	}
 }

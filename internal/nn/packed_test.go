@@ -24,7 +24,7 @@ func denseGrad(p *Param) []float64 {
 
 // gradMatrix is denseGrad as a matrix of the value's shape.
 func gradMatrix(p *Param) *tensor.Matrix {
-	return tensor.NewFromData(p.Value.Rows, p.Value.Cols, denseGrad(p))
+	return &tensor.Matrix{Rows: p.Value.Rows, Cols: p.Value.Cols, Data: denseGrad(p)}
 }
 
 // denseMoments returns o's moments for p laid out like its value, zero

@@ -41,11 +41,16 @@ func DefaultFineTuneConfig() TrainConfig {
 	return TrainConfig{Epochs: 300, BatchSize: 8, LR: 2e-4, Seed: 2}
 }
 
-// Model is the dual-head MLP performance predictor.
+// Model is the dual-head MLP performance predictor. It owns the buffers
+// its passes run in, so a warm Predict allocates nothing; it serves one
+// goroutine, Predict included.
 type Model struct {
-	net     *nn.Sequential
+	dense   []*nn.Dense           // the hidden layers, then the dual head
+	relu    []*nn.ActivationLayer // relu[i] follows dense[i]
+	params  []*nn.Param
+	arena   *tensor.Arena  // the ReLUs' outputs and gradients of the pass in flight
+	row     *tensor.Matrix // Predict's input, 1×featDim
 	featDim int
-	hidden  []int
 
 	// Target standardization (log space), fixed at pretraining.
 	trainMean, trainStd float64
@@ -62,9 +67,8 @@ type Model struct {
 // SetMetrics installs the registry receiving the model's telemetry:
 // perfmodel_predict_calls_total / perfmodel_predict_seconds for
 // inference, perfmodel_train_runs_total / perfmodel_train_seconds for
-// the two training phases. Call before sharing the model across
-// goroutines; a nil (nop) registry keeps Predict overhead at two nil
-// checks.
+// the two training phases. A nil (nop) registry keeps Predict overhead
+// at two nil checks.
 func (m *Model) SetMetrics(r *metrics.Registry) {
 	m.predictCalls = r.Counter("perfmodel_predict_calls_total")
 	m.predictLatency = r.Histogram("perfmodel_predict_seconds")
@@ -84,21 +88,46 @@ func New(featDim int, hidden []int, seed uint64) *Model {
 		hidden = []int{512, 512}
 	}
 	rng := tensor.NewRNG(seed)
-	var layers []nn.Layer
-	in := featDim
+	m := &Model{arena: tensor.NewArena(), row: tensor.New(1, featDim), featDim: featDim, trainStd: 1, serveStd: 1}
 	for _, h := range hidden {
 		if h <= 0 {
 			panic(fmt.Sprintf("perfmodel: non-positive hidden width %d", h))
 		}
-		layers = append(layers, nn.NewDense(in, h, rng), nn.NewActivationLayer(nn.ReLU))
+		m.relu = append(m.relu, &nn.ActivationLayer{Act: nn.ReLU, Arena: m.arena})
+	}
+	in := featDim
+	// The last layer is the dual head (train, serve); the capped slice
+	// makes append copy rather than write into the caller's array.
+	for _, h := range append(hidden[:len(hidden):len(hidden)], 2) {
+		d := nn.NewDense(in, h, rng)
+		m.dense, m.params = append(m.dense, d), append(m.params, d.Params()...)
 		in = h
 	}
-	layers = append(layers, nn.NewDense(in, 2, rng)) // dual head: train, serve
-	return &Model{
-		net:      nn.NewSequential(layers...),
-		featDim:  featDim,
-		hidden:   append([]int(nil), hidden...),
-		trainStd: 1, serveStd: 1,
+	return m
+}
+
+// forward runs x through the network. Like nn.Dense.Forward, it first
+// drains the arena of the previous pass, so a trained model keeps no
+// batch-sized buffer.
+func (m *Model) forward(x *tensor.Matrix) *tensor.Matrix {
+	m.arena.Drain()
+	for i, d := range m.dense {
+		x = d.Forward(x)
+		if i < len(m.relu) {
+			x = m.relu[i].Forward(x)
+		}
+	}
+	return x
+}
+
+// backward accumulates every parameter's gradient for the pass forward
+// ran last.
+func (m *Model) backward(grad *tensor.Matrix) {
+	for i := len(m.dense) - 1; i >= 0; i-- {
+		if i < len(m.relu) {
+			grad = m.relu[i].Backward(grad)
+		}
+		grad = m.dense[i].Backward(grad)
 	}
 }
 
@@ -161,30 +190,27 @@ func (m *Model) train(samples []Sample, cfg TrainConfig) error {
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 	opt := nn.NewAdam(cfg.LR)
-	loss := nn.MSE{}
-	params := m.net.Params()
+	perm := make([]int, len(samples))
+	bs := min(cfg.BatchSize, len(samples))
+	x, y, dout := tensor.New(bs, m.featDim), tensor.New(bs, 2), tensor.New(bs, 2)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := rng.Perm(len(samples))
-		for lo := 0; lo < len(perm); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(perm) {
-				hi = len(perm)
+		rng.PermInto(perm)
+		for lo := 0; lo < len(perm); lo += bs {
+			nb := min(bs, len(perm)-lo)
+			for _, b := range []*tensor.Matrix{x, y, dout} { // the last batch may be short
+				b.Rows, b.Data = nb, b.Data[:nb*b.Cols]
 			}
-			nb := hi - lo
-			x := tensor.New(nb, m.featDim)
-			y := tensor.New(nb, 2)
 			for i := 0; i < nb; i++ {
 				s := samples[perm[lo+i]]
 				copy(x.Row(i), s.Features)
 				y.Set(i, 0, (safeLog(s.TrainTime)-m.trainMean)/m.trainStd)
 				y.Set(i, 1, (safeLog(s.ServeTime)-m.serveMean)/m.serveStd)
 			}
-			out := m.net.Forward(x)
-			_, dout := loss.Eval(out, y)
-			nn.ZeroGrads(params)
-			m.net.Backward(dout)
-			nn.ClipGradNorm(params, 5)
-			opt.Step(params)
+			nn.MSE{}.EvalInto(m.forward(x), y, dout)
+			nn.ZeroGrads(m.params)
+			m.backward(dout)
+			nn.ClipGradNorm(m.params, 5)
+			opt.Step(m.params)
 		}
 	}
 	return nil
@@ -198,8 +224,8 @@ func (m *Model) Predict(features []float64) (trainTime, serveTime float64) {
 	if len(features) != m.featDim {
 		panic(fmt.Sprintf("perfmodel: %d features, model expects %d", len(features), m.featDim))
 	}
-	x := tensor.NewFromData(1, m.featDim, append([]float64(nil), features...))
-	out := m.net.Forward(x)
+	copy(m.row.Data, features)
+	out := m.forward(m.row)
 	trainTime = math.Exp(out.At(0, 0)*m.trainStd + m.trainMean)
 	serveTime = math.Exp(out.At(0, 1)*m.serveStd + m.serveMean)
 	return trainTime, serveTime

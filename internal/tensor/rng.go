@@ -104,13 +104,13 @@ func boxMuller(a, b uint64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a random permutation of [0,n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+// PermInto fills p with a random permutation of [0,len(p)) and returns
+// it.
+func (r *RNG) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}

@@ -83,7 +83,7 @@ func TestFillNormRowsAnyOrderAnyChunking(t *testing.T) {
 
 		pick := NewRNG(seed ^ 0xabcdef)
 		byRow := New(rows, cols)
-		for _, r := range pick.Perm(rows) {
+		for _, r := range pick.PermInto(make([]int, rows)) {
 			FillNormRows(byRow, state, std, r, r+1)
 		}
 		chunked := New(rows, cols)

@@ -87,7 +87,7 @@ func TestNormMoments(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(9)
-	p := r.Perm(50)
+	p := r.PermInto(make([]int, 50))
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {

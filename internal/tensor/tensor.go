@@ -16,7 +16,7 @@ import (
 )
 
 // Matrix is a dense, row-major float64 matrix. The zero value is an empty
-// matrix; use New or NewFromData to create one with a shape.
+// matrix; use New to create one with a shape.
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64 // len == Rows*Cols, row-major
@@ -29,14 +29,6 @@ func New(rows, cols int) *Matrix {
 	}
 	matrixAllocs.Add(1)
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// NewFromData wraps data (not copied) as a rows×cols matrix.
-func NewFromData(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // At returns the element at row i, column j.
