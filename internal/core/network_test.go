@@ -9,6 +9,7 @@ import (
 	"h2onas/internal/space"
 	"h2onas/internal/supernet"
 	"h2onas/internal/tensor"
+	"h2onas/internal/tensor/tensortest"
 )
 
 // NetworkCase is one super-network held to the network contract the
@@ -103,7 +104,7 @@ func HarnessNetwork[B Batch, N Network[B, N]](t *testing.T, c NetworkCase[B, N])
 		const eps = 1e-6
 		checked := 0
 		for _, p := range net.Params() {
-			if tensor.MaxAbs(p.Grad) == 0 {
+			if tensortest.MaxAbs(p.Grad) == 0 {
 				continue
 			}
 			grad := denseGrad(p)
@@ -143,13 +144,13 @@ func HarnessNetwork[B Batch, N Network[B, N]](t *testing.T, c NetworkCase[B, N])
 		rep.Backward(dout)
 		var repHasGrad bool
 		for _, p := range rep.Params() {
-			repHasGrad = repHasGrad || tensor.MaxAbs(p.Grad) > 0
+			repHasGrad = repHasGrad || tensortest.MaxAbs(p.Grad) > 0
 		}
 		if !repHasGrad {
 			t.Fatal("replica backward produced no gradient")
 		}
 		for _, p := range net.Params() {
-			if tensor.MaxAbs(p.Grad) != 0 {
+			if tensortest.MaxAbs(p.Grad) != 0 {
 				t.Fatalf("master gradient of %s must stay clear until the reduce", p.Name)
 			}
 		}

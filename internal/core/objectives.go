@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"h2onas/internal/arch"
 	"h2onas/internal/hwsim"
 	"h2onas/internal/perfmodel"
@@ -14,34 +12,24 @@ import (
 // the order the experiments use them: primary = training step time
 // (DLRM is training-cost dominated, Table 2), secondary = serving memory
 // bytes (the analytic model-size head of Section 6.2.1). Step time comes
-// from the simulator, invoked directly.
+// from the simulator, invoked directly. It decodes and builds every
+// candidate into one arch and graph it owns, so it serves one goroutine,
+// as VisionObjectives does; the engine calls Perf from its coordinator
+// policy stage only.
 type DLRMObjectives struct {
 	DS   *space.DLRMSpace
 	Chip hwsim.Chip
 
-	// scratch recycles *perfScratch across Perf calls, concurrent ones
-	// included.
-	scratch sync.Pool
-}
-
-// perfScratch is the decode and graph storage one Perf call builds into.
-type perfScratch struct {
 	ar space.DLRMArch
 	g  arch.Graph
 }
 
-// Perf implements PerfFunc. It is safe for concurrent use, and the slice
-// it returns is the caller's to keep.
+// Perf implements PerfFunc. The slice it returns is the caller's to keep.
 func (o *DLRMObjectives) Perf(a space.Assignment) []float64 {
-	sc, _ := o.scratch.Get().(*perfScratch)
-	if sc == nil {
-		sc = new(perfScratch)
-	}
-	defer o.scratch.Put(sc)
-	o.DS.DecodeInto(a, &sc.ar)
-	o.DS.GraphInto(sc.ar, &sc.g)
-	r := hwsim.Simulate(&sc.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
-	return []float64{r.StepTime, o.DS.ServingBytes(sc.ar)}
+	o.DS.DecodeInto(a, &o.ar)
+	o.DS.GraphInto(o.ar, &o.g)
+	r := hwsim.Simulate(&o.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
+	return []float64{r.StepTime, o.DS.ServingBytes(o.ar)}
 }
 
 // BaselinePerf evaluates the baseline architecture: the reference point

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"h2onas/internal/tensor"
+	"h2onas/internal/tensor/tensortest"
 )
 
 // smallCTRConfig is traffic shaped like the small DLRM search space.
@@ -61,7 +61,7 @@ func TestStreamNeverRepeats(t *testing.T) {
 	s := NewStream(smallCTRConfig(), 3)
 	a := s.NextBatch(16)
 	b := s.NextBatch(16)
-	if tensor.Equal(a.Dense, b.Dense, 1e-15) {
+	if tensortest.Equal(a.Dense, b.Dense, 1e-15) {
 		t.Fatal("consecutive batches must differ (use-once traffic)")
 	}
 	if s.ExamplesServed() != 32 {
@@ -72,7 +72,7 @@ func TestStreamNeverRepeats(t *testing.T) {
 func TestStreamDeterministicAcrossInstances(t *testing.T) {
 	a := NewStream(smallCTRConfig(), 7).NextBatch(8)
 	b := NewStream(smallCTRConfig(), 7).NextBatch(8)
-	if !tensor.Equal(a.Dense, b.Dense, 0) || !tensor.Equal(a.Labels, b.Labels, 0) {
+	if !tensortest.Equal(a.Dense, b.Dense, 0) || !tensortest.Equal(a.Labels, b.Labels, 0) {
 		t.Fatal("same seed must reproduce the same traffic")
 	}
 }
@@ -267,7 +267,7 @@ func TestDriftPreservesDeterminism(t *testing.T) {
 	cfg.DriftPeriod = 500
 	a := NewStream(cfg, 9).NextBatch(32)
 	b := NewStream(cfg, 9).NextBatch(32)
-	if !tensor.Equal(a.Labels, b.Labels, 0) {
+	if !tensortest.Equal(a.Labels, b.Labels, 0) {
 		t.Fatal("drifting streams with the same seed must reproduce identically")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"h2onas/internal/tensor"
+	"h2onas/internal/tensor/tensortest"
 )
 
 // The masked affine stage against the per-(i,k) loop its row kernels
@@ -80,7 +81,7 @@ func refReLUInput(rows, cols int, seed uint64) *tensor.Matrix {
 // cloneParam copies a param's value and gradient into a fresh param the
 // naive reference can accumulate into, its gradient dense.
 func cloneParam(p *Param) *Param {
-	return &Param{Name: p.Name, Value: p.Value.Clone(), Grad: gradMatrix(p)}
+	return &Param{Name: p.Name, Value: tensortest.Clone(p.Value), Grad: gradMatrix(p)}
 }
 
 // affineRefShapes are the ViT FFN (128 token rows, 80→160), a DLRM

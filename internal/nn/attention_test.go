@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"h2onas/internal/tensor"
+	"h2onas/internal/tensor/tensortest"
 )
 
 func TestMaskedLayerNormForwardNormalizes(t *testing.T) {
@@ -151,7 +152,7 @@ func TestMaskedAttentionGradCheck(t *testing.T) {
 	// Check a sample of touched parameters per projection.
 	checked := 0
 	for _, p := range att.Params() {
-		if tensor.MaxAbs(p.Grad) == 0 {
+		if tensortest.MaxAbs(p.Grad) == 0 {
 			continue
 		}
 		idx, best := 0, 0.0

@@ -119,18 +119,21 @@ func BenchmarkLowRankDenseBackward(b *testing.B) {
 }
 
 // BenchmarkDenseStep times one training pass of the perf model's Dense
-// layer — zeroed gradients, Forward, Backward — on a batch of 256 at the
-// -scale quick (128×128) and -scale full (512×512) hidden widths. Dense
-// fans out to the pool's width, so -cpu 1,2 sweeps it.
+// layer — arena released, zeroed gradients, Forward, Backward — on a
+// batch of 256 at the -scale quick (128×128) and -scale full (512×512)
+// hidden widths. Dense fans out to the pool's width, so -cpu 1,2 sweeps
+// it.
 func BenchmarkDenseStep(b *testing.B) {
 	for _, width := range []int{128, 512} {
 		b.Run(fmt.Sprintf("256x%dx%d", width, width), func(b *testing.B) {
 			l := NewDense(width, width, tensor.NewRNG(1))
+			l.Arena = tensor.NewArena()
 			x := benchReLUInput(256, width, 2)
 			g := tensor.RandN(256, width, 1, tensor.NewRNG(3))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				l.Arena.Release()
 				ZeroGrads(l.Params())
 				l.Forward(x)
 				l.Backward(g)

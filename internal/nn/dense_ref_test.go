@@ -14,8 +14,9 @@ import (
 // bias added last, dW = 0 + MatMulTransA(x, g), db = 0 + the column sums
 // of g (batch rows ascending) and dX = MatMulTransB(g, W). Gradients start
 // zeroed, as perfmodel's training loop leaves them before every Backward.
-// Every seventh input is an exact zero (every fourteenth a −0), and the
-// pool width — Dense's fan-out — runs at 1, 2 and 3.
+// Every seventh input is an exact zero (every fourteenth a −0), the pool
+// width — Dense's fan-out — runs at 1, 2 and 3, and y and dX come from the
+// heap and from an arena released between passes.
 func TestDenseMatchesMatMulReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := [][3]int{ // batch, in, out
@@ -58,19 +59,16 @@ func TestDenseMatchesMatMulReference(t *testing.T) {
 
 		for _, procs := range []int{1, 2, 3} {
 			runtime.GOMAXPROCS(procs)
-			for _, form := range []string{"NewDense", "literal"} {
-				var d *Dense
-				if form == "NewDense" {
-					d = NewDense(in, out, tensor.NewRNG(1))
-					copy(d.W.Value.Data, w.Data)
-					copy(d.B.Value.Data, b.Data)
-				} else {
-					d = &Dense{W: NewParam("w", w.Clone()), B: NewParam("b", b.Clone())}
-				}
-				name := fmt.Sprintf("%dx%dx%d/procs=%d/%s", batch, in, out, procs, form)
-				// Two passes: the second reuses the bound stage and the
-				// buffers the first handed back.
+			for _, arena := range []*tensor.Arena{nil, tensor.NewArena()} {
+				d := NewDense(in, out, tensor.NewRNG(1))
+				copy(d.W.Value.Data, w.Data)
+				copy(d.B.Value.Data, b.Data)
+				d.Arena = arena
+				name := fmt.Sprintf("%dx%dx%d/procs=%d/arena=%t", batch, in, out, procs, arena != nil)
+				// Two passes: with an arena, the second reuses the buffers
+				// the first handed back at its Release.
 				for pass := 0; pass < 2; pass++ {
+					arena.Release()
 					ZeroGrads(d.Params())
 					y := d.Forward(x)
 					matBitEqual(t, name+" y", y, wantY)

@@ -264,38 +264,28 @@ type Dense struct {
 	W *Param // in×out
 	B *Param // 1×out
 
-	stage affine        // bias-less; bound to W on first use
-	arena *tensor.Arena // y and dX of the pass in flight
+	// Arena, when set, owns y and the dX of the Backward that follows;
+	// they are valid until the arena's next Release. Nil falls back to
+	// heap allocation.
+	Arena *tensor.Arena
+
+	stage affine // bias-less, over the whole of W
 }
 
 // NewDense returns a Glorot-initialized in→out dense layer.
 func NewDense(in, out int, rng *tensor.RNG) *Dense {
-	return &Dense{
+	l := &Dense{
 		W: NewParam(fmt.Sprintf("dense_w_%dx%d", in, out), tensor.GlorotUniform(in, out, rng)),
 		B: NewParam(fmt.Sprintf("dense_b_%d", out), tensor.New(1, out)),
 	}
-}
-
-// bind returns the layer's stage, binding it to W the first time, so a
-// Dense built as a struct literal works like one from NewDense.
-func (l *Dense) bind() *affine {
-	if l.stage.w != l.W {
-		l.stage.init(l.W, nil)
-	}
-	return &l.stage
+	l.stage.init(l.W, nil)
+	return l
 }
 
 // Forward computes x·W + b. The row loops fan out up to the shared
-// pool's width; bits never depend on it. y, and the dX of the Backward
-// that follows, stay valid until the layer's next Forward, which hands
-// them back to the shared matrix pool, so the layer keeps no batch-sized
-// buffers between passes and a training loop does not churn the heap.
+// pool's width; bits never depend on it.
 func (l *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if l.arena == nil {
-		l.arena = tensor.NewArena()
-	}
-	l.arena.Drain()
-	y := l.bind().forward(x, l.arena, runtime.GOMAXPROCS(0))
+	y := l.stage.forward(x, l.Arena, runtime.GOMAXPROCS(0))
 	tensor.AddRowVector(y, l.B.Value)
 	return y
 }
@@ -303,7 +293,7 @@ func (l *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward accumulates dW = xᵀ·grad and db = Σ_rows grad (batch rows
 // ascending) and returns dX = grad·Wᵀ.
 func (l *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	dx := l.bind().backward(grad, l.arena, runtime.GOMAXPROCS(0))
+	dx := l.stage.backward(grad, l.Arena, runtime.GOMAXPROCS(0))
 	bg := l.B.Grad.Data
 	for i := 0; i < grad.Rows; i++ {
 		tensor.Axpy(bg, 1, grad.Row(i))

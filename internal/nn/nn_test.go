@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"h2onas/internal/tensor"
+	"h2onas/internal/tensor/tensortest"
 )
 
 func TestDenseForwardShapes(t *testing.T) {
@@ -22,9 +23,11 @@ func TestMaskedDenseMatchesDenseAtFullSize(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	md := NewMaskedDense(5, 4, rng)
 	// A plain Dense built from the same weights.
-	d := &Dense{W: NewParam("w", md.W.Value.Clone()), B: NewParam("b", md.B.Value.Clone())}
+	d := NewDense(5, 4, rng)
+	copy(d.W.Value.Data, md.W.Value.Data)
+	copy(d.B.Value.Data, md.B.Value.Data)
 	x := tensor.RandN(6, 5, 1, rng)
-	if !tensor.Equal(md.Forward(x), d.Forward(x), 1e-12) {
+	if !tensortest.Equal(md.Forward(x), d.Forward(x), 1e-12) {
 		t.Fatal("full-size MaskedDense must equal Dense with same weights")
 	}
 }
@@ -44,7 +47,7 @@ func TestMaskedDenseSubMatrixMatchesSlicedDense(t *testing.T) {
 	tensor.MatMulIntoN(x, w, want, 0)
 	b := &tensor.Matrix{Rows: 1, Cols: 3, Data: md.B.Value.Data[:3]}
 	tensor.AddRowVector(want, b)
-	if !tensor.Equal(got, want, 1e-12) {
+	if !tensortest.Equal(got, want, 1e-12) {
 		t.Fatal("sub-matrix MaskedDense must equal sliced Dense")
 	}
 }
@@ -72,7 +75,7 @@ func TestLowRankDenseFullRankClose(t *testing.T) {
 	x := tensor.RandN(3, 5, 1, rng)
 	y1 := lr.Forward(x)
 	y2 := lr.Forward(x)
-	if !tensor.Equal(y1, y2, 0) {
+	if !tensortest.Equal(y1, y2, 0) {
 		t.Fatal("LowRankDense.Forward must be deterministic")
 	}
 	if y1.Rows != 3 || y1.Cols != 4 {
@@ -121,7 +124,7 @@ func TestEmbeddingVocabFolding(t *testing.T) {
 	emb.SetActiveVocab(4)
 	a := emb.Forward([][]int{{6}}) // 6 mod 4 == 2
 	b := emb.Forward([][]int{{2}})
-	if !tensor.Equal(a, b, 0) {
+	if !tensortest.Equal(a, b, 0) {
 		t.Fatal("vocab folding must map index 6 onto index 2 when vocab=4")
 	}
 }

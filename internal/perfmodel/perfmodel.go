@@ -48,7 +48,7 @@ type Model struct {
 	dense   []*nn.Dense           // the hidden layers, then the dual head
 	relu    []*nn.ActivationLayer // relu[i] follows dense[i]
 	params  []*nn.Param
-	arena   *tensor.Arena  // the ReLUs' outputs and gradients of the pass in flight
+	arena   *tensor.Arena  // every layer's outputs and gradients of the pass in flight
 	row     *tensor.Matrix // Predict's input, 1×featDim
 	featDim int
 
@@ -100,17 +100,17 @@ func New(featDim int, hidden []int, seed uint64) *Model {
 	// makes append copy rather than write into the caller's array.
 	for _, h := range append(hidden[:len(hidden):len(hidden)], 2) {
 		d := nn.NewDense(in, h, rng)
+		d.Arena = m.arena
 		m.dense, m.params = append(m.dense, d), append(m.params, d.Params()...)
 		in = h
 	}
 	return m
 }
 
-// forward runs x through the network. Like nn.Dense.Forward, it first
-// drains the arena of the previous pass, so a trained model keeps no
-// batch-sized buffer.
+// forward runs x through the network. It first releases the arena, so
+// the pass reuses the previous pass's buffers.
 func (m *Model) forward(x *tensor.Matrix) *tensor.Matrix {
-	m.arena.Drain()
+	m.arena.Release()
 	for i, d := range m.dense {
 		x = d.Forward(x)
 		if i < len(m.relu) {
@@ -188,6 +188,9 @@ func (m *Model) train(samples []Sample, cfg TrainConfig) error {
 			return fmt.Errorf("perfmodel: sample has %d features, model expects %d", len(s.Features), m.featDim)
 		}
 	}
+	// The batch-sized buffers go back to the shared matrix pool when
+	// training ends, so a trained model keeps none of them.
+	defer m.arena.Drain()
 	rng := tensor.NewRNG(cfg.Seed)
 	opt := nn.NewAdam(cfg.LR)
 	perm := make([]int, len(samples))

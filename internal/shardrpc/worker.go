@@ -174,7 +174,6 @@ type workerSession struct {
 	shard   uint32
 	ds      *space.DLRMSpace
 	net     *supernet.Supernet
-	arena   *tensor.Arena
 	params  []*nn.Param
 	version uint64 // weight version currently loaded; 0 = uninitialized
 
@@ -233,8 +232,7 @@ func newSession(h *hello) (s *workerSession, err error) {
 			p.Value = tensor.New(p.Value.Rows, p.Value.Cols)
 		}
 	}
-	arena := tensor.NewArena()
-	net.SetArena(arena)
+	net.SetArena(tensor.NewArena())
 	// One shard per worker process: the replica gets the host's whole
 	// core budget (see Worker).
 	net.SetWorkers(runtime.GOMAXPROCS(0))
@@ -242,7 +240,6 @@ func newSession(h *hello) (s *workerSession, err error) {
 		shard:  h.Shard,
 		ds:     ds,
 		net:    net,
-		arena:  arena,
 		params: net.Params(),
 	}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"h2onas/internal/nn"
 	"h2onas/internal/space"
 	"h2onas/internal/tensor"
+	"h2onas/internal/tensor/tensortest"
 )
 
 func newSmall(t *testing.T, seed uint64) (*space.DLRMSpace, *Supernet, *datapipe.Stream) {
@@ -55,17 +56,17 @@ func TestBackwardTouchesOnlyActiveSubnetwork(t *testing.T) {
 	sn.Backward(dout)
 	// Every table-0 embedding must have zero gradient.
 	for v, e := range sn.tables[0] {
-		if tensor.MaxAbs(e.Table.Grad) != 0 {
+		if tensortest.MaxAbs(e.Table.Grad) != 0 {
 			t.Fatalf("removed table 0 (vocab option %d) received gradient", v)
 		}
 	}
 	// The selected vocab option of table 1 must have gradient; others not.
 	choice := sn.vocabChoice(a, 1)
-	if tensor.MaxAbs(sn.tables[1][choice].Table.Grad) == 0 {
+	if tensortest.MaxAbs(sn.tables[1][choice].Table.Grad) == 0 {
 		t.Fatal("active table 1 received no gradient")
 	}
 	for v, e := range sn.tables[1] {
-		if v != choice && tensor.MaxAbs(e.Table.Grad) != 0 {
+		if v != choice && tensortest.MaxAbs(e.Table.Grad) != 0 {
 			t.Fatalf("inactive vocab option %d of table 1 received gradient (coarse sharing violated)", v)
 		}
 	}
@@ -118,14 +119,14 @@ func TestReduceGradsAverages(t *testing.T) {
 		r.Backward(dout)
 	}
 	// Same batch and candidate → identical grads; the average equals each.
-	want := r1.Params()[len(r1.Params())-1].Grad.Clone()
+	want := tensortest.Clone(r1.Params()[len(r1.Params())-1].Grad)
 	nn.ReduceParamGrads(sn.Params(), [][]*nn.Param{r1.Params(), r2.Params()}, nil)
 	got := sn.Params()[len(sn.Params())-1].Grad
-	if !tensor.Equal(got, want, 1e-9) {
+	if !tensortest.Equal(got, want, 1e-9) {
 		t.Fatal("ReduceParamGrads must average replica gradients")
 	}
 	// Replicas are cleared for the next step.
-	if tensor.MaxAbs(r1.Params()[0].Grad) != 0 {
+	if tensortest.MaxAbs(r1.Params()[0].Grad) != 0 {
 		t.Fatal("replica grads must be cleared after reduction")
 	}
 }

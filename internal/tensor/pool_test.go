@@ -151,7 +151,7 @@ func TestMatMulTransBIntoBitIdenticalAcrossShapes(t *testing.T) {
 
 		// Cross-check values against the transpose-then-multiply route.
 		ref := refMatMulIKJ(a, Transpose(b))
-		if !Equal(into, ref, 1e-12) {
+		if !equal(into, ref, 1e-12) {
 			t.Fatalf("MatMulTransB disagrees with a·(bᵀ) beyond tolerance")
 		}
 	}

@@ -10,10 +10,7 @@
 // need, with no external dependencies.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense, row-major float64 matrix. The zero value is an empty
 // matrix; use New to create one with a shape.
@@ -39,13 +36,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns the i-th row as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // Zero sets every element of m to zero in place.
 func (m *Matrix) Zero() {
@@ -124,17 +114,6 @@ func AXPY(a *Matrix, s float64, b *Matrix) {
 	}
 }
 
-// MaxAbs returns the largest absolute element value (0 for empty matrices).
-func MaxAbs(a *Matrix) float64 {
-	var m float64
-	for _, v := range a.Data {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
 // AddRowVector adds the 1×m row vector v to every row of a, in place.
 func AddRowVector(a *Matrix, v *Matrix) {
 	if v.Rows != 1 || v.Cols != a.Cols {
@@ -146,17 +125,4 @@ func AddRowVector(a *Matrix, v *Matrix) {
 			row[j] += v.Data[j]
 		}
 	}
-}
-
-// Equal reports whether a and b have identical shape and elements within tol.
-func Equal(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

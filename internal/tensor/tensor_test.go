@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -33,19 +34,10 @@ func TestAtSetRow(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := fromData(1, 2, []float64{1, 2})
-	c := m.Clone()
-	c.Data[0] = 99
-	if m.Data[0] != 1 {
-		t.Fatal("Clone must not share storage")
-	}
-}
-
 func TestElementwiseOps(t *testing.T) {
 	a := fromData(2, 2, []float64{1, 2, 3, 4})
 	b := fromData(2, 2, []float64{10, 20, 30, 40})
-	if got := Add(a, b); !Equal(got, fromData(2, 2, []float64{11, 22, 33, 44}), 0) {
+	if got := Add(a, b); !equal(got, fromData(2, 2, []float64{11, 22, 33, 44}), 0) {
 		t.Errorf("Add = %v", got)
 	}
 }
@@ -54,7 +46,7 @@ func TestAXPY(t *testing.T) {
 	a := fromData(1, 3, []float64{1, 2, 3})
 	b := fromData(1, 3, []float64{10, 10, 10})
 	AXPY(a, 0.5, b)
-	if !Equal(a, fromData(1, 3, []float64{6, 7, 8}), 1e-12) {
+	if !equal(a, fromData(1, 3, []float64{6, 7, 8}), 1e-12) {
 		t.Fatalf("AXPY = %v", a)
 	}
 }
@@ -72,15 +64,8 @@ func TestTranspose(t *testing.T) {
 	a := fromData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	at := Transpose(a)
 	want := fromData(3, 2, []float64{1, 4, 2, 5, 3, 6})
-	if !Equal(at, want, 0) {
+	if !equal(at, want, 0) {
 		t.Fatalf("Transpose = %v, want %v", at, want)
-	}
-}
-
-func TestReductions(t *testing.T) {
-	a := fromData(2, 3, []float64{1, -2, 3, 4, 5, -6})
-	if got := MaxAbs(a); got != 6 {
-		t.Errorf("MaxAbs = %v, want 6", got)
 	}
 }
 
@@ -90,7 +75,7 @@ func TestAddRowVector(t *testing.T) {
 	AddRowVector(a, v)
 	AddRowVector(a, v)
 	want := fromData(2, 3, []float64{2, 4, 6, 2, 4, 6})
-	if !Equal(a, want, 0) {
+	if !equal(a, want, 0) {
 		t.Fatalf("AddRowVector = %v", a)
 	}
 }
@@ -100,7 +85,7 @@ func TestMatMulSmall(t *testing.T) {
 	b := fromData(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	got := MatMul(a, b)
 	want := fromData(2, 2, []float64{58, 64, 139, 154})
-	if !Equal(got, want, 1e-12) {
+	if !equal(got, want, 1e-12) {
 		t.Fatalf("MatMul = %v, want %v", got, want)
 	}
 }
@@ -112,10 +97,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Set(i, i, 1)
 	}
-	if got := MatMul(a, id); !Equal(got, a, 1e-12) {
+	if got := MatMul(a, id); !equal(got, a, 1e-12) {
 		t.Fatal("A·I != A")
 	}
-	if got := MatMul(id, a); !Equal(got, a, 1e-12) {
+	if got := MatMul(id, a); !equal(got, a, 1e-12) {
 		t.Fatal("I·A != A")
 	}
 }
@@ -144,7 +129,7 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 	f := func(seed uint64, n8, k8, m8 uint8) bool {
 		n, k, m := int(n8%16)+1, int(k8%16)+1, int(m8%16)+1
 		a, b := randomPair(seed, n, k, m)
-		return Equal(MatMul(a, b), naiveMatMul(a, b), 1e-9)
+		return equal(MatMul(a, b), naiveMatMul(a, b), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -157,7 +142,7 @@ func TestMatMulTransAMatchesExplicitTranspose(t *testing.T) {
 		r := NewRNG(seed)
 		a := RandN(k, n, 1, r)
 		b := RandN(k, m, 1, r)
-		return Equal(MatMulTransA(a, b), MatMul(Transpose(a), b), 1e-9)
+		return equal(MatMulTransA(a, b), MatMul(Transpose(a), b), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -170,7 +155,7 @@ func TestMatMulTransBMatchesExplicitTranspose(t *testing.T) {
 		r := NewRNG(seed)
 		a := RandN(n, k, 1, r)
 		b := RandN(m, k, 1, r)
-		return Equal(MatMulTransB(a, b), MatMul(a, Transpose(b)), 1e-9)
+		return equal(MatMulTransB(a, b), MatMul(a, Transpose(b)), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -180,7 +165,7 @@ func TestMatMulTransBMatchesExplicitTranspose(t *testing.T) {
 func TestMatMulParallelPathMatchesNaive(t *testing.T) {
 	// Big enough to cross parallelThreshold.
 	a, b := randomPair(7, 96, 80, 96)
-	if !Equal(MatMul(a, b), naiveMatMul(a, b), 1e-8) {
+	if !equal(MatMul(a, b), naiveMatMul(a, b), 1e-8) {
 		t.Fatal("parallel MatMul disagrees with naive result")
 	}
 }
@@ -189,12 +174,12 @@ func TestMatMulTransParallelPaths(t *testing.T) {
 	r := NewRNG(11)
 	a := RandN(90, 70, 1, r)
 	b := RandN(90, 85, 1, r)
-	if !Equal(MatMulTransA(a, b), MatMul(Transpose(a), b), 1e-8) {
+	if !equal(MatMulTransA(a, b), MatMul(Transpose(a), b), 1e-8) {
 		t.Fatal("parallel MatMulTransA disagrees")
 	}
 	c := RandN(90, 70, 1, r)
 	d := RandN(85, 70, 1, r)
-	if !Equal(MatMulTransB(c, d), MatMul(c, Transpose(d)), 1e-8) {
+	if !equal(MatMulTransB(c, d), MatMul(c, Transpose(d)), 1e-8) {
 		t.Fatal("parallel MatMulTransB disagrees")
 	}
 }
@@ -215,7 +200,7 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a := RandN(4, 5, 1, r)
 		b := RandN(5, 6, 1, r)
 		c := RandN(6, 3, 1, r)
-		return Equal(MatMul(MatMul(a, b), c), MatMul(a, MatMul(b, c)), 1e-8)
+		return equal(MatMul(MatMul(a, b), c), MatMul(a, MatMul(b, c)), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -229,11 +214,26 @@ func TestMatMulDistributivityProperty(t *testing.T) {
 		a := RandN(4, 5, 1, r)
 		b := RandN(5, 6, 1, r)
 		c := RandN(5, 6, 1, r)
-		return Equal(MatMul(a, Add(b, c)), Add(MatMul(a, b), MatMul(a, c)), 1e-9)
+		return equal(MatMul(a, Add(b, c)), Add(MatMul(a, b), MatMul(a, c)), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// equal reports whether a and b have identical shape and elements within
+// tol. Tests outside the package use tensortest.Equal, which this package
+// cannot import.
+func equal(a, b *Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }
 
 // fromData wraps data as a rows×cols matrix.
