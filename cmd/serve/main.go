@@ -49,6 +49,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"h2onas/internal/arch"
 	"h2onas/internal/httpserve"
 	"h2onas/internal/hwsim"
 	"h2onas/internal/jobs"
@@ -169,17 +170,21 @@ func main() {
 
 // capacityTable prints, for a sample of batch sizes, the unloaded service
 // time and tail, the capacity, and the max rate within the P99 target —
-// the per-batch search MaxQPSUnderP99 maximizes over.
+// the per-batch search MaxQPSUnderP99 maximizes over. Each batch's graph
+// is built once, and its simulated service time feeds MaxQPSAtBatch's
+// bisection; only the idle point prices the graph again, inside
+// ServeUnderLoad.
 func capacityTable(w io.Writer, build hwsim.GraphBuilder, chip hwsim.Chip, p99 time.Duration) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "batch\tservice (ms)\tidle P99 (ms)\tcapacity (QPS)\tmax QPS @ target")
 	for batch := 1; batch <= 64; batch *= 4 {
-		r := hwsim.Simulate(build(batch), chip, hwsim.Options{Mode: hwsim.Inference})
+		g := build(batch)
+		r := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Inference})
 		capacity := float64(batch) / r.StepTime
-		idle := hwsim.ServeUnderLoad(build, chip, batch, capacity*0.01)
+		idle := hwsim.ServeUnderLoad(func(int) *arch.Graph { return g }, chip, batch, capacity*0.01)
 		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.0f\t%.0f\n",
 			batch, r.StepTime*1e3, idle.P99Latency*1e3, capacity,
-			hwsim.MaxQPSAtBatch(build, chip, batch, p99.Seconds()))
+			hwsim.MaxQPSAtBatch(r.StepTime, batch, p99.Seconds()))
 	}
 	tw.Flush()
 }

@@ -119,23 +119,6 @@ func TestGraphTotals(t *testing.T) {
 	}
 }
 
-func TestGraphValidate(t *testing.T) {
-	g := &Graph{Name: "ok", Batch: 1, DTypeBytes: 2}
-	DenseOp(g.Push(), "a", 1, 4, 4, 2)
-	if err := g.Validate(); err != nil {
-		t.Fatalf("valid graph rejected: %v", err)
-	}
-	bad := &Graph{Name: "bad", Batch: 0, DTypeBytes: 2}
-	if bad.Validate() == nil {
-		t.Fatal("zero batch must be rejected")
-	}
-	bad2 := &Graph{Name: "bad2", Batch: 1, DTypeBytes: 2}
-	*bad2.Push() = Op{Name: "n", Kind: AllToAll, Unit: NetworkUnit}
-	if bad2.Validate() == nil {
-		t.Fatal("network op with zero traffic must be rejected")
-	}
-}
-
 // mbconvOps expands one MBConv block, skip connection kept.
 func mbconvOps(s MBConvSpec) []Op {
 	g := &Graph{Name: "g", Batch: s.Batch, DTypeBytes: s.DType}

@@ -1,7 +1,5 @@
 package arch
 
-import "fmt"
-
 // The constructors below compute each op's FLOPs/bytes from tensor
 // shapes. Each fills op, which must be zero — Graph.Push hands out a
 // zero slot, and new(Op) is one — and returns it. Conventions: b is the
@@ -184,28 +182,4 @@ func outDim(in, stride int) int {
 		out = 1
 	}
 	return out
-}
-
-// Validate checks internal consistency of a graph and returns a descriptive
-// error for the first problem found.
-func (g *Graph) Validate() error {
-	if g.Batch <= 0 {
-		return fmt.Errorf("arch: graph %q has non-positive batch %d", g.Name, g.Batch)
-	}
-	if g.DTypeBytes <= 0 {
-		return fmt.Errorf("arch: graph %q has non-positive dtype bytes %d", g.Name, g.DTypeBytes)
-	}
-	for i := range g.Ops {
-		op := &g.Ops[i]
-		if op.Name == "" {
-			return fmt.Errorf("arch: graph %q op %d has empty name", g.Name, i)
-		}
-		if op.FLOPs < 0 || op.ParamBytes < 0 || op.InputBytes < 0 || op.OutputBytes < 0 || op.NetworkBytes < 0 {
-			return fmt.Errorf("arch: graph %q op %q has negative accounting", g.Name, op.Name)
-		}
-		if op.Unit == NetworkUnit && op.NetworkBytes == 0 {
-			return fmt.Errorf("arch: graph %q network op %q moves no bytes", g.Name, op.Name)
-		}
-	}
-	return nil
 }

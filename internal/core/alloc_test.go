@@ -73,6 +73,27 @@ func TestDLRMPerfKeepsReturnedSlices(t *testing.T) {
 	}
 }
 
+// TestDLRMServingBytesAreGraphParams: Perf's serving-memory objective is
+// the parameter count of the candidate's graph at the space's element
+// size, bit for bit, on the baseline and random candidates of the small
+// and default spaces.
+func TestDLRMServingBytesAreGraphParams(t *testing.T) {
+	for _, cfg := range []space.DLRMConfig{space.SmallDLRMConfig(), space.DefaultDLRMConfig()} {
+		ds := space.NewDLRMSpace(cfg)
+		obj := &DLRMObjectives{DS: ds, Chip: hwsim.TPUv4()}
+		rng := tensor.NewRNG(11)
+		a := ds.BaselineAssignment()
+		for i := range 33 {
+			got := obj.Perf(a)[1]
+			want := ds.Graph(ds.Decode(a)).Params * float64(cfg.DType)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s candidate %d: Perf serving bytes %v, graph params × dtype %v", cfg.Name, i, got, want)
+			}
+			a = RandomAssignment(ds.Space, rng)
+		}
+	}
+}
+
 // searchAllocs runs an in-process 8-shard DLRM search of the given length
 // and returns the heap allocations it made. Two collections first empty
 // the global matrix pools (a sync.Pool survives one), so each run's arenas

@@ -12,10 +12,11 @@ import (
 // the order the experiments use them: primary = training step time
 // (DLRM is training-cost dominated, Table 2), secondary = serving memory
 // bytes (the analytic model-size head of Section 6.2.1). Step time comes
-// from the simulator, invoked directly. It decodes and builds every
-// candidate into one arch and graph it owns, so it serves one goroutine,
-// as VisionObjectives does; the engine calls Perf from its coordinator
-// policy stage only.
+// from the simulator, invoked directly; serving bytes are the parameter
+// count of the graph just simulated, at its element size. It decodes and
+// builds every candidate into one arch and graph it owns, so it serves
+// one goroutine, as VisionObjectives does; the engine calls Perf from its
+// coordinator policy stage only.
 type DLRMObjectives struct {
 	DS   *space.DLRMSpace
 	Chip hwsim.Chip
@@ -29,7 +30,7 @@ func (o *DLRMObjectives) Perf(a space.Assignment) []float64 {
 	o.DS.DecodeInto(a, &o.ar)
 	o.DS.GraphInto(o.ar, &o.g)
 	r := hwsim.Simulate(&o.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
-	return []float64{r.StepTime, o.DS.ServingBytes(o.ar)}
+	return []float64{r.StepTime, o.g.Params * float64(o.g.DTypeBytes)}
 }
 
 // BaselinePerf evaluates the baseline architecture: the reference point

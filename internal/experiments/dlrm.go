@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"h2onas/internal/arch"
 	"h2onas/internal/core"
 	"h2onas/internal/datapipe"
 	"h2onas/internal/hwsim"
@@ -202,18 +203,19 @@ func Fig8DLRMStepTime() *Report {
 	chip := hwsim.TPUv4()
 	opts := hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}
 
-	base := models.BaselineDLRM(ds)
-	opt := models.DLRMH(ds)
-	rb := hwsim.Simulate(ds.Graph(base), chip, opts)
-	ro := hwsim.Simulate(ds.Graph(opt), chip, opts)
+	base := ds.Graph(models.BaselineDLRM(ds))
+	opt := ds.Graph(models.DLRMH(ds))
+	rb := hwsim.Simulate(base, chip, opts)
+	ro := hwsim.Simulate(opt, chip, opts)
+	servingBytes := func(g *arch.Graph) float64 { return g.Params * float64(g.DTypeBytes) }
 
-	row := func(name string, res hwsim.Result, ar space.DLRMArch) {
+	row := func(name string, res hwsim.Result, g *arch.Graph) {
 		r.AddRow(name,
 			fmt.Sprintf("%.0f", res.StepTime*1e6),
 			fmt.Sprintf("%.0f", res.EmbedTime*1e6),
 			fmt.Sprintf("%.0f", res.DenseTime*1e6),
 			fmt.Sprintf("%.3f", res.StepTime/rb.StepTime),
-			fmt.Sprintf("%.1f", ds.ServingBytes(ar)/1e6))
+			fmt.Sprintf("%.1f", servingBytes(g)/1e6))
 	}
 	row("DLRM (baseline)", rb, base)
 	row("DLRM-H", ro, opt)
@@ -221,7 +223,7 @@ func Fig8DLRMStepTime() *Report {
 	r.Metrics["speedup"] = rb.StepTime / ro.StepTime
 	r.Metrics["baseline_imbalance"] = rb.DenseTime / rb.EmbedTime
 	r.Metrics["optimized_balance"] = ro.DenseTime / ro.EmbedTime
-	r.Metrics["size_ratio"] = ds.ServingBytes(opt) / ds.ServingBytes(base)
+	r.Metrics["size_ratio"] = servingBytes(opt) / servingBytes(base)
 
 	r.AddNote("paper: 10+%% end-to-end speedup with +0.02%% quality; step time is MAX(embedding, DNN)")
 	r.AddNote("measured: %.2f× speedup; baseline DNN/embedding imbalance %.2f → optimized %.2f",

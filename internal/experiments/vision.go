@@ -32,7 +32,7 @@ func Fig6CoAtNetPareto() *Report {
 				name = fmt.Sprintf("C-H-%d", i)
 			}
 			g := spec.Graph()
-			tput := hwsim.TrainingThroughput(g, chip, 128)
+			tput := hwsim.TrainingThroughput(g, chip)
 			for _, ds := range datasets {
 				acc := quality.Accuracy(spec.Traits(base), ds)
 				out[fmt.Sprintf("%s/%s", name, ds)] = point{acc, tput}
@@ -98,7 +98,7 @@ func Table3Ablation() *Report {
 		step.mut(&spec)
 		g := spec.Graph()
 		acc := quality.Accuracy(spec.Traits(base), quality.JFT300M)
-		tput := hwsim.TrainingThroughput(g, chip, 128)
+		tput := hwsim.TrainingThroughput(g, chip)
 		accs = append(accs, acc)
 		tputs = append(tputs, tput)
 		r.AddRow(step.name,

@@ -21,8 +21,8 @@ func Measure(g *arch.Graph, chip Chip, opts Options, seed uint64) Result {
 		ins.measureCalls.Inc()
 	}
 	r := Simulate(g, chip, opts)
-	warp := gapFactor(g, chip)
-	noise := 1 + 0.01*signedHashUnit(hashGraph(g)^seed)
+	warp, h := gapAndHash(g, chip)
+	noise := 1 + 0.01*signedHashUnit(h^seed)
 	scale := warp * noise
 	r.StepTime *= scale
 	r.DenseTime *= scale
@@ -32,15 +32,23 @@ func Measure(g *arch.Graph, chip Chip, opts Options, seed uint64) Result {
 	return r
 }
 
-// gapFactor is the systematic simulator→hardware gap for this graph on
-// this chip: the chip's base gap, amplified for memory-dominated graphs
-// (DMA scheduling is where analytical models err most) and slightly for
-// very op-rich graphs (runtime dispatch).
-func gapFactor(g *arch.Graph, chip Chip) float64 {
+// gapAndHash walks the graph once for two facts. warp is the systematic
+// simulator→hardware gap for this graph on this chip: the chip's base
+// gap, amplified for memory-dominated graphs (DMA scheduling is where
+// analytical models err most) and slightly for very op-rich graphs
+// (runtime dispatch). h is a stable fingerprint of the graph's structure,
+// so that measurement noise is reproducible per architecture.
+func gapAndHash(g *arch.Graph, chip Chip) (warp float64, h uint64) {
 	base := chip.SiliconGap
 	if base == 0 {
 		base = 1.25
 	}
+	h = 1469598103934665603 // FNV offset basis
+	mix := func(v uint64) {
+		h ^= v
+		h *= 1099511628211
+	}
+	mix(uint64(g.Batch))
 	var memOps, totalOps float64
 	for i := range g.Ops {
 		op := &g.Ops[i]
@@ -48,29 +56,15 @@ func gapFactor(g *arch.Graph, chip Chip) float64 {
 		if op.Unit == arch.MemoryUnit || op.Unit == arch.NetworkUnit {
 			memOps += op.Repeat()
 		}
+		mix(math.Float64bits(op.FLOPs))
+		mix(math.Float64bits(op.InputBytes))
+		mix(uint64(op.Kind))
 	}
 	memFrac := 0.0
 	if totalOps > 0 {
 		memFrac = memOps / totalOps
 	}
-	return base * (1 + 0.18*memFrac) * (1 + 0.01*math.Log1p(totalOps)/10)
-}
-
-// hashGraph derives a stable fingerprint of the graph's structure so that
-// measurement noise is reproducible per architecture.
-func hashGraph(g *arch.Graph) uint64 {
-	h := uint64(1469598103934665603) // FNV offset basis
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(uint64(g.Batch))
-	for i := range g.Ops {
-		mix(math.Float64bits(g.Ops[i].FLOPs))
-		mix(math.Float64bits(g.Ops[i].InputBytes))
-		mix(uint64(g.Ops[i].Kind))
-	}
-	return h
+	return base * (1 + 0.18*memFrac) * (1 + 0.01*math.Log1p(totalOps)/10), h
 }
 
 // signedHashUnit maps a hash to a deterministic value in [-1, 1).

@@ -36,9 +36,18 @@ const tailFactor = 4.6 // ln(100)
 // W = ρ/(2(1−ρ))·S, with the 99th percentile ≈ ln(100)·W + S.
 // Saturated systems (ρ ≥ 1) return +Inf latencies.
 func ServeUnderLoad(build GraphBuilder, chip Chip, batch int, qps float64) LoadPoint {
-	g := build(batch)
-	r := Simulate(g, chip, Options{Mode: Inference})
-	service := r.StepTime
+	return loadAt(serviceTime(build, chip, batch), batch, qps)
+}
+
+// serviceTime simulates one inference batch of the model: the time the
+// chip takes to serve it, which no query rate changes.
+func serviceTime(build GraphBuilder, chip Chip, batch int) float64 {
+	return Simulate(build(batch), chip, Options{Mode: Inference}).StepTime
+}
+
+// loadAt is ServeUnderLoad's queueing arithmetic for a batch whose
+// service time is known.
+func loadAt(service float64, batch int, qps float64) LoadPoint {
 	capacity := float64(batch) / service
 	rho := qps / capacity
 	p := LoadPoint{QPS: qps, Utilization: rho}
@@ -55,19 +64,20 @@ func ServeUnderLoad(build GraphBuilder, chip Chip, batch int, qps float64) LoadP
 	return p
 }
 
-// MaxQPSAtBatch bisects the highest query rate one batch size sustains
-// with its P99 latency within the target. Zero means even an unloaded
-// batch (service plus batching delay) misses the target.
-func MaxQPSAtBatch(build GraphBuilder, chip Chip, batch int, targetP99 float64) float64 {
-	r := Simulate(build(batch), chip, Options{Mode: Inference})
-	if r.StepTime*1.5 > targetP99 {
+// MaxQPSAtBatch bisects the highest query rate a batch of the given size
+// and simulated service time (seconds) sustains with its P99 latency
+// within the target. Zero means even an unloaded batch (service plus
+// batching delay) misses the target. It simulates nothing: the caller
+// prices the batch once and every bisection step reuses that time.
+func MaxQPSAtBatch(service float64, batch int, targetP99 float64) float64 {
+	if service*1.5 > targetP99 {
 		return 0
 	}
-	capacity := float64(batch) / r.StepTime
+	capacity := float64(batch) / service
 	lo, hi := 0.0, capacity*0.999
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if ServeUnderLoad(build, chip, batch, mid).P99Latency <= targetP99 {
+		if loadAt(service, batch, mid).P99Latency <= targetP99 {
 			lo = mid
 		} else {
 			hi = mid
@@ -78,11 +88,12 @@ func MaxQPSAtBatch(build GraphBuilder, chip Chip, batch int, targetP99 float64) 
 
 // MaxQPSUnderP99 finds the highest sustainable query rate whose P99
 // latency stays within the target, searching over power-of-two batch
-// sizes and bisecting the load for each. It returns the best (QPS, batch)
-// found; a zero QPS means even an unloaded batch-1 misses the target.
+// sizes, simulating each once and bisecting the load over its service
+// time. It returns the best (QPS, batch) found; a zero QPS means even an
+// unloaded batch-1 misses the target.
 func MaxQPSUnderP99(build GraphBuilder, chip Chip, targetP99 float64) (bestQPS float64, bestBatch int) {
 	for batch := 1; batch <= 1024; batch *= 2 {
-		qps := MaxQPSAtBatch(build, chip, batch, targetP99)
+		qps := MaxQPSAtBatch(serviceTime(build, chip, batch), batch, targetP99)
 		if qps == 0 {
 			break // larger batches are strictly slower
 		}

@@ -77,3 +77,24 @@ func TestMaxQPSImpossibleTarget(t *testing.T) {
 		t.Fatalf("impossible target must return zero QPS, got %v", qps)
 	}
 }
+
+// TestMaxQPSBuildsEachBatchOnce: the service time does not depend on the
+// query rate, so MaxQPSUnderP99 builds and simulates each batch it tries
+// once and bisects over that time.
+func TestMaxQPSBuildsEachBatchOnce(t *testing.T) {
+	build := servingBuilder()
+	builds := map[int]int{}
+	counting := func(batch int) *arch.Graph {
+		builds[batch]++
+		return build(batch)
+	}
+	qps, _ := MaxQPSUnderP99(counting, TPUv4i(), 20e-3)
+	if qps <= 0 || len(builds) < 2 {
+		t.Fatalf("MaxQPSUnderP99 = %v after trying %d batches, want a rate over several", qps, len(builds))
+	}
+	for batch, n := range builds {
+		if n > 1 {
+			t.Errorf("batch %d built %d times, want once", batch, n)
+		}
+	}
+}

@@ -133,13 +133,18 @@ func mxuEfficiency(kind arch.Kind, flops float64, chip *Chip) float64 {
 const vpuEfficiency = 0.8
 
 // Simulate walks the graph and returns the per-chip step cost under opts.
+// It panics on a malformed graph (a non-positive batch or dtype size, or
+// an op that is not wellFormed). The op checks ride the pricing walk, so every
+// op is checked once, whether it is priced as a producer or absorbed by
+// fusion.
 func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	if ins := simInstruments.Load(); ins != nil {
 		ins.simCalls.Inc()
 		defer ins.simLatency.Start().End()
 	}
-	if err := g.Validate(); err != nil {
-		panic(fmt.Sprintf("hwsim: %v", err))
+	if g.Batch <= 0 || g.DTypeBytes <= 0 {
+		panic(fmt.Sprintf("hwsim: graph %q has batch %d and dtype bytes %d, both must be positive",
+			g.Name, g.Batch, g.DTypeBytes))
 	}
 	cmemAct := chip.CMEMCapacity * cmemActFraction
 
@@ -157,10 +162,16 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 		// disappears (it lives in registers/CMEM inside the fused
 		// kernel). A fusable op with no producer is kept as-is.
 		op := &g.Ops[i]
+		if !wellFormed(op) {
+			badOp(g, i)
+		}
 		rep := op.Repeat()
 		opFLOPs, paramBytes := op.FLOPs, op.ParamBytes
 		fuse := !opts.DisableFusion && op.Unit != arch.NetworkUnit
 		for i++; fuse && i < len(g.Ops) && g.Ops[i].Fusable && g.Ops[i].Repeat() == rep; i++ {
+			if !wellFormed(&g.Ops[i]) {
+				badOp(g, i)
+			}
 			opFLOPs += g.Ops[i].FLOPs * vpuFusePenalty(op.Unit)
 			paramBytes += g.Ops[i].ParamBytes
 		}
@@ -243,6 +254,27 @@ func Simulate(g *arch.Graph, chip Chip, opts Options) Result {
 	return res
 }
 
+// wellFormed reports whether op is named, counts no negative FLOPs or
+// bytes, and moves bytes if it is a collective.
+func wellFormed(op *arch.Op) bool {
+	return op.Name != "" &&
+		!(op.FLOPs < 0 || op.ParamBytes < 0 || op.InputBytes < 0 || op.OutputBytes < 0 || op.NetworkBytes < 0) &&
+		(op.Unit != arch.NetworkUnit || op.NetworkBytes != 0)
+}
+
+// badOp panics with what makes op i of g not wellFormed.
+func badOp(g *arch.Graph, i int) {
+	op := &g.Ops[i]
+	switch {
+	case op.Name == "":
+		panic(fmt.Sprintf("hwsim: graph %q op %d has empty name", g.Name, i))
+	case op.FLOPs < 0 || op.ParamBytes < 0 || op.InputBytes < 0 || op.OutputBytes < 0 || op.NetworkBytes < 0:
+		panic(fmt.Sprintf("hwsim: graph %q op %q has negative accounting", g.Name, op.Name))
+	case op.Unit == arch.NetworkUnit && op.NetworkBytes == 0:
+		panic(fmt.Sprintf("hwsim: graph %q network op %q moves no bytes", g.Name, op.Name))
+	}
+}
+
 // vpuFusePenalty converts fused elementwise FLOPs into producer-unit FLOPs
 // so the merged op's single FLOPs number remains meaningful: epilogue math
 // on an MXU op is essentially free (hidden under the systolic drain), and
@@ -294,8 +326,8 @@ func power(chip *Chip, r *Result) float64 {
 
 // TrainingThroughput returns examples/second/chip for a training step of
 // the graph (batch per chip divided by step time).
-func TrainingThroughput(g *arch.Graph, chip Chip, chips int) float64 {
-	r := Simulate(g, chip, Options{Mode: Training, Chips: chips})
+func TrainingThroughput(g *arch.Graph, chip Chip) float64 {
+	r := Simulate(g, chip, Options{Mode: Training})
 	if r.StepTime <= 0 {
 		return 0
 	}

@@ -232,8 +232,8 @@ func TestMeasureAppliesSystematicGap(t *testing.T) {
 
 func TestTrainingThroughput(t *testing.T) {
 	g := denseGraph(128, 1024, 1024)
-	tp := TrainingThroughput(g, TPUv4(), 1)
-	r := Simulate(g, TPUv4(), Options{Mode: Training, Chips: 1})
+	tp := TrainingThroughput(g, TPUv4())
+	r := Simulate(g, TPUv4(), Options{Mode: Training})
 	if math.Abs(tp-128/r.StepTime) > 1e-9 {
 		t.Fatalf("TrainingThroughput = %v, want %v", tp, 128/r.StepTime)
 	}
@@ -255,11 +255,47 @@ func TestTraceRecordsPerOp(t *testing.T) {
 	}
 }
 
+// TestSimulatePanicsOnInvalidGraph: Simulate checks the graph's batch
+// and dtype and every op it walks, a producer or an op fusion absorbs
+// into one, and panics on the first problem.
 func TestSimulatePanicsOnInvalidGraph(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid graph")
+	ok := denseGraph(1, 4, 4)
+	Simulate(ok, TPUv4(), Options{})
+
+	// withOps returns a batch-1 bf16 graph of a dense producer and ops.
+	withOps := func(ops ...arch.Op) *arch.Graph {
+		g := denseGraph(1, 4, 4)
+		for _, op := range ops {
+			*g.Push() = op
 		}
-	}()
-	Simulate(&arch.Graph{Name: "bad"}, TPUv4(), Options{})
+		return g
+	}
+	relu := func(name string, flops float64) arch.Op {
+		return arch.Op{Name: name, Kind: arch.Elementwise, Unit: arch.VPU, FLOPs: flops, Fusable: true}
+	}
+	for _, c := range []struct {
+		name string
+		g    *arch.Graph
+		opts Options
+	}{
+		{"empty graph", &arch.Graph{Name: "bad"}, Options{}},
+		{"zero batch", &arch.Graph{Name: "bad", Batch: 0, DTypeBytes: 2}, Options{}},
+		{"zero dtype", &arch.Graph{Name: "bad", Batch: 1}, Options{}},
+		{"collective moving no bytes", withOps(arch.Op{Name: "n", Kind: arch.AllToAll, Unit: arch.NetworkUnit}), Options{}},
+		{"unpriced all-reduce moving no bytes", withOps(arch.Op{Name: "n", Kind: arch.AllReduce, Unit: arch.NetworkUnit}), Options{Mode: Inference}},
+		{"unnamed producer", withOps(arch.Op{Kind: arch.Dense, Unit: arch.MXU}), Options{}},
+		{"negative bytes", withOps(arch.Op{Name: "d", Kind: arch.Dense, Unit: arch.MXU, OutputBytes: -1}), Options{}},
+		{"unnamed op fused into its producer", withOps(relu("", 4)), Options{}},
+		{"negative FLOPs fused into their producer", withOps(relu("relu", -4)), Options{}},
+		{"unnamed fusable op, fusion off", withOps(relu("", 4)), Options{DisableFusion: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Simulate priced a malformed graph")
+				}
+			}()
+			Simulate(c.g, TPUv4(), c.opts)
+		})
+	}
 }

@@ -17,9 +17,7 @@ func TestCoAtNetFamilyMonotone(t *testing.T) {
 			t.Fatalf("CoAtNet-%d must be larger than CoAtNet-%d", i, i-1)
 		}
 		prevParams, prevFLOPs = g.Params, g.TotalFLOPs()
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
+		hwsim.Simulate(g, hwsim.TPUv4(), hwsim.Options{}) // panics on a malformed graph
 	}
 }
 
@@ -90,9 +88,7 @@ func TestEfficientNetFamilyMonotone(t *testing.T) {
 	var prev float64
 	for i := 0; i <= 7; i++ {
 		g := EfficientNetX(i).Graph()
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
+		hwsim.Simulate(g, hwsim.TPUv4(), hwsim.Options{}) // panics on a malformed graph
 		if g.TotalFLOPs() <= prev {
 			t.Fatalf("B%d FLOPs must exceed B%d", i, i-1)
 		}
@@ -180,7 +176,7 @@ func TestDLRMHRebalancesAndSpeedsUp(t *testing.T) {
 		t.Errorf("DLRM-H embed/dense balance %v, want ≈1", balance)
 	}
 	// "Reduce the total embedding layer size": serving memory shrinks.
-	if ds.ServingBytes(DLRMH(ds)) >= ds.ServingBytes(BaselineDLRM(ds)) {
+	if ds.Graph(DLRMH(ds)).Params >= ds.Graph(BaselineDLRM(ds)).Params {
 		t.Error("DLRM-H must not grow serving memory")
 	}
 }

@@ -40,7 +40,19 @@ func smallModel(seed uint64) *Model {
 
 func fastPretrain() TrainConfig { return TrainConfig{Epochs: 30, BatchSize: 64, LR: 2e-3, Seed: 1} }
 
+// skipConvergenceIfShort skips a convergence test under -short. Each
+// trains a model for seconds (tens of seconds under -race) to an accuracy
+// target; TestGoldenPerfModel walks the same training path bit for bit
+// in a fraction of that, and the full run keeps the convergence checks.
+func skipConvergenceIfShort(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("convergence run; TestGoldenPerfModel covers the training path under -short")
+	}
+}
+
 func TestPretrainFitsSimulatorData(t *testing.T) {
+	skipConvergenceIfShort(t)
 	m := smallModel(1)
 	train := synthSamples(2000, testFeatDim, 1.0, 10)
 	if err := m.Pretrain(train, fastPretrain()); err != nil {
@@ -56,6 +68,7 @@ func TestPretrainFitsSimulatorData(t *testing.T) {
 }
 
 func TestFineTuningClosesSiliconGap(t *testing.T) {
+	skipConvergenceIfShort(t)
 	// The Table 1 structure: pretrained model has large NRMSE against
 	// "measurements" (gapped data); fine-tuning on ~20 measurements
 	// reduces it by roughly an order of magnitude.
@@ -129,6 +142,7 @@ func TestPretrainValidation(t *testing.T) {
 }
 
 func TestNRMSEZeroForPerfectModel(t *testing.T) {
+	skipConvergenceIfShort(t)
 	// NRMSE of an exactly-matching sample set is 0 by construction of the
 	// formula: check via a degenerate one-sample evaluation of itself.
 	m := smallModel(6)
@@ -145,6 +159,7 @@ func TestNRMSEZeroForPerfectModel(t *testing.T) {
 }
 
 func TestDualHeadsIndependent(t *testing.T) {
+	skipConvergenceIfShort(t)
 	// Train and serve targets have different offsets; the model must keep
 	// them apart rather than predicting one curve for both.
 	m := smallModel(7)
@@ -187,6 +202,7 @@ func TestNewValidates(t *testing.T) {
 }
 
 func TestFineTuneDegradedSampleSet(t *testing.T) {
+	skipConvergenceIfShort(t)
 	// A measurement campaign can deliver fewer samples than the
 	// configured batch size; FineTune must clamp rather than reject, and
 	// must report the thin set through its gauge.

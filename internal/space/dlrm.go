@@ -351,47 +351,6 @@ func (d *DLRMSpace) GraphInto(ar DLRMArch, g *arch.Graph) {
 	g.Params = embParams + denseParams
 }
 
-// ServingBytes returns the model's serving memory footprint in bytes
-// (the analytic model-size objective of Section 6.2.1).
-func (d *DLRMSpace) ServingBytes(ar DLRMArch) float64 {
-	var params float64
-	for i, w := range ar.EmbWidths {
-		if w > 0 {
-			params += float64(ar.EmbVocabs[i]) * float64(w)
-		}
-	}
-	in := d.Config.NumDense
-	count := func(widths, ranks []int, in int) int {
-		for i, w := range widths {
-			rank := ranks[i]
-			if rank < w && rank < in {
-				params += float64(in*rank + rank*w + w)
-			} else {
-				params += float64(in*w + w)
-			}
-			in = w
-		}
-		return in
-	}
-	bottomOut := 0
-	if d.Config.NumDense > 0 && len(ar.BottomWidths) > 0 {
-		bottomOut = count(ar.BottomWidths, ar.BottomRanks, in)
-	}
-	embOut := 0
-	for _, w := range ar.EmbWidths {
-		if w > 0 {
-			embOut += w
-		}
-	}
-	concat := bottomOut + embOut
-	if concat == 0 {
-		concat = 1
-	}
-	topOut := count(ar.TopWidths, ar.TopRanks, concat)
-	params += float64(topOut + 1)
-	return params * float64(d.Config.DType)
-}
-
 func roundUpTo8(v int) int {
 	if v < 8 {
 		return 8

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"h2onas/internal/hwsim"
 	"h2onas/internal/tensor"
 )
 
@@ -151,7 +152,8 @@ func TestDLRMDecodeAnyAssignmentProperty(t *testing.T) {
 			}
 		}
 		g := d.Graph(ar)
-		return g.Validate() == nil && g.TotalFLOPs() > 0
+		// Simulate panics on a malformed graph.
+		return hwsim.Simulate(g, hwsim.TPUv4(), priceOpts).StepTime > 0 && g.TotalFLOPs() > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -171,17 +173,6 @@ func TestDLRMGraphRemovedTableShrinksExchange(t *testing.T) {
 	}
 	if gRem.Params >= gBase.Params {
 		t.Fatal("removing a table must shrink parameters")
-	}
-}
-
-func TestDLRMServingBytesTracksGraphParams(t *testing.T) {
-	d := NewDLRMSpace(DefaultDLRMConfig())
-	ar := d.Decode(d.BaselineAssignment())
-	g := d.Graph(ar)
-	want := g.Params * float64(d.Config.DType)
-	got := d.ServingBytes(ar)
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Fatalf("ServingBytes = %v, Graph params bytes = %v", got, want)
 	}
 }
 
@@ -236,9 +227,7 @@ func TestCNNGraphValidAcrossRandomAssignments(t *testing.T) {
 			a[i] = rng.Intn(dec.Arity())
 		}
 		g := c.Graph(c.Decode(a))
-		if err := g.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		hwsim.Simulate(g, hwsim.TPUv4(), priceOpts) // panics on a malformed graph
 		if g.TotalFLOPs() <= 0 || g.Params <= 0 {
 			t.Fatalf("trial %d: degenerate graph", trial)
 		}
@@ -304,9 +293,7 @@ func TestViTGraphValidAcrossRandomAssignments(t *testing.T) {
 			a[i] = rng.Intn(dec.Arity())
 		}
 		g := v.Graph(v.Decode(a))
-		if err := g.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		hwsim.Simulate(g, hwsim.TPUv4(), priceOpts) // panics on a malformed graph
 	}
 }
 
