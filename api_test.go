@@ -33,11 +33,11 @@ func TestSearchDLRMThroughPublicAPI(t *testing.T) {
 
 func TestSimulateModelZooThroughPublicAPI(t *testing.T) {
 	g := h2onas.CoAtNet(0).Graph()
-	res := h2onas.Simulate(g, h2onas.TPUv4(), h2onas.SimOptions{Mode: h2onas.Training, Chips: 8})
+	res := h2onas.Simulate(g, h2onas.TPUv4(), h2onas.SimOptions{Mode: h2onas.Training})
 	if res.StepTime <= 0 || res.Power <= 0 {
 		t.Fatalf("simulation degenerate: %+v", res)
 	}
-	meas := h2onas.Measure(g, h2onas.TPUv4(), h2onas.SimOptions{Mode: h2onas.Training, Chips: 8}, 1)
+	meas := h2onas.Measure(g, h2onas.TPUv4(), h2onas.SimOptions{Mode: h2onas.Training}, 1)
 	if meas.StepTime <= res.StepTime {
 		t.Fatal("measured time must carry the silicon gap")
 	}

@@ -101,12 +101,8 @@ func inspect(g *arch.Graph, chip hwsim.Chip, trace bool) {
 		chip.Name, point.OperationalIntensity, point.AchievedFLOPS/1e9, point.Bound, hwsim.RidgePoint(chip))
 
 	for _, mode := range []hwsim.Mode{hwsim.Inference, hwsim.Training} {
-		name := "inference"
+		name := [...]string{hwsim.Inference: "inference", hwsim.Training: "training "}[mode]
 		opts := hwsim.Options{Mode: mode}
-		if mode == hwsim.Training {
-			name = "training "
-			opts.Chips = 128
-		}
 		r := hwsim.Simulate(g, chip, opts)
 		fits, fp := hwsim.FitsMemory(g, chip, opts)
 		fitStr := "fits"

@@ -393,3 +393,22 @@ func TestCapacityTableBestRowIsMaxQPSUnderP99(t *testing.T) {
 		t.Fatalf("table's best row %s, MaxQPSUnderP99 %s\n%s", got, want, out.String())
 	}
 }
+
+// TestCapacityTableSimulatesEachRowOnce: a row's service time does not
+// depend on the query rate, so the idle tail and the max rate come from
+// the one simulation of its batch.
+func TestCapacityTableSimulatesEachRowOnce(t *testing.T) {
+	build, err := models.Lookup("efficientnet-b5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	hwsim.SetMetrics(reg)
+	t.Cleanup(func() { hwsim.SetMetrics(nil) })
+	var out strings.Builder
+	capacityTable(&out, build, hwsim.TPUv4i(), 10*time.Millisecond)
+	rows := len(strings.Split(strings.TrimSpace(out.String()), "\n")) - 1
+	if got := reg.Counter("hwsim_simulate_calls_total").Value(); rows != 4 || got != int64(rows) {
+		t.Fatalf("%d table rows cost %d Simulate calls, want 4 rows at one call each", rows, got)
+	}
+}

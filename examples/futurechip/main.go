@@ -45,8 +45,8 @@ func main() {
 	fmt.Printf("%-14s %16s %16s %9s\n", "model", "TPUv4 (ms/step)", "vNext (ms/step)", "speedup")
 	for _, i := range []int{2, 5} {
 		g := h2onas.CoAtNet(i).Graph()
-		a := h2onas.Simulate(g, today, h2onas.SimOptions{Mode: h2onas.Training, Chips: 128})
-		b := h2onas.Simulate(g, chip, h2onas.SimOptions{Mode: h2onas.Training, Chips: 128})
+		a := h2onas.Simulate(g, today, h2onas.SimOptions{Mode: h2onas.Training})
+		b := h2onas.Simulate(g, chip, h2onas.SimOptions{Mode: h2onas.Training})
 		fmt.Printf("%-14s %16.1f %16.1f %8.2fx\n",
 			h2onas.CoAtNet(i).Name, a.StepTime*1e3, b.StepTime*1e3, a.StepTime/b.StepTime)
 	}

@@ -19,7 +19,7 @@ func main() {
 
 func coatnetFamily() {
 	chip := h2onas.TPUv4()
-	fmt.Println("CoAtNet family on TPUv4 (training, 128 chips, JFT-300M pretraining):")
+	fmt.Println("CoAtNet family on TPUv4 (one chip's training step, JFT-300M pretraining):")
 	fmt.Printf("%-12s %10s %12s %14s %10s %10s\n",
 		"model", "params(M)", "top-1(%)", "img/s/chip", "power(W)", "J/step")
 	for i := 0; i <= 5; i++ {
@@ -29,15 +29,15 @@ func coatnetFamily() {
 				spec = h2onas.CoAtNetH(i)
 			}
 			g := spec.Graph()
-			res := h2onas.Simulate(g, chip, h2onas.SimOptions{Mode: h2onas.Training, Chips: 128})
+			res := h2onas.Simulate(g, chip, h2onas.SimOptions{Mode: h2onas.Training})
 			acc := h2onas.VisionAccuracy(spec.Traits(h2onas.CoAtNet(i)), h2onas.JFT300M)
 			fmt.Printf("%-12s %10.0f %12.1f %14.0f %10.0f %10.1f\n",
 				spec.Name, g.Params/1e6, acc,
 				float64(g.Batch)/res.StepTime, res.Power, res.Energy)
 		}
 	}
-	c5 := h2onas.Simulate(h2onas.CoAtNet(5).Graph(), chip, h2onas.SimOptions{Mode: h2onas.Training, Chips: 128})
-	h5 := h2onas.Simulate(h2onas.CoAtNetH(5).Graph(), chip, h2onas.SimOptions{Mode: h2onas.Training, Chips: 128})
+	c5 := h2onas.Simulate(h2onas.CoAtNet(5).Graph(), chip, h2onas.SimOptions{Mode: h2onas.Training})
+	h5 := h2onas.Simulate(h2onas.CoAtNetH(5).Graph(), chip, h2onas.SimOptions{Mode: h2onas.Training})
 	fmt.Printf("\nCoAtNet-H5 vs CoAtNet-5: %.2fx faster, %.2fx energy (paper: 1.84x, 0.54x)\n\n",
 		c5.StepTime/h5.StepTime, h5.Energy/c5.Energy)
 }

@@ -29,7 +29,7 @@ type DLRMObjectives struct {
 func (o *DLRMObjectives) Perf(a space.Assignment) []float64 {
 	o.DS.DecodeInto(a, &o.ar)
 	o.DS.GraphInto(o.ar, &o.g)
-	r := hwsim.Simulate(&o.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: o.DS.Config.Chips})
+	r := hwsim.Simulate(&o.g, o.Chip, hwsim.Options{Mode: hwsim.Training})
 	return []float64{r.StepTime, o.g.Params * float64(o.g.DTypeBytes)}
 }
 
@@ -68,7 +68,7 @@ func labeledSamples(ds *space.DLRMSpace, n int, seed uint64, run func(g *arch.Gr
 		a := RandomAssignment(ds.Space, rng)
 		ds.DecodeInto(a, &ar)
 		ds.GraphInto(ar, &g)
-		train := run(&g, hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}, seed+uint64(i))
+		train := run(&g, hwsim.Options{Mode: hwsim.Training}, seed+uint64(i))
 		serve := run(&g, hwsim.Options{Mode: hwsim.Inference}, seed+uint64(i)+1<<32)
 		out[i] = perfmodel.Sample{
 			Features:  ds.Space.Features(a),

@@ -57,11 +57,13 @@ func OneShotConfig(shards, steps, batch, warmup int, seed uint64) Config {
 }
 
 // VisionObjectives prices the candidates of an analytic CNN or hybrid-ViT
-// search (Sections 6–7): one training step on 128 chips from the
-// simulator, and top-1 accuracy on Dataset from the calibrated quality
-// model. Exactly one of CNN and ViT is set. It is the only assembly of a
-// vision candidate's price; reward shaping (the reference candidate, the
-// weights, the targets) is the caller's.
+// search (Sections 6–7): one chip's training step from the simulator,
+// and top-1 accuracy on Dataset from the calibrated quality model. The
+// step leaves the gradient collective out (no vision graph has one); a
+// params-sized one moved the CNN baseline and 4 random candidates by
+// +0.0 to +2.5 %. Exactly one of CNN and ViT is set. It is the only
+// assembly of a vision candidate's price; reward shaping (the reference
+// candidate, the weights, the targets) is the caller's.
 //
 // It remembers its last assignment and that evaluation, so the
 // Quality(a), Perf(a) pair AnalyticSearcher makes per candidate costs one
@@ -82,7 +84,7 @@ type VisionObjectives struct {
 
 // VisionEval is one priced vision candidate.
 type VisionEval struct {
-	Train    hwsim.Result // one training step on 128 chips
+	Train    hwsim.Result // one chip's training step, no gradient collective
 	Params   float64
 	Accuracy float64 // top-1 %
 }
@@ -120,7 +122,7 @@ func (o *VisionObjectives) Evaluate(a space.Assignment) VisionEval {
 	}
 	tr.Params = o.g.Params
 	o.ev = VisionEval{
-		Train:    hwsim.Simulate(&o.g, o.Chip, hwsim.Options{Mode: hwsim.Training, Chips: 128}),
+		Train:    hwsim.Simulate(&o.g, o.Chip, hwsim.Options{Mode: hwsim.Training}),
 		Params:   o.g.Params,
 		Accuracy: quality.Accuracy(tr, o.Dataset),
 	}

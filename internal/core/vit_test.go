@@ -23,7 +23,7 @@ func vitSearcher(seed uint64) *vitnet.Searcher {
 	vs := space.NewTransformerSpace(space.SmallViTConfig())
 	chip := hwsim.TPUv4()
 	perf := func(a space.Assignment) []float64 {
-		r := hwsim.Simulate(vs.Graph(vs.Decode(a)), chip, hwsim.Options{Mode: hwsim.Training, Chips: 8})
+		r := hwsim.Simulate(vs.Graph(vs.Decode(a)), chip, hwsim.Options{Mode: hwsim.Training})
 		return []float64{r.StepTime}
 	}
 	base := perf(vs.BaselineAssignment())

@@ -158,8 +158,8 @@ func AblFusion() *Report {
 		"arm", "step time (ms)", "memory traffic (GB)")
 	g := models.CoAtNet(5).Graph()
 	chip := hwsim.TPUv4()
-	fused := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
-	unfused := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: 128, DisableFusion: true})
+	fused := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training})
+	unfused := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, DisableFusion: true})
 	r.AddRow("fusion on", fmt.Sprintf("%.1f", fused.StepTime*1e3), fmt.Sprintf("%.1f", (fused.HBMBytes+fused.CMEMBytes)/1e9))
 	r.AddRow("fusion off", fmt.Sprintf("%.1f", unfused.StepTime*1e3), fmt.Sprintf("%.1f", (unfused.HBMBytes+unfused.CMEMBytes)/1e9))
 	r.Metrics["unfused_over_fused"] = unfused.StepTime / fused.StepTime

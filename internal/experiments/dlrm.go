@@ -201,7 +201,7 @@ func Fig8DLRMStepTime() *Report {
 		"model", "step (µs)", "embedding (µs)", "DNN (µs)", "normalized step", "serving MB")
 	ds := space.NewDLRMSpace(models.ProductionShapeDLRMConfig())
 	chip := hwsim.TPUv4()
-	opts := hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}
+	opts := hwsim.Options{Mode: hwsim.Training}
 
 	base := ds.Graph(models.BaselineDLRM(ds))
 	opt := ds.Graph(models.DLRMH(ds))

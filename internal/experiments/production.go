@@ -158,7 +158,7 @@ func optimizeDLRM(m models.ProductionModel, sc Scale) (perfGain, qualGain, energ
 		launched, launchedQuality = ds.BaselineAssignment(), baseQuality
 	}
 
-	opts := hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}
+	opts := hwsim.Options{Mode: hwsim.Training}
 	baseRes := hwsim.Simulate(ds.Graph(ds.Decode(ds.BaselineAssignment())), obj.Chip, opts)
 	bestRes := hwsim.Simulate(ds.Graph(ds.Decode(launched)), obj.Chip, opts)
 	return baseRes.StepTime / bestRes.StepTime,

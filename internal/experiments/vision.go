@@ -128,7 +128,7 @@ func Fig7HWAnalysis() *Report {
 	r := newReport("fig7", "Hardware analysis: CoAtNet-H5 normalized to CoAtNet-5 (TPUv4)",
 		"counter", "CoAtNet-5", "CoAtNet-H5", "ratio (C-H5/C5)")
 	chip := hwsim.TPUv4()
-	opts := hwsim.Options{Mode: hwsim.Training, Chips: 128}
+	opts := hwsim.Options{Mode: hwsim.Training}
 	g5, gh := models.CoAtNet(5).Graph(), models.CoAtNetH(5).Graph()
 	r5 := hwsim.Simulate(g5, chip, opts)
 	rh := hwsim.Simulate(gh, chip, opts)
@@ -175,8 +175,8 @@ func Table4EfficientNetH() *Report {
 
 	train := func(x, h models.ENetSpec) float64 {
 		chip := hwsim.TPUv4()
-		rx := hwsim.Simulate(x.Graph(), chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
-		rh := hwsim.Simulate(h.Graph(), chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
+		rx := hwsim.Simulate(x.Graph(), chip, hwsim.Options{Mode: hwsim.Training})
+		rh := hwsim.Simulate(h.Graph(), chip, hwsim.Options{Mode: hwsim.Training})
 		return rx.StepTime / rh.StepTime
 	}
 	serve := func(chip hwsim.Chip) func(x, h models.ENetSpec) float64 {
@@ -216,7 +216,7 @@ func Fig9Energy() *Report {
 	r := newReport("fig9", "Performance / power / energy, normalized to baselines (TPUv4)",
 		"family", "perf ratio", "power ratio", "energy ratio")
 	chip := hwsim.TPUv4()
-	opts := hwsim.Options{Mode: hwsim.Training, Chips: 128}
+	opts := hwsim.Options{Mode: hwsim.Training}
 
 	addFamily := func(name string, pairs [][2]hwsim.Result) {
 		var perf, power, energy, n float64
@@ -253,12 +253,10 @@ func Fig9Energy() *Report {
 	}
 	addFamily("CoAtNet-H", cnet)
 
-	dsDLRM := models.ProductionShapeDLRMConfig()
-	ds := spaceForDLRM(dsDLRM)
-	dlrmOpts := hwsim.Options{Mode: hwsim.Training, Chips: dsDLRM.Chips}
+	ds := spaceForDLRM(models.ProductionShapeDLRMConfig())
 	addFamily("DLRM-H", [][2]hwsim.Result{{
-		hwsim.Simulate(ds.Graph(models.BaselineDLRM(ds)), chip, dlrmOpts),
-		hwsim.Simulate(ds.Graph(models.DLRMH(ds)), chip, dlrmOpts),
+		hwsim.Simulate(ds.Graph(models.BaselineDLRM(ds)), chip, opts),
+		hwsim.Simulate(ds.Graph(models.DLRMH(ds)), chip, opts),
 	}})
 
 	r.AddNote("paper: CNet-H 1.54× perf at 0.85× power → 0.54× energy; DLRM-H 1.10× at 0.93× → 0.85×; ENet-H energy gain from speed at equal power")

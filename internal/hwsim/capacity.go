@@ -19,8 +19,8 @@ type MemoryFootprint struct {
 	Total float64
 }
 
-// Footprint computes the memory footprint of a graph under opts.
-func Footprint(g *arch.Graph, opts Options) MemoryFootprint {
+// footprint computes the memory footprint of a graph under opts.
+func footprint(g *arch.Graph, opts Options) MemoryFootprint {
 	var f MemoryFootprint
 	f.ParamBytes = g.TotalParamBytes()
 	if opts.Mode == Training {
@@ -45,7 +45,7 @@ func Footprint(g *arch.Graph, opts Options) MemoryFootprint {
 // carried by Graph.Params (tables are counted in parameters), so sharded
 // DLRMs should be checked with the per-chip shard graph.
 func FitsMemory(g *arch.Graph, chip Chip, opts Options) (bool, MemoryFootprint) {
-	f := Footprint(g, opts)
+	f := footprint(g, opts)
 	return f.Total <= chip.HBMCapacity, f
 }
 
@@ -80,7 +80,7 @@ func ScalingCurve(build GraphBuilder, chip Chip, globalBatch int, chipCounts []i
 			perChip = 1
 		}
 		g := build(perChip)
-		r := Simulate(g, chip, Options{Mode: Training, Chips: n})
+		r := Simulate(g, chip, Options{Mode: Training})
 		tput := float64(perChip*n) / r.StepTime
 		p := ScalingPoint{
 			Chips:        n,

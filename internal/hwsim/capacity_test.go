@@ -8,8 +8,8 @@ import (
 
 func TestFootprintTrainingVsInference(t *testing.T) {
 	g := denseGraph(128, 2048, 2048)
-	inf := Footprint(g, Options{Mode: Inference})
-	trn := Footprint(g, Options{Mode: Training})
+	inf := footprint(g, Options{Mode: Inference})
+	trn := footprint(g, Options{Mode: Training})
 	if inf.OptimizerBytes != 0 {
 		t.Fatal("inference carries no optimizer state")
 	}

@@ -124,8 +124,8 @@ func TestSimulateGolden(t *testing.T) {
 		label string
 		opts  hwsim.Options
 	}{
-		{"train", hwsim.Options{Mode: hwsim.Training, Chips: 128, Trace: true}},
-		{"train-nofuse", hwsim.Options{Mode: hwsim.Training, Chips: 128, Trace: true, DisableFusion: true}},
+		{"train", hwsim.Options{Mode: hwsim.Training, Trace: true}},
+		{"train-nofuse", hwsim.Options{Mode: hwsim.Training, Trace: true, DisableFusion: true}},
 		{"infer", hwsim.Options{Mode: hwsim.Inference, Trace: true}},
 		{"infer-nofuse", hwsim.Options{Mode: hwsim.Inference, Trace: true, DisableFusion: true}},
 	}
@@ -170,7 +170,7 @@ func TestSimulateGolden(t *testing.T) {
 func TestSimulateAllocs(t *testing.T) {
 	graphs := goldenGraphs(t)
 	for _, opts := range []hwsim.Options{
-		{Mode: hwsim.Training, Chips: 128},
+		{Mode: hwsim.Training},
 		{Mode: hwsim.Inference, DisableFusion: true},
 	} {
 		k := 0

@@ -16,52 +16,32 @@ import (
 // The serving and scaling analyses re-invoke it across batch sizes.
 type GraphBuilder func(batch int) *arch.Graph
 
-// LoadPoint is the serving behaviour at one offered load.
-type LoadPoint struct {
-	// QPS is the offered queries/second.
-	QPS float64
-	// Utilization is offered load over capacity (ρ).
-	Utilization float64
-	// MeanLatency and P99Latency include queueing delay.
-	MeanLatency, P99Latency float64
-}
-
 // tailFactor is the tail inflation factor: an M/D/1-flavoured
 // approximation where the p99 waiting time is ~ln(100)× the mean wait.
 const tailFactor = 4.6 // ln(100)
 
-// ServeUnderLoad evaluates one batch configuration at a given query rate:
-// the chip serves batches back to back (service time = batch latency), and
-// queueing delay follows the M/D/1 mean-wait formula
-// W = ρ/(2(1−ρ))·S, with the 99th percentile ≈ ln(100)·W + S.
-// Saturated systems (ρ ≥ 1) return +Inf latencies.
-func ServeUnderLoad(build GraphBuilder, chip Chip, batch int, qps float64) LoadPoint {
-	return loadAt(serviceTime(build, chip, batch), batch, qps)
+// P99AtLoad is the P99 latency (seconds) of a batch of the given size and
+// simulated service time (seconds) at a query rate: the chip serves
+// batches back to back, queueing delay follows the M/D/1 mean-wait formula
+// W = ρ/(2(1−ρ))·S, and the 99th percentile is ≈ ln(100)·W + S plus the
+// batch-fill wait. A saturated chip (ρ ≥ 1) returns +Inf. It simulates
+// nothing: the rate does not change the service time, so the caller
+// prices the batch once.
+func P99AtLoad(service float64, batch int, qps float64) float64 {
+	rho := qps / (float64(batch) / service)
+	if rho >= 1 {
+		return math.Inf(1)
+	}
+	wait := rho / (2 * (1 - rho)) * service
+	// A query also waits for its batch to fill: ~half the inter-batch gap.
+	batching := service / 2
+	return service + tailFactor*wait + batching
 }
 
 // serviceTime simulates one inference batch of the model: the time the
 // chip takes to serve it, which no query rate changes.
 func serviceTime(build GraphBuilder, chip Chip, batch int) float64 {
 	return Simulate(build(batch), chip, Options{Mode: Inference}).StepTime
-}
-
-// loadAt is ServeUnderLoad's queueing arithmetic for a batch whose
-// service time is known.
-func loadAt(service float64, batch int, qps float64) LoadPoint {
-	capacity := float64(batch) / service
-	rho := qps / capacity
-	p := LoadPoint{QPS: qps, Utilization: rho}
-	if rho >= 1 {
-		p.MeanLatency = math.Inf(1)
-		p.P99Latency = math.Inf(1)
-		return p
-	}
-	wait := rho / (2 * (1 - rho)) * service
-	// A query also waits for its batch to fill: ~half the inter-batch gap.
-	batching := service / 2
-	p.MeanLatency = service + wait + batching
-	p.P99Latency = service + tailFactor*wait + batching
-	return p
 }
 
 // MaxQPSAtBatch bisects the highest query rate a batch of the given size
@@ -77,7 +57,7 @@ func MaxQPSAtBatch(service float64, batch int, targetP99 float64) float64 {
 	lo, hi := 0.0, capacity*0.999
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if loadAt(service, batch, mid).P99Latency <= targetP99 {
+		if P99AtLoad(service, batch, mid) <= targetP99 {
 			lo = mid
 		} else {
 			hi = mid

@@ -16,37 +16,24 @@ func servingBuilder() GraphBuilder {
 	}
 }
 
-func TestServeUnderLoadLatencyGrowsWithLoad(t *testing.T) {
-	chip := TPUv4i()
-	build := servingBuilder()
+func TestP99AtLoadGrowsWithLoad(t *testing.T) {
+	service := Simulate(servingBuilder()(8), TPUv4i(), Options{Mode: Inference}).StepTime
+	capacity := 8 / service
 	var prev float64
 	for _, frac := range []float64{0.1, 0.5, 0.9} {
-		g := build(8)
-		r := Simulate(g, chip, Options{Mode: Inference})
-		capacity := 8 / r.StepTime
-		p := ServeUnderLoad(build, chip, 8, capacity*frac)
-		if p.P99Latency <= prev {
-			t.Fatalf("P99 must grow with load: %v at ρ=%v", p.P99Latency, frac)
+		p99 := P99AtLoad(service, 8, capacity*frac)
+		if p99 <= prev {
+			t.Fatalf("P99 must grow with load: %v at ρ=%v", p99, frac)
 		}
-		if p.P99Latency < p.MeanLatency {
-			t.Fatal("P99 below mean")
-		}
-		prev = p.P99Latency
+		prev = p99
 	}
 }
 
-func TestServeUnderLoadSaturation(t *testing.T) {
-	chip := TPUv4i()
-	build := servingBuilder()
-	g := build(8)
-	r := Simulate(g, chip, Options{Mode: Inference})
-	capacity := 8 / r.StepTime
-	p := ServeUnderLoad(build, chip, 8, capacity*1.1)
-	if !math.IsInf(p.P99Latency, 1) {
-		t.Fatal("overload must return infinite latency")
-	}
-	if p.Utilization <= 1 {
-		t.Fatalf("utilization %v, want > 1", p.Utilization)
+func TestP99AtLoadSaturation(t *testing.T) {
+	service := Simulate(servingBuilder()(8), TPUv4i(), Options{Mode: Inference}).StepTime
+	capacity := 8 / service
+	if p99 := P99AtLoad(service, 8, capacity*1.1); !math.IsInf(p99, 1) {
+		t.Fatalf("overload must return infinite latency, got %v", p99)
 	}
 }
 
@@ -63,9 +50,8 @@ func TestMaxQPSUnderP99Monotone(t *testing.T) {
 	}
 	// The sustained rate under the target must actually meet the target.
 	if looseQPS > 0 {
-		p := ServeUnderLoad(build, chip, looseBatch, looseQPS)
-		if p.P99Latency > 20e-3*1.001 {
-			t.Fatalf("claimed sustainable rate violates the target: P99 %v", p.P99Latency)
+		if p99 := P99AtLoad(serviceTime(build, chip, looseBatch), looseBatch, looseQPS); p99 > 20e-3*1.001 {
+			t.Fatalf("claimed sustainable rate violates the target: P99 %v", p99)
 		}
 	}
 }

@@ -21,9 +21,12 @@ const (
 // Options configures a simulation run.
 type Options struct {
 	Mode Mode
-	// Chips is the number of data-parallel chips the caller simulates
-	// for. Simulate does not read it: the gradient all-reduce time comes
-	// from the graph's AllReduce op, whose NetworkBytes the builder sized.
+	// Chips is unread.
+	//
+	// Deprecated: Simulate reads nothing from Chips; the gradient
+	// all-reduce time comes from the graph's AllReduce op, whose
+	// NetworkBytes the builder sized. The benchmark module is its last
+	// setter, and the field goes when that module stops setting it.
 	Chips int
 	// DisableFusion turns off the compiler op-fusion pass, exposing every
 	// elementwise op's HBM round-trip (useful for ablation).

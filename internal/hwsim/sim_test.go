@@ -103,7 +103,7 @@ func TestAllReducePartiallyOverlapped(t *testing.T) {
 	g := denseGraph(128, 2048, 2048)
 	grads := g.TotalParamBytes()
 	arch.AllReduceOp(g.Push(), "grads", grads)
-	trn := Simulate(g, TPUv4(), Options{Mode: Training, Chips: 128})
+	trn := Simulate(g, TPUv4(), Options{Mode: Training})
 	if trn.SyncTime <= 0 {
 		t.Fatal("training with all-reduce must have sync time")
 	}

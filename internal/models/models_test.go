@@ -43,7 +43,7 @@ func TestCoAtNetH5SpeedupBand(t *testing.T) {
 	// Figure 7: 1.84× training speedup; FLOPs ratio 0.47; HBM traffic
 	// 0.65; CMEM bandwidth 5.3; energy 0.54 (Figure 9).
 	chip := hwsim.TPUv4()
-	opts := hwsim.Options{Mode: hwsim.Training, Chips: 128}
+	opts := hwsim.Options{Mode: hwsim.Training}
 	r5 := hwsim.Simulate(CoAtNet(5).Graph(), chip, opts)
 	rh := hwsim.Simulate(CoAtNetH(5).Graph(), chip, opts)
 	speedup := r5.StepTime / rh.StepTime
@@ -110,8 +110,8 @@ func TestEfficientNetHSpeedupBands(t *testing.T) {
 	chip := hwsim.TPUv4()
 	var geo, geo57, n, n57 float64
 	for i := 0; i <= 7; i++ {
-		rx := hwsim.Simulate(EfficientNetX(i).Graph(), chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
-		rh := hwsim.Simulate(EfficientNetH(i).Graph(), chip, hwsim.Options{Mode: hwsim.Training, Chips: 128})
+		rx := hwsim.Simulate(EfficientNetX(i).Graph(), chip, hwsim.Options{Mode: hwsim.Training})
+		rh := hwsim.Simulate(EfficientNetH(i).Graph(), chip, hwsim.Options{Mode: hwsim.Training})
 		sp := rx.StepTime / rh.StepTime
 		if sp < 0.999 {
 			t.Errorf("B%d H variant slower than baseline (%v)", i, sp)
@@ -155,7 +155,7 @@ func TestDLRMBaselineImbalanced(t *testing.T) {
 	// embedding computing time" in the baseline.
 	ds := space.NewDLRMSpace(ProductionShapeDLRMConfig())
 	r := hwsim.Simulate(ds.Graph(BaselineDLRM(ds)), hwsim.TPUv4(),
-		hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips})
+		hwsim.Options{Mode: hwsim.Training})
 	if r.DenseTime <= r.EmbedTime {
 		t.Fatalf("baseline must be MLP-dominated: dense %v vs embed %v", r.DenseTime, r.EmbedTime)
 	}
@@ -164,7 +164,7 @@ func TestDLRMBaselineImbalanced(t *testing.T) {
 func TestDLRMHRebalancesAndSpeedsUp(t *testing.T) {
 	// Figure 8: ~10 % faster with embedding and DNN times balanced.
 	ds := space.NewDLRMSpace(ProductionShapeDLRMConfig())
-	opts := hwsim.Options{Mode: hwsim.Training, Chips: ds.Config.Chips}
+	opts := hwsim.Options{Mode: hwsim.Training}
 	rb := hwsim.Simulate(ds.Graph(BaselineDLRM(ds)), hwsim.TPUv4(), opts)
 	rh := hwsim.Simulate(ds.Graph(DLRMH(ds)), hwsim.TPUv4(), opts)
 	speedup := rb.StepTime / rh.StepTime

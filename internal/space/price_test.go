@@ -11,7 +11,7 @@ import (
 )
 
 // priceOpts are the options the analytic search prices candidates with.
-var priceOpts = hwsim.Options{Mode: hwsim.Training, Chips: 128}
+var priceOpts = hwsim.Options{Mode: hwsim.Training}
 
 // candidates returns n random assignments of s, drawn from one stream.
 func candidates(s *Space, seed uint64, n int) []Assignment {

@@ -22,7 +22,7 @@ func vitSearchBytes(t *testing.T, workers int) uint64 {
 	vs := space.NewTransformerSpace(space.SmallViTConfig())
 	chip := hwsim.TPUv4()
 	perf := func(a space.Assignment) []float64 {
-		r := hwsim.Simulate(vs.Graph(vs.Decode(a)), chip, hwsim.Options{Mode: hwsim.Training, Chips: 8})
+		r := hwsim.Simulate(vs.Graph(vs.Decode(a)), chip, hwsim.Options{Mode: hwsim.Training})
 		return []float64{r.StepTime}
 	}
 	s := &Searcher{

@@ -72,7 +72,7 @@ func TestTransformerSearchEndToEnd(t *testing.T) {
 	chip := hwsim.TPUv4()
 	perf := func(a space.Assignment) []float64 {
 		g := vs.Graph(vs.Decode(a))
-		r := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training, Chips: 8})
+		r := hwsim.Simulate(g, chip, hwsim.Options{Mode: hwsim.Training})
 		return []float64{r.StepTime}
 	}
 	base := perf(vs.BaselineAssignment())

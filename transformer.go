@@ -52,7 +52,8 @@ func SearchTransformer(model ViTConfig, traffic SeqConfig, chip Chip,
 }
 
 // transformerPerf returns the search's performance objective: the
-// simulated step time of one training step on 8 chips. Every candidate
+// simulated time of one chip's training step, with the gradient
+// collective left out (the graph has none). Every candidate
 // decodes and builds into the same arch and graph, so a warm call
 // allocates only the slice it returns; the engine prices candidates on
 // one goroutine.
@@ -62,7 +63,7 @@ func transformerPerf(vs *space.ViTSpace, chip Chip) func(space.Assignment) []flo
 	return func(a space.Assignment) []float64 {
 		vs.DecodeInto(a, &ar)
 		vs.GraphInto(ar, &g)
-		return []float64{Simulate(&g, chip, SimOptions{Mode: Training, Chips: 8}).StepTime}
+		return []float64{Simulate(&g, chip, SimOptions{Mode: Training}).StepTime}
 	}
 }
 

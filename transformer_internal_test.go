@@ -29,7 +29,7 @@ func TestTransformerPerfMatchesFreshGraph(t *testing.T) {
 	vs, cands := transformerCandidates()
 	perf := transformerPerf(vs, TPUv4())
 	for i, a := range cands {
-		want := Simulate(vs.Graph(vs.Decode(a)), TPUv4(), SimOptions{Mode: Training, Chips: 8}).StepTime
+		want := Simulate(vs.Graph(vs.Decode(a)), TPUv4(), SimOptions{Mode: Training}).StepTime
 		if got := perf(a); len(got) != 1 || math.Float64bits(got[0]) != math.Float64bits(want) {
 			t.Errorf("candidate %d: reused graph %v, fresh graph %v", i, got, want)
 		}
